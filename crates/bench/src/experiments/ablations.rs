@@ -19,9 +19,10 @@ use tango::infer_size::{probe_sizes, ClusterMethod, SizeProbeConfig};
 use tango::pattern::RuleKind;
 use tango::probe::ProbingEngine;
 use tango::stats::relative_error;
-use tango_sched::basic::run_tango_guarded;
-use tango_sched::executor::{execute_online, Discipline, Release};
-use tango_sched::extensions::{execute_batched_greedy, execute_batched_lookahead};
+use tango_sched::executor::{execute_rounds, execute_with, Release};
+use tango_sched::extensions::lookahead_prefix;
+use tango_sched::patterns::ordering_tango_oracle;
+use tango_sched::schedulers::TangoScheduler;
 use workloads::scenarios::link_failure;
 use workloads::topology::Topology;
 
@@ -109,9 +110,9 @@ pub fn batching_ablation(lf_flows: usize) -> (f64, f64) {
         let mut dag = lower_scenario(&mut tb, &dpids, &scen);
         let db = TangoDb::new();
         let report = if greedy {
-            execute_batched_greedy(&mut tb, &mut dag, &db)
+            execute_rounds(&mut tb, &mut dag, &db, &mut ordering_tango_oracle, false)
         } else {
-            execute_batched_lookahead(&mut tb, &mut dag, &db)
+            execute_rounds(&mut tb, &mut dag, &db, &mut lookahead_prefix, true)
         };
         report
             .expect("generated scenarios are acyclic")
@@ -129,21 +130,16 @@ pub fn guard_ablation(lf_flows: usize, guard_us: u64) -> (f64, f64) {
     let arms = par_map(vec![true, false], |ack| {
         let (mut tb, dpids) = triangle_testbed(2);
         let mut dag = lower_scenario(&mut tb, &dpids, &scen);
-        if ack {
-            execute_online(
-                &mut tb,
-                &mut dag,
-                Discipline::TangoTypePriority,
-                Release::Ack,
-            )
+        let release = if ack {
+            Release::Ack
+        } else {
+            Release::Guard(SimDuration::from_micros(guard_us))
+        };
+        let mut sched = TangoScheduler::type_and_priority();
+        execute_with(&mut tb, &mut dag, &TangoDb::new(), &mut sched, release)
             .expect("generated scenarios are acyclic")
             .makespan
             .as_secs_f64()
-        } else {
-            run_tango_guarded(&mut tb, &mut dag, SimDuration::from_micros(guard_us))
-                .makespan
-                .as_secs_f64()
-        }
     });
     (arms[0], arms[1])
 }

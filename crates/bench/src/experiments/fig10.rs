@@ -6,7 +6,8 @@
 use crate::lower::{lower_scenario, triangle_testbed};
 use crate::par::par_map;
 use simnet::trace::Figure;
-use tango_sched::basic::{run_dionysus, run_tango_online, TangoMode};
+use tango::db::TangoDb;
+use tango_sched::schedulers::resolve;
 use workloads::scenarios::{link_failure, traffic_engineering, Scenario};
 use workloads::topology::Topology;
 
@@ -45,11 +46,15 @@ impl Arm {
 pub fn makespan_s(scen: &Scenario, arm: Arm, seed: u64) -> f64 {
     let (mut tb, dpids) = triangle_testbed(seed);
     let mut dag = lower_scenario(&mut tb, &dpids, scen);
-    let report = match arm {
-        Arm::Dionysus => run_dionysus(&mut tb, &mut dag),
-        Arm::TangoType => run_tango_online(&mut tb, &mut dag, TangoMode::TypeOnly),
-        Arm::TangoTypePriority => run_tango_online(&mut tb, &mut dag, TangoMode::TypeAndPriority),
+    let scheduler = match arm {
+        Arm::Dionysus => "dionysus",
+        Arm::TangoType => "tango-type",
+        Arm::TangoTypePriority => "tango",
     };
+    let report = resolve(scheduler)
+        .expect("registered scheduler")
+        .run(&mut tb, &mut dag, &TangoDb::new())
+        .expect("generated scenarios are acyclic");
     assert_eq!(report.failed, 0, "{} {}", scen.name, arm.label());
     report.makespan.as_secs_f64()
 }

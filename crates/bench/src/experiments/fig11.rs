@@ -12,7 +12,8 @@ use crate::lower::{enforce_dag_priorities, lower_scenario, triangle_testbed};
 use crate::par::par_map;
 use simnet::telemetry::{ChromeTrace, MetricsSnapshot, Recorder};
 use simnet::trace::Figure;
-use tango_sched::basic::{run_dionysus, run_tango_online, TangoMode};
+use tango::db::TangoDb;
+use tango_sched::schedulers::resolve;
 use workloads::scenarios::{traffic_engineering, Scenario};
 use workloads::topology::Topology;
 
@@ -98,12 +99,14 @@ pub fn makespan_cell(
     if enforce {
         enforce_dag_priorities(&mut dag);
     }
-    let report = match arm {
-        Arm::Dionysus => run_dionysus(&mut tb, &mut dag),
-        Arm::PrioritySorting | Arm::PriorityEnforcement => {
-            run_tango_online(&mut tb, &mut dag, TangoMode::TypeAndPriority)
-        }
+    let scheduler = match arm {
+        Arm::Dionysus => "dionysus",
+        Arm::PrioritySorting | Arm::PriorityEnforcement => "tango",
     };
+    let report = resolve(scheduler)
+        .expect("registered scheduler")
+        .run(&mut tb, &mut dag, &TangoDb::new())
+        .expect("generated scenarios are acyclic");
     assert_eq!(report.failed, 0);
     (report.makespan.as_secs_f64(), tb.finish_recorder())
 }

@@ -10,7 +10,8 @@
 use crate::lower::{b4_testbed, lower_scenario};
 use crate::par::par_map;
 use simnet::trace::Figure;
-use tango_sched::basic::{run_dionysus, run_tango_online, TangoMode};
+use tango::db::TangoDb;
+use tango_sched::schedulers::resolve;
 use workloads::scenarios::b4_traffic_engineering;
 
 /// Makespans in seconds: `(dionysus, tango)`.
@@ -20,16 +21,15 @@ use workloads::scenarios::b4_traffic_engineering;
 #[must_use]
 pub fn makespans_s(n_flows: usize, seed: u64) -> (f64, f64) {
     let scen = b4_traffic_engineering(n_flows, seed);
-    let arms = par_map(vec![true, false], |dionysus| {
+    let arms = par_map(vec!["dionysus", "tango"], |scheduler| {
         let (mut tb, dpids) = b4_testbed(seed ^ 0xd);
         let mut dag = lower_scenario(&mut tb, &dpids, &scen);
-        if dionysus {
-            run_dionysus(&mut tb, &mut dag).makespan.as_secs_f64()
-        } else {
-            run_tango_online(&mut tb, &mut dag, TangoMode::TypeAndPriority)
-                .makespan
-                .as_secs_f64()
-        }
+        resolve(scheduler)
+            .expect("registered scheduler")
+            .run(&mut tb, &mut dag, &TangoDb::new())
+            .expect("generated scenarios are acyclic")
+            .makespan
+            .as_secs_f64()
     });
     (arms[0], arms[1])
 }

@@ -3,12 +3,13 @@
 //!
 //! Every layer above the switch models talks to switches through
 //! [`ControlPath`] — the probing engine when it measures one switch, and
-//! the network-wide schedulers when they drive many. The first (and so
-//! far only) implementation is the in-memory latency-modelled
+//! the network-wide schedulers when they drive many. There are two
+//! implementations: the in-memory latency-modelled
 //! [`Testbed`](crate::harness::Testbed), whose event-driven core runs all
-//! attached switches inside one `simnet` simulator; a transport speaking
-//! real `ofwire` bytes over a socket would implement the same trait
-//! without the layers above noticing.
+//! attached switches inside one `simnet` simulator, and `tango-net`'s
+//! `TcpFleet`, which speaks real `ofwire` bytes over loopback TCP to an
+//! `AgentServer` and carries fleet inference without the layers above
+//! noticing.
 //!
 //! The shape is deliberately asynchronous even though the simulator is
 //! single-threaded: operations are *submitted* with a controller-side
@@ -23,15 +24,16 @@ use ofwire::flow_mod::FlowMod;
 use ofwire::types::Dpid;
 use simnet::telemetry::Telemetry;
 use simnet::time::SimTime;
+use std::collections::VecDeque;
 
 /// Identifies one submitted operation. Tokens are unique per control
 /// path for its lifetime and compare/hash cheaply.
 ///
 /// Tokens are minted from one per-path counter: each `submit` returns a
 /// sequence number exactly one greater than the previous submit's, with
-/// the first at zero. Consumers may rely on this density — the driver
-/// runner files in-flight bookkeeping in a flat ring indexed by
-/// `seq() - base` instead of a hash map.
+/// the first at zero. Consumers may rely on this density — [`TokenRing`]
+/// files in-flight bookkeeping in a flat ring indexed by `seq() - base`
+/// instead of a hash map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpToken(pub(crate) u64);
 
@@ -49,6 +51,74 @@ impl OpToken {
     #[must_use]
     pub fn from_seq(seq: u64) -> OpToken {
         OpToken(seq)
+    }
+}
+
+/// Per-token bookkeeping for operations in flight, filed in a flat ring
+/// over token sequence numbers.
+///
+/// [`OpToken`]s are dense per control path (see [`OpToken::seq`]), so
+/// filing entries at `seq - base` in a deque makes insert and remove an
+/// array access with no hashing, and the drained front compacts away as
+/// completions arrive in roughly token order — the ring stays as wide as
+/// the span of outstanding tokens.
+#[derive(Debug)]
+pub struct TokenRing<T> {
+    /// Sequence number of `slots[0]`; fixed by the first insert.
+    base: Option<u64>,
+    slots: VecDeque<Option<T>>,
+    live: usize,
+}
+
+impl<T> Default for TokenRing<T> {
+    fn default() -> TokenRing<T> {
+        TokenRing {
+            base: None,
+            slots: VecDeque::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<T> TokenRing<T> {
+    /// Files `entry` under `token`, which must not be older than the
+    /// oldest token still filed.
+    pub fn insert(&mut self, token: OpToken, entry: T) {
+        let base = *self.base.get_or_insert(token.seq());
+        debug_assert!(token.seq() >= base, "token older than the ring's base");
+        let off = usize::try_from(token.seq() - base).expect("token offset fits usize");
+        while self.slots.len() <= off {
+            self.slots.push_back(None);
+        }
+        debug_assert!(self.slots[off].is_none(), "token filed twice");
+        self.slots[off] = Some(entry);
+        self.live += 1;
+    }
+
+    /// Removes and returns the entry for `token`; `None` for tokens this
+    /// ring never filed (foreign ops the caller had in flight).
+    pub fn remove(&mut self, token: OpToken) -> Option<T> {
+        let base = self.base?;
+        let off = usize::try_from(token.seq().checked_sub(base)?).ok()?;
+        let entry = self.slots.get_mut(off)?.take()?;
+        self.live -= 1;
+        while matches!(self.slots.front(), Some(None)) {
+            self.slots.pop_front();
+            self.base = Some(self.base.expect("base set while compacting") + 1);
+        }
+        Some(entry)
+    }
+
+    /// True when nothing is filed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// The entry with the lowest token, if any.
+    #[must_use]
+    pub fn first(&self) -> Option<&T> {
+        self.slots.iter().find_map(Option::as_ref)
     }
 }
 
@@ -171,5 +241,38 @@ pub trait ControlPath {
     fn track_of(&self, dpid: Dpid) -> Option<u32> {
         let _ = dpid;
         None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn token_ring_compacts_the_front_and_ignores_foreign_tokens() {
+        let mut ring = TokenRing::default();
+        assert!(ring.is_empty());
+        // The first insert fixes the base; earlier tokens are foreign.
+        for seq in 5..9 {
+            ring.insert(OpToken(seq), seq * 10);
+        }
+        assert_eq!(ring.remove(OpToken(4)), None);
+        assert_eq!(ring.remove(OpToken(9)), None);
+        // Out-of-order removes leave a hole until the front drains.
+        assert_eq!(ring.remove(OpToken(6)), Some(60));
+        assert_eq!(ring.remove(OpToken(6)), None);
+        assert_eq!(ring.slots.len(), 4);
+        assert_eq!(ring.first(), Some(&50));
+        assert_eq!(ring.remove(OpToken(5)), Some(50));
+        assert_eq!((ring.base, ring.slots.len()), (Some(7), 2));
+        assert_eq!(ring.first(), Some(&70));
+        assert_eq!(ring.remove(OpToken(8)), Some(80));
+        assert_eq!(ring.remove(OpToken(7)), Some(70));
+        assert!(ring.is_empty());
+        assert_eq!(ring.first(), None);
+        // A drained ring keeps counting from where it stopped.
+        ring.insert(OpToken(9), 90);
+        assert_eq!(ring.remove(OpToken(9)), Some(90));
+        assert_eq!((ring.base, ring.slots.len()), (Some(10), 0));
     }
 }

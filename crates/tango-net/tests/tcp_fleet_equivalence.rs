@@ -1,6 +1,7 @@
-//! End-to-end equivalence over the *sharded* wire: Tango inference
-//! through a multi-shard [`AgentServer`] produces a [`TangoDb`] that is
-//! byte-identical to the one the in-memory testbed produces.
+//! End-to-end equivalence over the wire: Tango inference through an
+//! [`AgentServer`] — one reactor shard or several — produces a
+//! [`TangoDb`] that is byte-identical to the one the in-memory testbed
+//! produces.
 //!
 //! This is the strongest correctness claim the transport can make. The
 //! whole virtual-time side channel exists so that moving the control
@@ -24,24 +25,25 @@ use tango_net::control::TcpFleet;
 use tango_net::server::{shard_of, AgentServer, ServerConfig, ServerMode};
 
 const SEED: u64 = 0x7a60;
-/// Dpids 1..=3 land on shards 0, 3 and 2 of 4 — the equivalence run
-/// genuinely crosses shard threads instead of degenerating to one.
-const SHARDS: usize = 4;
 
+/// One switch of every kind: software tables, a TCAM behind a software
+/// table, and two TCAM-only switches that reject when full.
 fn roster() -> Vec<(Dpid, SwitchProfile)> {
     vec![
         (Dpid(1), SwitchProfile::ovs()),
         (Dpid(2), SwitchProfile::vendor1()),
-        (Dpid(3), SwitchProfile::vendor3()),
+        (Dpid(3), SwitchProfile::vendor2()),
+        (Dpid(4), SwitchProfile::vendor3()),
     ]
 }
 
 fn size_config(dpid: Dpid) -> SizeProbeConfig {
     SizeProbeConfig {
-        // Bounds every profile here (vendor3's TCAM is well under it;
-        // OVS never rejects and stops at the cap) while keeping the
+        // Above every hardware table here (vendor2's 2560-entry TCAM is
+        // the largest, so each TCAM-only switch rejects on the wire; OVS
+        // never rejects and stops at the cap); few trials keep the
         // debug-profile runtime modest.
-        max_flows: 1500,
+        max_flows: 3000,
         trials_per_level: 24,
         seed: 0x5eed ^ dpid.0,
         ..SizeProbeConfig::default()
@@ -76,41 +78,45 @@ fn tcp_fleet_equivalence() {
         tb.attach(dpid, profile, link);
     }
     let expected = inferred_db_json(&mut tb);
-
-    // The same inference over loopback TCP against a sharded server.
-    let server = AgentServer::spawn_with(
-        SEED,
-        roster(),
-        ServerMode::Virtual { link },
-        ServerConfig {
-            shards: SHARDS,
-            telemetry: false,
-        },
-    )
-    .expect("sharded server spawns");
     let dpids: Vec<Dpid> = roster().iter().map(|(d, _)| *d).collect();
-    let mut fleet = TcpFleet::connect(server.addr(), &dpids).expect("fleet connects");
-    let actual = inferred_db_json(&mut fleet);
-    drop(fleet);
-    let stats = server.shutdown().expect("server exits cleanly");
 
-    assert_eq!(
-        actual, expected,
-        "TangoDb bytes diverge between in-memory and sharded-wire inference"
-    );
-    assert_eq!(stats.accepted, dpids.len());
-    assert_eq!(stats.errors, 0);
+    // The same inference over loopback TCP, against the single-loop
+    // server and against a sharded one: dpids 1..=4 land on shards 0, 3,
+    // 2 and 1 of 4, so that run genuinely crosses shard threads.
+    for shards in [1, 4] {
+        let server = AgentServer::spawn_with(
+            SEED,
+            roster(),
+            ServerMode::Virtual { link },
+            ServerConfig {
+                shards,
+                telemetry: false,
+            },
+        )
+        .expect("server spawns");
+        let mut fleet = TcpFleet::connect(server.addr(), &dpids).expect("fleet connects");
+        let actual = inferred_db_json(&mut fleet);
+        drop(fleet);
+        let stats = server.shutdown().expect("server exits cleanly");
 
-    // The partition actually spread the fleet: each shard served
-    // exactly the connections the pure partition function assigns it.
-    let mut expected_conns = vec![0usize; SHARDS];
-    for d in &dpids {
-        expected_conns[shard_of(d.0, SHARDS)] += 1;
+        assert_eq!(
+            actual, expected,
+            "TangoDb bytes diverge between in-memory and {shards}-shard wire inference"
+        );
+        assert_eq!(stats.accepted, dpids.len());
+        assert_eq!(stats.errors, 0, "no protocol violations");
+
+        // Each shard served exactly the connections the pure partition
+        // function assigns it.
+        let mut expected_conns = vec![0usize; shards];
+        for d in &dpids {
+            expected_conns[shard_of(d.0, shards)] += 1;
+        }
+        let served: Vec<usize> = stats.shards.iter().map(|s| s.conns).collect();
+        assert_eq!(served, expected_conns, "{shards} shards");
+        assert!(
+            shards == 1 || expected_conns.iter().filter(|&&c| c > 0).count() >= 2,
+            "roster must span multiple shards for the sharded run to mean anything"
+        );
     }
-    let served: Vec<usize> = stats.shards.iter().map(|s| s.conns).collect();
-    assert_eq!(served, expected_conns);
-    assert!(
-        expected_conns.iter().filter(|&&c| c > 0).count() >= 2,
-        "roster must span multiple shards for this test to mean anything"
-    );
 }

@@ -3,9 +3,9 @@
 //! engine feeds the Tango Score and Pattern Databases, and the network
 //! scheduler and application hints consume them.
 
-use crate::basic::{run_dionysus, run_tango_online, TangoMode};
 use crate::dag::RequestDag;
-use crate::executor::ExecReport;
+use crate::executor::{ExecError, ExecReport};
+use crate::schedulers::resolve;
 use ofwire::types::Dpid;
 use simnet::time::SimDuration;
 use switchsim::harness::Testbed;
@@ -222,16 +222,20 @@ impl TangoController {
         probe_geometry(&mut self.testbed, dpid, cap, 128)
     }
 
-    /// Executes a request DAG with Tango's online scheduler (pattern
-    /// ordering + guard-time release).
-    pub fn execute(&mut self, dag: &mut RequestDag, mode: TangoMode) -> ExecReport {
-        run_tango_online(&mut self.testbed, dag, mode)
-    }
-
-    /// Executes a request DAG with the Dionysus baseline (for
-    /// comparison).
-    pub fn execute_dionysus(&mut self, dag: &mut RequestDag) -> ExecReport {
-        run_dionysus(&mut self.testbed, dag)
+    /// Executes a request DAG under the registry scheduler `name` with
+    /// the release rule it is registered with: `"tango"` (pattern
+    /// ordering + guard-time release), `"dionysus"` (the baseline, for
+    /// comparison), or any other entry of
+    /// [`crate::schedulers::registry`].
+    ///
+    /// # Errors
+    /// [`ExecError::StuckDag`] on a dependency cycle.
+    ///
+    /// # Panics
+    /// If `name` is not a registered scheduler.
+    pub fn execute(&mut self, dag: &mut RequestDag, name: &str) -> Result<ExecReport, ExecError> {
+        let entry = resolve(name).unwrap_or_else(|| panic!("no scheduler registered as {name:?}"));
+        entry.run(&mut self.testbed, dag, &self.db)
     }
 
     /// Picks the best switch for a hinted flow, using the knowledge
@@ -257,11 +261,12 @@ impl TangoController {
     where
         F: FnMut() -> RequestDag,
     {
-        let mut dag = build();
-        let tango = self.execute(&mut dag, TangoMode::TypeAndPriority).makespan;
-        let mut dag = build();
-        let dionysus = self.execute_dionysus(&mut dag).makespan;
-        (tango, dionysus)
+        let mut run = |name| {
+            self.execute(&mut build(), name)
+                .expect("compared DAGs are acyclic")
+                .makespan
+        };
+        (run("tango"), run("dionysus"))
     }
 }
 

@@ -2,43 +2,43 @@
 //! the makespan — the number every network-wide figure (Figs 10–12)
 //! reports.
 //!
-//! One event-driven dispatcher, [`execute`], parameterized by a
-//! [`ReleasePolicy`]:
+//! Two entry points, one per algorithm of §6:
 //!
-//! * [`ReleasePolicy::RoundBarrier`] — Algorithm 3's loop: extract the
-//!   independent set, order it with an oracle, issue the whole batch,
-//!   wait for every ack, repeat.
-//! * [`ReleasePolicy::PerEdge`] — online dispatch: each switch runs its
-//!   own queue; whenever a switch comes free, the dispatcher picks its
-//!   next request among the *currently released* ones according to a
-//!   pluggable [`Scheduler`] resolved from the portfolio registry
+//! * [`execute_rounds`] — Algorithm 3's loop: extract the independent
+//!   set, order it with an oracle, issue the whole batch, wait for every
+//!   ack, repeat. With `partial` rounds the oracle may issue only part
+//!   of the set and re-plan (the lookahead extension).
+//! * [`execute_with`] — online dispatch: each switch runs its own queue;
+//!   whenever a switch comes free, the dispatcher picks its next request
+//!   among the *currently released* ones according to a pluggable
+//!   [`Scheduler`] resolved from the portfolio registry
 //!   ([`crate::schedulers`]) — Dionysus' critical-path rule, Tango's
 //!   pattern ordering (deletes before mods before adds, optionally
 //!   ascending-priority adds), or any classical DAG scheduler.
 //!   Successors are released either when the predecessor's ack arrives,
 //!   or — Tango's concurrent-dispatch extension (§6) — at the
-//!   predecessor's predicted completion plus a guard interval.
+//!   predecessor's predicted completion plus a guard interval
+//!   ([`Release`]).
 //!
-//! The online core ([`execute_with`]) is sub-quadratic in DAG size: each
-//! switch keeps its released requests in an ordered set keyed by the
-//! scheduler's [`SchedKey`] (computed once, when the request joins the
-//! ready frontier) plus a release-time-ordered set of not-yet-released
-//! ones, so every dispatch decision is a `first()`/`pop_first()` rather
-//! than a scan-and-sort of the whole frontier.
+//! The online dispatcher is sub-quadratic in DAG size: each switch keeps
+//! its released requests in an ordered set keyed by the scheduler's
+//! [`SchedKey`] (computed once, when the request joins the ready
+//! frontier) plus a release-time-ordered set of not-yet-released ones,
+//! so every dispatch decision is a `first()`/`pop_first()` rather than a
+//! scan-and-sort of the whole frontier.
 //!
-//! [`execute_batched`] and [`execute_online`] are thin wrappers that
-//! build the corresponding policy. All entry points report malformed
-//! inputs as typed [`ExecError`]s instead of panicking.
+//! Both report malformed inputs as typed [`ExecError`]s instead of
+//! panicking.
 
 use crate::dag::{NodeId, RequestDag};
 use crate::request::Deadline;
-use crate::schedulers::{CriticalPathScheduler, SchedKey, Scheduler, TangoScheduler};
+use crate::schedulers::{SchedKey, Scheduler};
 use ofwire::types::Dpid;
 use simnet::telemetry::TRACK_SCHEDULER;
 use simnet::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::fmt;
-use switchsim::control::{Completion, ControlOp, ControlPath, OpResult, OpToken};
+use switchsim::control::{Completion, ControlOp, ControlPath, OpResult, OpToken, TokenRing};
 use switchsim::harness::Testbed;
 use tango::db::TangoDb;
 
@@ -66,6 +66,32 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
+    /// An empty report with room for `n` issued requests.
+    fn with_capacity(n: usize) -> ExecReport {
+        ExecReport {
+            makespan: SimDuration::ZERO,
+            completed: 0,
+            failed: 0,
+            deadline_misses: 0,
+            rounds: Vec::new(),
+            issued: Vec::with_capacity(n),
+            flowtime: SimDuration::ZERO,
+        }
+    }
+
+    /// Tallies one completion of a run that started at `start`.
+    fn record(&mut self, c: &Completion, deadline: Deadline, start: SimTime) {
+        match c.result() {
+            OpResult::Ok => self.completed += 1,
+            OpResult::TableFull => self.failed += 1,
+        }
+        let elapsed = c.done_at.since(start);
+        if matches!(deadline, Deadline::WithinMs(ms) if elapsed.as_millis_f64() > ms) {
+            self.deadline_misses += 1;
+        }
+        self.flowtime += elapsed;
+    }
+
     /// Mean per-request completion latency in seconds — the sweep's
     /// ordering-quality measure.
     #[must_use]
@@ -85,8 +111,9 @@ pub enum ExecError {
     /// The DAG has unfinished requests but an empty independent set — a
     /// dependency cycle.
     StuckDag,
-    /// A round-barrier oracle returned something other than a
-    /// permutation of the independent set it was handed.
+    /// A round's oracle returned something other than distinct members
+    /// of the independent set it was handed — all of them, or at least
+    /// one where rounds may be partial.
     OracleMismatch {
         /// Size of the independent set given to the oracle.
         expected: usize,
@@ -99,11 +126,16 @@ impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExecError::StuckDag => {
-                write!(f, "request DAG is stuck: unfinished requests but no independent set (cycle?)")
+                write!(
+                    f,
+                    "request DAG is stuck: unfinished requests but no independent set (cycle?)"
+                )
             }
             ExecError::OracleMismatch { expected, got } => write!(
                 f,
-                "ordering oracle must permute the independent set: expected {expected} requests, got {got}"
+                "ordering oracle must return distinct members of the independent set (all of \
+                 them, or at least one in a partial round): set has {expected} requests, \
+                 ordering has {got}"
             ),
         }
     }
@@ -111,46 +143,8 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Whether a request completing `elapsed` after submission missed its
-/// deadline.
-fn missed_deadline(deadline: Deadline, elapsed: SimDuration) -> bool {
-    match deadline {
-        Deadline::BestEffort => false,
-        Deadline::WithinMs(ms) => elapsed.as_millis_f64() > ms,
-    }
-}
-
 /// Orders one independent set; returns the issue order plus a label.
 pub type OrderingFn<'a> = dyn FnMut(&TangoDb, &RequestDag, &[NodeId]) -> (Vec<NodeId>, String) + 'a;
-
-/// How the online dispatcher picks among released requests. Each
-/// discipline is now a named entry in the scheduler portfolio
-/// ([`crate::schedulers::registry`]); this enum survives as the stable
-/// shorthand for the three original policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Discipline {
-    /// Dionysus: longest critical path first, oblivious to op types and
-    /// priority order.
-    CriticalPath,
-    /// Tango rule-type pattern: deletes, then mods, then adds — adds in
-    /// submission order.
-    TangoTypeOnly,
-    /// Tango rule-type + priority pattern: adds additionally sorted in
-    /// ascending priority.
-    TangoTypePriority,
-}
-
-impl Discipline {
-    /// The portfolio scheduler implementing this discipline.
-    #[must_use]
-    pub fn scheduler(self) -> Box<dyn Scheduler> {
-        match self {
-            Discipline::CriticalPath => Box::new(CriticalPathScheduler::new()),
-            Discipline::TangoTypeOnly => Box::new(TangoScheduler::type_only()),
-            Discipline::TangoTypePriority => Box::new(TangoScheduler::type_and_priority()),
-        }
-    }
-}
 
 /// When a successor is released after its predecessor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,91 +156,47 @@ pub enum Release {
     Guard(SimDuration),
 }
 
-/// How the unified dispatcher releases requests onto the control path.
-pub enum ReleasePolicy<'o, 'a> {
-    /// Algorithm 3: issue the oracle-ordered independent set as one
-    /// barriered round; the next round is released when the whole round
-    /// has acked.
-    RoundBarrier {
-        /// Inferred switch properties consulted by the oracle.
-        db: &'a TangoDb,
-        /// The ordering oracle for each round.
-        order: &'o mut OrderingFn<'a>,
-        /// When `false`, the oracle must return a permutation of the set
-        /// it was handed (Algorithm 3 verbatim); when `true`, it may
-        /// issue only a prefix, leaving the rest for later rounds
-        /// (the lookahead extension).
-        partial: bool,
-    },
-    /// Online dispatch: every completion releases its successors
-    /// individually (by ack or guard time) and each idle switch picks
-    /// its next request by `discipline` the moment one is available.
-    PerEdge {
-        /// Tie-breaking rule among a switch's released requests.
-        discipline: Discipline,
-        /// When successors become issuable after a predecessor.
-        release: Release,
-    },
-}
-
-/// Running tallies shared by both release policies.
-#[derive(Default)]
-struct Stats {
-    completed: usize,
-    failed: usize,
-    deadline_misses: usize,
-    flowtime: SimDuration,
-}
-
-impl Stats {
-    fn record(&mut self, c: &Completion, deadline: Deadline, start: SimTime) {
-        match c.result() {
-            OpResult::Ok => self.completed += 1,
-            OpResult::TableFull => self.failed += 1,
-        }
-        if missed_deadline(deadline, c.done_at.since(start)) {
-            self.deadline_misses += 1;
-        }
-        self.flowtime += c.done_at.since(start);
+impl Release {
+    /// The default guard interval for Tango's concurrent-dispatch
+    /// extension (§6): comfortably above the per-op cost estimation
+    /// error, far below an ack round trip.
+    #[must_use]
+    pub fn default_guard() -> SimDuration {
+        SimDuration::from_micros(50)
     }
 }
 
-/// Runs the unified event-driven dispatcher over the DAG.
-pub fn execute(
-    tb: &mut Testbed,
-    dag: &mut RequestDag,
-    policy: ReleasePolicy<'_, '_>,
-) -> Result<ExecReport, ExecError> {
-    match policy {
-        ReleasePolicy::RoundBarrier { db, order, partial } => {
-            run_round_barrier(tb, dag, db, order, partial)
+/// Whether `ordered` names distinct members of `set` (which is sorted
+/// ascending): all of them, or with `partial` at least one.
+fn is_valid_round(set: &[NodeId], ordered: &[NodeId], partial: bool) -> bool {
+    let mut named = vec![false; set.len()];
+    for id in ordered {
+        match set.binary_search(id) {
+            Ok(i) if !named[i] => named[i] = true,
+            _ => return false,
         }
-        ReleasePolicy::PerEdge {
-            discipline,
-            release,
-        } => {
-            // The disciplines ignore the property database, so the
-            // wrapper can hand the core an empty one.
-            let mut sched = discipline.scheduler();
-            run_scheduled(tb, dag, &TangoDb::new(), sched.as_mut(), release)
-        }
+    }
+    if partial {
+        !ordered.is_empty()
+    } else {
+        ordered.len() == set.len()
     }
 }
 
-/// Runs the online dispatcher under an explicit portfolio [`Scheduler`]
-/// — the entry point the scheduler sweep and registry users call.
-pub fn execute_with(
-    tb: &mut Testbed,
-    dag: &mut RequestDag,
-    db: &TangoDb,
-    sched: &mut dyn Scheduler,
-    release: Release,
-) -> Result<ExecReport, ExecError> {
-    run_scheduled(tb, dag, db, sched, release)
-}
-
-/// Round-barrier dispatch (Algorithm 3, optionally with prefix rounds).
-fn run_round_barrier(
+/// Round-barrier dispatch — Algorithm 3: issue the `order`ed independent
+/// set as one barriered round; the next round is released when the whole
+/// round has acked.
+///
+/// When `partial` is `false`, the oracle must return a permutation of
+/// the set it was handed (Algorithm 3 verbatim); when `true`, it may
+/// issue any non-empty part, leaving the rest for later rounds (the
+/// lookahead extension, [`crate::extensions::lookahead_prefix`]).
+///
+/// # Errors
+/// [`ExecError::StuckDag`] on a dependency cycle;
+/// [`ExecError::OracleMismatch`] when the oracle repeats a request,
+/// names one outside the set, or returns too few.
+pub fn execute_rounds(
     tb: &mut Testbed,
     dag: &mut RequestDag,
     db: &TangoDb,
@@ -258,9 +208,7 @@ fn run_round_barrier(
         .telemetry()
         .span_begin(TRACK_SCHEDULER, "execute_rounds", start);
     let mut frontier: SimTime = start;
-    let mut stats = Stats::default();
-    let mut rounds = Vec::new();
-    let mut issued = Vec::with_capacity(dag.len());
+    let mut report = ExecReport::with_capacity(dag.len());
     while !dag.all_done() {
         let set = dag.independent_set();
         if set.is_empty() {
@@ -268,14 +216,14 @@ fn run_round_barrier(
             return Err(ExecError::StuckDag);
         }
         let (ordered, label) = order(db, dag, &set);
-        if !partial && ordered.len() != set.len() {
+        if !is_valid_round(&set, &ordered, partial) {
             tb.telemetry().span_cancel(exec_span);
             return Err(ExecError::OracleMismatch {
                 expected: set.len(),
                 got: ordered.len(),
             });
         }
-        rounds.push((label, ordered.len()));
+        report.rounds.push((label, ordered.len()));
         let round_span = tb
             .telemetry()
             .span_begin(TRACK_SCHEDULER, "round", frontier);
@@ -299,27 +247,20 @@ fn run_round_barrier(
         let mut batch_end = frontier;
         for (token, deadline) in submitted {
             let c = tb.wait_for(token);
-            stats.record(&c, deadline, start);
+            report.record(&c, deadline, start);
             batch_end = batch_end.max(c.acked_at);
         }
         for id in ordered {
             dag.mark_done(id);
-            issued.push(id);
+            report.issued.push(id);
         }
         frontier = batch_end;
         tb.telemetry().span_end(round_span, frontier);
     }
     tb.warp_to(frontier.max(tb.now()));
     tb.telemetry().span_end(exec_span, frontier.max(start));
-    Ok(ExecReport {
-        makespan: frontier.since(start),
-        completed: stats.completed,
-        failed: stats.failed,
-        deadline_misses: stats.deadline_misses,
-        rounds,
-        issued,
-        flowtime: stats.flowtime,
-    })
+    report.makespan = frontier.since(start);
+    Ok(report)
 }
 
 /// A request issued onto the control path whose completion has not been
@@ -333,47 +274,6 @@ struct InFlight {
     /// Successor nodes captured at issue time (`mark_done` forgets
     /// edges).
     succs: Vec<NodeId>,
-}
-
-/// In-flight requests filed in a flat ring over token sequence numbers
-/// (dense per control path — see [`OpToken::seq`]): insert and remove
-/// are array accesses, and the drained front compacts away as
-/// completions arrive.
-#[derive(Default)]
-struct InFlightRing {
-    /// Sequence number of `slots[0]`; fixed by the first insert.
-    base: Option<u64>,
-    slots: VecDeque<Option<InFlight>>,
-    live: usize,
-}
-
-impl InFlightRing {
-    fn insert(&mut self, token: OpToken, fl: InFlight) {
-        let base = *self.base.get_or_insert(token.seq());
-        let off = usize::try_from(token.seq() - base).expect("token offset fits usize");
-        while self.slots.len() <= off {
-            self.slots.push_back(None);
-        }
-        debug_assert!(self.slots[off].is_none(), "token filed twice");
-        self.slots[off] = Some(fl);
-        self.live += 1;
-    }
-
-    fn remove(&mut self, token: OpToken) -> Option<InFlight> {
-        let base = self.base?;
-        let off = usize::try_from(token.seq().checked_sub(base)?).ok()?;
-        let fl = self.slots.get_mut(off)?.take()?;
-        self.live -= 1;
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
-            self.base = Some(self.base.expect("base set while compacting") + 1);
-        }
-        Some(fl)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.live == 0
-    }
 }
 
 /// One switch's dispatch queue: requests whose keys are final, split by
@@ -399,13 +299,19 @@ impl SwitchQueue {
     }
 }
 
-/// Scheduler-driven online dispatch — the per-edge core.
+/// Online dispatch under a portfolio [`Scheduler`]: every completion
+/// releases its successors individually (by `release`: ack or guard
+/// time) and each idle switch picks its next request by the scheduler's
+/// key the moment one is available.
 ///
 /// A node's key is computed exactly once, when its last predecessor's
 /// completion is processed (so its release time is final), and the node
 /// drops into its switch's queue. Dispatch then never rescans the
 /// frontier: each decision pops the best key of the chosen switch.
-fn run_scheduled(
+///
+/// # Errors
+/// [`ExecError::StuckDag`] on a dependency cycle.
+pub fn execute_with(
     tb: &mut Testbed,
     dag: &mut RequestDag,
     db: &TangoDb,
@@ -419,19 +325,17 @@ fn run_scheduled(
     // Dense switch wiring: the DAG's distinct dpids in sorted order, and
     // every node's switch resolved to a `u32` index once — the dispatch
     // loop below never touches a map. Index order equals dpid order, so
-    // tie-breaks by index reproduce the old tie-breaks by dpid exactly.
+    // ties between switches break by dpid.
     let dpids: Vec<Dpid> = (0..n)
         .map(|u| dag.node(NodeId(u)).location)
         .collect::<BTreeSet<_>>()
         .into_iter()
         .collect();
-    let sw_of: BTreeMap<Dpid, u32> = dpids
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| (d, u32::try_from(i).expect("switch count fits u32")))
-        .collect();
     let node_sw: Vec<u32> = (0..n)
-        .map(|u| sw_of[&dag.node(NodeId(u)).location])
+        .map(|u| {
+            let i = dpids.binary_search(&dag.node(NodeId(u)).location);
+            u32::try_from(i.expect("dpid collected above")).expect("switch count fits u32")
+        })
         .collect();
     // Release time per node: the max of its predecessors' release
     // instants (ack arrival or guarded completion). A node is issuable
@@ -447,21 +351,15 @@ fn run_scheduled(
             queues[node_sw[u] as usize].released.insert((key, id));
         }
     }
-    let mut inflight = InFlightRing::default();
+    let mut inflight = TokenRing::default();
     let mut busy: Vec<bool> = vec![false; queues.len()];
-    let mut stats = Stats::default();
+    let mut report = ExecReport::with_capacity(n);
     let mut last_done = start;
-    let mut issued: Vec<NodeId> = Vec::with_capacity(n);
 
-    // Issues the best issuable request for every idle switch. `now` is
-    // the dispatcher's decision instant.
-    let issue_idle = |tb: &mut Testbed,
-                      dag: &mut RequestDag,
-                      queues: &mut Vec<SwitchQueue>,
-                      inflight: &mut InFlightRing,
-                      busy: &mut Vec<bool>,
-                      issued: &mut Vec<NodeId>| {
-        let now = ControlPath::now(tb);
+    while !dag.all_done() || !inflight.is_empty() {
+        // Issue the best issuable request for every idle switch. `now`
+        // is the dispatcher's decision instant.
+        let now = tb.now();
         for q in queues.iter_mut() {
             q.release_due(now);
         }
@@ -519,13 +417,9 @@ fn run_scheduled(
             );
             busy[sw] = true;
             dag.mark_done(id);
-            issued.push(id);
+            report.issued.push(id);
             tb.telemetry().count("sched/issued", 1);
         }
-    };
-
-    while !dag.all_done() || !inflight.is_empty() {
-        issue_idle(tb, dag, &mut queues, &mut inflight, &mut busy, &mut issued);
         let Some(c) = tb.next_completion() else {
             // Nothing in flight and nothing issuable, yet the DAG has
             // unfinished requests: a dependency cycle.
@@ -535,7 +429,7 @@ fn run_scheduled(
         let fl = inflight
             .remove(c.token)
             .expect("completion for an op this dispatcher issued");
-        stats.record(&c, fl.deadline, start);
+        report.record(&c, fl.deadline, start);
         last_done = last_done.max(c.done_at);
         busy[fl.sw as usize] = false;
         let rel = match release {
@@ -564,52 +458,8 @@ fn run_scheduled(
     }
     tb.warp_to(last_done.max(tb.now()));
     tb.telemetry().span_end(exec_span, last_done.max(start));
-    Ok(ExecReport {
-        makespan: last_done.since(start),
-        completed: stats.completed,
-        failed: stats.failed,
-        deadline_misses: stats.deadline_misses,
-        rounds: Vec::new(),
-        issued,
-        flowtime: stats.flowtime,
-    })
-}
-
-/// Runs the batched (Algorithm 3) discipline — a thin wrapper over
-/// [`execute`] with a [`ReleasePolicy::RoundBarrier`] policy.
-pub fn execute_batched(
-    tb: &mut Testbed,
-    dag: &mut RequestDag,
-    db: &TangoDb,
-    order: &mut OrderingFn<'_>,
-) -> Result<ExecReport, ExecError> {
-    execute(
-        tb,
-        dag,
-        ReleasePolicy::RoundBarrier {
-            db,
-            order,
-            partial: false,
-        },
-    )
-}
-
-/// Runs the online dispatcher — a thin wrapper over [`execute`] with a
-/// [`ReleasePolicy::PerEdge`] policy.
-pub fn execute_online(
-    tb: &mut Testbed,
-    dag: &mut RequestDag,
-    discipline: Discipline,
-    release: Release,
-) -> Result<ExecReport, ExecError> {
-    execute(
-        tb,
-        dag,
-        ReleasePolicy::PerEdge {
-            discipline,
-            release,
-        },
-    )
+    report.makespan = last_done.since(start);
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -617,8 +467,32 @@ mod tests {
     use super::*;
     use crate::patterns::ordering_tango_oracle;
     use crate::request::ReqElem;
+    use crate::schedulers::{resolve, CriticalPathScheduler, TangoScheduler};
     use ofwire::flow_match::FlowMatch;
+    use ofwire::flow_mod::FlowMod;
+    use simnet::rng::DetRng;
     use switchsim::profiles::SwitchProfile;
+
+    /// Online dispatch under an explicit scheduler × release pair.
+    pub(super) fn online(
+        tb: &mut Testbed,
+        dag: &mut RequestDag,
+        mut sched: impl Scheduler,
+        release: Release,
+    ) -> ExecReport {
+        execute_with(tb, dag, &TangoDb::new(), &mut sched, release).unwrap()
+    }
+
+    /// Online dispatch under the registry entry `name`.
+    fn registered(tb: &mut Testbed, dag: &mut RequestDag, name: &str) -> ExecReport {
+        let entry = resolve(name).expect("registered scheduler");
+        entry.run(tb, dag, &TangoDb::new()).unwrap()
+    }
+
+    /// Algorithm 3 verbatim: whole rounds ordered by the Tango oracle.
+    fn greedy(tb: &mut Testbed, dag: &mut RequestDag) -> ExecReport {
+        execute_rounds(tb, dag, &TangoDb::new(), &mut ordering_tango_oracle, false).unwrap()
+    }
 
     fn chain_dag(dpid: Dpid, len: usize) -> RequestDag {
         let mut dag = RequestDag::new();
@@ -638,6 +512,15 @@ mod tests {
         dag
     }
 
+    /// Four independent adds on one switch.
+    fn flat_dag() -> RequestDag {
+        let mut dag = RequestDag::new();
+        for i in 0..4u32 {
+            dag.add_node(ReqElem::add(Dpid(1), FlowMatch::l3_for_id(i), 10, 1));
+        }
+        dag
+    }
+
     fn testbed() -> Testbed {
         let mut tb = Testbed::new(4);
         tb.attach_default(Dpid(1), SwitchProfile::vendor1());
@@ -649,10 +532,7 @@ mod tests {
     fn batched_executes_whole_dag() {
         let mut tb = testbed();
         let mut dag = chain_dag(Dpid(1), 5);
-        let db = TangoDb::new();
-        let mut oracle =
-            |db: &TangoDb, dag: &RequestDag, set: &[NodeId]| ordering_tango_oracle(db, dag, set);
-        let report = execute_batched(&mut tb, &mut dag, &db, &mut oracle).unwrap();
+        let report = greedy(&mut tb, &mut dag);
         assert!(dag.all_done());
         assert_eq!(report.completed, 5);
         assert_eq!(report.failed, 0);
@@ -666,40 +546,83 @@ mod tests {
     fn online_executes_whole_dag() {
         let mut tb = testbed();
         let mut dag = chain_dag(Dpid(1), 5);
-        let report =
-            execute_online(&mut tb, &mut dag, Discipline::CriticalPath, Release::Ack).unwrap();
+        let report = registered(&mut tb, &mut dag, "dionysus");
         assert!(dag.all_done());
         assert_eq!(report.completed, 5);
         assert_eq!(tb.switch(Dpid(1)).rule_count(), 5);
     }
 
+    /// Runs `oracle` over [`flat_dag`] and returns the error it must
+    /// provoke, checking nothing reached the switch and no span leaked.
+    fn round_error(oracle: &mut OrderingFn<'_>, partial: bool) -> ExecError {
+        let mut tb = testbed();
+        tb.enable_telemetry();
+        let mut dag = flat_dag();
+        let err = execute_rounds(&mut tb, &mut dag, &TangoDb::new(), oracle, partial).unwrap_err();
+        assert_eq!(tb.switch(Dpid(1)).rule_count(), 0);
+        let rec = tb.finish_recorder().expect("recorder present");
+        assert_eq!(rec.spans().count(), 0, "error path must cancel its spans");
+        err
+    }
+
     #[test]
     fn oracle_mismatch_is_a_typed_error() {
-        let mut tb = testbed();
-        let mut dag = chain_dag(Dpid(1), 3);
-        let db = TangoDb::new();
         // A broken oracle that drops every other element.
-        let mut oracle = |_db: &TangoDb, _dag: &RequestDag, set: &[NodeId]| {
+        let mut oracle = |_: &TangoDb, _: &RequestDag, set: &[NodeId]| {
             (
                 set.iter().copied().step_by(2).collect(),
                 "broken".to_string(),
             )
         };
-        // The first round has one element so step_by(2) keeps it; grow
-        // the independent set to surface the mismatch immediately.
-        let mut flat = RequestDag::new();
-        for i in 0..4u32 {
-            flat.add_node(ReqElem::add(Dpid(1), FlowMatch::l3_for_id(i), 10, 1));
-        }
-        let err = execute_batched(&mut tb, &mut flat, &db, &mut oracle).unwrap_err();
         assert_eq!(
-            err,
+            round_error(&mut oracle, false),
             ExecError::OracleMismatch {
                 expected: 4,
                 got: 2
             }
         );
-        let _ = &mut dag;
+    }
+
+    #[test]
+    fn empty_partial_round_is_a_typed_error() {
+        // Partial rounds may hold back requests, but not all of them:
+        // a round that issues nothing can never make progress.
+        let mut oracle =
+            |_: &TangoDb, _: &RequestDag, _: &[NodeId]| (Vec::new(), "empty".to_string());
+        assert_eq!(
+            round_error(&mut oracle, true),
+            ExecError::OracleMismatch {
+                expected: 4,
+                got: 0
+            }
+        );
+    }
+
+    #[test]
+    fn repeated_or_foreign_ids_are_a_typed_error() {
+        // Right length, wrong content: the first request named twice.
+        let mut repeated = |_: &TangoDb, _: &RequestDag, set: &[NodeId]| {
+            let mut ordered = set.to_vec();
+            ordered[1] = ordered[0];
+            (ordered, "repeated".to_string())
+        };
+        // Right length, but one id is not in the independent set.
+        let mut foreign = |_: &TangoDb, dag: &RequestDag, set: &[NodeId]| {
+            let mut ordered = set.to_vec();
+            ordered[1] = NodeId(dag.len());
+            (ordered, "foreign".to_string())
+        };
+        for partial in [false, true] {
+            for oracle in [&mut repeated as &mut OrderingFn<'_>, &mut foreign] {
+                assert_eq!(
+                    round_error(oracle, partial),
+                    ExecError::OracleMismatch {
+                        expected: 4,
+                        got: 4
+                    }
+                );
+            }
+        }
     }
 
     #[test]
@@ -707,9 +630,7 @@ mod tests {
         let run = |release| {
             let mut tb = testbed();
             let mut dag = chain_dag(Dpid(1), 40);
-            execute_online(&mut tb, &mut dag, Discipline::CriticalPath, release)
-                .unwrap()
-                .makespan
+            online(&mut tb, &mut dag, CriticalPathScheduler::new(), release).makespan
         };
         let with_ack = run(Release::Ack);
         let with_guard = run(Release::Guard(SimDuration::from_micros(50)));
@@ -726,32 +647,21 @@ mod tests {
         let build = || {
             let mut dag = RequestDag::new();
             let mut prios: Vec<u16> = (0..150u16).map(|i| 1000 + i).collect();
-            let mut rng = simnet::rng::DetRng::new(5);
+            let mut rng = DetRng::new(5);
             rng.shuffle(&mut prios);
             for (i, p) in prios.into_iter().enumerate() {
                 dag.add_node(ReqElem::add(Dpid(1), FlowMatch::l3_for_id(i as u32), p, 1));
             }
             dag
         };
-        let cp = {
-            let mut tb = testbed();
-            let mut dag = build();
-            execute_online(&mut tb, &mut dag, Discipline::CriticalPath, Release::Ack)
-                .unwrap()
-                .makespan
-        };
-        let tango = {
-            let mut tb = testbed();
-            let mut dag = build();
-            execute_online(
-                &mut tb,
-                &mut dag,
-                Discipline::TangoTypePriority,
-                Release::Ack,
-            )
-            .unwrap()
-            .makespan
-        };
+        let cp = registered(&mut testbed(), &mut build(), "dionysus").makespan;
+        let tango = online(
+            &mut testbed(),
+            &mut build(),
+            TangoScheduler::type_and_priority(),
+            Release::Ack,
+        )
+        .makespan;
         assert!(
             tango.as_millis_f64() < 0.8 * cp.as_millis_f64(),
             "tango {tango} vs critical-path {cp}"
@@ -779,15 +689,11 @@ mod tests {
                 dag.add_dep(w[0], w[1]);
             }
         }
-        let both = execute_online(&mut tb, &mut dag, Discipline::CriticalPath, Release::Ack)
-            .unwrap()
-            .makespan;
+        let both = registered(&mut tb, &mut dag, "dionysus").makespan;
 
         let mut tb1 = testbed();
         let mut one = chain_dag(Dpid(1), 20);
-        let single = execute_online(&mut tb1, &mut one, Discipline::CriticalPath, Release::Ack)
-            .unwrap()
-            .makespan;
+        let single = registered(&mut tb1, &mut one, "dionysus").makespan;
         assert!(
             both.as_millis_f64() < 1.4 * single.as_millis_f64(),
             "two parallel chains ({both}) should cost about one ({single})"
@@ -796,18 +702,11 @@ mod tests {
 
     #[test]
     fn telemetry_records_scheduler_spans_without_changing_timing() {
-        let plain = {
-            let mut tb = testbed();
-            let mut dag = chain_dag(Dpid(1), 5);
-            execute_online(&mut tb, &mut dag, Discipline::CriticalPath, Release::Ack)
-                .unwrap()
-                .makespan
-        };
+        let plain = registered(&mut testbed(), &mut chain_dag(Dpid(1), 5), "dionysus").makespan;
         let mut tb = testbed();
         tb.enable_telemetry();
         let mut dag = chain_dag(Dpid(1), 5);
-        let report =
-            execute_online(&mut tb, &mut dag, Discipline::CriticalPath, Release::Ack).unwrap();
+        let report = registered(&mut tb, &mut dag, "dionysus");
         assert_eq!(report.makespan, plain, "telemetry must not perturb timing");
         let rec = tb.finish_recorder().expect("recorder present");
         assert_eq!(rec.counter("sched/issued"), 5);
@@ -827,13 +726,13 @@ mod tests {
         let mut tb = testbed();
         tb.enable_telemetry();
         let mut dag = chain_dag(Dpid(1), 3);
-        let db = TangoDb::new();
-        let mut oracle =
-            |db: &TangoDb, dag: &RequestDag, set: &[NodeId]| ordering_tango_oracle(db, dag, set);
-        execute_batched(&mut tb, &mut dag, &db, &mut oracle).unwrap();
+        greedy(&mut tb, &mut dag);
         let rec = tb.finish_recorder().expect("recorder present");
         assert_eq!(rec.counter("sched/rounds"), 3);
         assert_eq!(rec.counter("sched/issued"), 3);
+        assert!(rec
+            .spans()
+            .any(|s| s.name == "execute_rounds" && s.track == TRACK_SCHEDULER));
         assert_eq!(
             rec.spans()
                 .filter(|s| s.name == "round" && s.track == TRACK_SCHEDULER)
@@ -851,10 +750,7 @@ mod tests {
         let a = dag.add_node(ReqElem::add(Dpid(1), m, 10, 1));
         let d = dag.add_node(ReqElem::delete(Dpid(1), m, 10));
         dag.add_dep(a, d);
-        let db = TangoDb::new();
-        let mut oracle =
-            |db: &TangoDb, dag: &RequestDag, set: &[NodeId]| ordering_tango_oracle(db, dag, set);
-        let report = execute_batched(&mut tb, &mut dag, &db, &mut oracle).unwrap();
+        let report = greedy(&mut tb, &mut dag);
         assert_eq!(report.completed, 2);
         assert_eq!(tb.switch(Dpid(1)).rule_count(), 0);
     }
@@ -867,23 +763,138 @@ mod tests {
         let a = dag.add_node(ReqElem::add(Dpid(1), m, 10, 1));
         let d = dag.add_node(ReqElem::delete(Dpid(2), m, 10));
         dag.add_dep(a, d);
-        let report = execute_online(
+        let report = online(
             &mut tb,
             &mut dag,
-            Discipline::TangoTypeOnly,
+            TangoScheduler::type_only(),
             Release::Guard(SimDuration::from_micros(10)),
-        )
-        .unwrap();
+        );
         assert_eq!(report.completed, 2);
         assert_eq!(tb.switch(Dpid(1)).rule_count(), 1);
         assert_eq!(tb.switch(Dpid(2)).rule_count(), 0);
+    }
+
+    /// A flat (dependency-free) workload of adds with scattered
+    /// priorities plus some mods and dels — the situation where pattern
+    /// ordering pays.
+    fn flat_workload(n_adds: usize, n_mods: usize, n_dels: usize) -> RequestDag {
+        let mut dag = RequestDag::new();
+        let mut rng = DetRng::new(3);
+        // Pre-existing rules to modify/delete occupy ids 0..n_mods+n_dels.
+        for i in 0..n_mods {
+            dag.add_node(ReqElem::modify(
+                Dpid(1),
+                FlowMatch::l3_for_id(i as u32),
+                500,
+                2,
+            ));
+        }
+        for i in 0..n_dels {
+            dag.add_node(ReqElem::delete(
+                Dpid(1),
+                FlowMatch::l3_for_id((n_mods + i) as u32),
+                3500,
+            ));
+        }
+        let mut prios: Vec<u16> = (0..n_adds).map(|i| 1000 + i as u16).collect();
+        rng.shuffle(&mut prios);
+        for (i, p) in prios.into_iter().enumerate() {
+            dag.add_node(ReqElem::add(
+                Dpid(1),
+                FlowMatch::l3_for_id((10_000 + i) as u32),
+                p,
+                1,
+            ));
+        }
+        dag
+    }
+
+    fn testbed_with_preinstalled(n_mods: usize, n_dels: usize, extra: usize) -> Testbed {
+        let mut tb = Testbed::new(8);
+        tb.attach_default(Dpid(1), SwitchProfile::vendor1());
+        let mut fms: Vec<FlowMod> = Vec::new();
+        for i in 0..n_mods {
+            fms.push(FlowMod::add(FlowMatch::l3_for_id(i as u32), 500));
+        }
+        for i in 0..n_dels {
+            fms.push(FlowMod::add(
+                FlowMatch::l3_for_id((n_mods + i) as u32),
+                3500,
+            ));
+        }
+        let mut rng = DetRng::new(5);
+        for i in 0..extra {
+            fms.push(FlowMod::add(
+                FlowMatch::l3_for_id((100_000 + i) as u32),
+                500 + rng.index(100) as u16,
+            ));
+        }
+        tb.batch(Dpid(1), fms);
+        tb
+    }
+
+    #[test]
+    fn tango_beats_dionysus_on_hardware() {
+        let run = |name: &str| {
+            let mut tb = testbed_with_preinstalled(50, 50, 50);
+            let mut dag = flat_workload(200, 50, 50);
+            registered(&mut tb, &mut dag, name).makespan
+        };
+        let dionysus = run("dionysus");
+        let tango_t = run("tango-type");
+        let tango_tp = run("tango");
+        assert!(
+            tango_tp.as_millis_f64() < dionysus.as_millis_f64(),
+            "tango {tango_tp} should beat dionysus {dionysus}"
+        );
+        assert!(
+            tango_tp.as_millis_f64() <= tango_t.as_millis_f64() * 1.02,
+            "priority sorting ({tango_tp}) should not lose to type-only ({tango_t})"
+        );
+    }
+
+    #[test]
+    fn batched_algorithm3_also_beats_dionysus_on_flat_dags() {
+        let world = || {
+            (
+                testbed_with_preinstalled(50, 50, 50),
+                flat_workload(300, 0, 0),
+            )
+        };
+        let (mut tb, mut dag) = world();
+        let batched = greedy(&mut tb, &mut dag).makespan;
+        let (mut tb, mut dag) = world();
+        let dio = registered(&mut tb, &mut dag, "dionysus").makespan;
+        assert!(
+            batched.as_millis_f64() < dio.as_millis_f64(),
+            "batched tango {batched} vs dionysus {dio}"
+        );
+    }
+
+    #[test]
+    fn all_arms_reach_the_same_final_state() {
+        let final_count = |arm: &str| {
+            let mut tb = testbed_with_preinstalled(20, 20, 60);
+            let mut dag = flat_workload(50, 20, 20);
+            match arm {
+                "batched" => greedy(&mut tb, &mut dag),
+                name => registered(&mut tb, &mut dag, name),
+            };
+            tb.switch(Dpid(1)).rule_count()
+        };
+        for arm in ["dionysus", "tango-type", "tango", "batched"] {
+            // 100 preinstalled − 20 deleted + 50 added.
+            assert_eq!(final_count(arm), 130, "{arm}");
+        }
     }
 }
 
 #[cfg(test)]
 mod deadline_tests {
+    use super::tests::online;
     use super::*;
     use crate::request::{Deadline, ReqElem};
+    use crate::schedulers::{CriticalPathScheduler, TangoScheduler};
     use ofwire::flow_match::FlowMatch;
     use switchsim::profiles::SwitchProfile;
 
@@ -904,13 +915,12 @@ mod deadline_tests {
         for i in 0..20 {
             dag.add_node(add_with_deadline(Dpid(1), i, Some(10_000.0)));
         }
-        let report = execute_online(
+        let report = online(
             &mut tb,
             &mut dag,
-            Discipline::TangoTypePriority,
+            TangoScheduler::type_and_priority(),
             Release::Ack,
-        )
-        .unwrap();
+        );
         assert_eq!(report.deadline_misses, 0);
     }
 
@@ -923,13 +933,12 @@ mod deadline_tests {
         for i in 0..50 {
             dag.add_node(add_with_deadline(Dpid(1), i, Some(1.0)));
         }
-        let report = execute_online(
+        let report = online(
             &mut tb,
             &mut dag,
-            Discipline::TangoTypePriority,
+            TangoScheduler::type_and_priority(),
             Release::Ack,
-        )
-        .unwrap();
+        );
         assert!(
             report.deadline_misses > 40,
             "misses {}",
@@ -945,8 +954,12 @@ mod deadline_tests {
         for i in 0..200 {
             dag.add_node(add_with_deadline(Dpid(1), i, None));
         }
-        let report =
-            execute_online(&mut tb, &mut dag, Discipline::CriticalPath, Release::Ack).unwrap();
+        let report = online(
+            &mut tb,
+            &mut dag,
+            CriticalPathScheduler::new(),
+            Release::Ack,
+        );
         assert_eq!(report.deadline_misses, 0);
     }
 
@@ -954,7 +967,7 @@ mod deadline_tests {
     fn tango_ordering_saves_deadlines() {
         // Shuffled priorities with a tight-but-feasible deadline: the
         // ascending order finishes the batch sooner and misses fewer.
-        let run = |discipline| {
+        fn misses(sched: impl Scheduler) -> usize {
             let mut tb = Testbed::new(2);
             tb.attach_default(Dpid(1), SwitchProfile::vendor1());
             let mut dag = RequestDag::new();
@@ -965,12 +978,10 @@ mod deadline_tests {
                 r.install_by = Deadline::WithinMs(80.0);
                 dag.add_node(r);
             }
-            execute_online(&mut tb, &mut dag, discipline, Release::Ack)
-                .unwrap()
-                .deadline_misses
-        };
-        let cp = run(Discipline::CriticalPath);
-        let tango = run(Discipline::TangoTypePriority);
+            online(&mut tb, &mut dag, sched, Release::Ack).deadline_misses
+        }
+        let cp = misses(CriticalPathScheduler::new());
+        let tango = misses(TangoScheduler::type_and_priority());
         assert!(tango < cp, "tango misses {tango} vs critical-path {cp}");
     }
 }

@@ -7,12 +7,16 @@
 //! model (no trial execution). This explores the paper's "scheduling
 //! tree of possibilities" one level deep, which is where almost all of
 //! the benefit lives for the evaluation DAGs.
+//!
+//! The extension is an ordering function, [`lookahead_prefix`], for
+//! [`crate::executor::execute_rounds`] with partial rounds allowed:
+//! unissued requests stay in the DAG for the next round's planning pass.
+//! The greedy scheduler is the same dispatcher with
+//! [`ordering_tango_oracle`] and whole rounds.
 
 use crate::dag::{NodeId, RequestDag};
-use crate::executor::{execute, execute_batched, ExecError, ExecReport, ReleasePolicy};
 use crate::patterns::{ordering_tango_oracle, pattern_score, SchedPattern};
 use std::collections::BTreeMap;
-use switchsim::harness::Testbed;
 use tango::db::TangoDb;
 
 /// Predicted cost (ms) of issuing `set` as one batch: the negated best
@@ -53,74 +57,48 @@ fn unlocked_by(dag: &RequestDag, current: &[NodeId], prefix: &[NodeId]) -> Vec<N
     out
 }
 
-/// Batched execution with depth-1 prefix lookahead.
-pub fn execute_batched_lookahead(
-    tb: &mut Testbed,
-    dag: &mut RequestDag,
-    db: &TangoDb,
-) -> Result<ExecReport, ExecError> {
-    let mut oracle = move |db: &TangoDb, dag: &RequestDag, set: &[NodeId]| {
-        let (ordered, name) = ordering_tango_oracle(db, dag, set);
-        // Candidate prefixes: all, the first half, or one element —
-        // evaluated largest-first so ties keep the full batch (a prefix
-        // must *strictly* beat the whole batch to be chosen).
-        let candidates = [ordered.len(), ordered.len().div_ceil(2), 1usize];
-        let mut best: Option<(f64, usize)> = None;
-        for &k in &candidates {
-            if k == 0 || k > ordered.len() {
-                continue;
-            }
-            let prefix = &ordered[..k];
-            let cost = if k == ordered.len() {
-                // Whole batch: its cost plus nothing unlocked early.
-                predicted_batch_ms(db, dag, prefix)
-            } else {
-                // Prefix, then the remainder merged with what the prefix
-                // unlocks (scored as one follow-up batch).
-                let follow = unlocked_by(dag, &ordered, prefix);
-                predicted_batch_ms(db, dag, prefix) + predicted_batch_ms(db, dag, &follow)
-            };
-            if best.is_none_or(|(c, _)| cost < c) {
-                best = Some((cost, k));
-            }
+/// Orders one round with depth-1 prefix lookahead: the Tango oracle's
+/// ordering, cut to the prefix whose predicted cost — plus that of the
+/// follow-up batch it unlocks — is lowest.
+#[must_use]
+pub fn lookahead_prefix(db: &TangoDb, dag: &RequestDag, set: &[NodeId]) -> (Vec<NodeId>, String) {
+    let (mut ordered, name) = ordering_tango_oracle(db, dag, set);
+    // Candidate prefixes: all, the first half, or one element —
+    // evaluated largest-first so ties keep the full batch (a prefix
+    // must *strictly* beat the whole batch to be chosen).
+    let candidates = [ordered.len(), ordered.len().div_ceil(2), 1usize];
+    let mut best: Option<(f64, usize)> = None;
+    for &k in &candidates {
+        if k == 0 || k > ordered.len() {
+            continue;
         }
-        let (_, k) = best.expect("non-empty candidates");
-        (
-            ordered[..k].to_vec(),
-            format!("{name}[prefix {k}/{}]", set.len()),
-        )
-    };
-    // Same round-barrier dispatcher as the greedy scheduler, but with
-    // `partial` rounds allowed: unissued requests stay in the DAG for
-    // the next round's planning pass.
-    execute(
-        tb,
-        dag,
-        ReleasePolicy::RoundBarrier {
-            db,
-            order: &mut oracle,
-            partial: true,
-        },
-    )
-}
-
-/// Re-exported plain batched execution for comparison in ablations.
-pub fn execute_batched_greedy(
-    tb: &mut Testbed,
-    dag: &mut RequestDag,
-    db: &TangoDb,
-) -> Result<ExecReport, ExecError> {
-    let mut oracle =
-        |db: &TangoDb, dag: &RequestDag, set: &[NodeId]| ordering_tango_oracle(db, dag, set);
-    execute_batched(tb, dag, db, &mut oracle)
+        let prefix = &ordered[..k];
+        let cost = if k == ordered.len() {
+            // Whole batch: its cost plus nothing unlocked early.
+            predicted_batch_ms(db, dag, prefix)
+        } else {
+            // Prefix, then the remainder merged with what the prefix
+            // unlocks (scored as one follow-up batch).
+            let follow = unlocked_by(dag, &ordered, prefix);
+            predicted_batch_ms(db, dag, prefix) + predicted_batch_ms(db, dag, &follow)
+        };
+        if best.is_none_or(|(c, _)| cost < c) {
+            best = Some((cost, k));
+        }
+    }
+    let (_, k) = best.expect("non-empty candidates");
+    ordered.truncate(k);
+    (ordered, format!("{name}[prefix {k}/{}]", set.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{execute_rounds, ExecReport};
     use crate::request::ReqElem;
     use ofwire::flow_match::FlowMatch;
     use ofwire::types::Dpid;
+    use switchsim::harness::Testbed;
     use switchsim::profiles::SwitchProfile;
 
     fn testbed() -> Testbed {
@@ -145,12 +123,15 @@ mod tests {
         dag
     }
 
+    fn lookahead(tb: &mut Testbed, d: &mut RequestDag) -> ExecReport {
+        execute_rounds(tb, d, &TangoDb::new(), &mut lookahead_prefix, true).unwrap()
+    }
+
     #[test]
     fn lookahead_completes_everything() {
         let mut tb = testbed();
         let mut d = dag();
-        let db = TangoDb::new();
-        let report = execute_batched_lookahead(&mut tb, &mut d, &db).unwrap();
+        let report = lookahead(&mut tb, &mut d);
         assert!(d.all_done());
         assert_eq!(report.completed, 5);
         assert_eq!(
@@ -164,22 +145,16 @@ mod tests {
         // Lookahead uses predictions; on these small DAGs it must stay
         // within a small factor of greedy (and often wins on deeper
         // DAGs).
-        let greedy = {
-            let mut tb = testbed();
-            let mut d = dag();
-            let db = TangoDb::new();
-            execute_batched_greedy(&mut tb, &mut d, &db)
-                .unwrap()
-                .makespan
-        };
-        let look = {
-            let mut tb = testbed();
-            let mut d = dag();
-            let db = TangoDb::new();
-            execute_batched_lookahead(&mut tb, &mut d, &db)
-                .unwrap()
-                .makespan
-        };
+        let greedy = execute_rounds(
+            &mut testbed(),
+            &mut dag(),
+            &TangoDb::new(),
+            &mut ordering_tango_oracle,
+            false,
+        )
+        .unwrap()
+        .makespan;
+        let look = lookahead(&mut testbed(), &mut dag()).makespan;
         assert!(
             look.as_millis_f64() <= 1.5 * greedy.as_millis_f64(),
             "lookahead {look} vs greedy {greedy}"
@@ -188,10 +163,7 @@ mod tests {
 
     #[test]
     fn round_labels_mention_prefixes() {
-        let mut tb = testbed();
-        let mut d = dag();
-        let db = TangoDb::new();
-        let report = execute_batched_lookahead(&mut tb, &mut d, &db).unwrap();
+        let report = lookahead(&mut testbed(), &mut dag());
         assert!(report.rounds.iter().all(|(l, _)| l.contains("prefix")));
     }
 }

@@ -2,19 +2,19 @@
 //!
 //! Implements §6 of the paper: switch requests ([`request`]), the
 //! switch-request DAG ([`dag`]), the pattern-scoring ordering oracle
-//! ([`patterns`]), the Basic Tango Scheduler and its Fig-10 arms
-//! ([`basic`]), the non-greedy batching and guard-time extensions
-//! ([`extensions`]), priority assignment per Maple ([`priority`]),
-//! consistent-update ordering ([`consistency`]), the pluggable
-//! scheduler portfolio and its by-name registry ([`schedulers`]), and
-//! the execution harness measuring makespans over simulated testbeds
-//! ([`executor`]).
+//! ([`patterns`]), the non-greedy batching extension ([`extensions`]),
+//! priority assignment per Maple ([`priority`]), consistent-update
+//! ordering ([`consistency`]), the pluggable scheduler portfolio and its
+//! by-name registry ([`schedulers`]), and the execution harness
+//! measuring makespans over simulated testbeds ([`executor`]): the
+//! Basic Tango Scheduler (Algorithm 3) is [`executor::execute_rounds`],
+//! and the online arms of Figs 10–12 are registry entries run through
+//! [`executor::execute_with`].
 //!
 //! The Dionysus baseline (critical-path scheduling, oblivious to switch
-//! diversity) lives in [`basic::run_dionysus`]; the same policy is the
-//! `"dionysus"` entry of [`schedulers::registry`].
+//! diversity) is the `"dionysus"` entry of [`schedulers::registry`];
+//! Tango's arms are `"tango"` and `"tango-type"`.
 
-pub mod basic;
 pub mod consistency;
 pub mod controller;
 pub mod dag;
@@ -27,18 +27,11 @@ pub mod schedulers;
 
 /// Glob-import of the commonly used types.
 pub mod prelude {
-    pub use crate::basic::{
-        default_guard, run_basic_tango, run_dionysus, run_tango_guarded, run_tango_online,
-        TangoMode,
-    };
     pub use crate::consistency::add_reverse_path_deps;
     pub use crate::controller::{TangoController, UnderstandOptions};
     pub use crate::dag::{NodeId, RequestDag};
-    pub use crate::executor::{
-        execute, execute_batched, execute_online, execute_with, Discipline, ExecError, ExecReport,
-        Release, ReleasePolicy,
-    };
-    pub use crate::extensions::{execute_batched_greedy, execute_batched_lookahead};
+    pub use crate::executor::{execute_rounds, execute_with, ExecError, ExecReport, Release};
+    pub use crate::extensions::lookahead_prefix;
     pub use crate::patterns::{ordering_tango_oracle, pattern_score, AddOrder, SchedPattern};
     pub use crate::priority::{
         ascending_install_order, r_priorities, satisfies, topological_priorities, CyclicDag,

@@ -1,10 +1,9 @@
-//! The ported `Discipline` policies: Dionysus critical-path dispatch
-//! and Tango's pattern ordering, expressed as [`Scheduler`] keys.
+//! The paper's own policies: Dionysus critical-path dispatch and
+//! Tango's pattern ordering, expressed as [`Scheduler`] keys.
 //!
-//! The key encodings reproduce the original comparator exactly (higher
-//! longest-path rank first, then the discipline's tie-breaks, then
-//! node id), so dispatch orders — and therefore the fig 10–12
-//! artifacts — are bit-identical to the pre-registry executor.
+//! Keys order by higher longest-path rank first, then the policy's
+//! tie-breaks, then node id; the fig 10–12 artifacts pin the resulting
+//! dispatch orders.
 
 use super::{class_rank, SchedKey, Scheduler};
 use crate::dag::{NodeId, RequestDag};

@@ -1,22 +1,25 @@
 //! The pluggable scheduler portfolio.
 //!
-//! The online dispatcher in [`crate::executor`] is parameterized by a
-//! [`Scheduler`] trait object: the scheduler ranks requests the moment
-//! they join the ready frontier (via [`Scheduler::key`]) and observes
-//! completions (via [`Scheduler::on_completion`]); the executor owns
-//! everything else — per-switch queues, release times, the event loop.
+//! The online dispatcher ([`crate::executor::execute_with`]) is
+//! parameterized by a [`Scheduler`] trait object: the scheduler ranks
+//! requests the moment they join the ready frontier (via
+//! [`Scheduler::key`]) and observes completions (via
+//! [`Scheduler::on_completion`]); the executor owns everything else —
+//! per-switch queues, release times, the event loop.
 //! Schedulers are resolved by name from the [`registry`], dslab-dag
-//! style, so one experiment arm can sweep the whole portfolio.
+//! style, so one experiment arm can sweep the whole portfolio, and
+//! [`SchedulerEntry::run`] executes a DAG under an entry with the
+//! release rule it is registered with.
 //!
 //! Entries:
 //!
 //! * `"dionysus"` — critical-path dispatch, ack-released (the paper's
-//!   baseline; [`crate::executor::Discipline::CriticalPath`] ported).
+//!   baseline; [`CriticalPathScheduler`]).
 //! * `"tango"` — critical path, then Tango's rule-type phases with
 //!   ascending-priority adds; guard-time released
-//!   ([`crate::executor::Discipline::TangoTypePriority`] ported).
-//! * `"tango-type"` — rule-type phases only
-//!   ([`crate::executor::Discipline::TangoTypeOnly`] ported).
+//!   ([`TangoScheduler::type_and_priority`]).
+//! * `"tango-type"` — rule-type phases only, guard-time released
+//!   ([`TangoScheduler::type_only`]).
 //! * `"heft"` — HEFT-style upward rank: cost-weighted critical path
 //!   using the TangoDB latency profile of each request's switch.
 //! * `"dls"` — Dynamic Level Scheduling: static level minus earliest
@@ -41,11 +44,11 @@ mod classic;
 pub use baseline::{CriticalPathScheduler, TangoScheduler};
 pub use classic::{DlsScheduler, HeftScheduler, LookaheadScheduler};
 
-use crate::basic::default_guard;
 use crate::dag::{NodeId, RequestDag};
-use crate::executor::Release;
+use crate::executor::{execute_with, ExecError, ExecReport, Release};
 use crate::request::ReqOp;
 use simnet::time::SimTime;
+use switchsim::harness::Testbed;
 use tango::db::TangoDb;
 
 /// A scheduler's ranking of one ready request: compared
@@ -106,6 +109,20 @@ impl SchedulerEntry {
     pub fn build(&self) -> Box<dyn Scheduler> {
         (self.builder)()
     }
+
+    /// Executes `dag` under a fresh instance of this scheduler with the
+    /// entry's own release rule.
+    ///
+    /// # Errors
+    /// [`ExecError::StuckDag`] on a dependency cycle.
+    pub fn run(
+        &self,
+        tb: &mut Testbed,
+        dag: &mut RequestDag,
+        db: &TangoDb,
+    ) -> Result<ExecReport, ExecError> {
+        execute_with(tb, dag, db, self.build().as_mut(), self.release)
+    }
 }
 
 /// Every registered scheduler, in sweep order.
@@ -119,12 +136,12 @@ pub fn registry() -> Vec<SchedulerEntry> {
         },
         SchedulerEntry {
             name: "tango",
-            release: Release::Guard(default_guard()),
+            release: Release::Guard(Release::default_guard()),
             builder: || Box::new(TangoScheduler::type_and_priority()),
         },
         SchedulerEntry {
             name: "tango-type",
-            release: Release::Guard(default_guard()),
+            release: Release::Guard(Release::default_guard()),
             builder: || Box::new(TangoScheduler::type_only()),
         },
         SchedulerEntry {
@@ -176,7 +193,11 @@ mod tests {
     fn tango_entries_use_guard_release() {
         for name in ["tango", "tango-type"] {
             let e = resolve(name).unwrap();
-            assert_eq!(e.release, Release::Guard(default_guard()), "{name}");
+            assert_eq!(
+                e.release,
+                Release::Guard(Release::default_guard()),
+                "{name}"
+            );
         }
         assert_eq!(resolve("dionysus").unwrap().release, Release::Ack);
     }

@@ -1,10 +1,6 @@
-//! The unified dispatcher is deterministic and the legacy entry points
-//! are exactly its thin wrappers.
-//!
-//! Same RNG seed, same workload ⇒ bit-identical `ExecReport`, whether
-//! the DAG goes through `execute_batched` / `execute_online` or directly
-//! through `execute` with the equivalent `ReleasePolicy` — and across
-//! repeated runs.
+//! Both dispatchers are deterministic: same RNG seed, same workload ⇒
+//! bit-identical `ExecReport` across repeated runs — for round-barrier
+//! execution and for every registry scheduler.
 
 use ofwire::flow_match::FlowMatch;
 use ofwire::types::Dpid;
@@ -13,11 +9,10 @@ use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::db::TangoDb;
 use tango_sched::dag::{NodeId, RequestDag};
-use tango_sched::executor::{
-    execute, execute_batched, execute_online, Discipline, ExecReport, Release, ReleasePolicy,
-};
+use tango_sched::executor::execute_rounds;
 use tango_sched::patterns::ordering_tango_oracle;
 use tango_sched::request::ReqElem;
+use tango_sched::schedulers::registry;
 
 const SEED: u64 = 0x5eed;
 
@@ -54,65 +49,32 @@ fn workload() -> RequestDag {
 }
 
 #[test]
-fn batched_wrapper_equals_unified_dispatcher() {
-    let db = TangoDb::new();
-    let via_wrapper = {
-        let mut tb = testbed();
-        let mut dag = workload();
-        let mut oracle =
-            |db: &TangoDb, dag: &RequestDag, set: &[NodeId]| ordering_tango_oracle(db, dag, set);
-        execute_batched(&mut tb, &mut dag, &db, &mut oracle).unwrap()
-    };
-    let via_policy = {
-        let mut tb = testbed();
-        let mut dag = workload();
-        let mut oracle =
-            |db: &TangoDb, dag: &RequestDag, set: &[NodeId]| ordering_tango_oracle(db, dag, set);
-        execute(
-            &mut tb,
-            &mut dag,
-            ReleasePolicy::RoundBarrier {
-                db: &db,
-                order: &mut oracle,
-                partial: false,
-            },
+fn round_barrier_execution_is_replayable() {
+    let run = || {
+        execute_rounds(
+            &mut testbed(),
+            &mut workload(),
+            &TangoDb::new(),
+            &mut ordering_tango_oracle,
+            false,
         )
         .unwrap()
     };
-    assert_eq!(via_wrapper, via_policy);
-    assert_eq!(via_wrapper.completed, 120);
+    let first = run();
+    assert_eq!(first, run());
+    assert_eq!(first.completed, 120);
 }
 
 #[test]
-fn online_wrapper_equals_unified_dispatcher() {
-    let run_wrapper = || {
-        let mut tb = testbed();
-        let mut dag = workload();
-        execute_online(
-            &mut tb,
-            &mut dag,
-            Discipline::TangoTypePriority,
-            Release::Ack,
-        )
-        .unwrap()
-    };
-    let run_policy = || {
-        let mut tb = testbed();
-        let mut dag = workload();
-        execute(
-            &mut tb,
-            &mut dag,
-            ReleasePolicy::PerEdge {
-                discipline: Discipline::TangoTypePriority,
-                release: Release::Ack,
-            },
-        )
-        .unwrap()
-    };
-    let a: ExecReport = run_wrapper();
-    let b: ExecReport = run_policy();
-    assert_eq!(a, b);
-    // And the whole pipeline is replayable: run it again, bit-identical.
-    assert_eq!(a, run_wrapper());
-    assert_eq!(b, run_policy());
+fn every_registry_scheduler_is_replayable() {
+    for entry in registry() {
+        let run = || {
+            entry
+                .run(&mut testbed(), &mut workload(), &TangoDb::new())
+                .unwrap()
+        };
+        let first = run();
+        assert_eq!(first, run(), "{}", entry.name);
+        assert_eq!(first.completed, 120, "{}", entry.name);
+    }
 }

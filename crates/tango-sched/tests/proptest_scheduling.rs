@@ -16,12 +16,11 @@ use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::db::TangoDb;
 use tango_sched::dag::{NodeId, RequestDag};
-use tango_sched::executor::{execute_online, execute_with, Discipline, Release};
-use tango_sched::extensions::execute_batched_greedy;
+use tango_sched::executor::{execute_rounds, execute_with, ExecReport, Release};
 use tango_sched::patterns::{ordering_tango_oracle, SchedPattern};
 use tango_sched::priority::{r_priorities, satisfies, topological_priorities};
 use tango_sched::request::{ReqElem, ReqOp};
-use tango_sched::schedulers::registry;
+use tango_sched::schedulers::{registry, CriticalPathScheduler, Scheduler, TangoScheduler};
 
 /// A random DAG: `n` requests over up to 3 switches; forward edges only
 /// (guaranteed acyclic). Mods/deletes are avoided so any execution
@@ -60,6 +59,16 @@ fn arb_dag() -> impl Strategy<Value = RequestDag> {
 /// A boxed execution closure (keeps the proptest body readable).
 type RunFn = Box<dyn FnMut(&mut Testbed, &mut RequestDag)>;
 
+/// Online dispatch under an explicit scheduler × release pair.
+fn online(
+    tb: &mut Testbed,
+    dag: &mut RequestDag,
+    sched: &mut dyn Scheduler,
+    release: Release,
+) -> ExecReport {
+    execute_with(tb, dag, &TangoDb::new(), sched, release).unwrap()
+}
+
 fn testbed(seed: u64) -> Testbed {
     let mut tb = Testbed::new(seed);
     tb.attach_default(Dpid(1), SwitchProfile::vendor1());
@@ -73,15 +82,16 @@ proptest! {
 
     #[test]
     fn every_discipline_drains_random_dags(dag in arb_dag()) {
-        for discipline in [
-            Discipline::CriticalPath,
-            Discipline::TangoTypeOnly,
-            Discipline::TangoTypePriority,
-        ] {
+        let disciplines: [Box<dyn Scheduler>; 3] = [
+            Box::new(CriticalPathScheduler::new()),
+            Box::new(TangoScheduler::type_only()),
+            Box::new(TangoScheduler::type_and_priority()),
+        ];
+        for mut discipline in disciplines {
             let mut tb = testbed(1);
             let mut d = dag.clone();
             let n = d.len();
-            let report = execute_online(&mut tb, &mut d, discipline, Release::Ack).unwrap();
+            let report = online(&mut tb, &mut d, discipline.as_mut(), Release::Ack);
             prop_assert!(d.all_done());
             prop_assert_eq!(report.completed + report.failed, n);
             prop_assert_eq!(report.failed, 0);
@@ -99,10 +109,7 @@ proptest! {
             let mut tb = testbed(4);
             let mut d = dag.clone();
             let n = d.len();
-            let mut sched = entry.build();
-            let report =
-                execute_with(&mut tb, &mut d, &TangoDb::new(), sched.as_mut(), entry.release)
-                    .unwrap();
+            let report = entry.run(&mut tb, &mut d, &TangoDb::new()).unwrap();
             prop_assert!(d.all_done(), "{}", entry.name);
             prop_assert_eq!(report.issued.len(), n, "{}", entry.name);
             let mut prio = vec![0u16; n];
@@ -130,14 +137,13 @@ proptest! {
                 .map(|&dp| tb.switch(dp).rule_count())
                 .collect::<Vec<_>>()
         };
-        let db = TangoDb::new();
-        let batched = count_after(Box::new(move |tb, d| {
-            execute_batched_greedy(tb, d, &db).unwrap();
+        let batched = count_after(Box::new(|tb, d| {
+            execute_rounds(tb, d, &TangoDb::new(), &mut ordering_tango_oracle, false).unwrap();
         }));
-        let online = count_after(Box::new(|tb, d| {
-            execute_online(tb, d, Discipline::TangoTypePriority, Release::Ack).unwrap();
+        let per_edge = count_after(Box::new(|tb, d| {
+            online(tb, d, &mut TangoScheduler::type_and_priority(), Release::Ack);
         }));
-        prop_assert_eq!(batched, online);
+        prop_assert_eq!(batched, per_edge);
     }
 
     #[test]
@@ -207,13 +213,7 @@ proptest! {
             };
             dag.add_node(req);
         }
-        let report = execute_online(
-            &mut tb,
-            &mut dag,
-            Discipline::TangoTypeOnly,
-            Release::Ack,
-        )
-        .unwrap();
+        let report = online(&mut tb, &mut dag, &mut TangoScheduler::type_only(), Release::Ack);
         prop_assert_eq!(report.failed, 0);
         // Final state: preinstalled mods stay, dels gone, adds present.
         let adds = specs.iter().filter(|&&(op, _)| op == 0).count();
@@ -231,13 +231,12 @@ proptest! {
         let run = || {
             let mut tb = testbed(seed);
             let mut d = dag.clone();
-            let report = execute_online(
+            let report = online(
                 &mut tb,
                 &mut d,
-                Discipline::TangoTypePriority,
+                &mut TangoScheduler::type_and_priority(),
                 Release::Guard(simnet::time::SimDuration::from_micros(50)),
-            )
-            .unwrap();
+            );
             (report.makespan, report.completed, tb.now())
         };
         prop_assert_eq!(run(), run());
@@ -248,9 +247,7 @@ proptest! {
         let makespan = |release| {
             let mut tb = testbed(9);
             let mut d = dag.clone();
-            execute_online(&mut tb, &mut d, Discipline::TangoTypePriority, release)
-                .unwrap()
-                .makespan
+            online(&mut tb, &mut d, &mut TangoScheduler::type_and_priority(), release).makespan
         };
         let ack = makespan(Release::Ack);
         let guard = makespan(Release::Guard(simnet::time::SimDuration::from_micros(50)));

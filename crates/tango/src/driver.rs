@@ -37,7 +37,7 @@ use ofwire::types::Dpid;
 use simnet::telemetry::SpanId;
 use simnet::time::{SimDuration, SimTime};
 use std::collections::{HashSet, VecDeque};
-use switchsim::control::{self, ControlOp, ControlPath, OpToken};
+use switchsim::control::{self, ControlOp, ControlPath, TokenRing};
 
 use crate::pattern::RuleKind;
 
@@ -193,7 +193,7 @@ impl<D: InferenceDriver> Job<D> {
         idx: usize,
         cp: &mut C,
         ready_at: SimTime,
-        inflight: &mut TokenRing,
+        inflight: &mut TokenRing<(usize, SimTime)>,
     ) -> Result<(), ProbeError> {
         let Some(op) = self.queue.pop_front() else {
             return Err(ProbeError::DriverStalled(self.dpid));
@@ -202,61 +202,8 @@ impl<D: InferenceDriver> Job<D> {
             t.count("driver/ops_issued", 1);
         }
         let token = cp.submit(self.dpid, op, ready_at);
-        inflight.insert(token, idx, ready_at);
+        inflight.insert(token, (idx, ready_at));
         Ok(())
-    }
-}
-
-/// In-flight bookkeeping as a flat ring over token sequence numbers.
-///
-/// [`OpToken`]s are dense per control path (see [`OpToken::seq`]), and a
-/// `run_drivers` call keeps at most one op in flight per job, so the
-/// span of outstanding tokens stays at the job count. Filing entries at
-/// `seq - base` in a deque makes insert and remove an array access with
-/// no hashing, and the drained front compacts away as completions
-/// arrive in roughly token order.
-#[derive(Default)]
-struct TokenRing {
-    /// Sequence number of `slots[0]`; fixed by the first insert.
-    base: Option<u64>,
-    slots: VecDeque<Option<(usize, SimTime)>>,
-    live: usize,
-}
-
-impl TokenRing {
-    fn insert(&mut self, token: OpToken, idx: usize, issued_at: SimTime) {
-        let base = *self.base.get_or_insert(token.seq());
-        let off = usize::try_from(token.seq() - base).expect("token offset fits usize");
-        while self.slots.len() <= off {
-            self.slots.push_back(None);
-        }
-        debug_assert!(self.slots[off].is_none(), "token registered twice");
-        self.slots[off] = Some((idx, issued_at));
-        self.live += 1;
-    }
-
-    /// Removes and returns the entry for `token`; `None` for tokens this
-    /// ring never registered (foreign ops the caller had in flight).
-    fn remove(&mut self, token: OpToken) -> Option<(usize, SimTime)> {
-        let base = self.base?;
-        let off = usize::try_from(token.seq().checked_sub(base)?).ok()?;
-        let entry = self.slots.get_mut(off)?.take()?;
-        self.live -= 1;
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
-            self.base = Some(self.base.expect("base set while compacting") + 1);
-        }
-        Some(entry)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// The entry with the lowest token, if any (deterministic pick for
-    /// stall reporting).
-    fn min_entry(&self) -> Option<(usize, SimTime)> {
-        self.slots.iter().find_map(|s| *s)
     }
 }
 
@@ -326,7 +273,7 @@ where
             // Ops are registered in flight but the path went quiet — a
             // transport invariant violation. Surface the lowest-token
             // job as stalled (deterministic choice).
-            let (i, _) = inflight.min_entry().expect("inflight is non-empty");
+            let &(i, _) = inflight.first().expect("inflight is non-empty");
             return Err(ProbeError::DriverStalled(jobs[i].dpid));
         };
         let Some((i, issued_at)) = inflight.remove(c.token) else {

@@ -37,7 +37,6 @@
 //! ```
 
 pub mod cluster;
-pub mod concurrent;
 pub mod curves;
 pub mod db;
 pub mod driver;
@@ -55,7 +54,6 @@ pub mod stats;
 /// Glob-import of the commonly used types.
 pub mod prelude {
     pub use crate::cluster::{cluster_rtts, kmeans_auto, Clustering};
-    pub use crate::concurrent::run_patterns;
     pub use crate::curves::{measure_latency_profile, LatencyProfile};
     pub use crate::db::{SwitchKnowledge, TangoDb};
     pub use crate::driver::{

@@ -8,9 +8,10 @@
 //! A pattern is first *compiled* into a [`PatternProgram`] — the exact
 //! sequence of control-path operations it issues — and then driven
 //! through the [`ControlPath`] abstraction one completion at a time.
-//! [`ProbingEngine::run`] drives a single program synchronously; the
-//! [`concurrent`](crate::concurrent) module drives one program per
-//! switch, interleaved in the same virtual time.
+//! [`ProbingEngine::run`] drives a single program synchronously;
+//! [`fleet::run_inference`](crate::fleet::run_inference) drives one
+//! program per switch ([`FleetJob::pattern`](crate::fleet::FleetJob::pattern)),
+//! interleaved in the same virtual time.
 
 use crate::driver::{self, InferenceDriver, ProbeError, Step};
 use crate::pattern::{PatternStep, RuleKind, TangoPattern};

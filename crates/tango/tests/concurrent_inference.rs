@@ -2,7 +2,8 @@
 //! measures exactly what sequential probing measures.
 //!
 //! Two switches are attached to one testbed. Running their patterns
-//! concurrently must (a) produce bit-identical `PatternResult`s to
+//! concurrently (one `FleetJob::pattern` each through
+//! `fleet::run_inference`) must (a) produce bit-identical `PatternResult`s to
 //! running the same patterns one switch after the other, because every
 //! switch's latency jitter comes from its own RNG stream, and (b) finish
 //! in close to the slower switch's time, not the sum — the point of the
@@ -11,7 +12,7 @@
 use ofwire::types::Dpid;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
-use tango::concurrent::run_patterns;
+use tango::fleet::{run_inference, FleetJob};
 use tango::pattern::{PriorityOrder, RuleKind, TangoPattern};
 use tango::probe::{PatternResult, ProbingEngine};
 
@@ -20,6 +21,20 @@ fn testbed() -> Testbed {
     tb.attach_default(Dpid(1), SwitchProfile::vendor1());
     tb.attach_default(Dpid(2), SwitchProfile::vendor2());
     tb
+}
+
+/// Runs `p1` on switch 1 and `p2` on switch 2, interleaved in the same
+/// virtual time.
+fn run_concurrently(tb: &mut Testbed, p1: &TangoPattern, p2: &TangoPattern) -> Vec<PatternResult> {
+    let jobs = [
+        FleetJob::pattern(Dpid(1), p1.clone()),
+        FleetJob::pattern(Dpid(2), p2.clone()),
+    ];
+    run_inference(tb, &jobs)
+        .expect("concurrent run")
+        .iter()
+        .map(|o| o.as_pattern().expect("pattern job").clone())
+        .collect()
 }
 
 fn patterns() -> (TangoPattern, TangoPattern) {
@@ -47,8 +62,7 @@ fn concurrent_matches_sequential_and_overlaps() {
     // Concurrent: both programs interleaved in the same virtual time.
     let mut con_tb = testbed();
     let con_start = con_tb.now();
-    let results =
-        run_patterns(&mut con_tb, &[(Dpid(1), &p1), (Dpid(2), &p2)]).expect("concurrent run");
+    let results = run_concurrently(&mut con_tb, &p1, &p2);
     let con_elapsed = con_tb.all_quiet_at().since(con_start);
 
     // (a) Measurements are bit-identical: each switch saw the exact same
@@ -80,7 +94,7 @@ fn concurrent_inference_feeds_identical_install_times() {
             .expect("sequential run 2"),
     ];
     let mut con_tb = testbed();
-    let con = run_patterns(&mut con_tb, &[(Dpid(1), &p1), (Dpid(2), &p2)]).expect("concurrent run");
+    let con = run_concurrently(&mut con_tb, &p1, &p2);
     for (s, c) in seq.iter().zip(&con) {
         assert_eq!(s.install_time(), c.install_time());
         assert_eq!(s.rtts_ms(), c.rtts_ms());

@@ -46,8 +46,15 @@ fn main() {
     // Concurrent: all three programs interleaved in one simulator.
     let mut con_tb = testbed();
     let con_start = con_tb.now();
-    let jobs: Vec<(Dpid, &TangoPattern)> = dpids.iter().map(|&d| (d, &pattern)).collect();
-    let con = run_patterns(&mut con_tb, &jobs).expect("concurrent run completes");
+    let jobs: Vec<FleetJob> = dpids
+        .iter()
+        .map(|&d| FleetJob::pattern(d, pattern.clone()))
+        .collect();
+    let con: Vec<PatternResult> = run_inference(&mut con_tb, &jobs)
+        .expect("concurrent run completes")
+        .iter()
+        .map(|o| o.as_pattern().expect("pattern job").clone())
+        .collect();
     let con_elapsed = con_tb.all_quiet_at().since(con_start);
 
     println!("switch                   install time   rules");

@@ -7,21 +7,22 @@
 //! ```
 
 use bench::lower::{attach_triangle, lower_scenario};
-use tango_sched::basic::{run_dionysus, run_tango_online, TangoMode};
+use tango::db::TangoDb;
+use tango_sched::schedulers::resolve;
 use workloads::scenarios::{link_failure, traffic_engineering, Scenario};
 use workloads::topology::Topology;
 
+/// Runs `scen` under the registry scheduler `which`.
 fn lower_and_run(scen: &Scenario, which: &str, seed: u64) -> f64 {
     // Build the testbed fresh per run so every arm sees identical
     // initial switch state.
     let mut tb = switchsim::harness::Testbed::new(seed);
     let dpids = attach_triangle(&mut tb);
     let mut dag = lower_scenario(&mut tb, &dpids, scen);
-    let report = match which {
-        "dionysus" => run_dionysus(&mut tb, &mut dag),
-        "tango-type" => run_tango_online(&mut tb, &mut dag, TangoMode::TypeOnly),
-        _ => run_tango_online(&mut tb, &mut dag, TangoMode::TypeAndPriority),
-    };
+    let report = resolve(which)
+        .expect("registered scheduler")
+        .run(&mut tb, &mut dag, &TangoDb::new())
+        .expect("generated scenarios are acyclic");
     assert_eq!(report.failed, 0);
     report.makespan.as_secs_f64()
 }
@@ -40,7 +41,7 @@ fn main() {
         let seed = 0xeaa + i as u64;
         let dio = lower_and_run(scen, "dionysus", seed);
         let t_type = lower_and_run(scen, "tango-type", seed);
-        let t_full = lower_and_run(scen, "tango-full", seed);
+        let t_full = lower_and_run(scen, "tango", seed);
         let (adds, mods, dels) = scen.op_counts();
         println!(
             "{:<9}  {:>7.3} s  {:>9.3} s  {:>14.3} s  {:>5.1}%   (ops: {adds}a/{mods}m/{dels}d)",

@@ -6,9 +6,21 @@
 use bench::lower::{attach_triangle, b4_testbed, lower_scenario};
 use ofwire::types::Dpid;
 use switchsim::harness::Testbed;
-use tango_sched::basic::{run_dionysus, run_tango_online, TangoMode};
+use tango::db::TangoDb;
+use tango_sched::dag::RequestDag;
+use tango_sched::executor::ExecReport;
+use tango_sched::schedulers::resolve;
 use workloads::scenarios::{b4_traffic_engineering, link_failure, traffic_engineering, ScenOp};
 use workloads::topology::Topology;
+
+/// Runs `dag` under the registry scheduler `name` with its own release
+/// rule.
+fn run(tb: &mut Testbed, dag: &mut RequestDag, name: &str) -> ExecReport {
+    resolve(name)
+        .expect("registered scheduler")
+        .run(tb, dag, &TangoDb::new())
+        .expect("generated scenarios are acyclic")
+}
 
 fn triangle(seed: u64) -> (Testbed, Vec<Dpid>) {
     let mut tb = Testbed::new(seed);
@@ -24,14 +36,10 @@ fn all_schedulers_reach_identical_final_rule_counts() {
     let preinstalled = scen.preinstall.len();
 
     let mut counts = Vec::new();
-    for which in ["dionysus", "type", "full"] {
+    for which in ["dionysus", "tango-type", "tango"] {
         let (mut tb, dpids) = triangle(1);
         let mut dag = lower_scenario(&mut tb, &dpids, &scen);
-        let report = match which {
-            "dionysus" => run_dionysus(&mut tb, &mut dag),
-            "type" => run_tango_online(&mut tb, &mut dag, TangoMode::TypeOnly),
-            _ => run_tango_online(&mut tb, &mut dag, TangoMode::TypeAndPriority),
-        };
+        let report = run(&mut tb, &mut dag, which);
         assert_eq!(report.completed, scen.requests.len(), "{which}");
         assert_eq!(report.failed, 0, "{which}");
         let total: usize = dpids
@@ -59,12 +67,12 @@ fn tango_never_loses_to_dionysus_across_scenarios() {
         let dio = {
             let (mut tb, dpids) = triangle(2);
             let mut dag = lower_scenario(&mut tb, &dpids, &scen);
-            run_dionysus(&mut tb, &mut dag).makespan
+            run(&mut tb, &mut dag, "dionysus").makespan
         };
         let tango = {
             let (mut tb, dpids) = triangle(2);
             let mut dag = lower_scenario(&mut tb, &dpids, &scen);
-            run_tango_online(&mut tb, &mut dag, TangoMode::TypeAndPriority).makespan
+            run(&mut tb, &mut dag, "tango").makespan
         };
         assert!(
             tango.as_millis_f64() <= dio.as_millis_f64() * 1.02,
@@ -90,7 +98,7 @@ fn lf_update_is_destination_first_on_the_wire() {
     for id in dag.independent_set() {
         assert_eq!(dag.node(id).location, dpids[1]);
     }
-    let report = run_tango_online(&mut tb, &mut dag, TangoMode::TypeAndPriority);
+    let report = run(&mut tb, &mut dag, "tango");
     assert_eq!(report.failed, 0);
     // s1 carries the 100 new detour routes; the old routes lived in
     // the scenario only as s2 state.
@@ -104,7 +112,7 @@ fn b4_scale_update_executes_cleanly() {
     let (mut tb, dpids) = b4_testbed(0x55);
     let mut dag = lower_scenario(&mut tb, &dpids, &scen);
     let n = dag.len();
-    let report = run_tango_online(&mut tb, &mut dag, TangoMode::TypeAndPriority);
+    let report = run(&mut tb, &mut dag, "tango");
     assert_eq!(report.completed + report.failed, n);
     assert_eq!(report.failed, 0);
     // Deleted flows are gone: every Del target no longer matches.
