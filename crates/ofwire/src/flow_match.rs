@@ -17,6 +17,7 @@ use crate::error::{ensure, Result};
 use crate::types::{MacAddr, PortNo};
 use bytes::{BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// Encoded size of `ofp_match` on the wire.
 pub const OFP_MATCH_LEN: usize = 40;
@@ -33,6 +34,9 @@ const OFPFW_NW_SRC_SHIFT: u32 = 8;
 const OFPFW_NW_DST_SHIFT: u32 = 14;
 const OFPFW_DL_VLAN_PCP: u32 = 1 << 20;
 const OFPFW_NW_TOS: u32 = 1 << 21;
+/// Every all-or-nothing wildcard bit (the two 6-bit prefix counters and
+/// the undefined high bits excluded).
+const OFPFW_FLAG_BITS: u32 = 0xff | OFPFW_DL_VLAN_PCP | OFPFW_NW_TOS;
 
 /// An IPv4 prefix constraint: `addr` with the top `prefix_len` bits
 /// significant (0 = match anything, 32 = exact host).
@@ -162,6 +166,34 @@ pub struct FlowMatch {
     pub tp_src: Option<u16>,
     /// Transport destination port constraint.
     pub tp_dst: Option<u16>,
+}
+
+/// A canonical match packed into five words: the `ofp_match` fields
+/// moved onto word boundaries, wildcard word first, wildcarded fields
+/// zero and IPv4 addresses masked to their prefix. Two matches have the
+/// same key iff their [`FlowMatch::canonical`] forms are equal, so a key
+/// stands in for the match wherever one is hashed or compared: five
+/// integer mixes and a 40-byte compare instead of twelve `Option`s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MatchKey([u64; 5]);
+
+impl MatchKey {
+    /// The wildcard word of the packed match — its *shape*: which fields
+    /// are constrained, at which prefix lengths.
+    #[must_use]
+    pub fn wildcards(&self) -> u32 {
+        self.0[0] as u32
+    }
+}
+
+impl Hash for MatchKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Word by word: the derived impl would hash a length prefix and
+        // then a 40-byte slice.
+        for w in self.0 {
+            state.write_u64(w);
+        }
+    }
 }
 
 impl FlowMatch {
@@ -346,8 +378,8 @@ impl FlowMatch {
     /// bits masked off and `/0` prefixes (wire-identical to a full
     /// wildcard) are dropped. Two matches cover exactly the same packet
     /// set under per-field comparison iff their canonical forms are
-    /// equal, which is what makes canonical matches usable as hash keys
-    /// in tuple-space lookup indexes.
+    /// equal. [`FlowMatch::key`] packs this form; lookup indexes hash the
+    /// packed key, and this struct form is the readable reference for it.
     #[must_use]
     pub fn canonical(&self) -> FlowMatch {
         fn canon(p: Option<Ipv4Prefix>) -> Option<Ipv4Prefix> {
@@ -360,34 +392,66 @@ impl FlowMatch {
         }
     }
 
-    /// Projects a concrete packet key onto the match shape described by
-    /// a wildcard word: every non-wildcarded field is constrained to the
-    /// key's value, IPv4 fields masked to the word's prefix lengths.
+    /// This match packed into a [`MatchKey`]: equal keys iff equal
+    /// [`FlowMatch::canonical`] forms. Pack once per operation and keep
+    /// the key; hashing or comparing it never looks at the match again.
+    #[must_use]
+    pub fn key(&self) -> MatchKey {
+        let values = FlowKey {
+            in_port: self.in_port.unwrap_or(0),
+            dl_src: self.dl_src.unwrap_or(MacAddr::ZERO),
+            dl_dst: self.dl_dst.unwrap_or(MacAddr::ZERO),
+            dl_vlan: self.dl_vlan.unwrap_or(0),
+            dl_vlan_pcp: self.dl_vlan_pcp.unwrap_or(0),
+            dl_type: self.dl_type.unwrap_or(0),
+            nw_tos: self.nw_tos.unwrap_or(0),
+            nw_proto: self.nw_proto.unwrap_or(0),
+            nw_src: self.nw_src.map_or(0, |p| p.addr),
+            nw_dst: self.nw_dst.map_or(0, |p| p.addr),
+            tp_src: self.tp_src.unwrap_or(0),
+            tp_dst: self.tp_dst.unwrap_or(0),
+        };
+        FlowMatch::project_key(&values, self.wildcards())
+    }
+
+    /// Packs a concrete packet key onto the match shape described by a
+    /// wildcard word: every non-wildcarded field keeps the key's value,
+    /// IPv4 fields masked to the word's prefix lengths, everything else
+    /// zero.
     ///
     /// The defining property (the tuple-space lookup invariant): for any
     /// match `m` and key `k`,
-    /// `m.covers(&k) == (m.canonical() == FlowMatch::project(&k, m.wildcards()))`.
+    /// `m.covers(&k) == (m.key() == FlowMatch::project_key(&k, m.wildcards()))`.
     #[must_use]
-    pub fn project(key: &FlowKey, wildcards: u32) -> FlowMatch {
-        fn keep<T>(wildcards: u32, bit: u32, v: T) -> Option<T> {
-            (wildcards & bit == 0).then_some(v)
-        }
-        let src_len = 32 - ((wildcards >> OFPFW_NW_SRC_SHIFT) & 0x3f).min(32) as u8;
-        let dst_len = 32 - ((wildcards >> OFPFW_NW_DST_SHIFT) & 0x3f).min(32) as u8;
-        FlowMatch {
-            in_port: keep(wildcards, OFPFW_IN_PORT, key.in_port),
-            dl_src: keep(wildcards, OFPFW_DL_SRC, key.dl_src),
-            dl_dst: keep(wildcards, OFPFW_DL_DST, key.dl_dst),
-            dl_vlan: keep(wildcards, OFPFW_DL_VLAN, key.dl_vlan),
-            dl_vlan_pcp: keep(wildcards, OFPFW_DL_VLAN_PCP, key.dl_vlan_pcp),
-            dl_type: keep(wildcards, OFPFW_DL_TYPE, key.dl_type),
-            nw_tos: keep(wildcards, OFPFW_NW_TOS, key.nw_tos),
-            nw_proto: keep(wildcards, OFPFW_NW_PROTO, key.nw_proto),
-            nw_src: (src_len > 0).then(|| Ipv4Prefix::new(key.nw_src, src_len)),
-            nw_dst: (dst_len > 0).then(|| Ipv4Prefix::new(key.nw_dst, dst_len)),
-            tp_src: keep(wildcards, OFPFW_TP_SRC, key.tp_src),
-            tp_dst: keep(wildcards, OFPFW_TP_DST, key.tp_dst),
-        }
+    pub fn project_key(key: &FlowKey, wildcards: u32) -> MatchKey {
+        // The word itself goes into the key, so bring it to the one
+        // spelling `wildcards()` produces: defined bits only, prefix
+        // counts capped at "all 32 bits wild".
+        let src_wild = ((wildcards >> OFPFW_NW_SRC_SHIFT) & 0x3f).min(32);
+        let dst_wild = ((wildcards >> OFPFW_NW_DST_SHIFT) & 0x3f).min(32);
+        let w = (wildcards & OFPFW_FLAG_BITS)
+            | src_wild << OFPFW_NW_SRC_SHIFT
+            | dst_wild << OFPFW_NW_DST_SHIFT;
+        let keep = |bit: u32, v: u64| if w & bit == 0 { v } else { 0 };
+        let mac = |m: MacAddr| {
+            let [a, b, c, d, e, f] = m.0;
+            u64::from_be_bytes([0, 0, a, b, c, d, e, f])
+        };
+        let nw_src = key.nw_src & Ipv4Prefix::mask((32 - src_wild) as u8);
+        let nw_dst = key.nw_dst & Ipv4Prefix::mask((32 - dst_wild) as u8);
+        MatchKey([
+            u64::from(w)
+                | keep(OFPFW_IN_PORT, u64::from(key.in_port)) << 32
+                | keep(OFPFW_DL_VLAN, u64::from(key.dl_vlan)) << 48,
+            keep(OFPFW_DL_SRC, mac(key.dl_src)) | keep(OFPFW_DL_TYPE, u64::from(key.dl_type)) << 48,
+            keep(OFPFW_DL_DST, mac(key.dl_dst))
+                | keep(OFPFW_DL_VLAN_PCP, u64::from(key.dl_vlan_pcp)) << 48
+                | keep(OFPFW_NW_TOS, u64::from(key.nw_tos)) << 56,
+            u64::from(nw_src) | u64::from(nw_dst) << 32,
+            keep(OFPFW_TP_SRC, u64::from(key.tp_src))
+                | keep(OFPFW_TP_DST, u64::from(key.tp_dst)) << 16
+                | keep(OFPFW_NW_PROTO, u64::from(key.nw_proto)) << 32,
+        ])
     }
 
     /// The OpenFlow 1.0 wildcard word for this match.
@@ -614,8 +678,8 @@ mod tests {
     }
 
     /// The tuple-space lookup invariant: a match covers a key iff the
-    /// key's projection onto the match's wildcard shape equals the
-    /// canonical match.
+    /// key packed onto the match's wildcard shape equals the match's
+    /// own key.
     #[test]
     fn projection_agrees_with_covers() {
         let matches = [
@@ -658,7 +722,7 @@ mod tests {
             for k in &keys {
                 assert_eq!(
                     m.covers(k),
-                    m.canonical() == FlowMatch::project(k, m.wildcards()),
+                    m.key() == FlowMatch::project_key(k, m.wildcards()),
                     "projection invariant broken for {m:?} vs {k:?}"
                 );
             }

@@ -1,6 +1,7 @@
-//! Criterion benches for the `FlowTable` hot paths the strict-match
-//! index and priority buckets optimize: insert, strict find, and
-//! wildcard lookup, at 1k and 8k resident entries.
+//! Criterion benches for the `FlowTable` hot paths the packed-key match
+//! index serves: insert, strict find, and wildcard lookup at 1k and 8k
+//! resident entries, and the insert + strict-delete rotation the wire
+//! benchmark streams, at 1k and 16k.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ofwire::action::Action;
@@ -62,6 +63,25 @@ fn bench_flow_table(c: &mut Criterion) {
                 black_box(hits)
             })
         });
+    }
+    for n in [1_000u64, 16_000] {
+        // `wire_bulk`'s stream against `n` residents: install the next
+        // id, strict-delete the oldest.
+        let mut table = filled(n);
+        let mut next = n;
+        g.bench_function(format!("rotate_{n}"), |b| {
+            b.iter(|| {
+                for _ in 0..1024 {
+                    table.insert(entry(next));
+                    let oldest = next - n;
+                    let m = FlowMatch::l3_for_id(oldest as u32);
+                    black_box(table.remove_strict(&m, (oldest % 64) as u16));
+                    next += 1;
+                }
+                table.len()
+            })
+        });
+        assert_eq!(table.len() as u64, n, "every strict delete found its rule");
     }
     g.finish();
 }

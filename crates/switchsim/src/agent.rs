@@ -116,9 +116,12 @@ impl Agent {
 
     fn dispatch(&mut self, msg: Message, xid: Xid, now: SimTime) -> AgentOutput {
         // Every control-channel message advances the switch's notion of
-        // time, so run the expiry sweep first (timeouts fire even on
-        // messages that don't touch the tables, e.g. barriers).
-        self.switch.expire(now);
+        // time, so the expiry sweep runs first (timeouts fire even on
+        // messages that don't touch the tables, e.g. barriers) — once:
+        // `apply_flow_mod` and `inject` open with their own sweep.
+        if !matches!(msg, Message::FlowMod(_) | Message::PacketOut(_)) {
+            self.switch.expire(now);
+        }
         let mut out = AgentOutput {
             reply: None,
             xid,
@@ -174,7 +177,9 @@ impl Agent {
                     }
                     Err(_) => {
                         // Unparseable frame: drop silently (as hardware
-                        // would for a runt frame).
+                        // would for a runt frame). Nothing was injected,
+                        // so the sweep has not run yet.
+                        self.switch.expire(now);
                     }
                 }
             }
@@ -382,6 +387,49 @@ mod expiry_tests {
         assert_eq!(removed.cookie, 0xfeed);
         assert_eq!(removed.reason, FlowRemovedReason::HardTimeout);
         assert_eq!(removed.duration_sec, 3);
+    }
+
+    /// One sweep per message, whichever path the message takes: a rule
+    /// that lapsed since the previous message is reported exactly once,
+    /// and it is gone before the message's own effect is computed.
+    #[test]
+    fn lapse_between_messages_is_reported_once_before_the_next_effect() {
+        use ofwire::packet::{PacketOut, RawFrame};
+        let m = FlowMatch::l3_for_id(1);
+        let frame = RawFrame::build(&FlowMatch::key_for_id(1), 0);
+        let seconds = [
+            Message::FlowMod(FlowMod::delete_strict(m, 50)),
+            Message::PacketOut(PacketOut::send(frame, PortNo(1))),
+            Message::PacketOut(PacketOut::send(vec![0; 3], PortNo(1))), // runt
+            Message::BarrierRequest,
+        ];
+        for second in seconds {
+            let mut a = Agent::new(Switch::new(SwitchProfile::vendor2(), Dpid(3), 1));
+            let mut fm = FlowMod::add(m, 50);
+            fm.hard_timeout = 2;
+            a.feed(&Message::FlowMod(fm).to_bytes(Xid(1)), SimTime::ZERO)
+                .unwrap();
+            let later = SimTime::ZERO + SimDuration::from_secs(3);
+            let outs = a.feed(&second.to_bytes(Xid(2)), later).unwrap();
+            let removed = |outs: &[AgentOutput]| {
+                outs.iter()
+                    .filter(|o| matches!(o.reply, Some(Message::FlowRemoved(_))))
+                    .count()
+            };
+            assert_eq!(removed(&outs), 1, "{second:?}");
+            assert_eq!(outs[0].xid, Xid(2), "the notification follows the message");
+            let stats = a.switch().stats();
+            assert_eq!(stats.expired_rules, 1, "{second:?}");
+            // The delete found nothing left to delete; the packet missed.
+            assert_eq!(stats.deleted_rules, 0);
+            if let Some((hit, _)) = outs[0].forwarded {
+                assert_eq!(hit, Hit::Miss);
+            }
+            let again = a
+                .feed(&Message::BarrierRequest.to_bytes(Xid(3)), later)
+                .unwrap();
+            assert_eq!(removed(&again), 0, "{second:?}");
+        }
     }
 
     #[test]

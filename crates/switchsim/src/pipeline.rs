@@ -101,13 +101,26 @@ impl CacheLevel {
         self.maybe_compact(policy);
     }
 
-    fn remove_at(&mut self, idx: usize) -> FlowEntry {
-        // The eviction index drops the entry's snapshots lazily.
-        let e = self.table.remove_at(idx);
+    /// Gives back the capacity units a removed entry held. The eviction
+    /// index drops the entry's snapshots lazily.
+    fn uncharge(&mut self, e: &FlowEntry) {
         if let Some(g) = &self.geometry {
             self.used_units -= g.cost(e.kind());
         }
+    }
+
+    fn remove_at(&mut self, idx: usize) -> FlowEntry {
+        let e = self.table.remove_at(idx);
+        self.uncharge(&e);
         e
+    }
+
+    /// Removes the strict target of `(filter, priority)`, if resident
+    /// here (see [`FlowTable::remove_strict`]).
+    fn remove_strict(&mut self, filter: &FlowMatch, priority: u16) -> Option<FlowEntry> {
+        let e = self.table.remove_strict(filter, priority)?;
+        self.uncharge(&e);
+        Some(e)
     }
 
     /// Batch removal: one mark-and-compact pass over the table instead
@@ -116,10 +129,8 @@ impl CacheLevel {
     /// index drops their snapshots lazily.
     fn remove_indices(&mut self, idxs: Vec<usize>) -> Vec<FlowEntry> {
         let removed = self.table.remove_indices(idxs);
-        if let Some(g) = &self.geometry {
-            for e in &removed {
-                self.used_units -= g.cost(e.kind());
-            }
+        for e in &removed {
+            self.uncharge(e);
         }
         removed
     }
@@ -455,8 +466,8 @@ impl Pipeline {
                     let (upper, lower) = levels.split_at_mut(cur_level);
                     let up = &mut upper[cur_level - 1];
                     let lo = &mut lower[0];
-                    let candidate = lo.table.get(cur_idx).clone();
-                    let moved = if up.fits(&candidate) {
+                    let candidate = lo.table.get(cur_idx);
+                    let moved = if up.fits(candidate) {
                         let e = lo.remove_at(cur_idx);
                         up.insert(policy, e);
                         true
@@ -464,9 +475,9 @@ impl Pipeline {
                         match up.worst_pos(policy) {
                             Some(wi) => {
                                 let worst = up.table.get(wi);
-                                if policy.cmp_entries(&candidate, worst)
+                                if policy.cmp_entries(candidate, worst)
                                     == std::cmp::Ordering::Greater
-                                    && up.fits_swapped(worst, &candidate)
+                                    && up.fits_swapped(worst, candidate)
                                 {
                                     let demoted = up.remove_at(wi);
                                     let promoted = lo.remove_at(cur_idx);
@@ -524,7 +535,8 @@ impl Pipeline {
     }
 
     /// Deletes entries. Strict deletes match exactly one (match,
-    /// priority); loose deletes remove everything subsumed by the filter
+    /// priority) — at most one entry per level, removed in one index
+    /// probe; loose deletes remove everything subsumed by the filter
     /// (with optional out-port restriction). Returns the removed count.
     pub fn delete(
         &mut self,
@@ -537,16 +549,12 @@ impl Pipeline {
             Pipeline::PolicyCached { levels, policy } => {
                 let mut removed = 0;
                 for level in levels.iter_mut() {
-                    let idxs: Vec<usize> = if strict {
-                        level
-                            .table
-                            .find_strict(filter, priority)
-                            .into_iter()
-                            .collect()
+                    removed += if strict {
+                        usize::from(level.remove_strict(filter, priority).is_some())
                     } else {
-                        level.table.select_loose(filter, out_port)
+                        let idxs = level.table.select_loose(filter, out_port);
+                        level.remove_indices(idxs).len()
                     };
-                    removed += level.remove_indices(idxs).len();
                 }
                 if removed > 0 {
                     Self::backfill(levels, policy);
@@ -555,13 +563,8 @@ impl Pipeline {
             }
             Pipeline::OvsMicroflow { kernel, userspace } => {
                 if strict {
-                    // Strict deletes hit at most one entry; go straight
-                    // to `remove_at` — the find/collect/remove_indices
-                    // round trip would cost two Vec round-trips per op
-                    // on the rotate-heavy control path.
-                    match userspace.find_strict(filter, priority) {
-                        Some(i) => {
-                            let e = userspace.remove_at(i);
+                    match userspace.remove_strict(filter, priority) {
+                        Some(e) => {
                             kernel.invalidate_parent(e.id);
                             1
                         }
@@ -620,6 +623,18 @@ impl Pipeline {
                 let e = lower_levels[off].remove_at(bi);
                 up.insert(policy, e);
             }
+        }
+    }
+
+    /// How many installed rules carry an idle or hard timeout. Zero
+    /// means [`Pipeline::expire`] cannot remove anything.
+    #[must_use]
+    pub fn timeout_count(&self) -> usize {
+        match self {
+            Pipeline::PolicyCached { levels, .. } => {
+                levels.iter().map(|l| l.table.timeout_count()).sum()
+            }
+            Pipeline::OvsMicroflow { userspace, .. } => userspace.timeout_count(),
         }
     }
 
@@ -686,48 +701,52 @@ impl Pipeline {
         fallback_entry: FlowEntry,
     ) -> Result<ModOutcome, TableFull> {
         let touched = match self {
-            Pipeline::PolicyCached { levels, .. } => {
-                let mut touched = 0;
-                for level in levels.iter_mut() {
-                    let idxs: Vec<usize> = if strict {
-                        level
-                            .table
-                            .find_strict(filter, priority)
-                            .into_iter()
-                            .collect()
-                    } else {
-                        level.table.select_loose(filter, PortNo::NONE)
-                    };
-                    for i in idxs {
-                        level.table.get_mut(i).actions = actions.to_vec();
-                        touched += 1;
-                    }
-                }
-                touched
-            }
+            Pipeline::PolicyCached { levels, .. } => levels
+                .iter_mut()
+                .map(|level| {
+                    Self::rewrite_selected(&mut level.table, filter, priority, strict, |e| {
+                        e.actions = actions.to_vec();
+                    })
+                })
+                .sum(),
             Pipeline::OvsMicroflow { kernel, userspace } => {
-                let idxs: Vec<usize> = if strict {
-                    userspace
-                        .find_strict(filter, priority)
-                        .into_iter()
-                        .collect()
-                } else {
-                    userspace.select_loose(filter, PortNo::NONE)
-                };
-                let mut touched = 0;
-                for i in idxs {
-                    let e = userspace.get_mut(i);
+                Self::rewrite_selected(userspace, filter, priority, strict, |e| {
                     e.actions = actions.to_vec();
                     kernel.invalidate_parent(e.id);
-                    touched += 1;
-                }
-                touched
+                })
             }
         };
         if touched == 0 {
             self.add(fallback_entry).map(ModOutcome::AddedInstead)
         } else {
             Ok(ModOutcome::Modified(touched))
+        }
+    }
+
+    /// Applies `rewrite` to every entry of `table` a modify selects,
+    /// returning how many: the one strict target (no `Vec` on that
+    /// path), or everything the loose filter subsumes.
+    fn rewrite_selected(
+        table: &mut FlowTable,
+        filter: &FlowMatch,
+        priority: u16,
+        strict: bool,
+        mut rewrite: impl FnMut(&mut FlowEntry),
+    ) -> usize {
+        if strict {
+            match table.find_strict(filter, priority) {
+                Some(i) => {
+                    rewrite(table.get_mut(i));
+                    1
+                }
+                None => 0,
+            }
+        } else {
+            let idxs = table.select_loose(filter, PortNo::NONE);
+            for &i in &idxs {
+                rewrite(table.get_mut(i));
+            }
+            idxs.len()
         }
     }
 }

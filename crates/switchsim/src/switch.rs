@@ -136,8 +136,13 @@ impl Switch {
 
     /// Removes timed-out entries as of `now`, queueing `flow_removed`
     /// records for [`Switch::take_expired`]. Called lazily before every
-    /// control or data operation (and callable explicitly).
+    /// control or data operation (and callable explicitly). With no
+    /// timeout installed anywhere — every inference fill, every update
+    /// schedule — it is one counter check.
     pub fn expire(&mut self, now: SimTime) {
+        if self.pipeline.timeout_count() == 0 {
+            return;
+        }
         let expired = self.pipeline.expire(now);
         self.stats.expired_rules += expired.len() as u64;
         self.expired_queue.extend(expired);

@@ -5,19 +5,20 @@
 use crate::entry::{EntryId, FlowEntry};
 use crate::tcam::PriorityIndex;
 use ofwire::action::Action;
-use ofwire::flow_match::{FlowKey, FlowMatch};
+use ofwire::flow_match::{FlowKey, FlowMatch, MatchKey};
 use ofwire::types::PortNo;
 use simnet::time::SimTime;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// Word-at-a-time multiply-rotate hash (FxHash-style). The strict
-/// index hashes a `(FlowMatch, u16)` on every insert/remove/find — a
-/// small fixed-size key from simulation state, so SipHash's flooding
-/// resistance buys nothing and costs the hot path several fold. The
-/// derived `Hash` impls emit one `write_uN` call per field, so the
-/// integer specializations below (one mix each, no byte loop) are what
-/// the flow-mod path actually hits.
+/// Word-at-a-time multiply-rotate hash (FxHash-style). The table's two
+/// indexes hash a [`MatchKey`] (five `write_u64` calls) or an entry id
+/// (one) on every insert/remove/find — small fixed-size keys from
+/// simulation state, so SipHash's flooding resistance buys nothing and
+/// costs the hot path several fold. The integer specializations below
+/// (one mix each, no byte loop) are what the flow-mod path actually
+/// hits.
 #[derive(Default)]
 pub struct FnvHasher(u64);
 
@@ -82,9 +83,10 @@ impl Hasher for FnvHasher {
 type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
 /// A slot bucket for the side indexes: up to two slots inline, spilling
-/// to the heap beyond that. Ids are unique and strict/cover collisions
-/// are contractually rare, so virtually every bucket is a singleton —
-/// the inline form makes the insert/remove rotate allocation-free.
+/// to the heap beyond that. Ids are unique and two residents with the
+/// same canonical match are rare, so virtually every bucket is a
+/// singleton — the inline form makes the insert/remove rotate
+/// allocation-free.
 /// Derefs to `&[u32]` for all read access.
 #[derive(Clone, Debug)]
 enum Bucket {
@@ -177,13 +179,17 @@ impl Bucket {
 /// immutable for the lifetime of a slot (see the invariant below), so the
 /// copies can never go stale.
 ///
-/// Side indexes keep the control-path hot spots off the linear scan:
-/// a strict-match map `(match, priority) → slots` makes
-/// [`FlowTable::find_strict`] O(1); a tuple-space cover index (wildcard
-/// shape → canonical match → slots) lets [`FlowTable::lookup`]
-/// hash-probe one projected key per resident match shape instead of
-/// running `covers` per entry; an id map makes [`FlowTable::position_of`]
-/// O(1); and a Fenwick tree over the priority space answers
+/// Side indexes keep the control-path hot spots off the linear scan.
+/// One map is keyed by a match: `by_match`, packed canonical match
+/// ([`MatchKey`]) → the slots of every priority holding that match. An
+/// operation packs its match once and probes once:
+/// [`FlowTable::find_strict`] and [`FlowTable::remove_strict`] filter the
+/// (nearly always singleton) bucket by priority and raw match equality;
+/// [`FlowTable::lookup`] packs the packet onto each resident match shape
+/// (the short `shapes` list) and probes per shape instead of running
+/// `covers` per entry; removal reads the slot's stored key (`mkey`) and
+/// never repacks. An id map makes [`FlowTable::position_of`] O(1), and a
+/// Fenwick tree over the priority space answers
 /// [`FlowTable::count_above`] (the TCAM shift cost of an insert) in
 /// O(log 65536).
 ///
@@ -218,23 +224,25 @@ pub struct FlowTable {
     id: Vec<u64>,
     /// Slot → whether the entry participates in expiry.
     timeout: Vec<bool>,
+    /// Slot → the entry's packed canonical match, so unhooking a slot
+    /// from `by_match` never repacks.
+    mkey: Vec<MatchKey>,
     next_seq: u64,
-    /// `(match, priority)` → slots holding exactly that pair, in
-    /// install-seq order (so `first()` is the earliest-installed
-    /// resident, matching the old linear `position` semantics).
-    strict: FnvMap<(FlowMatch, u16), Bucket>,
+    /// Packed canonical match → slots of every priority holding it, in
+    /// install-seq order (so the first slot passing a filter is the
+    /// earliest-installed resident, matching the linear scan).
+    by_match: FnvMap<MatchKey, Bucket>,
     /// entry id → slots, in install-seq order (ids are unique per
-    /// switch, so buckets are singletons in practice; the vector form
-    /// mirrors `strict` and keeps first-position semantics under
+    /// switch, so buckets are singletons in practice; the bucket form
+    /// mirrors `by_match` and keeps first-position semantics under
     /// duplicates).
     by_id: FnvMap<EntryId, Bucket>,
-    /// Tuple-space cover index: wildcard word (the match *shape*: which
-    /// fields are constrained, at which prefix lengths) → canonical
-    /// match → slots. A lookup projects the packet key once per
-    /// resident shape and hash-probes, instead of running `covers`
-    /// against every entry of a priority bucket; real tables hold a
-    /// handful of shapes, so a lookup is a handful of hashes.
-    cover: FnvMap<u32, FnvMap<FlowMatch, Bucket>>,
+    /// Resident match shapes — wildcard word (which fields are
+    /// constrained, at which prefix lengths) and how many residents have
+    /// it. A lookup packs the packet once per shape and probes
+    /// `by_match`; real tables hold a handful of shapes, so this is a
+    /// short linear scan.
+    shapes: Vec<(u32, u32)>,
     /// Multiset of installed priorities for O(log) shift counting.
     prio_counts: PriorityIndex,
     /// How many installed entries carry a nonzero idle or hard timeout —
@@ -281,21 +289,22 @@ impl FlowTable {
         self.iter().cloned().collect()
     }
 
-    fn strict_key(e: &FlowEntry) -> (FlowMatch, u16) {
-        (e.flow_match, e.priority)
-    }
-
-    /// Drops `slot` from one bucket (sorted by install seq), deleting
-    /// the bucket when emptied. Returns whether the bucket survives.
-    fn bucket_drop(bucket: &mut Bucket, slot: u32, seq: &[u64]) -> bool {
-        if let Ok(p) = bucket.binary_search_by_key(&seq[slot as usize], |&s| seq[s as usize]) {
-            bucket.remove(p);
+    /// Drops `slot` from `key`'s bucket (sorted by install seq) in one
+    /// probe, deleting the bucket when emptied.
+    fn index_drop<K: Eq + Hash>(map: &mut FnvMap<K, Bucket>, key: K, slot: u32, seq: &[u64]) {
+        if let Entry::Occupied(mut o) = map.entry(key) {
+            let bucket = o.get_mut();
+            if let Ok(p) = bucket.binary_search_by_key(&seq[slot as usize], |&s| seq[s as usize]) {
+                bucket.remove(p);
+            }
+            if bucket.is_empty() {
+                o.remove();
+            }
         }
-        !bucket.is_empty()
     }
 
     /// Allocates a slot for `entry` and records its SoA hot fields.
-    fn alloc_slot(&mut self, entry: FlowEntry) -> u32 {
+    fn alloc_slot(&mut self, entry: FlowEntry, mkey: MatchKey) -> u32 {
         let prio = entry.priority;
         let id = entry.id.0;
         let to = has_timeout(&entry);
@@ -309,6 +318,7 @@ impl FlowTable {
                 self.prio[i] = prio;
                 self.id[i] = id;
                 self.timeout[i] = to;
+                self.mkey[i] = mkey;
                 s
             }
             None => {
@@ -319,72 +329,14 @@ impl FlowTable {
                 self.prio.push(prio);
                 self.id.push(id);
                 self.timeout.push(to);
+                self.mkey.push(mkey);
                 s
             }
         }
     }
 
-    /// Unhooks `slot` from every index and counter and frees it,
-    /// returning the entry. The caller has already dropped the slot
-    /// from `order`/`pos`.
-    fn detach_slot(&mut self, slot: u32) -> FlowEntry {
-        let e = self.slots[slot as usize].take().expect("resident slot");
-        let e_key = Self::strict_key(&e);
-        if let Some(bucket) = self.strict.get_mut(&e_key) {
-            if !Self::bucket_drop(bucket, slot, &self.seq) {
-                self.strict.remove(&e_key);
-            }
-        }
-        if let Some(bucket) = self.by_id.get_mut(&e.id) {
-            if !Self::bucket_drop(bucket, slot, &self.seq) {
-                self.by_id.remove(&e.id);
-            }
-        }
-        let shape = e_key.0.wildcards();
-        if let Some(group) = self.cover.get_mut(&shape) {
-            let canon = e_key.0.canonical();
-            if let Some(bucket) = group.get_mut(&canon) {
-                if !Self::bucket_drop(bucket, slot, &self.seq) {
-                    group.remove(&canon);
-                }
-            }
-            if group.is_empty() {
-                self.cover.remove(&shape);
-            }
-        }
-        self.prio_counts.remove(e_key.1);
-        if self.timeout[slot as usize] {
-            self.timeout_entries -= 1;
-        }
-        self.free.push(slot);
-        e
-    }
-
-    /// Installs an entry.
-    pub fn insert(&mut self, entry: FlowEntry) {
-        let key = Self::strict_key(&entry);
-        let id = entry.id;
-        if has_timeout(&entry) {
-            self.timeout_entries += 1;
-        }
-        let slot = self.alloc_slot(entry);
-        self.pos[slot as usize] = self.base + self.order.len() as u64;
-        self.order.push_back(slot);
-        // Fresh slots carry the table's maximum seq, so appending keeps
-        // every bucket sorted by install order.
-        self.strict.entry(key).or_default().push(slot);
-        self.by_id.entry(id).or_default().push(slot);
-        self.cover
-            .entry(key.0.wildcards())
-            .or_default()
-            .entry(key.0.canonical())
-            .or_default()
-            .push(slot);
-        self.prio_counts.add(key.1);
-    }
-
-    /// Removes and returns the entry at `index`.
-    pub fn remove_at(&mut self, index: usize) -> FlowEntry {
+    /// Drops the entry at `index` from `order`, returning its slot.
+    fn unlink_position(&mut self, index: usize) -> u32 {
         let slot = self.order.remove(index).expect("index in range");
         // Only integer positions move; every slot-keyed bucket stays
         // untouched. Fix up whichever side of the removal point is
@@ -401,26 +353,130 @@ impl FlowTable {
                 self.pos[s as usize] -= 1;
             }
         }
+        slot
+    }
+
+    /// Unhooks `slot` from everything but `order`/`pos` and `by_match`
+    /// (the caller has already dropped it from those) and frees it,
+    /// returning the entry.
+    fn release_slot(&mut self, slot: u32) -> FlowEntry {
+        let i = slot as usize;
+        let e = self.slots[i].take().expect("resident slot");
+        Self::index_drop(&mut self.by_id, e.id, slot, &self.seq);
+        let shape = self.mkey[i].wildcards();
+        let at = self
+            .shapes
+            .iter()
+            .position(|&(w, _)| w == shape)
+            .expect("resident shape counted");
+        self.shapes[at].1 -= 1;
+        if self.shapes[at].1 == 0 {
+            self.shapes.swap_remove(at);
+        }
+        self.prio_counts.remove(self.prio[i]);
+        if self.timeout[i] {
+            self.timeout_entries -= 1;
+        }
+        self.free.push(slot);
+        e
+    }
+
+    /// Unhooks `slot` from every index and counter and frees it,
+    /// returning the entry. The caller has already dropped the slot
+    /// from `order`/`pos`.
+    fn detach_slot(&mut self, slot: u32) -> FlowEntry {
+        Self::index_drop(
+            &mut self.by_match,
+            self.mkey[slot as usize],
+            slot,
+            &self.seq,
+        );
+        self.release_slot(slot)
+    }
+
+    /// Installs an entry.
+    pub fn insert(&mut self, entry: FlowEntry) {
+        let mkey = entry.flow_match.key();
+        let id = entry.id;
+        let priority = entry.priority;
+        if has_timeout(&entry) {
+            self.timeout_entries += 1;
+        }
+        let slot = self.alloc_slot(entry, mkey);
+        self.pos[slot as usize] = self.base + self.order.len() as u64;
+        self.order.push_back(slot);
+        // Fresh slots carry the table's maximum seq, so appending keeps
+        // every bucket sorted by install order.
+        self.by_match.entry(mkey).or_default().push(slot);
+        self.by_id.entry(id).or_default().push(slot);
+        let shape = mkey.wildcards();
+        match self.shapes.iter_mut().find(|(w, _)| *w == shape) {
+            Some((_, n)) => *n += 1,
+            None => self.shapes.push((shape, 1)),
+        }
+        self.prio_counts.add(priority);
+    }
+
+    /// Removes and returns the entry at `index`.
+    pub fn remove_at(&mut self, index: usize) -> FlowEntry {
+        let slot = self.unlink_position(index);
         self.detach_slot(slot)
+    }
+
+    /// Removes and returns the entry [`FlowTable::find_strict`] would
+    /// find, in one probe of the match index: the bucket entry that
+    /// locates the slot is the one the slot is dropped from.
+    pub fn remove_strict(&mut self, flow_match: &FlowMatch, priority: u16) -> Option<FlowEntry> {
+        let Entry::Occupied(mut o) = self.by_match.entry(flow_match.key()) else {
+            return None;
+        };
+        let (slots, prio) = (&self.slots, &self.prio);
+        let at = o
+            .get()
+            .iter()
+            .position(|&s| Self::is_strict(slots, prio, s, flow_match, priority))?;
+        let slot = o.get_mut().remove(at);
+        if o.get().is_empty() {
+            o.remove();
+        }
+        self.unlink_position((self.pos[slot as usize] - self.base) as usize);
+        Some(self.release_slot(slot))
+    }
+
+    /// Whether the resident of `slot` — already known to share the
+    /// filter's canonical match — is the filter's strict target: same
+    /// priority and the same match as the controller spelled it.
+    fn is_strict(
+        slots: &[Option<FlowEntry>],
+        prio: &[u16],
+        slot: u32,
+        flow_match: &FlowMatch,
+        priority: u16,
+    ) -> bool {
+        prio[slot as usize] == priority
+            && slots[slot as usize]
+                .as_ref()
+                .expect("resident slot")
+                .flow_match
+                == *flow_match
     }
 
     /// Index of the matching entry for `key`: maximal priority, then
     /// earliest entry id.
     ///
-    /// Tuple-space search: projects the key once per resident match
-    /// shape (wildcard word) and hash-probes that shape's canonical-match
-    /// map, so cost scales with the number of *distinct shapes* rather
-    /// than the number of entries sharing a priority. Candidate
-    /// comparisons read the SoA `prio`/`id` arrays, never the entries.
-    /// Cover-bucket collisions (identical canonical match at different
-    /// priorities or ids) are resolved by the same (priority, id) order
-    /// the old bucket scan applied.
+    /// Tuple-space search: packs the key once per resident match shape
+    /// (wildcard word) and hash-probes the match index, so cost scales
+    /// with the number of *distinct shapes* rather than the number of
+    /// entries. Candidate comparisons read the SoA `prio`/`id` arrays,
+    /// never the entries. Residents sharing a bucket (identical
+    /// canonical match at different priorities or ids) are resolved by
+    /// the same (priority, id) order the linear scan applies.
     #[must_use]
     pub fn lookup(&self, key: &FlowKey) -> Option<usize> {
         let mut best: Option<u32> = None;
-        for (&shape, group) in &self.cover {
-            let probe = FlowMatch::project(key, shape);
-            let Some(bucket) = group.get(&probe) else {
+        for &(shape, _) in &self.shapes {
+            let probe = FlowMatch::project_key(key, shape);
+            let Some(bucket) = self.by_match.get(&probe) else {
                 continue;
             };
             for &s in bucket {
@@ -430,7 +486,7 @@ impl FlowTable {
                         .expect("resident slot")
                         .flow_match
                         .covers(key),
-                    "stale cover index slot {s}"
+                    "stale match index slot {s}"
                 );
                 match best {
                     None => best = Some(s),
@@ -464,12 +520,16 @@ impl FlowTable {
     }
 
     /// Finds the entry that *strictly* equals the given match and
-    /// priority (OpenFlow strict semantics). O(1) via the strict index.
+    /// priority (OpenFlow strict semantics) — the earliest installed, if
+    /// several do. One probe of the match index, then a filter over the
+    /// bucket: residents there share the canonical match but may differ
+    /// in priority or in how the match was spelled (host bits, `/0`).
     #[must_use]
     pub fn find_strict(&self, flow_match: &FlowMatch, priority: u16) -> Option<usize> {
-        self.strict
-            .get(&(*flow_match, priority))
-            .and_then(|bucket| bucket.first())
+        self.by_match
+            .get(&flow_match.key())?
+            .iter()
+            .find(|&&s| Self::is_strict(&self.slots, &self.prio, s, flow_match, priority))
             .map(|&s| (self.pos[s as usize] - self.base) as usize)
     }
 
@@ -536,9 +596,9 @@ impl FlowTable {
 
     /// Removes every entry, returning them in installation order.
     pub fn drain_all(&mut self) -> Vec<FlowEntry> {
-        self.strict.clear();
+        self.by_match.clear();
         self.by_id.clear();
-        self.cover.clear();
+        self.shapes.clear();
         self.prio_counts.clear();
         self.timeout_entries = 0;
         self.free.clear();
@@ -555,6 +615,7 @@ impl FlowTable {
         self.prio.clear();
         self.id.clear();
         self.timeout.clear();
+        self.mkey.clear();
         out
     }
 
@@ -654,22 +715,23 @@ impl FlowTable {
             assert!(last_seq < Some(self.seq[s as usize]), "seq not increasing");
             last_seq = Some(self.seq[s as usize]);
         }
-        let mut strict_count = 0;
-        for (key, bucket) in &self.strict {
-            assert!(!bucket.is_empty(), "empty strict bucket for {key:?}");
+        let mut match_count = 0;
+        for (key, bucket) in &self.by_match {
+            assert!(!bucket.is_empty(), "empty match bucket for {key:?}");
             assert!(
                 bucket
                     .windows(2)
                     .all(|w| self.seq[w[0] as usize] < self.seq[w[1] as usize]),
-                "strict bucket not in install order: {bucket:?}"
+                "match bucket not in install order: {bucket:?}"
             );
             for &s in bucket {
                 let e = self.slots[s as usize].as_ref().expect("free slot indexed");
-                assert_eq!((e.flow_match, e.priority), *key, "stale strict index {s}");
+                assert_eq!(e.flow_match.key(), *key, "stale match index {s}");
+                assert_eq!(self.mkey[s as usize], *key, "stale SoA mkey {s}");
             }
-            strict_count += bucket.len();
+            match_count += bucket.len();
         }
-        assert_eq!(strict_count, self.len());
+        assert_eq!(match_count, self.len());
         let mut id_count = 0;
         for (&id, bucket) in &self.by_id {
             assert!(!bucket.is_empty(), "empty id bucket for {id:?}");
@@ -686,23 +748,14 @@ impl FlowTable {
             id_count += bucket.len();
         }
         assert_eq!(id_count, self.len());
-        let mut cover_count = 0;
-        for (&shape, group) in &self.cover {
-            assert!(!group.is_empty(), "empty cover group for {shape:#x}");
-            for (canon, bucket) in group {
-                assert!(!bucket.is_empty(), "empty cover bucket for {canon:?}");
-                for &s in bucket {
-                    let m = self.slots[s as usize]
-                        .as_ref()
-                        .expect("free slot indexed")
-                        .flow_match;
-                    assert_eq!(m.wildcards(), shape, "stale cover shape {s}");
-                    assert_eq!(m.canonical(), *canon, "stale cover key {s}");
-                }
-                cover_count += bucket.len();
-            }
+        // `shapes` is exactly the multiset of resident wildcard words.
+        let mut want: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
+        for e in self.iter() {
+            *want.entry(e.flow_match.wildcards()).or_default() += 1;
         }
-        assert_eq!(cover_count, self.len());
+        let mut have = self.shapes.clone();
+        have.sort_unstable();
+        assert_eq!(have, want.into_iter().collect::<Vec<_>>(), "stale shapes");
         // Fenwick priority counts and the timeout counter must match a
         // recompute from scratch.
         assert_eq!(self.prio_counts.len(), self.len());
@@ -921,6 +974,53 @@ mod tests {
         t.assert_index_consistent();
         assert_eq!(t.find_strict(&m, 10), Some(0));
         assert_eq!(t.get(0).id, EntryId(2));
+    }
+
+    #[test]
+    fn strict_ops_tell_apart_spellings_that_share_a_bucket() {
+        use ofwire::flow_match::Ipv4Prefix;
+        // Same packet set, spelled with and without host bits: one
+        // canonical match, one bucket — where lookup sees one rule family
+        // and strict operations must still see two.
+        let spelled = |addr: u32| FlowMatch {
+            dl_type: Some(0x0800),
+            nw_dst: Some(Ipv4Prefix {
+                addr,
+                prefix_len: 24,
+            }),
+            ..FlowMatch::default()
+        };
+        let (clean, noisy) = (spelled(0x0a00_0000), spelled(0x0a00_0007));
+        assert_eq!(clean.key(), noisy.key());
+        let mut t = FlowTable::new();
+        t.insert(entry(1, noisy, 10));
+        t.insert(entry(2, clean, 10)); // same priority, other spelling
+        t.insert(entry(3, clean, 20)); // same spelling, other priority
+        t.assert_index_consistent();
+        assert_eq!(t.find_strict(&clean, 10), Some(1));
+        assert_eq!(t.find_strict(&noisy, 10), Some(0));
+        assert_eq!(t.find_strict(&noisy, 20), None);
+        for (m, prio) in [(clean, 10), (noisy, 10), (clean, 20), (noisy, 20)] {
+            assert_eq!(t.find_strict(&m, prio), t.find_strict_linear(&m, prio));
+        }
+        // Lookup ranks all three by (priority, id).
+        let key = FlowMatch::key_for_id(5);
+        assert_eq!(t.lookup(&key), t.lookup_linear(&key));
+        assert_eq!(t.get(t.lookup(&key).unwrap()).id, EntryId(3));
+        // One-probe removal takes exactly the strict target and leaves
+        // its bucket-mates indexed.
+        assert_eq!(t.remove_strict(&noisy, 20), None);
+        assert_eq!(t.remove_strict(&clean, 10).map(|e| e.id), Some(EntryId(2)));
+        t.assert_index_consistent();
+        assert_eq!(
+            t.snapshot().iter().map(|e| e.id.0).collect::<Vec<_>>(),
+            [1, 3]
+        );
+        assert_eq!(t.remove_strict(&noisy, 10).map(|e| e.id), Some(EntryId(1)));
+        assert_eq!(t.remove_strict(&clean, 20).map(|e| e.id), Some(EntryId(3)));
+        t.assert_index_consistent();
+        assert!(t.is_empty());
+        assert_eq!(t.lookup(&key), None);
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! The oracle reimplements the pre-index semantics (scan everything,
 //! max priority then min id; strict find = first position) on a plain
 //! `Vec<FlowEntry>`. Every operation — insert, strict modify, strict
-//! delete, loose delete, lookup — is applied to both tables and their
-//! observable state compared, so any index-maintenance bug (stale
-//! position, unsorted bucket, missed compaction fix-up) surfaces as a
-//! divergence.
+//! delete (by position and in one probe), loose delete, lookup — is
+//! applied to both tables and their observable state compared, so any
+//! index-maintenance bug (stale position, unsorted bucket, missed
+//! compaction fix-up) surfaces as a divergence.
 
 use ofwire::action::Action;
-use ofwire::flow_match::{FlowKey, FlowMatch};
+use ofwire::flow_match::{FlowKey, FlowMatch, Ipv4Prefix};
 use ofwire::types::PortNo;
 use proptest::prelude::*;
 use simnet::time::SimTime;
@@ -76,14 +76,46 @@ impl NaiveTable {
     }
 }
 
+/// How many distinct matches [`a_match`] produces (`fid` beyond this
+/// wraps around).
+const FAMILY: u32 = 8 * 6;
+
 fn a_match(fid: u32) -> FlowMatch {
     // A small family with genuine overlap: wildcards cover everything,
-    // L2/L3 matches collide across ids modulo a narrow range.
-    match fid % 4 {
+    // L2/L3 matches collide across ids modulo a narrow range, and the
+    // prefix shapes are spelled several ways — `10.0.0.0/24` with and
+    // without host bits, a `/0` with and without them — so matches that
+    // differ raw but are equal canonically (one `by_match` bucket, the
+    // `/0`s sharing `any()`'s) meet at equal and at different
+    // priorities. Strict operations must tell them apart; lookup must
+    // not.
+    let sub = fid / 8 % 6;
+    let prefix = |addr: u32, prefix_len: u8| Some(Ipv4Prefix { addr, prefix_len });
+    match fid % 8 {
         0 => FlowMatch::any(),
-        1 => FlowMatch::l2_for_id(fid / 4 % 6),
-        2 => FlowMatch::l3_for_id(fid / 4 % 6),
-        _ => FlowMatch::l2l3_for_id(fid / 4 % 6),
+        1 => FlowMatch::l2_for_id(sub),
+        2 => FlowMatch::l3_for_id(sub),
+        3 => FlowMatch::l2l3_for_id(sub),
+        // sub 0 is the canonical spelling, 1..6 set host bits.
+        4 => FlowMatch {
+            dl_type: Some(0x0800),
+            nw_dst: prefix(0x0a00_0000 | sub, 24),
+            ..FlowMatch::default()
+        },
+        5 => FlowMatch {
+            nw_src: prefix(sub, 0),
+            ..FlowMatch::default()
+        },
+        6 => FlowMatch {
+            dl_type: Some(0x0800),
+            nw_src: prefix(sub % 2, 0),
+            nw_dst: prefix(0x0a00_0000 | (sub / 2), 24),
+            ..FlowMatch::default()
+        },
+        _ => FlowMatch {
+            nw_dst: prefix(0x0a00_0000 | sub, 32 - sub as u8 * 4),
+            ..FlowMatch::default()
+        },
     }
 }
 
@@ -93,6 +125,8 @@ fn assert_agree(indexed: &FlowTable, naive: &NaiveTable) {
     for fid in 0..8u32 {
         let key = FlowMatch::key_for_id(fid);
         assert_eq!(indexed.lookup(&key), naive.lookup(&key), "lookup fid={fid}");
+    }
+    for fid in 0..FAMILY {
         for prio in 0..4u16 {
             let m = a_match(fid);
             assert_eq!(
@@ -109,7 +143,7 @@ proptest! {
 
     #[test]
     fn indexed_table_matches_linear_oracle(
-        ops in proptest::collection::vec((0u8..5, any::<u32>(), 0u16..4), 1..120)
+        ops in proptest::collection::vec((0u8..6, any::<u32>(), 0u16..4), 1..120)
     ) {
         let mut indexed = FlowTable::new();
         let mut naive = NaiveTable::default();
@@ -141,7 +175,7 @@ proptest! {
                         naive.entries[i].actions = vec![Action::output(9)];
                     }
                 }
-                // Strict delete.
+                // Strict delete, by position.
                 3 => {
                     let m = a_match(fid);
                     if let Some(i) = indexed.find_strict(&m, prio) {
@@ -149,6 +183,13 @@ proptest! {
                         let b = naive.remove_at(i);
                         prop_assert_eq!(a, b);
                     }
+                }
+                // Strict delete, in one probe.
+                4 => {
+                    let m = a_match(fid);
+                    let a = indexed.remove_strict(&m, prio);
+                    let b = naive.find_strict(&m, prio).map(|i| naive.remove_at(i));
+                    prop_assert_eq!(a, b);
                 }
                 // Loose delete: everything a narrower filter subsumes.
                 _ => {
