@@ -109,6 +109,28 @@ pub struct FlowMod {
 }
 
 impl FlowMod {
+    /// Every constructor's shape: zero cookie and timeouts, no buffer, no
+    /// port restriction, no flags.
+    fn new(
+        command: FlowModCommand,
+        flow_match: FlowMatch,
+        priority: u16,
+        actions: Vec<Action>,
+    ) -> FlowMod {
+        FlowMod {
+            flow_match,
+            cookie: 0,
+            command,
+            idle_timeout: 0,
+            hard_timeout: 0,
+            priority,
+            buffer_id: BufferId::NO_BUFFER,
+            out_port: PortNo::NONE,
+            flags: FlowModFlags::default(),
+            actions,
+        }
+    }
+
     /// An `Add` with the given match and priority, forwarding to port 1.
     ///
     /// The default single output action keeps probe rules realistic — a
@@ -116,50 +138,37 @@ impl FlowMod {
     /// a different table.
     #[must_use]
     pub fn add(flow_match: FlowMatch, priority: u16) -> FlowMod {
-        FlowMod {
-            flow_match,
-            cookie: 0,
-            command: FlowModCommand::Add,
-            idle_timeout: 0,
-            hard_timeout: 0,
-            priority,
-            buffer_id: BufferId::NO_BUFFER,
-            out_port: PortNo::NONE,
-            flags: FlowModFlags::default(),
-            actions: vec![Action::output(1)],
-        }
+        FlowMod::add_with_actions(flow_match, priority, vec![Action::output(1)])
+    }
+
+    /// An `Add` with the given match, priority and action list.
+    #[must_use]
+    pub fn add_with_actions(flow_match: FlowMatch, priority: u16, actions: Vec<Action>) -> FlowMod {
+        FlowMod::new(FlowModCommand::Add, flow_match, priority, actions)
     }
 
     /// A strict modify of the given match/priority, rewriting the action
     /// list.
     #[must_use]
     pub fn modify_strict(flow_match: FlowMatch, priority: u16, actions: Vec<Action>) -> FlowMod {
-        FlowMod {
-            command: FlowModCommand::ModifyStrict,
-            actions,
-            ..FlowMod::add(flow_match, priority)
-        }
+        FlowMod::new(FlowModCommand::ModifyStrict, flow_match, priority, actions)
     }
 
     /// A strict delete of the given match/priority.
     #[must_use]
     pub fn delete_strict(flow_match: FlowMatch, priority: u16) -> FlowMod {
-        FlowMod {
-            command: FlowModCommand::DeleteStrict,
-            actions: Vec::new(),
-            ..FlowMod::add(flow_match, priority)
-        }
+        FlowMod::new(
+            FlowModCommand::DeleteStrict,
+            flow_match,
+            priority,
+            Vec::new(),
+        )
     }
 
     /// A non-strict delete-everything-matching request.
     #[must_use]
     pub fn delete_all() -> FlowMod {
-        FlowMod {
-            command: FlowModCommand::Delete,
-            actions: Vec::new(),
-            priority: 0,
-            ..FlowMod::add(FlowMatch::any(), 0)
-        }
+        FlowMod::new(FlowModCommand::Delete, FlowMatch::any(), 0, Vec::new())
     }
 
     /// Builder-style: replace the action list with a single action.

@@ -6,50 +6,13 @@
 //! 100k ops should cost roughly 10× the 10k run, not 100×.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ofwire::flow_match::FlowMatch;
-use ofwire::types::Dpid;
-use simnet::rng::DetRng;
-use switchsim::harness::Testbed;
-use switchsim::profiles::SwitchProfile;
 use tango::db::TangoDb;
-use tango_sched::dag::RequestDag;
 use tango_sched::executor::execute_with;
-use tango_sched::request::ReqElem;
 use tango_sched::schedulers::registry;
 
-const SWITCHES: u64 = 8;
-
-/// An add-only update DAG shaped like the sweep workload: depth-6
-/// chains over 8 switches with occasional cross-chain joins.
-fn build_dag(ops: usize) -> RequestDag {
-    let mut rng = DetRng::new(0xBE7C);
-    let mut dag = RequestDag::new();
-    let mut ids = Vec::with_capacity(ops);
-    for i in 0..ops {
-        let dpid = Dpid(rng.index(SWITCHES as usize) as u64 + 1);
-        let prio = 1000 + rng.index(2000) as u16;
-        let id = dag.add_node(ReqElem::add(dpid, FlowMatch::l3_for_id(i as u32), prio, 1));
-        if i % 6 != 0 {
-            dag.add_dep(ids[i - 1], id);
-        }
-        if i > 0 && rng.chance(0.03) {
-            let from = rng.index(i);
-            if from != i - 1 {
-                dag.add_dep(ids[from], id);
-            }
-        }
-        ids.push(id);
-    }
-    dag
-}
-
-fn testbed() -> Testbed {
-    let mut tb = Testbed::new(0x5EED);
-    for d in 1..=SWITCHES {
-        tb.attach_default(Dpid(d), SwitchProfile::ovs());
-    }
-    tb
-}
+#[path = "../tests/support/mod.rs"]
+mod support;
+use support::{build_dag, testbed};
 
 fn bench_schedulers(c: &mut Criterion) {
     let mut g = c.benchmark_group("scheduler_dispatch");

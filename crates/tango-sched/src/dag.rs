@@ -9,9 +9,10 @@
 //! Both of those operations are served from incrementally maintained
 //! state so dispatch over a 100k-op DAG stays sub-quadratic:
 //!
-//! * the **ready frontier** (`ready`) is updated in `O(out-degree)` by
-//!   [`RequestDag::mark_done`], so [`RequestDag::independent_set`] costs
-//!   `O(|frontier|)` instead of a full node scan;
+//! * the **ready frontier** (`ready`, one bit per node) is updated in
+//!   `O(out-degree)` by [`RequestDag::mark_done`], so
+//!   [`RequestDag::independent_set`] reads `n / 64` words instead of
+//!   scanning every node;
 //! * **longest-path ranks** are memoized and invalidated only by
 //!   structural mutation ([`RequestDag::add_node`] /
 //!   [`RequestDag::add_dep`]), never by completion: ranks are computed
@@ -24,7 +25,6 @@
 
 use crate::request::{ReqElem, ReqOp};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Index of a request within its DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -44,9 +44,9 @@ pub struct RequestDag {
     done: Vec<bool>,
     /// Count of completed requests (`all_done` in O(1)).
     n_done: usize,
-    /// The ready frontier: unfinished nodes with no unfinished
-    /// predecessors, kept in ascending index order.
-    ready: BTreeSet<usize>,
+    /// The ready frontier: bit `i` is set while node `i` is unfinished
+    /// with no unfinished predecessors.
+    ready: Vec<u64>,
     /// Memoized longest-path ranks; valid while `ranks_valid`.
     ranks: Vec<usize>,
     /// Whether `ranks` reflects the current edge set.
@@ -68,7 +68,10 @@ impl RequestDag {
         self.preds.push(Vec::new());
         self.pending_preds.push(0);
         self.done.push(false);
-        self.ready.insert(id.0);
+        if id.0 / 64 == self.ready.len() {
+            self.ready.push(0);
+        }
+        self.ready[id.0 / 64] |= 1 << (id.0 % 64);
         self.ranks_valid = false;
         id
     }
@@ -80,7 +83,7 @@ impl RequestDag {
         self.succs[before.0].push(after);
         self.preds[after.0].push(before);
         self.pending_preds[after.0] += 1;
-        self.ready.remove(&after.0);
+        self.ready[after.0 / 64] &= !(1 << (after.0 % 64));
         self.ranks_valid = false;
     }
 
@@ -152,10 +155,18 @@ impl RequestDag {
 
     /// The current independent set: unfinished requests with no
     /// unfinished predecessors, in ascending index order. Served from
-    /// the incrementally maintained frontier in `O(|frontier|)`.
+    /// the incrementally maintained frontier bitset.
     #[must_use]
     pub fn independent_set(&self) -> Vec<NodeId> {
-        self.ready.iter().map(|&i| NodeId(i)).collect()
+        let mut set = Vec::new();
+        for (w, &word) in self.ready.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                set.push(NodeId(w * 64 + bits.trailing_zeros() as usize));
+                bits &= bits - 1;
+            }
+        }
+        set
     }
 
     /// Marks a request complete, unblocking its successors. Panics if
@@ -168,11 +179,12 @@ impl RequestDag {
         );
         self.done[id.0] = true;
         self.n_done += 1;
-        self.ready.remove(&id.0);
-        for s in self.succs[id.0].clone() {
-            self.pending_preds[s.0] -= 1;
-            if self.pending_preds[s.0] == 0 && !self.done[s.0] {
-                self.ready.insert(s.0);
+        self.ready[id.0 / 64] &= !(1 << (id.0 % 64));
+        for k in 0..self.succs[id.0].len() {
+            let s = self.succs[id.0][k].0;
+            self.pending_preds[s] -= 1;
+            if self.pending_preds[s] == 0 && !self.done[s] {
+                self.ready[s / 64] |= 1 << (s % 64);
             }
         }
     }

@@ -20,12 +20,20 @@
 //!   predecessor's predicted completion plus a guard interval
 //!   ([`Release`]).
 //!
-//! The online dispatcher is sub-quadratic in DAG size: each switch keeps
-//! its released requests in an ordered set keyed by the scheduler's
-//! [`SchedKey`] (computed once, when the request joins the ready
-//! frontier) plus a release-time-ordered set of not-yet-released ones,
-//! so every dispatch decision is a `first()`/`pop_first()` rather than a
-//! scan-and-sort of the whole frontier.
+//! The online dispatcher is sub-quadratic in DAG size: it flattens the
+//! DAG into a *dispatch plan* (one dense record per node, one flat
+//! successor array) and each switch keeps its released requests in a
+//! binary heap on the scheduler's [`SchedKey`] (computed once, when the
+//! request joins the ready frontier) plus a release-time-ordered heap of
+//! not-yet-released ones, so every dispatch decision is a `peek`/`pop`
+//! rather than a scan-and-sort of the whole frontier. The DAG is
+//! read-only while a dispatch runs; completion is committed to it once,
+//! when the dispatch ends.
+//!
+//! Both are generic over [`ControlPath`], but consume completions in
+//! global virtual-time order, which `tango-net`'s `TcpFleet` (per-switch
+//! FIFO only) does not deliver yet: do not run them over one until it
+//! merges completions across switches.
 //!
 //! Both report malformed inputs as typed [`ExecError`]s instead of
 //! panicking.
@@ -34,12 +42,13 @@ use crate::dag::{NodeId, RequestDag};
 use crate::request::Deadline;
 use crate::schedulers::{SchedKey, Scheduler};
 use ofwire::types::Dpid;
-use simnet::telemetry::TRACK_SCHEDULER;
+use simnet::telemetry::{Telemetry, TRACK_SCHEDULER};
 use simnet::time::{SimDuration, SimTime};
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::fmt;
+use std::ops::Range;
 use switchsim::control::{Completion, ControlOp, ControlPath, OpResult, OpToken, TokenRing};
-use switchsim::harness::Testbed;
 use tango::db::TangoDb;
 
 /// The outcome of executing a DAG.
@@ -196,39 +205,36 @@ fn is_valid_round(set: &[NodeId], ordered: &[NodeId], partial: bool) -> bool {
 /// [`ExecError::StuckDag`] on a dependency cycle;
 /// [`ExecError::OracleMismatch`] when the oracle repeats a request,
 /// names one outside the set, or returns too few.
-pub fn execute_rounds(
-    tb: &mut Testbed,
+pub fn execute_rounds<C: ControlPath + ?Sized>(
+    cp: &mut C,
     dag: &mut RequestDag,
     db: &TangoDb,
     order: &mut OrderingFn<'_>,
     partial: bool,
 ) -> Result<ExecReport, ExecError> {
-    let start = tb.now();
-    let exec_span = tb
-        .telemetry()
-        .span_begin(TRACK_SCHEDULER, "execute_rounds", start);
+    let off = &mut Telemetry::off();
+    let start = cp.now();
+    let exec_span = telemetry(cp, off).span_begin(TRACK_SCHEDULER, "execute_rounds", start);
     let mut frontier: SimTime = start;
     let mut report = ExecReport::with_capacity(dag.len());
     while !dag.all_done() {
         let set = dag.independent_set();
         if set.is_empty() {
-            tb.telemetry().span_cancel(exec_span);
+            telemetry(cp, off).span_cancel(exec_span);
             return Err(ExecError::StuckDag);
         }
         let (ordered, label) = order(db, dag, &set);
         if !is_valid_round(&set, &ordered, partial) {
-            tb.telemetry().span_cancel(exec_span);
+            telemetry(cp, off).span_cancel(exec_span);
             return Err(ExecError::OracleMismatch {
                 expected: set.len(),
                 got: ordered.len(),
             });
         }
         report.rounds.push((label, ordered.len()));
-        let round_span = tb
-            .telemetry()
-            .span_begin(TRACK_SCHEDULER, "round", frontier);
-        tb.telemetry().count("sched/rounds", 1);
-        tb.telemetry().count("sched/issued", ordered.len() as u64);
+        let round_span = telemetry(cp, off).span_begin(TRACK_SCHEDULER, "round", frontier);
+        telemetry(cp, off).count("sched/rounds", 1);
+        telemetry(cp, off).count("sched/issued", ordered.len() as u64);
         // Issue the whole round at the frontier; every op's wire frames
         // and latencies are fixed at submit time, then the event core
         // interleaves all switches' processing in virtual time.
@@ -236,7 +242,7 @@ pub fn execute_rounds(
             .iter()
             .map(|&id| {
                 let req = dag.node(id);
-                let token = tb.submit(
+                let token = cp.submit(
                     req.location,
                     ControlOp::FlowMod(req.to_flow_mod()),
                     frontier,
@@ -246,7 +252,7 @@ pub fn execute_rounds(
             .collect();
         let mut batch_end = frontier;
         for (token, deadline) in submitted {
-            let c = tb.wait_for(token);
+            let c = cp.wait_for(token);
             report.record(&c, deadline, start);
             batch_end = batch_end.max(c.acked_at);
         }
@@ -255,12 +261,36 @@ pub fn execute_rounds(
             report.issued.push(id);
         }
         frontier = batch_end;
-        tb.telemetry().span_end(round_span, frontier);
+        telemetry(cp, off).span_end(round_span, frontier);
     }
-    tb.warp_to(frontier.max(tb.now()));
-    tb.telemetry().span_end(exec_span, frontier.max(start));
+    cp.warp_to(frontier.max(cp.now()));
+    telemetry(cp, off).span_end(exec_span, frontier.max(start));
     report.makespan = frontier.since(start);
     Ok(report)
+}
+
+/// The path's telemetry handle, or the disabled `off` for a path that
+/// carries none — so every emission below is one call either way.
+fn telemetry<'a, C: ControlPath + ?Sized>(
+    cp: &'a mut C,
+    off: &'a mut Telemetry,
+) -> &'a mut Telemetry {
+    cp.telemetry_mut().unwrap_or(off)
+}
+
+/// One node of the per-run dispatch plan: what keying, release and
+/// completion need of a request, in one 24-byte record.
+struct PlanNode {
+    /// The latest release instant (ack arrival or guarded completion)
+    /// among the predecessors completed so far; final once `pending`
+    /// reaches zero.
+    release: SimTime,
+    /// Where this node's successors sit in the flat successor array.
+    succs: Range<u32>,
+    /// Predecessors whose completion has not been processed yet.
+    pending: u32,
+    /// Dense index of the node's switch.
+    sw: u32,
 }
 
 /// A request issued onto the control path whose completion has not been
@@ -270,33 +300,40 @@ struct InFlight {
     node: NodeId,
     /// Dense index of the switch the op occupies.
     sw: u32,
+    /// Copied from the plan at issue, where that read overlaps the
+    /// request's own; at completion it would be one more miss in a row.
+    succs: Range<u32>,
     deadline: Deadline,
-    /// Successor nodes captured at issue time (`mark_done` forgets
-    /// edges).
-    succs: Vec<NodeId>,
 }
 
 /// One switch's dispatch queue: requests whose keys are final, split by
-/// whether their release instant has passed.
+/// whether their release instant has passed. Node ids are unique, so
+/// both heap orders are total and pops are deterministic.
 #[derive(Default)]
 struct SwitchQueue {
+    /// Whether an op of this switch is in flight.
+    busy: bool,
     /// Released requests, best key first.
-    released: BTreeSet<(SchedKey, NodeId)>,
+    released: BinaryHeap<Reverse<(SchedKey, NodeId)>>,
     /// Not-yet-released requests, earliest release first.
-    future: BTreeSet<(SimTime, SchedKey, NodeId)>,
+    future: BinaryHeap<Reverse<(SimTime, SchedKey, NodeId)>>,
 }
 
 impl SwitchQueue {
-    /// Moves every request released by `t` into the released set.
+    /// Moves every request released by `t` into the released heap.
     fn release_due(&mut self, t: SimTime) {
-        while let Some(&(rel, key, id)) = self.future.first() {
+        while let Some(&Reverse((rel, key, id))) = self.future.peek() {
             if rel > t {
                 break;
             }
-            self.future.remove(&(rel, key, id));
-            self.released.insert((key, id));
+            self.future.pop();
+            self.released.push(Reverse((key, id)));
         }
     }
+}
+
+fn idx32(i: usize) -> u32 {
+    u32::try_from(i).expect("dispatch plan indices fit u32")
 }
 
 /// Online dispatch under a portfolio [`Scheduler`]: every completion
@@ -309,89 +346,91 @@ impl SwitchQueue {
 /// drops into its switch's queue. Dispatch then never rescans the
 /// frontier: each decision pops the best key of the chosen switch.
 ///
+/// Requests already marked done are skipped and count as completed
+/// predecessors. `dag` is not written while the dispatch runs: every
+/// issued request is marked done in one pass at the end, on the error
+/// path too.
+///
 /// # Errors
 /// [`ExecError::StuckDag`] on a dependency cycle.
-pub fn execute_with(
-    tb: &mut Testbed,
+pub fn execute_with<C: ControlPath + ?Sized>(
+    cp: &mut C,
     dag: &mut RequestDag,
     db: &TangoDb,
     sched: &mut dyn Scheduler,
     release: Release,
 ) -> Result<ExecReport, ExecError> {
-    let start = tb.now();
-    let exec_span = tb.telemetry().span_begin(TRACK_SCHEDULER, "execute", start);
+    let off = &mut Telemetry::off();
+    let start = cp.now();
+    let exec_span = telemetry(cp, off).span_begin(TRACK_SCHEDULER, "execute", start);
     sched.prepare(dag, db);
-    let n = dag.len();
-    // Dense switch wiring: the DAG's distinct dpids in sorted order, and
-    // every node's switch resolved to a `u32` index once — the dispatch
-    // loop below never touches a map. Index order equals dpid order, so
-    // ties between switches break by dpid.
-    let dpids: Vec<Dpid> = (0..n)
-        .map(|u| dag.node(NodeId(u)).location)
+    // Dense switch wiring: the DAG's distinct dpids in sorted order.
+    // Index order equals dpid order, so ties between switches break by
+    // dpid.
+    let dpids: Vec<Dpid> = (dag.node_ids().map(|id| dag.node(id).location))
         .collect::<BTreeSet<_>>()
         .into_iter()
         .collect();
-    let node_sw: Vec<u32> = (0..n)
-        .map(|u| {
-            let i = dpids.binary_search(&dag.node(NodeId(u)).location);
-            u32::try_from(i.expect("dpid collected above")).expect("switch count fits u32")
-        })
-        .collect();
-    // Release time per node: the max of its predecessors' release
-    // instants (ack arrival or guarded completion). A node is issuable
-    // once every predecessor's completion has been observed, so its
-    // release time is final.
-    let mut released_at: Vec<SimTime> = vec![start; n];
-    let mut preds_pending: Vec<usize> = (0..n).map(|u| dag.predecessors(NodeId(u)).len()).collect();
     let mut queues: Vec<SwitchQueue> = dpids.iter().map(|_| SwitchQueue::default()).collect();
-    for (u, &pending) in preds_pending.iter().enumerate() {
-        let id = NodeId(u);
-        if pending == 0 && !dag.is_done(id) {
-            let key = sched.key(dag, id, start);
-            queues[node_sw[u] as usize].released.insert((key, id));
+    // The dispatch plan, built in one pass over nodes and edges; the loop
+    // below reads the DAG only to lower a request and to hand it to the
+    // scheduler.
+    let mut plan: Vec<PlanNode> = Vec::with_capacity(dag.len());
+    let mut succs: Vec<u32> = Vec::new();
+    let mut todo = 0;
+    for id in dag.node_ids() {
+        let sw = dpids.binary_search(&dag.node(id).location);
+        let sw = idx32(sw.expect("dpid collected above"));
+        let pending = idx32(dag.pending_pred_count(id));
+        let from = idx32(succs.len());
+        succs.extend(dag.successors(id).iter().map(|s| idx32(s.0)));
+        plan.push(PlanNode {
+            release: start,
+            succs: from..idx32(succs.len()),
+            pending,
+            sw,
+        });
+        if !dag.is_done(id) {
+            todo += 1;
+            if pending == 0 {
+                let key = sched.key(dag, id, start);
+                queues[sw as usize].released.push(Reverse((key, id)));
+            }
         }
     }
     let mut inflight = TokenRing::default();
-    let mut busy: Vec<bool> = vec![false; queues.len()];
-    let mut report = ExecReport::with_capacity(n);
+    let mut report = ExecReport::with_capacity(todo);
     let mut last_done = start;
 
-    while !dag.all_done() || !inflight.is_empty() {
+    while report.issued.len() < todo || !inflight.is_empty() {
         // Issue the best issuable request for every idle switch. `now`
         // is the dispatcher's decision instant.
-        let now = tb.now();
+        let now = cp.now();
         for q in queues.iter_mut() {
             q.release_due(now);
         }
         // Frontier width is an O(switches) sum, so only pay for it when a
         // recorder is attached.
-        if tb.telemetry().is_enabled() {
+        if telemetry(cp, off).is_enabled() {
             let frontier: usize = queues.iter().map(|q| q.released.len()).sum();
-            tb.telemetry()
-                .observe("sched/ready_frontier", frontier as f64);
+            telemetry(cp, off).observe("sched/ready_frontier", frontier as f64);
         }
         loop {
             // Pick the idle switch that can start work earliest: `now`
             // if it has a released request, else its earliest future
             // release. Ties break by switch index (= dpid order), then
             // key within the switch.
-            let mut best: Option<(SimTime, usize)> = None;
-            for (i, q) in queues.iter().enumerate() {
-                if busy[i] {
-                    continue;
-                }
-                let cand = if q.released.is_empty() {
-                    q.future.first().map(|&(t, _, _)| t)
+            let idle = queues.iter().enumerate().filter(|(_, q)| !q.busy);
+            let starts = idle.filter_map(|(i, q)| {
+                let earliest = q.future.peek().map(|&Reverse((t, _, _))| t);
+                let t = if q.released.is_empty() {
+                    earliest?
                 } else {
-                    Some(now)
+                    now
                 };
-                if let Some(t) = cand {
-                    if best.is_none_or(|b| (t, i) < b) {
-                        best = Some((t, i));
-                    }
-                }
-            }
-            let Some((start_time, sw)) = best else {
+                Some((t, i))
+            });
+            let Some((start_time, sw)) = starts.min() else {
                 break;
             };
             let q = &mut queues[sw];
@@ -399,9 +438,10 @@ pub fn execute_with(
             // the switch idles until a future release, requests due by
             // then are eligible too).
             q.release_due(start_time);
-            let (_, id) = q.released.pop_first().expect("candidate has a request");
-            let req = dag.node(id);
-            let token = tb.submit(
+            let Reverse((_, id)) = q.released.pop().expect("candidate has a request");
+            q.busy = true;
+            let (req, node) = (dag.node(id), &plan[id.0]);
+            let token = cp.submit(
                 req.location,
                 ControlOp::FlowMod(req.to_flow_mod()),
                 start_time,
@@ -410,20 +450,19 @@ pub fn execute_with(
                 token,
                 InFlight {
                     node: id,
-                    sw: u32::try_from(sw).expect("switch count fits u32"),
+                    sw: node.sw,
+                    succs: node.succs.clone(),
                     deadline: req.install_by,
-                    succs: dag.successors(id).to_vec(),
                 },
             );
-            busy[sw] = true;
-            dag.mark_done(id);
             report.issued.push(id);
-            tb.telemetry().count("sched/issued", 1);
+            telemetry(cp, off).count("sched/issued", 1);
         }
-        let Some(c) = tb.next_completion() else {
+        let Some(c) = cp.next_completion() else {
             // Nothing in flight and nothing issuable, yet the DAG has
             // unfinished requests: a dependency cycle.
-            tb.telemetry().span_cancel(exec_span);
+            report.issued.iter().for_each(|&id| dag.mark_done(id));
+            telemetry(cp, off).span_cancel(exec_span);
             return Err(ExecError::StuckDag);
         };
         let fl = inflight
@@ -431,33 +470,38 @@ pub fn execute_with(
             .expect("completion for an op this dispatcher issued");
         report.record(&c, fl.deadline, start);
         last_done = last_done.max(c.done_at);
-        busy[fl.sw as usize] = false;
+        queues[fl.sw as usize].busy = false;
         let rel = match release {
             Release::Ack => {
-                tb.telemetry().count("sched/ack_releases", 1);
+                telemetry(cp, off).count("sched/ack_releases", 1);
                 c.acked_at
             }
             Release::Guard(g) => {
-                tb.telemetry().count("sched/guard_releases", 1);
+                telemetry(cp, off).count("sched/guard_releases", 1);
                 c.done_at + g
             }
         };
         // The scheduler observes the completion before the nodes it
         // releases are keyed (dynamic schedulers update state here).
         sched.on_completion(dag, fl.node);
-        for s in fl.succs {
-            preds_pending[s.0] -= 1;
-            released_at[s.0] = released_at[s.0].max(rel);
-            if preds_pending[s.0] == 0 {
-                let key = sched.key(dag, s, released_at[s.0]);
-                queues[node_sw[s.0] as usize]
+        for &s in &succs[fl.succs.start as usize..fl.succs.end as usize] {
+            let node = &mut plan[s as usize];
+            node.pending -= 1;
+            node.release = node.release.max(rel);
+            if node.pending == 0 {
+                let id = NodeId(s as usize);
+                let key = sched.key(dag, id, node.release);
+                queues[node.sw as usize]
                     .future
-                    .insert((released_at[s.0], key, s));
+                    .push(Reverse((node.release, key, id)));
             }
         }
     }
-    tb.warp_to(last_done.max(tb.now()));
-    tb.telemetry().span_end(exec_span, last_done.max(start));
+    // Commit completion once: issue order respects every edge, so each
+    // mark finds its predecessors already marked.
+    report.issued.iter().for_each(|&id| dag.mark_done(id));
+    cp.warp_to(last_done.max(cp.now()));
+    telemetry(cp, off).span_end(exec_span, last_done.max(start));
     report.makespan = last_done.since(start);
     Ok(report)
 }
@@ -471,6 +515,7 @@ mod tests {
     use ofwire::flow_match::FlowMatch;
     use ofwire::flow_mod::FlowMod;
     use simnet::rng::DetRng;
+    use switchsim::harness::Testbed;
     use switchsim::profiles::SwitchProfile;
 
     /// Online dispatch under an explicit scheduler × release pair.
@@ -563,6 +608,39 @@ mod tests {
         let rec = tb.finish_recorder().expect("recorder present");
         assert_eq!(rec.spans().count(), 0, "error path must cancel its spans");
         err
+    }
+
+    #[test]
+    fn stuck_dag_commits_exactly_what_was_issued() {
+        // a ⇄ b can never issue and x waits on the cycle; c → d can.
+        let mut dag = RequestDag::new();
+        let [a, b, c, d, x] = [0, 1, 2, 3, 4]
+            .map(|i| dag.add_node(ReqElem::add(Dpid(1), FlowMatch::l3_for_id(i), 10, 1)));
+        dag.add_dep(a, b);
+        dag.add_dep(b, a);
+        dag.add_dep(c, d);
+        dag.add_dep(b, x);
+        let mut tb = testbed();
+        tb.enable_telemetry();
+        // Every registry scheduler ranks the DAG in `prepare` and panics
+        // on a cycle there; one that does not reaches the dispatcher.
+        struct Fifo;
+        impl Scheduler for Fifo {
+            fn name(&self) -> &'static str {
+                "fifo"
+            }
+            fn prepare(&mut self, _: &mut RequestDag, _: &TangoDb) {}
+            fn key(&self, _: &RequestDag, _: NodeId, _: SimTime) -> SchedKey {
+                SchedKey::default()
+            }
+        }
+        let err = execute_with(&mut tb, &mut dag, &TangoDb::new(), &mut Fifo, Release::Ack);
+        assert_eq!(err, Err(ExecError::StuckDag));
+        let done: Vec<bool> = dag.node_ids().map(|id| dag.is_done(id)).collect();
+        assert_eq!(done, [false, false, true, true, false]);
+        assert_eq!(tb.switch(Dpid(1)).rule_count(), 2);
+        let rec = tb.finish_recorder().expect("recorder present");
+        assert!(rec.spans().all(|s| s.name != "execute"), "span cancelled");
     }
 
     #[test]
@@ -896,6 +974,7 @@ mod deadline_tests {
     use crate::request::{Deadline, ReqElem};
     use crate::schedulers::{CriticalPathScheduler, TangoScheduler};
     use ofwire::flow_match::FlowMatch;
+    use switchsim::harness::Testbed;
     use switchsim::profiles::SwitchProfile;
 
     fn add_with_deadline(dpid: Dpid, id: u32, ms: Option<f64>) -> ReqElem {

@@ -120,9 +120,7 @@ impl ReqElem {
         let priority = self.effective_priority();
         match self.op {
             ReqOp::Add => {
-                let mut fm = FlowMod::add(self.flow_match, priority);
-                fm.actions = self.actions.clone();
-                fm
+                FlowMod::add_with_actions(self.flow_match, priority, self.actions.clone())
             }
             ReqOp::Mod => FlowMod::modify_strict(self.flow_match, priority, self.actions.clone()),
             ReqOp::Del => FlowMod::delete_strict(self.flow_match, priority),

@@ -118,8 +118,8 @@ impl Scheduler for DlsScheduler {
 #[derive(Debug, Default)]
 pub struct LookaheadScheduler {
     lp: Vec<usize>,
-    /// Predecessors not yet *completed* per node (distinct from the
-    /// DAG's issue-based pending counts).
+    /// Predecessors not yet *completed* per node (the DAG's own counts
+    /// stand still while a dispatch runs).
     waiting_preds: Vec<usize>,
 }
 

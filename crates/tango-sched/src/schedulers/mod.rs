@@ -32,9 +32,9 @@
 //! A scheduler compresses its policy into a [`SchedKey`] per request,
 //! fixed when the request joins the ready frontier (all predecessors
 //! completed, release time final). The executor keeps each switch's
-//! ready requests in an ordered set keyed by `(SchedKey, NodeId)`, so
-//! picking the next request is a `first()` instead of a sort — the
-//! portfolio dispatches 100k-op DAGs sub-quadratically. Keys compare
+//! ready requests in a binary heap on `(SchedKey, NodeId)`, so picking
+//! the next request is a `pop()` instead of a sort — the portfolio
+//! dispatches 100k-op DAGs sub-quadratically. Keys compare
 //! lexicographically; **smaller dispatches first**; the trailing
 //! `NodeId` makes every ordering total and deterministic.
 
@@ -48,7 +48,7 @@ use crate::dag::{NodeId, RequestDag};
 use crate::executor::{execute_with, ExecError, ExecReport, Release};
 use crate::request::ReqOp;
 use simnet::time::SimTime;
-use switchsim::harness::Testbed;
+use switchsim::control::ControlPath;
 use tango::db::TangoDb;
 
 /// A scheduler's ranking of one ready request: compared
@@ -74,6 +74,8 @@ pub fn class_rank(op: ReqOp) -> u8 {
 /// request joins the ready frontier — and
 /// [`Scheduler::on_completion`] once per completed request, *before*
 /// the keys of the requests that completion released are computed.
+/// `dag`'s completion flags are not advanced during a dispatch; a policy
+/// that needs them tracks its own, as `lookahead` does.
 pub trait Scheduler {
     /// Registry name of this scheduler.
     fn name(&self) -> &'static str;
@@ -115,13 +117,13 @@ impl SchedulerEntry {
     ///
     /// # Errors
     /// [`ExecError::StuckDag`] on a dependency cycle.
-    pub fn run(
+    pub fn run<C: ControlPath + ?Sized>(
         &self,
-        tb: &mut Testbed,
+        cp: &mut C,
         dag: &mut RequestDag,
         db: &TangoDb,
     ) -> Result<ExecReport, ExecError> {
-        execute_with(tb, dag, db, self.build().as_mut(), self.release)
+        execute_with(cp, dag, db, self.build().as_mut(), self.release)
     }
 }
 
@@ -171,6 +173,83 @@ pub fn resolve(name: &str) -> Option<SchedulerEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::ReqElem;
+    use ofwire::flow_match::FlowMatch;
+    use ofwire::types::Dpid;
+    use simnet::telemetry::Telemetry;
+    use switchsim::control::{Completion, ControlOp, OpToken};
+    use switchsim::harness::Testbed;
+    use switchsim::profiles::SwitchProfile;
+
+    /// A control path that is not a `Testbed`: forwards every call to
+    /// one.
+    struct Forwarding(Testbed);
+
+    impl ControlPath for Forwarding {
+        fn now(&self) -> SimTime {
+            self.0.now()
+        }
+        fn submit(&mut self, dpid: Dpid, op: ControlOp, ready_at: SimTime) -> OpToken {
+            self.0.submit(dpid, op, ready_at)
+        }
+        fn next_completion(&mut self) -> Option<Completion> {
+            self.0.next_completion()
+        }
+        fn wait_for(&mut self, token: OpToken) -> Completion {
+            self.0.wait_for(token)
+        }
+        fn warp_to(&mut self, t: SimTime) {
+            self.0.warp_to(t);
+        }
+        fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
+            self.0.telemetry_mut()
+        }
+    }
+
+    #[test]
+    fn an_entry_runs_over_any_control_path() {
+        let world = || {
+            let mut tb = Testbed::new(11);
+            tb.attach_default(Dpid(1), SwitchProfile::vendor1());
+            tb.attach_default(Dpid(2), SwitchProfile::ovs());
+            tb.enable_telemetry();
+            let mut dag = RequestDag::new();
+            let ids: Vec<NodeId> = (0..40u32)
+                .map(|i| {
+                    let m = FlowMatch::l3_for_id(i);
+                    dag.add_node(ReqElem::add(
+                        Dpid(u64::from(i % 2) + 1),
+                        m,
+                        100 + i as u16,
+                        1,
+                    ))
+                })
+                .collect();
+            for w in ids.windows(3) {
+                dag.add_dep(w[0], w[2]);
+            }
+            (tb, dag)
+        };
+        let entry = resolve("tango").unwrap();
+        let (mut tb, mut dag) = world();
+        let direct = entry.run(&mut tb, &mut dag, &TangoDb::new()).unwrap();
+        let (tb2, mut dag2) = world();
+        let mut path = Forwarding(tb2);
+        let forwarded = entry.run(&mut path, &mut dag2, &TangoDb::new()).unwrap();
+        assert_eq!(forwarded, direct);
+        assert_eq!(direct.completed, 40);
+        // Through a trait object too, with the same telemetry.
+        let (tb3, mut dag3) = world();
+        let mut boxed: Box<dyn ControlPath> = Box::new(Forwarding(tb3));
+        let dynamic = entry.run(boxed.as_mut(), &mut dag3, &TangoDb::new());
+        assert_eq!(dynamic.unwrap(), direct);
+        let (a, b) = (
+            tb.finish_recorder().unwrap(),
+            path.0.finish_recorder().unwrap(),
+        );
+        assert_eq!(a.metrics().render_text(), b.metrics().render_text());
+        assert_eq!(a.spans().count(), b.spans().count());
+    }
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {

@@ -5,6 +5,8 @@
 //! * Every registry scheduler's dispatch order respects the DAG's
 //!   dependency edges, with [`satisfies`] as the oracle.
 //! * Batched and online execution reach identical final switch states.
+//! * The online dispatcher produces exactly the report of a queue-free
+//!   reference dispatcher, from fresh and from partly completed DAGs.
 //! * Pattern application is always a permutation of the independent
 //!   set.
 //! * Priority assignments always satisfy their constraint sets.
@@ -12,15 +14,20 @@
 use ofwire::flow_match::FlowMatch;
 use ofwire::types::Dpid;
 use proptest::prelude::*;
+use simnet::time::{SimDuration, SimTime};
+use std::collections::{BTreeMap, BTreeSet};
+use switchsim::control::{ControlOp, ControlPath, OpResult};
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::db::TangoDb;
 use tango_sched::dag::{NodeId, RequestDag};
-use tango_sched::executor::{execute_rounds, execute_with, ExecReport, Release};
+use tango_sched::executor::{execute_rounds, execute_with, ExecError, ExecReport, Release};
 use tango_sched::patterns::{ordering_tango_oracle, SchedPattern};
 use tango_sched::priority::{r_priorities, satisfies, topological_priorities};
-use tango_sched::request::{ReqElem, ReqOp};
-use tango_sched::schedulers::{registry, CriticalPathScheduler, Scheduler, TangoScheduler};
+use tango_sched::request::{Deadline, ReqElem, ReqOp};
+use tango_sched::schedulers::{
+    registry, CriticalPathScheduler, SchedKey, Scheduler, TangoScheduler,
+};
 
 /// A random DAG: `n` requests over up to 3 switches; forward edges only
 /// (guaranteed acyclic). Mods/deletes are avoided so any execution
@@ -67,6 +74,102 @@ fn online(
     release: Release,
 ) -> ExecReport {
     execute_with(tb, dag, &TangoDb::new(), sched, release).unwrap()
+}
+
+/// The specification [`execute_with`] is checked against: the same
+/// dispatch rule with no queues and no plan. At every decision it scans
+/// every keyed, unissued request; an idle switch can start at `now` if
+/// one of its requests is released, else at its earliest release; the
+/// earliest start wins (ties by dpid), and on that switch everything
+/// released by the start instant competes on `(key, id)`.
+fn reference_dispatch(
+    tb: &mut Testbed,
+    dag: &mut RequestDag,
+    sched: &mut dyn Scheduler,
+    release: Release,
+) -> Result<ExecReport, ExecError> {
+    let start = tb.now();
+    sched.prepare(dag, &TangoDb::new());
+    let ids: Vec<NodeId> = dag.node_ids().collect();
+    let mut pending: Vec<usize> = ids.iter().map(|&u| dag.pending_pred_count(u)).collect();
+    let mut rel = vec![start; ids.len()];
+    let todo = ids.iter().filter(|&&u| !dag.is_done(u)).count();
+    let mut waiting: Vec<(SimTime, SchedKey, NodeId)> = dag
+        .independent_set()
+        .into_iter()
+        .map(|id| (start, sched.key(dag, id, start), id))
+        .collect();
+    let mut busy = BTreeSet::new();
+    let mut inflight = BTreeMap::new();
+    let mut report = ExecReport {
+        makespan: SimDuration::ZERO,
+        completed: 0,
+        failed: 0,
+        deadline_misses: 0,
+        rounds: Vec::new(),
+        issued: Vec::new(),
+        flowtime: SimDuration::ZERO,
+    };
+    let mut last_done = start;
+    let outcome = loop {
+        if report.issued.len() == todo && inflight.is_empty() {
+            break Ok(());
+        }
+        let now = tb.now();
+        while let Some((t, dpid)) = waiting
+            .iter()
+            .map(|w| (w.0.max(now), dag.node(w.2).location))
+            .filter(|(_, dpid)| !busy.contains(dpid))
+            .min()
+        {
+            let (at, _) = waiting
+                .iter()
+                .enumerate()
+                .filter(|(_, w)| dag.node(w.2).location == dpid && w.0 <= t)
+                .min_by_key(|(_, w)| (w.1, w.2))
+                .expect("the switch was picked for a request of its own");
+            let id = waiting.swap_remove(at).2;
+            let op = ControlOp::FlowMod(dag.node(id).to_flow_mod());
+            inflight.insert(tb.submit(dpid, op, t), id);
+            busy.insert(dpid);
+            report.issued.push(id);
+        }
+        let Some(c) = tb.next_completion() else {
+            break Err(ExecError::StuckDag);
+        };
+        let id = inflight.remove(&c.token).expect("an op issued above");
+        busy.remove(&c.dpid);
+        match c.result() {
+            OpResult::Ok => report.completed += 1,
+            OpResult::TableFull => report.failed += 1,
+        }
+        let elapsed = c.done_at.since(start);
+        if matches!(dag.node(id).install_by, Deadline::WithinMs(ms) if elapsed.as_millis_f64() > ms)
+        {
+            report.deadline_misses += 1;
+        }
+        report.flowtime += elapsed;
+        last_done = last_done.max(c.done_at);
+        let released = match release {
+            Release::Ack => c.acked_at,
+            Release::Guard(g) => c.done_at + g,
+        };
+        sched.on_completion(dag, id);
+        for &s in dag.successors(id) {
+            pending[s.0] -= 1;
+            rel[s.0] = rel[s.0].max(released);
+            if pending[s.0] == 0 {
+                waiting.push((rel[s.0], sched.key(dag, s, rel[s.0]), s));
+            }
+        }
+    };
+    for &id in &report.issued {
+        dag.mark_done(id);
+    }
+    outcome?;
+    tb.warp_to(last_done.max(tb.now()));
+    report.makespan = last_done.since(start);
+    Ok(report)
 }
 
 fn testbed(seed: u64) -> Testbed {
@@ -123,6 +226,38 @@ proptest! {
                 entry.name,
                 report.issued
             );
+        }
+    }
+
+    #[test]
+    fn online_dispatch_matches_the_reference_dispatcher(
+        dag in arb_dag(),
+        done_seed in any::<u64>(),
+        done_permille in prop_oneof![Just(0u32), 0u32..600],
+    ) {
+        // Complete a random predecessor-closed part of the DAG first
+        // (edges run forward, so index order may finish whole chains).
+        let mut dag = dag;
+        let mut rng = simnet::rng::DetRng::new(done_seed);
+        for id in dag.node_ids().collect::<Vec<_>>() {
+            if dag.pending_pred_count(id) == 0 && rng.chance(f64::from(done_permille) / 1e3) {
+                dag.mark_done(id);
+            }
+        }
+        let guard = Release::Guard(Release::default_guard());
+        for entry in registry() {
+            for release in [Release::Ack, guard] {
+                let (mut tb, mut d) = (testbed(6), dag.clone());
+                let got = execute_with(&mut tb, &mut d, &TangoDb::new(), entry.build().as_mut(), release);
+                let (mut ref_tb, mut ref_d) = (testbed(6), dag.clone());
+                let want = reference_dispatch(&mut ref_tb, &mut ref_d, entry.build().as_mut(), release);
+                prop_assert_eq!(&got, &want, "{} under {:?}", entry.name, release);
+                prop_assert!(got.is_ok(), "forward-edge DAGs are acyclic");
+                prop_assert_eq!(tb.now(), ref_tb.now(), "{}", entry.name);
+                // A finished dispatch leaves the DAG finished.
+                prop_assert!(d.all_done(), "{}", entry.name);
+                prop_assert!(d.independent_set().is_empty(), "{}", entry.name);
+            }
         }
     }
 
