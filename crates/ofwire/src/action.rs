@@ -113,17 +113,31 @@ impl Action {
         }
     }
 
-    /// Decodes exactly `len` bytes of action TLVs.
-    pub fn decode_list(buf: &[u8], len: usize) -> Result<(Vec<Action>, usize)> {
+    /// Walks exactly `len` bytes of action TLVs, handing each decoded
+    /// action to `each`; returns the bytes consumed.
+    fn walk_list(buf: &[u8], len: usize, mut each: impl FnMut(Action)) -> Result<usize> {
         ensure(buf, len, "action list")?;
-        let mut actions = Vec::new();
         let mut off = 0;
         while off < len {
             let (a, used) = Action::decode(&buf[off..len])?;
-            actions.push(a);
+            each(a);
             off += used;
         }
-        Ok((actions, off))
+        Ok(off)
+    }
+
+    /// Decodes exactly `len` bytes of action TLVs.
+    pub fn decode_list(buf: &[u8], len: usize) -> Result<(Vec<Action>, usize)> {
+        let mut actions = Vec::new();
+        let used = Action::walk_list(buf, len, |a| actions.push(a))?;
+        Ok((actions, used))
+    }
+
+    /// Checks exactly `len` bytes of action TLVs without collecting
+    /// them: `Ok(n)` and `Err` exactly when [`Action::decode_list`] would
+    /// return them, with nothing allocated.
+    pub fn check_list(buf: &[u8], len: usize) -> Result<usize> {
+        Action::walk_list(buf, len, |_| {})
     }
 }
 

@@ -173,8 +173,11 @@ pub struct FlowMatch {
 /// zero and IPv4 addresses masked to their prefix. Two matches have the
 /// same key iff their [`FlowMatch::canonical`] forms are equal, so a key
 /// stands in for the match wherever one is hashed or compared: five
-/// integer mixes and a 40-byte compare instead of twelve `Option`s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// integer mixes and a 40-byte compare instead of twelve `Option`s. The
+/// derived order (word by word) means nothing about the matches; it is
+/// there so that a tie between keyed things can be broken the same way in
+/// every process.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MatchKey([u64; 5]);
 
 impl MatchKey {

@@ -61,7 +61,7 @@ pub mod types;
 /// Convenient glob-import of the types most callers need.
 pub mod prelude {
     pub use crate::action::Action;
-    pub use crate::codec::{Decode, Encode, Framer};
+    pub use crate::codec::{Decode, Encode, Frame, Framer};
     pub use crate::error::{Result, WireError};
     pub use crate::error_msg::{ErrorCode, ErrorMsg, ErrorType};
     pub use crate::features::{FeaturesReply, PhyPort};
@@ -70,7 +70,7 @@ pub mod prelude {
     pub use crate::flow_removed::{FlowRemoved, FlowRemovedReason};
     pub use crate::header::{Header, MessageType, OFP_HEADER_LEN, OFP_VERSION};
     pub use crate::message::Message;
-    pub use crate::packet::{PacketIn, PacketInReason, PacketOut, RawFrame};
+    pub use crate::packet::{PacketIn, PacketInReason, PacketOut, PacketOutView, RawFrame};
     pub use crate::stats::{
         AggregateStats, FlowStatsEntry, StatsBody, StatsRequestBody, TableStatsEntry,
     };

@@ -141,8 +141,17 @@ impl Message {
                 available: frame.len(),
             });
         }
-        let body = &frame[OFP_HEADER_LEN..total];
-        let msg = match header.msg_type {
+        let msg = Message::decode_body(&header, &frame[OFP_HEADER_LEN..total])?;
+        Ok((header, msg))
+    }
+
+    /// Decodes the body of a frame whose header is already parsed —
+    /// what [`Message::from_bytes`] does after its header checks, for
+    /// callers (the [`Framer`](crate::codec::Framer)) that split the
+    /// frame off themselves. `body` is the frame minus its header.
+    #[inline]
+    pub fn decode_body(header: &Header, body: &[u8]) -> Result<Message> {
+        Ok(match header.msg_type {
             MessageType::Hello => Message::Hello,
             MessageType::Error => Message::Error(ErrorMsg::decode(body)?.0),
             MessageType::EchoRequest => Message::EchoRequest(body.to_vec()),
@@ -170,8 +179,7 @@ impl Message {
             MessageType::BarrierRequest => Message::BarrierRequest,
             MessageType::BarrierReply => Message::BarrierReply,
             MessageType::FlowRemoved => Message::FlowRemoved(FlowRemoved::decode(body)?.0),
-        };
-        Ok((header, msg))
+        })
     }
 }
 

@@ -11,7 +11,8 @@ use crate::action::Action;
 use crate::codec::{be_u16, be_u32, Decode, Encode};
 use crate::error::{ensure, Result, WireError};
 use crate::flow_match::FlowKey;
-use crate::types::{BufferId, MacAddr, PortNo};
+use crate::header::{MessageType, OFP_VERSION};
+use crate::types::{BufferId, MacAddr, PortNo, Xid};
 use bytes::{BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
 
@@ -115,6 +116,77 @@ impl PacketOut {
     pub fn body_len(&self) -> usize {
         PACKET_OUT_FIXED + Action::list_len(&self.actions) + self.data.len()
     }
+
+    /// Appends the complete frame of a probe: the `packet_out` that sends
+    /// [`RawFrame::build`]`(key, payload)` out of `port`. Byte for byte
+    /// what `Message::PacketOut(PacketOut::send(RawFrame::build(key,
+    /// payload), port)).encode_frame_into(xid, out)` appends, written
+    /// straight into `out` with no intermediate frame, action list or
+    /// message.
+    pub fn encode_probe_frame(
+        key: &FlowKey,
+        payload: usize,
+        port: PortNo,
+        xid: Xid,
+        out: &mut Vec<u8>,
+    ) {
+        let start = out.len();
+        out.extend_from_slice(&[OFP_VERSION, MessageType::PacketOut as u8, 0, 0]);
+        out.extend_from_slice(&xid.0.to_be_bytes());
+        out.extend_from_slice(&BufferId::NO_BUFFER.0.to_be_bytes());
+        out.extend_from_slice(&PortNo::NONE.0.to_be_bytes());
+        // actions_len 8, then the one `Output { port, max_len: 0 }` TLV:
+        // type 0, length 8, port, max_len.
+        out.extend_from_slice(&[0, 8, 0, 0, 0, 8]);
+        out.extend_from_slice(&port.0.to_be_bytes());
+        out.extend_from_slice(&[0, 0]);
+        RawFrame::build_into(key, payload, out);
+        let total = (out.len() - start) as u16;
+        out[start + 2..start + 4].copy_from_slice(&total.to_be_bytes());
+    }
+}
+
+/// The fixed part of a `packet_out` body: `(buffer_id, in_port,
+/// actions_len)`.
+fn packet_out_fixed(buf: &[u8]) -> Result<(BufferId, PortNo, usize)> {
+    ensure(buf, PACKET_OUT_FIXED, "packet_out")?;
+    Ok((
+        BufferId(be_u32(buf, 0)),
+        PortNo(be_u16(buf, 4)),
+        be_u16(buf, 6) as usize,
+    ))
+}
+
+/// A validated `packet_out` body read in place: the borrowing form of
+/// [`PacketOut::decode`], for receivers that act on the frame and let go
+/// of it. Parsing accepts and rejects exactly the bodies `decode` does —
+/// the action list is walked TLV by TLV — but nothing is collected.
+#[derive(Debug, Clone, Copy)]
+pub struct PacketOutView<'a> {
+    /// Buffer to release, or [`BufferId::NO_BUFFER`] if `data` is inline.
+    pub buffer_id: BufferId,
+    /// Nominal ingress port.
+    pub in_port: PortNo,
+    /// The action TLVs as they arrived (already checked).
+    pub actions: &'a [u8],
+    /// The frame to send when not buffered.
+    pub data: &'a [u8],
+}
+
+impl<'a> PacketOutView<'a> {
+    /// Parses a `packet_out` body (header excluded) without copying it.
+    pub fn parse(body: &'a [u8]) -> Result<PacketOutView<'a>> {
+        let (buffer_id, in_port, actions_len) = packet_out_fixed(body)?;
+        let rest = &body[PACKET_OUT_FIXED..];
+        let used = Action::check_list(rest, actions_len)?;
+        let (actions, data) = rest.split_at(used);
+        Ok(PacketOutView {
+            buffer_id,
+            in_port,
+            actions,
+            data,
+        })
+    }
 }
 
 impl Encode for PacketOut {
@@ -129,10 +201,7 @@ impl Encode for PacketOut {
 
 impl Decode for PacketOut {
     fn decode(buf: &[u8]) -> Result<(Self, usize)> {
-        ensure(buf, PACKET_OUT_FIXED, "packet_out")?;
-        let buffer_id = BufferId(be_u32(buf, 0));
-        let in_port = PortNo(be_u16(buf, 4));
-        let actions_len = be_u16(buf, 6) as usize;
+        let (buffer_id, in_port, actions_len) = packet_out_fixed(buf)?;
         let (actions, used) = Action::decode_list(&buf[PACKET_OUT_FIXED..], actions_len)?;
         let data = buf[PACKET_OUT_FIXED + used..].to_vec();
         Ok((
@@ -165,40 +234,41 @@ impl RawFrame {
     /// header.
     #[must_use]
     pub fn build(key: &FlowKey, payload: usize) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64 + payload);
-        buf.put_slice(&key.dl_dst.0);
-        buf.put_slice(&key.dl_src.0);
+        let mut out = Vec::with_capacity(64 + payload);
+        RawFrame::build_into(key, payload, &mut out);
+        out
+    }
+
+    /// Appends the frame [`RawFrame::build`] returns to `out`, reusing
+    /// its allocation.
+    pub fn build_into(key: &FlowKey, payload: usize, out: &mut Vec<u8>) {
+        out.extend_from_slice(&key.dl_dst.0);
+        out.extend_from_slice(&key.dl_src.0);
         if key.dl_vlan != 0xffff {
-            buf.put_u16(ETHERTYPE_VLAN);
+            out.extend_from_slice(&ETHERTYPE_VLAN.to_be_bytes());
             let tci = (u16::from(key.dl_vlan_pcp) << 13) | (key.dl_vlan & 0x0fff);
-            buf.put_u16(tci);
+            out.extend_from_slice(&tci.to_be_bytes());
         }
-        buf.put_u16(key.dl_type);
+        out.extend_from_slice(&key.dl_type.to_be_bytes());
         if key.dl_type == ETHERTYPE_IPV4 {
+            let ip = out.len();
             let total_len = (20 + 8 + payload) as u16;
-            let mut ip = BytesMut::with_capacity(20);
-            ip.put_u8(0x45); // version 4, IHL 5
-            ip.put_u8(key.nw_tos);
-            ip.put_u16(total_len);
-            ip.put_u16(0); // identification
-            ip.put_u16(0x4000); // DF, no fragment offset
-            ip.put_u8(64); // ttl
-            ip.put_u8(key.nw_proto);
-            ip.put_u16(0); // checksum placeholder
-            ip.put_u32(key.nw_src);
-            ip.put_u32(key.nw_dst);
-            let csum = ipv4_checksum(&ip);
-            ip[10] = (csum >> 8) as u8;
-            ip[11] = (csum & 0xff) as u8;
-            buf.put_slice(&ip);
+            out.extend_from_slice(&[0x45, key.nw_tos]); // version 4, IHL 5
+            out.extend_from_slice(&total_len.to_be_bytes());
+            // identification 0; DF, no fragment offset; ttl 64
+            out.extend_from_slice(&[0, 0, 0x40, 0, 64, key.nw_proto]);
+            out.extend_from_slice(&[0, 0]); // checksum placeholder
+            out.extend_from_slice(&key.nw_src.to_be_bytes());
+            out.extend_from_slice(&key.nw_dst.to_be_bytes());
+            let csum = ipv4_checksum(&out[ip..ip + 20]);
+            out[ip + 10..ip + 12].copy_from_slice(&csum.to_be_bytes());
             // UDP (or generic 4-byte-port transport) header.
-            buf.put_u16(key.tp_src);
-            buf.put_u16(key.tp_dst);
-            buf.put_u16((8 + payload) as u16);
-            buf.put_u16(0); // UDP checksum optional over IPv4
+            out.extend_from_slice(&key.tp_src.to_be_bytes());
+            out.extend_from_slice(&key.tp_dst.to_be_bytes());
+            out.extend_from_slice(&((8 + payload) as u16).to_be_bytes());
+            out.extend_from_slice(&[0, 0]); // UDP checksum optional over IPv4
         }
-        buf.put_bytes(0, payload);
-        buf.to_vec()
+        out.resize(out.len() + payload, 0);
     }
 
     /// Parses a frame built by [`RawFrame::build`] (or any Ethernet
@@ -351,6 +421,64 @@ mod tests {
         assert!(RawFrame::verify_ipv4_checksum(&frame));
         let parsed = RawFrame::parse(&frame, PortNo(7)).unwrap();
         assert_eq!(parsed, key);
+    }
+
+    /// Exact bytes, recorded from the `BytesMut` builder this one
+    /// replaced: untagged IPv4/UDP, tagged IPv4/TCP, untagged ARP, and
+    /// the complete probe `packet_out` the channel codec sends.
+    #[test]
+    fn built_frames_match_recorded_bytes() {
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let tagged = FlowKey {
+            in_port: 7,
+            dl_src: MacAddr::from_host_id(1),
+            dl_dst: MacAddr::from_host_id(2),
+            dl_vlan: 100,
+            dl_vlan_pcp: 5,
+            dl_type: ETHERTYPE_IPV4,
+            nw_tos: 0x20,
+            nw_proto: 6,
+            nw_src: 0x0a000001,
+            nw_dst: 0x0a000002,
+            tp_src: 4321,
+            tp_dst: 443,
+        };
+        let arp = FlowKey {
+            in_port: 1,
+            dl_src: MacAddr::from_host_id(3),
+            dl_dst: MacAddr::from_host_id(4),
+            dl_vlan: 0xffff,
+            dl_type: 0x0806,
+            ..FlowKey::default()
+        };
+        assert_eq!(
+            hex(&RawFrame::build(&FlowMatch::key_for_id(1234), 4)),
+            "0200000004d20200ffff04d20800450000200000400040111caa0a8004d20a0004d2\
+             2be20050000c000000000000"
+        );
+        assert_eq!(
+            hex(&RawFrame::build(&tagged, 0)),
+            "0200000000020200000000018100a06408004520001c00004000400626ba0a000001\
+             0a00000210e101bb00080000"
+        );
+        assert_eq!(
+            hex(&RawFrame::build(&arp, 2)),
+            "02000000000402000000000308060000"
+        );
+        let mut probe = Vec::new();
+        let key = FlowMatch::key_for_id(1234);
+        PacketOut::encode_probe_frame(&key, 46, PortNo(1), Xid(0x0102_0304), &mut probe);
+        assert_eq!(
+            hex(&probe),
+            format!(
+                "010d007001020304ffffffffffff00080000000800010000\
+                 0200000004d20200ffff04d208004500004a0000400040111c800a8004d20a0004d2\
+                 2be2005000360000{}",
+                "00".repeat(46)
+            )
+        );
     }
 
     #[test]

@@ -8,12 +8,13 @@
 use crate::expiry::{Expired, RemovalReason};
 use crate::pipeline::Hit;
 use crate::switch::{FlowModEffect, FlowModError, Switch};
-use ofwire::codec::Framer;
+use ofwire::codec::{Frame, Framer};
 use ofwire::error::WireError;
 use ofwire::error_msg::ErrorMsg;
 use ofwire::flow_removed::{FlowRemoved, FlowRemovedReason};
+use ofwire::header::MessageType;
 use ofwire::message::Message;
-use ofwire::packet::{PacketIn, PacketInReason, RawFrame};
+use ofwire::packet::{PacketIn, PacketInReason, PacketOutView, RawFrame};
 use ofwire::stats::{DescStats, StatsBody, StatsRequestBody};
 use ofwire::types::{BufferId, PortNo, Xid};
 use simnet::time::{SimDuration, SimTime};
@@ -91,8 +92,10 @@ impl Agent {
 
     /// Buffer-reuse form of [`Agent::feed`]: appends outputs to a
     /// caller-provided vector instead of allocating one per call, and
-    /// decodes whole frames straight from `bytes` without copying them
-    /// through the framer (only trailing partial frames are buffered).
+    /// reads each whole frame where it lies in `bytes` (only a frame torn
+    /// across calls is completed in the framer's buffer). A frame is held
+    /// only while it is dispatched; what outlives it — a `packet_in`
+    /// payload, an error's request prefix — is copied out.
     pub fn feed_into(
         &mut self,
         bytes: &[u8],
@@ -100,8 +103,11 @@ impl Agent {
         outputs: &mut Vec<AgentOutput>,
     ) -> Result<(), WireError> {
         let mut input = bytes;
-        while let Some((header, msg)) = self.framer.next_message_from(&mut input)? {
-            outputs.push(self.dispatch(msg, header.xid, now));
+        while let Some(frame) = self.framer.next_frame_from(&mut input)? {
+            match Self::dispatch(&mut self.switch, &frame, now) {
+                Ok(out) => outputs.push(out),
+                Err(e) => return Err(self.framer.poison(e)),
+            }
             for exp in self.switch.take_expired() {
                 outputs.push(AgentOutput {
                     reply: Some(Message::FlowRemoved(expired_to_msg(&exp, now))),
@@ -114,25 +120,36 @@ impl Agent {
         Ok(())
     }
 
-    fn dispatch(&mut self, msg: Message, xid: Xid, now: SimTime) -> AgentOutput {
+    fn dispatch(
+        switch: &mut Switch,
+        frame: &Frame<'_>,
+        now: SimTime,
+    ) -> Result<AgentOutput, WireError> {
+        let mut out = AgentOutput {
+            reply: None,
+            xid: frame.header.xid,
+            forwarded: None,
+            cost: SimDuration::ZERO,
+        };
+        if frame.header.msg_type == MessageType::PacketOut {
+            // A probe is read in place: nothing of it is kept on a hit.
+            let po = PacketOutView::parse(frame.body())?;
+            Self::packet_out(switch, &po, now, &mut out);
+            return Ok(out);
+        }
+        let msg = frame.decode()?;
         // Every control-channel message advances the switch's notion of
         // time, so the expiry sweep runs first (timeouts fire even on
         // messages that don't touch the tables, e.g. barriers) — once:
         // `apply_flow_mod` and `inject` open with their own sweep.
-        if !matches!(msg, Message::FlowMod(_) | Message::PacketOut(_)) {
-            self.switch.expire(now);
+        if !matches!(msg, Message::FlowMod(_)) {
+            switch.expire(now);
         }
-        let mut out = AgentOutput {
-            reply: None,
-            xid,
-            forwarded: None,
-            cost: SimDuration::ZERO,
-        };
         match msg {
             Message::Hello => out.reply = Some(Message::Hello),
             Message::EchoRequest(data) => out.reply = Some(Message::EchoReply(data)),
             Message::FeaturesRequest => {
-                out.reply = Some(Message::FeaturesReply(self.switch.features_reply(8)));
+                out.reply = Some(Message::FeaturesReply(switch.features_reply(8)));
             }
             Message::BarrierRequest => {
                 // All earlier messages in this feed were already processed
@@ -140,46 +157,17 @@ impl Agent {
                 out.reply = Some(Message::BarrierReply);
             }
             Message::FlowMod(fm) => {
-                let (result, cost) = self.switch.apply_flow_mod(&fm, now);
+                let (result, cost) = switch.apply_flow_mod(&fm, now);
                 out.cost = cost;
                 match result {
                     Ok(FlowModEffect::Added { .. })
                     | Ok(FlowModEffect::Modified(_))
                     | Ok(FlowModEffect::Deleted(_)) => {}
                     Err(FlowModError::TableFull) => {
-                        let prefix = Message::FlowMod(fm).to_bytes(xid);
-                        out.reply = Some(Message::Error(ErrorMsg::table_full(
-                            prefix[..prefix.len().min(64)].to_vec(),
-                        )));
-                    }
-                }
-            }
-            Message::PacketOut(po) => {
-                // Parse the real frame and run it through the pipeline.
-                match RawFrame::parse(&po.data, po.in_port) {
-                    Ok(key) => {
-                        let (hit, delay) = self.switch.inject(&key, now, po.data.len() as u64);
-                        if hit == Hit::Miss {
-                            // No table matched: the packet goes back up.
-                            out.reply = Some(Message::PacketIn(PacketIn {
-                                buffer_id: BufferId::NO_BUFFER,
-                                total_len: po.data.len() as u16,
-                                in_port: if po.in_port == PortNo::NONE {
-                                    PortNo(1)
-                                } else {
-                                    po.in_port
-                                },
-                                reason: PacketInReason::NoMatch,
-                                data: po.data,
-                            }));
-                        }
-                        out.forwarded = Some((hit, delay));
-                    }
-                    Err(_) => {
-                        // Unparseable frame: drop silently (as hardware
-                        // would for a runt frame). Nothing was injected,
-                        // so the sweep has not run yet.
-                        self.switch.expire(now);
+                        // The error carries the head of the request as
+                        // it arrived.
+                        let prefix = &frame.bytes[..frame.bytes.len().min(64)];
+                        out.reply = Some(Message::Error(ErrorMsg::table_full(prefix.to_vec())));
                     }
                 }
             }
@@ -187,24 +175,25 @@ impl Agent {
                 let body = match req {
                     StatsRequestBody::Desc => StatsBody::Desc(DescStats {
                         mfr_desc: "tango-repro".into(),
-                        hw_desc: self.switch.profile_name.clone(),
+                        hw_desc: switch.profile_name.clone(),
                         sw_desc: "switchsim".into(),
-                        serial_num: format!("{}", self.switch.dpid.0),
-                        dp_desc: self.switch.profile_name.clone(),
+                        serial_num: format!("{}", switch.dpid.0),
+                        dp_desc: switch.profile_name.clone(),
                     }),
-                    StatsRequestBody::Flow { .. } => StatsBody::Flow(self.switch.flow_stats(now)),
+                    StatsRequestBody::Flow { .. } => StatsBody::Flow(switch.flow_stats(now)),
                     StatsRequestBody::Aggregate { .. } => {
-                        let flows = self.switch.flow_stats(now);
+                        let flows = switch.flow_stats(now);
                         StatsBody::Aggregate(ofwire::stats::AggregateStats {
                             packet_count: flows.iter().map(|f| f.packet_count).sum(),
                             byte_count: flows.iter().map(|f| f.byte_count).sum(),
                             flow_count: flows.len() as u32,
                         })
                     }
-                    StatsRequestBody::Table => StatsBody::Table(self.switch.table_stats()),
+                    StatsRequestBody::Table => StatsBody::Table(switch.table_stats()),
                 };
                 out.reply = Some(Message::StatsReply(body));
             }
+            Message::PacketOut(_) => unreachable!("packet_out frames are read in place above"),
             // Messages a switch never receives — plus vendor extensions
             // this agent does not implement — are ignored.
             Message::Vendor { .. }
@@ -216,7 +205,43 @@ impl Agent {
             | Message::StatsReply(_)
             | Message::BarrierReply => {}
         }
-        out
+        Ok(out)
+    }
+
+    /// Parses the real frame a `packet_out` carries and runs it through
+    /// the pipeline.
+    fn packet_out(
+        switch: &mut Switch,
+        po: &PacketOutView<'_>,
+        now: SimTime,
+        out: &mut AgentOutput,
+    ) {
+        match RawFrame::parse(po.data, po.in_port) {
+            Ok(key) => {
+                let (hit, delay) = switch.inject(&key, now, po.data.len() as u64);
+                if hit == Hit::Miss {
+                    // No table matched: the packet goes back up.
+                    out.reply = Some(Message::PacketIn(PacketIn {
+                        buffer_id: BufferId::NO_BUFFER,
+                        total_len: po.data.len() as u16,
+                        in_port: if po.in_port == PortNo::NONE {
+                            PortNo(1)
+                        } else {
+                            po.in_port
+                        },
+                        reason: PacketInReason::NoMatch,
+                        data: po.data.to_vec(),
+                    }));
+                }
+                out.forwarded = Some((hit, delay));
+            }
+            Err(_) => {
+                // Unparseable frame: drop silently (as hardware
+                // would for a runt frame). Nothing was injected,
+                // so the sweep has not run yet.
+                switch.expire(now);
+            }
+        }
     }
 }
 
@@ -267,9 +292,11 @@ mod tests {
         let mut got_error = false;
         for i in 0..1000u32 {
             let fm = Message::FlowMod(FlowMod::add(FlowMatch::l2l3_for_id(i), 10));
-            let out = feed_one(&mut a, fm, i, SimTime(u64::from(i)));
+            let request = fm.to_bytes(Xid(i));
+            let out = a.feed(&request, SimTime(u64::from(i))).unwrap();
             if let Some(Message::Error(e)) = &out[0].reply {
                 assert!(e.is_table_full());
+                assert_eq!(e.data, request[..64], "the request's first 64 bytes");
                 assert_eq!(out[0].xid, Xid(i));
                 assert_eq!(i, 369, "vendor3 holds exactly 369 L2+L3 entries");
                 got_error = true;

@@ -194,6 +194,19 @@ impl CachePolicy {
         ])
     }
 
+    /// Whether a packet hit can move an entry in this policy's order:
+    /// true iff some sort key reads [`Attribute::UseTime`] or
+    /// [`Attribute::TrafficCount`], the attributes
+    /// [`FlowEntry::touch`] writes. Under a policy that reads neither
+    /// (FIFO, priority), an entry's [`CachePolicy::sort_key`] is fixed
+    /// from install to removal.
+    #[must_use]
+    pub fn reads_traffic(&self) -> bool {
+        self.keys
+            .iter()
+            .any(|k| matches!(k.attribute, Attribute::UseTime | Attribute::TrafficCount))
+    }
+
     /// Flattens an entry into a totally ordered key whose natural `Ord`
     /// is exactly [`CachePolicy::cmp_entries`]: greater key ⇔ better
     /// entry. `KeepLow` attributes are bitwise-complemented (which
@@ -327,8 +340,9 @@ pub struct PolicyKey {
 /// Two lazy binary heaps hold `(PolicyKey, id)` snapshots: a min-heap
 /// whose top is the policy's *worst* resident (the eviction victim) and a
 /// max-heap whose top is the *best* (the backfill candidate). Snapshots
-/// are pushed on insert and whenever a touch changes an entry's
-/// attributes; removals and touches invalidate old snapshots *lazily* —
+/// are pushed on insert and whenever a touch changes an entry's key
+/// (never, under a policy whose [`CachePolicy::reads_traffic`] is
+/// false); removals and touches invalidate old snapshots *lazily* —
 /// a popped snapshot is discarded unless the entry is still installed
 /// with exactly that key. Queries are therefore O(log n) amortized
 /// (each stale snapshot is paid for by the push that created it), and
@@ -363,7 +377,7 @@ impl EvictionIndex {
     }
 
     /// Records the current key of an entry — on insert, and again after
-    /// every attribute change (the old snapshot turns stale).
+    /// every change to it (the old snapshot turns stale).
     pub fn note(&mut self, key: PolicyKey, id: EntryId) {
         self.worst.push(Reverse((key, id)));
         self.best.push((key, id));

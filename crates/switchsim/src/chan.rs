@@ -24,7 +24,7 @@ use crate::agent::AgentOutput;
 use crate::control::{ControlOp, OpOutcome, OpResult};
 use ofwire::barrier::BarrierTracker;
 use ofwire::message::Message;
-use ofwire::packet::{PacketOut, RawFrame};
+use ofwire::packet::PacketOut;
 use ofwire::types::{Dpid, PortNo, Xid};
 use simnet::link::Link;
 use simnet::rng::DetRng;
@@ -144,9 +144,7 @@ impl ChanCodec {
             }
             ControlOp::Probe(key) => {
                 let xid = self.take_xid();
-                let frame = RawFrame::build(&key, 46);
-                let po = PacketOut::send(frame, PortNo(1));
-                Message::PacketOut(po).encode_frame_into(xid, bytes);
+                PacketOut::encode_probe_frame(&key, 46, PortNo(1), xid, bytes);
                 OpKind::Probe
             }
             ControlOp::Echo(payload) => {

@@ -42,8 +42,8 @@ pub struct CacheLevel {
     /// Units consumed (only meaningful when `geometry` is `Some`).
     used_units: u64,
     /// Lazy victim/promotion index over `table`, keyed by the owning
-    /// pipeline's policy (every `insert`/`note_touched` records the
-    /// entry's key under that policy).
+    /// pipeline's policy (`insert` records the entry's key under that
+    /// policy, `note_touched` re-records it after a hit that changed it).
     evict: EvictionIndex,
 }
 
@@ -454,9 +454,13 @@ impl Pipeline {
                     e.touch(now, bytes);
                     e.id
                 };
-                // The touch changed sortable attributes; refresh the
-                // level's eviction-index snapshot of this entry.
-                levels[li].note_touched(policy, ei);
+                // If the policy reads what the touch wrote, the entry
+                // moved in its order and the eviction-index snapshot went
+                // stale. Otherwise the snapshot on file is still the
+                // entry's key and there is nothing to write.
+                if policy.reads_traffic() {
+                    levels[li].note_touched(policy, ei);
+                }
                 // Promotion: after the touch, the entry may outrank the
                 // worst entry of a faster level; bubble it up one level at
                 // a time (a hit at level 0 changes nothing).

@@ -790,9 +790,14 @@ pub struct MicroflowEntry {
 /// LRU eviction at a configurable capacity. This implements the paper's
 /// "1-to-N mapping (one user space entry could map to multiple kernel
 /// space entries)".
+///
+/// Keyed by the packet key packed on the all-fields-exact shape
+/// ([`FlowMatch::project_key`]`(key, 0)`, which keeps every field and so
+/// tells any two packet keys apart) under the flow table's
+/// word-at-a-time hasher: five integer mixes per probe.
 #[derive(Debug, Clone)]
 pub struct MicroflowCache {
-    map: HashMap<FlowKey, MicroflowEntry>,
+    map: FnvMap<MatchKey, MicroflowEntry>,
     capacity: usize,
 }
 
@@ -801,7 +806,7 @@ impl MicroflowCache {
     #[must_use]
     pub fn new(capacity: usize) -> MicroflowCache {
         MicroflowCache {
-            map: HashMap::new(),
+            map: FnvMap::default(),
             capacity,
         }
     }
@@ -820,22 +825,25 @@ impl MicroflowCache {
 
     /// Looks up an exact key, refreshing its LRU stamp on hit.
     pub fn lookup_touch(&mut self, key: &FlowKey, now: SimTime) -> Option<EntryId> {
-        let e = self.map.get_mut(key)?;
+        let e = self.map.get_mut(&FlowMatch::project_key(key, 0))?;
         e.last_used_at = now;
         Some(e.parent)
     }
 
     /// Installs a microflow for `key`, evicting the least recently used
-    /// entry if at capacity.
+    /// entry if at capacity. Equally stale candidates go oldest install
+    /// first, then smallest packed key — a total order, so the victim
+    /// never depends on the map's iteration order.
     pub fn install(&mut self, key: FlowKey, parent: EntryId, now: SimTime) {
+        let key = FlowMatch::project_key(&key, 0);
         if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
             if let Some(victim) = self
                 .map
                 .iter()
-                .min_by_key(|(_, e)| e.last_used_at)
-                .map(|(k, _)| *k)
+                .map(|(k, e)| (e.last_used_at, e.installed_at, *k))
+                .min()
             {
-                self.map.remove(&victim);
+                self.map.remove(&victim.2);
             }
         }
         self.map.insert(
@@ -1074,6 +1082,36 @@ mod tests {
         assert!(c.lookup_touch(&k2, SimTime(50)).is_none());
         assert!(c.lookup_touch(&k1, SimTime(50)).is_some());
         assert!(c.lookup_touch(&k3, SimTime(50)).is_some());
+    }
+
+    /// Ties on the LRU stamp are broken by install time, then by packed
+    /// key — never by the map's iteration order.
+    #[test]
+    fn microflow_victim_order_is_total() {
+        let exact = |id: u32| FlowMatch::project_key(&FlowMatch::key_for_id(id), 0);
+        for id in 0..32u32 {
+            let (ka, kb) = (FlowMatch::key_for_id(id), FlowMatch::key_for_id(id + 100));
+            // Same use stamp, different install stamps: oldest install goes.
+            let mut c = MicroflowCache::new(2);
+            c.install(ka, EntryId(1), SimTime(10));
+            c.install(kb, EntryId(2), SimTime(20));
+            c.lookup_touch(&ka, SimTime(20));
+            c.install(FlowMatch::key_for_id(999), EntryId(3), SimTime(30));
+            assert!(c.lookup_touch(&ka, SimTime(40)).is_none(), "pair {id}");
+            assert!(c.lookup_touch(&kb, SimTime(40)).is_some(), "pair {id}");
+            // Same stamps throughout: the smaller packed key goes.
+            let mut c = MicroflowCache::new(2);
+            c.install(ka, EntryId(1), SimTime(10));
+            c.install(kb, EntryId(2), SimTime(10));
+            c.install(FlowMatch::key_for_id(999), EntryId(3), SimTime(30));
+            let (gone, kept) = if exact(id) < exact(id + 100) {
+                (ka, kb)
+            } else {
+                (kb, ka)
+            };
+            assert!(c.lookup_touch(&gone, SimTime(40)).is_none(), "pair {id}");
+            assert!(c.lookup_touch(&kept, SimTime(40)).is_some(), "pair {id}");
+        }
     }
 
     #[test]

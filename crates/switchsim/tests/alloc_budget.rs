@@ -1,14 +1,20 @@
-//! A deterministic gate on the flow-mod path: heap allocations per
-//! flow-mod, counted by a counting global allocator, for the stream the
-//! wire benchmark sends — 1 024 adds, then strict deletes of the same
-//! rules oldest first, round and round — fed through
-//! [`Agent::feed_into`] into a warmed switch.
+//! Deterministic gates on the two control-op paths, counted by a
+//! counting global allocator on a warmed switch.
 //!
-//! Wall-clock rates on a shared box drift by tens of percent; this count
-//! repeats exactly, so a `Vec` that creeps back into the per-op path
-//! fails here rather than fading a noisy rate. What is left per add is
-//! the decoded flow-mod's action list and the installed entry's copy of
-//! it; a strict delete allocates nothing.
+//! * **Flow-mods**: heap allocations per flow-mod for the stream the wire
+//!   benchmark sends — 1 024 adds, then strict deletes of the same rules
+//!   oldest first, round and round — fed through [`Agent::feed_into`].
+//!   What is left per add is the decoded flow-mod's action list and the
+//!   installed entry's copy of it; a strict delete allocates nothing.
+//! * **Probes**: heap allocations per `packet_out` probe through
+//!   [`Testbed`]'s `submit` → `next_completion`, the path inference runs
+//!   on — encode, event queue, borrowed-frame decode, lookup, completion.
+//!   A hit allocates nothing; a miss allocates the `packet_in`'s copy of
+//!   the frame and nothing else.
+//!
+//! Wall-clock rates on a shared box drift by tens of percent; these
+//! counts repeat exactly, so a `Vec` that creeps back into a per-op path
+//! fails here rather than fading a noisy rate.
 
 use ofwire::action::Action;
 use ofwire::flow_match::FlowMatch;
@@ -19,6 +25,10 @@ use simnet::time::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use switchsim::agent::Agent;
+use switchsim::cache::CachePolicy;
+use switchsim::control::{ControlOp, ControlPath, OpOutcome};
+use switchsim::harness::Testbed;
+use switchsim::pipeline::Hit;
 use switchsim::profiles::SwitchProfile;
 use switchsim::switch::Switch;
 
@@ -118,4 +128,73 @@ fn ovs_rotation_allocates_twice_per_add() {
 #[test]
 fn policy_cached_rotation_allocates_four_times_per_add() {
     assert!(allocs_per_rotation(SwitchProfile::vendor1()) <= 4 * u64::from(IDS));
+}
+
+const RULES: u32 = 96;
+const PROBE_ROUNDS: u32 = 8;
+
+/// Heap allocations over `PROBE_ROUNDS` × `RULES` probe hits, then over
+/// as many misses, on a testbed switch holding `RULES` rules that has
+/// already served twelve rounds of each. One probe in flight at a time,
+/// as the inference drivers keep it.
+fn probe_allocs(profile: SwitchProfile) -> (u64, u64) {
+    let dpid = Dpid(1);
+    let mut tb = Testbed::new(7);
+    tb.attach_default(dpid, profile);
+    let rules = (0..RULES)
+        .map(|id| FlowMod::add(FlowMatch::l3_for_id(id), 10))
+        .collect();
+    let (installed, rejected, _) = tb.batch(dpid, rules);
+    assert_eq!((installed, rejected), (RULES as usize, 0));
+    let sweep = |tb: &mut Testbed, first_id: u32, rounds: u32, hits: bool| {
+        let before = ALLOCS.with(Cell::get);
+        for _ in 0..rounds {
+            for id in first_id..first_id + RULES {
+                let key = FlowMatch::key_for_id(id);
+                let now = tb.now();
+                let token = tb.submit(dpid, ControlOp::Probe(key), now);
+                let done = tb.next_completion().expect("the probe completes");
+                assert_eq!(done.token, token);
+                let OpOutcome::Probe(hit) = done.outcome else {
+                    panic!("a probe completes as a probe");
+                };
+                assert_eq!(hit != Hit::Miss, hits, "probe for id {id}");
+            }
+        }
+        ALLOCS.with(Cell::get) - before
+    };
+    // Warm-up: buffer pools, the event queue, the completion ring, OVS's
+    // microflows, and (under LRU) the eviction heaps up to their rebuild
+    // threshold all reach their steady size.
+    sweep(&mut tb, 0, 12, true);
+    sweep(&mut tb, RULES, 12, false);
+    let on_hits = sweep(&mut tb, 0, PROBE_ROUNDS, true);
+    let on_misses = sweep(&mut tb, RULES, PROBE_ROUNDS, false);
+    (on_hits, on_misses)
+}
+
+/// Every vendor profile, plus an LRU cache (every hit re-notes the
+/// eviction index): nothing per hit, the `packet_in` copy per miss. The
+/// LRU cache holds the whole rule set, so no hit promotes: a promotion
+/// asks the index for a victim, and in a debug build that answer is
+/// checked against the linear oracle, which clones the table.
+#[test]
+fn probe_hits_allocate_nothing_and_misses_once() {
+    let lru = SwitchProfile::generic_cached(u64::from(RULES), CachePolicy::lru());
+    for profile in [
+        SwitchProfile::ovs(),
+        SwitchProfile::vendor1(),
+        SwitchProfile::vendor2(),
+        SwitchProfile::vendor3(),
+        lru,
+    ] {
+        let name = profile.name.clone();
+        let (on_hits, on_misses) = probe_allocs(profile);
+        assert_eq!(on_hits, 0, "{name}: allocations on probe hits");
+        assert!(
+            on_misses <= u64::from(PROBE_ROUNDS * RULES),
+            "{name}: {on_misses} allocations on {} probe misses",
+            PROBE_ROUNDS * RULES
+        );
+    }
 }

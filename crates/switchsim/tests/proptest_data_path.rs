@@ -89,6 +89,24 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The probe-path mix: rules without timeouts, three probes for every
+/// add, the occasional delete.
+fn arb_probe_op() -> impl Strategy<Value = Op> {
+    (0u8..9, 0u32..96, 0u16..8, prop::bool::ANY, 0usize..64).prop_map(
+        |(kind, fid, prio, l2l3, which)| match kind {
+            0 | 1 => Op::Add {
+                fid,
+                prio,
+                idle: 0,
+                hard: 0,
+                l2l3,
+            },
+            2..=7 => Op::Touch { which },
+            _ => Op::Delete { which },
+        },
+    )
+}
+
 /// Recomputes every incrementally maintained quantity of `level` from
 /// its entry slice and asserts agreement.
 fn check_level(level: &mut CacheLevel, policy: &CachePolicy) {
@@ -225,5 +243,30 @@ proptest! {
             policy,
         };
         run_sequence(pipe, &ops);
+    }
+
+    /// A probe hit re-notes the eviction index only under a policy that
+    /// reads what the hit wrote. Whether it did or not, the index must
+    /// still name the linear oracles' victim and backfill candidate
+    /// after every step — under each named policy (two of which read no
+    /// traffic attribute, so every hit skips the write) and a random LEX
+    /// order.
+    #[test]
+    fn probe_hits_keep_the_eviction_index_exact(
+        random in arb_policy(),
+        ops in proptest::collection::vec(arb_probe_op(), 1..120),
+    ) {
+        for policy in [
+            CachePolicy::fifo(),
+            CachePolicy::lru(),
+            CachePolicy::lfu(),
+            CachePolicy::priority(),
+            CachePolicy::priority_then_lru(),
+            CachePolicy::lfu_then_fifo(),
+            random,
+        ] {
+            let pipe = Pipeline::cached(TcamGeometry::single_wide(12), policy);
+            run_sequence(pipe, &ops);
+        }
     }
 }

@@ -30,11 +30,12 @@
 //! The hot loop follows three rules throughout:
 //!
 //! 1. **Zero-copy inbound framing** — sockets read into one shared
-//!    scratch buffer; whole frames decode straight from it via
-//!    [`Framer::next_message_from`](ofwire::codec::Framer::next_message_from)
+//!    scratch buffer; whole frames are read where they lie in it via
+//!    [`Framer::next_frame_from`](ofwire::codec::Framer::next_frame_from)
 //!    (server side: straight into
-//!    [`Agent::feed_into`](switchsim::agent::Agent::feed_into)); only
-//!    torn frames are ever copied.
+//!    [`Agent::feed_into`](switchsim::agent::Agent::feed_into); the
+//!    virtual-time server forwards op frames to the agent as they
+//!    arrived); only torn frames are ever copied by the framer.
 //! 2. **Reused outbound buffers** — frames append to a per-connection
 //!    [`reactor::OutBuf`] via
 //!    [`encode_frame_into`](ofwire::message::Message::encode_frame_into);

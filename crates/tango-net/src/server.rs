@@ -51,6 +51,7 @@ use crate::reactor::{IoCounters, NbConn, Pacer, READ_CHUNK};
 use crate::vt::{VtMsg, VtOpTag, TANGO_VENDOR};
 use ofwire::barrier::BarrierTracker;
 use ofwire::codec::Framer;
+use ofwire::header::MessageType;
 use ofwire::message::Message;
 use ofwire::types::{Dpid, Xid};
 use simnet::link::Link;
@@ -498,7 +499,7 @@ struct CurOp {
     tag: VtOpTag,
     frames_left: u32,
     wire_len: u32,
-    /// The op's frames, re-encoded verbatim as they arrive.
+    /// The op's frames, copied as they arrive.
     bytes: Vec<u8>,
     /// Length of the first frame (sizes an echo's return leg).
     first_frame_len: usize,
@@ -757,18 +758,19 @@ impl VtState {
         let mut acked = 0;
         let mut input = bytes;
         loop {
-            let msg = self
+            let frame = self
                 .framer
-                .next_message_from(&mut input)
+                .next_frame_from(&mut input)
                 .map_err(|_| proto_err("unparseable frame stream"))?;
-            let Some((header, msg)) = msg else {
+            let Some(frame) = frame else {
                 return Ok(acked);
             };
-            if let Message::Vendor { vendor, data } = &msg {
-                if *vendor != TANGO_VENDOR {
+            if frame.header.msg_type == MessageType::Vendor {
+                let body = frame.body();
+                if body.len() < 4 || body[..4] != TANGO_VENDOR.to_be_bytes() {
                     return Err(proto_err("unknown vendor id"));
                 }
-                let vt = VtMsg::decode(data).map_err(|_| proto_err("bad vt payload"))?;
+                let vt = VtMsg::decode(&body[4..]).map_err(|_| proto_err("bad vt payload"))?;
                 let VtMsg::Submit {
                     token,
                     ready_ns,
@@ -799,20 +801,21 @@ impl VtState {
                 });
                 continue;
             }
-            // An op frame: re-encode it verbatim into the op buffer
-            // (encode∘decode is byte-identity for every message the
-            // channel codec produces — the framing proptest pins this).
+            // An op frame: forward it to the op buffer as it arrived. The
+            // agent decodes it there, once; encode∘decode is byte-identity
+            // for every message the channel codec produces (the round-trip
+            // proptests pin decode∘encode), so these are the bytes a
+            // decode and re-encode here would have produced.
             let cur = self
                 .cur
                 .as_mut()
                 .ok_or_else(|| proto_err("op frame without a submit"))?;
-            let off = cur.bytes.len();
-            msg.encode_frame_into(header.xid, &mut cur.bytes);
-            let frame_len = cur.bytes.len() - off;
-            if off == 0 {
+            let frame_len = frame.bytes.len();
+            if cur.bytes.is_empty() {
                 cur.first_frame_len = frame_len;
             }
-            cur.last_frame = (header.xid, frame_len);
+            cur.bytes.extend_from_slice(frame.bytes);
+            cur.last_frame = (frame.header.xid, frame_len);
             cur.frames_left -= 1;
             if cur.frames_left == 0 {
                 self.finish_op(outs, out)?;
