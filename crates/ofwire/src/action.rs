@@ -113,31 +113,184 @@ impl Action {
         }
     }
 
-    /// Walks exactly `len` bytes of action TLVs, handing each decoded
-    /// action to `each`; returns the bytes consumed.
-    fn walk_list(buf: &[u8], len: usize, mut each: impl FnMut(Action)) -> Result<usize> {
-        ensure(buf, len, "action list")?;
-        let mut off = 0;
-        while off < len {
-            let (a, used) = Action::decode(&buf[off..len])?;
-            each(a);
-            off += used;
-        }
-        Ok(off)
+    /// Decodes the TLV at `*off` of `list`, moving `*off` past it.
+    #[inline]
+    fn decode_at(list: &[u8], off: &mut usize) -> Result<Action> {
+        let (action, used) = Action::decode(&list[*off..])?;
+        *off += used;
+        Ok(action)
     }
 
     /// Decodes exactly `len` bytes of action TLVs.
-    pub fn decode_list(buf: &[u8], len: usize) -> Result<(Vec<Action>, usize)> {
-        let mut actions = Vec::new();
-        let used = Action::walk_list(buf, len, |a| actions.push(a))?;
-        Ok((actions, used))
+    pub fn decode_list(buf: &[u8], len: usize) -> Result<(ActionList, usize)> {
+        ensure(buf, len, "action list")?;
+        let list = &buf[..len];
+        let mut off = 0;
+        // Straight into the inline slots; only a list that outgrows
+        // them is gathered in a `Vec`, which becomes the spill.
+        let mut slots = [ActionList::FILLER; INLINE];
+        let mut held = 0;
+        while off < len && held < INLINE {
+            slots[held] = Action::decode_at(list, &mut off)?;
+            held += 1;
+        }
+        if off == len {
+            let held = held as u8;
+            return Ok((ActionList(Repr::Inline { len: held, slots }), off));
+        }
+        let mut spill = slots.to_vec();
+        while off < len {
+            spill.push(Action::decode_at(list, &mut off)?);
+        }
+        Ok((ActionList(Repr::Spill(spill.into_boxed_slice())), off))
     }
 
     /// Checks exactly `len` bytes of action TLVs without collecting
     /// them: `Ok(n)` and `Err` exactly when [`Action::decode_list`] would
     /// return them, with nothing allocated.
     pub fn check_list(buf: &[u8], len: usize) -> Result<usize> {
-        Action::walk_list(buf, len, |_| {})
+        ensure(buf, len, "action list")?;
+        let list = &buf[..len];
+        let mut off = 0;
+        while off < len {
+            Action::decode_at(list, &mut off)?;
+        }
+        Ok(off)
+    }
+}
+
+/// How many actions an [`ActionList`] holds without a heap allocation.
+const INLINE: usize = 2;
+
+/// An owned action list, held by value: up to two actions sit inline, a
+/// longer list spills to one boxed slice. It is no larger than the
+/// `Vec<Action>` it stands in for, so the structures that carry one — a
+/// flow-mod, an installed entry, a scheduler request — are copied, not
+/// cloned through the allocator, for every list the workloads build.
+///
+/// Reads go through `Deref<Target = [Action]>`. A list is built once
+/// (`from`, `collect`, [`Action::decode_list`]); [`ActionList::push`]
+/// past the inline capacity reallocates the whole spill.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct ActionList(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `slots[..len]` are the list; the rest is filler.
+    Inline { len: u8, slots: [Action; INLINE] },
+    /// More than [`INLINE`] actions.
+    Spill(Box<[Action]>),
+}
+
+impl ActionList {
+    /// What an unused inline slot holds; never read as part of a list.
+    const FILLER: Action = Action::StripVlan;
+
+    /// The empty list (a drop rule's).
+    #[must_use]
+    pub const fn new() -> ActionList {
+        ActionList(Repr::Inline {
+            len: 0,
+            slots: [ActionList::FILLER; INLINE],
+        })
+    }
+
+    /// Appends one action.
+    pub fn push(&mut self, action: Action) {
+        match &mut self.0 {
+            Repr::Inline { len, slots } if usize::from(*len) < INLINE => {
+                slots[usize::from(*len)] = action;
+                *len += 1;
+            }
+            _ => *self = self.iter().copied().chain([action]).collect(),
+        }
+    }
+}
+
+impl Default for ActionList {
+    fn default() -> ActionList {
+        ActionList::new()
+    }
+}
+
+impl std::ops::Deref for ActionList {
+    type Target = [Action];
+
+    #[inline]
+    fn deref(&self) -> &[Action] {
+        match &self.0 {
+            Repr::Inline { len, slots } => &slots[..usize::from(*len)],
+            Repr::Spill(actions) => actions,
+        }
+    }
+}
+
+impl From<Action> for ActionList {
+    fn from(action: Action) -> ActionList {
+        ActionList(Repr::Inline {
+            len: 1,
+            slots: [action, ActionList::FILLER],
+        })
+    }
+}
+
+impl From<Vec<Action>> for ActionList {
+    fn from(actions: Vec<Action>) -> ActionList {
+        if actions.len() <= INLINE {
+            actions.into_iter().collect()
+        } else {
+            ActionList(Repr::Spill(actions.into_boxed_slice()))
+        }
+    }
+}
+
+impl FromIterator<Action> for ActionList {
+    fn from_iter<I: IntoIterator<Item = Action>>(iter: I) -> ActionList {
+        let mut iter = iter.into_iter();
+        let mut list = ActionList::new();
+        while list.len() < INLINE {
+            match iter.next() {
+                Some(a) => list.push(a),
+                None => return list,
+            }
+        }
+        let Some(next) = iter.next() else {
+            return list;
+        };
+        let mut spill = Vec::with_capacity(INLINE + 1 + iter.size_hint().0);
+        spill.extend_from_slice(&list);
+        spill.push(next);
+        spill.extend(iter);
+        ActionList(Repr::Spill(spill.into_boxed_slice()))
+    }
+}
+
+impl<'a> IntoIterator for &'a ActionList {
+    type Item = &'a Action;
+    type IntoIter = std::slice::Iter<'a, Action>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for ActionList {
+    fn eq(&self, other: &ActionList) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for ActionList {}
+
+impl PartialEq<Vec<Action>> for ActionList {
+    fn eq(&self, other: &Vec<Action>) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for ActionList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
     }
 }
 

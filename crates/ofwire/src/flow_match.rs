@@ -12,7 +12,7 @@
 //! [`FlowMatch::entry_kind`] (L2-only / L3-only / combined — which
 //! determines TCAM slot width, cf. Table 1 of the paper).
 
-use crate::codec::{be_u16, be_u32, pad, Decode, Encode};
+use crate::codec::{be_u16, be_u32, Decode, Encode};
 use crate::error::{ensure, Result};
 use crate::types::{MacAddr, PortNo};
 use bytes::{BufMut, BytesMut};
@@ -497,25 +497,34 @@ impl FlowMatch {
         }
         w
     }
+
+    /// Writes the 40-byte `ofp_match` into `b`, pad bytes included — the
+    /// one spelling of the layout, for [`Encode`] and for the flow-mod
+    /// frame encoder.
+    pub(crate) fn write_to(&self, b: &mut [u8; OFP_MATCH_LEN]) {
+        b[0..4].copy_from_slice(&self.wildcards().to_be_bytes());
+        b[4..6].copy_from_slice(&self.in_port.unwrap_or(0).to_be_bytes());
+        b[6..12].copy_from_slice(&self.dl_src.unwrap_or(MacAddr::ZERO).0);
+        b[12..18].copy_from_slice(&self.dl_dst.unwrap_or(MacAddr::ZERO).0);
+        b[18..20].copy_from_slice(&self.dl_vlan.unwrap_or(0).to_be_bytes());
+        b[20] = self.dl_vlan_pcp.unwrap_or(0);
+        b[21] = 0;
+        b[22..24].copy_from_slice(&self.dl_type.unwrap_or(0).to_be_bytes());
+        b[24] = self.nw_tos.unwrap_or(0);
+        b[25] = self.nw_proto.unwrap_or(0);
+        b[26..28].fill(0);
+        b[28..32].copy_from_slice(&self.nw_src.map_or(0, |p| p.addr).to_be_bytes());
+        b[32..36].copy_from_slice(&self.nw_dst.map_or(0, |p| p.addr).to_be_bytes());
+        b[36..38].copy_from_slice(&self.tp_src.unwrap_or(0).to_be_bytes());
+        b[38..40].copy_from_slice(&self.tp_dst.unwrap_or(0).to_be_bytes());
+    }
 }
 
 impl Encode for FlowMatch {
     fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32(self.wildcards());
-        buf.put_u16(self.in_port.unwrap_or(0));
-        buf.put_slice(&self.dl_src.unwrap_or(MacAddr::ZERO).0);
-        buf.put_slice(&self.dl_dst.unwrap_or(MacAddr::ZERO).0);
-        buf.put_u16(self.dl_vlan.unwrap_or(0));
-        buf.put_u8(self.dl_vlan_pcp.unwrap_or(0));
-        pad(buf, 1);
-        buf.put_u16(self.dl_type.unwrap_or(0));
-        buf.put_u8(self.nw_tos.unwrap_or(0));
-        buf.put_u8(self.nw_proto.unwrap_or(0));
-        pad(buf, 2);
-        buf.put_u32(self.nw_src.map_or(0, |p| p.addr));
-        buf.put_u32(self.nw_dst.map_or(0, |p| p.addr));
-        buf.put_u16(self.tp_src.unwrap_or(0));
-        buf.put_u16(self.tp_dst.unwrap_or(0));
+        let mut b = [0; OFP_MATCH_LEN];
+        self.write_to(&mut b);
+        buf.put_slice(&b);
     }
 }
 

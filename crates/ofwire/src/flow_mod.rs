@@ -4,11 +4,12 @@
 //! paper, "a sequence of standard OpenFlow flow mod commands and a
 //! corresponding data traffic pattern".
 
-use crate::action::Action;
+use crate::action::{Action, ActionList};
 use crate::codec::{be_u16, be_u32, be_u64, Decode, Encode};
 use crate::error::{ensure, Result, WireError};
-use crate::flow_match::FlowMatch;
-use crate::types::{BufferId, PortNo};
+use crate::flow_match::{FlowMatch, OFP_MATCH_LEN};
+use crate::header::{MessageType, OFP_HEADER_LEN, OFP_VERSION};
+use crate::types::{BufferId, PortNo, Xid};
 use bytes::{BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
 
@@ -105,7 +106,7 @@ pub struct FlowMod {
     /// Option flags.
     pub flags: FlowModFlags,
     /// Actions for matching packets (empty = drop).
-    pub actions: Vec<Action>,
+    pub actions: ActionList,
 }
 
 impl FlowMod {
@@ -115,7 +116,7 @@ impl FlowMod {
         command: FlowModCommand,
         flow_match: FlowMatch,
         priority: u16,
-        actions: Vec<Action>,
+        actions: ActionList,
     ) -> FlowMod {
         FlowMod {
             flow_match,
@@ -138,20 +139,33 @@ impl FlowMod {
     /// a different table.
     #[must_use]
     pub fn add(flow_match: FlowMatch, priority: u16) -> FlowMod {
-        FlowMod::add_with_actions(flow_match, priority, vec![Action::output(1)])
+        FlowMod::add_with_actions(flow_match, priority, Action::output(1))
     }
 
     /// An `Add` with the given match, priority and action list.
     #[must_use]
-    pub fn add_with_actions(flow_match: FlowMatch, priority: u16, actions: Vec<Action>) -> FlowMod {
-        FlowMod::new(FlowModCommand::Add, flow_match, priority, actions)
+    pub fn add_with_actions(
+        flow_match: FlowMatch,
+        priority: u16,
+        actions: impl Into<ActionList>,
+    ) -> FlowMod {
+        FlowMod::new(FlowModCommand::Add, flow_match, priority, actions.into())
     }
 
     /// A strict modify of the given match/priority, rewriting the action
     /// list.
     #[must_use]
-    pub fn modify_strict(flow_match: FlowMatch, priority: u16, actions: Vec<Action>) -> FlowMod {
-        FlowMod::new(FlowModCommand::ModifyStrict, flow_match, priority, actions)
+    pub fn modify_strict(
+        flow_match: FlowMatch,
+        priority: u16,
+        actions: impl Into<ActionList>,
+    ) -> FlowMod {
+        FlowMod::new(
+            FlowModCommand::ModifyStrict,
+            flow_match,
+            priority,
+            actions.into(),
+        )
     }
 
     /// A strict delete of the given match/priority.
@@ -161,20 +175,25 @@ impl FlowMod {
             FlowModCommand::DeleteStrict,
             flow_match,
             priority,
-            Vec::new(),
+            ActionList::new(),
         )
     }
 
     /// A non-strict delete-everything-matching request.
     #[must_use]
     pub fn delete_all() -> FlowMod {
-        FlowMod::new(FlowModCommand::Delete, FlowMatch::any(), 0, Vec::new())
+        FlowMod::new(
+            FlowModCommand::Delete,
+            FlowMatch::any(),
+            0,
+            ActionList::new(),
+        )
     }
 
     /// Builder-style: replace the action list with a single action.
     #[must_use]
     pub fn with_action(mut self, action: Action) -> FlowMod {
-        self.actions = vec![action];
+        self.actions = action.into();
         self
     }
 
@@ -196,6 +215,39 @@ impl FlowMod {
     #[must_use]
     pub fn body_len(&self) -> usize {
         FLOW_MOD_FIXED_LEN + Action::list_len(&self.actions)
+    }
+
+    /// Appends the complete frame (header + body) with the given xid to
+    /// `out` — the flow-mod frame encoder, which
+    /// [`Message::encode_frame_into`](crate::message::Message::encode_frame_into)
+    /// and the channel codec both call. Header and fixed body are
+    /// assembled on the stack and appended once; the action TLVs follow.
+    pub fn encode_frame_into(&self, xid: Xid, out: &mut Vec<u8>) {
+        let mut b = [0u8; OFP_HEADER_LEN + FLOW_MOD_FIXED_LEN];
+        let (header, body) = b.split_at_mut(OFP_HEADER_LEN);
+        header[0] = OFP_VERSION;
+        header[1] = MessageType::FlowMod as u8;
+        // Truncating, like the generic path's patched-in byte count.
+        let total = (OFP_HEADER_LEN + self.body_len()) as u16;
+        header[2..4].copy_from_slice(&total.to_be_bytes());
+        header[4..8].copy_from_slice(&xid.0.to_be_bytes());
+        // Offsets as `FlowMod::decode` reads them.
+        let (m, _) = body
+            .split_first_chunk_mut::<OFP_MATCH_LEN>()
+            .expect("64 bytes hold a 40-byte match");
+        self.flow_match.write_to(m);
+        body[40..48].copy_from_slice(&self.cookie.to_be_bytes());
+        body[48..50].copy_from_slice(&(self.command as u16).to_be_bytes());
+        body[50..52].copy_from_slice(&self.idle_timeout.to_be_bytes());
+        body[52..54].copy_from_slice(&self.hard_timeout.to_be_bytes());
+        body[54..56].copy_from_slice(&self.priority.to_be_bytes());
+        body[56..60].copy_from_slice(&self.buffer_id.0.to_be_bytes());
+        body[60..62].copy_from_slice(&self.out_port.0.to_be_bytes());
+        body[62..64].copy_from_slice(&self.flags.0.to_be_bytes());
+        out.extend_from_slice(&b);
+        let mut buf = BytesMut::from(std::mem::take(out));
+        Action::encode_list(&self.actions, &mut buf);
+        *out = buf.into();
     }
 }
 
@@ -282,6 +334,52 @@ mod tests {
         let (back, _) = FlowMod::decode(&fm.to_vec()).unwrap();
         assert_eq!(back, fm);
         assert!(back.command.is_modify());
+    }
+
+    /// Frames recorded from the generic header + `Encode` + patched-length
+    /// path before the block encoder replaced it.
+    #[test]
+    fn frame_encoder_bytes_are_pinned() {
+        use crate::types::MacAddr;
+        fn hex(b: &[u8]) -> String {
+            b.iter().map(|x| format!("{x:02x}")).collect()
+        }
+        let add = FlowMod::add(FlowMatch::l3_for_id(42), 500)
+            .with_cookie(0xfeed)
+            .with_flags(FlowModFlags::CHECK_OVERLAP);
+        let modify = FlowMod::modify_strict(
+            FlowMatch::l2_for_id(9),
+            77,
+            vec![Action::output(3), Action::SetNwTos(4)],
+        );
+        let delete = FlowMod::delete_strict(FlowMatch::l2l3_for_id(7), 10);
+        let mut spill = FlowMod::add_with_actions(
+            FlowMatch::any(),
+            1,
+            vec![
+                Action::SetDlDst(MacAddr([1, 2, 3, 4, 5, 6])),
+                Action::SetVlanVid(100),
+                Action::Enqueue {
+                    port: PortNo(2),
+                    queue_id: 7,
+                },
+            ],
+        );
+        spill.idle_timeout = 5;
+        spill.hard_timeout = 60;
+        spill.buffer_id = BufferId(0x0102_0304);
+        spill.out_port = PortNo(9);
+        let recorded = [
+            (add, 1, "010e005000000001003020ef000000000000000000000000000000000000080000000000000000000a00002a00000000000000000000feed00000000000001f4ffffffffffff00020000000800010000"),
+            (modify, 0xdead_beef, "010e0058deadbeef003820f70000000000000000020000000009000000000000000000000000000000000000000000000000000000000000000200000000004dffffffffffff000000000008000300000008000804000000"),
+            (delete, 0, "010e004800000000003020e7000000000000000002000000000700000000080000000000000000000a000007000000000000000000000000000400000000000affffffffffff0000"),
+            (spill, 7, "010e007000000007003820ff000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005003c00010102030400090000000500100102030405060000000000000001000800640000000b0010000200000000000000000007"),
+        ];
+        for (fm, xid, want) in recorded {
+            let mut frame = Vec::new();
+            fm.encode_frame_into(Xid(xid), &mut frame);
+            assert_eq!(hex(&frame), want, "{fm:?}");
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod types;
 
 /// Convenient glob-import of the types most callers need.
 pub mod prelude {
-    pub use crate::action::Action;
+    pub use crate::action::{Action, ActionList};
     pub use crate::codec::{Decode, Encode, Frame, Framer};
     pub use crate::error::{Result, WireError};
     pub use crate::error_msg::{ErrorCode, ErrorMsg, ErrorType};

@@ -92,8 +92,12 @@ impl Message {
     /// Appends a complete frame (header + body) to `out`, reusing its
     /// allocation. The header is written first with a placeholder
     /// length, the body is encoded in place behind it, and the length
-    /// field is patched — one buffer, no intermediate body copy.
+    /// field is patched — one buffer, no intermediate body copy. A
+    /// flow-mod goes to its own frame encoder.
     pub fn encode_frame_into(&self, xid: Xid, out: &mut Vec<u8>) {
+        if let Message::FlowMod(fm) = self {
+            return fm.encode_frame_into(xid, out);
+        }
         let start = out.len();
         let mut buf = BytesMut::from(std::mem::take(out));
         Header::new(self.msg_type(), 0, xid).encode(&mut buf);

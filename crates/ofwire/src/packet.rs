@@ -7,7 +7,7 @@
 //! checksum, and parses received frames back into a
 //! [`FlowKey`] for table lookup.
 
-use crate::action::Action;
+use crate::action::{Action, ActionList};
 use crate::codec::{be_u16, be_u32, Decode, Encode};
 use crate::error::{ensure, Result, WireError};
 use crate::flow_match::FlowKey;
@@ -92,7 +92,7 @@ pub struct PacketOut {
     /// Nominal ingress port (for actions that reference it).
     pub in_port: PortNo,
     /// Actions applied to the packet (usually a single `Output`).
-    pub actions: Vec<Action>,
+    pub actions: ActionList,
     /// The frame to send when not buffered.
     pub data: Vec<u8>,
 }
@@ -106,7 +106,7 @@ impl PacketOut {
         PacketOut {
             buffer_id: BufferId::NO_BUFFER,
             in_port: PortNo::NONE,
-            actions: vec![Action::Output { port, max_len: 0 }],
+            actions: Action::Output { port, max_len: 0 }.into(),
             data,
         }
     }

@@ -6,7 +6,7 @@
 //! and table statistics (`active_count`, `max_entries` — the inaccurate
 //! self-reports that motivate measurement-based inference).
 
-use crate::action::Action;
+use crate::action::{Action, ActionList};
 use crate::codec::{be_u16, be_u32, be_u64, pad, Decode, Encode};
 use crate::error::{ensure, Result, WireError};
 use crate::flow_match::FlowMatch;
@@ -166,7 +166,7 @@ pub struct FlowStatsEntry {
     /// Bytes matched.
     pub byte_count: u64,
     /// The entry's actions.
-    pub actions: Vec<Action>,
+    pub actions: ActionList,
 }
 
 const FLOW_STATS_FIXED: usize = 88;
@@ -474,7 +474,7 @@ mod tests {
             cookie: u64::from(id),
             packet_count: 42,
             byte_count: 4200,
-            actions: vec![Action::output(2)],
+            actions: Action::output(2).into(),
         }
     }
 

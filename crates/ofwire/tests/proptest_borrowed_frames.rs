@@ -40,7 +40,7 @@ prop_compose! {
         actions in proptest::collection::vec(arb_action(), 0..5),
         data in proptest::collection::vec(any::<u8>(), 0..96),
     ) -> PacketOut {
-        PacketOut { buffer_id: BufferId(buffer), in_port: PortNo(in_port), actions, data }
+        PacketOut { buffer_id: BufferId(buffer), in_port: PortNo(in_port), actions: actions.into(), data }
     }
 }
 

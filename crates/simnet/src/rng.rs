@@ -12,8 +12,10 @@ use rand::{Rng, RngCore, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct DetRng {
     inner: StdRng,
-    /// Cached second output of the last Box–Muller transform.
-    gauss_spare: Option<f64>,
+    /// The `(r, theta)` of the last Box–Muller transform while its
+    /// second output, `r * theta.sin()`, is still owed. Kept unevaluated:
+    /// a one-shot fork that draws once never pays for the sine.
+    gauss_spare: Option<(f64, f64)>,
 }
 
 impl DetRng {
@@ -58,8 +60,8 @@ impl DetRng {
 
     /// Standard normal sample (Box–Muller, using both outputs).
     pub fn gaussian(&mut self) -> f64 {
-        if let Some(z) = self.gauss_spare.take() {
-            return z;
+        if let Some((r, theta)) = self.gauss_spare.take() {
+            return r * theta.sin();
         }
         // Draw u1 away from zero to keep ln() finite.
         let u1: f64 = loop {
@@ -71,7 +73,7 @@ impl DetRng {
         let u2 = self.f64();
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * std::f64::consts::PI * u2;
-        self.gauss_spare = Some(r * theta.sin());
+        self.gauss_spare = Some((r, theta));
         r * theta.cos()
     }
 
@@ -162,6 +164,65 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
+    }
+
+    /// Box–Muller with the spare evaluated at once, as it was before the
+    /// spare became `(r, theta)`.
+    struct Eager {
+        inner: DetRng,
+        spare: Option<f64>,
+    }
+
+    impl Eager {
+        fn gaussian(&mut self) -> f64 {
+            if let Some(z) = self.spare.take() {
+                return z;
+            }
+            let u1 = loop {
+                let u = self.inner.f64();
+                if u > f64::EPSILON {
+                    break u;
+                }
+            };
+            let u2 = self.inner.f64();
+            let r = (-2.0 * u1.ln()).sqrt();
+            let theta = 2.0 * std::f64::consts::PI * u2;
+            self.spare = Some(r * theta.sin());
+            r * theta.cos()
+        }
+
+        fn fork(&mut self, label: u64) -> Eager {
+            Eager {
+                inner: self.inner.fork(label),
+                spare: None,
+            }
+        }
+    }
+
+    #[test]
+    fn deferred_spare_is_bit_identical_to_the_eager_one() {
+        let mut lazy = DetRng::new(0x5EED);
+        let mut eager = Eager {
+            inner: DetRng::new(0x5EED),
+            spare: None,
+        };
+        let mut pick = DetRng::new(99);
+        for i in 0..10_000u64 {
+            match pick.index(4) {
+                0 => assert_eq!(lazy.gaussian().to_bits(), eager.gaussian().to_bits()),
+                1 => assert_eq!(
+                    lazy.normal(3.0, 0.5).to_bits(),
+                    (3.0 + 0.5 * eager.gaussian()).to_bits()
+                ),
+                2 => assert_eq!(lazy.f64().to_bits(), eager.inner.f64().to_bits()),
+                _ => {
+                    // A one-shot fork, as `chan::draw_latencies` makes
+                    // them: one draw, its spare dropped unevaluated.
+                    let (mut l, mut e) = (lazy.fork(i), eager.fork(i));
+                    assert_eq!(l.gaussian().to_bits(), e.gaussian().to_bits());
+                }
+            }
+        }
     }
 
     #[test]

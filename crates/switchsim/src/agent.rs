@@ -8,9 +8,10 @@
 use crate::expiry::{Expired, RemovalReason};
 use crate::pipeline::Hit;
 use crate::switch::{FlowModEffect, FlowModError, Switch};
-use ofwire::codec::{Frame, Framer};
+use ofwire::codec::{Decode, Frame, Framer};
 use ofwire::error::WireError;
 use ofwire::error_msg::ErrorMsg;
+use ofwire::flow_mod::FlowMod;
 use ofwire::flow_removed::{FlowRemoved, FlowRemovedReason};
 use ofwire::header::MessageType;
 use ofwire::message::Message;
@@ -131,20 +132,29 @@ impl Agent {
             forwarded: None,
             cost: SimDuration::ZERO,
         };
-        if frame.header.msg_type == MessageType::PacketOut {
-            // A probe is read in place: nothing of it is kept on a hit.
-            let po = PacketOutView::parse(frame.body())?;
-            Self::packet_out(switch, &po, now, &mut out);
-            return Ok(out);
+        // The two hot frame types never become a `Message`; each opens
+        // with its own expiry sweep (`inject`, `apply_flow_mod`).
+        match frame.header.msg_type {
+            MessageType::PacketOut => {
+                // A probe is read in place: nothing of it is kept on a hit.
+                let po = PacketOutView::parse(frame.body())?;
+                Self::packet_out(switch, &po, now, &mut out);
+                return Ok(out);
+            }
+            MessageType::FlowMod => {
+                // The decoder `Message::decode_body` calls, its value
+                // handed straight to the switch.
+                let (fm, _) = FlowMod::decode(frame.body())?;
+                Self::flow_mod(switch, &fm, frame, now, &mut out);
+                return Ok(out);
+            }
+            _ => {}
         }
         let msg = frame.decode()?;
         // Every control-channel message advances the switch's notion of
         // time, so the expiry sweep runs first (timeouts fire even on
-        // messages that don't touch the tables, e.g. barriers) — once:
-        // `apply_flow_mod` and `inject` open with their own sweep.
-        if !matches!(msg, Message::FlowMod(_)) {
-            switch.expire(now);
-        }
+        // messages that don't touch the tables, e.g. barriers).
+        switch.expire(now);
         match msg {
             Message::Hello => out.reply = Some(Message::Hello),
             Message::EchoRequest(data) => out.reply = Some(Message::EchoReply(data)),
@@ -155,21 +165,6 @@ impl Agent {
                 // All earlier messages in this feed were already processed
                 // (costs accounted); the barrier itself is free.
                 out.reply = Some(Message::BarrierReply);
-            }
-            Message::FlowMod(fm) => {
-                let (result, cost) = switch.apply_flow_mod(&fm, now);
-                out.cost = cost;
-                match result {
-                    Ok(FlowModEffect::Added { .. })
-                    | Ok(FlowModEffect::Modified(_))
-                    | Ok(FlowModEffect::Deleted(_)) => {}
-                    Err(FlowModError::TableFull) => {
-                        // The error carries the head of the request as
-                        // it arrived.
-                        let prefix = &frame.bytes[..frame.bytes.len().min(64)];
-                        out.reply = Some(Message::Error(ErrorMsg::table_full(prefix.to_vec())));
-                    }
-                }
             }
             Message::StatsRequest(req) => {
                 let body = match req {
@@ -193,7 +188,9 @@ impl Agent {
                 };
                 out.reply = Some(Message::StatsReply(body));
             }
-            Message::PacketOut(_) => unreachable!("packet_out frames are read in place above"),
+            Message::PacketOut(_) | Message::FlowMod(_) => {
+                unreachable!("packet_out and flow_mod frames are handled above")
+            }
             // Messages a switch never receives — plus vendor extensions
             // this agent does not implement — are ignored.
             Message::Vendor { .. }
@@ -206,6 +203,28 @@ impl Agent {
             | Message::BarrierReply => {}
         }
         Ok(out)
+    }
+
+    /// Applies a decoded flow-mod; `frame` is the request as it arrived,
+    /// whose head a rejection quotes.
+    fn flow_mod(
+        switch: &mut Switch,
+        fm: &FlowMod,
+        frame: &Frame<'_>,
+        now: SimTime,
+        out: &mut AgentOutput,
+    ) {
+        let (result, cost) = switch.apply_flow_mod(fm, now);
+        out.cost = cost;
+        match result {
+            Ok(FlowModEffect::Added { .. })
+            | Ok(FlowModEffect::Modified(_))
+            | Ok(FlowModEffect::Deleted(_)) => {}
+            Err(FlowModError::TableFull) => {
+                let prefix = &frame.bytes[..frame.bytes.len().min(64)];
+                out.reply = Some(Message::Error(ErrorMsg::table_full(prefix.to_vec())));
+            }
+        }
     }
 
     /// Parses the real frame a `packet_out` carries and runs it through

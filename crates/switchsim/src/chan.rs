@@ -125,7 +125,7 @@ impl ChanCodec {
         match op {
             ControlOp::FlowMod(fm) => {
                 let xid = self.take_xid();
-                Message::FlowMod(fm).encode_frame_into(xid, bytes);
+                fm.encode_frame_into(xid, bytes);
                 OpKind::FlowMod
             }
             ControlOp::Batch(fms) => {
@@ -134,7 +134,7 @@ impl ChanCodec {
                 // per-message intermediate allocation on the batch path.
                 for fm in fms {
                     let xid = self.take_xid();
-                    Message::FlowMod(fm).encode_frame_into(xid, bytes);
+                    fm.encode_frame_into(xid, bytes);
                 }
                 let barrier_xid = self.take_xid();
                 let size = bytes.len() - start;

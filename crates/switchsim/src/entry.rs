@@ -6,7 +6,7 @@
 //! and rule priority. [`FlowEntry`] carries exactly those, updated by the
 //! data plane as real packets arrive.
 
-use ofwire::action::Action;
+use ofwire::action::ActionList;
 use ofwire::flow_match::{EntryKind, FlowMatch};
 use serde::{Deserialize, Serialize};
 use simnet::time::SimTime;
@@ -27,7 +27,7 @@ pub struct FlowEntry {
     /// Matching precedence (higher wins).
     pub priority: u16,
     /// Forwarding actions.
-    pub actions: Vec<Action>,
+    pub actions: ActionList,
     /// Controller cookie.
     pub cookie: u64,
     /// When the entry was installed (ATTRIB: insertion time).
@@ -52,14 +52,14 @@ impl FlowEntry {
         id: EntryId,
         flow_match: FlowMatch,
         priority: u16,
-        actions: Vec<Action>,
+        actions: impl Into<ActionList>,
         now: SimTime,
     ) -> FlowEntry {
         FlowEntry {
             id,
             flow_match,
             priority,
-            actions,
+            actions: actions.into(),
             cookie: 0,
             inserted_at: now,
             last_used_at: now,
@@ -96,6 +96,13 @@ mod tests {
         assert_eq!(e.last_used_at, t);
         assert_eq!(e.packet_count, 0);
         assert_eq!(e.kind(), EntryKind::L2Only);
+    }
+
+    /// The action list rides in the entry by value; it must not grow the
+    /// entry past what the `Vec` it replaced made it.
+    #[test]
+    fn entry_is_no_larger_than_with_a_vec() {
+        assert!(std::mem::size_of::<FlowEntry>() <= 144);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::entry::{EntryId, FlowEntry};
 use crate::expiry::{expiry_reason, Expired};
 use crate::table::{FlowTable, MicroflowCache};
 use crate::tcam::TcamGeometry;
-use ofwire::action::Action;
+use ofwire::action::ActionList;
 use ofwire::flow_match::{FlowKey, FlowMatch};
 use ofwire::types::PortNo;
 use simnet::time::SimTime;
@@ -701,7 +701,7 @@ impl Pipeline {
         filter: &FlowMatch,
         priority: u16,
         strict: bool,
-        actions: &[Action],
+        actions: &ActionList,
         fallback_entry: FlowEntry,
     ) -> Result<ModOutcome, TableFull> {
         let touched = match self {
@@ -709,13 +709,13 @@ impl Pipeline {
                 .iter_mut()
                 .map(|level| {
                     Self::rewrite_selected(&mut level.table, filter, priority, strict, |e| {
-                        e.actions = actions.to_vec();
+                        e.actions = actions.clone();
                     })
                 })
                 .sum(),
             Pipeline::OvsMicroflow { kernel, userspace } => {
                 Self::rewrite_selected(userspace, filter, priority, strict, |e| {
-                    e.actions = actions.to_vec();
+                    e.actions = actions.clone();
                     kernel.invalidate_parent(e.id);
                 })
             }
@@ -758,6 +758,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ofwire::action::Action;
 
     fn entry(id: u64, fid: u32, prio: u16, now: SimTime) -> FlowEntry {
         FlowEntry::new(
@@ -948,7 +949,7 @@ mod tests {
                 &FlowMatch::l3_for_id(5),
                 1,
                 true,
-                &[Action::output(9)],
+                &Action::output(9).into(),
                 entry(1, 5, 1, SimTime(8)),
             )
             .unwrap();
@@ -967,7 +968,7 @@ mod tests {
                 &FlowMatch::l3_for_id(5),
                 1,
                 true,
-                &[Action::output(9)],
+                &Action::output(9).into(),
                 entry(0, 5, 1, SimTime(0)),
             )
             .unwrap();

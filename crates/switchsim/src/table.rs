@@ -191,7 +191,8 @@ impl Bucket {
 /// never repacks. An id map makes [`FlowTable::position_of`] O(1), and a
 /// Fenwick tree over the priority space answers
 /// [`FlowTable::count_above`] (the TCAM shift cost of an insert) in
-/// O(log 65536).
+/// O(log 65536) — in tables that are asked: it is built on the first
+/// call and maintained from then on.
 ///
 /// Invariant: `flow_match`, `priority`, and the timeout fields of an
 /// installed entry are immutable. [`FlowTable::get_mut`] exists for
@@ -243,8 +244,11 @@ pub struct FlowTable {
     /// `by_match`; real tables hold a handful of shapes, so this is a
     /// short linear scan.
     shapes: Vec<(u32, u32)>,
-    /// Multiset of installed priorities for O(log) shift counting.
-    prio_counts: PriorityIndex,
+    /// Multiset of installed priorities for O(log) shift counting:
+    /// `None` until the first [`FlowTable::count_above`], so a table
+    /// nobody asks for shift counts (OVS's userspace table) carries no
+    /// 256 KiB tree and pays no tree update per insert and remove.
+    prio_counts: Option<PriorityIndex>,
     /// How many installed entries carry a nonzero idle or hard timeout —
     /// lets the per-op expiry sweep skip tables that can never expire.
     timeout_entries: usize,
@@ -373,7 +377,9 @@ impl FlowTable {
         if self.shapes[at].1 == 0 {
             self.shapes.swap_remove(at);
         }
-        self.prio_counts.remove(self.prio[i]);
+        if let Some(counts) = &mut self.prio_counts {
+            counts.remove(self.prio[i]);
+        }
         if self.timeout[i] {
             self.timeout_entries -= 1;
         }
@@ -414,7 +420,9 @@ impl FlowTable {
             Some((_, n)) => *n += 1,
             None => self.shapes.push((shape, 1)),
         }
-        self.prio_counts.add(priority);
+        if let Some(counts) = &mut self.prio_counts {
+            counts.add(priority);
+        }
     }
 
     /// Removes and returns the entry at `index`.
@@ -599,7 +607,9 @@ impl FlowTable {
         self.by_match.clear();
         self.by_id.clear();
         self.shapes.clear();
-        self.prio_counts.clear();
+        if let Some(counts) = &mut self.prio_counts {
+            counts.clear();
+        }
         self.timeout_entries = 0;
         self.free.clear();
         let slots = &mut self.slots;
@@ -632,11 +642,21 @@ impl FlowTable {
 
     /// How many installed entries have priority strictly above
     /// `priority` — the TCAM shift cost of inserting at that priority.
-    /// O(log 65536) via the Fenwick index; [`crate::tcam::shift_count`]
-    /// is the linear oracle.
+    /// O(log 65536) via the Fenwick index, which the first call builds
+    /// from the resident priorities; [`crate::tcam::shift_count`] is the
+    /// linear oracle.
     #[must_use]
-    pub fn count_above(&self, priority: u16) -> usize {
-        self.prio_counts.count_above(priority)
+    pub fn count_above(&mut self, priority: u16) -> usize {
+        let (order, prio) = (&self.order, &self.prio);
+        self.prio_counts
+            .get_or_insert_with(|| {
+                let mut counts = PriorityIndex::new();
+                for &s in order {
+                    counts.add(prio[s as usize]);
+                }
+                counts
+            })
+            .count_above(priority)
     }
 
     /// How many installed entries carry a nonzero idle or hard timeout.
@@ -756,16 +776,18 @@ impl FlowTable {
         let mut have = self.shapes.clone();
         have.sort_unstable();
         assert_eq!(have, want.into_iter().collect::<Vec<_>>(), "stale shapes");
-        // Fenwick priority counts and the timeout counter must match a
-        // recompute from scratch.
-        assert_eq!(self.prio_counts.len(), self.len());
-        for probe in self.iter().map(|e| e.priority).take(64) {
-            for p in [probe.saturating_sub(1), probe, probe.saturating_add(1)] {
-                assert_eq!(
-                    self.count_above(p),
-                    crate::tcam::shift_count(self.iter().map(|e| &e.priority), p),
-                    "fenwick disagrees at priority {p}"
-                );
+        // Fenwick priority counts (once something has asked for them)
+        // and the timeout counter must match a recompute from scratch.
+        if let Some(counts) = &self.prio_counts {
+            assert_eq!(counts.len(), self.len());
+            for probe in self.iter().map(|e| e.priority).take(64) {
+                for p in [probe.saturating_sub(1), probe, probe.saturating_add(1)] {
+                    assert_eq!(
+                        counts.count_above(p),
+                        crate::tcam::shift_count(self.iter().map(|e| &e.priority), p),
+                        "fenwick disagrees at priority {p}"
+                    );
+                }
             }
         }
         assert_eq!(
@@ -909,7 +931,7 @@ mod tests {
         let mut t = FlowTable::new();
         t.insert(entry(1, FlowMatch::l3_for_id(1), 10)); // output:1
         let mut e2 = entry(2, FlowMatch::l3_for_id(2), 10);
-        e2.actions = vec![Action::output(9)];
+        e2.actions = Action::output(9).into();
         t.insert(e2);
         // The wildcard filter subsumes both.
         let all = t.select_loose(&FlowMatch::any(), PortNo::NONE);

@@ -171,8 +171,8 @@ proptest! {
                     let at = indexed.find_strict(&m, prio);
                     prop_assert_eq!(at, naive.find_strict(&m, prio));
                     if let Some(i) = at {
-                        indexed.get_mut(i).actions = vec![Action::output(9)];
-                        naive.entries[i].actions = vec![Action::output(9)];
+                        indexed.get_mut(i).actions = Action::output(9).into();
+                        naive.entries[i].actions = Action::output(9).into();
                     }
                 }
                 // Strict delete, by position.

@@ -234,15 +234,15 @@ impl RequestDag {
         let mut order = Vec::with_capacity(self.nodes.len());
         while let Some(i) = stack.pop() {
             order.push(NodeId(i));
-            let mut newly = Vec::new();
+            // Newly released successors go on top, smallest index last.
+            let from = stack.len();
             for &NodeId(s) in &self.succs[i] {
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
-                    newly.push(s);
+                    stack.push(s);
                 }
             }
-            newly.sort_unstable_by(|a, b| b.cmp(a));
-            stack.extend(newly);
+            stack[from..].sort_unstable_by(|a, b| b.cmp(a));
         }
         if order.len() == self.nodes.len() {
             Some(order)
@@ -402,6 +402,20 @@ mod tests {
             }
         }
         assert_eq!(order, fig7().0.topo_order().unwrap());
+    }
+
+    /// The order is depth first, smallest index first among the nodes a
+    /// visit releases, whatever order their edges were added in.
+    #[test]
+    fn topo_order_visits_released_successors_smallest_first() {
+        let mut dag = RequestDag::new();
+        let n: Vec<NodeId> = (0..6).map(|i| dag.add_node(req(ReqOp::Add, i))).collect();
+        dag.add_dep(n[0], n[4]);
+        dag.add_dep(n[0], n[2]);
+        dag.add_dep(n[2], n[5]);
+        dag.add_dep(n[1], n[3]);
+        let order: Vec<usize> = dag.topo_order().unwrap().iter().map(|id| id.0).collect();
+        assert_eq!(order, [0, 2, 5, 4, 1, 3]);
     }
 
     #[test]

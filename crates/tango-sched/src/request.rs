@@ -10,7 +10,7 @@
 //!             'install_by': ms or best effort}
 //! ```
 
-use ofwire::action::Action;
+use ofwire::action::{Action, ActionList};
 use ofwire::flow_match::FlowMatch;
 use ofwire::flow_mod::FlowMod;
 use ofwire::types::Dpid;
@@ -62,7 +62,7 @@ pub struct ReqElem {
     /// Rule match.
     pub flow_match: FlowMatch,
     /// Rule actions (empty for deletes).
-    pub actions: Vec<Action>,
+    pub actions: ActionList,
     /// Deadline.
     pub install_by: Deadline,
 }
@@ -76,7 +76,7 @@ impl ReqElem {
             op: ReqOp::Add,
             priority: Some(priority),
             flow_match,
-            actions: vec![Action::output(out_port)],
+            actions: Action::output(out_port).into(),
             install_by: Deadline::BestEffort,
         }
     }
@@ -95,7 +95,7 @@ impl ReqElem {
     pub fn delete(location: Dpid, flow_match: FlowMatch, priority: u16) -> ReqElem {
         ReqElem {
             op: ReqOp::Del,
-            actions: Vec::new(),
+            actions: ActionList::new(),
             ..ReqElem::add(location, flow_match, priority, 0)
         }
     }
@@ -148,6 +148,13 @@ mod tests {
         let del = ReqElem::delete(Dpid(1), m, 10).to_flow_mod();
         assert_eq!(del.command, FlowModCommand::DeleteStrict);
         assert!(del.actions.is_empty());
+    }
+
+    /// The action list rides in the request by value; it must not grow
+    /// the request past what the `Vec` it replaced made it.
+    #[test]
+    fn request_is_no_larger_than_with_a_vec() {
+        assert!(std::mem::size_of::<ReqElem>() <= 120);
     }
 
     #[test]

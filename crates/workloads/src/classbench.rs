@@ -14,7 +14,7 @@
 //! The three presets reproduce Table 2's rows: 829/989/972 rules with
 //! 64/38/33 topological priority levels.
 
-use ofwire::action::Action;
+use ofwire::action::{Action, ActionList};
 use ofwire::flow_match::{FlowMatch, Ipv4Prefix};
 use serde::{Deserialize, Serialize};
 use simnet::rng::DetRng;
@@ -25,7 +25,7 @@ pub struct AclRule {
     /// What the rule matches.
     pub flow_match: FlowMatch,
     /// The forwarding action.
-    pub actions: Vec<Action>,
+    pub actions: ActionList,
 }
 
 /// Generator parameters.
@@ -110,7 +110,7 @@ fn nested_chain(block: u32, depth: usize, rng: &mut DetRng) -> Vec<AclRule> {
             };
             AclRule {
                 flow_match: m,
-                actions: vec![Action::output(1 + (rng.index(4) as u16))],
+                actions: Action::output(1 + (rng.index(4) as u16)).into(),
             }
         })
         .collect()
@@ -156,7 +156,7 @@ pub fn generate(config: &ClassBenchConfig) -> Vec<AclRule> {
             };
             rules.push(AclRule {
                 flow_match: m,
-                actions: vec![Action::output(1 + (rng.index(4) as u16))],
+                actions: Action::output(1 + (rng.index(4) as u16)).into(),
             });
             remaining -= 1;
             if remaining == 0 {
