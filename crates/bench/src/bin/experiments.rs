@@ -9,11 +9,11 @@
 //! ```
 //!
 //! `--quick` shrinks workload sizes ~10× for smoke runs. `--threads N`
-//! sets the worker count of the deterministic `bench::par` pool (also
-//! settable via `TANGO_BENCH_THREADS`; default = available cores);
-//! results are bit-identical for every N. Wall-clock per experiment is
-//! recorded to `BENCH_experiments.json` next to `results/` — outside it,
-//! so timing noise never pollutes the determinism-diffed artifacts.
+//! sets the worker count of the deterministic `bench::par` pool
+//! (default = available cores); results are bit-identical for every N.
+//! Wall-clock per experiment is recorded to `BENCH_experiments.json`
+//! next to `results/` — outside it, so timing noise never pollutes the
+//! determinism-diffed artifacts.
 //!
 //! `--trace <dir>` enables virtual-time telemetry on the experiments
 //! that support it (fig11, sched_sweep) and writes, per experiment, a
@@ -260,23 +260,6 @@ fn run_one(
                 extra_timings.push((format!("sched_sweep/{}", r.scheduler), r.wall_secs));
             }
         }
-        "wire_bench" => {
-            // Real-transport numbers are wall-clock, so this arm writes
-            // nothing under `results/` (not in ALL, not determinism-
-            // diffed); its artifact is `BENCH_wire.json` next to it.
-            let total = if q.quick { 40_000 } else { 400_000 };
-            let results = wire_bench::run(total, q.quick);
-            let text = wire_bench::render(&results);
-            println!("== Wire bench (loopback TCP) ==\n{text}");
-            let dir = results_dir();
-            let path = dir
-                .parent()
-                .map_or_else(|| dir.clone(), Path::to_path_buf)
-                .join("BENCH_wire.json");
-            std::fs::write(&path, wire_bench::to_json(&results, q.quick).render())
-                .expect("write BENCH_wire.json");
-            println!("wire bench -> {}", path.display());
-        }
         other => {
             eprintln!("unknown experiment: {other}");
             return false;
@@ -469,49 +452,21 @@ fn main() {
         }));
     }
     let total_s = suite_t0.elapsed().as_secs_f64();
-    print_summary(
-        &timings,
-        simnet::sim::events_processed() - suite_ev0,
-        total_s,
-    );
+    print_summary(simnet::sim::events_processed() - suite_ev0, total_s);
     write_bench_json(&timings, bench::par::threads(), quick, total_s);
     if failed {
         std::process::exit(1);
     }
 }
 
-/// The trio whose wall-clock gates perf regressions in CI — its event
-/// rate is the suite's headline DES-throughput number.
-const TRIO: &[&str] = &["fig11", "fig12", "infer_size"];
-
 /// Prints the end-of-suite summary (captured into `full_run.log`):
-/// event totals and events/sec for the whole suite and for the
-/// fig11/fig12/infer_size trio.
-fn print_summary(timings: &[Timing], suite_events: u64, total_s: f64) {
-    let (mut trio_secs, mut trio_events) = (0.0f64, 0u64);
-    for t in timings {
-        if TRIO.contains(&t.name.as_str()) {
-            trio_secs += t.secs;
-            trio_events += t.events.unwrap_or(0);
-        }
-    }
-    let rate = |events: u64, secs: f64| {
-        if secs > 0.0 {
-            events as f64 / secs
-        } else {
-            0.0
-        }
+/// the suite's event total and events/sec.
+fn print_summary(suite_events: u64, total_s: f64) {
+    let rate = if total_s > 0.0 {
+        suite_events as f64 / total_s
+    } else {
+        0.0
     };
     println!("\n──── suite summary ────");
-    if trio_events > 0 {
-        println!(
-            "trio (fig11+fig12+infer_size): {trio_events} events in {trio_secs:.3}s \
-             ({:.0} events/sec)",
-            rate(trio_events, trio_secs)
-        );
-    }
-    println!(
-        "suite: {suite_events} events in {total_s:.1}s ({:.0} events/sec)",
-        rate(suite_events, total_s)
-    );
+    println!("suite: {suite_events} events in {total_s:.1}s ({rate:.0} events/sec)");
 }

@@ -19,4 +19,3 @@ pub mod infer_size;
 pub mod sched_sweep;
 pub mod table1;
 pub mod table2;
-pub mod wire_bench;

@@ -4,8 +4,7 @@
 //! index). Every experiment is a pure deterministic function returning
 //! either a [`simnet::trace::Figure`] (for plots) or a formatted text
 //! table; the `experiments` binary runs them and writes CSV/text under
-//! `results/`. Criterion benches in `benches/` wrap the same functions
-//! at reduced sizes.
+//! `results/`.
 
 pub mod experiments;
 pub mod lower;

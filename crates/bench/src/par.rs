@@ -10,20 +10,19 @@
 //! output is therefore bit-identical to the sequential `map`, whatever
 //! the worker count or OS scheduling order.
 //!
-//! The worker count comes from, in order of precedence: an explicit
-//! [`set_threads`] call (the `--threads N` flag of the `experiments`
-//! binary), the `TANGO_BENCH_THREADS` environment variable, and finally
+//! The worker count is an explicit [`set_threads`] call (the
+//! `--threads N` flag of the `experiments` binary) or, without one,
 //! [`std::thread::available_parallelism`]. `1` disables fan-out
 //! entirely (items run inline on the caller's thread).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// 0 = "not set, consult env / available_parallelism".
+/// 0 = "not set, use available_parallelism".
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Overrides the worker count for every subsequent [`par_map`] call.
-/// `0` resets to the default (env var, then available parallelism).
+/// `0` resets to the default (available parallelism).
 pub fn set_threads(n: usize) {
     THREADS.store(n, Ordering::SeqCst);
 }
@@ -34,13 +33,6 @@ pub fn threads() -> usize {
     let explicit = THREADS.load(Ordering::SeqCst);
     if explicit > 0 {
         return explicit;
-    }
-    if let Ok(v) = std::env::var("TANGO_BENCH_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

@@ -2,23 +2,39 @@
 //! byte-identical `results/` artifacts at `--threads 4` and
 //! `--threads 1`. This is the contract that makes the `bench::par`
 //! fan-out safe to use everywhere — parallelism may change wall-clock,
-//! never output.
+//! never output — nor the simulator event count of any experiment, which
+//! is what CI gates on in the committed `BENCH_experiments.json`.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::Command;
+use tango::json::Value;
 
-fn run_suite(out_dir: &Path, threads: usize) {
+/// Runs the quick suite into `out_dir` and returns the `(name, events)`
+/// column of the `BENCH_experiments.json` it wrote next to it (timings
+/// are run-dependent, so the file must stay out of the byte-diffed set).
+fn run_suite(out_dir: &Path, threads: usize) -> Vec<(String, Option<usize>)> {
     let status = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(["--quick", "--threads", &threads.to_string(), "all"])
         .env("TANGO_RESULTS_DIR", out_dir)
-        .env_remove("TANGO_BENCH_THREADS")
         .status()
         .expect("spawn experiments binary");
     assert!(
         status.success(),
         "experiments run failed at --threads {threads}"
     );
+    let bench_json = out_dir.parent().unwrap().join("BENCH_experiments.json");
+    let text = std::fs::read_to_string(bench_json).expect("read BENCH_experiments.json");
+    let doc = Value::parse(&text).expect("BENCH_experiments.json parses");
+    let experiments = doc.get("experiments").and_then(Value::as_arr);
+    experiments
+        .expect("experiments array")
+        .iter()
+        .map(|e| {
+            let name = e.get("name").and_then(Value::as_str).expect("name");
+            (name.to_string(), e.get("events").and_then(Value::as_usize))
+        })
+        .collect()
 }
 
 /// Every artifact in `dir`, name → bytes.
@@ -42,8 +58,13 @@ fn quick_all_is_byte_identical_across_thread_counts() {
     std::fs::create_dir_all(&seq_dir).expect("mkdir");
     std::fs::create_dir_all(&par_dir).expect("mkdir");
 
-    run_suite(&seq_dir, 1);
-    run_suite(&par_dir, 4);
+    let seq_events = run_suite(&seq_dir, 1);
+    let par_events = run_suite(&par_dir, 4);
+    assert!(seq_events.iter().any(|(_, events)| events.is_some()));
+    assert_eq!(
+        seq_events, par_events,
+        "event counts differ between --threads 1 and --threads 4"
+    );
 
     let seq = artifacts(&seq_dir);
     let par = artifacts(&par_dir);
@@ -60,9 +81,6 @@ fn quick_all_is_byte_identical_across_thread_counts() {
         );
     }
 
-    // BENCH_experiments.json lands next to the results dir (timings are
-    // run-dependent, so it must stay out of the byte-diffed set).
-    assert!(base.join("BENCH_experiments.json").exists());
     assert!(!seq.contains_key("BENCH_experiments.json"));
 
     let _ = std::fs::remove_dir_all(&base);

@@ -9,7 +9,6 @@
 use crate::error::{Result, WireError};
 use crate::header::{Header, OFP_HEADER_LEN};
 use crate::message::Message;
-use crate::types::Xid;
 use bytes::{BufMut, BytesMut};
 
 /// Serialize a structure by appending its wire form to `buf`.
@@ -290,22 +289,10 @@ impl Framer {
     }
 }
 
-/// Encodes `msg` with transaction id `xid` into a standalone frame.
-#[must_use]
-pub fn encode_message(msg: &Message, xid: Xid) -> Vec<u8> {
-    msg.to_bytes(xid)
-}
-
-/// Appends the frame for `msg` to `out`, reusing its allocation. The
-/// buffer-reuse counterpart of [`encode_message`] for batched channels.
-pub fn encode_message_into(msg: &Message, xid: Xid, out: &mut Vec<u8>) {
-    msg.encode_frame_into(xid, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Message;
+    use crate::types::Xid;
 
     #[test]
     fn framer_handles_split_delivery() {

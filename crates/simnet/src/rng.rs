@@ -100,11 +100,6 @@ impl DetRng {
             items.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element by reference.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.index(items.len())]
-    }
 }
 
 impl RngCore for DetRng {

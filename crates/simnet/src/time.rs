@@ -48,12 +48,6 @@ impl SimDuration {
     /// The zero duration.
     pub const ZERO: SimDuration = SimDuration(0);
 
-    /// From whole nanoseconds.
-    #[must_use]
-    pub const fn from_nanos(ns: u64) -> SimDuration {
-        SimDuration(ns)
-    }
-
     /// From whole microseconds.
     #[must_use]
     pub const fn from_micros(us: u64) -> SimDuration {

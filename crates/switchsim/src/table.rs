@@ -700,13 +700,6 @@ impl FlowTable {
         })
     }
 
-    /// Reference oracle: the pre-index linear scan `position_of`.
-    #[cfg(test)]
-    #[must_use]
-    pub fn position_of_linear(&self, id: EntryId) -> Option<usize> {
-        (0..self.len()).find(|&i| self.get(i).id == id)
-    }
-
     /// Test hook: verifies the indexes and SoA arrays describe exactly
     /// the resident entries.
     #[cfg(test)]

@@ -22,8 +22,6 @@
 //!   [`ControlPath`](switchsim::control::ControlPath) over loopback
 //!   TCP, so `tango::fleet::run_inference` runs unmodified against the
 //!   agent server.
-//! * [`mod@bench`] — the pipelined flow-mod load generator behind the
-//!   `wire_bench` experiment arm.
 //!
 //! ## Design rules
 //!
@@ -45,7 +43,6 @@
 //!    crosses its high watermark stops being read until it drains below
 //!    the low watermark. No queue in this crate is unbounded.
 
-pub mod bench;
 pub mod control;
 pub mod reactor;
 pub mod server;
@@ -53,7 +50,6 @@ pub mod vt;
 
 /// Convenient glob-import of the types most callers need.
 pub mod prelude {
-    pub use crate::bench::{run_wire_bench, WireBenchConfig, WireBenchResult};
     pub use crate::control::TcpFleet;
     pub use crate::reactor::{NbConn, OutBuf, Pacer, Watermark};
     pub use crate::server::{

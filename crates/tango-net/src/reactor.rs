@@ -240,8 +240,8 @@ pub struct IoCounters {
 
 /// One non-blocking TCP connection: socket + outbound buffer +
 /// backpressure state. Framing is deliberately *not* here — each
-/// consumer (agent server, controller, bench client) owns its framer,
-/// so the server's hot path can feed raw bytes straight to the agent.
+/// consumer (agent server, controller) owns its framer, so the
+/// server's hot path can feed raw bytes straight to the agent.
 #[derive(Debug)]
 pub struct NbConn {
     stream: TcpStream,

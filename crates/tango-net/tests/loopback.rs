@@ -6,18 +6,24 @@
 //! against `TcpFleet` → a virtual-time agent server must produce
 //! *identical* completions — tokens, virtual timestamps, outcomes.
 
+use ofwire::codec::Framer;
 use ofwire::flow_match::FlowMatch;
 use ofwire::flow_mod::FlowMod;
-use ofwire::types::Dpid;
+use ofwire::header::OFP_HEADER_LEN;
+use ofwire::message::Message;
+use ofwire::types::{Dpid, Xid};
 use simnet::link::Link;
 use simnet::time::SimTime;
 use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 use switchsim::control::{ControlOp, ControlPath, OpOutcome};
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
-use tango_net::bench::{run_wire_bench, WireBenchConfig};
 use tango_net::control::TcpFleet;
-use tango_net::server::{AgentServer, ServerMode};
+use tango_net::server::{shard_of, AgentServer, ServerConfig, ServerMode};
+use tango_net::vt::VtMsg;
 
 /// Drives the same mixed workload over any control path, following the
 /// driver runner's discipline: two switches, one op in flight each, the
@@ -96,22 +102,91 @@ fn virtual_time_completions_match_the_testbed() {
     assert_eq!(stats.errors, 0);
 }
 
+/// A pipelined flow-mod stream through a sharded realtime server, from
+/// a fixed-shape blocking client: every connection writes its whole
+/// stream (64-id blocks of `add` then `delete_strict`, so tables stay
+/// bounded; a barrier after every 16 flow-mods), then reads the replies
+/// back.
 #[test]
 fn realtime_bench_smoke() {
-    let roster = (1..=2)
+    const SHARDS: usize = 2;
+    const CONNS: u64 = 4;
+    const FLOW_MODS: u32 = 512;
+    const ID_BLOCK: u32 = 64;
+    const FENCE_EVERY: u32 = 16;
+    let roster = (1..=CONNS)
         .map(|i| (Dpid(i), SwitchProfile::ovs()))
         .collect::<Vec<_>>();
-    let server =
-        AgentServer::spawn(1, roster, ServerMode::Realtime).expect("loopback server spawns");
-    let cfg = WireBenchConfig::new(2, 64, 16, 500);
-    let result = run_wire_bench(server.addr(), cfg).expect("bench runs");
+    let config = ServerConfig {
+        shards: SHARDS,
+        telemetry: false,
+    };
+    let server = AgentServer::spawn_with(1, roster, ServerMode::Realtime, config)
+        .expect("loopback server spawns");
+
+    // Every connection sends the same post-hello stream.
+    let mut body = Vec::new();
+    let mut fences = Vec::new();
+    let mut xid = 0;
+    for i in 0..FLOW_MODS {
+        let m = FlowMatch::l3_for_id(i % ID_BLOCK);
+        let fm = if (i / ID_BLOCK).is_multiple_of(2) {
+            FlowMod::add(m, 10)
+        } else {
+            FlowMod::delete_strict(m, 10)
+        };
+        xid += 1;
+        Message::FlowMod(fm).encode_frame_into(Xid(xid), &mut body);
+        if (i + 1).is_multiple_of(FENCE_EVERY) {
+            xid += 1;
+            Message::BarrierRequest.encode_frame_into(Xid(xid), &mut body);
+            fences.push(Xid(xid));
+        }
+    }
+    assert_eq!(fences.len(), 32);
+    let mut streams = Vec::new();
+    for dpid in 1..=CONNS {
+        let mut hello = Vec::new();
+        VtMsg::Hello { dpid }
+            .to_message()
+            .encode_frame_into(Xid(0), &mut hello);
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream.write_all(&hello).expect("send hello");
+        stream.write_all(&body).expect("send stream");
+        streams.push(stream);
+    }
+
+    for stream in &mut streams {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set timeout");
+        // A barrier reply is a bare header and the last frame sent is a
+        // barrier: an error reply shifts these bytes, a lost one starves
+        // the read.
+        let mut bytes = vec![0u8; fences.len() * OFP_HEADER_LEN];
+        stream.read_exact(&mut bytes).expect("read replies");
+        let mut framer = Framer::new();
+        framer.push(&bytes);
+        let mut replies = Vec::new();
+        for (header, msg) in framer.drain().expect("whole frames") {
+            assert!(matches!(msg, Message::BarrierReply), "got {msg:?}");
+            replies.push(header.xid);
+        }
+        assert_eq!(replies, fences, "barrier replies lost or out of order");
+    }
+    drop(streams);
     let stats = server.shutdown().expect("server exits cleanly");
 
-    assert_eq!(result.total_flow_mods, 1000);
-    assert_eq!(result.errors, 0);
-    assert_eq!(result.ack_latency_ms.n, 1000);
-    assert!(result.flow_mods_per_sec > 0.0);
-    assert!(result.ack_latency_ms.p99 >= result.ack_latency_ms.p50);
-    assert_eq!(stats.accepted, 2);
+    assert_eq!(stats.accepted, CONNS as usize);
     assert_eq!(stats.errors, 0);
+    assert_eq!(
+        stats.ops,
+        CONNS * u64::from(FLOW_MODS + FLOW_MODS / FENCE_EVERY)
+    );
+    let mut expected = vec![0usize; SHARDS];
+    for dpid in 1..=CONNS {
+        expected[shard_of(dpid, SHARDS)] += 1;
+    }
+    let served: Vec<usize> = stats.shards.iter().map(|s| s.conns).collect();
+    assert_eq!(served, expected);
 }
