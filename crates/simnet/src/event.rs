@@ -1,150 +1,41 @@
-//! A time-ordered event queue with stable FIFO ordering for ties and
-//! O(1) cancellation.
+//! A time-ordered event queue, FIFO among equal timestamps.
 //!
-//! A comparison heap alone is not deterministic for simultaneous events
-//! (order among equal keys is arbitrary), so each entry carries a
-//! monotonically increasing sequence number: events scheduled earlier pop
-//! earlier when timestamps tie. This is the property that makes whole
-//! simulations replayable.
-//!
-//! Every push hands back an [`EventKey`]; [`EventQueue::cancel`] marks
-//! the entry dead (lazy deletion — the tombstone is dropped when the
-//! entry surfaces). Liveness lives in a generation-stamped slab rather
-//! than a hash set: a key encodes `(slot, generation)`, so cancel and
-//! is-live checks are a bounds-checked array access with no hashing, and
-//! recycled slots can never confuse a stale key with a fresh event.
-//!
-//! # Calendar layout
-//!
-//! [`EventQueue`] is a **calendar queue** (Brown 1988) over the virtual
-//! clock rather than a binary heap: the near future is divided into
-//! `nbuckets` *days* of `2^shift` ns each, and an event lands in the
-//! bucket `(at >> shift) % nbuckets`. With the bucket width tuned to the
-//! average inter-event gap, push and pop are O(1) — no sift-up/down, no
-//! payload moves (payloads live in the slot arena and never migrate
-//! between tiers; the calendar stores 20-byte `(at, seq, slot)` stubs).
-//!
-//! The two-tier invariant: buckets hold only events whose day falls in
-//! the current window `[base_day, base_day + nbuckets)` — so day →
-//! bucket is injective and every bucket is single-day — while events
-//! beyond the window wait in a sorted **overflow** tier (`BTreeSet` on
-//! `(at, seq)`). When the window drains, the queue rebuilds around the
-//! overflow's earliest day; when the live population outgrows (2×) or
-//! undershoots (⅛×) the bucket count, it rebuilds with the bucket count
-//! and width re-derived from the pending span. Buckets are unsorted;
-//! pop scans its (≈1-entry) day bucket for the `(at, seq)` minimum,
-//! which is a total order, so pop order is independent of physical
-//! bucket order and bit-identical to the old heap's.
-//!
-//! The previous `BinaryHeap` implementation survives as
-//! [`legacy::EventQueue`]: the behavioural oracle the calendar queue is
-//! property-tested against, and the baseline in the `event_queue`
-//! criterion bench.
+//! A comparison heap alone pops equal keys in arbitrary order, so each
+//! entry carries a sequence number minted at push. `(at, seq)` is a total
+//! order: pop order is a pure function of the push/pop history, which is
+//! what makes whole simulations replayable.
 
 use crate::time::SimTime;
-use std::collections::BTreeSet;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
-/// Identifies one scheduled event for later cancellation.
-///
-/// Encodes `(generation << 32) | slot` into the queue's slab; a key for
-/// a delivered or cancelled event fails the generation check and is
-/// simply reported dead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventKey(u64);
-
-impl EventKey {
-    fn new(slot: u32, gen: u32) -> EventKey {
-        EventKey((u64::from(gen) << 32) | u64::from(slot))
-    }
-
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-
-    fn gen(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-/// One arena cell: generation stamp, liveness, and the event payload
-/// (present iff live — cancel drops the payload eagerly). The
-/// generation advances each time the slot is recycled, invalidating any
-/// keys minted for earlier occupants. A slot stays bound to its calendar
-/// stub until that stub is physically removed (pop, purge, or rebuild),
-/// so a freed slot can never be aliased by a stale stub.
+/// `((at, seq), event)`, key reversed: `BinaryHeap` is a max-heap.
 #[derive(Clone)]
-struct Slot<E> {
-    gen: u32,
-    live: bool,
-    event: Option<E>,
-}
+struct Entry<E>(Reverse<(SimTime, u64)>, E);
 
-/// A calendar stub: everything pop ordering needs, payload stays in the
-/// arena.
-#[derive(Clone, Copy)]
-struct Stub {
-    at: u64,
-    seq: u64,
-    slot: u32,
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
 }
-
-/// Operational counters a calendar queue accumulates over its lifetime,
-/// plus a snapshot of its current geometry. Read with
-/// [`EventQueue::stats`]; feeds the telemetry metrics registry so
-/// experiment cells can report how hard the calendar worked (overflow
-/// pressure and rebuild churn are the two ways a calendar queue loses
-/// its O(1) claim).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Stubs filed into the sorted overflow tier (far-future or
-    /// pre-window pushes) instead of a calendar bucket.
-    pub overflow_pushes: u64,
-    /// Full geometry rebuilds (growth, shrink, window exhaustion, or
-    /// pre-window push).
-    pub rebuilds: u64,
-    /// Current calendar bucket count.
-    pub buckets: u64,
-    /// Stubs currently waiting in the overflow tier.
-    pub overflow_pending: u64,
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
-
-/// Smallest bucket count; also the initial window size.
-const MIN_BUCKETS: usize = 16;
-/// Largest bucket count a rebuild will allocate.
-const MAX_BUCKETS: usize = 1 << 20;
-/// Initial bucket width: 2^14 ns ≈ 16 µs, a reasonable guess for
-/// control-plane event spacing until the first rebuild measures reality.
-const INITIAL_SHIFT: u32 = 14;
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.cmp(&other.0)
+    }
+}
 
 /// A min-queue of `(SimTime, E)` pairs, FIFO among equal times.
 #[derive(Clone)]
 pub struct EventQueue<E> {
-    /// The arena: payloads + liveness, indexed by the slot half of keys.
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    /// Pending (non-cancelled) events across both tiers.
-    live_count: usize,
-    /// Physical stubs across both tiers, including tombstones.
-    physical: usize,
-    /// Calendar tier: `nbuckets` (power of two) unsorted day buckets.
-    buckets: Vec<Vec<Stub>>,
-    /// One bit per bucket: set iff the bucket is non-empty. Lets the
-    /// pop-side day scan skip 64 empty buckets per word.
-    occupied: Vec<u64>,
-    /// log2 of the bucket width in ns.
-    shift: u32,
-    /// First day of the current window.
-    base_day: u64,
-    /// Lower bound on the earliest pending day — the pop scan cursor.
-    cur_day: u64,
-    /// Far-future tier: stubs with `day >= base_day + nbuckets`, sorted
-    /// by `(at, seq)` (slot rides along; seq is unique).
-    overflow: BTreeSet<(u64, u64, u32)>,
-    /// Lifetime overflow pushes; geometry snapshot added by `stats()`.
-    overflow_pushes: u64,
-    /// Lifetime geometry rebuilds.
-    rebuilds: u64,
+    depth_max: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -158,507 +49,42 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn new() -> EventQueue<E> {
         EventQueue {
-            slots: Vec::new(),
-            free: Vec::new(),
+            heap: BinaryHeap::new(),
             next_seq: 0,
-            live_count: 0,
-            physical: 0,
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: vec![0; MIN_BUCKETS.div_ceil(64)],
-            shift: INITIAL_SHIFT,
-            base_day: 0,
-            cur_day: 0,
-            overflow: BTreeSet::new(),
-            overflow_pushes: 0,
-            rebuilds: 0,
+            depth_max: 0,
         }
     }
 
-    /// Lifetime counters plus current geometry. O(1).
-    #[must_use]
-    pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            overflow_pushes: self.overflow_pushes,
-            rebuilds: self.rebuilds,
-            buckets: self.buckets.len() as u64,
-            overflow_pending: self.overflow.len() as u64,
-        }
-    }
-
-    /// First day past the current window.
-    fn horizon(&self) -> u64 {
-        self.base_day.saturating_add(self.buckets.len() as u64)
-    }
-
-    fn mark(&mut self, b: usize) {
-        self.occupied[b >> 6] |= 1 << (b & 63);
-    }
-
-    fn unmark(&mut self, b: usize) {
-        self.occupied[b >> 6] &= !(1 << (b & 63));
-    }
-
-    /// Schedules `event` at absolute time `at`, returning its key.
-    pub fn push(&mut self, at: SimTime, event: E) -> EventKey {
-        let seq = self.next_seq;
+    /// Schedules `event` at absolute time `at`.
+    pub fn push(&mut self, at: SimTime, event: E) {
+        self.heap.push(Entry(Reverse((at, self.next_seq)), event));
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                let s = &mut self.slots[slot as usize];
-                s.live = true;
-                s.event = Some(event);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("slab overflow");
-                self.slots.push(Slot {
-                    gen: 0,
-                    live: true,
-                    event: Some(event),
-                });
-                slot
-            }
-        };
-        let gen = self.slots[slot as usize].gen;
-        self.live_count += 1;
-        self.file_stub(Stub {
-            at: at.0,
-            seq,
-            slot,
-        });
-        if self.live_count > 2 * self.buckets.len() {
-            self.rebuild();
-        }
-        EventKey::new(slot, gen)
+        self.depth_max = self.depth_max.max(self.heap.len());
     }
 
-    /// Places a stub in the tier its day belongs to.
-    fn file_stub(&mut self, e: Stub) {
-        self.physical += 1;
-        let day = e.at >> self.shift;
-        if self.physical == 1 && (day < self.base_day || day >= self.horizon()) {
-            // The queue held nothing else and the clock has drifted out
-            // of the window: slide the (empty) window to this day
-            // instead of bouncing the stub through overflow and a
-            // rebuild. This is the steady state of lightly loaded
-            // simulations — a handful of in-flight events chasing an
-            // ever-advancing clock.
-            self.base_day = day;
-            self.cur_day = day;
-        }
-        if day < self.base_day {
-            // Pre-window push (the queue itself does not require
-            // monotone times; the simulator's causality check does).
-            // Park it in overflow and rebuild around the new minimum.
-            self.overflow_pushes += 1;
-            self.overflow.insert((e.at, e.seq, e.slot));
-            self.rebuild();
-        } else if day >= self.horizon() {
-            self.overflow_pushes += 1;
-            self.overflow.insert((e.at, e.seq, e.slot));
-        } else {
-            let b = (day as usize) & (self.buckets.len() - 1);
-            self.buckets[b].push(e);
-            self.mark(b);
-            if day < self.cur_day {
-                self.cur_day = day;
-            }
-        }
-    }
-
-    /// Cancels a scheduled event. Returns `false` if the key was already
-    /// delivered or cancelled. O(1): flips the liveness bit and drops
-    /// the payload; the stub is reaped when it surfaces.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        match self.slots.get_mut(key.slot() as usize) {
-            Some(s) if s.gen == key.gen() && s.live => {
-                s.live = false;
-                s.event = None;
-                self.live_count -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Returns the slot to the free list, invalidating outstanding keys.
-    /// Called only when the slot's stub has been physically removed.
-    fn release(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.gen = s.gen.wrapping_add(1);
-        s.live = false;
-        s.event = None;
-        self.free.push(slot);
-    }
-
-    /// Removes and returns the earliest live event.
+    /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_keyed().map(|(at, _, e)| (at, e))
+        let Entry(Reverse((at, _)), event) = self.heap.pop()?;
+        Some((at, event))
     }
 
-    /// Removes and returns the earliest live event along with its key.
-    pub fn pop_keyed(&mut self) -> Option<(SimTime, EventKey, E)> {
-        if self.live_count == 0 {
-            self.purge_all();
-            return None;
-        }
-        let (b, idx) = self.locate_min().expect("live_count > 0");
-        let e = self.buckets[b].swap_remove(idx);
-        if self.buckets[b].is_empty() {
-            self.unmark(b);
-        }
-        self.physical -= 1;
-        self.live_count -= 1;
-        let gen = self.slots[e.slot as usize].gen;
-        let ev = self.slots[e.slot as usize]
-            .event
-            .take()
-            .expect("live slot has payload");
-        self.release(e.slot);
-        if self.buckets.len() > MIN_BUCKETS && self.live_count < self.buckets.len() / 8 {
-            self.rebuild();
-        }
-        Some((SimTime(e.at), EventKey::new(e.slot, gen), ev))
-    }
-
-    /// Timestamp of the earliest live event without removing it.
-    #[must_use]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.live_count == 0 {
-            self.purge_all();
-            return None;
-        }
-        let (b, idx) = self.locate_min().expect("live_count > 0");
-        Some(SimTime(self.buckets[b][idx].at))
-    }
-
-    /// Finds the bucket and in-bucket index of the earliest live stub,
-    /// reaping tombstones along the way and pulling the window forward
-    /// over overflow when the calendar tier drains. Requires
-    /// `live_count > 0`.
-    fn locate_min(&mut self) -> Option<(usize, usize)> {
-        loop {
-            let mask = self.buckets.len() - 1;
-            match self.next_occupied((self.cur_day as usize) & mask) {
-                Some(b) => {
-                    if let Some(idx) = self.reap_and_min(b) {
-                        self.cur_day = self.buckets[b][idx].at >> self.shift;
-                        return Some((b, idx));
-                    }
-                    // Bucket was all tombstones (now empty); rescan.
-                }
-                None => {
-                    if self.overflow.is_empty() {
-                        return None;
-                    }
-                    // Window exhausted: rebase it over the overflow tier.
-                    self.rebuild();
-                }
-            }
-        }
-    }
-
-    /// First non-empty bucket in cyclic day order starting at `start`.
-    /// Word-at-a-time over the occupancy bitmap. Because buckets of
-    /// days already drained are empty and day → bucket is injective
-    /// within the window, the first set bit found in cyclic order is
-    /// the earliest pending day.
-    fn next_occupied(&self, start: usize) -> Option<usize> {
-        let words = self.occupied.len();
-        let mut w = start >> 6;
-        let mut word = self.occupied[w] & (!0u64 << (start & 63));
-        for _ in 0..=words {
-            if word != 0 {
-                return Some((w << 6) + word.trailing_zeros() as usize);
-            }
-            w += 1;
-            if w == words {
-                w = 0;
-            }
-            word = self.occupied[w];
-        }
-        None
-    }
-
-    /// Drops every tombstone in bucket `b` (releasing their slots) and
-    /// returns the index of the live stub minimal in `(at, seq)`, or
-    /// `None` if the bucket had no live stubs (it is then empty and
-    /// unmarked).
-    fn reap_and_min(&mut self, b: usize) -> Option<usize> {
-        let mut best: Option<(u64, u64, usize)> = None;
-        let mut i = 0;
-        while i < self.buckets[b].len() {
-            let e = self.buckets[b][i];
-            if !self.slots[e.slot as usize].live {
-                self.buckets[b].swap_remove(i);
-                self.physical -= 1;
-                self.release(e.slot);
-                continue; // re-examine the stub swapped into `i`
-            }
-            if best.is_none_or(|(ba, bs, _)| (e.at, e.seq) < (ba, bs)) {
-                best = Some((e.at, e.seq, i));
-            }
-            i += 1;
-        }
-        if self.buckets[b].is_empty() {
-            self.unmark(b);
-        }
-        best.map(|(_, _, idx)| idx)
-    }
-
-    /// Releases every remaining stub. Called when the live count hits
-    /// zero so all-cancelled queues return their slots, matching the
-    /// legacy heap's skip-at-front behaviour.
-    fn purge_all(&mut self) {
-        if self.physical == 0 {
-            return;
-        }
-        for b in 0..self.buckets.len() {
-            while let Some(e) = self.buckets[b].pop() {
-                self.release(e.slot);
-            }
-        }
-        self.occupied.fill(0);
-        for (_, _, slot) in std::mem::take(&mut self.overflow) {
-            self.release(slot);
-        }
-        self.physical = 0;
-    }
-
-    /// Re-derives the calendar geometry from the pending population and
-    /// redistributes every live stub (tombstones are reaped here).
-    ///
-    /// Deterministic: bucket count is the population's next power of
-    /// two (clamped), bucket width is the mean inter-event gap rounded
-    /// down to a power of two — both pure functions of pending state,
-    /// so identical op histories rebuild identically.
-    fn rebuild(&mut self) {
-        self.rebuilds += 1;
-        let mut all: Vec<Stub> = Vec::with_capacity(self.live_count);
-        for b in 0..self.buckets.len() {
-            while let Some(e) = self.buckets[b].pop() {
-                if self.slots[e.slot as usize].live {
-                    all.push(e);
-                } else {
-                    self.release(e.slot);
-                }
-            }
-        }
-        for (at, seq, slot) in std::mem::take(&mut self.overflow) {
-            if self.slots[slot as usize].live {
-                all.push(Stub { at, seq, slot });
-            } else {
-                self.release(slot);
-            }
-        }
-        self.physical = all.len();
-        if all.is_empty() {
-            self.occupied.fill(0);
-            self.base_day = 0;
-            self.cur_day = 0;
-            return;
-        }
-        let (mut min_at, mut max_at) = (u64::MAX, 0u64);
-        for e in &all {
-            min_at = min_at.min(e.at);
-            max_at = max_at.max(e.at);
-        }
-        let count = all.len();
-        let avg_gap = ((max_at - min_at) / count as u64).max(1);
-        self.shift = (63 - avg_gap.leading_zeros()).min(48);
-        let n = count.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        self.buckets.resize_with(n, Vec::new);
-        self.occupied.clear();
-        self.occupied.resize(n.div_ceil(64), 0);
-        self.base_day = min_at >> self.shift;
-        self.cur_day = self.base_day;
-        let horizon = self.horizon();
-        for e in all {
-            let day = e.at >> self.shift;
-            debug_assert!(day >= self.base_day);
-            if day < horizon {
-                let b = (day as usize) & (n - 1);
-                self.buckets[b].push(e);
-                self.mark(b);
-            } else {
-                self.overflow.insert((e.at, e.seq, e.slot));
-            }
-        }
-    }
-
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live_count
+        self.heap.len()
     }
 
-    /// True if no live events are pending.
+    /// True if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The pre-calendar `BinaryHeap` event queue, kept as the behavioural
-/// oracle: the calendar queue is property-tested against it (identical
-/// pop sequences under interleaved push/pop/cancel) and benchmarked
-/// against it in `benches/event_queue.rs`. Same observable API and
-/// semantics; only the internal ordering structure differs.
-pub mod legacy {
-    use super::EventKey;
-    use crate::time::SimTime;
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    struct Entry<E> {
-        at: SimTime,
-        seq: u64,
-        slot: u32,
-        gen: u32,
-        event: E,
+        self.heap.is_empty()
     }
 
-    impl<E> PartialEq for Entry<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.at == other.at && self.seq == other.seq
-        }
-    }
-    impl<E> Eq for Entry<E> {}
-
-    impl<E> Ord for Entry<E> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Reversed: BinaryHeap is a max-heap, we want earliest first.
-            other
-                .at
-                .cmp(&self.at)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-
-    impl<E> PartialOrd for Entry<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    struct Slot {
-        gen: u32,
-        live: bool,
-    }
-
-    /// A min-queue of `(SimTime, E)` pairs, FIFO among equal times,
-    /// backed by a `BinaryHeap` with payloads inline in heap entries.
-    #[derive(Default)]
-    pub struct EventQueue<E> {
-        heap: BinaryHeap<Entry<E>>,
-        next_seq: u64,
-        slots: Vec<Slot>,
-        free: Vec<u32>,
-        live_count: usize,
-    }
-
-    impl<E> EventQueue<E> {
-        /// Creates an empty queue.
-        #[must_use]
-        pub fn new() -> EventQueue<E> {
-            EventQueue {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-                slots: Vec::new(),
-                free: Vec::new(),
-                live_count: 0,
-            }
-        }
-
-        /// Schedules `event` at absolute time `at`, returning its key.
-        pub fn push(&mut self, at: SimTime, event: E) -> EventKey {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let slot = match self.free.pop() {
-                Some(slot) => {
-                    self.slots[slot as usize].live = true;
-                    slot
-                }
-                None => {
-                    let slot = u32::try_from(self.slots.len()).expect("slab overflow");
-                    self.slots.push(Slot { gen: 0, live: true });
-                    slot
-                }
-            };
-            let gen = self.slots[slot as usize].gen;
-            self.heap.push(Entry {
-                at,
-                seq,
-                slot,
-                gen,
-                event,
-            });
-            self.live_count += 1;
-            EventKey::new(slot, gen)
-        }
-
-        /// Cancels a scheduled event. Returns `false` if the key was
-        /// already delivered or cancelled.
-        pub fn cancel(&mut self, key: EventKey) -> bool {
-            match self.slots.get_mut(key.slot() as usize) {
-                Some(s) if s.gen == key.gen() && s.live => {
-                    s.live = false;
-                    self.live_count -= 1;
-                    true
-                }
-                _ => false,
-            }
-        }
-
-        fn release(&mut self, slot: u32) {
-            let s = &mut self.slots[slot as usize];
-            s.gen = s.gen.wrapping_add(1);
-            s.live = false;
-            self.free.push(slot);
-        }
-
-        fn skip_cancelled(&mut self) {
-            while let Some(front) = self.heap.peek() {
-                if self.slots[front.slot as usize].live {
-                    break;
-                }
-                let e = self.heap.pop().expect("peeked entry");
-                self.release(e.slot);
-            }
-        }
-
-        /// Removes and returns the earliest live event.
-        pub fn pop(&mut self) -> Option<(SimTime, E)> {
-            self.pop_keyed().map(|(at, _, e)| (at, e))
-        }
-
-        /// Removes and returns the earliest live event with its key.
-        pub fn pop_keyed(&mut self) -> Option<(SimTime, EventKey, E)> {
-            self.skip_cancelled();
-            let e = self.heap.pop()?;
-            self.release(e.slot);
-            self.live_count -= 1;
-            Some((e.at, EventKey::new(e.slot, e.gen), e.event))
-        }
-
-        /// Timestamp of the earliest live event without removing it.
-        #[must_use]
-        pub fn peek_time(&mut self) -> Option<SimTime> {
-            self.skip_cancelled();
-            self.heap.peek().map(|e| e.at)
-        }
-
-        /// Number of pending (non-cancelled) events.
-        #[must_use]
-        pub fn len(&self) -> usize {
-            self.live_count
-        }
-
-        /// True if no live events are pending.
-        #[must_use]
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
+    /// The most events ever pending at once; traced runs report it as
+    /// `sim/queue_depth_max`. A binary heap suits it while it stays small.
+    #[must_use]
+    pub fn depth_max(&self) -> usize {
+        self.depth_max
     }
 }
 
@@ -673,7 +99,6 @@ mod tests {
         q.push(SimTime(30), "c");
         q.push(SimTime(10), "a");
         q.push(SimTime(20), "b");
-        assert_eq!(q.peek_time(), Some(SimTime(10)));
         assert_eq!(q.pop(), Some((SimTime(10), "a")));
         assert_eq!(q.pop(), Some((SimTime(20), "b")));
         assert_eq!(q.pop(), Some((SimTime(30), "c")));
@@ -704,40 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_events_never_surface() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime(1), "a");
-        let b = q.push(SimTime(2), "b");
-        let c = q.push(SimTime(3), "c");
-        assert!(q.cancel(b));
-        assert!(!q.cancel(b), "double-cancel is a no-op");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some((SimTime(1), "a")));
-        assert_eq!(q.pop(), Some((SimTime(3), "c")));
-        assert_eq!(q.pop(), None);
-        assert!(!q.cancel(a), "already delivered");
-        let _ = c;
-    }
-
-    #[test]
-    fn cancel_at_queue_head_updates_peek() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime(1), 1);
-        q.push(SimTime(2), 2);
-        assert!(q.cancel(a));
-        assert_eq!(q.peek_time(), Some(SimTime(2)));
-    }
-
-    #[test]
-    fn pop_keyed_returns_matching_keys() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime(5), "x");
-        let (at, key, e) = q.pop_keyed().unwrap();
-        assert_eq!((at, e), (SimTime(5), "x"));
-        assert_eq!(key, a);
-    }
-
-    #[test]
     fn len_and_empty() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
@@ -748,138 +139,40 @@ mod tests {
     }
 
     #[test]
-    fn recycled_slots_reject_stale_keys() {
+    fn depth_max_is_a_high_water_mark() {
         let mut q = EventQueue::new();
-        let a = q.push(SimTime(1), 1);
-        assert_eq!(q.pop(), Some((SimTime(1), 1)));
-        // The slot is recycled for a fresh event; the old key must not
-        // be able to cancel it.
-        let b = q.push(SimTime(2), 2);
-        assert!(!q.cancel(a), "stale generation");
-        assert_eq!(q.len(), 1);
-        assert!(q.cancel(b));
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.depth_max(), 0);
+        q.push(SimTime(1), ());
+        q.push(SimTime(2), ());
+        q.pop();
+        q.push(SimTime(3), ());
+        assert_eq!((q.len(), q.depth_max()), (2, 2));
+        q.pop();
+        q.pop();
+        assert_eq!((q.len(), q.depth_max()), (0, 2));
     }
 
     #[test]
-    fn cancelled_then_recycled_slot_stays_consistent() {
+    fn clone_of_half_drained_queue_pops_identically() {
+        // What `Testbed: Clone` relies on: a copy taken mid-run carries
+        // the pending set, the tie order and the seq counter with it.
         let mut q = EventQueue::new();
-        let a = q.push(SimTime(1), "a");
-        assert!(q.cancel(a));
-        // Slot is not yet recycled (stub still buried in a bucket);
-        // pushing more events must not resurrect the cancelled one.
-        let b = q.push(SimTime(2), "b");
-        assert_eq!(q.pop(), Some((SimTime(2), "b")));
-        assert!(!q.cancel(a));
-        assert!(!q.cancel(b));
-        // After the cancelled stub surfaced and its slot recycled, a
-        // new push reuses it under a fresh generation.
-        let c = q.push(SimTime(3), "c");
-        assert!(!q.cancel(a));
-        assert_eq!(q.pop(), Some((SimTime(3), "c")));
-        let _ = c;
-    }
-
-    #[test]
-    fn far_future_events_route_through_overflow() {
-        let mut q = EventQueue::new();
-        // Way past the initial 16-bucket × 16 µs window.
-        let far = SimTime::ZERO + SimDuration::from_secs(3600);
-        q.push(far, "far");
-        q.push(SimTime(100), "near");
-        assert_eq!(q.pop(), Some((SimTime(100), "near")));
-        // Window drained: next pop must rebase over the overflow tier.
-        assert_eq!(q.peek_time(), Some(far));
-        assert_eq!(q.pop(), Some((far, "far")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn growth_and_shrink_preserve_order() {
-        // Push enough to force several grow rebuilds, interleave
-        // cancels, then drain past the shrink threshold.
-        let mut q = EventQueue::new();
-        let mut keys = Vec::new();
-        for i in 0..10_000u64 {
-            // A mix of clustered and spread timestamps.
-            let at = SimTime((i % 97) * 1_000 + (i / 97) * 5_000_000);
-            keys.push(q.push(at, i));
-        }
-        for i in (0..10_000).step_by(3) {
-            assert!(q.cancel(keys[i]));
-        }
-        let mut last: Option<(SimTime, u64)> = None;
-        let mut popped = 0;
-        while let Some((at, _, i)) = q.pop_keyed() {
-            assert_ne!(i % 3, 0, "cancelled event {i} surfaced");
-            if let Some((lat, lseq)) = last {
-                assert!(at > lat || (at == lat && i > lseq), "out of order");
-            }
-            last = Some((at, i));
-            popped += 1;
-        }
-        assert_eq!(popped, 10_000 - keys.len().div_ceil(3));
-    }
-
-    #[test]
-    fn push_earlier_than_window_base_is_still_ordered() {
-        let mut q = EventQueue::new();
-        // Drag the window forward…
-        q.push(SimTime(50_000_000), 1);
-        assert_eq!(q.pop(), Some((SimTime(50_000_000), 1)));
-        // …then push before it (legal at the queue layer; the simulator
-        // enforces causality separately).
-        q.push(SimTime(10), 2);
-        q.push(SimTime(60_000_000), 3);
-        assert_eq!(q.pop(), Some((SimTime(10), 2)));
-        assert_eq!(q.pop(), Some((SimTime(60_000_000), 3)));
-    }
-
-    #[test]
-    fn stats_count_overflow_and_rebuilds() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.stats(), QueueStats::default().buckets_is(16));
-        // With a near event holding the window in place, a far-future
-        // push must route through overflow.
-        q.push(SimTime(100), ());
-        q.push(SimTime::ZERO + SimDuration::from_secs(3600), ());
-        assert_eq!(q.stats().overflow_pushes, 1);
-        assert_eq!(q.stats().overflow_pending, 1);
-        // Enough pushes to trip a growth rebuild (2× bucket count).
         for i in 0..40u64 {
-            q.push(SimTime(i * 1_000), ());
+            q.push(SimTime((i * 37) % 11), i);
         }
-        assert!(q.stats().rebuilds >= 1);
-        assert!(q.stats().buckets >= 32);
-    }
-
-    impl QueueStats {
-        fn buckets_is(mut self, n: u64) -> QueueStats {
-            self.buckets = n;
-            self
+        for _ in 0..20 {
+            q.pop();
         }
-    }
-
-    #[test]
-    fn legacy_queue_matches_on_a_smoke_sequence() {
-        let mut a = EventQueue::new();
-        let mut b = legacy::EventQueue::new();
-        let mut ka = Vec::new();
-        let mut kb = Vec::new();
-        for i in 0..200u64 {
-            let at = SimTime((i * 37) % 101);
-            ka.push(a.push(at, i));
-            kb.push(b.push(at, i));
-        }
-        for i in (0..200).step_by(7) {
-            assert_eq!(a.cancel(ka[i]), b.cancel(kb[i]));
+        let mut c = q.clone();
+        for i in 40..60u64 {
+            q.push(SimTime(5 + i % 3), i);
+            c.push(SimTime(5 + i % 3), i);
         }
         loop {
-            assert_eq!(a.peek_time(), b.peek_time());
-            assert_eq!(a.len(), b.len());
-            match (a.pop(), b.pop()) {
-                (None, None) => break,
-                (x, y) => assert_eq!(x, y),
+            let (a, b) = (q.pop(), c.pop());
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
             }
         }
     }

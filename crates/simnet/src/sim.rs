@@ -9,7 +9,7 @@
 //!   scheduler executor) schedules completion events and consumes them
 //!   with [`Simulator::next_event`], which warps the clock forward.
 
-use crate::event::{EventKey, EventQueue};
+use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -81,12 +81,12 @@ impl<E> Simulator<E> {
         self.now += d;
     }
 
-    /// Schedules an event at an absolute time, returning a key that can
-    /// later cancel it. Scheduling in the past is a logic error and
-    /// panics (it would silently reorder causality).
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventKey {
+    /// Schedules an event at an absolute time. Scheduling in the past
+    /// is a logic error and panics (it would silently reorder
+    /// causality).
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(at >= self.now, "scheduling at {at} before now {}", self.now);
-        self.queue.push(at, event)
+        self.queue.push(at, event);
     }
 
     /// Schedules an event `d` after the current time. Routed through
@@ -94,14 +94,8 @@ impl<E> Simulator<E> {
     /// not-in-the-past causality check (`now + d` can only trip it on
     /// arithmetic overflow, which the check turns into a loud panic
     /// instead of a silently reordered simulation).
-    pub fn schedule_in(&mut self, d: SimDuration, event: E) -> EventKey {
-        self.schedule_at(self.now + d, event)
-    }
-
-    /// Cancels a previously scheduled event. Returns `false` if it
-    /// already fired or was already cancelled.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        self.queue.cancel(key)
+    pub fn schedule_in(&mut self, d: SimDuration, event: E) {
+        self.schedule_at(self.now + d, event);
     }
 
     /// Pops the earliest event, warping the clock to its timestamp.
@@ -114,23 +108,16 @@ impl<E> Simulator<E> {
         Some((at, event))
     }
 
-    /// Timestamp of the next pending event, if any.
-    #[must_use]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Number of pending events.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
 
-    /// Calendar-queue counters and geometry (overflow pressure, rebuild
-    /// churn, bucket count) for metrics snapshots.
+    /// The most events ever pending at once, for metrics snapshots.
     #[must_use]
-    pub fn queue_stats(&self) -> crate::event::QueueStats {
-        self.queue.stats()
+    pub fn queue_depth_max(&self) -> usize {
+        self.queue.depth_max()
     }
 
     /// Runs the event loop to exhaustion, applying `handler` to each

@@ -1,32 +1,45 @@
-//! Property test: the calendar event queue agrees with the legacy
-//! `BinaryHeap` queue on random interleavings of push/pop/cancel.
+//! Property test: the event queue agrees with a naive sorted-`Vec`
+//! model on random interleavings of push/pop.
 //!
-//! Timestamps are drawn from a deliberately tie-heavy, mixed-scale
-//! distribution (dense clusters, far-future outliers that must route
-//! through the overflow tier, and exact duplicates that exercise the
-//! seq FIFO tie-break), because those are exactly the regimes where a
-//! bucketed structure could diverge from a comparison heap. Keys are
-//! tracked per-implementation by push order — the two queues are free
-//! to mint different slot/generation bit patterns — and cancels target
-//! fresh, already-delivered, and already-cancelled keys alike, pinning
-//! the stale-key rejection contract.
+//! The model is deliberately the dumbest thing that is obviously right:
+//! insert after the last element whose time is not later, pop from the
+//! front — FIFO among ties by construction, no sequence numbers. The
+//! heap gets its FIFO from the `seq` tie-break in `Ord`; drop that and
+//! this test fails. Timestamps are drawn from a tie-heavy, mixed-scale
+//! pool (dense exact ties, medium spread, far-future outliers), because
+//! ties are exactly where a comparison heap is free to diverge.
 
 use proptest::prelude::*;
-use simnet::event::{legacy, EventQueue};
+use simnet::event::EventQueue;
 use simnet::time::SimTime;
+
+/// Reference queue: a `Vec` kept sorted by time, stable among ties.
+#[derive(Default)]
+struct Model {
+    items: Vec<(SimTime, u64)>,
+}
+
+impl Model {
+    fn push(&mut self, at: SimTime, event: u64) {
+        let i = self.items.partition_point(|&(t, _)| t <= at);
+        self.items.insert(i, (at, event));
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        if self.items.is_empty() {
+            None
+        } else {
+            Some(self.items.remove(0))
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 enum Op {
     /// Push at a timestamp picked from the tie-heavy pool.
     Push { at_pick: u8 },
-    /// Pop one event; both queues must yield the same (time, payload).
+    /// Pop one event; queue and model must yield the same (time, payload).
     Pop,
-    /// Cancel the key minted by the `which`-th push (mod pushes so
-    /// far) — may be live, delivered, or already cancelled; both
-    /// queues must report the same result.
-    Cancel { which: u16 },
-    /// Compare peeked front timestamps.
-    Peek,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -38,15 +51,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(|at_pick| Op::Push { at_pick }),
         Just(Op::Pop),
         Just(Op::Pop),
-        any::<u16>().prop_map(|which| Op::Cancel { which }),
-        any::<u16>().prop_map(|which| Op::Cancel { which }),
-        Just(Op::Peek),
     ]
 }
 
 /// Maps a byte to a timestamp: mostly a tiny dense cluster (heavy
-/// exact ties), some medium spread, a few far-future outliers beyond
-/// any initial calendar window.
+/// exact ties), some medium spread, a few far-future outliers.
 fn at_for(pick: u8, salt: u64) -> SimTime {
     match pick % 8 {
         0..=3 => SimTime(u64::from(pick % 4) * 1_000),
@@ -60,62 +69,36 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn calendar_queue_matches_binary_heap_oracle(
+    fn event_queue_matches_sorted_vec_model(
         ops in proptest::collection::vec(op_strategy(), 1..400),
     ) {
-        let mut cal: EventQueue<u64> = EventQueue::new();
-        let mut heap: legacy::EventQueue<u64> = legacy::EventQueue::new();
-        // Push-order key ledgers, one per implementation: key bit
-        // patterns may differ, behaviour must not.
-        let mut cal_keys = Vec::new();
-        let mut heap_keys = Vec::new();
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        let mut model = Model::default();
         let mut payload = 0u64;
 
         for (i, op) in ops.into_iter().enumerate() {
             match op {
                 Op::Push { at_pick } => {
                     let at = at_for(at_pick, i as u64);
-                    cal_keys.push(cal.push(at, payload));
-                    heap_keys.push(heap.push(at, payload));
+                    queue.push(at, payload);
+                    model.push(at, payload);
                     payload += 1;
                 }
                 Op::Pop => {
-                    prop_assert_eq!(cal.pop(), heap.pop(), "pop diverged at op {}", i);
-                }
-                Op::Cancel { which } => {
-                    if !cal_keys.is_empty() {
-                        let k = usize::from(which) % cal_keys.len();
-                        prop_assert_eq!(
-                            cal.cancel(cal_keys[k]),
-                            heap.cancel(heap_keys[k]),
-                            "cancel diverged at op {}", i
-                        );
-                    }
-                }
-                Op::Peek => {
-                    prop_assert_eq!(cal.peek_time(), heap.peek_time(), "peek diverged at op {}", i);
+                    prop_assert_eq!(queue.pop(), model.pop(), "pop diverged at op {}", i);
                 }
             }
-            prop_assert_eq!(cal.len(), heap.len(), "len diverged at op {}", i);
-            prop_assert_eq!(cal.is_empty(), heap.is_empty());
+            prop_assert_eq!(queue.len(), model.items.len(), "len diverged at op {}", i);
+            prop_assert_eq!(queue.is_empty(), model.items.is_empty());
         }
 
-        // Drain both to exhaustion: full pop sequences must be
-        // identical, and stale keys must stay dead in both.
+        // Drain both to exhaustion: full pop sequences must be identical.
         loop {
-            let (a, b) = (cal.pop_keyed(), heap.pop_keyed());
-            match (a, b) {
-                (None, None) => break,
-                (Some((at_a, _, e_a)), Some((at_b, _, e_b))) => {
-                    prop_assert_eq!((at_a, e_a), (at_b, e_b), "drain diverged");
-                }
-                (a, b) => prop_assert!(false, "drain length diverged: {:?} vs {:?}",
-                    a.map(|(t, _, e)| (t, e)), b.map(|(t, _, e)| (t, e))),
+            let (a, b) = (queue.pop(), model.pop());
+            prop_assert_eq!(a, b, "drain diverged");
+            if a.is_none() {
+                break;
             }
-        }
-        for (ka, kb) in cal_keys.into_iter().zip(heap_keys) {
-            prop_assert!(!cal.cancel(ka), "delivered key cancellable in calendar queue");
-            prop_assert!(!heap.cancel(kb), "delivered key cancellable in heap queue");
         }
     }
 }

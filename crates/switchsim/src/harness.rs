@@ -250,10 +250,10 @@ impl Testbed {
     }
 
     /// Closes out telemetry: snapshots per-switch data-path stats and
-    /// simulator/calendar-queue counters into the registry, labels the
-    /// export tracks, closes any still-open spans at the current virtual
-    /// time, and detaches the recorder. Returns `None` when telemetry
-    /// was never enabled.
+    /// the simulator's event count and peak queue depth into the
+    /// registry, labels the export tracks, closes any still-open spans
+    /// at the current virtual time, and detaches the recorder. Returns
+    /// `None` when telemetry was never enabled.
     pub fn finish_recorder(&mut self) -> Option<Box<Recorder>> {
         if !self.telemetry.is_enabled() {
             return None;
@@ -286,11 +286,7 @@ impl Testbed {
         t.count("pipeline/slow_hits", agg.slow_hits);
         t.count("pipeline/misses", agg.misses);
         t.count("sim/events", self.sim.events_processed());
-        let qs = self.sim.queue_stats();
-        t.count("sim/cq_overflow_pushes", qs.overflow_pushes);
-        t.count("sim/cq_rebuilds", qs.rebuilds);
-        t.gauge_max("sim/cq_buckets", qs.buckets);
-        t.gauge_max("sim/cq_overflow_pending", qs.overflow_pending);
+        t.gauge_max("sim/queue_depth_max", self.sim.queue_depth_max() as u64);
         let now = self.sim.now();
         let mut rec = self.telemetry.take()?;
         rec.close_all(now);

@@ -797,6 +797,11 @@ mod tests {
             m.hists.iter().any(|(k, _)| k == "sched/ready_frontier"),
             "frontier histogram missing"
         );
+        let depth = m.gauges.iter().find(|(k, _)| k == "sim/queue_depth_max");
+        assert!(
+            matches!(depth, Some(&(_, d)) if (1..=tb.dpids().len() as u64).contains(&d)),
+            "at most one event in flight per attached switch, got {depth:?}"
+        );
     }
 
     #[test]
