@@ -21,7 +21,7 @@
 //!   timestamps op by op.
 
 use crate::agent::AgentOutput;
-use crate::control::{ControlOp, OpOutcome, OpResult};
+use crate::control::{ControlOp, OpOutcome, OpResult, READY_ON_PREVIOUS_ACK};
 use ofwire::barrier::BarrierTracker;
 use ofwire::message::Message;
 use ofwire::packet::PacketOut;
@@ -294,6 +294,8 @@ pub fn attach_streams(master: &mut DetRng, dpid: Dpid) -> (u64, DetRng) {
 /// acked  = done + down
 /// ```
 ///
+/// ([`READY_ON_PREVIOUS_ACK`] as `ready_at` is the previous `acked`.)
+///
 /// Per-switch timelines are fully independent (the only cross-switch
 /// state is the shared clock, which never influences these values), so
 /// a transport that processes each connection's ops in FIFO order can
@@ -303,6 +305,7 @@ pub fn attach_streams(master: &mut DetRng, dpid: Dpid) -> (u64, DetRng) {
 pub struct VirtualTimeline {
     last_arrival: SimTime,
     prev_done: SimTime,
+    prev_acked: SimTime,
 }
 
 impl VirtualTimeline {
@@ -316,6 +319,11 @@ impl VirtualTimeline {
     /// Admits the next op in channel order; returns the virtual time
     /// its processing starts.
     pub fn admit(&mut self, ready_at: SimTime, up: SimDuration) -> SimTime {
+        let ready_at = if ready_at == READY_ON_PREVIOUS_ACK {
+            self.prev_acked
+        } else {
+            ready_at
+        };
         let arrive = (ready_at + up).max(self.last_arrival);
         self.last_arrival = arrive;
         arrive.max(self.prev_done)
@@ -330,7 +338,8 @@ impl VirtualTimeline {
     ) -> (SimTime, SimTime) {
         let done = start + cost;
         self.prev_done = done;
-        (done, done + down)
+        self.prev_acked = done + down;
+        (done, self.prev_acked)
     }
 }
 
@@ -385,5 +394,24 @@ mod tests {
         // earlier one (in-order delivery clamp).
         let s3 = tl.admit(SimTime::ZERO, SimDuration::ZERO);
         assert_eq!(s3, d2);
+    }
+
+    #[test]
+    fn timeline_resolves_ready_on_previous_ack() {
+        let up = SimDuration::from_millis_f64(1.0);
+        let cost = SimDuration::from_millis_f64(5.0);
+        let down = SimDuration::from_millis_f64(2.0);
+        let mut chained = VirtualTimeline::new();
+        let mut timed = VirtualTimeline::new();
+        // Before any op the previous ack is the attach time, zero.
+        let mut prev_acked = SimTime::ZERO;
+        for _ in 0..3 {
+            let s = chained.admit(READY_ON_PREVIOUS_ACK, up);
+            assert_eq!(s, timed.admit(prev_acked, up));
+            assert_eq!(s, prev_acked + up, "acks outrun the CPU and FIFO clamps");
+            let done = chained.complete(s, cost, down);
+            assert_eq!(done, timed.complete(s, cost, down));
+            prev_acked = done.1;
+        }
     }
 }

@@ -197,6 +197,16 @@ impl Completion {
     }
 }
 
+/// The `ready_at` that means "this op leaves the controller the instant
+/// the previous op submitted to the same switch is acknowledged" — that
+/// op's `acked_at`, or the attach time when the switch has had none.
+/// The side that owns the virtual clock computes every `acked_at`, so it
+/// resolves the dependency itself and a window of ops paced on acks can
+/// be submitted (and, over a socket, written) at once. A value of
+/// `ready_at`, not a second submit method, so that a decorator written
+/// method by method over [`ControlPath`] still sees every op.
+pub const READY_ON_PREVIOUS_ACK: SimTime = SimTime(u64::MAX);
+
 /// A transport that carries OpenFlow operations to switches and returns
 /// completion events in virtual-time order.
 pub trait ControlPath {
@@ -207,6 +217,13 @@ pub trait ControlPath {
     /// `ready_at` (which must not precede `now`). The op serializes
     /// behind earlier ops on the same switch's control channel; the
     /// returned token identifies its eventual completion.
+    ///
+    /// `ready_at` may be [`READY_ON_PREVIOUS_ACK`], resolved by every
+    /// implementation to the instant an explicit submit at the
+    /// predecessor's `acked_at` would have named. An explicit time cannot
+    /// be ordered against instants not computed yet: submitting one while
+    /// chained ops still wait on their predecessors is a caller error
+    /// (the testbed panics).
     fn submit(&mut self, dpid: Dpid, op: ControlOp, ready_at: SimTime) -> OpToken;
 
     /// Delivers the next completion in virtual-time order, advancing the

@@ -30,7 +30,9 @@
 
 use crate::agent::{Agent, AgentOutput};
 use crate::chan::{self, ChanCodec, OpKind};
-use crate::control::{Completion, ControlOp, ControlPath, OpOutcome, OpToken};
+use crate::control::{
+    Completion, ControlOp, ControlPath, OpOutcome, OpToken, READY_ON_PREVIOUS_ACK,
+};
 use crate::pipeline::Hit;
 use crate::profiles::SwitchProfile;
 use crate::switch::{DataPathStats, Switch};
@@ -104,6 +106,13 @@ struct Attached {
     last_arrival: SimTime,
     /// Latest completion (`done_at`) observed on this switch.
     quiet_at: SimTime,
+    /// `acked_at` of the op that completed last (attach time before any).
+    last_ack: SimTime,
+    /// Ops submitted with [`READY_ON_PREVIOUS_ACK`] behind an op still
+    /// out: token minted, not encoded, no event. The `Done` of the last
+    /// launched op launches the front one, so xids, latency draws and
+    /// simulator events happen exactly as in one-at-a-time submission.
+    parked: VecDeque<(OpToken, ControlOp)>,
 }
 
 /// Events the testbed's simulator carries. The payload is the dense
@@ -318,6 +327,8 @@ impl Testbed {
             current: None,
             last_arrival: now,
             quiet_at: now,
+            last_ack: now,
+            parked: VecDeque::new(),
         });
     }
 
@@ -358,9 +369,7 @@ impl Testbed {
     /// Encodes `op` into wire bytes on the channel of the switch at
     /// `idx`, assigning xids and drawing both link latencies from the
     /// switch's own stream.
-    fn encode(&mut self, idx: u32, op: ControlOp) -> PendingOp {
-        let token = OpToken(self.next_token);
-        self.next_token += 1;
+    fn encode(&mut self, idx: u32, token: OpToken, op: ControlOp) -> PendingOp {
         let mut bytes = self.spare_bufs.pop().unwrap_or_default();
         bytes.clear();
         let att = &mut self.switches[idx as usize];
@@ -375,6 +384,28 @@ impl Testbed {
             up,
             down,
         }
+    }
+
+    /// `op` leaves the controller at `ready_at`: encode, schedule arrival.
+    fn launch(&mut self, idx: u32, token: OpToken, op: ControlOp, ready_at: SimTime) {
+        let pending = self.encode(idx, token, op);
+        self.telemetry.count(
+            match pending.kind {
+                OpKind::FlowMod => "op/flow_mod",
+                OpKind::Batch { .. } => "op/batch",
+                OpKind::Probe => "op/probe",
+                OpKind::Echo { .. } => "op/echo",
+            },
+            1,
+        );
+        let att = &mut self.switches[idx as usize];
+        // In-order delivery: a frame cannot overtake an earlier one on
+        // the same channel. The clamp is timing-neutral for processing
+        // (the CPU queue already serializes) but keeps arrivals FIFO.
+        let arrive = (ready_at + pending.up).max(att.last_arrival);
+        att.last_arrival = arrive;
+        att.incoming.push_back(pending);
+        self.sim.schedule_at(arrive, CtrlEvent::Arrive(idx));
     }
 
     /// Begins processing `op` on the switch at `idx` at time `start`:
@@ -434,6 +465,7 @@ impl Testbed {
                 let att = &mut self.switches[idx as usize];
                 let inflight = att.current.take().expect("done event without an op");
                 att.quiet_at = att.quiet_at.max(inflight.done_at);
+                att.last_ack = inflight.acked_at;
                 let next = att.waiting.pop_front();
                 self.telemetry.span_end(inflight.span, inflight.done_at);
                 self.telemetry.count("switch/ops_done", 1);
@@ -446,6 +478,12 @@ impl Testbed {
                 });
                 if let Some(op) = next {
                     self.begin(idx, op, at);
+                } else if att.incoming.is_empty() {
+                    // The last launched op is done: its ack releases the
+                    // front parked op.
+                    if let Some((token, op)) = att.parked.pop_front() {
+                        self.launch(idx, token, op, inflight.acked_at);
+                    }
                 }
             }
         }
@@ -539,32 +577,26 @@ impl ControlPath for Testbed {
         self.sim.now()
     }
 
-    fn submit(&mut self, dpid: Dpid, op: ControlOp, ready_at: SimTime) -> OpToken {
+    fn submit(&mut self, dpid: Dpid, op: ControlOp, mut ready_at: SimTime) -> OpToken {
+        let idx = self.idx(dpid);
+        let token = OpToken(self.next_token);
+        self.next_token += 1;
+        let att = &mut self.switches[idx as usize];
+        if ready_at == READY_ON_PREVIOUS_ACK {
+            if att.current.is_some() || !att.incoming.is_empty() || !att.waiting.is_empty() {
+                att.parked.push_back((token, op));
+                return token;
+            }
+            ready_at = att.last_ack;
+        } else {
+            assert!(att.parked.is_empty(), "timed submit behind parked ops");
+        }
         assert!(
             ready_at >= self.sim.now(),
             "op submitted at {ready_at} before now {}",
             self.sim.now()
         );
-        let idx = self.idx(dpid);
-        let pending = self.encode(idx, op);
-        let token = pending.token;
-        self.telemetry.count(
-            match pending.kind {
-                OpKind::FlowMod => "op/flow_mod",
-                OpKind::Batch { .. } => "op/batch",
-                OpKind::Probe => "op/probe",
-                OpKind::Echo { .. } => "op/echo",
-            },
-            1,
-        );
-        let att = &mut self.switches[idx as usize];
-        // In-order delivery: a frame cannot overtake an earlier one on
-        // the same channel. The clamp is timing-neutral for processing
-        // (the CPU queue already serializes) but keeps arrivals FIFO.
-        let arrive = (ready_at + pending.up).max(att.last_arrival);
-        att.last_arrival = arrive;
-        att.incoming.push_back(pending);
-        self.sim.schedule_at(arrive, CtrlEvent::Arrive(idx));
+        self.launch(idx, token, op, ready_at);
         token
     }
 
@@ -781,6 +813,125 @@ mod tests {
             (trace, tb.now())
         };
         assert_eq!(drive(&mut tb), drive(&mut tb2));
+    }
+
+    /// A two-switch program with every op kind, a rejection included.
+    fn mixed_program() -> Vec<(Dpid, ControlOp)> {
+        let add = |id| ControlOp::FlowMod(FlowMod::add(FlowMatch::l2l3_for_id(id), 10));
+        let fill = (0..400).map(|i| FlowMod::add(FlowMatch::l2l3_for_id(i), 10));
+        let mut prog = vec![
+            (Dpid(1), ControlOp::Batch(fill.collect())),
+            (Dpid(2), add(1)),
+        ];
+        for i in 0..12u32 {
+            prog.push((Dpid(1), add(1000 + i)));
+            prog.push((Dpid(1), ControlOp::Probe(FlowMatch::key_for_id(i * 40))));
+            prog.push((Dpid(2), ControlOp::Probe(FlowMatch::key_for_id(i % 3))));
+            prog.push((Dpid(2), ControlOp::Echo(8 * i as usize)));
+        }
+        prog
+    }
+
+    type Stream = Vec<(SimTime, SimTime, OpOutcome)>;
+
+    /// Drains `tb`, filing completions per switch; returns the streams
+    /// and the final clock.
+    fn drain(mut tb: Testbed) -> (BTreeMap<Dpid, Stream>, SimTime) {
+        let mut streams: BTreeMap<Dpid, Stream> = BTreeMap::new();
+        while let Some(c) = tb.next_completion() {
+            let stream = streams.entry(c.dpid).or_default();
+            stream.push((c.done_at, c.acked_at, c.outcome));
+        }
+        (streams, tb.now())
+    }
+
+    #[test]
+    fn chained_submission_equals_one_at_a_time_at_each_ack() {
+        let mut timed = Testbed::new(11);
+        timed.attach_default(Dpid(1), SwitchProfile::vendor3());
+        timed.attach_default(Dpid(2), SwitchProfile::ovs());
+        let mut chained = timed.clone();
+        let t0 = timed.now();
+
+        // One at a time: each switch's next op at its previous ack.
+        let mut queues: BTreeMap<Dpid, VecDeque<ControlOp>> = BTreeMap::new();
+        for (dpid, op) in mixed_program() {
+            queues.entry(dpid).or_default().push_back(op);
+        }
+        for (dpid, q) in &mut queues {
+            timed.submit(*dpid, q.pop_front().expect("non-empty"), t0);
+        }
+        let mut expected: BTreeMap<Dpid, Stream> = BTreeMap::new();
+        while let Some(c) = timed.next_completion() {
+            let stream = expected.entry(c.dpid).or_default();
+            stream.push((c.done_at, c.acked_at, c.outcome));
+            if let Some(op) = queues.get_mut(&c.dpid).and_then(VecDeque::pop_front) {
+                timed.submit(c.dpid, op, c.acked_at);
+            }
+        }
+        let rejected = OpOutcome::FlowMod(OpResult::TableFull);
+        assert!(expected[&Dpid(1)].iter().any(|c| c.2 == rejected));
+
+        // Ahead of time: the whole program before the first event runs.
+        let mut started = Vec::new();
+        for (dpid, op) in mixed_program() {
+            if started.contains(&dpid) {
+                chained.submit(dpid, op, READY_ON_PREVIOUS_ACK);
+            } else {
+                started.push(dpid);
+                chained.submit(dpid, op, t0);
+            }
+        }
+        assert_eq!(drain(chained), (expected, timed.now()));
+    }
+
+    #[test]
+    fn chained_submit_on_a_quiet_switch_leaves_at_the_last_ack() {
+        let (mut tb, dpid) = testbed_with(SwitchProfile::vendor1());
+        let mut twin = tb.clone();
+        let fm = |id| ControlOp::FlowMod(FlowMod::add(FlowMatch::l3_for_id(id), 10));
+        // Before any op the last ack is the attach time.
+        let a = tb.submit(dpid, fm(1), READY_ON_PREVIOUS_ACK);
+        let ca = tb.wait_for(a);
+        let b = tb.submit(dpid, fm(2), READY_ON_PREVIOUS_ACK);
+        let cb = tb.wait_for(b);
+        let now = twin.now();
+        let a = twin.submit(dpid, fm(1), now);
+        assert_eq!(twin.wait_for(a), ca);
+        let b = twin.submit(dpid, fm(2), ca.acked_at);
+        assert_eq!(twin.wait_for(b), cb);
+    }
+
+    #[test]
+    fn chained_op_waits_for_the_last_of_several_ops_out() {
+        let (mut tb, dpid) = testbed_with(SwitchProfile::vendor1());
+        let mut twin = tb.clone();
+        let fm = |id| ControlOp::FlowMod(FlowMod::add(FlowMatch::l3_for_id(id), 10));
+        // The second op is still on the link when the first finishes.
+        let t0 = tb.now();
+        let later = t0 + SimDuration::from_millis_f64(50.0);
+        tb.submit(dpid, fm(1), t0);
+        tb.submit(dpid, fm(2), later);
+        tb.submit(dpid, fm(3), READY_ON_PREVIOUS_ACK);
+        let chained: Vec<_> = std::iter::from_fn(|| tb.next_completion()).collect();
+        twin.submit(dpid, fm(1), t0);
+        let b = twin.submit(dpid, fm(2), later);
+        let cb = twin.wait_for(b);
+        twin.submit(dpid, fm(3), cb.acked_at);
+        let mut timed: Vec<_> = std::iter::from_fn(|| twin.next_completion()).collect();
+        timed.insert(1, cb);
+        assert_eq!(chained, timed);
+        assert!(chained[2].done_at > cb.acked_at);
+    }
+
+    #[test]
+    #[should_panic(expected = "timed submit behind parked ops")]
+    fn timed_submit_behind_parked_ops_is_a_caller_error() {
+        let (mut tb, dpid) = testbed_with(SwitchProfile::ovs());
+        let t0 = tb.now();
+        tb.submit(dpid, ControlOp::Echo(8), t0);
+        tb.submit(dpid, ControlOp::Echo(8), READY_ON_PREVIOUS_ACK);
+        tb.submit(dpid, ControlOp::Echo(8), t0);
     }
 
     #[test]

@@ -24,14 +24,24 @@
 //! [`warp_to`](ControlPath::warp_to) (which the drivers call at the
 //! instants a synchronous loop would have reached), never as a side
 //! effect of delivering a completion.
+//!
+//! ## Batching
+//!
+//! [`submit`](ControlPath::submit) only encodes into the connection's
+//! out-buffer; the pump, run when a caller asks for a completion, sends
+//! it in one vectored write and reads the acks that have arrived. A run
+//! of ops submitted first — each chained to its predecessor's ack with
+//! `READY_ON_PREVIOUS_ACK`, which rides in `ready_ns` as it is — costs
+//! one round trip, not one per op. Nothing here caps a run: callers
+//! bound their own depth (the driver runner keeps 128 per switch).
 
-use crate::reactor::{NbConn, Pacer, READ_CHUNK};
+use crate::reactor::{NbConn, Pacer, Watermark, READ_CHUNK};
 use crate::vt::{VtMsg, VtOpTag, TANGO_VENDOR};
 use ofwire::codec::Framer;
-use ofwire::message::Message;
+use ofwire::header::MessageType;
 use ofwire::types::{Dpid, Xid};
 use simnet::time::SimTime;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use switchsim::chan::{ChanCodec, OpKind};
@@ -53,12 +63,10 @@ pub struct TcpFleet {
     clock: SimTime,
     next_seq: u64,
     inflight: usize,
-    /// Completions received but not yet delivered, by token sequence.
-    done: BTreeMap<u64, Completion>,
-    /// Delivery order for [`ControlPath::next_completion`] (per-switch
-    /// arrival order; tokens [`wait_for`](ControlPath::wait_for) takes
-    /// out of turn are removed from here too).
-    arrival: VecDeque<u64>,
+    /// Completions received but not yet delivered, in arrival order:
+    /// `next_completion` pops the front, `wait_for` searches (O(ops in
+    /// flight), and only the synchronous adapters call it).
+    done: VecDeque<Completion>,
     /// Shared scratch buffers (read chunk + op encode), reused per call.
     scratch: Vec<u8>,
     enc: Vec<u8>,
@@ -79,6 +87,10 @@ impl TcpFleet {
         let mut by_dpid = HashMap::with_capacity(dpids.len());
         for &dpid in dpids {
             let mut conn = NbConn::new(TcpStream::connect(addr)?)?;
+            // Never pause reads on pending output: a controller that
+            // stops reading acks while its submits back up stalls the
+            // server on its watermark — deadlock once the kernel fills.
+            conn.wm = Watermark::new(usize::MAX, usize::MAX);
             VtMsg::Hello { dpid: dpid.0 }
                 .to_message()
                 .encode_frame_into(Xid(0), conn.out.tail());
@@ -97,18 +109,17 @@ impl TcpFleet {
             clock: SimTime::ZERO,
             next_seq: 0,
             inflight: 0,
-            done: BTreeMap::new(),
-            arrival: VecDeque::new(),
+            done: VecDeque::new(),
             scratch: vec![0u8; READ_CHUNK],
             enc: Vec::new(),
             pacer: Pacer::new(),
         })
     }
 
-    /// One sweep over every connection: flush pending output, read, and
-    /// file any acks. Transport failures panic — the trait has no error
-    /// channel, and on loopback an io error means the server died, which
-    /// no retry repairs.
+    /// One sweep over every connection: flush pending output (ops are
+    /// written nowhere else), read, and file any acks. Transport failures
+    /// panic — the trait has no error channel, and on loopback an io
+    /// error means the server died, which no retry repairs.
     fn pump(&mut self) {
         let mut progress = false;
         for fc in &mut self.conns {
@@ -125,36 +136,39 @@ impl TcpFleet {
             }
             progress = true;
             let mut input = &self.scratch[..n];
-            while let Some((_, msg)) = fc
+            // Acks decode in place, as the server reads submits.
+            while let Some(frame) = fc
                 .framer
-                .next_message_from(&mut input)
+                .next_frame_from(&mut input)
                 .expect("unparseable ack stream")
             {
-                let Message::Vendor { vendor, data } = msg else {
-                    panic!("virtual-time server sent a plain reply: {msg:?}");
-                };
-                assert_eq!(vendor, TANGO_VENDOR, "foreign vendor frame from server");
+                assert!(
+                    frame.header.msg_type == MessageType::Vendor,
+                    "virtual-time server sent a plain reply: {:?}",
+                    frame.header
+                );
+                let body = frame.body();
+                assert!(
+                    body.starts_with(&TANGO_VENDOR.to_be_bytes()),
+                    "foreign vendor frame"
+                );
                 let VtMsg::Ack {
                     token,
                     done_ns,
                     acked_ns,
                     outcome,
-                } = VtMsg::decode(&data).expect("bad ack payload")
+                } = VtMsg::decode(&body[4..]).expect("bad ack payload")
                 else {
                     panic!("controller expects only ack frames");
                 };
                 self.inflight -= 1;
-                self.done.insert(
-                    token,
-                    Completion {
-                        token: OpToken::from_seq(token),
-                        dpid: fc.dpid,
-                        done_at: SimTime(done_ns),
-                        acked_at: SimTime(acked_ns),
-                        outcome,
-                    },
-                );
-                self.arrival.push_back(token);
+                self.done.push_back(Completion {
+                    token: OpToken::from_seq(token),
+                    dpid: fc.dpid,
+                    done_at: SimTime(done_ns),
+                    acked_at: SimTime(acked_ns),
+                    outcome,
+                });
             }
         }
         if progress {
@@ -198,19 +212,13 @@ impl ControlPath for TcpFleet {
         .to_message()
         .encode_frame_into(Xid(0), fc.conn.out.tail());
         fc.conn.out.tail().extend_from_slice(&self.enc);
-        // Start the bytes moving now; the pump finishes the job.
-        fc.conn.flush().expect("loopback write failed");
         self.inflight += 1;
         OpToken::from_seq(token)
     }
 
     fn next_completion(&mut self) -> Option<Completion> {
         loop {
-            if let Some(seq) = self.arrival.pop_front() {
-                let c = self
-                    .done
-                    .remove(&seq)
-                    .expect("arrival entries are backed by the store");
+            if let Some(c) = self.done.pop_front() {
                 return Some(c);
             }
             if self.inflight == 0 {
@@ -222,9 +230,8 @@ impl ControlPath for TcpFleet {
 
     fn wait_for(&mut self, token: OpToken) -> Completion {
         loop {
-            if let Some(c) = self.done.remove(&token.seq()) {
-                self.arrival.retain(|s| *s != token.seq());
-                return c;
+            if let Some(at) = self.done.iter().position(|c| c.token == token) {
+                return self.done.remove(at).expect("position is in range");
             }
             assert!(self.inflight > 0, "token is not in flight");
             self.pump();

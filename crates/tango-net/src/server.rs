@@ -67,6 +67,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use switchsim::agent::{Agent, AgentOutput};
 use switchsim::chan::{self, wire_keys, OpKind, VirtualTimeline};
+use switchsim::control::READY_ON_PREVIOUS_ACK;
 use switchsim::profiles::SwitchProfile;
 use switchsim::switch::Switch;
 
@@ -522,6 +523,10 @@ struct Session {
     skip: u32,
 }
 
+/// Latest explicit ready time a submit may carry: half the clock's
+/// range, so the timeline's unchecked additions cannot overflow.
+const MAX_READY_NS: u64 = u64::MAX / 2;
+
 /// Longest a session sits out the read sweep, in sweeps. Busy shards
 /// sweep in tens of microseconds and idle ones tick at the pacer's
 /// 50 µs tier, so the cap adds well under a millisecond of latency
@@ -786,6 +791,9 @@ impl VtState {
                 }
                 if frames == 0 {
                     return Err(proto_err("op with zero frames"));
+                }
+                if ready_ns > MAX_READY_NS && SimTime(ready_ns) != READY_ON_PREVIOUS_ACK {
+                    return Err(proto_err("ready time out of range"));
                 }
                 let mut op_buf = std::mem::take(&mut self.spare);
                 op_buf.clear();

@@ -4,9 +4,10 @@
 //! Inference results depend on virtual timestamps (RTT clustering,
 //! installation-time curves), so a wall-clock transport could never
 //! match the testbed's `TangoDb` byte-for-byte. Instead, the
-//! controller annotates every operation with its virtual *ready* time,
-//! and the agent server — which owns the link model and the per-switch
-//! latency RNG, derived exactly as
+//! controller annotates every operation with its virtual *ready* time
+//! (an instant, or "when the previous op is acked"), and the agent
+//! server — which owns the link model and the per-switch latency RNG,
+//! derived exactly as
 //! [`chan::attach_streams`](switchsim::chan::attach_streams) derives
 //! them — recomputes the arrival/start/done/ack arithmetic with
 //! [`chan::VirtualTimeline`](switchsim::chan::VirtualTimeline) and
@@ -68,7 +69,10 @@ pub enum VtMsg {
     Submit {
         /// Dense token identifying the op's completion.
         token: u64,
-        /// Controller-side virtual ready time, in nanoseconds.
+        /// Controller-side virtual ready time, in nanoseconds — or
+        /// `u64::MAX` (`READY_ON_PREVIOUS_ACK`): the ack time the server
+        /// computed for this connection's previous op. Any other value
+        /// past half the clock's range is rejected.
         ready_ns: u64,
         /// What the frames form.
         tag: VtOpTag,

@@ -18,16 +18,16 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-use switchsim::control::{ControlOp, ControlPath, OpOutcome};
+use switchsim::control::{ControlOp, ControlPath, OpOutcome, READY_ON_PREVIOUS_ACK};
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango_net::control::TcpFleet;
 use tango_net::server::{shard_of, AgentServer, ServerConfig, ServerMode};
-use tango_net::vt::VtMsg;
+use tango_net::vt::{VtMsg, VtOpTag};
 
-/// Drives the same mixed workload over any control path, following the
-/// driver runner's discipline: two switches, one op in flight each, the
-/// follow-up submitted at the previous op's `acked_at`. Returns the
+/// Drives the same mixed workload over any control path one op at a
+/// time: two switches, one op in flight each, the follow-up submitted at
+/// the previous op's `acked_at`. Returns the
 /// per-switch completion streams (tokens and cross-switch delivery
 /// order are transport bookkeeping, and `TcpFleet` documents that it
 /// relaxes global delivery order — per-switch virtual timestamps and
@@ -69,37 +69,171 @@ fn drive<C: ControlPath>(cp: &mut C) -> Vec<(u64, SimTime, SimTime, OpOutcome)> 
     out
 }
 
-#[test]
-fn virtual_time_completions_match_the_testbed() {
-    const SEED: u64 = 0x7a4e;
-    let roster = vec![
+/// [`drive`]'s workload submitted ahead of time, the way the driver
+/// runner does: each switch's follow-up goes out right behind its first
+/// op, chained to that op's ack by the path.
+fn drive_chained<C: ControlPath>(cp: &mut C) -> Vec<(u64, SimTime, SimTime, OpOutcome)> {
+    let (dp1, dp2) = (Dpid(1), Dpid(2));
+    let t0 = cp.now();
+    let add = ControlOp::FlowMod(FlowMod::add(FlowMatch::l3_for_id(7), 10));
+    let fill = (0..5).map(|i| FlowMod::add(FlowMatch::l3_for_id(i), 10));
+    cp.submit(dp1, add, t0);
+    cp.submit(dp2, ControlOp::Batch(fill.collect()), t0);
+    let probe = ControlOp::Probe(FlowMatch::key_for_id(7));
+    cp.submit(dp1, probe, READY_ON_PREVIOUS_ACK);
+    cp.submit(dp2, ControlOp::Echo(64), READY_ON_PREVIOUS_ACK);
+    let mut out = Vec::new();
+    let mut horizon = t0;
+    while let Some(c) = cp.next_completion() {
+        horizon = horizon.max(c.acked_at);
+        out.push((c.dpid.0, c.done_at, c.acked_at, c.outcome));
+    }
+    cp.warp_to(horizon);
+    out.sort_by_key(|&(dpid, done, _, _)| (dpid, done.0));
+    out
+}
+
+const SEED: u64 = 0x7a4e;
+
+fn roster() -> Vec<(Dpid, SwitchProfile)> {
+    vec![
         (Dpid(1), SwitchProfile::ovs()),
         (Dpid(2), SwitchProfile::vendor1()),
-    ];
-    let link = Link::control_channel(0.1);
+    ]
+}
 
+fn link() -> Link {
+    Link::control_channel(0.1)
+}
+
+fn testbed() -> Testbed {
     let mut tb = Testbed::new(SEED);
-    for (dpid, profile) in &roster {
-        tb.attach(*dpid, profile.clone(), link);
+    for (dpid, profile) in roster() {
+        tb.attach(dpid, profile, link());
     }
-    let expected = drive(&mut tb);
+    tb
+}
 
-    let server = AgentServer::spawn(SEED, roster, ServerMode::Virtual { link })
+#[test]
+fn virtual_time_completions_match_the_testbed() {
+    let mut tb = testbed();
+    let expected = drive(&mut tb);
+    let mut chained_tb = testbed();
+    assert_eq!(drive_chained(&mut chained_tb), expected);
+    assert_eq!(chained_tb.now(), tb.now());
+
+    for chained in [false, true] {
+        let server = AgentServer::spawn(SEED, roster(), ServerMode::Virtual { link: link() })
+            .expect("loopback server spawns");
+        let mut fleet =
+            TcpFleet::connect(server.addr(), &[Dpid(1), Dpid(2)]).expect("loopback fleet connects");
+        let actual = if chained {
+            drive_chained(&mut fleet)
+        } else {
+            drive(&mut fleet)
+        };
+        assert_eq!(fleet.now(), tb.now(), "final clocks agree");
+        drop(fleet);
+        let stats = server.shutdown().expect("server exits cleanly");
+
+        assert_eq!(
+            actual, expected,
+            "wire completions diverge from the testbed (chained: {chained})"
+        );
+        assert_eq!(stats.accepted, 2);
+        assert_eq!(stats.ops, 4);
+        assert_eq!(stats.errors, 0);
+    }
+}
+
+/// The transport does not lean on the runner's window: 20 000 probes
+/// chained on one connection before the first pump (≈ 2.2 MB of
+/// submits, ≈ 0.9 MB of acks — both past `HIGH_WATER`) all complete, in
+/// order, with the testbed's timestamps.
+#[test]
+fn a_deep_chain_on_one_connection_matches_the_testbed() {
+    const PROBES: u32 = 20_000;
+    fn sweep<C: ControlPath>(cp: &mut C) -> Vec<(SimTime, SimTime, OpOutcome)> {
+        let t0 = cp.now();
+        let fill = (0..64).map(|i| FlowMod::add(FlowMatch::l3_for_id(i), 10));
+        cp.submit(Dpid(2), ControlOp::Batch(fill.collect()), t0);
+        for i in 0..PROBES {
+            // Two in three hit an installed rule, the rest miss.
+            let probe = ControlOp::Probe(FlowMatch::key_for_id(i % 96));
+            cp.submit(Dpid(2), probe, READY_ON_PREVIOUS_ACK);
+        }
+        let mut out = Vec::new();
+        while let Some(c) = cp.next_completion() {
+            assert_eq!(c.token.seq(), out.len() as u64, "per-switch FIFO");
+            out.push((c.done_at, c.acked_at, c.outcome));
+        }
+        out
+    }
+    let expected = sweep(&mut testbed());
+    assert_eq!(expected.len(), PROBES as usize + 1);
+
+    let server = AgentServer::spawn(SEED, roster(), ServerMode::Virtual { link: link() })
         .expect("loopback server spawns");
-    let mut fleet =
-        TcpFleet::connect(server.addr(), &[Dpid(1), Dpid(2)]).expect("loopback fleet connects");
-    let actual = drive(&mut fleet);
-    assert_eq!(fleet.now(), tb.now(), "final clocks agree");
+    let mut fleet = TcpFleet::connect(server.addr(), &[Dpid(2)]).expect("loopback fleet connects");
+    let actual = sweep(&mut fleet);
     drop(fleet);
     let stats = server.shutdown().expect("server exits cleanly");
-
-    assert_eq!(
-        actual, expected,
+    assert!(
+        actual == expected,
         "wire completions diverge from the testbed"
     );
-    assert_eq!(stats.accepted, 2);
-    assert_eq!(stats.ops, 4);
+    assert_eq!(stats.ops, u64::from(PROBES) + 1);
     assert_eq!(stats.errors, 0);
+}
+
+/// A submit whose explicit ready time would overflow the timeline's
+/// arithmetic is a protocol error on its own connection — the shard, and
+/// the healthy connection beside it, keep serving.
+#[test]
+fn out_of_range_ready_time_closes_only_its_connection() {
+    let server = AgentServer::spawn(SEED, roster(), ServerMode::Virtual { link: link() })
+        .expect("loopback server spawns");
+    let mut fleet = TcpFleet::connect(server.addr(), &[Dpid(1)]).expect("loopback fleet connects");
+    let warm = fleet.submit(Dpid(1), ControlOp::Echo(8), SimTime::ZERO);
+    let warm = fleet.wait_for(warm);
+
+    let mut bytes = Vec::new();
+    VtMsg::Hello { dpid: 2 }
+        .to_message()
+        .encode_frame_into(Xid(0), &mut bytes);
+    let echo = Message::EchoRequest(vec![0; 8]);
+    VtMsg::Submit {
+        token: 0,
+        // Not the sentinel, yet no link latency can be added to it.
+        ready_ns: u64::MAX - 1,
+        tag: VtOpTag::Echo,
+        frames: 1,
+        wire_len: (OFP_HEADER_LEN + 8) as u32,
+    }
+    .to_message()
+    .encode_frame_into(Xid(0), &mut bytes);
+    echo.encode_frame_into(Xid(1), &mut bytes);
+    let mut rogue = TcpStream::connect(server.addr()).expect("connect");
+    rogue.write_all(&bytes).expect("send");
+    rogue
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    let mut reply = Vec::new();
+    // The server closes without acking: a clean EOF (or a reset, if our
+    // op frame was still unread), never an ack and never a timeout.
+    match rogue.read_to_end(&mut reply) {
+        Ok(_) => assert!(reply.is_empty(), "rejected op was acked"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+    }
+
+    // The shard still serves the connection next to it.
+    let after = fleet.submit(Dpid(1), ControlOp::Echo(8), warm.acked_at);
+    let after = fleet.wait_for(after);
+    assert!(after.acked_at > warm.acked_at);
+    drop(fleet);
+    let stats = server.shutdown().expect("server exits cleanly");
+    assert_eq!(stats.errors, 1);
+    assert_eq!(stats.ops, 2);
 }
 
 /// A pipelined flow-mod stream through a sharded realtime server, from

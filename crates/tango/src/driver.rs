@@ -6,8 +6,9 @@
 //! ([`PolicyDriver`](crate::infer_policy::PolicyDriver)), the geometry
 //! probe, the online headroom probe, and plain pattern execution — is a
 //! small state machine implementing [`InferenceDriver`]: it *issues*
-//! control-path operations and *consumes* their completions one at a
-//! time, never blocking on the transport. The synchronous entry points
+//! control-path operations — often a whole pattern's worth at once — and
+//! *consumes* their completions one at a time, never blocking on the
+//! transport. The synchronous entry points
 //! (`probe_sizes`, `probe_policy`, …) are thin adapters that feed a
 //! single driver through [`run_driver`]; whole-network inference feeds
 //! one driver per switch through [`run_drivers`] (see
@@ -19,15 +20,20 @@
 //! Interleaving drivers does not change what any one of them measures.
 //! Two properties make that true:
 //!
-//! 1. **Pacing is preserved.** A driver's next operation is submitted
-//!    with `ready_at` equal to the completion's `acked_at` — the exact
-//!    instant a synchronous submit/wait/warp loop would have issued it.
-//!    The op sequence and op timing one switch observes are therefore
-//!    identical whether its driver runs alone or among many.
+//! 1. **Pacing is preserved.** Every operation leaves the controller at
+//!    its predecessor's `acked_at` — the exact instant a synchronous
+//!    submit/wait/warp loop would have issued it. The runner does not
+//!    wait to learn that instant: it submits a window of issued
+//!    operations ahead with [`READY_ON_PREVIOUS_ACK`], which the control
+//!    path — it computes every `acked_at` — resolves to the value an
+//!    explicit submit would have carried. What one switch observes is
+//!    identical whether its driver runs alone or among many, one op at a
+//!    time or a window deep.
 //! 2. **Randomness is per-switch.** Latency jitter comes from RNG
-//!    streams forked per switch at attach time, and each driver owns its
-//!    own sampling RNG seeded from its config — nothing is drawn from a
-//!    shared stream whose order interleaving could perturb.
+//!    streams forked per switch at attach time and drawn in the switch's
+//!    own op order, and each driver owns its own sampling RNG seeded from
+//!    its config — nothing is drawn from a shared stream whose order
+//!    interleaving, or submitting ahead, could perturb.
 //!
 //! Hence `run_drivers` is bit-identical to running each driver
 //! sequentially on its own — the property the `fleet_inference`
@@ -37,7 +43,7 @@ use ofwire::types::Dpid;
 use simnet::telemetry::SpanId;
 use simnet::time::{SimDuration, SimTime};
 use std::collections::{HashSet, VecDeque};
-use switchsim::control::{self, ControlOp, ControlPath, TokenRing};
+use switchsim::control::{self, ControlOp, ControlPath, TokenRing, READY_ON_PREVIOUS_ACK};
 
 use crate::pattern::RuleKind;
 
@@ -113,8 +119,9 @@ pub enum Step<T> {
     /// queued. An empty `Issue` is a no-op (the driver is still waiting
     /// on earlier operations).
     Issue(Vec<ControlOp>),
-    /// The driver is finished; this is its outcome. Any still-queued
-    /// operations are discarded.
+    /// The driver is finished; this is its outcome. A driver must not
+    /// finish with issued operations uncompleted — the runner may already
+    /// have put them on the wire (it checks this in debug builds).
     Done(T),
 }
 
@@ -156,8 +163,8 @@ impl Completion {
 /// A resumable inference state machine.
 ///
 /// The runner calls [`start`](InferenceDriver::start) once, submits the
-/// issued operations one at a time (each at the previous completion's
-/// `acked_at`), and feeds every completion back through
+/// issued operations in order (each leaving the controller at the
+/// previous one's `acked_at`), and feeds every completion back through
 /// [`on_completion`](InferenceDriver::on_completion). Completions arrive
 /// in issue order, exactly one per issued op.
 pub trait InferenceDriver {
@@ -172,12 +179,26 @@ pub trait InferenceDriver {
     fn on_completion(&mut self, c: &Completion) -> Result<Step<Self::Outcome>, ProbeError>;
 }
 
+/// How many operations [`run_drivers`] keeps submitted ahead per job, so
+/// that vectors whose members depend on their predecessor only through
+/// its ack time (73 % of a default size probe) cross a socket a window,
+/// not an op, per round trip. A constant, and a measured one: unbounded,
+/// the 6 000-probe sweeps raise peak RSS past its benchmark bound for no
+/// extra throughput; 128 keeps it flat (~14 KB of probes on the wire:
+/// one `OutBuf` segment, far below `LOW_WATER`).
+const WINDOW: usize = 128;
+
 /// One driver's bookkeeping inside [`run_drivers`].
 struct Job<D: InferenceDriver> {
     dpid: Dpid,
     driver: D,
     /// Operations issued by the driver but not yet submitted.
     queue: VecDeque<ControlOp>,
+    /// Operations submitted and not yet completed (at most [`WINDOW`]).
+    out: usize,
+    /// `acked_at` of the job's latest completion (the start instant
+    /// before any): when the next op to complete left the controller.
+    last_ack: SimTime,
     outcome: Option<D::Outcome>,
     /// Telemetry span covering the job on its switch's track, from first
     /// submit to final acknowledgement. `None` when telemetry is off or
@@ -186,23 +207,32 @@ struct Job<D: InferenceDriver> {
 }
 
 impl<D: InferenceDriver> Job<D> {
-    /// Submits this job's next queued op at `ready_at`, registering the
-    /// token; errors if the driver is unfinished with nothing queued.
-    fn submit_next<C: ControlPath>(
+    /// Submits queued ops until [`WINDOW`] are out, the first at
+    /// `ready_at` and the rest chained to their predecessor's ack;
+    /// errors if the driver is unfinished with nothing queued or out.
+    fn top_up<C: ControlPath>(
         &mut self,
         idx: usize,
         cp: &mut C,
-        ready_at: SimTime,
-        inflight: &mut TokenRing<(usize, SimTime)>,
+        mut ready_at: SimTime,
+        inflight: &mut TokenRing<usize>,
     ) -> Result<(), ProbeError> {
-        let Some(op) = self.queue.pop_front() else {
-            return Err(ProbeError::DriverStalled(self.dpid));
-        };
-        if let Some(t) = cp.telemetry_mut() {
-            t.count("driver/ops_issued", 1);
+        while self.out < WINDOW {
+            let Some(op) = self.queue.pop_front() else {
+                break;
+            };
+            let token = cp.submit(self.dpid, op, ready_at);
+            ready_at = READY_ON_PREVIOUS_ACK;
+            inflight.insert(token, idx);
+            self.out += 1;
+            if let Some(t) = cp.telemetry_mut() {
+                t.count("driver/ops_issued", 1);
+                t.gauge_max("driver/inflight_max", self.out as u64);
+            }
         }
-        let token = cp.submit(self.dpid, op, ready_at);
-        inflight.insert(token, (idx, ready_at));
+        if self.out == 0 {
+            return Err(ProbeError::DriverStalled(self.dpid));
+        }
         Ok(())
     }
 }
@@ -211,13 +241,16 @@ impl<D: InferenceDriver> Job<D> {
 /// switch's driver advancing as its own completions arrive. Returns the
 /// outcomes in job order.
 ///
-/// Each driver keeps exactly one operation in flight; its next op is
-/// submitted at the previous op's `acked_at`, the instant a synchronous
-/// loop would have issued it — so the results are bit-identical to
-/// running the drivers one after another (see the module docs). On
-/// return the shared clock sits at the latest acknowledgement any driver
-/// observed, matching where a sequence of synchronous runs would have
-/// left it.
+/// Each job keeps up to `WINDOW` (128) issued operations submitted
+/// ahead — the first at an explicit instant, the rest chained with
+/// [`READY_ON_PREVIOUS_ACK`], topped up on every completion; the gauge
+/// `driver/inflight_max` reports the depth reached. Each op still leaves
+/// the controller at the previous op's `acked_at`, the instant a
+/// synchronous loop would have issued it — so the results are
+/// bit-identical to running the drivers one after another (see the
+/// module docs). On return the shared clock sits at the latest
+/// acknowledgement any driver observed, matching where a sequence of
+/// synchronous runs would have left it.
 ///
 /// Completions from operations the caller had in flight before this call
 /// are consumed and dropped; don't run drivers with foreign ops pending
@@ -233,19 +266,21 @@ where
             return Err(ProbeError::DuplicateSwitch(*dpid));
         }
     }
+    let start = cp.now();
     let mut jobs: Vec<Job<D>> = jobs
         .into_iter()
         .map(|(dpid, driver)| Job {
             dpid,
             driver,
             queue: VecDeque::new(),
+            out: 0,
+            last_ack: start,
             outcome: None,
             span: None,
         })
         .collect();
 
     // Kick off every driver at the common start instant.
-    let start = cp.now();
     let mut horizon = start;
     let mut inflight = TokenRing::default();
     if let Some(t) = cp.telemetry_mut() {
@@ -264,7 +299,7 @@ where
                     job.span = t.span_begin(track, "driver", start);
                 }
             }
-            job.submit_next(i, cp, start, &mut inflight)?;
+            job.top_up(i, cp, start, &mut inflight)?;
         }
     }
 
@@ -273,40 +308,45 @@ where
             // Ops are registered in flight but the path went quiet — a
             // transport invariant violation. Surface the lowest-token
             // job as stalled (deterministic choice).
-            let &(i, _) = inflight.first().expect("inflight is non-empty");
+            let &i = inflight.first().expect("inflight is non-empty");
             return Err(ProbeError::DriverStalled(jobs[i].dpid));
         };
-        let Some((i, issued_at)) = inflight.remove(c.token) else {
+        let Some(i) = inflight.remove(c.token) else {
             // A completion from outside these drivers (the caller had
             // other work in flight) — not ours to account.
             continue;
         };
         horizon = horizon.max(c.acked_at);
+        let job = &mut jobs[i];
+        job.out -= 1;
         let completion = Completion {
-            issued_at,
+            issued_at: std::mem::replace(&mut job.last_ack, c.acked_at),
             inner: c,
         };
         if let Some(t) = cp.telemetry_mut() {
             t.count("driver/completions", 1);
             t.observe("driver/op_ms", completion.elapsed_ms());
         }
-        match jobs[i].driver.on_completion(&completion)? {
-            Step::Issue(ops) => jobs[i].queue.extend(ops),
+        match job.driver.on_completion(&completion)? {
+            Step::Issue(ops) => {
+                job.queue.extend(ops);
+                // With none out, the next op leaves at this op's ack —
+                // exactly when a synchronous loop would issue it.
+                job.top_up(i, cp, READY_ON_PREVIOUS_ACK, &mut inflight)?;
+            }
             Step::Done(o) => {
-                jobs[i].outcome = Some(o);
-                jobs[i].queue.clear();
+                debug_assert!(
+                    job.out == 0 && job.queue.is_empty(),
+                    "driver for {} finished with operations outstanding",
+                    job.dpid
+                );
+                job.outcome = Some(o);
                 // The op span this completion closed was the innermost
                 // on the track, so the job span ends cleanly at the ack.
                 if let Some(t) = cp.telemetry_mut() {
-                    t.span_end(jobs[i].span.take(), c.acked_at);
+                    t.span_end(job.span.take(), c.acked_at);
                 }
             }
-        }
-        if jobs[i].outcome.is_none() {
-            // The driver's next op leaves the controller when this op's
-            // ack arrives — exactly when a synchronous loop would issue
-            // it.
-            jobs[i].submit_next(i, cp, c.acked_at, &mut inflight)?;
         }
     }
 
@@ -458,6 +498,69 @@ mod tests {
         tb.attach_default(Dpid(7), SwitchProfile::ovs());
         let err = run_driver(&mut tb, Dpid(7), StallingDriver).expect_err("stall must surface");
         assert_eq!(err, ProbeError::DriverStalled(Dpid(7)));
+    }
+
+    /// Issues `n` echoes up front and fails on the `fail_at`-th reply.
+    struct SweepDriver {
+        n: usize,
+        fail_at: usize,
+        seen: usize,
+    }
+
+    impl InferenceDriver for SweepDriver {
+        type Outcome = usize;
+
+        fn start(&mut self) -> Step<usize> {
+            Step::Issue(vec![ControlOp::Echo(8); self.n])
+        }
+
+        fn on_completion(&mut self, c: &Completion) -> Result<Step<usize>, ProbeError> {
+            self.seen += 1;
+            if self.seen == self.fail_at {
+                return Err(mismatch(&"a reply the driver likes", c));
+            }
+            Ok(if self.seen == self.n {
+                Step::Done(self.seen)
+            } else {
+                Step::Issue(vec![])
+            })
+        }
+    }
+
+    #[test]
+    fn issued_vectors_run_in_a_bounded_window() {
+        let mut tb = Testbed::new(3);
+        tb.attach_default(Dpid(1), SwitchProfile::ovs());
+        tb.attach_default(Dpid(2), SwitchProfile::vendor1());
+        tb.enable_telemetry();
+        let sweep = |n| SweepDriver {
+            n,
+            fail_at: 0,
+            seen: 0,
+        };
+        let got = run_drivers(
+            &mut tb,
+            vec![(Dpid(1), sweep(3 * WINDOW)), (Dpid(2), sweep(5))],
+        )
+        .expect("both sweeps complete");
+        assert_eq!(got, vec![3 * WINDOW, 5]);
+        let rec = tb.finish_recorder().expect("telemetry was on");
+        let depth = ("driver/inflight_max".to_string(), WINDOW as u64);
+        assert!(rec.metrics().gauges.contains(&depth));
+        assert_eq!(rec.counter("driver/ops_issued"), 3 * WINDOW as u64 + 5);
+    }
+
+    #[test]
+    fn an_error_mid_window_is_returned() {
+        let mut tb = Testbed::new(3);
+        tb.attach_default(Dpid(1), SwitchProfile::ovs());
+        let failing = SweepDriver {
+            n: 2 * WINDOW,
+            fail_at: WINDOW / 2,
+            seen: 0,
+        };
+        let err = run_driver(&mut tb, Dpid(1), failing).expect_err("the driver's error surfaces");
+        assert!(matches!(err, ProbeError::CompletionMismatch { .. }));
     }
 
     #[test]
