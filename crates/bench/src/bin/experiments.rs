@@ -16,11 +16,11 @@
 //! determinism-diffed artifacts.
 //!
 //! `--trace <dir>` enables virtual-time telemetry on the experiments
-//! that support it (fig11, sched_sweep) and writes, per experiment, a
-//! Perfetto-loadable Chrome trace (`TRACE_<name>.json`) and a plain-text
-//! metrics report (`METRICS_<name>.txt`) into `<dir>` — never inside
-//! `results/`, whose artifacts stay byte-identical with and without the
-//! flag. Traces are stamped in virtual time, so they too diff
+//! that support it (fig11, fleet, sched_sweep) and writes, per
+//! experiment, a Perfetto-loadable Chrome trace (`TRACE_<name>.json`)
+//! and a plain-text metrics report (`METRICS_<name>.txt`) into `<dir>` —
+//! never inside `results/`, whose artifacts stay byte-identical with and
+//! without the flag. Traces are stamped in virtual time, so they too diff
 //! byte-identical across thread counts; metric counters additionally
 //! land in `BENCH_experiments.json` per experiment.
 
@@ -210,11 +210,22 @@ fn run_one(
             write_text("infer_policy", &text);
         }
         "fleet" => {
-            let rows = fleet::run(&[1, 2, 4, 8], q.n(256) as u64);
+            // At --quick the TCAM floor keeps a size probe's sweeps
+            // (up to 2 × tcam rules) at least as wide as the drivers'
+            // 128-op window, so a traced quick run reaches it.
+            let (widths, tcam) = ([1, 2, 4, 8], q.n(256).max(64) as u64);
+            let rows = if let Some(dir) = trace_dir {
+                let (rows, trace_json, metrics) = fleet::run_traced(&widths, tcam);
+                write_trace(dir, "fleet", &trace_json, &metrics.render_text());
+                *metrics_out = Some(metrics);
+                rows
+            } else {
+                fleet::run(&widths, tcam)
+            };
             let text = fleet::render(&rows);
             println!("== Fleet inference scaling ==\n{text}");
             write_text("fleet", &text);
-            let db = fleet::knowledge_db(q.n(256) as u64);
+            let db = fleet::knowledge_db(tcam);
             let path = results_dir().join("fleet_db.json");
             db.save_json(&path).expect("save fleet knowledge db");
             println!("fleet knowledge db -> {}", path.display());

@@ -10,7 +10,8 @@
 
 use crate::lower::{enforce_dag_priorities, lower_scenario, triangle_testbed};
 use crate::par::par_map;
-use simnet::telemetry::{ChromeTrace, MetricsSnapshot, Recorder};
+use crate::report::{render_traced, TracedCell};
+use simnet::telemetry::{MetricsSnapshot, Recorder};
 use simnet::trace::Figure;
 use tango::db::TangoDb;
 use tango_sched::schedulers::resolve;
@@ -130,19 +131,9 @@ pub fn run(scale: usize) -> Figure {
 #[must_use]
 pub fn run_traced(scale: usize) -> (Figure, String, MetricsSnapshot) {
     let (fig, cells) = run_cells(scale, true);
-    let mut ct = ChromeTrace::new();
-    for (label, rec) in &cells {
-        if let Some(rec) = rec {
-            ct.add_cell(label, rec);
-        }
-    }
-    let metrics = Recorder::merge_metrics(cells.iter().filter_map(|(_, r)| r.as_deref()));
-    (fig, ct.render(), metrics)
+    let (trace, metrics) = render_traced(&cells);
+    (fig, trace, metrics)
 }
-
-/// One traced cell: its trace-process label and (when tracing was on)
-/// its recorder.
-type TracedCell = (String, Option<Box<Recorder>>);
 
 /// One cell of the grid: scenario index + label, `(add_only, levels,
 /// rules)`, and the arm.

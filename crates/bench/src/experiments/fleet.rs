@@ -10,8 +10,9 @@
 //! identity check.
 
 use crate::par::par_map;
-use crate::report::format_table;
+use crate::report::{format_table, render_traced, TracedCell};
 use ofwire::types::Dpid;
+use simnet::telemetry::MetricsSnapshot;
 use switchsim::cache::CachePolicy;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
@@ -75,12 +76,31 @@ fn config(dpid: Dpid, tcam: u64) -> SizeProbeConfig {
 /// sequentially and then concurrently on identically-seeded testbeds.
 #[must_use]
 pub fn run(widths: &[usize], tcam: u64) -> Vec<FleetScalingRow> {
+    run_cells(widths, tcam, false).0
+}
+
+/// Runs the sweep with telemetry enabled on every testbed: returns the
+/// rows (identical to [`run`]'s — recording never perturbs timing) plus
+/// the merged Chrome trace JSON and metrics snapshot, two cells per
+/// width (the sequential and the interleaved run).
+#[must_use]
+pub fn run_traced(widths: &[usize], tcam: u64) -> (Vec<FleetScalingRow>, String, MetricsSnapshot) {
+    let (rows, cells) = run_cells(widths, tcam, true);
+    let (trace, metrics) = render_traced(&cells);
+    (rows, trace, metrics)
+}
+
+fn run_cells(widths: &[usize], tcam: u64, traced: bool) -> (Vec<FleetScalingRow>, Vec<TracedCell>) {
     // Each width owns both of its testbeds (sequential and fleet), so
-    // the sweep fans out across widths.
-    par_map(widths.to_vec(), |width| {
+    // the sweep fans out across widths; results come back by input
+    // index, so traced cells merge in a thread-count-independent order.
+    let outs = par_map(widths.to_vec(), |width| {
         let dpids: Vec<Dpid> = (1..=width as u64).map(Dpid).collect();
 
         let mut seq_tb = build(width, tcam, 7);
+        if traced {
+            seq_tb.enable_telemetry();
+        }
         let seq_start = seq_tb.now();
         let seq: Vec<SizeEstimate> = dpids
             .iter()
@@ -92,6 +112,9 @@ pub fn run(widths: &[usize], tcam: u64) -> Vec<FleetScalingRow> {
         let sequential_s = seq_tb.now().since(seq_start).as_millis_f64() / 1000.0;
 
         let mut fleet_tb = build(width, tcam, 7);
+        if traced {
+            fleet_tb.enable_telemetry();
+        }
         let fleet_start = fleet_tb.now();
         let jobs: Vec<FleetJob> = dpids
             .iter()
@@ -104,14 +127,32 @@ pub fn run(widths: &[usize], tcam: u64) -> Vec<FleetScalingRow> {
             .iter()
             .zip(&outcomes)
             .all(|(s, o)| o.as_size() == Some(s));
-        FleetScalingRow {
+        let row = FleetScalingRow {
             switches: width,
             sequential_s,
             fleet_s,
             speedup: sequential_s / fleet_s,
             identical,
-        }
-    })
+        };
+        let cells = [
+            (
+                format!("fleet {width} sequential"),
+                seq_tb.finish_recorder(),
+            ),
+            (
+                format!("fleet {width} interleaved"),
+                fleet_tb.finish_recorder(),
+            ),
+        ];
+        (row, cells)
+    });
+    let mut rows = Vec::with_capacity(outs.len());
+    let mut cells = Vec::with_capacity(2 * outs.len());
+    for (row, pair) in outs {
+        rows.push(row);
+        cells.extend(pair);
+    }
+    (rows, cells)
 }
 
 /// Characterizes a four-switch fleet and folds the outcomes into a
@@ -175,6 +216,20 @@ mod tests {
             rows[2].speedup > rows[1].speedup && rows[1].speedup > 1.0,
             "speedup grows with width: {:?}",
             rows.iter().map(|r| r.speedup).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn tracing_leaves_the_rows_alone_and_sees_the_driver_window() {
+        let (rows, trace, metrics) = run_traced(&[1, 2], 64);
+        assert_eq!(rows, run(&[1, 2], 64));
+        assert!(trace.contains("fleet 2 interleaved"));
+        let gauge = |key: &str| metrics.gauges.iter().find(|(k, _)| k == key).map(|g| g.1);
+        assert_eq!(gauge("driver/inflight_max"), Some(128));
+        assert_eq!(
+            gauge("sim/queue_depth_max"),
+            Some(2),
+            "one front per switch"
         );
     }
 

@@ -11,9 +11,9 @@
 
 use crate::lower::lower_scenario;
 use crate::par::par_map;
-use crate::report::format_table;
+use crate::report::{format_table, render_traced, TracedCell};
 use ofwire::types::Dpid;
-use simnet::telemetry::{ChromeTrace, MetricsSnapshot, Recorder};
+use simnet::telemetry::{MetricsSnapshot, Recorder};
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::db::TangoDb;
@@ -66,16 +66,15 @@ pub fn run(ops: usize) -> Vec<SweepRow> {
 /// plus the merged Chrome trace JSON and metrics snapshot.
 #[must_use]
 pub fn run_traced(ops: usize) -> (Vec<SweepRow>, String, MetricsSnapshot) {
-    let cells = run_cells(ops, true);
-    let mut ct = ChromeTrace::new();
-    for (row, rec) in &cells {
-        if let Some(rec) = rec {
-            ct.add_cell(&format!("sched_sweep {}", row.scheduler), rec);
-        }
-    }
-    let metrics = Recorder::merge_metrics(cells.iter().filter_map(|(_, r)| r.as_deref()));
-    let rows = cells.into_iter().map(|(r, _)| r).collect();
-    (rows, ct.render(), metrics)
+    let (rows, cells): (Vec<SweepRow>, Vec<TracedCell>) = run_cells(ops, true)
+        .into_iter()
+        .map(|(row, rec)| {
+            let label = format!("sched_sweep {}", row.scheduler);
+            (row, (label, rec))
+        })
+        .unzip();
+    let (trace, metrics) = render_traced(&cells);
+    (rows, trace, metrics)
 }
 
 fn run_cells(ops: usize, traced: bool) -> Vec<(SweepRow, Option<Box<Recorder>>)> {

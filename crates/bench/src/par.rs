@@ -1,7 +1,7 @@
 //! Deterministic fan-out for grid-shaped experiments.
 //!
 //! Every experiment grid in this crate — vendors × seeds × sizes — builds
-//! an independent `Testbed`/`Simulator` per cell with a cell-derived
+//! an independent `Testbed` per cell with a cell-derived
 //! seed, so cells share no mutable state and can run on any core. This
 //! module provides the one primitive they need: [`par_map`], a scoped
 //! thread pool (hand-rolled over [`std::thread::scope`]; the workspace

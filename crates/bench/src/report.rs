@@ -1,5 +1,7 @@
-//! Result output: CSV figures and aligned text tables under `results/`.
+//! Result output: CSV figures and aligned text tables under `results/`,
+//! and the Chrome trace plus metrics of a traced experiment.
 
+use simnet::telemetry::{ChromeTrace, MetricsSnapshot, Recorder};
 use simnet::trace::Figure;
 use std::fs;
 use std::path::PathBuf;
@@ -33,6 +35,24 @@ pub fn write_text(name: &str, text: &str) -> PathBuf {
     let path = results_dir().join(format!("{name}.txt"));
     fs::write(&path, text).expect("write text");
     path
+}
+
+/// One traced experiment cell: its trace-process label and (when tracing
+/// was on) its recorder.
+pub type TracedCell = (String, Option<Box<Recorder>>);
+
+/// Renders traced cells, in order, as one Chrome trace (one process per
+/// recorded cell) and their merged metrics.
+#[must_use]
+pub fn render_traced(cells: &[TracedCell]) -> (String, MetricsSnapshot) {
+    let mut ct = ChromeTrace::new();
+    for (label, rec) in cells {
+        if let Some(rec) = rec {
+            ct.add_cell(label, rec);
+        }
+    }
+    let metrics = Recorder::merge_metrics(cells.iter().filter_map(|(_, r)| r.as_deref()));
+    (ct.render(), metrics)
 }
 
 /// Formats rows as an aligned text table with a header row.

@@ -4,6 +4,11 @@
 //! entry carries a sequence number minted at push. `(at, seq)` is a total
 //! order: pop order is a pure function of the push/pop history, which is
 //! what makes whole simulations replayable.
+//!
+//! No control path runs on it: both resolve each op at submit
+//! (`switchsim::chan`). Its users are the benchmark's event-queue layer
+//! metric and the event-driven testbed that `switchsim`'s tests keep as
+//! the timing oracle.
 
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
@@ -35,7 +40,6 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    depth_max: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -51,7 +55,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            depth_max: 0,
         }
     }
 
@@ -59,7 +62,6 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) {
         self.heap.push(Entry(Reverse((at, self.next_seq)), event));
         self.next_seq += 1;
-        self.depth_max = self.depth_max.max(self.heap.len());
     }
 
     /// Removes and returns the earliest event.
@@ -78,13 +80,6 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// The most events ever pending at once; traced runs report it as
-    /// `sim/queue_depth_max`. A binary heap suits it while it stays small.
-    #[must_use]
-    pub fn depth_max(&self) -> usize {
-        self.depth_max
     }
 }
 
@@ -139,23 +134,9 @@ mod tests {
     }
 
     #[test]
-    fn depth_max_is_a_high_water_mark() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.depth_max(), 0);
-        q.push(SimTime(1), ());
-        q.push(SimTime(2), ());
-        q.pop();
-        q.push(SimTime(3), ());
-        assert_eq!((q.len(), q.depth_max()), (2, 2));
-        q.pop();
-        q.pop();
-        assert_eq!((q.len(), q.depth_max()), (0, 2));
-    }
-
-    #[test]
     fn clone_of_half_drained_queue_pops_identically() {
-        // What `Testbed: Clone` relies on: a copy taken mid-run carries
-        // the pending set, the tie order and the seq counter with it.
+        // A copy taken mid-run carries the pending set, the tie order
+        // and the seq counter with it.
         let mut q = EventQueue::new();
         for i in 0..40u64 {
             q.push(SimTime((i * 37) % 11), i);

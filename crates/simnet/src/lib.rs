@@ -1,10 +1,14 @@
 //! # simnet — deterministic discrete-event simulation substrate
 //!
 //! Everything in the Tango reproduction that involves *time* runs on this
-//! crate: a virtual nanosecond clock, an event queue with stable FIFO
-//! ordering for simultaneous events, seeded random number generation,
-//! parametric latency distributions, a latency/jitter link model, and
-//! series recording for regenerating the paper's figures.
+//! crate: a virtual nanosecond clock, seeded random number generation,
+//! parametric latency distributions, a latency/jitter link model,
+//! telemetry, and series recording for regenerating the paper's figures.
+//! The control paths resolve each operation's instants directly
+//! (`switchsim::chan`), so no event loop drives them; [`event::EventQueue`]
+//! remains for the benchmark's queue measurement and the test oracle that
+//! replays the event-driven model, and [`sim`] counts the two modelled
+//! events per operation.
 //!
 //! Determinism is the design goal (per the smoltcp-style guides:
 //! simplicity and robustness over cleverness). Every source of randomness
@@ -15,13 +19,12 @@
 //! ```
 //! use simnet::prelude::*;
 //!
-//! let mut sim = Simulator::new();
-//! sim.schedule_in(SimDuration::from_millis(5), "world");
-//! sim.schedule_in(SimDuration::from_millis(1), "hello");
-//! let (t1, e1) = sim.next_event().unwrap();
-//! assert_eq!((t1.as_millis_f64(), e1), (1.0, "hello"));
-//! let (t2, e2) = sim.next_event().unwrap();
-//! assert_eq!((t2.as_millis_f64(), e2), (5.0, "world"));
+//! // Two runs from one seed draw the same link latencies.
+//! let link = Link::control_channel(0.1);
+//! let draw = |seed| link.latency(64, &mut DetRng::new(seed));
+//! assert_eq!(draw(7), draw(7));
+//! let at = SimTime::ZERO + draw(7);
+//! assert!(at.as_millis_f64() > 0.09);
 //! ```
 
 pub mod dist;
@@ -39,7 +42,6 @@ pub mod prelude {
     pub use crate::event::EventQueue;
     pub use crate::link::Link;
     pub use crate::rng::DetRng;
-    pub use crate::sim::Simulator;
     pub use crate::telemetry::Telemetry;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::{Figure, Series, Summary};

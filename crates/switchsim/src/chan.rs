@@ -1,28 +1,32 @@
-//! The control-channel wire discipline, shared by every transport.
+//! The control channel, shared by every transport: the wire discipline
+//! and the one timing model.
 //!
 //! The in-memory [`Testbed`](crate::harness::Testbed) and the real-TCP
 //! transport (`tango-net`) must put byte-identical frames on their
-//! channels and replay identical latency/derivation streams, or the
-//! inference results diverge. Everything that fixes those bytes and
-//! draws lives here, in one place both transports call:
+//! channels, replay identical latency/derivation streams, and time every
+//! op the same way, or the inference results diverge. Everything that
+//! fixes those bytes, draws and instants lives here, in one place both
+//! transports call:
 //!
-//! * [`ChanCodec`] — per-switch xid assignment, op → frame encoding,
-//!   and barrier bookkeeping (registration at encode, pairing at
-//!   completion).
+//! * [`ChanCodec`] — per-switch xid assignment and op → frame encoding
+//!   (the controller end).
+//! * [`SwitchCore`] — the switch end: agent, link, latency RNG, barrier
+//!   tracker and [`VirtualTimeline`]. Its [`resolve`](SwitchCore::resolve)
+//!   takes one encoded op from ready time to ack, and is the only code
+//!   that computes an op's arrival, start, done and ack instants.
 //! * [`draw_latencies`] — the per-op link-latency draws, including the
 //!   exact fork-label discipline that makes a switch's jitter depend
 //!   only on its own operation history.
 //! * [`op_completion`] — folding the agent's outputs for one op into
-//!   its typed [`OpOutcome`] and control-CPU processing cost.
+//!   its typed [`OpOutcome`] and control-CPU processing cost, or a
+//!   [`MalformedOp`] when the frames do not form the op they claim.
 //! * [`attach_streams`] — deriving a switch's datapath seed and link
 //!   RNG from the master stream (attach-order sensitive).
-//! * [`VirtualTimeline`] — the per-switch arrival/start/done arithmetic
-//!   a real transport replays to reproduce the testbed's virtual
-//!   timestamps op by op.
 
-use crate::agent::AgentOutput;
+use crate::agent::{Agent, AgentOutput};
 use crate::control::{ControlOp, OpOutcome, OpResult, READY_ON_PREVIOUS_ACK};
 use ofwire::barrier::BarrierTracker;
+use ofwire::header::{Header, MessageType};
 use ofwire::message::Message;
 use ofwire::packet::PacketOut;
 use ofwire::types::{Dpid, PortNo, Xid};
@@ -60,8 +64,8 @@ pub enum OpKind {
     FlowMod,
     /// Flow-mod frames fenced by one barrier.
     Batch {
-        /// Byte length of the fenced flow-mod frames (barrier excluded);
-        /// checked when the barrier reply is paired.
+        /// Byte length of the fenced flow-mod frames (barrier excluded):
+        /// the closing `barrier_request` starts at this offset.
         size: usize,
     },
     /// One `packet_out` probe frame.
@@ -84,14 +88,12 @@ impl OpKind {
     }
 }
 
-/// Per-switch controller-side encoder: assigns xids in stream order and
-/// tracks outstanding barriers. One instance per attached switch; its
-/// state is part of the channel's identity (clone it, and the clone
-/// continues the same xid stream).
+/// Per-switch controller-side encoder: assigns xids in stream order.
+/// One instance per attached switch; its state is part of the channel's
+/// identity (clone it, and the clone continues the same xid stream).
 #[derive(Debug, Clone)]
 pub struct ChanCodec {
     next_xid: Xid,
-    barriers: BarrierTracker<usize>,
 }
 
 impl Default for ChanCodec {
@@ -105,10 +107,7 @@ impl ChanCodec {
     /// unsolicited switch notifications).
     #[must_use]
     pub fn new() -> ChanCodec {
-        ChanCodec {
-            next_xid: Xid(1),
-            barriers: BarrierTracker::new(),
-        }
+        ChanCodec { next_xid: Xid(1) }
     }
 
     fn take_xid(&mut self) -> Xid {
@@ -119,8 +118,7 @@ impl ChanCodec {
 
     /// Encodes `op` as wire frames appended to `bytes` (whose existing
     /// contents are kept — clear it first for a fresh op), assigning
-    /// xids from this channel's stream. Batch ops register their barrier
-    /// so [`op_completion`] can pair the reply.
+    /// xids from this channel's stream.
     pub fn encode_op(&mut self, op: ControlOp, bytes: &mut Vec<u8>) -> OpKind {
         match op {
             ControlOp::FlowMod(fm) => {
@@ -138,7 +136,6 @@ impl ChanCodec {
                 }
                 let barrier_xid = self.take_xid();
                 let size = bytes.len() - start;
-                self.barriers.register(barrier_xid, size);
                 Message::BarrierRequest.encode_frame_into(barrier_xid, bytes);
                 OpKind::Batch { size }
             }
@@ -154,20 +151,13 @@ impl ChanCodec {
             }
         }
     }
-
-    /// The barrier registry (switch-side pairing when both ends share
-    /// one codec, as the in-memory testbed does).
-    pub fn barriers_mut(&mut self) -> &mut BarrierTracker<usize> {
-        &mut self.barriers
-    }
 }
 
-/// Draws the (up, down) link latencies for one encoded op, replaying
-/// the exact fork-label discipline of the in-memory testbed: each op
-/// kind forks fixed labels off the switch's latency stream, so the
-/// draws depend only on the switch's own operation history — the
-/// property that makes concurrent multi-switch runs reproduce
-/// sequential ones, and lets a remote transport replay them.
+/// Draws the (up, down) link latencies for one encoded op: each op kind
+/// forks fixed labels off the switch's latency stream, so the draws
+/// depend only on the switch's own operation history — the property
+/// that makes concurrent multi-switch runs reproduce sequential ones,
+/// and lets a remote transport replay them.
 ///
 /// `wire_len` is the full encoded length of the op (every frame,
 /// barrier included).
@@ -207,15 +197,45 @@ pub fn draw_latencies(
     }
 }
 
+/// Why an op's frames do not form the op its [`OpKind`] names. The
+/// channel codec never produces one; a peer writing frames by hand can.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MalformedOp {
+    /// The agent could not parse the frames.
+    Unparseable,
+    /// A probe whose frames produced no forwarding outcome.
+    NotAProbe,
+    /// An echo whose first frame is not an `echo_request`.
+    NotAnEcho,
+    /// A batch not closed by its own `barrier_request`.
+    Unfenced,
+    /// A barrier reply that pairs with no registered fence.
+    StrayBarrier,
+}
+
+impl std::fmt::Display for MalformedOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            MalformedOp::Unparseable => "op frames rejected by the agent",
+            MalformedOp::NotAProbe => "probe op without a forwarding outcome",
+            MalformedOp::NotAnEcho => "echo op whose frame is not an echo request",
+            MalformedOp::Unfenced => "batch op not closed by a barrier request",
+            MalformedOp::StrayBarrier => "barrier reply pairs with no fence",
+        })
+    }
+}
+
+impl std::error::Error for MalformedOp {}
+
 /// Folds the agent outputs of one op into its control-CPU processing
-/// duration and typed outcome. `barriers` pairs batch fences with their
-/// registration (a mismatch means the fence got reordered — a framing
-/// bug, so it panics).
+/// duration and typed outcome. `barriers` pairs a batch's fence with its
+/// registration; a barrier reply that pairs with nothing, a probe that
+/// forwarded nothing and an echo that did not echo are [`MalformedOp`]s.
 pub fn op_completion(
     kind: OpKind,
     outs: &[AgentOutput],
     barriers: &mut BarrierTracker<usize>,
-) -> (SimDuration, OpOutcome) {
+) -> Result<(SimDuration, OpOutcome), MalformedOp> {
     match kind {
         OpKind::FlowMod => {
             let cost = total_cost(outs);
@@ -224,45 +244,40 @@ pub fn op_completion(
             } else {
                 OpResult::Ok
             };
-            (cost, OpOutcome::FlowMod(result))
+            Ok((cost, OpOutcome::FlowMod(result)))
         }
         OpKind::Batch { size } => {
             let mut ok = 0;
             let mut failed = 0;
-            let cost = total_cost(outs);
             for o in outs {
                 match &o.reply {
                     Some(Message::Error(_)) => failed += 1,
                     Some(Message::BarrierReply) => {
-                        let fenced = barriers.complete(o.xid);
-                        assert_eq!(fenced, Some(size), "barrier xid mismatch");
+                        let fenced = barriers.complete(o.xid).filter(|&s| s == size);
+                        fenced.ok_or(MalformedOp::StrayBarrier)?;
                     }
                     None => ok += 1,
                     _ => {}
                 }
             }
-            (cost, OpOutcome::Batch { ok, failed })
+            Ok((total_cost(outs), OpOutcome::Batch { ok, failed }))
         }
         OpKind::Probe => {
             let (hit, fwd) = outs
                 .iter()
                 .find_map(|o| o.forwarded)
-                .expect("packet_out produces a forwarding outcome");
-            (fwd, OpOutcome::Probe(hit))
+                .ok_or(MalformedOp::NotAProbe)?;
+            Ok((fwd, OpOutcome::Probe(hit)))
         }
-        OpKind::Echo { .. } => {
-            debug_assert!(matches!(
-                outs.first().and_then(|o| o.reply.as_ref()),
-                Some(Message::EchoReply(_))
-            ));
-            (SimDuration::ZERO, OpOutcome::Echo)
-        }
+        OpKind::Echo { .. } => match outs.first().and_then(|o| o.reply.as_ref()) {
+            Some(Message::EchoReply(_)) => Ok((SimDuration::ZERO, OpOutcome::Echo)),
+            _ => Err(MalformedOp::NotAnEcho),
+        },
     }
 }
 
 /// Sum of control-plane processing costs across one op's outputs.
-#[must_use]
-pub fn total_cost(outs: &[AgentOutput]) -> SimDuration {
+fn total_cost(outs: &[AgentOutput]) -> SimDuration {
     outs.iter().fold(SimDuration::ZERO, |acc, o| acc + o.cost)
 }
 
@@ -282,72 +297,157 @@ pub fn attach_streams(master: &mut DetRng, dpid: Dpid) -> (u64, DetRng) {
     (seed, link_rng)
 }
 
-/// Per-switch virtual-time bookkeeping for replaying the testbed's
-/// timing model over a real transport.
-///
-/// The testbed's event core gives each op on a switch:
+/// What one switch's channel remembers between ops: the latest arrival,
+/// completion and acknowledgement, all at the attach instant before the
+/// first op. [`SwitchCore::resolve`] gives the next op
 ///
 /// ```text
-/// arrive = max(ready_at + up, last_arrival)   // in-order delivery
-/// start  = max(arrive, previous op's done)    // one control CPU
+/// arrive = max(ready_at + up, last arrival)   // in-order delivery
+/// start  = max(arrive, last done)             // one control CPU
 /// done   = start + processing cost
 /// acked  = done + down
 /// ```
 ///
-/// ([`READY_ON_PREVIOUS_ACK`] as `ready_at` is the previous `acked`.)
-///
-/// Per-switch timelines are fully independent (the only cross-switch
-/// state is the shared clock, which never influences these values), so
-/// a transport that processes each connection's ops in FIFO order can
-/// recompute them with this little accumulator and land on the exact
-/// timestamps the in-memory testbed would have produced.
-#[derive(Debug, Clone, Default)]
+/// with [`READY_ON_PREVIOUS_ACK`] as `ready_at` meaning the last ack.
+/// Timelines of different switches share nothing, so per-switch FIFO
+/// order is all a transport must preserve to reproduce them.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct VirtualTimeline {
     last_arrival: SimTime,
-    prev_done: SimTime,
-    prev_acked: SimTime,
+    last_done: SimTime,
+    last_ack: SimTime,
 }
 
-impl VirtualTimeline {
-    /// A timeline starting at virtual time zero (a switch attached to a
-    /// freshly built testbed).
+/// One op resolved on its switch: when it arrived, ran and was
+/// acknowledged, and what it produced.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Resolved {
+    /// When the op's frames reached the switch.
+    pub arrive: SimTime,
+    /// When the switch's control CPU began processing it.
+    pub start: SimTime,
+    /// When processing finished (data-plane visible).
+    pub done_at: SimTime,
+    /// When the controller observes the result.
+    pub acked_at: SimTime,
+    /// What the op produced.
+    pub outcome: OpOutcome,
+}
+
+/// The switch end of one control channel: the agent, the link with the
+/// latency RNG forked for this switch at attach, the barrier tracker,
+/// and the [`VirtualTimeline`]. The `Testbed` holds one per attached
+/// switch and the virtual-time server one per connection; both resolve
+/// every op through [`SwitchCore::resolve`].
+#[derive(Debug, Clone)]
+pub struct SwitchCore {
+    dpid: Dpid,
+    agent: Agent,
+    link: Link,
+    rng: DetRng,
+    barriers: BarrierTracker<usize>,
+    timeline: VirtualTimeline,
+}
+
+impl SwitchCore {
+    /// The channel of switch `dpid` (wrapped by `agent`) over `link`,
+    /// drawing latencies from `rng`, attached at `at`.
     #[must_use]
-    pub fn new() -> VirtualTimeline {
-        VirtualTimeline::default()
+    pub fn new(dpid: Dpid, agent: Agent, link: Link, rng: DetRng, at: SimTime) -> SwitchCore {
+        SwitchCore {
+            dpid,
+            agent,
+            link,
+            rng,
+            barriers: BarrierTracker::new(),
+            timeline: VirtualTimeline {
+                last_arrival: at,
+                last_done: at,
+                last_ack: at,
+            },
+        }
     }
 
-    /// Admits the next op in channel order; returns the virtual time
-    /// its processing starts.
-    pub fn admit(&mut self, ready_at: SimTime, up: SimDuration) -> SimTime {
+    /// The switch's datapath id.
+    #[must_use]
+    pub fn dpid(&self) -> Dpid {
+        self.dpid
+    }
+
+    /// The switch's agent (and through it, the switch).
+    #[must_use]
+    pub fn agent(&self) -> &Agent {
+        &self.agent
+    }
+
+    /// Resolves the next op in channel order: draws its link latencies,
+    /// admits it behind everything earlier on this channel, feeds its
+    /// `bytes` (encoded as `kind`) to the agent at the instant processing
+    /// starts, folds the agent's outputs (left in `outs`) into cost and
+    /// outcome, and completes it. `ready_at` is when the op leaves the
+    /// controller, or [`READY_ON_PREVIOUS_ACK`].
+    ///
+    /// A batch must end in its own `barrier_request`, whose reply is the
+    /// only one that pairs. On a [`MalformedOp`] the channel is unusable
+    /// from there on: the caller drops it.
+    pub fn resolve(
+        &mut self,
+        ready_at: SimTime,
+        kind: OpKind,
+        bytes: &[u8],
+        outs: &mut Vec<AgentOutput>,
+    ) -> Result<Resolved, MalformedOp> {
+        if let OpKind::Batch { size } = kind {
+            let fence = bytes.get(size..).and_then(|f| Header::peek(f).ok());
+            match fence {
+                Some(h)
+                    if h.msg_type == MessageType::BarrierRequest
+                        && usize::from(h.length) == bytes.len() - size =>
+                {
+                    self.barriers.register(h.xid, size);
+                }
+                _ => return Err(MalformedOp::Unfenced),
+            }
+        }
+        let (up, down) = draw_latencies(&self.link, &mut self.rng, self.dpid, kind, bytes.len());
+        let tl = self.timeline;
         let ready_at = if ready_at == READY_ON_PREVIOUS_ACK {
-            self.prev_acked
+            tl.last_ack
         } else {
             ready_at
         };
-        let arrive = (ready_at + up).max(self.last_arrival);
-        self.last_arrival = arrive;
-        arrive.max(self.prev_done)
-    }
-
-    /// Completes the op admitted last; returns `(done_at, acked_at)`.
-    pub fn complete(
-        &mut self,
-        start: SimTime,
-        cost: SimDuration,
-        down: SimDuration,
-    ) -> (SimTime, SimTime) {
-        let done = start + cost;
-        self.prev_done = done;
-        self.prev_acked = done + down;
-        (done, self.prev_acked)
+        let arrive = (ready_at + up).max(tl.last_arrival);
+        let start = arrive.max(tl.last_done);
+        outs.clear();
+        self.agent
+            .feed_into(bytes, start, outs)
+            .map_err(|_| MalformedOp::Unparseable)?;
+        let (cost, outcome) = op_completion(kind, outs, &mut self.barriers)?;
+        let done_at = start + cost;
+        let acked_at = done_at + down;
+        self.timeline = VirtualTimeline {
+            last_arrival: arrive,
+            last_done: done_at,
+            last_ack: acked_at,
+        };
+        Ok(Resolved {
+            arrive,
+            start,
+            done_at,
+            acked_at,
+            outcome,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiles::SwitchProfile;
+    use crate::switch::Switch;
     use ofwire::flow_match::FlowMatch;
     use ofwire::flow_mod::FlowMod;
+    use simnet::dist::Dist;
 
     #[test]
     fn encode_assigns_sequential_xids() {
@@ -374,44 +474,116 @@ mod tests {
         assert_eq!(bh.xid, Xid(5), "xids 2..4 went to the flow-mods");
     }
 
-    #[test]
-    fn timeline_reproduces_serialization_and_fifo_clamp() {
-        let mut tl = VirtualTimeline::new();
-        let up = SimDuration::from_millis_f64(1.0);
-        let cost = SimDuration::from_millis_f64(5.0);
-        let down = SimDuration::from_millis_f64(1.0);
-        // Two ops submitted back-to-back at t=0: the second arrives at
-        // the same instant but waits for the CPU.
-        let s1 = tl.admit(SimTime::ZERO, up);
-        let (d1, a1) = tl.complete(s1, cost, down);
-        assert_eq!(s1, SimTime::ZERO + up);
-        assert_eq!(d1, s1 + cost);
-        assert_eq!(a1, d1 + down);
-        let s2 = tl.admit(SimTime::ZERO, up);
-        assert_eq!(s2, d1, "second op starts when the first finishes");
-        let (d2, _) = tl.complete(s2, cost, down);
-        // A later op with a faster draw still cannot arrive before an
-        // earlier one (in-order delivery clamp).
-        let s3 = tl.admit(SimTime::ZERO, SimDuration::ZERO);
-        assert_eq!(s3, d2);
+    const MS: SimDuration = SimDuration::from_millis(1);
+
+    /// An OVS switch behind a jitter-free 1 ms link, attached at `at`.
+    fn ovs_core(at: SimTime) -> SwitchCore {
+        let switch = Switch::new(SwitchProfile::ovs(), Dpid(1), 7);
+        let link = Link::ideal(Dist::Constant(1.0));
+        SwitchCore::new(Dpid(1), Agent::new(switch), link, DetRng::new(3), at)
+    }
+
+    /// Encodes `op` on `codec` and resolves it on `core`.
+    fn resolve(
+        core: &mut SwitchCore,
+        codec: &mut ChanCodec,
+        op: ControlOp,
+        ready_at: SimTime,
+    ) -> Resolved {
+        let mut bytes = Vec::new();
+        let kind = codec.encode_op(op, &mut bytes);
+        core.resolve(ready_at, kind, &bytes, &mut Vec::new())
+            .expect("the codec encodes well-formed ops")
+    }
+
+    fn add(id: u32) -> ControlOp {
+        ControlOp::FlowMod(FlowMod::add(FlowMatch::l3_for_id(id), 10))
     }
 
     #[test]
-    fn timeline_resolves_ready_on_previous_ack() {
-        let up = SimDuration::from_millis_f64(1.0);
-        let cost = SimDuration::from_millis_f64(5.0);
-        let down = SimDuration::from_millis_f64(2.0);
-        let mut chained = VirtualTimeline::new();
-        let mut timed = VirtualTimeline::new();
-        // Before any op the previous ack is the attach time, zero.
-        let mut prev_acked = SimTime::ZERO;
-        for _ in 0..3 {
-            let s = chained.admit(READY_ON_PREVIOUS_ACK, up);
-            assert_eq!(s, timed.admit(prev_acked, up));
-            assert_eq!(s, prev_acked + up, "acks outrun the CPU and FIFO clamps");
-            let done = chained.complete(s, cost, down);
-            assert_eq!(done, timed.complete(s, cost, down));
-            prev_acked = done.1;
+    fn resolve_serializes_on_the_cpu_and_keeps_arrivals_in_order() {
+        let (mut core, mut codec) = (ovs_core(SimTime::ZERO), ChanCodec::new());
+        // Two ops ready at once: both arrive 1 ms later, the second
+        // waits for the CPU.
+        let a = resolve(&mut core, &mut codec, add(1), SimTime::ZERO);
+        assert_eq!(
+            (a.arrive, a.start),
+            (SimTime::ZERO + MS, SimTime::ZERO + MS)
+        );
+        assert!(a.done_at > a.start);
+        assert_eq!(a.acked_at, a.done_at + MS);
+        let b = resolve(&mut core, &mut codec, add(2), SimTime::ZERO);
+        assert_eq!(b.arrive, a.arrive);
+        assert_eq!(
+            b.start, a.done_at,
+            "the second op starts when the first finishes"
+        );
+        // An op ready earlier than the last arrival cannot overtake it,
+        // and an echo costs the CPU nothing.
+        let c = resolve(&mut core, &mut codec, ControlOp::Echo(8), SimTime::ZERO);
+        assert_eq!(c.arrive, b.arrive);
+        assert_eq!((c.start, c.done_at), (b.done_at, b.done_at));
+    }
+
+    #[test]
+    fn resolve_chains_on_the_previous_ack() {
+        // Before any op the last ack is the attach instant.
+        let at = SimTime::ZERO + MS * 5;
+        let (mut core, mut codec) = (ovs_core(at), ChanCodec::new());
+        let mut timed = (ovs_core(at), ChanCodec::new());
+        let mut prev_ack = at;
+        for id in 0..3 {
+            let chained = resolve(&mut core, &mut codec, add(id), READY_ON_PREVIOUS_ACK);
+            let explicit = resolve(&mut timed.0, &mut timed.1, add(id), prev_ack);
+            assert_eq!(chained, explicit);
+            assert_eq!(
+                chained.arrive,
+                prev_ack + MS,
+                "acks outrun the CPU and FIFO"
+            );
+            prev_ack = chained.acked_at;
         }
+    }
+
+    /// Resolves hand-written `frames` as one op of `kind`.
+    fn resolve_frames(kind: OpKind, frames: &[Message]) -> Result<Resolved, MalformedOp> {
+        let mut bytes = Vec::new();
+        for (xid, m) in (5..).zip(frames) {
+            m.encode_frame_into(Xid(xid), &mut bytes);
+        }
+        ovs_core(SimTime::ZERO).resolve(SimTime::ZERO, kind, &bytes, &mut Vec::new())
+    }
+
+    #[test]
+    fn frames_that_do_not_form_their_op_are_typed_errors() {
+        let echo = Message::EchoRequest(vec![0; 4]);
+        let fm = Message::FlowMod(FlowMod::add(FlowMatch::l3_for_id(1), 10));
+        let barrier = Message::BarrierRequest;
+        let cases = [
+            (OpKind::Probe, vec![echo.clone()], MalformedOp::NotAProbe),
+            (
+                OpKind::Echo { payload: 0 },
+                vec![fm.clone()],
+                MalformedOp::NotAnEcho,
+            ),
+            (
+                OpKind::Batch { size: 8 },
+                vec![barrier.clone(), barrier.clone()],
+                MalformedOp::StrayBarrier,
+            ),
+            (
+                OpKind::Batch { size: 12 },
+                vec![echo, fm],
+                MalformedOp::Unfenced,
+            ),
+        ];
+        for (kind, frames, err) in cases {
+            assert_eq!(resolve_frames(kind, &frames), Err(err), "{kind:?}");
+        }
+        let fenced = resolve_frames(OpKind::Batch { size: 0 }, &[barrier]);
+        assert_eq!(
+            fenced.unwrap().outcome,
+            OpOutcome::Batch { ok: 0, failed: 0 }
+        );
     }
 }

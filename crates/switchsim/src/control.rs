@@ -5,13 +5,13 @@
 //! [`ControlPath`] — the probing engine when it measures one switch, and
 //! the network-wide schedulers when they drive many. There are two
 //! implementations: the in-memory latency-modelled
-//! [`Testbed`](crate::harness::Testbed), whose event-driven core runs all
-//! attached switches inside one `simnet` simulator, and `tango-net`'s
-//! `TcpFleet`, which speaks real `ofwire` bytes over loopback TCP to an
-//! `AgentServer` and carries fleet inference without the layers above
-//! noticing.
+//! [`Testbed`](crate::harness::Testbed), which times every attached
+//! switch's ops on that switch's [`SwitchCore`](crate::chan::SwitchCore),
+//! and `tango-net`'s `TcpFleet`, which speaks real `ofwire` bytes over
+//! loopback TCP to an `AgentServer` running the same core and carries
+//! fleet inference without the layers above noticing.
 //!
-//! The shape is deliberately asynchronous even though the simulator is
+//! The shape is deliberately asynchronous even though the testbed is
 //! single-threaded: operations are *submitted* with a controller-side
 //! ready time and identified by an [`OpToken`]; completions surface later
 //! in virtual-time order via
@@ -220,10 +220,9 @@ pub trait ControlPath {
     ///
     /// `ready_at` may be [`READY_ON_PREVIOUS_ACK`], resolved by every
     /// implementation to the instant an explicit submit at the
-    /// predecessor's `acked_at` would have named. An explicit time cannot
-    /// be ordered against instants not computed yet: submitting one while
-    /// chained ops still wait on their predecessors is a caller error
-    /// (the testbed panics).
+    /// predecessor's `acked_at` would have named. Chained and explicit
+    /// submits mix freely: each op queues behind everything submitted to
+    /// its switch before it.
     fn submit(&mut self, dpid: Dpid, op: ControlOp, ready_at: SimTime) -> OpToken;
 
     /// Delivers the next completion in virtual-time order, advancing the

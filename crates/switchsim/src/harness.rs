@@ -1,199 +1,83 @@
 //! The testbed harness: one or more agent-wrapped switches behind
-//! latency-modelled control channels, driven by a single event-driven
-//! core inside one `simnet` simulator.
+//! latency-modelled control channels, sharing one virtual clock.
 //!
-//! The testbed is the in-memory implementation of
-//! [`ControlPath`]: operations are submitted
-//! with a controller-side ready time, traverse the per-switch control
-//! link (FIFO, jittered), serialize on the switch's control CPU, and
-//! surface as typed [`Completion`] events in virtual-time order. The
-//! classic synchronous calls (`flow_mod`, `batch`, `probe`, `echo`) are
-//! thin adapters over that core: submit, wait for the token, warp the
-//! shared clock to the ack.
+//! The testbed is the in-memory implementation of [`ControlPath`]. Each
+//! attached switch is a [`SwitchCore`] — the per-switch timing model the
+//! virtual-time server runs too — and `submit` resolves an op on it at
+//! once: encode it (xids), draw its link latencies, admit it behind the
+//! earlier ops on the channel, run the agent at the instant processing
+//! starts, and file the [`Completion`] in that switch's FIFO. A switch's
+//! ops serialize on its own channel and switches share nothing but the
+//! clock, so resolving at submit yields every instant an event loop
+//! would have produced, and nothing is left to simulate afterwards.
 //!
-//! Because the core is one event loop over one simulator, many switches
-//! make progress in interleaved virtual time — the property the
-//! network-wide schedulers and concurrent inference both rely on.
+//! Delivery merges the per-switch FIFOs, each already in order, by the
+//! total order `(done_at, start, token)`: a heap holds one entry per
+//! switch with undelivered completions (its front), so it is never
+//! deeper than the switch count however many ops callers keep out.
+//! `next_completion` and `wait_for` move the clock to `max(now,
+//! done_at)`. The classic synchronous calls (`flow_mod`, `batch`,
+//! `probe`, `echo`) are thin adapters: submit, wait for the token, warp
+//! the clock to the ack.
 //!
-//! # Hot-path wiring
-//!
-//! Switches live in a dense `Vec<Attached>` and every simulator event
-//! carries the switch's `u32` index, so the per-event dispatch is an
-//! array access — the `Dpid → switch` map is consulted only at the
-//! public API boundary (attach/submit), never inside the event loop.
-//! Completions land in a `CompletionRing` addressed by the globally
-//! monotonic token number (`token - base` is the slot), so `wait_for`
-//! is O(1) instead of a scan, while a delivery-order queue preserves
-//! the time-ordered stream `next_completion` hands out. Encoded wire
-//! buffers recycle through a spare pool: steady state allocates
-//! nothing per op.
+//! Switches live in a dense `Vec` addressed by a `u32` index; the
+//! `Dpid → index` map is consulted only at the public API boundary. One
+//! wire buffer and one agent-output scratch serve every op, so steady
+//! state allocates nothing per op.
 
 use crate::agent::{Agent, AgentOutput};
-use crate::chan::{self, ChanCodec, OpKind};
+use crate::chan::{self, ChanCodec, OpKind, SwitchCore};
 use crate::control::{
     Completion, ControlOp, ControlPath, OpOutcome, OpToken, READY_ON_PREVIOUS_ACK,
 };
 use crate::pipeline::Hit;
 use crate::profiles::SwitchProfile;
-use crate::switch::{DataPathStats, Switch};
+use crate::switch::Switch;
 use ofwire::flow_match::FlowKey;
 use ofwire::flow_mod::FlowMod;
 use ofwire::types::Dpid;
 use simnet::link::Link;
 use simnet::rng::DetRng;
-use simnet::sim::Simulator;
-use simnet::telemetry::{
-    switch_track, Recorder, SpanId, Telemetry, TRACK_CONTROLLER, TRACK_SCHEDULER,
-};
+use simnet::telemetry::{switch_track, Recorder, Telemetry, TRACK_CONTROLLER, TRACK_SCHEDULER};
 use simnet::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 pub use crate::control::OpResult;
 
-/// An operation travelling the control path: encoded at submit time
-/// (frames built, xids assigned, link latencies drawn) so the wire
-/// behaviour is fixed the moment the controller lets go of it.
+/// A resolved op whose completion has not been handed out yet.
 #[derive(Clone)]
-struct PendingOp {
-    token: OpToken,
-    kind: OpKind,
-    /// Encoded wire bytes for the whole operation (pooled: returned to
-    /// the testbed's spare-buffer stack once the agent has consumed it).
-    bytes: Vec<u8>,
-    /// Forward (controller → switch) link latency.
-    up: SimDuration,
-    /// Return (switch → controller) link latency; zero for probes,
-    /// whose reply rides the measured forwarding outcome.
-    down: SimDuration,
+struct Queued {
+    /// When the switch began processing it.
+    start: SimTime,
+    completion: Completion,
 }
 
-/// An operation occupying the switch's control CPU, with its completion
-/// already computed (the agent ran when processing started).
-#[derive(Clone)]
-struct InFlight {
-    token: OpToken,
-    done_at: SimTime,
-    acked_at: SimTime,
-    outcome: OpOutcome,
-    /// The op's telemetry span, opened when processing began; `None`
-    /// when telemetry is off.
-    span: Option<SpanId>,
+/// Delivery order: `(done_at, start, token)`, a total order (tokens are
+/// unique). Ties on `done_at` across switches go to the op that started
+/// first, then the one submitted first.
+type DeliveryKey = (SimTime, SimTime, OpToken);
+
+impl Queued {
+    fn key(&self) -> DeliveryKey {
+        let c = &self.completion;
+        (c.done_at, self.start, c.token)
+    }
 }
 
 /// One switch attached to the testbed.
 #[derive(Clone)]
 struct Attached {
-    dpid: Dpid,
-    agent: Agent,
-    ctrl_link: Link,
-    /// Per-switch latency stream, forked once at attach so a switch's
-    /// jitter depends only on its own operation history — the property
-    /// that makes concurrent multi-switch runs reproduce sequential
-    /// ones.
-    rng: DetRng,
-    /// Xid assignment and barrier bookkeeping, shared wire discipline
-    /// with the real-TCP transport (see [`crate::chan`]).
+    /// The switch end of the channel: agent, link, latency stream
+    /// (forked once at attach, so a switch's jitter depends only on its
+    /// own op history), barrier tracker and timeline.
+    core: SwitchCore,
+    /// The controller end: xid assignment, shared with the real-TCP
+    /// transport (see [`crate::chan`]).
     codec: ChanCodec,
-    /// Submitted ops whose arrival event has not fired yet (FIFO: the
-    /// control channel is an ordered stream).
-    incoming: VecDeque<PendingOp>,
-    /// Arrived ops waiting for the control CPU.
-    waiting: VecDeque<PendingOp>,
-    /// The op being processed, if any.
-    current: Option<InFlight>,
-    /// Latest arrival so far — arrivals are clamped monotone to model
-    /// in-order delivery.
-    last_arrival: SimTime,
-    /// Latest completion (`done_at`) observed on this switch.
-    quiet_at: SimTime,
-    /// `acked_at` of the op that completed last (attach time before any).
-    last_ack: SimTime,
-    /// Ops submitted with [`READY_ON_PREVIOUS_ACK`] behind an op still
-    /// out: token minted, not encoded, no event. The `Done` of the last
-    /// launched op launches the front one, so xids, latency draws and
-    /// simulator events happen exactly as in one-at-a-time submission.
-    parked: VecDeque<(OpToken, ControlOp)>,
-}
-
-/// Events the testbed's simulator carries. The payload is the dense
-/// switch index, so handling an event never touches the dpid map.
-#[derive(Clone, Copy)]
-enum CtrlEvent {
-    /// The front of `incoming` reaches the switch.
-    Arrive(u32),
-    /// The current op finishes processing.
-    Done(u32),
-}
-
-/// One completion slot in the ring.
-#[derive(Clone)]
-enum RingSlot {
-    /// No completion delivered for this token yet.
-    Pending,
-    /// Delivered, awaiting pickup.
-    Ready(Completion),
-    /// Picked up out of delivery order by `wait_for`.
-    Taken,
-}
-
-/// Flat completion storage addressed by token number.
-///
-/// Tokens are minted by one global counter, so `token - base` indexes a
-/// ring of slots; `wait_for(token)` is a bounds check plus an array
-/// read. A separate queue records tokens in the order their completions
-/// were delivered (virtual-time order), so `next_completion` preserves
-/// the stream semantics of the old FIFO; entries taken early by
-/// `wait_for` leave a `Taken` tombstone the queue skips. The front of
-/// the ring compacts as prefixes drain, keeping its footprint at the
-/// outstanding-op span.
-#[derive(Clone, Default)]
-struct CompletionRing {
-    /// Token number of `slots[0]`.
-    base: u64,
-    slots: VecDeque<RingSlot>,
-    /// Tokens in completion-delivery order.
-    delivered: VecDeque<OpToken>,
-}
-
-impl CompletionRing {
-    /// Records a delivered completion.
-    fn push(&mut self, c: Completion) {
-        let token = c.token;
-        let idx = (token.0 - self.base) as usize;
-        while self.slots.len() <= idx {
-            self.slots.push_back(RingSlot::Pending);
-        }
-        self.slots[idx] = RingSlot::Ready(c);
-        self.delivered.push_back(token);
-    }
-
-    /// Takes the completion for `token` if it has been delivered and
-    /// not yet picked up.
-    fn take(&mut self, token: OpToken) -> Option<Completion> {
-        let idx = usize::try_from(token.0.checked_sub(self.base)?).expect("token offset");
-        let slot = self.slots.get_mut(idx)?;
-        if !matches!(slot, RingSlot::Ready(_)) {
-            return None;
-        }
-        let RingSlot::Ready(c) = std::mem::replace(slot, RingSlot::Taken) else {
-            unreachable!("matched Ready above");
-        };
-        while matches!(self.slots.front(), Some(RingSlot::Taken)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        Some(c)
-    }
-
-    /// Next completion in delivery order, skipping tombstones.
-    fn pop_delivered(&mut self) -> Option<Completion> {
-        while let Some(token) = self.delivered.pop_front() {
-            if let Some(c) = self.take(token) {
-                return Some(c);
-            }
-        }
-        None
-    }
+    /// Undelivered completions in channel order, which is also
+    /// [`DeliveryKey`] order.
+    fifo: VecDeque<Queued>,
 }
 
 /// A multi-switch testbed with a shared virtual clock.
@@ -205,21 +89,25 @@ impl CompletionRing {
 /// per scheduler.
 #[derive(Clone)]
 pub struct Testbed {
-    sim: Simulator<CtrlEvent>,
-    /// Dense switch storage; event payloads index into this.
+    now: SimTime,
+    /// Dense switch storage.
     switches: Vec<Attached>,
     /// Public-API boundary map: dpid → dense index (also fixes the
     /// sorted order `dpids()` reports).
     index: BTreeMap<Dpid, u32>,
     rng: DetRng,
     next_token: u64,
-    /// Completions delivered by the event core, awaiting pickup.
-    ring: CompletionRing,
-    /// Scratch for agent outputs, reused across every `begin` so the
-    /// control channel does not allocate a vector per op.
+    /// The merge over switch FIFOs: each non-empty FIFO's front, keyed
+    /// for delivery, with its switch index.
+    fronts: BinaryHeap<Reverse<(DeliveryKey, u32)>>,
+    /// Most entries `fronts` ever held (`sim/queue_depth_max`).
+    fronts_max: usize,
+    /// Modelled events, two per op (arrival and completion).
+    events: u64,
+    /// Wire bytes of the op being resolved (empty between ops).
+    wire: Vec<u8>,
+    /// Agent outputs of the op being resolved (empty between ops).
     agent_outs: Vec<AgentOutput>,
-    /// Retired wire buffers awaiting reuse by `encode`.
-    spare_bufs: Vec<Vec<u8>>,
     /// Per-testbed telemetry: disabled (a null option) unless
     /// [`Testbed::enable_telemetry`] was called, in which case op spans
     /// and dispatch metrics record here — along with everything the
@@ -232,34 +120,30 @@ impl Testbed {
     #[must_use]
     pub fn new(seed: u64) -> Testbed {
         Testbed {
-            sim: Simulator::new(),
+            now: SimTime::ZERO,
             switches: Vec::new(),
             index: BTreeMap::new(),
             rng: DetRng::new(seed),
             next_token: 0,
-            ring: CompletionRing::default(),
+            fronts: BinaryHeap::new(),
+            fronts_max: 0,
+            events: 0,
+            wire: Vec::new(),
             agent_outs: Vec::new(),
-            spare_bufs: Vec::new(),
             telemetry: Telemetry::off(),
         }
     }
 
     /// Switches this testbed's telemetry on: a fresh recorder collects
     /// op spans, dispatch metrics, and whatever the layers above emit.
-    /// Telemetry observes — it never draws randomness or alters event
-    /// timing — so results are identical with it on or off.
+    /// Telemetry observes — it never draws randomness or alters timing —
+    /// so results are identical with it on or off.
     pub fn enable_telemetry(&mut self) {
         self.telemetry = Telemetry::recording();
     }
 
-    /// The testbed's telemetry handle (disabled by default; every method
-    /// on a disabled handle is a no-op).
-    pub fn telemetry(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
-    }
-
-    /// Closes out telemetry: snapshots per-switch data-path stats and
-    /// the simulator's event count and peak queue depth into the
+    /// Closes out telemetry: snapshots per-switch data-path stats, the
+    /// modelled event count and the delivery merge's peak depth into the
     /// registry, labels the export tracks, closes any still-open spans
     /// at the current virtual time, and detaches the recorder. Returns
     /// `None` when telemetry was never enabled.
@@ -267,43 +151,31 @@ impl Testbed {
         if !self.telemetry.is_enabled() {
             return None;
         }
-        let mut agg = DataPathStats::default();
-        for att in &self.switches {
-            let s = att.agent.switch().stats();
-            agg.adds_hw += s.adds_hw;
-            agg.adds_sw += s.adds_sw;
-            agg.add_rejects += s.add_rejects;
-            agg.tcam_shift_units += s.tcam_shift_units;
-            agg.mods += s.mods;
-            agg.deleted_rules += s.deleted_rules;
-            agg.expired_rules += s.expired_rules;
-            agg.lookups += s.lookups;
-            agg.fast_hits += s.fast_hits;
-            agg.slow_hits += s.slow_hits;
-            agg.misses += s.misses;
-        }
         let t = &mut self.telemetry;
-        t.count("pipeline/adds_hw", agg.adds_hw);
-        t.count("pipeline/adds_sw", agg.adds_sw);
-        t.count("pipeline/add_rejects", agg.add_rejects);
-        t.count("pipeline/tcam_shift_units", agg.tcam_shift_units);
-        t.count("pipeline/mods", agg.mods);
-        t.count("pipeline/deleted_rules", agg.deleted_rules);
-        t.count("pipeline/expired_rules", agg.expired_rules);
-        t.count("pipeline/lookups", agg.lookups);
-        t.count("pipeline/fast_hits", agg.fast_hits);
-        t.count("pipeline/slow_hits", agg.slow_hits);
-        t.count("pipeline/misses", agg.misses);
-        t.count("sim/events", self.sim.events_processed());
-        t.gauge_max("sim/queue_depth_max", self.sim.queue_depth_max() as u64);
-        let now = self.sim.now();
+        // Counters sum, so each switch's tallies add into the totals.
+        for att in &self.switches {
+            let s = att.core.agent().switch().stats();
+            t.count("pipeline/adds_hw", s.adds_hw);
+            t.count("pipeline/adds_sw", s.adds_sw);
+            t.count("pipeline/add_rejects", s.add_rejects);
+            t.count("pipeline/tcam_shift_units", s.tcam_shift_units);
+            t.count("pipeline/mods", s.mods);
+            t.count("pipeline/deleted_rules", s.deleted_rules);
+            t.count("pipeline/expired_rules", s.expired_rules);
+            t.count("pipeline/lookups", s.lookups);
+            t.count("pipeline/fast_hits", s.fast_hits);
+            t.count("pipeline/slow_hits", s.slow_hits);
+            t.count("pipeline/misses", s.misses);
+        }
+        t.count("sim/events", self.events);
+        t.gauge_max("sim/queue_depth_max", self.fronts_max as u64);
         let mut rec = self.telemetry.take()?;
-        rec.close_all(now);
+        rec.close_all(self.now);
         rec.name_track(TRACK_CONTROLLER, "controller");
         rec.name_track(TRACK_SCHEDULER, "scheduler");
         for (i, att) in self.switches.iter().enumerate() {
             let track = switch_track(u32::try_from(i).expect("switch count fits u32"));
-            rec.name_track(track, format!("switch {i} (dpid {})", att.dpid.0));
+            rec.name_track(track, format!("switch {i} (dpid {})", att.core.dpid().0));
         }
         Some(rec)
     }
@@ -311,24 +183,14 @@ impl Testbed {
     /// Attaches a switch built from `profile` behind `ctrl_link`.
     pub fn attach(&mut self, dpid: Dpid, profile: SwitchProfile, ctrl_link: Link) {
         let (seed, link_rng) = chan::attach_streams(&mut self.rng, dpid);
-        let switch = Switch::new(profile, dpid, seed);
-        let now = self.sim.now();
+        let agent = Agent::new(Switch::new(profile, dpid, seed));
         let idx = u32::try_from(self.switches.len()).expect("switch count fits u32");
         let prev = self.index.insert(dpid, idx);
         assert!(prev.is_none(), "dpid {dpid:?} attached twice");
         self.switches.push(Attached {
-            dpid,
-            agent: Agent::new(switch),
-            ctrl_link,
-            rng: link_rng,
+            core: SwitchCore::new(dpid, agent, ctrl_link, link_rng, self.now),
             codec: ChanCodec::new(),
-            incoming: VecDeque::new(),
-            waiting: VecDeque::new(),
-            current: None,
-            last_arrival: now,
-            quiet_at: now,
-            last_ack: now,
-            parked: VecDeque::new(),
+            fifo: VecDeque::new(),
         });
     }
 
@@ -341,12 +203,7 @@ impl Testbed {
     /// Current virtual time.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// Advances the shared clock (e.g. to model controller think time).
-    pub fn advance(&mut self, d: SimDuration) {
-        self.sim.advance(d);
+        self.now
     }
 
     /// Datapath ids attached, in order.
@@ -363,143 +220,40 @@ impl Testbed {
     /// Read access to a switch.
     #[must_use]
     pub fn switch(&self, dpid: Dpid) -> &Switch {
-        self.switches[self.idx(dpid) as usize].agent.switch()
+        self.switches[self.idx(dpid) as usize].core.agent().switch()
     }
 
-    /// Encodes `op` into wire bytes on the channel of the switch at
-    /// `idx`, assigning xids and drawing both link latencies from the
-    /// switch's own stream.
-    fn encode(&mut self, idx: u32, token: OpToken, op: ControlOp) -> PendingOp {
-        let mut bytes = self.spare_bufs.pop().unwrap_or_default();
-        bytes.clear();
-        let att = &mut self.switches[idx as usize];
-        let dpid = att.dpid;
-        let kind = att.codec.encode_op(op, &mut bytes);
-        let (up, down) =
-            chan::draw_latencies(&att.ctrl_link, &mut att.rng, dpid, kind, bytes.len());
-        PendingOp {
-            token,
-            kind,
-            bytes,
-            up,
-            down,
+    /// Files the front of switch `idx`'s FIFO in the delivery merge.
+    fn file_front(&mut self, idx: u32) {
+        if let Some(q) = self.switches[idx as usize].fifo.front() {
+            self.fronts.push(Reverse((q.key(), idx)));
+            self.fronts_max = self.fronts_max.max(self.fronts.len());
         }
     }
 
-    /// `op` leaves the controller at `ready_at`: encode, schedule arrival.
-    fn launch(&mut self, idx: u32, token: OpToken, op: ControlOp, ready_at: SimTime) {
-        let pending = self.encode(idx, token, op);
-        self.telemetry.count(
-            match pending.kind {
-                OpKind::FlowMod => "op/flow_mod",
-                OpKind::Batch { .. } => "op/batch",
-                OpKind::Probe => "op/probe",
-                OpKind::Echo { .. } => "op/echo",
-            },
-            1,
-        );
-        let att = &mut self.switches[idx as usize];
-        // In-order delivery: a frame cannot overtake an earlier one on
-        // the same channel. The clamp is timing-neutral for processing
-        // (the CPU queue already serializes) but keeps arrivals FIFO.
-        let arrive = (ready_at + pending.up).max(att.last_arrival);
-        att.last_arrival = arrive;
-        att.incoming.push_back(pending);
-        self.sim.schedule_at(arrive, CtrlEvent::Arrive(idx));
+    /// Hands out a completion, moving the clock to its `done_at` unless
+    /// the clock is already past it.
+    fn deliver(&mut self, q: Queued) -> Completion {
+        self.now = self.now.max(q.completion.done_at);
+        q.completion
     }
 
-    /// Begins processing `op` on the switch at `idx` at time `start`:
-    /// runs the agent, derives the completion, and schedules its `Done`
-    /// event. The op's wire buffer retires to the spare pool.
-    fn begin(&mut self, idx: u32, op: PendingOp, start: SimTime) {
-        let span_name = match op.kind {
-            OpKind::FlowMod => "flow_mod",
-            OpKind::Batch { .. } => "batch",
-            OpKind::Probe => "probe",
-            OpKind::Echo { .. } => "echo",
-        };
-        let span = self
-            .telemetry
-            .span_begin(switch_track(idx), span_name, start);
-        // Reuse one scratch vector for agent outputs across all ops.
-        let mut outs = std::mem::take(&mut self.agent_outs);
-        outs.clear();
-        let att = &mut self.switches[idx as usize];
-        att.agent
-            .feed_into(&op.bytes, start, &mut outs)
-            .expect("well-formed frame");
-        let (duration, outcome) = chan::op_completion(op.kind, &outs, att.codec.barriers_mut());
-        let done_at = start + duration;
-        att.current = Some(InFlight {
-            token: op.token,
-            done_at,
-            acked_at: done_at + op.down,
-            outcome,
-            span,
-        });
-        self.agent_outs = outs;
-        self.spare_bufs.push(op.bytes);
-        self.sim.schedule_at(done_at, CtrlEvent::Done(idx));
-    }
-
-    /// Processes one simulator event.
-    fn handle(&mut self, at: SimTime, ev: CtrlEvent) {
-        match ev {
-            CtrlEvent::Arrive(idx) => {
-                let att = &mut self.switches[idx as usize];
-                let op = att
-                    .incoming
-                    .pop_front()
-                    .expect("arrival event without a pending op");
-                if att.current.is_some() {
-                    att.waiting.push_back(op);
-                    // Depth counts the op on the CPU plus everyone queued.
-                    let depth = att.waiting.len() as f64 + 1.0;
-                    self.telemetry.observe("switch/queue_depth", depth);
-                } else {
-                    self.telemetry.observe("switch/queue_depth", 1.0);
-                    self.begin(idx, op, at);
-                }
-            }
-            CtrlEvent::Done(idx) => {
-                let att = &mut self.switches[idx as usize];
-                let inflight = att.current.take().expect("done event without an op");
-                att.quiet_at = att.quiet_at.max(inflight.done_at);
-                att.last_ack = inflight.acked_at;
-                let next = att.waiting.pop_front();
-                self.telemetry.span_end(inflight.span, inflight.done_at);
-                self.telemetry.count("switch/ops_done", 1);
-                self.ring.push(Completion {
-                    token: inflight.token,
-                    dpid: att.dpid,
-                    done_at: inflight.done_at,
-                    acked_at: inflight.acked_at,
-                    outcome: inflight.outcome,
-                });
-                if let Some(op) = next {
-                    self.begin(idx, op, at);
-                } else if att.incoming.is_empty() {
-                    // The last launched op is done: its ack releases the
-                    // front parked op.
-                    if let Some((token, op)) = att.parked.pop_front() {
-                        self.launch(idx, token, op, inflight.acked_at);
-                    }
-                }
-            }
-        }
+    /// Submits `op` at the current instant and waits for it: the core of
+    /// the synchronous calls. Returns the submit instant and completion.
+    fn call(&mut self, dpid: Dpid, op: ControlOp) -> (SimTime, Completion) {
+        let start = self.now;
+        let token = self.submit(dpid, op, start);
+        (start, self.wait_for(token))
     }
 
     /// Synchronously applies one flow-mod: send → process → barrier-ack.
     /// Advances the clock by the full round trip and returns the result
     /// and the elapsed time.
     pub fn flow_mod(&mut self, dpid: Dpid, fm: FlowMod) -> (OpResult, SimDuration) {
-        let start = self.sim.now();
-        let token = self.submit(dpid, ControlOp::FlowMod(fm), start);
-        let c = self.wait_for(token);
+        let (start, c) = self.call(dpid, ControlOp::FlowMod(fm));
         self.warp_to(c.acked_at);
-        let result = match c.outcome {
-            OpOutcome::FlowMod(r) => r,
-            _ => unreachable!("flow-mod submit yields a flow-mod outcome"),
+        let OpOutcome::FlowMod(result) = c.outcome else {
+            unreachable!("flow-mod submit yields a flow-mod outcome")
         };
         (result, c.acked_at.since(start))
     }
@@ -509,13 +263,10 @@ impl Testbed {
     /// are pipelined: one upstream latency, serial processing, one
     /// downstream latency. Returns (successes, failures, elapsed).
     pub fn batch(&mut self, dpid: Dpid, fms: Vec<FlowMod>) -> (usize, usize, SimDuration) {
-        let start = self.sim.now();
-        let token = self.submit(dpid, ControlOp::Batch(fms), start);
-        let c = self.wait_for(token);
+        let (start, c) = self.call(dpid, ControlOp::Batch(fms));
         self.warp_to(c.acked_at);
-        let (ok, failed) = match c.outcome {
-            OpOutcome::Batch { ok, failed } => (ok, failed),
-            _ => unreachable!("batch submit yields a batch outcome"),
+        let OpOutcome::Batch { ok, failed } = c.outcome else {
+            unreachable!("batch submit yields a batch outcome")
         };
         (ok, failed, c.acked_at.since(start))
     }
@@ -525,13 +276,10 @@ impl Testbed {
     /// measured RTT (generator link + forwarding delay). Advances the
     /// clock by the RTT.
     pub fn probe(&mut self, dpid: Dpid, key: &FlowKey) -> (Hit, SimDuration) {
-        let start = self.sim.now();
-        let token = self.submit(dpid, ControlOp::Probe(*key), start);
-        let c = self.wait_for(token);
+        let (start, c) = self.call(dpid, ControlOp::Probe(*key));
         self.warp_to(c.done_at);
-        let hit = match c.outcome {
-            OpOutcome::Probe(hit) => hit,
-            _ => unreachable!("probe submit yields a probe outcome"),
+        let OpOutcome::Probe(hit) = c.outcome else {
+            unreachable!("probe submit yields a probe outcome")
         };
         (hit, c.done_at.since(start))
     }
@@ -540,90 +288,128 @@ impl Testbed {
     /// of `payload` bytes (the classic liveness/RTT probe). Advances the
     /// clock by the RTT.
     pub fn echo(&mut self, dpid: Dpid, payload: usize) -> SimDuration {
-        let start = self.sim.now();
-        let token = self.submit(dpid, ControlOp::Echo(payload), start);
-        let c = self.wait_for(token);
+        let (start, c) = self.call(dpid, ControlOp::Echo(payload));
         self.warp_to(c.acked_at);
         c.acked_at.since(start)
     }
 
-    /// Runs every in-flight operation to completion and returns the time
-    /// the network goes quiet (network-wide makespan reference point).
-    /// Completions delivered along the way remain available through
-    /// [`ControlPath::next_completion`]; the shared clock advances to the
-    /// last settled event.
+    /// The time the network goes quiet (network-wide makespan reference
+    /// point): the latest `done_at` among undelivered completions, or the
+    /// current time if that is later. The clock advances there;
+    /// completions stay available through [`ControlPath::next_completion`].
     pub fn all_quiet_at(&mut self) -> SimTime {
-        while let Some((at, ev)) = self.sim.next_event() {
-            self.handle(at, ev);
-        }
-        self.switches
+        let quiet = self
+            .switches
             .iter()
-            .map(|a| a.quiet_at)
-            .max()
-            .unwrap_or_else(|| self.sim.now())
-            .max(self.sim.now())
+            .filter_map(|a| a.fifo.back())
+            .fold(self.now, |t, q| t.max(q.completion.done_at));
+        self.now = quiet;
+        quiet
     }
 
     /// Warps the shared clock to `t` (must not go backwards).
     pub fn warp_to(&mut self, t: SimTime) {
-        let now = self.sim.now();
-        assert!(t >= now, "clock cannot go backwards");
-        self.sim.advance(t.since(now));
+        assert!(t >= self.now, "clock cannot go backwards");
+        self.now = t;
     }
 }
 
 impl ControlPath for Testbed {
     fn now(&self) -> SimTime {
-        self.sim.now()
+        self.now
     }
 
-    fn submit(&mut self, dpid: Dpid, op: ControlOp, mut ready_at: SimTime) -> OpToken {
+    fn submit(&mut self, dpid: Dpid, op: ControlOp, ready_at: SimTime) -> OpToken {
+        assert!(
+            ready_at == READY_ON_PREVIOUS_ACK || ready_at >= self.now,
+            "op submitted at {ready_at} before now {}",
+            self.now
+        );
         let idx = self.idx(dpid);
         let token = OpToken(self.next_token);
         self.next_token += 1;
         let att = &mut self.switches[idx as usize];
-        if ready_at == READY_ON_PREVIOUS_ACK {
-            if att.current.is_some() || !att.incoming.is_empty() || !att.waiting.is_empty() {
-                att.parked.push_back((token, op));
-                return token;
-            }
-            ready_at = att.last_ack;
-        } else {
-            assert!(att.parked.is_empty(), "timed submit behind parked ops");
+        let kind = att.codec.encode_op(op, &mut self.wire);
+        let r = att
+            .core
+            .resolve(ready_at, kind, &self.wire, &mut self.agent_outs)
+            .expect("the channel codec encodes well-formed ops");
+        // Emptied, not freed: the next op reuses them, and a clone of the
+        // testbed does not copy this op's bytes and outputs.
+        self.wire.clear();
+        self.agent_outs.clear();
+        self.events += 2;
+        simnet::sim::record_events(2);
+        if self.telemetry.is_enabled() {
+            let (counter, span) = match kind {
+                OpKind::FlowMod => ("op/flow_mod", "flow_mod"),
+                OpKind::Batch { .. } => ("op/batch", "batch"),
+                OpKind::Probe => ("op/probe", "probe"),
+                OpKind::Echo { .. } => ("op/echo", "echo"),
+            };
+            // The op itself plus the earlier ops on its switch not yet
+            // done when it arrives.
+            let ahead = att
+                .fifo
+                .iter()
+                .rev()
+                .take_while(|q| q.completion.done_at > r.arrive)
+                .count();
+            let t = &mut self.telemetry;
+            t.count(counter, 1);
+            t.observe("switch/queue_depth", (ahead + 1) as f64);
+            // A switch's ops serialize, so its op spans never overlap
+            // and may close as soon as they open.
+            let id = t.span_begin(switch_track(idx), span, r.start);
+            t.span_end(id, r.done_at);
+            t.count("switch/ops_done", 1);
         }
-        assert!(
-            ready_at >= self.sim.now(),
-            "op submitted at {ready_at} before now {}",
-            self.sim.now()
-        );
-        self.launch(idx, token, op, ready_at);
+        let was_idle = att.fifo.is_empty();
+        att.fifo.push_back(Queued {
+            start: r.start,
+            completion: Completion {
+                token,
+                dpid,
+                done_at: r.done_at,
+                acked_at: r.acked_at,
+                outcome: r.outcome,
+            },
+        });
+        if was_idle {
+            self.file_front(idx);
+        }
         token
     }
 
     fn next_completion(&mut self) -> Option<Completion> {
-        loop {
-            if let Some(c) = self.ring.pop_delivered() {
-                return Some(c);
-            }
-            let (at, ev) = self.sim.next_event()?;
-            self.handle(at, ev);
-        }
+        let Reverse((_, idx)) = self.fronts.pop()?;
+        let q = self.switches[idx as usize]
+            .fifo
+            .pop_front()
+            .expect("a merge entry per non-empty FIFO");
+        self.file_front(idx);
+        Some(self.deliver(q))
     }
 
     fn wait_for(&mut self, token: OpToken) -> Completion {
-        if let Some(c) = self.ring.take(token) {
-            return c;
+        let (idx, at) = self
+            .switches
+            .iter()
+            .enumerate()
+            .find_map(|(i, att)| {
+                let at = att
+                    .fifo
+                    .binary_search_by_key(&token, |q| q.completion.token);
+                at.ok().map(|at| (i, at))
+            })
+            .expect("token must identify an in-flight op");
+        let q = self.switches[idx].fifo.remove(at).expect("found above");
+        if at == 0 {
+            let idx = u32::try_from(idx).expect("switch count fits u32");
+            self.fronts.retain(|Reverse((_, i))| *i != idx);
+            self.file_front(idx);
         }
-        loop {
-            let (at, ev) = self
-                .sim
-                .next_event()
-                .expect("token must identify an in-flight op");
-            self.handle(at, ev);
-            if let Some(c) = self.ring.take(token) {
-                return c;
-            }
-        }
+        self.deliver(q)
     }
 
     fn warp_to(&mut self, t: SimTime) {
@@ -925,13 +711,41 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "timed submit behind parked ops")]
-    fn timed_submit_behind_parked_ops_is_a_caller_error() {
+    fn timed_submit_behind_chained_ops_queues_in_channel_order() {
         let (mut tb, dpid) = testbed_with(SwitchProfile::ovs());
         let t0 = tb.now();
         tb.submit(dpid, ControlOp::Echo(8), t0);
         tb.submit(dpid, ControlOp::Echo(8), READY_ON_PREVIOUS_ACK);
         tb.submit(dpid, ControlOp::Echo(8), t0);
+        let done: Vec<_> = std::iter::from_fn(|| tb.next_completion()).collect();
+        // Ready at t0, the third op still arrives behind the second.
+        assert!(done[2].done_at >= done[1].done_at);
+        assert!(done[1].done_at > done[0].acked_at);
+    }
+
+    #[test]
+    fn done_at_ties_go_to_the_op_that_started_first() {
+        // Jitter-free 1 ms links. Switch 2's flow-mod starts at 1 ms and
+        // finishes at `d`; switch 1's echo, submitted first (lower
+        // token), arrives at `d` and, costing nothing, also finishes at
+        // `d`. The flow-mod started first, so it is delivered first.
+        let link = Link::ideal(simnet::dist::Dist::Constant(1.0));
+        let mut tb = Testbed::new(4);
+        tb.attach(Dpid(1), SwitchProfile::ovs(), link);
+        tb.attach(Dpid(2), SwitchProfile::ovs(), link);
+        let fm = || ControlOp::FlowMod(FlowMod::add(FlowMatch::l3_for_id(1), 10));
+        let d = {
+            let mut twin = tb.clone();
+            let t = twin.submit(Dpid(2), fm(), SimTime::ZERO);
+            twin.wait_for(t).done_at
+        };
+        let ms = SimDuration::from_millis(1);
+        let echo = tb.submit(Dpid(1), ControlOp::Echo(8), SimTime(d.0 - ms.0));
+        let flow_mod = tb.submit(Dpid(2), fm(), SimTime::ZERO);
+        let first = tb.next_completion().expect("two ops out");
+        let second = tb.next_completion().expect("two ops out");
+        assert_eq!((first.done_at, second.done_at), (d, d));
+        assert_eq!((first.token, second.token), (flow_mod, echo));
     }
 
     #[test]
@@ -967,7 +781,7 @@ mod tests {
     #[test]
     fn wait_for_out_of_delivery_order() {
         // Picking up a later token first must not lose or reorder the
-        // remaining completions (ring tombstone path).
+        // remaining completions.
         let mut tb = Testbed::new(5);
         tb.attach_default(Dpid(1), SwitchProfile::vendor1());
         tb.attach_default(Dpid(2), SwitchProfile::vendor2());

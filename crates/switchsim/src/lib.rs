@@ -22,8 +22,11 @@
 //! * [`agent`] — the wire-protocol agent (real `ofwire` bytes in/out).
 //! * [`control`] — the transport-agnostic control-path abstraction
 //!   (submit an OpenFlow op, receive a typed completion event).
+//! * [`chan`] — the control channel both transports share: op encoding,
+//!   latency draws, and the per-switch core that times every op.
 //! * [`harness`] — the in-memory control path: a multi-switch testbed
-//!   whose event-driven core runs every switch in one simulator.
+//!   that resolves each op on its switch's core at submit and delivers
+//!   completions in virtual-time order.
 //!
 //! ```
 //! use switchsim::prelude::*;

@@ -47,8 +47,8 @@ use std::net::{SocketAddr, TcpStream};
 use switchsim::chan::{ChanCodec, OpKind};
 use switchsim::control::{Completion, ControlOp, ControlPath, OpToken};
 
-/// One switch's connection: socket, op codec (xids + barrier fences,
-/// identical state to the testbed's per-switch codec), and ack framer.
+/// One switch's connection: socket, op codec (the xid stream, identical
+/// to the testbed's per-switch codec), and ack framer.
 struct FleetConn {
     dpid: Dpid,
     conn: NbConn,

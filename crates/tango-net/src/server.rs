@@ -16,12 +16,12 @@
 //!   read drains a whole pipeline window, one vectored write flushes
 //!   all its replies.
 //! * **Virtual time** ([`ServerMode::Virtual`]) — the inference mode.
-//!   Ops arrive annotated with [`VtMsg::Submit`]; the server owns the
-//!   link model and per-switch latency RNG (derived exactly as the
-//!   in-memory testbed derives them at attach) and replays the
-//!   testbed's arrival/start/done/ack arithmetic, answering each op
-//!   with a [`VtMsg::Ack`] instead of the op's plain replies. See
-//!   [`crate::vt`] for why.
+//!   Ops arrive annotated with [`VtMsg::Submit`]; each connection holds
+//!   the switch's [`SwitchCore`] (agent, link model and per-switch
+//!   latency RNG, derived exactly as the in-memory testbed derives them
+//!   at attach), resolves every op on it as the testbed does, and
+//!   answers with a [`VtMsg::Ack`] instead of the op's plain replies.
+//!   See [`crate::vt`] for why.
 //!
 //! ## Sharding
 //!
@@ -49,7 +49,6 @@
 
 use crate::reactor::{IoCounters, NbConn, Pacer, READ_CHUNK};
 use crate::vt::{VtMsg, VtOpTag, TANGO_VENDOR};
-use ofwire::barrier::BarrierTracker;
 use ofwire::codec::Framer;
 use ofwire::header::MessageType;
 use ofwire::message::Message;
@@ -66,7 +65,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 use switchsim::agent::{Agent, AgentOutput};
-use switchsim::chan::{self, wire_keys, OpKind, VirtualTimeline};
+use switchsim::chan::{self, wire_keys, OpKind, SwitchCore};
 use switchsim::control::READY_ON_PREVIOUS_ACK;
 use switchsim::profiles::SwitchProfile;
 use switchsim::switch::Switch;
@@ -481,12 +480,7 @@ struct RtState {
 }
 
 struct VtState {
-    dpid: Dpid,
-    agent: Agent,
-    link: Link,
-    rng: DetRng,
-    timeline: VirtualTimeline,
-    barriers: BarrierTracker<usize>,
+    core: SwitchCore,
     framer: Framer,
     /// The op currently being assembled, announced by its submit frame.
     cur: Option<CurOp>,
@@ -504,9 +498,9 @@ struct CurOp {
     bytes: Vec<u8>,
     /// Length of the first frame (sizes an echo's return leg).
     first_frame_len: usize,
-    /// Xid and length of the most recent frame (a batch's barrier is
-    /// its last frame).
-    last_frame: (Xid, usize),
+    /// Length of the most recent frame (a batch's barrier is its last
+    /// frame).
+    last_frame_len: usize,
 }
 
 struct Session {
@@ -540,12 +534,13 @@ fn bind_session(h: Handoff, roster: &[RosterSlot], mode: &ServerMode) -> Session
     let state = match mode {
         ServerMode::Realtime => SessState::Realtime(Box::new(RtState { agent })),
         ServerMode::Virtual { link } => SessState::Virtual(Box::new(VtState {
-            dpid: slot.dpid,
-            agent,
-            link: *link,
-            rng: slot.link_rng.clone(),
-            timeline: VirtualTimeline::new(),
-            barriers: BarrierTracker::new(),
+            core: SwitchCore::new(
+                slot.dpid,
+                agent,
+                *link,
+                slot.link_rng.clone(),
+                SimTime::ZERO,
+            ),
             framer: Framer::new(),
             cur: None,
             spare: Vec::new(),
@@ -805,7 +800,7 @@ impl VtState {
                     wire_len,
                     bytes: op_buf,
                     first_frame_len: 0,
-                    last_frame: (Xid(0), 0),
+                    last_frame_len: 0,
                 });
                 continue;
             }
@@ -823,7 +818,7 @@ impl VtState {
                 cur.first_frame_len = frame_len;
             }
             cur.bytes.extend_from_slice(frame.bytes);
-            cur.last_frame = (frame.header.xid, frame_len);
+            cur.last_frame_len = frame_len;
             cur.frames_left -= 1;
             if cur.frames_left == 0 {
                 self.finish_op(outs, out)?;
@@ -832,8 +827,9 @@ impl VtState {
         }
     }
 
-    /// All frames of the current op have arrived: replay the testbed's
-    /// timing model, run the agent, and emit the ack.
+    /// All frames of the current op have arrived: resolve it on the
+    /// switch's core, as the testbed does, and emit the ack. Frames that
+    /// do not form the op their tag names close the connection.
     fn finish_op(&mut self, outs: &mut Vec<AgentOutput>, out: &mut Vec<u8>) -> io::Result<()> {
         let cur = self.cur.take().expect("finish_op follows a submit");
         if cur.bytes.len() != cur.wire_len as usize {
@@ -841,31 +837,23 @@ impl VtState {
         }
         let kind = match cur.tag {
             VtOpTag::FlowMod => OpKind::FlowMod,
-            VtOpTag::Batch => {
-                let (barrier_xid, barrier_len) = cur.last_frame;
-                let size = cur.bytes.len() - barrier_len;
-                self.barriers.register(barrier_xid, size);
-                OpKind::Batch { size }
-            }
+            VtOpTag::Batch => OpKind::Batch {
+                size: cur.bytes.len() - cur.last_frame_len,
+            },
             VtOpTag::Probe => OpKind::Probe,
             VtOpTag::Echo => OpKind::Echo {
                 payload: cur.first_frame_len - ofwire::header::OFP_HEADER_LEN,
             },
         };
-        let (up, down) =
-            chan::draw_latencies(&self.link, &mut self.rng, self.dpid, kind, cur.bytes.len());
-        let start = self.timeline.admit(cur.ready, up);
-        outs.clear();
-        self.agent
-            .feed_into(&cur.bytes, start, outs)
-            .map_err(|_| proto_err("op frames rejected by the agent"))?;
-        let (cost, outcome) = chan::op_completion(kind, outs, &mut self.barriers);
-        let (done, acked) = self.timeline.complete(start, cost, down);
+        let r = self
+            .core
+            .resolve(cur.ready, kind, &cur.bytes, outs)
+            .map_err(|e| proto_err(&e.to_string()))?;
         VtMsg::Ack {
             token: cur.token,
-            done_ns: done.0,
-            acked_ns: acked.0,
-            outcome,
+            done_ns: r.done_at.0,
+            acked_ns: r.acked_at.0,
+            outcome: r.outcome,
         }
         .to_message()
         .encode_frame_into(Xid(0), out);

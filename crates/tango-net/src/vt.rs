@@ -9,9 +9,10 @@
 //! server — which owns the link model and the per-switch latency RNG,
 //! derived exactly as
 //! [`chan::attach_streams`](switchsim::chan::attach_streams) derives
-//! them — recomputes the arrival/start/done/ack arithmetic with
-//! [`chan::VirtualTimeline`](switchsim::chan::VirtualTimeline) and
-//! ships the resulting timestamps back with the typed outcome.
+//! them — resolves each op on the same
+//! [`chan::SwitchCore`](switchsim::chan::SwitchCore) the in-memory
+//! testbed times its switches with, and ships the resulting timestamps
+//! back with the typed outcome.
 //!
 //! The annotations ride *inside* the OpenFlow stream as vendor
 //! messages ([`Message::Vendor`]) under [`TANGO_VENDOR`], so framing,

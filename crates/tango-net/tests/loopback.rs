@@ -324,3 +324,80 @@ fn realtime_bench_smoke() {
     let served: Vec<usize> = stats.shards.iter().map(|s| s.conns).collect();
     assert_eq!(served, expected);
 }
+
+/// Writes one hand-made op — `tag` over `frames` (xid, message), ready
+/// at zero — on a rogue connection bound to switch 2, beside a healthy
+/// fleet connection to switch 1. Frames that do not form the op their
+/// tag names are a protocol error on that connection alone: no ack, one
+/// error, and the shard keeps serving the connection next to it.
+fn malformed_op_closes_only_its_connection(tag: VtOpTag, frames: &[(u32, Message)]) {
+    let server = AgentServer::spawn(SEED, roster(), ServerMode::Virtual { link: link() })
+        .expect("loopback server spawns");
+    let mut fleet = TcpFleet::connect(server.addr(), &[Dpid(1)]).expect("loopback fleet connects");
+    let warm = fleet.submit(Dpid(1), ControlOp::Echo(8), SimTime::ZERO);
+    let warm = fleet.wait_for(warm);
+
+    let mut op = Vec::new();
+    for (xid, m) in frames {
+        m.encode_frame_into(Xid(*xid), &mut op);
+    }
+    let mut bytes = Vec::new();
+    VtMsg::Hello { dpid: 2 }
+        .to_message()
+        .encode_frame_into(Xid(0), &mut bytes);
+    VtMsg::Submit {
+        token: 0,
+        ready_ns: 0,
+        tag,
+        frames: frames.len() as u32,
+        wire_len: op.len() as u32,
+    }
+    .to_message()
+    .encode_frame_into(Xid(0), &mut bytes);
+    bytes.extend_from_slice(&op);
+    let mut rogue = TcpStream::connect(server.addr()).expect("connect");
+    rogue.write_all(&bytes).expect("send");
+    rogue
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    let mut reply = Vec::new();
+    match rogue.read_to_end(&mut reply) {
+        Ok(_) => assert!(reply.is_empty(), "malformed {tag:?} op was acked"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+    }
+
+    let after = fleet.submit(Dpid(1), ControlOp::Echo(8), warm.acked_at);
+    let after = fleet.wait_for(after);
+    assert!(after.acked_at > warm.acked_at);
+    drop(fleet);
+    let stats = server.shutdown().expect("server exits cleanly");
+    assert_eq!(stats.errors, 1);
+    assert_eq!(stats.ops, 2);
+}
+
+fn flow_mod(id: u32) -> Message {
+    Message::FlowMod(FlowMod::add(FlowMatch::l3_for_id(id), 10))
+}
+
+#[test]
+fn a_probe_that_is_an_echo_closes_only_its_connection() {
+    let echo = Message::EchoRequest(vec![0; 8]);
+    malformed_op_closes_only_its_connection(VtOpTag::Probe, &[(1, echo)]);
+}
+
+#[test]
+fn a_batch_of_two_barriers_closes_only_its_connection() {
+    let fences = [(5, Message::BarrierRequest), (6, Message::BarrierRequest)];
+    malformed_op_closes_only_its_connection(VtOpTag::Batch, &fences);
+}
+
+#[test]
+fn an_echo_that_is_a_flow_mod_closes_only_its_connection() {
+    malformed_op_closes_only_its_connection(VtOpTag::Echo, &[(1, flow_mod(1))]);
+}
+
+#[test]
+fn a_batch_without_its_barrier_closes_only_its_connection() {
+    let fms = [(1, flow_mod(1)), (2, flow_mod(2))];
+    malformed_op_closes_only_its_connection(VtOpTag::Batch, &fms);
+}

@@ -235,9 +235,9 @@ pub fn execute_rounds<C: ControlPath + ?Sized>(
         let round_span = telemetry(cp, off).span_begin(TRACK_SCHEDULER, "round", frontier);
         telemetry(cp, off).count("sched/rounds", 1);
         telemetry(cp, off).count("sched/issued", ordered.len() as u64);
-        // Issue the whole round at the frontier; every op's wire frames
-        // and latencies are fixed at submit time, then the event core
-        // interleaves all switches' processing in virtual time.
+        // Issue the whole round at the frontier; the control path times
+        // each op on its own switch and interleaves all switches'
+        // completions in virtual time.
         let submitted: Vec<(OpToken, Deadline)> = ordered
             .iter()
             .map(|&id| {

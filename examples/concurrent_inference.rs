@@ -1,12 +1,12 @@
-//! Concurrent multi-switch inference: probe several switches in one
-//! simulator, interleaved in virtual time.
+//! Concurrent multi-switch inference: probe several switches on one
+//! testbed, interleaved in virtual time.
 //!
 //! ```sh
 //! cargo run --release --example concurrent_inference
 //! ```
 //!
 //! Every switch runs the same Tango pattern. Sequentially the probe
-//! times add up; through the event-driven control path the runs
+//! times add up; through the shared control path the runs
 //! overlap, so the wall-clock (virtual) cost is close to the slowest
 //! switch alone — while each switch's measurements stay bit-identical
 //! to what a sequential run would have produced, because its latency
@@ -43,7 +43,7 @@ fn main() {
         .collect();
     let seq_elapsed = seq_tb.now().since(seq_start);
 
-    // Concurrent: all three programs interleaved in one simulator.
+    // Concurrent: all three programs interleaved on one testbed.
     let mut con_tb = testbed();
     let con_start = con_tb.now();
     let jobs: Vec<FleetJob> = dpids
