@@ -81,6 +81,7 @@ pub fn lower_scenario(tb: &mut Testbed, dpids: &[Dpid], scen: &Scenario) -> Requ
     }
 
     let mut dag = RequestDag::new();
+    dag.reserve(scen.requests.len());
     let ids: Vec<NodeId> = scen
         .requests
         .iter()
@@ -126,20 +127,23 @@ fn preinstalled_priority(scen: &Scenario, node: usize, flow: u32) -> u16 {
 ///
 /// The enforced range sits *above* any plausibly-resident rule priority
 /// (Tango can read the table's current maximum from flow stats), so the
-/// new adds never shift existing entries either.
+/// new adds never shift existing entries either. Panics past level
+/// 15 535, where `50_000 + level` no longer fits a priority.
 pub fn enforce_dag_priorities(dag: &mut RequestDag) {
     let order = dag.topo_order().expect("acyclic");
     // Level = longest path from any root.
-    let mut level = vec![0u16; dag.len()];
+    let mut level = vec![0u32; dag.len()];
     for &id in &order {
         let l = level[id.0];
-        for &s in dag.successors(id).to_vec().iter() {
+        for &s in dag.successors(id) {
             level[s.0] = level[s.0].max(l + 1);
         }
     }
     for id in order {
         if dag.node(id).priority.is_none() {
-            dag.node_mut(id).priority = Some(50_000 + level[id.0]);
+            let prio = u16::try_from(50_000 + level[id.0])
+                .expect("DAG deeper than 15 535 levels: priority 50 000 + level overflows");
+            dag.node_mut(id).priority = Some(prio);
         }
     }
 }
@@ -182,6 +186,38 @@ mod tests {
                 assert!(dag.node(s).priority.unwrap() > dag.node(id).priority.unwrap());
             }
         }
+    }
+
+    /// A chain `n` requests long, none with a priority.
+    fn unprioritised_chain(n: usize) -> RequestDag {
+        let mut dag = RequestDag::new();
+        let mut prev = None;
+        for i in 0..n {
+            let req = ReqElem::add(Dpid(1), match_for_flow(i as u32), 0, 1).without_priority();
+            let id = dag.add_node(req);
+            if let Some(p) = prev {
+                dag.add_dep(p, id);
+            }
+            prev = Some(id);
+        }
+        dag
+    }
+
+    #[test]
+    fn enforcement_reaches_the_top_of_the_priority_range() {
+        let mut dag = unprioritised_chain(15_536);
+        enforce_dag_priorities(&mut dag);
+        assert_eq!(dag.node(NodeId(0)).priority, Some(50_000));
+        assert_eq!(dag.node(NodeId(15_535)).priority, Some(u16::MAX));
+    }
+
+    /// Level 15 536 would need priority 65 536: a clear panic, not a
+    /// debug overflow or a release-mode wrap to 0 that inverts the chain.
+    #[test]
+    #[should_panic(expected = "DAG deeper than 15 535 levels")]
+    fn enforcement_refuses_a_chain_deeper_than_the_priority_range() {
+        let mut dag = unprioritised_chain(20_000);
+        enforce_dag_priorities(&mut dag);
     }
 
     #[test]

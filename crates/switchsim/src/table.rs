@@ -11,6 +11,7 @@ use simnet::time::SimTime;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Word-at-a-time multiply-rotate hash (FxHash-style). The table's two
 /// indexes hash a [`MatchKey`] (five `write_u64` calls) or an entry id
@@ -172,12 +173,13 @@ impl Bucket {
 /// put an O(n·buckets) tax on each cache promotion/demotion).
 ///
 /// The per-event hot fields are split out of `FlowEntry` into parallel
-/// **SoA arrays** indexed by slot — `prio`, `id`, `seq` (install order),
-/// and the timeout-participation flag — so the packet-lookup and expiry
-/// paths touch a few packed words per candidate instead of dragging whole
+/// **SoA arrays** indexed by slot — `prio`, `id` and the
+/// timeout-participation flag — so the packet-lookup and expiry paths
+/// touch a few packed words per candidate instead of dragging whole
 /// `FlowEntry` cache lines through the comparisons. These fields are
 /// immutable for the lifetime of a slot (see the invariant below), so the
-/// copies can never go stale.
+/// copies can never go stale. Install order needs no column of its own:
+/// `pos` already orders residents by install.
 ///
 /// Side indexes keep the control-path hot spots off the linear scan.
 /// One map is keyed by a match: `by_match`, packed canonical match
@@ -187,12 +189,13 @@ impl Bucket {
 /// (nearly always singleton) bucket by priority and raw match equality;
 /// [`FlowTable::lookup`] packs the packet onto each resident match shape
 /// (the short `shapes` list) and probes per shape instead of running
-/// `covers` per entry; removal reads the slot's stored key (`mkey`) and
-/// never repacks. An id map makes [`FlowTable::position_of`] O(1), and a
-/// Fenwick tree over the priority space answers
-/// [`FlowTable::count_above`] (the TCAM shift cost of an insert) in
-/// O(log 65536) — in tables that are asked: it is built on the first
-/// call and maintained from then on.
+/// `covers` per entry. No key is stored per entry: a strict removal
+/// reuses the key it probed with, and a removal by position packs the
+/// resident's match once. Two more indexes exist only in tables that
+/// are asked, built on the first call and maintained from then on: an
+/// id map makes [`FlowTable::position_of`] O(1), and a Fenwick tree over
+/// the priority space answers [`FlowTable::count_above`] (the TCAM shift
+/// cost of an insert) in O(log 65536).
 ///
 /// Invariant: `flow_match`, `priority`, and the timeout fields of an
 /// installed entry are immutable. [`FlowTable::get_mut`] exists for
@@ -217,27 +220,23 @@ pub struct FlowTable {
     pos: Vec<u64>,
     /// Bias subtracted from `pos` values to obtain dense positions.
     base: u64,
-    /// Slot → per-table install sequence (monotonic; orders buckets).
-    seq: Vec<u64>,
     /// Slot → entry priority (SoA hot field for lookup comparisons).
     prio: Vec<u16>,
     /// Slot → entry id (SoA hot field for lookup tie-breaks).
     id: Vec<u64>,
     /// Slot → whether the entry participates in expiry.
     timeout: Vec<bool>,
-    /// Slot → the entry's packed canonical match, so unhooking a slot
-    /// from `by_match` never repacks.
-    mkey: Vec<MatchKey>,
-    next_seq: u64,
     /// Packed canonical match → slots of every priority holding it, in
-    /// install-seq order (so the first slot passing a filter is the
+    /// install order (so the first slot passing a filter is the
     /// earliest-installed resident, matching the linear scan).
     by_match: FnvMap<MatchKey, Bucket>,
-    /// entry id → slots, in install-seq order (ids are unique per
-    /// switch, so buckets are singletons in practice; the bucket form
-    /// mirrors `by_match` and keeps first-position semantics under
-    /// duplicates).
-    by_id: FnvMap<EntryId, Bucket>,
+    /// entry id → slots, in install order (ids are unique per switch,
+    /// so buckets are singletons in practice; the bucket form mirrors
+    /// `by_match` and keeps first-position semantics under duplicates).
+    /// Built by the first [`FlowTable::position_of`] (which takes
+    /// `&self`, hence the `OnceLock`), so a table nobody asks by id pays
+    /// no id hash per insert and remove.
+    by_id: OnceLock<FnvMap<EntryId, Bucket>>,
     /// Resident match shapes — wildcard word (which fields are
     /// constrained, at which prefix lengths) and how many residents have
     /// it. A lookup packs the packet once per shape and probes
@@ -293,12 +292,12 @@ impl FlowTable {
         self.iter().cloned().collect()
     }
 
-    /// Drops `slot` from `key`'s bucket (sorted by install seq) in one
-    /// probe, deleting the bucket when emptied.
-    fn index_drop<K: Eq + Hash>(map: &mut FnvMap<K, Bucket>, key: K, slot: u32, seq: &[u64]) {
+    /// Drops `slot` from `key`'s bucket in one probe, deleting the
+    /// bucket when emptied.
+    fn index_drop<K: Eq + Hash>(map: &mut FnvMap<K, Bucket>, key: K, slot: u32) {
         if let Entry::Occupied(mut o) = map.entry(key) {
             let bucket = o.get_mut();
-            if let Ok(p) = bucket.binary_search_by_key(&seq[slot as usize], |&s| seq[s as usize]) {
+            if let Some(p) = bucket.iter().position(|&s| s == slot) {
                 bucket.remove(p);
             }
             if bucket.is_empty() {
@@ -308,32 +307,26 @@ impl FlowTable {
     }
 
     /// Allocates a slot for `entry` and records its SoA hot fields.
-    fn alloc_slot(&mut self, entry: FlowEntry, mkey: MatchKey) -> u32 {
+    fn alloc_slot(&mut self, entry: FlowEntry) -> u32 {
         let prio = entry.priority;
         let id = entry.id.0;
         let to = has_timeout(&entry);
-        let seq = self.next_seq;
-        self.next_seq += 1;
         match self.free.pop() {
             Some(s) => {
                 let i = s as usize;
                 self.slots[i] = Some(entry);
-                self.seq[i] = seq;
                 self.prio[i] = prio;
                 self.id[i] = id;
                 self.timeout[i] = to;
-                self.mkey[i] = mkey;
                 s
             }
             None => {
                 let s = u32::try_from(self.slots.len()).expect("slab overflow");
                 self.slots.push(Some(entry));
                 self.pos.push(0);
-                self.seq.push(seq);
                 self.prio.push(prio);
                 self.id.push(id);
                 self.timeout.push(to);
-                self.mkey.push(mkey);
                 s
             }
         }
@@ -360,14 +353,16 @@ impl FlowTable {
         slot
     }
 
-    /// Unhooks `slot` from everything but `order`/`pos` and `by_match`
-    /// (the caller has already dropped it from those) and frees it,
-    /// returning the entry.
-    fn release_slot(&mut self, slot: u32) -> FlowEntry {
+    /// Unhooks `slot`, whose match packs to `mkey`, from everything but
+    /// `order`/`pos` and `by_match` (the caller has already dropped it
+    /// from those) and frees it, returning the entry.
+    fn release_slot(&mut self, slot: u32, mkey: MatchKey) -> FlowEntry {
         let i = slot as usize;
         let e = self.slots[i].take().expect("resident slot");
-        Self::index_drop(&mut self.by_id, e.id, slot, &self.seq);
-        let shape = self.mkey[i].wildcards();
+        if let Some(by_id) = self.by_id.get_mut() {
+            Self::index_drop(by_id, e.id, slot);
+        }
+        let shape = mkey.wildcards();
         let at = self
             .shapes
             .iter()
@@ -391,13 +386,10 @@ impl FlowTable {
     /// returning the entry. The caller has already dropped the slot
     /// from `order`/`pos`.
     fn detach_slot(&mut self, slot: u32) -> FlowEntry {
-        Self::index_drop(
-            &mut self.by_match,
-            self.mkey[slot as usize],
-            slot,
-            &self.seq,
-        );
-        self.release_slot(slot)
+        let e = self.slots[slot as usize].as_ref().expect("resident slot");
+        let mkey = e.flow_match.key();
+        Self::index_drop(&mut self.by_match, mkey, slot);
+        self.release_slot(slot, mkey)
     }
 
     /// Installs an entry.
@@ -408,13 +400,15 @@ impl FlowTable {
         if has_timeout(&entry) {
             self.timeout_entries += 1;
         }
-        let slot = self.alloc_slot(entry, mkey);
+        let slot = self.alloc_slot(entry);
         self.pos[slot as usize] = self.base + self.order.len() as u64;
         self.order.push_back(slot);
-        // Fresh slots carry the table's maximum seq, so appending keeps
-        // every bucket sorted by install order.
+        // The new resident is the last installed, so appending keeps
+        // every bucket in install order.
         self.by_match.entry(mkey).or_default().push(slot);
-        self.by_id.entry(id).or_default().push(slot);
+        if let Some(by_id) = self.by_id.get_mut() {
+            by_id.entry(id).or_default().push(slot);
+        }
         let shape = mkey.wildcards();
         match self.shapes.iter_mut().find(|(w, _)| *w == shape) {
             Some((_, n)) => *n += 1,
@@ -435,7 +429,8 @@ impl FlowTable {
     /// find, in one probe of the match index: the bucket entry that
     /// locates the slot is the one the slot is dropped from.
     pub fn remove_strict(&mut self, flow_match: &FlowMatch, priority: u16) -> Option<FlowEntry> {
-        let Entry::Occupied(mut o) = self.by_match.entry(flow_match.key()) else {
+        let mkey = flow_match.key();
+        let Entry::Occupied(mut o) = self.by_match.entry(mkey) else {
             return None;
         };
         let (slots, prio) = (&self.slots, &self.prio);
@@ -448,7 +443,7 @@ impl FlowTable {
             o.remove();
         }
         self.unlink_position((self.pos[slot as usize] - self.base) as usize);
-        Some(self.release_slot(slot))
+        Some(self.release_slot(slot, mkey))
     }
 
     /// Whether the resident of `slot` — already known to share the
@@ -605,7 +600,9 @@ impl FlowTable {
     /// Removes every entry, returning them in installation order.
     pub fn drain_all(&mut self) -> Vec<FlowEntry> {
         self.by_match.clear();
-        self.by_id.clear();
+        if let Some(by_id) = self.by_id.get_mut() {
+            by_id.clear();
+        }
         self.shapes.clear();
         if let Some(counts) = &mut self.prio_counts {
             counts.clear();
@@ -621,23 +618,31 @@ impl FlowTable {
         self.slots.clear();
         self.pos.clear();
         self.base = 0;
-        self.seq.clear();
         self.prio.clear();
         self.id.clear();
         self.timeout.clear();
-        self.mkey.clear();
         out
     }
 
-    /// Finds an entry by id. O(1) via the id index; under (contractually
-    /// absent) duplicate ids, returns the earliest position like the old
-    /// linear scan.
+    /// Finds an entry by id. O(1) via the id index, which the first call
+    /// builds from the residents; under (contractually absent) duplicate
+    /// ids, returns the earliest position like the old linear scan.
     #[must_use]
     pub fn position_of(&self, id: EntryId) -> Option<usize> {
         self.by_id
+            .get_or_init(|| self.build_id_index())
             .get(&id)
             .and_then(|bucket| bucket.first())
             .map(|&s| (self.pos[s as usize] - self.base) as usize)
+    }
+
+    /// entry id → slots, in install order, from a scan of the residents.
+    fn build_id_index(&self) -> FnvMap<EntryId, Bucket> {
+        let mut by_id = FnvMap::with_capacity_and_hasher(self.len(), Default::default());
+        for &s in &self.order {
+            Bucket::push(by_id.entry(EntryId(self.id[s as usize])).or_default(), s);
+        }
+        by_id
     }
 
     /// How many installed entries have priority strictly above
@@ -713,9 +718,7 @@ impl FlowTable {
                 "pos/order disagree at {p}"
             );
         }
-        // SoA copies match the entries; seq is strictly increasing in
-        // position order.
-        let mut last_seq = None;
+        // SoA copies match the entries.
         for &s in &self.order {
             let e = self.slots[s as usize].as_ref().unwrap();
             assert_eq!(self.prio[s as usize], e.priority, "stale SoA prio {s}");
@@ -725,8 +728,6 @@ impl FlowTable {
                 has_timeout(e),
                 "stale SoA timeout {s}"
             );
-            assert!(last_seq < Some(self.seq[s as usize]), "seq not increasing");
-            last_seq = Some(self.seq[s as usize]);
         }
         let mut match_count = 0;
         for (key, bucket) in &self.by_match {
@@ -734,33 +735,29 @@ impl FlowTable {
             assert!(
                 bucket
                     .windows(2)
-                    .all(|w| self.seq[w[0] as usize] < self.seq[w[1] as usize]),
+                    .all(|w| self.pos[w[0] as usize] < self.pos[w[1] as usize]),
                 "match bucket not in install order: {bucket:?}"
             );
             for &s in bucket {
                 let e = self.slots[s as usize].as_ref().expect("free slot indexed");
                 assert_eq!(e.flow_match.key(), *key, "stale match index {s}");
-                assert_eq!(self.mkey[s as usize], *key, "stale SoA mkey {s}");
             }
             match_count += bucket.len();
         }
         assert_eq!(match_count, self.len());
-        let mut id_count = 0;
-        for (&id, bucket) in &self.by_id {
-            assert!(!bucket.is_empty(), "empty id bucket for {id:?}");
-            assert!(
-                bucket
-                    .windows(2)
-                    .all(|w| self.seq[w[0] as usize] < self.seq[w[1] as usize]),
-                "id bucket not in install order: {bucket:?}"
-            );
-            for &s in bucket {
-                let e = self.slots[s as usize].as_ref().expect("free slot indexed");
-                assert_eq!(e.id, id, "stale id index {s}");
+        // The id index, once built, is what a fresh build would give, so
+        // its buckets too are in install order and none is empty.
+        if let Some(by_id) = self.by_id.get() {
+            let fresh = self.build_id_index();
+            assert_eq!(by_id.len(), fresh.len(), "id index keys");
+            for (id, bucket) in &fresh {
+                assert_eq!(
+                    by_id.get(id).map(|b| &b[..]),
+                    Some(&bucket[..]),
+                    "stale id index for {id:?}"
+                );
             }
-            id_count += bucket.len();
         }
-        assert_eq!(id_count, self.len());
         // `shapes` is exactly the multiset of resident wildcard words.
         let mut want: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
         for e in self.iter() {
@@ -1080,6 +1077,52 @@ mod tests {
         t.insert(entry(100, FlowMatch::l3_for_id(100), 7));
         t.assert_index_consistent();
         assert_eq!(t.position_of(EntryId(100)), Some(t.len() - 1));
+    }
+
+    /// The id index is built by the first `position_of` and maintained
+    /// from then on. Whether that call comes before random churn or only
+    /// after it, the index equals a fresh build (checked by
+    /// `assert_index_consistent`) and answers every id like a scan.
+    #[test]
+    fn lazy_id_index_matches_a_fresh_build_early_or_late() {
+        for seed in 0..16u64 {
+            let mut rng = simnet::rng::DetRng::new(seed);
+            let (mut early, mut late) = (FlowTable::new(), FlowTable::new());
+            assert_eq!(early.position_of(EntryId(0)), None);
+            for step in 0..300u64 {
+                let n = early.len();
+                // Ids repeat now and then, which the buckets allow.
+                let id = if rng.chance(0.1) { step / 2 } else { step };
+                let m = FlowMatch::l3_for_id(rng.index(48) as u32);
+                let prio = rng.index(3) as u16;
+                match rng.index(6) {
+                    0..=2 => {
+                        early.insert(entry(id, m, prio));
+                        late.insert(entry(id, m, prio));
+                    }
+                    3 if n > 0 => {
+                        let i = rng.index(n);
+                        assert_eq!(early.remove_at(i), late.remove_at(i));
+                    }
+                    4 if n > 0 => {
+                        let picks = vec![rng.index(n), rng.index(n), rng.index(n)];
+                        assert_eq!(
+                            early.remove_indices(picks.clone()),
+                            late.remove_indices(picks)
+                        );
+                    }
+                    _ => assert_eq!(early.remove_strict(&m, prio), late.remove_strict(&m, prio)),
+                }
+                early.assert_index_consistent();
+            }
+            for t in [&early, &late] {
+                for id in 0..300 {
+                    let scan = t.iter().position(|e| e.id == EntryId(id));
+                    assert_eq!(t.position_of(EntryId(id)), scan, "seed {seed} id {id}");
+                }
+                t.assert_index_consistent();
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   on — encode, event queue, borrowed-frame decode, lookup, completion.
 //!   A hit allocates nothing; a miss allocates the `packet_in`'s copy of
 //!   the frame and nothing else.
+//! * **Memory**: live heap bytes per resident rule of an OVS [`Agent`]
+//!   holding 10 k adds, and that an empty [`FlowTable`] or a fresh
+//!   agent allocates nothing at all.
 //!
 //! Wall-clock rates on a shared box drift by tens of percent; these
 //! counts repeat exactly, so a `Vec` that creeps back into a per-op path
@@ -32,31 +35,41 @@ use switchsim::harness::Testbed;
 use switchsim::pipeline::Hit;
 use switchsim::profiles::SwitchProfile;
 use switchsim::switch::Switch;
+use switchsim::table::FlowTable;
 
 thread_local! {
     /// Allocations made by this thread (each test runs on its own).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Heap bytes this thread has allocated and not yet freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Records one (re)allocation that changes the live heap by `bytes`.
+fn note(allocs: u64, bytes: i64) {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + allocs));
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the only addition is a bump of a
-// thread-local `Cell<u64>` that has no destructor and never allocates.
+// the `GlobalAlloc` contract; the only addition is a bump of two
+// thread-local `Cell`s that have no destructor and never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        note(1, layout.size() as i64);
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -(layout.size() as i64));
         // SAFETY: as for `alloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        note(1, new_size as i64 - layout.size() as i64);
         // SAFETY: as for `alloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -198,4 +211,53 @@ fn probe_hits_allocate_nothing_and_misses_once() {
             PROBE_ROUNDS * RULES
         );
     }
+}
+
+const RESIDENTS: u32 = 10_000;
+/// Live heap bytes per resident rule of an OVS agent (the entry, its
+/// slot in the table's columns and its match-index bucket).
+const BYTES_PER_RESIDENT: i64 = 399;
+
+/// An OVS agent fed `RESIDENTS` distinct adds holds them in at most
+/// `BYTES_PER_RESIDENT` live heap bytes each, counting everything the
+/// agent allocated since it was built from a ready profile.
+#[test]
+fn ovs_agent_memory_per_resident_within_budget() {
+    let mut bytes = Vec::new();
+    for id in 0..RESIDENTS {
+        let fm = FlowMod::add(FlowMatch::l3_for_id(id), 10).with_action(Action::Output {
+            port: PortNo(1),
+            max_len: 0,
+        });
+        bytes.extend(Message::FlowMod(fm).to_bytes(Xid(id)));
+    }
+    let mut outputs = Vec::with_capacity(RESIDENTS as usize);
+    let profile = SwitchProfile::ovs();
+    let base = LIVE.with(Cell::get);
+    let mut agent = Agent::new(Switch::new(profile, Dpid(1), 7));
+    agent
+        .feed_into(&bytes, SimTime::ZERO, &mut outputs)
+        .expect("well-formed stream");
+    assert_eq!(agent.switch().rule_count(), RESIDENTS as usize);
+    let held = LIVE.with(Cell::get) - base;
+    let per = held as f64 / f64::from(RESIDENTS);
+    // Shown by `cargo test -- --nocapture`, and when the gate trips.
+    println!("OVS agent: {held} live heap bytes for {RESIDENTS} rules, {per:.1} per rule");
+    assert!(
+        held <= BYTES_PER_RESIDENT * i64::from(RESIDENTS),
+        "{per:.1} bytes per rule"
+    );
+}
+
+/// Building an empty table, or an agent around a ready profile, touches
+/// no heap: a wire connection's first op pays for nothing it does not
+/// use.
+#[test]
+fn empty_table_and_fresh_agent_allocate_nothing() {
+    let profile = SwitchProfile::ovs();
+    let before = ALLOCS.with(Cell::get);
+    let table = FlowTable::new();
+    let agent = Agent::new(Switch::new(profile, Dpid(1), 7));
+    assert_eq!(ALLOCS.with(Cell::get) - before, 0);
+    drop((table, agent));
 }

@@ -6,7 +6,10 @@
 //! the *independent set* — requests with no unfinished predecessors —
 //! and uses longest-path lengths for critical-path decisions.
 //!
-//! Both of those operations are served from incrementally maintained
+//! Adjacency is stored one way: per node a successor list (two ids
+//! inline, spilling to the heap beyond that) and a `u32` in-degree.
+//!
+//! The scheduler's two queries are served from incrementally maintained
 //! state so dispatch over a 100k-op DAG stays sub-quadratic:
 //!
 //! * the **ready frontier** (`ready`, one bit per node) is updated in
@@ -30,16 +33,38 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeId(pub usize);
 
+/// A node's successors in insertion order: up to two inline, on the
+/// heap beyond that. The same 24 bytes as a `Vec`, so a node with at
+/// most two successors costs no allocation.
+#[derive(Debug, Clone)]
+enum Succs {
+    Zero,
+    One([NodeId; 1]),
+    Two([NodeId; 2]),
+    Spill(Vec<NodeId>),
+}
+
+impl Succs {
+    fn push(&mut self, s: NodeId) {
+        *self = match self {
+            Succs::Zero => Succs::One([s]),
+            Succs::One([a]) => Succs::Two([*a, s]),
+            Succs::Two([a, b]) => Succs::Spill(vec![*a, *b, s]),
+            Succs::Spill(v) => return v.push(s),
+        };
+    }
+}
+
 /// A directed acyclic graph of switch requests.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RequestDag {
     nodes: Vec<ReqElem>,
     /// Adjacency: successors of each node.
-    succs: Vec<Vec<NodeId>>,
-    /// Adjacency: predecessors of each node.
-    preds: Vec<Vec<NodeId>>,
+    succs: Vec<Succs>,
+    /// Number of dependency edges into each node.
+    in_degree: Vec<u32>,
     /// Number of unfinished predecessors per node.
-    pending_preds: Vec<usize>,
+    pending_preds: Vec<u32>,
     /// Completion flags.
     done: Vec<bool>,
     /// Count of completed requests (`all_done` in O(1)).
@@ -60,12 +85,21 @@ impl RequestDag {
         RequestDag::default()
     }
 
+    /// Reserves room for `additional` more requests.
+    pub fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.succs.reserve(additional);
+        self.in_degree.reserve(additional);
+        self.pending_preds.reserve(additional);
+        self.done.reserve(additional);
+    }
+
     /// Adds a request, returning its id.
     pub fn add_node(&mut self, req: ReqElem) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(req);
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
+        self.succs.push(Succs::Zero);
+        self.in_degree.push(0);
         self.pending_preds.push(0);
         self.done.push(false);
         if id.0 / 64 == self.ready.len() {
@@ -81,7 +115,7 @@ impl RequestDag {
     pub fn add_dep(&mut self, before: NodeId, after: NodeId) {
         assert_ne!(before, after, "self-dependency");
         self.succs[before.0].push(after);
-        self.preds[after.0].push(before);
+        self.in_degree[after.0] += 1;
         self.pending_preds[after.0] += 1;
         self.ready[after.0 / 64] &= !(1 << (after.0 % 64));
         self.ranks_valid = false;
@@ -118,21 +152,24 @@ impl RequestDag {
     /// Successors of a node.
     #[must_use]
     pub fn successors(&self, id: NodeId) -> &[NodeId] {
-        &self.succs[id.0]
+        match &self.succs[id.0] {
+            Succs::Zero => &[],
+            Succs::One(a) => a,
+            Succs::Two(a) => a,
+            Succs::Spill(v) => v,
+        }
     }
 
-    /// Predecessors of a node.
+    /// Number of dependency edges into a node, completed or not.
     #[must_use]
-    pub fn predecessors(&self, id: NodeId) -> &[NodeId] {
-        &self.preds[id.0]
+    pub fn in_degree(&self, id: NodeId) -> usize {
+        self.in_degree[id.0] as usize
     }
 
     /// Every dependency edge `(before, after)`, in `before` index order.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.succs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, ss)| ss.iter().map(move |&s| (NodeId(i), s)))
+        self.node_ids()
+            .flat_map(move |a| self.successors(a).iter().map(move |&s| (a, s)))
     }
 
     /// True once this request has completed.
@@ -144,7 +181,7 @@ impl RequestDag {
     /// Number of unfinished predecessors of a node.
     #[must_use]
     pub fn pending_pred_count(&self, id: NodeId) -> usize {
-        self.pending_preds[id.0]
+        self.pending_preds[id.0] as usize
     }
 
     /// True once every request has completed.
@@ -180,8 +217,8 @@ impl RequestDag {
         self.done[id.0] = true;
         self.n_done += 1;
         self.ready[id.0 / 64] &= !(1 << (id.0 % 64));
-        for k in 0..self.succs[id.0].len() {
-            let s = self.succs[id.0][k].0;
+        for k in 0..self.successors(id).len() {
+            let s = self.successors(id)[k].0;
             self.pending_preds[s] -= 1;
             if self.pending_preds[s] == 0 && !self.done[s] {
                 self.ready[s / 64] |= 1 << (s % 64);
@@ -198,7 +235,7 @@ impl RequestDag {
         let order = self.topo_order().expect("DAG must be acyclic");
         let mut lp = vec![0usize; self.nodes.len()];
         for &NodeId(i) in order.iter().rev() {
-            for &NodeId(s) in &self.succs[i] {
+            for &NodeId(s) in self.successors(NodeId(i)) {
                 lp[i] = lp[i].max(lp[s] + 1);
             }
         }
@@ -222,12 +259,7 @@ impl RequestDag {
     /// A topological order, or `None` if the graph has a cycle.
     #[must_use]
     pub fn topo_order(&self) -> Option<Vec<NodeId>> {
-        let mut indeg: Vec<usize> = vec![0; self.nodes.len()];
-        for succs in &self.succs {
-            for &NodeId(s) in succs {
-                indeg[s] += 1;
-            }
-        }
+        let mut indeg = self.in_degree.clone();
         let mut stack: Vec<usize> = (0..self.nodes.len()).filter(|&i| indeg[i] == 0).collect();
         // Reverse so pop() yields the smallest index first: deterministic.
         stack.sort_unstable_by(|a, b| b.cmp(a));
@@ -236,7 +268,7 @@ impl RequestDag {
             order.push(NodeId(i));
             // Newly released successors go on top, smallest index last.
             let from = stack.len();
-            for &NodeId(s) in &self.succs[i] {
+            for &NodeId(s) in self.successors(NodeId(i)) {
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
                     stack.push(s);
@@ -456,15 +488,45 @@ mod tests {
     }
 
     #[test]
-    fn predecessors_mirror_successors() {
-        let (dag, _) = fig7();
+    fn in_degree_counts_incoming_edges() {
+        let (mut dag, indep) = fig7();
+        let mut incoming = vec![0; dag.len()];
+        for (_, s) in dag.edges() {
+            incoming[s.0] += 1;
+        }
         for id in dag.node_ids() {
-            for &s in dag.successors(id) {
-                assert!(dag.predecessors(s).contains(&id));
-            }
-            assert_eq!(dag.predecessors(id).len(), dag.pending_pred_count(id));
+            assert_eq!(dag.in_degree(id), incoming[id.0]);
+            assert_eq!(dag.in_degree(id), dag.pending_pred_count(id));
         }
         assert_eq!(dag.edges().count(), 7);
+        // Completion lowers the pending count, never the in-degree.
+        for id in indep {
+            dag.mark_done(id);
+        }
+        assert_eq!(
+            (dag.in_degree(NodeId(4)), dag.pending_pred_count(NodeId(4))),
+            (2, 0)
+        );
+    }
+
+    #[test]
+    fn successors_spill_past_two_in_insertion_order() {
+        let mut dag = RequestDag::new();
+        let n: Vec<NodeId> = (0..6).map(|i| dag.add_node(req(ReqOp::Add, i))).collect();
+        for &s in &[n[3], n[1], n[5], n[2], n[4]] {
+            dag.add_dep(n[0], s);
+            assert_eq!(dag.successors(n[0]).last(), Some(&s));
+        }
+        assert_eq!(dag.successors(n[0]), &[n[3], n[1], n[5], n[2], n[4]]);
+        let copy = dag.clone();
+        assert_eq!(copy.successors(n[0]), dag.successors(n[0]));
+        // The inline forms fit beside the spilled one's niche.
+        assert_eq!(
+            std::mem::size_of::<Succs>(),
+            std::mem::size_of::<Vec<NodeId>>()
+        );
+        dag.mark_done(n[0]);
+        assert_eq!(dag.independent_set(), &n[1..]);
     }
 
     #[test]

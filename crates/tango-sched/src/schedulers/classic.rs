@@ -138,9 +138,7 @@ impl Scheduler for LookaheadScheduler {
 
     fn prepare(&mut self, dag: &mut RequestDag, _db: &TangoDb) {
         self.lp = dag.ranks().to_vec();
-        self.waiting_preds = (0..dag.len())
-            .map(|i| dag.predecessors(NodeId(i)).len())
-            .collect();
+        self.waiting_preds = (0..dag.len()).map(|i| dag.in_degree(NodeId(i))).collect();
     }
 
     fn key(&self, dag: &RequestDag, id: NodeId, released_at: SimTime) -> SchedKey {

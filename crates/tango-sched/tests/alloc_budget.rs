@@ -8,10 +8,15 @@
 //! a flow-mod on its way down (request → `FlowMod` value → frame →
 //! `FlowMod` value → entry). What is left is amortised growth of the
 //! tables and queues.
+//!
+//! The same allocator also tracks live heap bytes, which gate what the
+//! DAG itself costs per request, built and cloned (the executor's
+//! callers clone one per run).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tango::db::TangoDb;
+use tango_sched::dag::RequestDag;
 use tango_sched::executor::execute_with;
 use tango_sched::schedulers::registry;
 
@@ -20,27 +25,36 @@ mod support;
 thread_local! {
     /// Allocations made by this thread (each test runs on its own).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Heap bytes this thread has allocated and not yet freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Records one (re)allocation that changes the live heap by `bytes`.
+fn note(allocs: u64, bytes: i64) {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + allocs));
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the only addition is a bump of a
-// thread-local `Cell<u64>` that has no destructor and never allocates.
+// the `GlobalAlloc` contract; the only addition is a bump of two
+// thread-local `Cell`s that have no destructor and never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        note(1, layout.size() as i64);
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -(layout.size() as i64));
         // SAFETY: as for `alloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        note(1, new_size as i64 - layout.size() as i64);
         // SAFETY: as for `alloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -70,4 +84,37 @@ fn dispatch_allocates_within_budget_for_every_scheduler() {
         println!("{}: {spent} allocations for {OPS} ops", entry.name);
         assert!(spent * 100 / OPS as u64 <= BUDGET, "{}", entry.name);
     }
+}
+
+/// Live heap bytes per request of the sweep-shaped DAG as built (one
+/// `add_node` at a time, so with `Vec` growth slack) and as cloned.
+const BUILT_BYTES_PER_NODE: i64 = 263;
+const CLONED_BYTES_PER_NODE: i64 = 160;
+
+#[test]
+fn request_dag_memory_within_budget() {
+    let live = || LIVE.with(Cell::get);
+    let before = ALLOCS.with(Cell::get);
+    let empty = RequestDag::new();
+    assert_eq!(ALLOCS.with(Cell::get) - before, 0, "RequestDag::new");
+    drop(empty);
+    let base = live();
+    let dag = support::build_dag(OPS);
+    let built = live() - base;
+    let copy = dag.clone();
+    let cloned = live() - base - built;
+    assert_eq!(copy.len(), OPS);
+    let ops = OPS as i64;
+    // Shown by `cargo test -- --nocapture`, and when the gate trips.
+    println!(
+        "RequestDag of {OPS} requests: {built} live heap bytes built ({:.1} per request), \
+         {cloned} cloned ({:.1} per request)",
+        built as f64 / OPS as f64,
+        cloned as f64 / OPS as f64
+    );
+    assert!(built <= BUILT_BYTES_PER_NODE * ops, "built: {built} bytes");
+    assert!(
+        cloned <= CLONED_BYTES_PER_NODE * ops,
+        "cloned: {cloned} bytes"
+    );
 }
