@@ -471,7 +471,8 @@ fn main() {
 }
 
 /// Prints the end-of-suite summary (captured into `full_run.log`):
-/// the suite's event total and events/sec.
+/// the suite's event total and events/sec, and the process's peak
+/// resident set where the kernel reports one (`VmHWM`, Linux).
 fn print_summary(suite_events: u64, total_s: f64) {
     let rate = if total_s > 0.0 {
         suite_events as f64 / total_s
@@ -480,4 +481,9 @@ fn print_summary(suite_events: u64, total_s: f64) {
     };
     println!("\n──── suite summary ────");
     println!("suite: {suite_events} events in {total_s:.1}s ({rate:.0} events/sec)");
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"));
+    if let Some(kib) = hwm.and_then(|v| v.trim().strip_suffix(" kB")?.parse::<f64>().ok()) {
+        println!("peak RSS: {:.1} MiB (VmHWM)", kib / 1024.0);
+    }
 }

@@ -80,35 +80,29 @@ pub fn lower_scenario(tb: &mut Testbed, dpids: &[Dpid], scen: &Scenario) -> Requ
         assert_eq!(failed, 0, "preinstall must fit the tables");
     }
 
+    // Built in bulk: one write to the shared shape for all the requests
+    // and one for all the edges.
     let mut dag = RequestDag::new();
-    dag.reserve(scen.requests.len());
-    let ids: Vec<NodeId> = scen
-        .requests
-        .iter()
-        .map(|r| {
-            let dpid = dpids[r.node];
-            let m = match_for_flow(r.flow_id);
-            let elem = match (r.op, r.priority) {
-                (ScenOp::Add, Some(p)) => ReqElem::add(dpid, m, p, 1),
-                (ScenOp::Add, None) => ReqElem::add(dpid, m, 0, 1).without_priority(),
-                (ScenOp::Mod, p) => {
-                    // Mods/deletes must name the installed rule's
-                    // priority; when the app left it unset, recover it
-                    // from the preinstall record.
-                    let prio = p.unwrap_or_else(|| preinstalled_priority(scen, r.node, r.flow_id));
-                    ReqElem::modify(dpid, m, prio, 2)
-                }
-                (ScenOp::Del, p) => {
-                    let prio = p.unwrap_or_else(|| preinstalled_priority(scen, r.node, r.flow_id));
-                    ReqElem::delete(dpid, m, prio)
-                }
-            };
-            dag.add_node(elem)
-        })
-        .collect();
-    for &(before, after) in &scen.deps {
-        dag.add_dep(ids[before], ids[after]);
-    }
+    dag.add_nodes(scen.requests.iter().map(|r| {
+        let dpid = dpids[r.node];
+        let m = match_for_flow(r.flow_id);
+        match (r.op, r.priority) {
+            (ScenOp::Add, Some(p)) => ReqElem::add(dpid, m, p, 1),
+            (ScenOp::Add, None) => ReqElem::add(dpid, m, 0, 1).without_priority(),
+            (ScenOp::Mod, p) => {
+                // Mods/deletes must name the installed rule's
+                // priority; when the app left it unset, recover it
+                // from the preinstall record.
+                let prio = p.unwrap_or_else(|| preinstalled_priority(scen, r.node, r.flow_id));
+                ReqElem::modify(dpid, m, prio, 2)
+            }
+            (ScenOp::Del, p) => {
+                let prio = p.unwrap_or_else(|| preinstalled_priority(scen, r.node, r.flow_id));
+                ReqElem::delete(dpid, m, prio)
+            }
+        }
+    }));
+    dag.add_deps(scen.deps.iter().map(|&(b, a)| (NodeId(b), NodeId(a))));
     dag
 }
 

@@ -6,28 +6,29 @@
 //! the *independent set* — requests with no unfinished predecessors —
 //! and uses longest-path lengths for critical-path decisions.
 //!
-//! Adjacency is stored one way: per node a successor list (two ids
-//! inline, spilling to the heap beyond that) and a `u32` in-degree.
+//! The **shape** — requests, per node a successor list (two ids inline,
+//! spilling to the heap beyond that) and a `u32` in-degree, and the
+//! longest-path rank memo — sits behind one [`Arc`] that clones share.
+//! Every structural edit first copies a shape another clone still holds,
+//! so sharing is never observable; an empty DAG allocates nothing. The
+//! **progress** — pending-predecessor counts, done flags and the ready
+//! frontier, ~5 bytes per request — is each clone's own, and is all a
+//! dispatch writes.
 //!
-//! The scheduler's two queries are served from incrementally maintained
-//! state so dispatch over a 100k-op DAG stays sub-quadratic:
-//!
-//! * the **ready frontier** (`ready`, one bit per node) is updated in
-//!   `O(out-degree)` by [`RequestDag::mark_done`], so
-//!   [`RequestDag::independent_set`] reads `n / 64` words instead of
-//!   scanning every node;
-//! * **longest-path ranks** are memoized and invalidated only by
-//!   structural mutation ([`RequestDag::add_node`] /
-//!   [`RequestDag::add_dep`]), never by completion: ranks are computed
-//!   over the whole DAG ignoring completion state, and the done set is
-//!   always predecessor-closed (`mark_done` rejects blocked nodes), so
-//!   no completion can change the rank of any still-unfinished node.
-//!   [`RequestDag::longest_path_lengths`] remains the
-//!   recompute-from-scratch oracle the cache is checked against in
-//!   tests.
+//! * The ready frontier (one bit per node) is updated in `O(out-degree)`
+//!   by [`RequestDag::mark_done`], so [`RequestDag::independent_set`]
+//!   reads `n / 64` words instead of scanning every node.
+//! * The first [`RequestDag::ranks`] call on any clone computes the ranks
+//!   for all; only an edit that adds a node or an edge drops them. No
+//!   completion does: ranks ignore completion state and the done set is
+//!   predecessor-closed (`mark_done` rejects blocked nodes), so no
+//!   completion changes the rank of a still-unfinished node.
+//!   [`RequestDag::longest_path_lengths`] is the oracle tests check the
+//!   memo against.
 
 use crate::request::{ReqElem, ReqOp};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// Index of a request within its DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -55,14 +56,41 @@ impl Succs {
     }
 }
 
-/// A directed acyclic graph of switch requests.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RequestDag {
+/// What a dispatch only reads: the requests, their edges and the ranks
+/// derived from them.
+#[derive(Debug, Clone, Default)]
+struct Shape {
     nodes: Vec<ReqElem>,
     /// Adjacency: successors of each node.
     succs: Vec<Succs>,
     /// Number of dependency edges into each node.
     in_degree: Vec<u32>,
+    /// Longest-path ranks, computed on first use; an edit that adds a
+    /// node or an edge empties it.
+    ranks: OnceLock<Vec<usize>>,
+}
+
+/// The shape of a DAG before its first edit.
+static EMPTY: Shape = Shape {
+    nodes: Vec::new(),
+    succs: Vec::new(),
+    in_degree: Vec::new(),
+    ranks: OnceLock::new(),
+};
+
+impl Shape {
+    /// The shape in `slot` for writing: built on the first edit, and
+    /// copied first while another clone shares it.
+    fn make_mut(slot: &mut Option<Arc<Shape>>) -> &mut Shape {
+        Arc::make_mut(slot.get_or_insert_with(Arc::default))
+    }
+}
+
+/// A directed acyclic graph of switch requests.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct RequestDag {
+    /// Shared with clones; `None` until the first structural edit.
+    shape: Option<Arc<Shape>>,
     /// Number of unfinished predecessors per node.
     pending_preds: Vec<u32>,
     /// Completion flags.
@@ -72,10 +100,6 @@ pub struct RequestDag {
     /// The ready frontier: bit `i` is set while node `i` is unfinished
     /// with no unfinished predecessors.
     ready: Vec<u64>,
-    /// Memoized longest-path ranks; valid while `ranks_valid`.
-    ranks: Vec<usize>,
-    /// Whether `ranks` reflects the current edge set.
-    ranks_valid: bool,
 }
 
 impl RequestDag {
@@ -85,74 +109,99 @@ impl RequestDag {
         RequestDag::default()
     }
 
+    fn shape(&self) -> &Shape {
+        self.shape.as_deref().unwrap_or(&EMPTY)
+    }
+
     /// Reserves room for `additional` more requests.
     pub fn reserve(&mut self, additional: usize) {
-        self.nodes.reserve(additional);
-        self.succs.reserve(additional);
-        self.in_degree.reserve(additional);
+        let shape = Shape::make_mut(&mut self.shape);
+        shape.nodes.reserve(additional);
+        shape.succs.reserve(additional);
+        shape.in_degree.reserve(additional);
         self.pending_preds.reserve(additional);
         self.done.reserve(additional);
+        let words = (self.len() + additional).div_ceil(64);
+        self.ready.reserve(words - self.ready.len());
     }
 
     /// Adds a request, returning its id.
     pub fn add_node(&mut self, req: ReqElem) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(req);
-        self.succs.push(Succs::Zero);
-        self.in_degree.push(0);
-        self.pending_preds.push(0);
-        self.done.push(false);
-        if id.0 / 64 == self.ready.len() {
-            self.ready.push(0);
-        }
-        self.ready[id.0 / 64] |= 1 << (id.0 % 64);
-        self.ranks_valid = false;
+        let id = NodeId(self.len());
+        self.add_nodes([req]);
         id
+    }
+
+    /// Adds requests in order, with one write to the shape; the first
+    /// gets id `len()`.
+    pub fn add_nodes(&mut self, reqs: impl IntoIterator<Item = ReqElem>) {
+        let shape = Shape::make_mut(&mut self.shape);
+        shape.ranks.take();
+        shape.nodes.extend(reqs);
+        let n = shape.nodes.len();
+        shape.succs.resize_with(n, || Succs::Zero);
+        shape.in_degree.resize(n, 0);
+        let from = self.len();
+        self.pending_preds.resize(n, 0);
+        self.done.resize(n, false);
+        self.ready.resize(n.div_ceil(64), 0);
+        for i in from..n {
+            self.ready[i / 64] |= 1 << (i % 64);
+        }
     }
 
     /// Adds the dependency `before → after`. Panics on self-loops; cycle
     /// detection is via [`RequestDag::validate_acyclic`].
     pub fn add_dep(&mut self, before: NodeId, after: NodeId) {
-        assert_ne!(before, after, "self-dependency");
-        self.succs[before.0].push(after);
-        self.in_degree[after.0] += 1;
-        self.pending_preds[after.0] += 1;
-        self.ready[after.0 / 64] &= !(1 << (after.0 % 64));
-        self.ranks_valid = false;
+        self.add_deps([(before, after)]);
+    }
+
+    /// Adds dependencies `(before, after)` in order, with one write to
+    /// the shape; each as [`RequestDag::add_dep`] would.
+    pub fn add_deps(&mut self, deps: impl IntoIterator<Item = (NodeId, NodeId)>) {
+        let shape = Shape::make_mut(&mut self.shape);
+        shape.ranks.take();
+        for (before, after) in deps {
+            assert_ne!(before, after, "self-dependency");
+            shape.succs[before.0].push(after);
+            shape.in_degree[after.0] += 1;
+            self.pending_preds[after.0] += 1;
+            self.ready[after.0 / 64] &= !(1 << (after.0 % 64));
+        }
     }
 
     /// Number of requests.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.done.len()
     }
 
     /// True if the DAG has no requests at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.done.is_empty()
     }
 
     /// The request behind a node id.
     #[must_use]
     pub fn node(&self, id: NodeId) -> &ReqElem {
-        &self.nodes[id.0]
+        &self.shape().nodes[id.0]
     }
 
     /// Mutable access (used by priority enforcement).
     pub fn node_mut(&mut self, id: NodeId) -> &mut ReqElem {
-        &mut self.nodes[id.0]
+        &mut Shape::make_mut(&mut self.shape).nodes[id.0]
     }
 
     /// All node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len()).map(NodeId)
+        (0..self.len()).map(NodeId)
     }
 
     /// Successors of a node.
     #[must_use]
     pub fn successors(&self, id: NodeId) -> &[NodeId] {
-        match &self.succs[id.0] {
+        match &self.shape().succs[id.0] {
             Succs::Zero => &[],
             Succs::One(a) => a,
             Succs::Two(a) => a,
@@ -163,7 +212,7 @@ impl RequestDag {
     /// Number of dependency edges into a node, completed or not.
     #[must_use]
     pub fn in_degree(&self, id: NodeId) -> usize {
-        self.in_degree[id.0] as usize
+        self.shape().in_degree[id.0] as usize
     }
 
     /// Every dependency edge `(before, after)`, in `before` index order.
@@ -187,7 +236,7 @@ impl RequestDag {
     /// True once every request has completed.
     #[must_use]
     pub fn all_done(&self) -> bool {
-        self.n_done == self.nodes.len()
+        self.n_done == self.len()
     }
 
     /// The current independent set: unfinished requests with no
@@ -233,7 +282,7 @@ impl RequestDag {
     #[must_use]
     pub fn longest_path_lengths(&self) -> Vec<usize> {
         let order = self.topo_order().expect("DAG must be acyclic");
-        let mut lp = vec![0usize; self.nodes.len()];
+        let mut lp = vec![0usize; self.len()];
         for &NodeId(i) in order.iter().rev() {
             for &NodeId(s) in self.successors(NodeId(i)) {
                 lp[i] = lp[i].max(lp[s] + 1);
@@ -242,28 +291,25 @@ impl RequestDag {
         lp
     }
 
-    /// Longest-path ranks, memoized: recomputed lazily after structural
-    /// mutation (`add_node`/`add_dep`) and *never* invalidated by
-    /// completion. That is sound because ranks ignore completion state
-    /// and the done set is predecessor-closed, so completions cannot
-    /// change the rank of any node a scheduler may still dispatch. The
-    /// invariant `ranks() == longest_path_lengths()` is pinned by tests.
-    pub fn ranks(&mut self) -> &[usize] {
-        if !self.ranks_valid {
-            self.ranks = self.longest_path_lengths();
-            self.ranks_valid = true;
-        }
-        &self.ranks
+    /// Longest-path ranks, memoized in the shape: computed once by the
+    /// first call on any clone sharing it, even concurrent ones; dropped
+    /// by an edit that adds a node or an edge, and *never* by completion
+    /// (see the module docs). `ranks() == longest_path_lengths()` is
+    /// pinned by tests.
+    pub fn ranks(&self) -> &[usize] {
+        self.shape()
+            .ranks
+            .get_or_init(|| self.longest_path_lengths())
     }
 
     /// A topological order, or `None` if the graph has a cycle.
     #[must_use]
     pub fn topo_order(&self) -> Option<Vec<NodeId>> {
-        let mut indeg = self.in_degree.clone();
-        let mut stack: Vec<usize> = (0..self.nodes.len()).filter(|&i| indeg[i] == 0).collect();
+        let mut indeg = self.shape().in_degree.clone();
+        let mut stack: Vec<usize> = (0..self.len()).filter(|&i| indeg[i] == 0).collect();
         // Reverse so pop() yields the smallest index first: deterministic.
         stack.sort_unstable_by(|a, b| b.cmp(a));
-        let mut order = Vec::with_capacity(self.nodes.len());
+        let mut order = Vec::with_capacity(self.len());
         while let Some(i) = stack.pop() {
             order.push(NodeId(i));
             // Newly released successors go on top, smallest index last.
@@ -276,7 +322,7 @@ impl RequestDag {
             }
             stack[from..].sort_unstable_by(|a, b| b.cmp(a));
         }
-        if order.len() == self.nodes.len() {
+        if order.len() == self.len() {
             Some(order)
         } else {
             None
@@ -463,11 +509,47 @@ mod tests {
         let c = dag.add_node(req(ReqOp::Add, 2));
         dag.add_dep(b, c);
         assert_eq!(dag.ranks(), &[2, 1, 0]);
-        // Completions never invalidate the cache.
+        // Completions never invalidate the memo.
         dag.mark_done(a);
         assert_eq!(dag.ranks().to_vec(), dag.longest_path_lengths());
         dag.add_dep(a, c); // structural change re-dirties it
         assert_eq!(dag.ranks().to_vec(), dag.longest_path_lengths());
+    }
+
+    /// Clones of one DAG share its rank memo: two threads asking at once
+    /// get the same slice, computed once, equal to the oracle.
+    #[test]
+    fn clones_share_one_rank_memo_across_threads() {
+        let mut dag = RequestDag::new();
+        dag.add_nodes((0..5_000).map(|i| req(ReqOp::Add, i)));
+        dag.add_deps((1..5_000).map(|i| (NodeId(i / 3), NodeId(i))));
+        let oracle = dag.longest_path_lengths();
+        let (a, b) = (dag.clone(), dag.clone());
+        let (ra, rb) = std::thread::scope(|s| {
+            let ta = s.spawn(|| a.ranks());
+            let tb = s.spawn(|| b.ranks());
+            (ta.join().unwrap(), tb.join().unwrap())
+        });
+        assert!(std::ptr::eq(ra, rb));
+        assert!(std::ptr::eq(ra, dag.ranks()));
+        assert_eq!(ra, &oracle[..]);
+    }
+
+    #[test]
+    fn reserve_covers_the_progress_columns() {
+        let mut dag = RequestDag::new();
+        dag.reserve(130);
+        let caps = |d: &RequestDag| {
+            (
+                d.pending_preds.capacity(),
+                d.done.capacity(),
+                d.ready.capacity(),
+            )
+        };
+        let reserved = caps(&dag);
+        assert!(reserved.2 >= 3);
+        dag.add_nodes((0..130).map(|i| req(ReqOp::Add, i)));
+        assert_eq!(caps(&dag), reserved);
     }
 
     #[test]

@@ -13,15 +13,13 @@ use tango::db::TangoDb;
 /// Dionysus: longest critical path first, FIFO (release order) among
 /// ties — oblivious to op types and priority order.
 #[derive(Debug, Default)]
-pub struct CriticalPathScheduler {
-    lp: Vec<usize>,
-}
+pub struct CriticalPathScheduler;
 
 impl CriticalPathScheduler {
-    /// A fresh instance (ranks are built by `prepare`).
+    /// A fresh instance (it reads the DAG's shared ranks).
     #[must_use]
     pub fn new() -> CriticalPathScheduler {
-        CriticalPathScheduler::default()
+        CriticalPathScheduler
     }
 }
 
@@ -31,11 +29,12 @@ impl Scheduler for CriticalPathScheduler {
     }
 
     fn prepare(&mut self, dag: &mut RequestDag, _db: &TangoDb) {
-        self.lp = dag.ranks().to_vec();
+        // Fills the rank memo every clone of this DAG shares.
+        dag.ranks();
     }
 
-    fn key(&self, _dag: &RequestDag, id: NodeId, released_at: SimTime) -> SchedKey {
-        SchedKey([u64::MAX - self.lp[id.0] as u64, released_at.0, 0, 0])
+    fn key(&self, dag: &RequestDag, id: NodeId, released_at: SimTime) -> SchedKey {
+        SchedKey([u64::MAX - dag.ranks()[id.0] as u64, released_at.0, 0, 0])
     }
 }
 
@@ -44,7 +43,6 @@ impl Scheduler for CriticalPathScheduler {
 #[derive(Debug)]
 pub struct TangoScheduler {
     priority_sort: bool,
-    lp: Vec<usize>,
 }
 
 impl TangoScheduler {
@@ -53,7 +51,6 @@ impl TangoScheduler {
     pub fn type_only() -> TangoScheduler {
         TangoScheduler {
             priority_sort: false,
-            lp: Vec::new(),
         }
     }
 
@@ -62,7 +59,6 @@ impl TangoScheduler {
     pub fn type_and_priority() -> TangoScheduler {
         TangoScheduler {
             priority_sort: true,
-            lp: Vec::new(),
         }
     }
 }
@@ -77,7 +73,8 @@ impl Scheduler for TangoScheduler {
     }
 
     fn prepare(&mut self, dag: &mut RequestDag, _db: &TangoDb) {
-        self.lp = dag.ranks().to_vec();
+        // Fills the rank memo every clone of this DAG shares.
+        dag.ranks();
     }
 
     fn key(&self, dag: &RequestDag, id: NodeId, _released_at: SimTime) -> SchedKey {
@@ -88,7 +85,7 @@ impl Scheduler for TangoScheduler {
             0
         };
         SchedKey([
-            u64::MAX - self.lp[id.0] as u64,
+            u64::MAX - dag.ranks()[id.0] as u64,
             u64::from(class_rank(req.op)),
             prio,
             0,

@@ -31,7 +31,7 @@ fn op_cost_ns(dag: &RequestDag, db: &TangoDb, id: NodeId) -> u64 {
 
 /// Cost-weighted upward ranks: `rank(i) = cost(i) + max rank(succ)`,
 /// computed in one reverse-topological pass.
-fn upward_ranks_ns(dag: &mut RequestDag, db: &TangoDb) -> Vec<u64> {
+fn upward_ranks_ns(dag: &RequestDag, db: &TangoDb) -> Vec<u64> {
     let order = dag.topo_order().expect("DAG must be acyclic");
     let mut rank = vec![0u64; dag.len()];
     for &NodeId(i) in order.iter().rev() {
@@ -117,10 +117,9 @@ impl Scheduler for DlsScheduler {
 /// waits on.
 #[derive(Debug, Default)]
 pub struct LookaheadScheduler {
-    lp: Vec<usize>,
     /// Predecessors not yet *completed* per node (the DAG's own counts
     /// stand still while a dispatch runs).
-    waiting_preds: Vec<usize>,
+    waiting_preds: Vec<u32>,
 }
 
 impl LookaheadScheduler {
@@ -137,8 +136,9 @@ impl Scheduler for LookaheadScheduler {
     }
 
     fn prepare(&mut self, dag: &mut RequestDag, _db: &TangoDb) {
-        self.lp = dag.ranks().to_vec();
-        self.waiting_preds = (0..dag.len()).map(|i| dag.in_degree(NodeId(i))).collect();
+        // Fills the rank memo every clone of this DAG shares.
+        dag.ranks();
+        self.waiting_preds = dag.node_ids().map(|id| dag.in_degree(id) as u32).collect();
     }
 
     fn key(&self, dag: &RequestDag, id: NodeId, released_at: SimTime) -> SchedKey {
@@ -153,7 +153,7 @@ impl Scheduler for LookaheadScheduler {
             .count() as u64;
         SchedKey([
             u64::MAX - unlocks,
-            u64::MAX - self.lp[id.0] as u64,
+            u64::MAX - dag.ranks()[id.0] as u64,
             released_at.0,
             0,
         ])

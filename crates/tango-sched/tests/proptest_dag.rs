@@ -8,10 +8,19 @@
 //! on many nodes, and on at least one in every graph. Edges always run up a random hidden order, so every
 //! graph is acyclic whatever order its nodes were added in. Structure
 //! grows in two phases with a rank query in between, which exercises
-//! the rank cache's invalidation. Compared: `successors` (order
-//! included), `in_degree`, `pending_pred_count`, `independent_set`
-//! at every step of a random drain, `topo_order`, `ranks()` and
-//! `longest_path_lengths()`, on the DAG and on a clone of it.
+//! the rank memo's invalidation.
+//!
+//! The built DAG is then cloned, so both sides share one shape and one
+//! rank memo. One side takes a random structural edit program (new
+//! nodes, edges up its hidden order, new priorities, rank queries in
+//! between); the other must not see any of it. Both are then drained
+//! along different random orders, a step of either side at a time.
+//!
+//! Compared, per side against its own reference: `successors` (order
+//! included), `in_degree`, priorities, `topo_order`, `ranks()` and
+//! `longest_path_lengths()` before and after the drain, and
+//! `independent_set`, `pending_pred_count` and `is_done` at every step
+//! of it.
 
 use ofwire::flow_match::FlowMatch;
 use ofwire::types::Dpid;
@@ -20,19 +29,21 @@ use simnet::rng::DetRng;
 use tango_sched::dag::{NodeId, RequestDag};
 use tango_sched::request::ReqElem;
 
-/// Both adjacency directions, spelled out.
-#[derive(Default)]
+/// Both adjacency directions, spelled out, and each node's priority.
+#[derive(Clone, Default)]
 struct NaiveDag {
     succs: Vec<Vec<NodeId>>,
     preds: Vec<Vec<NodeId>>,
     done: Vec<bool>,
+    prios: Vec<Option<u16>>,
 }
 
 impl NaiveDag {
-    fn add_node(&mut self) {
+    fn add_node(&mut self, prio: u16) {
         self.succs.push(Vec::new());
         self.preds.push(Vec::new());
         self.done.push(false);
+        self.prios.push(Some(prio));
     }
 
     fn add_dep(&mut self, before: NodeId, after: NodeId) {
@@ -114,10 +125,7 @@ fn grow(
     rng: &mut DetRng,
 ) {
     for _ in 0..nodes {
-        let i = dag.len() as u32;
-        dag.add_node(ReqElem::add(Dpid(1), FlowMatch::l3_for_id(i), 10, 1));
-        naive.add_node();
-        key.push(rng.range_u64(0, 1 << 20));
+        add_node(dag, naive, key, 10, rng);
     }
     let n = dag.len();
     let below = |a: usize, b: usize| (key[a], a) < (key[b], b);
@@ -142,10 +150,61 @@ fn grow(
     }
 }
 
+/// Adds one node to both graphs, with a random place in the hidden
+/// order.
+fn add_node(
+    dag: &mut RequestDag,
+    naive: &mut NaiveDag,
+    key: &mut Vec<u64>,
+    prio: u16,
+    rng: &mut DetRng,
+) {
+    let i = dag.len() as u32;
+    dag.add_node(ReqElem::add(Dpid(1), FlowMatch::l3_for_id(i), prio, 1));
+    naive.add_node(prio);
+    key.push(rng.range_u64(0, 1 << 20));
+}
+
+/// A random structural edit program of `steps` edits on both graphs:
+/// a node, an edge up the hidden order, a new priority, or a rank query.
+fn edit(
+    dag: &mut RequestDag,
+    naive: &mut NaiveDag,
+    key: &mut Vec<u64>,
+    steps: usize,
+    rng: &mut DetRng,
+) {
+    for _ in 0..steps {
+        let n = dag.len();
+        let prio = rng.range_u64(0, 1000) as u16;
+        match rng.index(4) {
+            0 => add_node(dag, naive, key, prio, rng),
+            1 => {
+                let (a, b) = (rng.index(n), rng.index(n));
+                if (key[a], a) < (key[b], b) {
+                    dag.add_dep(NodeId(a), NodeId(b));
+                    naive.add_dep(NodeId(a), NodeId(b));
+                }
+            }
+            2 => {
+                let id = rng.index(n);
+                dag.node_mut(NodeId(id)).priority = Some(prio);
+                naive.prios[id] = Some(prio);
+            }
+            _ => assert_eq!(dag.ranks(), &naive.longest_paths()[..]),
+        }
+    }
+}
+
 /// Every structural query agrees.
-fn assert_same_structure(dag: &mut RequestDag, naive: &NaiveDag) {
+fn assert_same_structure(dag: &RequestDag, naive: &NaiveDag) {
     assert_eq!(dag.len(), naive.succs.len());
     for id in naive.ids() {
+        assert_eq!(
+            dag.node(id).priority,
+            naive.prios[id.0],
+            "priority of {id:?}"
+        );
         assert_eq!(
             dag.successors(id),
             &naive.succs[id.0][..],
@@ -168,26 +227,28 @@ fn assert_same_structure(dag: &mut RequestDag, naive: &NaiveDag) {
     assert_eq!(dag.ranks(), &lp[..]);
 }
 
-/// Drains `dag` in a random order, checking the frontier and the
-/// pending counts against the reference before every completion.
-fn drain(dag: &mut RequestDag, naive: &mut NaiveDag, rng: &mut DetRng) {
-    while !dag.all_done() {
-        let ready = naive.ready();
-        assert_eq!(dag.independent_set(), ready);
-        for id in naive.ids() {
-            assert_eq!(
-                dag.pending_pred_count(id),
-                naive.pending(id),
-                "pending of {id:?}"
-            );
-            assert_eq!(dag.is_done(id), naive.done[id.0]);
-        }
-        let id = ready[rng.index(ready.len())];
-        dag.mark_done(id);
-        naive.done[id.0] = true;
+/// Checks the frontier and the pending counts against the reference,
+/// then completes a random ready node. False once `dag` is drained.
+fn drain_step(dag: &mut RequestDag, naive: &mut NaiveDag, rng: &mut DetRng) -> bool {
+    let ready = naive.ready();
+    assert_eq!(dag.independent_set(), ready);
+    for id in naive.ids() {
+        assert_eq!(
+            dag.pending_pred_count(id),
+            naive.pending(id),
+            "pending of {id:?}"
+        );
+        assert_eq!(dag.is_done(id), naive.done[id.0]);
     }
-    assert!(dag.independent_set().is_empty());
-    assert!(naive.done.iter().all(|&d| d));
+    assert_eq!(dag.all_done(), ready.is_empty());
+    if ready.is_empty() {
+        assert!(naive.done.iter().all(|&d| d));
+        return false;
+    }
+    let id = ready[rng.index(ready.len())];
+    dag.mark_done(id);
+    naive.done[id.0] = true;
+    true
 }
 
 proptest! {
@@ -197,27 +258,43 @@ proptest! {
     fn compact_dag_matches_the_naive_reference(
         first in 1usize..40,
         second in 0usize..24,
+        steps in 0usize..24,
         seed in any::<u64>(),
     ) {
         let mut rng = DetRng::new(seed);
         let (mut dag, mut naive, mut key) = (RequestDag::new(), NaiveDag::default(), Vec::new());
         grow(&mut dag, &mut naive, &mut key, first, &mut rng);
-        assert_same_structure(&mut dag, &naive);
-        // Structure added after a rank query re-dirties the cache.
+        assert_same_structure(&dag, &naive);
+        // Structure added after a rank query drops the memo.
         grow(&mut dag, &mut naive, &mut key, second, &mut rng);
-        assert_same_structure(&mut dag, &naive);
+        assert_same_structure(&dag, &naive);
         prop_assert!(
             naive.succs.iter().any(|s| s.len() > 2) || dag.len() < 2,
             "no fan-out past the inline capacity"
         );
-        // A clone answers the same, and draining it leaves the original
-        // untouched.
-        let mut copy = dag.clone();
-        assert_same_structure(&mut copy, &naive);
+        // The clone shares the shape and its computed ranks; editing
+        // either side must leave the other as it was.
         let frontier = dag.independent_set();
-        drain(&mut copy, &mut naive, &mut rng);
-        prop_assert_eq!(dag.independent_set(), frontier);
+        let mut sides = [(dag.clone(), naive.clone(), key.clone()), (dag, naive, key)];
+        let edited = rng.index(2);
+        let (d, n, k) = &mut sides[edited];
+        edit(d, n, k, steps, &mut rng);
+        for (d, n, _) in &sides {
+            assert_same_structure(d, n);
+        }
+        prop_assert_eq!(sides[1 - edited].0.independent_set(), frontier);
+        // Drain both along different random orders, interleaved.
+        let mut live = [true, true];
+        while live.iter().any(|&l| l) {
+            let i = rng.index(2);
+            if live[i] {
+                let (d, n, _) = &mut sides[i];
+                live[i] = drain_step(d, n, &mut rng);
+            }
+        }
         // Completion never moves the ranks.
-        prop_assert_eq!(copy.ranks(), dag.ranks());
+        for (d, n, _) in &sides {
+            assert_same_structure(d, n);
+        }
     }
 }
