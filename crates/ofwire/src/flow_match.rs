@@ -68,13 +68,13 @@ impl Ipv4Prefix {
         }
     }
 
-    /// The netmask for a prefix length.
+    /// The netmask for a prefix length (lengths past 32 mean 32).
     #[must_use]
     pub fn mask(prefix_len: u8) -> u32 {
         if prefix_len == 0 {
             0
         } else {
-            u32::MAX << (32 - prefix_len as u32)
+            u32::MAX << (32 - u32::from(prefix_len.min(32)))
         }
     }
 
@@ -159,6 +159,7 @@ pub struct FlowMatch {
     pub nw_proto: Option<u8>,
     /// IPv4 source prefix constraint. A `/0` prefix constrains nothing
     /// and is wire-identical to `None`; decoding canonicalizes it away.
+    /// A length past 32 means 32.
     pub nw_src: Option<Ipv4Prefix>,
     /// IPv4 destination prefix constraint (same `/0` canonicalization).
     pub nw_dst: Option<Ipv4Prefix>,
@@ -177,7 +178,7 @@ pub struct FlowMatch {
 /// derived order (word by word) means nothing about the matches; it is
 /// there so that a tie between keyed things can be broken the same way in
 /// every process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Eq, PartialOrd, Ord)]
 pub struct MatchKey([u64; 5]);
 
 impl MatchKey {
@@ -186,6 +187,121 @@ impl MatchKey {
     #[must_use]
     pub fn wildcards(&self) -> u32 {
         self.0[0] as u32
+    }
+}
+
+/// Five-word equality in registers: the words XORed pairwise and the
+/// differences ORed, where a derived `==` on `[u64; 5]` calls `bcmp`.
+#[inline]
+fn words_eq(a: &[u64; 5], b: &[u64; 5]) -> bool {
+    (a[0] ^ b[0]) | (a[1] ^ b[1]) | (a[2] ^ b[2]) | (a[3] ^ b[3]) | (a[4] ^ b[4]) == 0
+}
+
+impl PartialEq for MatchKey {
+    #[inline]
+    fn eq(&self, other: &MatchKey) -> bool {
+        words_eq(&self.0, &other.0)
+    }
+}
+
+/// [`PackedMatch`]'s head (word 0's low half) besides the ten wildcard
+/// flags: each IPv4 prefix's raw length and whether it is there.
+const PACKED_SRC_LEN_SHIFT: u32 = 8;
+const PACKED_DST_LEN_SHIFT: u32 = 22;
+const PACKED_SRC_SET: u32 = 1 << 30;
+const PACKED_DST_SET: u32 = 1 << 31;
+
+/// A [`FlowMatch`] packed losslessly into five words, in [`MatchKey`]'s
+/// layout: every field where the key puts it, zero when absent. Two
+/// things differ from the key. Word 0's low half holds the ten
+/// all-or-nothing wildcard flags where the key has them, and for each
+/// IPv4 prefix a presence bit (30 source, 31 destination) and its raw
+/// length (bits 8–15 source, 22–29 destination). Word 3 holds both
+/// addresses raw, host bits and all. So a host bit, a `/0` against no
+/// prefix and a length past 32 all survive packing, which strict
+/// operations need, and [`PackedMatch::key`] is a mask rather than a
+/// re-pack. Equality is exactly [`FlowMatch`] equality.
+///
+/// 40 bytes where the match is 64: flow-table entries and scheduler
+/// requests store this form and unpack it where an API speaks
+/// [`FlowMatch`].
+#[derive(Debug, Clone, Copy, Eq)]
+pub struct PackedMatch([u64; 5]);
+
+impl PackedMatch {
+    /// The match spelled out again, exactly as it was packed.
+    #[must_use]
+    pub fn unpack(&self) -> FlowMatch {
+        let [w0, w1, w2, w3, w4] = self.0;
+        let head = w0 as u32;
+        let has = |flag: u32| head & flag == 0;
+        let mac = |w: u64| {
+            let [_, _, a, b, c, d, e, f] = w.to_be_bytes();
+            MacAddr([a, b, c, d, e, f])
+        };
+        let prefix = |set: u32, shift: u32, addr: u64| {
+            (head & set != 0).then_some(Ipv4Prefix {
+                addr: addr as u32,
+                prefix_len: (head >> shift) as u8,
+            })
+        };
+        FlowMatch {
+            in_port: has(OFPFW_IN_PORT).then_some((w0 >> 32) as u16),
+            dl_src: has(OFPFW_DL_SRC).then(|| mac(w1)),
+            dl_dst: has(OFPFW_DL_DST).then(|| mac(w2)),
+            dl_vlan: has(OFPFW_DL_VLAN).then_some((w0 >> 48) as u16),
+            dl_vlan_pcp: has(OFPFW_DL_VLAN_PCP).then_some((w2 >> 48) as u8),
+            dl_type: has(OFPFW_DL_TYPE).then_some((w1 >> 48) as u16),
+            nw_tos: has(OFPFW_NW_TOS).then_some((w2 >> 56) as u8),
+            nw_proto: has(OFPFW_NW_PROTO).then_some((w4 >> 32) as u8),
+            nw_src: prefix(PACKED_SRC_SET, PACKED_SRC_LEN_SHIFT, w3),
+            nw_dst: prefix(PACKED_DST_SET, PACKED_DST_LEN_SHIFT, w3 >> 32),
+            tp_src: has(OFPFW_TP_SRC).then_some(w4 as u16),
+            tp_dst: has(OFPFW_TP_DST).then_some((w4 >> 16) as u16),
+        }
+    }
+
+    /// The canonical key, equal to [`FlowMatch::key`] of the unpacked
+    /// match: the prefix lengths become wildcard counts and the
+    /// addresses lose their host bits; every other word is already the
+    /// key's.
+    #[must_use]
+    pub fn key(&self) -> MatchKey {
+        let head = self.0[0] as u32;
+        // An absent prefix packs length 0: all 32 bits wild.
+        let wild = |shift: u32| 32 - ((head >> shift) & 0xff).min(32);
+        let (src_wild, dst_wild) = (wild(PACKED_SRC_LEN_SHIFT), wild(PACKED_DST_LEN_SHIFT));
+        let w = (head & OFPFW_FLAG_BITS)
+            | src_wild << OFPFW_NW_SRC_SHIFT
+            | dst_wild << OFPFW_NW_DST_SHIFT;
+        let mask = |wild: u32| u64::from(Ipv4Prefix::mask((32 - wild) as u8));
+        let mut k = self.0;
+        k[0] = (k[0] >> 32 << 32) | u64::from(w);
+        k[3] &= mask(src_wild) | mask(dst_wild) << 32;
+        debug_assert_eq!(MatchKey(k), self.unpack().key(), "{self:?}");
+        MatchKey(k)
+    }
+}
+
+impl From<FlowMatch> for PackedMatch {
+    fn from(m: FlowMatch) -> PackedMatch {
+        // Projected with no prefix bit wild, both addresses stay whole.
+        let mut words = FlowMatch::project_key(&m.values(), m.wildcards() & OFPFW_FLAG_BITS).0;
+        let prefix = |p: Option<Ipv4Prefix>, set: u32, shift: u32| {
+            p.map_or(0, |p| set | u32::from(p.prefix_len) << shift)
+        };
+        words[0] |= u64::from(
+            prefix(m.nw_src, PACKED_SRC_SET, PACKED_SRC_LEN_SHIFT)
+                | prefix(m.nw_dst, PACKED_DST_SET, PACKED_DST_LEN_SHIFT),
+        );
+        PackedMatch(words)
+    }
+}
+
+impl PartialEq for PackedMatch {
+    #[inline]
+    fn eq(&self, other: &PackedMatch) -> bool {
+        words_eq(&self.0, &other.0)
     }
 }
 
@@ -400,7 +516,13 @@ impl FlowMatch {
     /// the key; hashing or comparing it never looks at the match again.
     #[must_use]
     pub fn key(&self) -> MatchKey {
-        let values = FlowKey {
+        FlowMatch::project_key(&self.values(), self.wildcards())
+    }
+
+    /// The constrained fields' values, zero where wildcarded, with the
+    /// IPv4 addresses as spelled.
+    fn values(&self) -> FlowKey {
+        FlowKey {
             in_port: self.in_port.unwrap_or(0),
             dl_src: self.dl_src.unwrap_or(MacAddr::ZERO),
             dl_dst: self.dl_dst.unwrap_or(MacAddr::ZERO),
@@ -413,8 +535,7 @@ impl FlowMatch {
             nw_dst: self.nw_dst.map_or(0, |p| p.addr),
             tp_src: self.tp_src.unwrap_or(0),
             tp_dst: self.tp_dst.unwrap_or(0),
-        };
-        FlowMatch::project_key(&values, self.wildcards())
+        }
     }
 
     /// Packs a concrete packet key onto the match shape described by a
@@ -485,10 +606,10 @@ impl FlowMatch {
         if self.tp_dst.is_none() {
             w |= OFPFW_TP_DST;
         }
-        let src_wild = 32 - self.nw_src.map_or(0, |p| p.prefix_len) as u32;
-        let dst_wild = 32 - self.nw_dst.map_or(0, |p| p.prefix_len) as u32;
-        w |= src_wild.min(63) << OFPFW_NW_SRC_SHIFT;
-        w |= dst_wild.min(63) << OFPFW_NW_DST_SHIFT;
+        // A length past 32 means 32, as in `Ipv4Prefix::mask`.
+        let wild = |p: Option<Ipv4Prefix>| 32 - u32::from(p.map_or(0, |p| p.prefix_len.min(32)));
+        w |= wild(self.nw_src) << OFPFW_NW_SRC_SHIFT;
+        w |= wild(self.nw_dst) << OFPFW_NW_DST_SHIFT;
         if self.dl_vlan_pcp.is_none() {
             w |= OFPFW_DL_VLAN_PCP;
         }

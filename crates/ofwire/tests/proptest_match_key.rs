@@ -11,7 +11,7 @@
 //! with one field nudged, a packet built to be covered, and that packet
 //! with one field nudged.
 
-use ofwire::flow_match::{FlowKey, FlowMatch, Ipv4Prefix};
+use ofwire::flow_match::{FlowKey, FlowMatch, Ipv4Prefix, PackedMatch};
 use ofwire::types::MacAddr;
 use proptest::prelude::*;
 
@@ -19,10 +19,10 @@ fn arb_mac() -> impl Strategy<Value = MacAddr> {
     any::<[u8; 6]>().prop_map(MacAddr)
 }
 
-/// Prefixes exactly as a caller may spell them: any length 0–32, host
-/// bits left set.
+/// Prefixes exactly as a caller may spell them: host bits left set, and
+/// any length 0–40 (past 32 means 32).
 fn arb_raw_prefix() -> impl Strategy<Value = Ipv4Prefix> {
-    (any::<u32>(), 0u8..=32).prop_map(|(addr, prefix_len)| Ipv4Prefix { addr, prefix_len })
+    (any::<u32>(), 0u8..=40).prop_map(|(addr, prefix_len)| Ipv4Prefix { addr, prefix_len })
 }
 
 prop_compose! {
@@ -201,6 +201,29 @@ proptest! {
             prop_assert_eq!(
                 a.canonical() == other.canonical(),
                 a.key() == other.key(),
+                "{:?} vs {:?}", a, other
+            );
+        }
+    }
+
+    /// `PackedMatch` keeps every spelling: unpacking gives the match
+    /// back, its key is the match's key, and two packed matches are equal
+    /// exactly when the matches are, respellings included.
+    #[test]
+    fn packing_is_lossless(
+        a in arb_match(),
+        b in arb_match(),
+        noise in any::<u32>(),
+        field in any::<u8>(),
+        toggle in any::<bool>(),
+    ) {
+        let packed = PackedMatch::from(a);
+        prop_assert_eq!(packed.unpack(), a);
+        prop_assert_eq!(packed.key(), a.key());
+        for other in [a, b, respell(&a, noise), nudge_match(&a, field, toggle)] {
+            prop_assert_eq!(
+                packed == PackedMatch::from(other),
+                a == other,
                 "{:?} vs {:?}", a, other
             );
         }

@@ -37,7 +37,7 @@ pub struct AgentOutput {
 fn expired_to_msg(exp: &Expired, now: SimTime) -> FlowRemoved {
     let age = now.since(exp.entry.inserted_at);
     FlowRemoved {
-        flow_match: exp.entry.flow_match,
+        flow_match: exp.entry.flow_match.unpack(),
         cookie: exp.entry.cookie,
         priority: exp.entry.priority,
         reason: match exp.reason {

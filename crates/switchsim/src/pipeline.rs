@@ -882,7 +882,7 @@ mod tests {
         p.add(entry(0, 7, 1, SimTime(0))).unwrap();
         // Higher-priority overlapping rule lands in software.
         let mut hi = entry(1, 7, 100, SimTime(1));
-        hi.flow_match = FlowMatch::l3_for_id(7);
+        hi.flow_match = FlowMatch::l3_for_id(7).into();
         p.add(hi).unwrap();
         let hit = p.lookup_touch(&FlowMatch::key_for_id(7), SimTime(2), 64);
         assert_eq!(

@@ -300,7 +300,7 @@ impl Switch {
                 let age = now.since(e.inserted_at);
                 FlowStatsEntry {
                     table_id: level as u8,
-                    flow_match: e.flow_match,
+                    flow_match: e.flow_match.unpack(),
                     duration_sec: (age.0 / 1_000_000_000) as u32,
                     duration_nsec: (age.0 % 1_000_000_000) as u32,
                     priority: e.priority,

@@ -5,7 +5,7 @@
 use crate::entry::{EntryId, FlowEntry};
 use crate::tcam::PriorityIndex;
 use ofwire::action::Action;
-use ofwire::flow_match::{FlowKey, FlowMatch, MatchKey};
+use ofwire::flow_match::{FlowKey, FlowMatch, MatchKey, PackedMatch};
 use ofwire::types::PortNo;
 use simnet::time::SimTime;
 use std::collections::hash_map::Entry;
@@ -83,72 +83,98 @@ impl Hasher for FnvHasher {
 
 type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
-/// A slot bucket for the side indexes: up to two slots inline, spilling
-/// to the heap beyond that. Ids are unique and two residents with the
-/// same canonical match are rare, so virtually every bucket is a
-/// singleton — the inline form makes the insert/remove rotate
-/// allocation-free.
-/// Derefs to `&[u32]` for all read access.
-#[derive(Clone, Debug)]
-enum Bucket {
-    Inline(u8, [u32; 2]),
-    Spill(Vec<u32>),
+/// Folds a 64-bit hash (or an entry id, which `by_id` files under as
+/// is) to the 32 bits an index files under.
+fn fold(h: u64) -> u32 {
+    let h = (h ^ h >> 32) as u32;
+    #[cfg(test)]
+    let h = h & tests::HASH_BITS.with(std::cell::Cell::get);
+    h
 }
 
-impl Default for Bucket {
-    fn default() -> Bucket {
-        Bucket::Inline(0, [0; 2])
+/// The hash `by_match` files a canonical match key under.
+fn match_hash(key: &MatchKey) -> u32 {
+    let mut h = FnvHasher::default();
+    key.hash(&mut h);
+    fold(h.0)
+}
+
+/// End of a slot chain.
+const NIL: u32 = u32::MAX;
+
+/// A hash index that stores no keys: a 32-bit hash → the first slot of
+/// a chain, and a slot column `next` linking each chain in install
+/// order. Slots whose keys hash alike share a chain, so a reader walks
+/// it and compares each slot's own key: a collision costs a compare,
+/// never a wrong answer. One hash slot is 8 bytes, plus 4 per slot for
+/// the link.
+#[derive(Debug, Clone, Default)]
+struct SlotChains {
+    heads: FnvMap<u32, u32>,
+    next: Vec<u32>,
+}
+
+impl SlotChains {
+    /// The slots filed under `hash`, in install order.
+    fn chain(&self, hash: u32) -> impl Iterator<Item = u32> + '_ {
+        let head = self.heads.get(&hash).copied();
+        std::iter::successors(head, |&s| Some(self.next[s as usize]).filter(|&n| n != NIL))
     }
-}
 
-impl std::ops::Deref for Bucket {
-    type Target = [u32];
-
-    fn deref(&self) -> &[u32] {
-        match self {
-            Bucket::Inline(n, a) => &a[..*n as usize],
-            Bucket::Spill(v) => v,
+    /// Files `slot`, the latest install, at the end of `hash`'s chain.
+    fn push(&mut self, hash: u32, slot: u32) {
+        let i = slot as usize;
+        if self.next.len() <= i {
+            self.next.resize(i + 1, NIL);
         }
-    }
-}
-
-impl<'a> IntoIterator for &'a Bucket {
-    type Item = &'a u32;
-    type IntoIter = std::slice::Iter<'a, u32>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl Bucket {
-    fn push(&mut self, slot: u32) {
-        match self {
-            Bucket::Inline(2, a) => *self = Bucket::Spill(vec![a[0], a[1], slot]),
-            Bucket::Inline(n, a) => {
-                a[*n as usize] = slot;
-                *n += 1;
+        self.next[i] = NIL;
+        match self.heads.entry(hash) {
+            Entry::Vacant(v) => {
+                v.insert(slot);
             }
-            Bucket::Spill(v) => v.push(slot),
-        }
-    }
-
-    /// Removes the element at `index`, preserving order. A spilled
-    /// bucket never shrinks back to inline (it is already off the hot
-    /// path).
-    fn remove(&mut self, index: usize) -> u32 {
-        match self {
-            Bucket::Inline(n, a) => {
-                debug_assert!(index < *n as usize);
-                let out = a[index];
-                if index == 0 {
-                    a[0] = a[1];
+            Entry::Occupied(o) => {
+                let mut at = *o.get();
+                while self.next[at as usize] != NIL {
+                    at = self.next[at as usize];
                 }
-                *n -= 1;
-                out
+                self.next[at as usize] = slot;
             }
-            Bucket::Spill(v) => v.remove(index),
         }
+    }
+
+    /// Unfiles and returns the first slot of `hash`'s chain that passes
+    /// `pred`, in one probe of the heads.
+    fn take_first(&mut self, hash: u32, mut pred: impl FnMut(u32) -> bool) -> Option<u32> {
+        let Entry::Occupied(mut o) = self.heads.entry(hash) else {
+            return None;
+        };
+        let (mut prev, mut at) = (NIL, *o.get());
+        while !pred(at) {
+            (prev, at) = (at, self.next[at as usize]);
+            if at == NIL {
+                return None;
+            }
+        }
+        let after = self.next[at as usize];
+        if prev != NIL {
+            self.next[prev as usize] = after;
+        } else if after == NIL {
+            o.remove();
+        } else {
+            *o.get_mut() = after;
+        }
+        Some(at)
+    }
+
+    /// Unfiles `slot` from `hash`'s chain.
+    fn remove(&mut self, hash: u32, slot: u32) {
+        let found = self.take_first(hash, |s| s == slot);
+        debug_assert_eq!(found, Some(slot), "slot not filed under its hash");
+    }
+
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.next.clear();
     }
 }
 
@@ -168,9 +194,7 @@ impl Bucket {
 /// a dense `order` deque maps position → slot and a reverse `pos` array
 /// maps slot → a bias-adjusted position (see the field docs), so a
 /// structural change only touches those integer arrays — O(min) from
-/// either end — instead of repairing every bucket of every index (the
-/// old layout's `index_shift_down` walked all of them per removal, which
-/// put an O(n·buckets) tax on each cache promotion/demotion).
+/// either end — and no index is touched at all.
 ///
 /// The per-event hot fields are split out of `FlowEntry` into parallel
 /// **SoA arrays** indexed by slot — `prio`, `id` and the
@@ -181,21 +205,24 @@ impl Bucket {
 /// copies can never go stale. Install order needs no column of its own:
 /// `pos` already orders residents by install.
 ///
-/// Side indexes keep the control-path hot spots off the linear scan.
-/// One map is keyed by a match: `by_match`, packed canonical match
-/// ([`MatchKey`]) → the slots of every priority holding that match. An
-/// operation packs its match once and probes once:
-/// [`FlowTable::find_strict`] and [`FlowTable::remove_strict`] filter the
-/// (nearly always singleton) bucket by priority and raw match equality;
-/// [`FlowTable::lookup`] packs the packet onto each resident match shape
-/// (the short `shapes` list) and probes per shape instead of running
-/// `covers` per entry. No key is stored per entry: a strict removal
-/// reuses the key it probed with, and a removal by position packs the
-/// resident's match once. Two more indexes exist only in tables that
-/// are asked, built on the first call and maintained from then on: an
-/// id map makes [`FlowTable::position_of`] O(1), and a Fenwick tree over
-/// the priority space answers [`FlowTable::count_above`] (the TCAM shift
-/// cost of an insert) in O(log 65536).
+/// Each entry holds its match once, as a [`PackedMatch`] (40 bytes, the
+/// controller's spelling kept); its canonical [`MatchKey`] is a mask of
+/// that, never stored. The match index `by_match` stores no keys
+/// either: a 32-bit hash of the canonical key → the first slot of a
+/// chain, linked through a slot column in install order
+/// (`SlotChains`; 8 bytes per hash slot and 4 per slot). An operation
+/// packs its match once, probes once and walks the chain (nearly always
+/// one slot), comparing each slot's own match, so a hash collision costs
+/// a compare and never a wrong answer: [`FlowTable::find_strict`] and
+/// [`FlowTable::remove_strict`] take the first slot of equal packed
+/// match and priority; [`FlowTable::lookup`] packs the packet onto each
+/// resident match shape (the short `shapes` list) and takes slots whose
+/// canonical key equals that, instead of running `covers` per entry.
+/// Two more indexes exist only in tables that are asked, built on the
+/// first call and maintained from then on: an id index of the same
+/// chained shape makes [`FlowTable::position_of`] O(1), and a Fenwick
+/// tree over the priority space answers [`FlowTable::count_above`] (the
+/// TCAM shift cost of an insert) in O(log 65536).
 ///
 /// Invariant: `flow_match`, `priority`, and the timeout fields of an
 /// installed entry are immutable. [`FlowTable::get_mut`] exists for
@@ -226,17 +253,17 @@ pub struct FlowTable {
     id: Vec<u64>,
     /// Slot → whether the entry participates in expiry.
     timeout: Vec<bool>,
-    /// Packed canonical match → slots of every priority holding it, in
-    /// install order (so the first slot passing a filter is the
-    /// earliest-installed resident, matching the linear scan).
-    by_match: FnvMap<MatchKey, Bucket>,
-    /// entry id → slots, in install order (ids are unique per switch,
-    /// so buckets are singletons in practice; the bucket form mirrors
-    /// `by_match` and keeps first-position semantics under duplicates).
+    /// Hash of the canonical match → chain of the slots whose matches
+    /// hash so, in install order (so the first slot passing a filter is
+    /// the earliest-installed resident, matching the linear scan).
+    by_match: SlotChains,
+    /// Hash of the entry id → chain of slots, in install order (ids are
+    /// unique per switch, so a chain holds one id in practice, and the
+    /// first slot of an id is its earliest resident under duplicates).
     /// Built by the first [`FlowTable::position_of`] (which takes
     /// `&self`, hence the `OnceLock`), so a table nobody asks by id pays
     /// no id hash per insert and remove.
-    by_id: OnceLock<FnvMap<EntryId, Bucket>>,
+    by_id: OnceLock<SlotChains>,
     /// Resident match shapes — wildcard word (which fields are
     /// constrained, at which prefix lengths) and how many residents have
     /// it. A lookup packs the packet once per shape and probes
@@ -292,20 +319,6 @@ impl FlowTable {
         self.iter().cloned().collect()
     }
 
-    /// Drops `slot` from `key`'s bucket in one probe, deleting the
-    /// bucket when emptied.
-    fn index_drop<K: Eq + Hash>(map: &mut FnvMap<K, Bucket>, key: K, slot: u32) {
-        if let Entry::Occupied(mut o) = map.entry(key) {
-            let bucket = o.get_mut();
-            if let Some(p) = bucket.iter().position(|&s| s == slot) {
-                bucket.remove(p);
-            }
-            if bucket.is_empty() {
-                o.remove();
-            }
-        }
-    }
-
     /// Allocates a slot for `entry` and records its SoA hot fields.
     fn alloc_slot(&mut self, entry: FlowEntry) -> u32 {
         let prio = entry.priority;
@@ -335,7 +348,7 @@ impl FlowTable {
     /// Drops the entry at `index` from `order`, returning its slot.
     fn unlink_position(&mut self, index: usize) -> u32 {
         let slot = self.order.remove(index).expect("index in range");
-        // Only integer positions move; every slot-keyed bucket stays
+        // Only integer positions move; every slot-keyed index stays
         // untouched. Fix up whichever side of the removal point is
         // shorter: either the tail's positions all drop by one, or —
         // equivalently — the bias rises by one and the head's positions
@@ -360,7 +373,7 @@ impl FlowTable {
         let i = slot as usize;
         let e = self.slots[i].take().expect("resident slot");
         if let Some(by_id) = self.by_id.get_mut() {
-            Self::index_drop(by_id, e.id, slot);
+            by_id.remove(fold(e.id.0), slot);
         }
         let shape = mkey.wildcards();
         let at = self
@@ -388,7 +401,7 @@ impl FlowTable {
     fn detach_slot(&mut self, slot: u32) -> FlowEntry {
         let e = self.slots[slot as usize].as_ref().expect("resident slot");
         let mkey = e.flow_match.key();
-        Self::index_drop(&mut self.by_match, mkey, slot);
+        self.by_match.remove(match_hash(&mkey), slot);
         self.release_slot(slot, mkey)
     }
 
@@ -404,10 +417,10 @@ impl FlowTable {
         self.pos[slot as usize] = self.base + self.order.len() as u64;
         self.order.push_back(slot);
         // The new resident is the last installed, so appending keeps
-        // every bucket in install order.
-        self.by_match.entry(mkey).or_default().push(slot);
+        // every chain in install order.
+        self.by_match.push(match_hash(&mkey), slot);
         if let Some(by_id) = self.by_id.get_mut() {
-            by_id.entry(id).or_default().push(slot);
+            by_id.push(fold(id.0), slot);
         }
         let shape = mkey.wildcards();
         match self.shapes.iter_mut().find(|(w, _)| *w == shape) {
@@ -426,34 +439,26 @@ impl FlowTable {
     }
 
     /// Removes and returns the entry [`FlowTable::find_strict`] would
-    /// find, in one probe of the match index: the bucket entry that
-    /// locates the slot is the one the slot is dropped from.
+    /// find, in one probe of the match index: the chain walk that
+    /// locates the slot unlinks it.
     pub fn remove_strict(&mut self, flow_match: &FlowMatch, priority: u16) -> Option<FlowEntry> {
-        let mkey = flow_match.key();
-        let Entry::Occupied(mut o) = self.by_match.entry(mkey) else {
-            return None;
-        };
+        let packed = PackedMatch::from(*flow_match);
+        let mkey = packed.key();
         let (slots, prio) = (&self.slots, &self.prio);
-        let at = o
-            .get()
-            .iter()
-            .position(|&s| Self::is_strict(slots, prio, s, flow_match, priority))?;
-        let slot = o.get_mut().remove(at);
-        if o.get().is_empty() {
-            o.remove();
-        }
+        let slot = self.by_match.take_first(match_hash(&mkey), |s| {
+            Self::is_strict(slots, prio, s, &packed, priority)
+        })?;
         self.unlink_position((self.pos[slot as usize] - self.base) as usize);
         Some(self.release_slot(slot, mkey))
     }
 
-    /// Whether the resident of `slot` — already known to share the
-    /// filter's canonical match — is the filter's strict target: same
-    /// priority and the same match as the controller spelled it.
+    /// Whether the resident of `slot` is the filter's strict target:
+    /// same priority and the same match as the controller spelled it.
     fn is_strict(
         slots: &[Option<FlowEntry>],
         prio: &[u16],
         slot: u32,
-        flow_match: &FlowMatch,
+        packed: &PackedMatch,
         priority: u16,
     ) -> bool {
         prio[slot as usize] == priority
@@ -461,7 +466,7 @@ impl FlowTable {
                 .as_ref()
                 .expect("resident slot")
                 .flow_match
-                == *flow_match
+                == *packed
     }
 
     /// Index of the matching entry for `key`: maximal priority, then
@@ -470,27 +475,25 @@ impl FlowTable {
     /// Tuple-space search: packs the key once per resident match shape
     /// (wildcard word) and hash-probes the match index, so cost scales
     /// with the number of *distinct shapes* rather than the number of
-    /// entries. Candidate comparisons read the SoA `prio`/`id` arrays,
-    /// never the entries. Residents sharing a bucket (identical
-    /// canonical match at different priorities or ids) are resolved by
-    /// the same (priority, id) order the linear scan applies.
+    /// entries. A chain slot is a candidate when its canonical key is
+    /// the probe; candidate comparisons read the SoA `prio`/`id`
+    /// arrays. Candidates sharing a canonical match (at different
+    /// priorities or ids) are resolved by the same (priority, id) order
+    /// the linear scan applies.
     #[must_use]
     pub fn lookup(&self, key: &FlowKey) -> Option<usize> {
         let mut best: Option<u32> = None;
         for &(shape, _) in &self.shapes {
             let probe = FlowMatch::project_key(key, shape);
-            let Some(bucket) = self.by_match.get(&probe) else {
-                continue;
-            };
-            for &s in bucket {
-                debug_assert!(
-                    self.slots[s as usize]
-                        .as_ref()
-                        .expect("resident slot")
-                        .flow_match
-                        .covers(key),
-                    "stale match index slot {s}"
-                );
+            for s in self.by_match.chain(match_hash(&probe)) {
+                let m = &self.slots[s as usize]
+                    .as_ref()
+                    .expect("resident slot")
+                    .flow_match;
+                if m.key() != probe {
+                    continue;
+                }
+                debug_assert!(m.unpack().covers(key), "stale match index slot {s}");
                 match best {
                     None => best = Some(s),
                     Some(b) => {
@@ -524,16 +527,17 @@ impl FlowTable {
 
     /// Finds the entry that *strictly* equals the given match and
     /// priority (OpenFlow strict semantics) — the earliest installed, if
-    /// several do. One probe of the match index, then a filter over the
-    /// bucket: residents there share the canonical match but may differ
-    /// in priority or in how the match was spelled (host bits, `/0`).
+    /// several do. One probe of the match index, then a walk of the
+    /// chain: its residents may share the canonical match but differ in
+    /// priority or in how the match was spelled (host bits, `/0`), or
+    /// only share the hash.
     #[must_use]
     pub fn find_strict(&self, flow_match: &FlowMatch, priority: u16) -> Option<usize> {
+        let packed = PackedMatch::from(*flow_match);
         self.by_match
-            .get(&flow_match.key())?
-            .iter()
-            .find(|&&s| Self::is_strict(&self.slots, &self.prio, s, flow_match, priority))
-            .map(|&s| (self.pos[s as usize] - self.base) as usize)
+            .chain(match_hash(&packed.key()))
+            .find(|&s| Self::is_strict(&self.slots, &self.prio, s, &packed, priority))
+            .map(|s| (self.pos[s as usize] - self.base) as usize)
     }
 
     /// Indices of entries selected by a non-strict filter: entries whose
@@ -545,7 +549,7 @@ impl FlowTable {
             .iter()
             .enumerate()
             .map(|(i, &s)| (i, self.slots[s as usize].as_ref().expect("resident slot")))
-            .filter(|(_, e)| filter.subsumes(&e.flow_match))
+            .filter(|(_, e)| filter.subsumes(&e.flow_match.unpack()))
             .filter(|(_, e)| {
                 out_port == PortNo::NONE
                     || e.actions
@@ -560,7 +564,7 @@ impl FlowTable {
     /// entries in descending index order.
     ///
     /// One compaction pass over the order vector (the slot-keyed
-    /// buckets never need a global remap): O(n + k·bucket).
+    /// indexes never need a global remap): O(n + k·chain).
     pub fn remove_indices(&mut self, mut indices: Vec<usize>) -> Vec<FlowEntry> {
         indices.sort_unstable_by(|a, b| b.cmp(a));
         indices.dedup();
@@ -631,16 +635,19 @@ impl FlowTable {
     pub fn position_of(&self, id: EntryId) -> Option<usize> {
         self.by_id
             .get_or_init(|| self.build_id_index())
-            .get(&id)
-            .and_then(|bucket| bucket.first())
-            .map(|&s| (self.pos[s as usize] - self.base) as usize)
+            .chain(fold(id.0))
+            .find(|&s| self.id[s as usize] == id.0)
+            .map(|s| (self.pos[s as usize] - self.base) as usize)
     }
 
-    /// entry id → slots, in install order, from a scan of the residents.
-    fn build_id_index(&self) -> FnvMap<EntryId, Bucket> {
-        let mut by_id = FnvMap::with_capacity_and_hasher(self.len(), Default::default());
+    /// The id index, from a scan of the residents in install order.
+    fn build_id_index(&self) -> SlotChains {
+        let mut by_id = SlotChains {
+            heads: FnvMap::with_capacity_and_hasher(self.len(), Default::default()),
+            next: Vec::with_capacity(self.slots.len()),
+        };
         for &s in &self.order {
-            Bucket::push(by_id.entry(EntryId(self.id[s as usize])).or_default(), s);
+            by_id.push(fold(self.id[s as usize]), s);
         }
         by_id
     }
@@ -679,7 +686,7 @@ impl FlowTable {
     pub fn lookup_linear(&self, key: &FlowKey) -> Option<usize> {
         let mut best: Option<usize> = None;
         for (i, e) in self.iter().enumerate() {
-            if !e.flow_match.covers(key) {
+            if !e.flow_match.unpack().covers(key) {
                 continue;
             }
             match best {
@@ -701,7 +708,7 @@ impl FlowTable {
     pub fn find_strict_linear(&self, flow_match: &FlowMatch, priority: u16) -> Option<usize> {
         (0..self.len()).find(|&i| {
             let e = self.get(i);
-            e.priority == priority && e.flow_match == *flow_match
+            e.priority == priority && e.flow_match.unpack() == *flow_match
         })
     }
 
@@ -729,39 +736,37 @@ impl FlowTable {
                 "stale SoA timeout {s}"
             );
         }
-        let mut match_count = 0;
-        for (key, bucket) in &self.by_match {
-            assert!(!bucket.is_empty(), "empty match bucket for {key:?}");
-            assert!(
-                bucket
-                    .windows(2)
-                    .all(|w| self.pos[w[0] as usize] < self.pos[w[1] as usize]),
-                "match bucket not in install order: {bucket:?}"
-            );
-            for &s in bucket {
-                let e = self.slots[s as usize].as_ref().expect("free slot indexed");
-                assert_eq!(e.flow_match.key(), *key, "stale match index {s}");
-            }
-            match_count += bucket.len();
-        }
-        assert_eq!(match_count, self.len());
-        // The id index, once built, is what a fresh build would give, so
-        // its buckets too are in install order and none is empty.
-        if let Some(by_id) = self.by_id.get() {
-            let fresh = self.build_id_index();
-            assert_eq!(by_id.len(), fresh.len(), "id index keys");
-            for (id, bucket) in &fresh {
-                assert_eq!(
-                    by_id.get(id).map(|b| &b[..]),
-                    Some(&bucket[..]),
-                    "stale id index for {id:?}"
+        // Each index (the id index once built) files every resident
+        // once, under the resident's own hash, each chain in install
+        // order — which is what a fresh build would give.
+        let check = |chains: &SlotChains, hash_of: &dyn Fn(u32) -> u32| {
+            let mut filed = 0;
+            for &hash in chains.heads.keys() {
+                let chain: Vec<u32> = chains.chain(hash).take(self.len() + 1).collect();
+                assert!(
+                    chain
+                        .windows(2)
+                        .all(|w| self.pos[w[0] as usize] < self.pos[w[1] as usize]),
+                    "chain {hash:#x} not in install order: {chain:?}"
                 );
+                for &s in &chain {
+                    assert!(self.slots[s as usize].is_some(), "free slot {s} filed");
+                    assert_eq!(hash_of(s), hash, "slot {s} filed under a stale hash");
+                }
+                filed += chain.len();
             }
+            assert_eq!(filed, self.len(), "residents filed");
+        };
+        check(&self.by_match, &|s| {
+            match_hash(&self.slots[s as usize].as_ref().unwrap().flow_match.key())
+        });
+        if let Some(by_id) = self.by_id.get() {
+            check(by_id, &|s| fold(self.id[s as usize]));
         }
         // `shapes` is exactly the multiset of resident wildcard words.
         let mut want: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
         for e in self.iter() {
-            *want.entry(e.flow_match.wildcards()).or_default() += 1;
+            *want.entry(e.flow_match.key().wildcards()).or_default() += 1;
         }
         let mut have = self.shapes.clone();
         have.sort_unstable();
@@ -883,6 +888,13 @@ impl MicroflowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// The bits of every index hash a test keeps: fewer bits, more
+        /// collisions (each test runs on a thread of its own).
+        pub(super) static HASH_BITS: std::cell::Cell<u32> =
+            const { std::cell::Cell::new(u32::MAX) };
+    }
 
     fn entry(id: u64, m: FlowMatch, prio: u16) -> FlowEntry {
         FlowEntry::new(EntryId(id), m, prio, vec![Action::output(1)], SimTime(id))
@@ -1079,50 +1091,101 @@ mod tests {
         assert_eq!(t.position_of(EntryId(100)), Some(t.len() - 1));
     }
 
+    /// A match of a small family that meets itself often: L3 hosts of
+    /// 16 ids, each spelled two ways as a `/24` (with and without host
+    /// bits, one canonical match).
+    fn churn_match(rng: &mut simnet::rng::DetRng) -> FlowMatch {
+        use ofwire::flow_match::Ipv4Prefix;
+        let id = rng.index(16) as u32;
+        if rng.chance(0.5) {
+            return FlowMatch::l3_for_id(id);
+        }
+        FlowMatch {
+            dl_type: Some(0x0800),
+            nw_dst: Some(Ipv4Prefix {
+                addr: 0x0a00_0000 | id << 8 | rng.index(2) as u32,
+                prefix_len: 24,
+            }),
+            ..FlowMatch::default()
+        }
+    }
+
+    /// Random churn on two tables, one asked by id from the start and one
+    /// only at the end. After every step the first is checked against
+    /// the linear oracles (lookup, strict find) and its indexes against
+    /// a recompute; at the end both answer every id like a scan.
+    fn random_churn_agrees_with_the_oracles(seed: u64) {
+        let mut rng = simnet::rng::DetRng::new(seed);
+        let (mut early, mut late) = (FlowTable::new(), FlowTable::new());
+        assert_eq!(early.position_of(EntryId(0)), None);
+        for step in 0..300u64 {
+            let n = early.len();
+            // Ids repeat now and then, which the id index allows.
+            let id = if rng.chance(0.1) { step / 2 } else { step };
+            let m = churn_match(&mut rng);
+            let prio = rng.index(3) as u16;
+            match rng.index(6) {
+                0..=2 => {
+                    early.insert(entry(id, m, prio));
+                    late.insert(entry(id, m, prio));
+                }
+                3 if n > 0 => {
+                    let i = rng.index(n);
+                    assert_eq!(early.remove_at(i), late.remove_at(i));
+                }
+                4 if n > 0 => {
+                    let picks = vec![rng.index(n), rng.index(n), rng.index(n)];
+                    assert_eq!(
+                        early.remove_indices(picks.clone()),
+                        late.remove_indices(picks)
+                    );
+                }
+                _ => assert_eq!(early.remove_strict(&m, prio), late.remove_strict(&m, prio)),
+            }
+            early.assert_index_consistent();
+            for probe in 0..16 {
+                let key = FlowMatch::key_for_id(probe);
+                assert_eq!(early.lookup(&key), early.lookup_linear(&key), "seed {seed}");
+            }
+            assert_eq!(
+                early.find_strict(&m, prio),
+                early.find_strict_linear(&m, prio),
+                "seed {seed} step {step}"
+            );
+        }
+        for t in [&early, &late] {
+            for id in 0..300 {
+                let scan = t.iter().position(|e| e.id == EntryId(id));
+                assert_eq!(t.position_of(EntryId(id)), scan, "seed {seed} id {id}");
+            }
+            t.assert_index_consistent();
+        }
+    }
+
     /// The id index is built by the first `position_of` and maintained
     /// from then on. Whether that call comes before random churn or only
     /// after it, the index equals a fresh build (checked by
     /// `assert_index_consistent`) and answers every id like a scan.
     #[test]
     fn lazy_id_index_matches_a_fresh_build_early_or_late() {
-        for seed in 0..16u64 {
-            let mut rng = simnet::rng::DetRng::new(seed);
-            let (mut early, mut late) = (FlowTable::new(), FlowTable::new());
-            assert_eq!(early.position_of(EntryId(0)), None);
-            for step in 0..300u64 {
-                let n = early.len();
-                // Ids repeat now and then, which the buckets allow.
-                let id = if rng.chance(0.1) { step / 2 } else { step };
-                let m = FlowMatch::l3_for_id(rng.index(48) as u32);
-                let prio = rng.index(3) as u16;
-                match rng.index(6) {
-                    0..=2 => {
-                        early.insert(entry(id, m, prio));
-                        late.insert(entry(id, m, prio));
-                    }
-                    3 if n > 0 => {
-                        let i = rng.index(n);
-                        assert_eq!(early.remove_at(i), late.remove_at(i));
-                    }
-                    4 if n > 0 => {
-                        let picks = vec![rng.index(n), rng.index(n), rng.index(n)];
-                        assert_eq!(
-                            early.remove_indices(picks.clone()),
-                            late.remove_indices(picks)
-                        );
-                    }
-                    _ => assert_eq!(early.remove_strict(&m, prio), late.remove_strict(&m, prio)),
-                }
-                early.assert_index_consistent();
-            }
-            for t in [&early, &late] {
-                for id in 0..300 {
-                    let scan = t.iter().position(|e| e.id == EntryId(id));
-                    assert_eq!(t.position_of(EntryId(id)), scan, "seed {seed} id {id}");
-                }
-                t.assert_index_consistent();
-            }
+        for seed in 0..16 {
+            random_churn_agrees_with_the_oracles(seed);
         }
+    }
+
+    /// With every index hash cut to two bits, nearly every chain mixes
+    /// slots of different matches and ids: each walk must still compare
+    /// the slot's own match or id.
+    #[test]
+    fn colliding_chains_agree_with_the_linear_oracles() {
+        HASH_BITS.with(|bits| bits.set(0b11));
+        for seed in 0..16 {
+            random_churn_agrees_with_the_oracles(seed);
+        }
+        indexed_lookup_agrees_with_linear_oracle();
+        strict_ops_tell_apart_spellings_that_share_a_bucket();
+        slots_are_stable_across_removals();
+        HASH_BITS.with(|bits| bits.set(u32::MAX));
     }
 
     #[test]

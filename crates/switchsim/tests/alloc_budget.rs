@@ -215,8 +215,8 @@ fn probe_hits_allocate_nothing_and_misses_once() {
 
 const RESIDENTS: u32 = 10_000;
 /// Live heap bytes per resident rule of an OVS agent (the entry, its
-/// slot in the table's columns and its match-index bucket).
-const BYTES_PER_RESIDENT: i64 = 399;
+/// slot in the table's columns and its match-index hash slot and link).
+const BYTES_PER_RESIDENT: i64 = 270;
 
 /// An OVS agent fed `RESIDENTS` distinct adds holds them in at most
 /// `BYTES_PER_RESIDENT` live heap bytes each, counting everything the

@@ -119,7 +119,7 @@ fn by_hand(
         for exp in switch.take_expired() {
             let age = now.since(exp.entry.inserted_at);
             let removed = FlowRemoved {
-                flow_match: exp.entry.flow_match,
+                flow_match: exp.entry.flow_match.unpack(),
                 cookie: exp.entry.cookie,
                 priority: exp.entry.priority,
                 reason: match exp.reason {

@@ -31,7 +31,7 @@ impl NaiveTable {
     fn lookup(&self, key: &FlowKey) -> Option<usize> {
         let mut best: Option<usize> = None;
         for (i, e) in self.entries.iter().enumerate() {
-            if !e.flow_match.covers(key) {
+            if !e.flow_match.unpack().covers(key) {
                 continue;
             }
             match best {
@@ -50,14 +50,14 @@ impl NaiveTable {
     fn find_strict(&self, flow_match: &FlowMatch, priority: u16) -> Option<usize> {
         self.entries
             .iter()
-            .position(|e| e.priority == priority && e.flow_match == *flow_match)
+            .position(|e| e.priority == priority && e.flow_match.unpack() == *flow_match)
     }
 
     fn select_loose(&self, filter: &FlowMatch) -> Vec<usize> {
         self.entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| filter.subsumes(&e.flow_match))
+            .filter(|(_, e)| filter.subsumes(&e.flow_match.unpack()))
             .map(|(i, _)| i)
             .collect()
     }

@@ -11,7 +11,7 @@
 //! ```
 
 use ofwire::action::{Action, ActionList};
-use ofwire::flow_match::FlowMatch;
+use ofwire::flow_match::{FlowMatch, PackedMatch};
 use ofwire::flow_mod::FlowMod;
 use ofwire::types::Dpid;
 use serde::{Deserialize, Serialize};
@@ -59,8 +59,8 @@ pub struct ReqElem {
     /// Rule priority; `None` lets Tango enforce one (Fig 11's "priority
     /// enforcement").
     pub priority: Option<u16>,
-    /// Rule match.
-    pub flow_match: FlowMatch,
+    /// Rule match, packed ([`PackedMatch::unpack`] spells it out).
+    pub flow_match: PackedMatch,
     /// Rule actions (empty for deletes).
     pub actions: ActionList,
     /// Deadline.
@@ -75,7 +75,7 @@ impl ReqElem {
             location,
             op: ReqOp::Add,
             priority: Some(priority),
-            flow_match,
+            flow_match: flow_match.into(),
             actions: Action::output(out_port).into(),
             install_by: Deadline::BestEffort,
         }
@@ -117,13 +117,11 @@ impl ReqElem {
     /// Lowers the request to a concrete `flow_mod`.
     #[must_use]
     pub fn to_flow_mod(&self) -> FlowMod {
-        let priority = self.effective_priority();
+        let (m, priority) = (self.flow_match.unpack(), self.effective_priority());
         match self.op {
-            ReqOp::Add => {
-                FlowMod::add_with_actions(self.flow_match, priority, self.actions.clone())
-            }
-            ReqOp::Mod => FlowMod::modify_strict(self.flow_match, priority, self.actions.clone()),
-            ReqOp::Del => FlowMod::delete_strict(self.flow_match, priority),
+            ReqOp::Add => FlowMod::add_with_actions(m, priority, self.actions.clone()),
+            ReqOp::Mod => FlowMod::modify_strict(m, priority, self.actions.clone()),
+            ReqOp::Del => FlowMod::delete_strict(m, priority),
         }
     }
 }
@@ -150,11 +148,10 @@ mod tests {
         assert!(del.actions.is_empty());
     }
 
-    /// The action list rides in the request by value; it must not grow
-    /// the request past what the `Vec` it replaced made it.
+    /// The match rides packed and the action list by value.
     #[test]
-    fn request_is_no_larger_than_with_a_vec() {
-        assert!(std::mem::size_of::<ReqElem>() <= 120);
+    fn request_holds_its_match_packed() {
+        assert!(std::mem::size_of::<ReqElem>() <= 96);
     }
 
     #[test]

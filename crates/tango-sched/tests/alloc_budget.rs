@@ -89,7 +89,7 @@ fn dispatch_allocates_within_budget_for_every_scheduler() {
 
 /// Live heap bytes per request of the sweep-shaped DAG as built (one
 /// `add_node` at a time, so with `Vec` growth slack) and as cloned.
-const BUILT_BYTES_PER_NODE: i64 = 263;
+const BUILT_BYTES_PER_NODE: i64 = 225;
 const CLONED_BYTES_PER_NODE: i64 = 6;
 
 #[test]
