@@ -802,4 +802,28 @@ mod tests {
         assert_eq!(cb.token, b);
         assert!(tb.next_completion().is_none(), "no duplicates in stream");
     }
+
+    #[test]
+    fn echo_rtt_reflects_the_channel_not_the_tables() {
+        use simnet::trace::Summary;
+        let mut tb = Testbed::new(77);
+        let dpid = Dpid(1);
+        tb.attach(dpid, SwitchProfile::vendor1(), Link::control_channel(1.5));
+        let echo_mean =
+            |tb: &mut Testbed| Summary::of((0..200).map(|_| tb.echo(dpid, 32).as_millis_f64()));
+        let before = echo_mean(&mut tb);
+        // Two crossings of a ~1.5 ms one-way channel.
+        assert!((before.mean - 3.0).abs() < 0.3, "mean {}", before.mean);
+        // Installing rules must not change the echo RTT.
+        for i in 0..500 {
+            tb.flow_mod(dpid, FlowMod::add(FlowMatch::l3_for_id(i), 10));
+        }
+        let after = echo_mean(&mut tb);
+        assert!(
+            (after.mean - before.mean).abs() < 0.2,
+            "{} vs {}",
+            after.mean,
+            before.mean
+        );
+    }
 }

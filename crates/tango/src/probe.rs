@@ -7,7 +7,8 @@
 //!
 //! A pattern is first *compiled* into a [`PatternProgram`] — the exact
 //! sequence of control-path operations it issues — and then driven
-//! through the [`ControlPath`] abstraction one completion at a time.
+//! through the [`ControlPath`](switchsim::control::ControlPath)
+//! abstraction one completion at a time.
 //! [`ProbingEngine::run`] drives a single program synchronously;
 //! [`fleet::run_inference`](crate::fleet::run_inference) drives one
 //! program per switch ([`FleetJob::pattern`](crate::fleet::FleetJob::pattern)),
@@ -19,7 +20,7 @@ use ofwire::action::Action;
 use ofwire::flow_mod::FlowMod;
 use ofwire::types::Dpid;
 use simnet::time::SimDuration;
-use switchsim::control::{ControlOp, ControlPath, OpOutcome};
+use switchsim::control::{ControlOp, OpOutcome};
 use switchsim::harness::Testbed;
 use switchsim::pipeline::Hit;
 
@@ -250,12 +251,6 @@ impl<'a> ProbingEngine<'a> {
         ProbingEngine { tb, dpid, kind }
     }
 
-    /// The testbed (for direct inspection in tests).
-    #[must_use]
-    pub fn testbed(&self) -> &Testbed {
-        self.tb
-    }
-
     /// Mutable access to the testbed.
     pub fn testbed_mut(&mut self) -> &mut Testbed {
         self.tb
@@ -294,14 +289,7 @@ impl<'a> ProbingEngine<'a> {
     /// Issues one barriered batch through the control path, waiting for
     /// its completion. Returns `(accepted, rejected, elapsed)`.
     pub fn run_batch(&mut self, fms: Vec<FlowMod>) -> (usize, usize, SimDuration) {
-        let issued_at = ControlPath::now(self.tb);
-        let token = self.tb.submit(self.dpid, ControlOp::Batch(fms), issued_at);
-        let c = self.tb.wait_for(token);
-        self.tb.warp_to(c.acked_at);
-        match c.outcome {
-            OpOutcome::Batch { ok, failed } => (ok, failed, c.acked_at.since(issued_at)),
-            _ => unreachable!("batch submit yields a batch outcome"),
-        }
+        self.tb.batch(self.dpid, fms)
     }
 
     /// Installs one probe rule immediately (no batching); returns whether
@@ -322,16 +310,6 @@ impl<'a> ProbingEngine<'a> {
             hit,
             rtt_ms: rtt.as_millis_f64(),
         }
-    }
-
-    /// Measures the control channel's round-trip time with `samples`
-    /// echo probes, returning the RTTs in milliseconds. Separating the
-    /// channel RTT from rule-processing time is what lets the latency
-    /// curves attribute costs to the switch itself.
-    pub fn measure_control_rtt(&mut self, samples: usize) -> Vec<f64> {
-        (0..samples)
-            .map(|_| self.tb.echo(self.dpid, 32).as_millis_f64())
-            .collect()
     }
 
     /// Removes every rule from the switch (pattern cleanup).
@@ -430,34 +408,5 @@ mod tests {
         let s = eng.probe_one(9999);
         assert_eq!(s.hit, Hit::Miss);
         assert!(s.rtt_ms > 5.0, "controller path RTT, got {}", s.rtt_ms);
-    }
-}
-
-#[cfg(test)]
-mod echo_tests {
-    use super::*;
-    use simnet::trace::Summary;
-    use switchsim::profiles::SwitchProfile;
-
-    #[test]
-    fn control_rtt_reflects_the_channel_not_the_tables() {
-        let mut tb = Testbed::new(77);
-        let dpid = Dpid(1);
-        tb.attach(
-            dpid,
-            SwitchProfile::vendor1(),
-            simnet::link::Link::control_channel(1.5),
-        );
-        let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-        let rtts = eng.measure_control_rtt(200);
-        let s = Summary::of(rtts);
-        // Two crossings of a ~1.5 ms one-way channel.
-        assert!((s.mean - 3.0).abs() < 0.3, "mean {}", s.mean);
-        // Installing rules must not change the echo RTT.
-        for i in 0..500 {
-            eng.install_one(i, 10);
-        }
-        let s2 = Summary::of(eng.measure_control_rtt(200));
-        assert!((s2.mean - s.mean).abs() < 0.2, "{} vs {}", s2.mean, s.mean);
     }
 }
