@@ -15,9 +15,9 @@ use switchsim::cache::CachePolicy;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::db::TangoDb;
-use tango::infer_size::{probe_sizes, ClusterMethod, SizeProbeConfig};
+use tango::driver::run_driver;
+use tango::infer_size::{ClusterMethod, SizeDriver, SizeProbeConfig};
 use tango::pattern::RuleKind;
-use tango::probe::ProbingEngine;
 use tango::stats::relative_error;
 use tango_sched::executor::{execute_rounds, execute_with, Release};
 use tango_sched::extensions::lookahead_prefix;
@@ -33,7 +33,6 @@ fn size_probe_error(tcam: u64, method: ClusterMethod, trials: usize, seed: u64) 
         dpid,
         SwitchProfile::generic_cached(tcam, CachePolicy::fifo()),
     );
-    let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
     let cfg = SizeProbeConfig {
         max_flows: (tcam * 2) as usize,
         trials_per_level: trials,
@@ -41,7 +40,8 @@ fn size_probe_error(tcam: u64, method: ClusterMethod, trials: usize, seed: u64) 
         seed,
         ..SizeProbeConfig::default()
     };
-    let est = probe_sizes(&mut eng, &cfg).expect("size probe completes");
+    let est = run_driver(&mut tb, dpid, SizeDriver::new(RuleKind::L3, cfg))
+        .expect("size probe completes");
     (
         relative_error(est.fast_layer_size().unwrap_or(0.0), tcam as f64),
         est.packets_sent,

@@ -13,8 +13,9 @@ use simnet::rng::DetRng;
 use simnet::trace::Figure;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
+use tango::driver::run_driver;
 use tango::pattern::{OpPhase, RuleKind, TangoPattern};
-use tango::probe::ProbingEngine;
+use tango::probe::PatternDriver;
 
 const BASE_PRIORITY: u16 = 500;
 
@@ -69,8 +70,8 @@ pub fn run(preinstalled: usize, per_phase: usize, reps: usize) -> Figure {
             RuleKind::L3,
         );
         let (mut tb, dpid) = fresh_switch(preinstalled, per_phase, rep as u64);
-        let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-        let res = eng.run(&pattern).expect("pattern runs");
+        let res =
+            run_driver(&mut tb, dpid, PatternDriver::for_pattern(&pattern)).expect("pattern runs");
         assert_eq!(res.rejected(), 0, "{}", pattern.name);
         res.install_time().as_secs_f64()
     });

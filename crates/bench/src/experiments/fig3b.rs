@@ -13,36 +13,31 @@ use ofwire::types::Dpid;
 use simnet::trace::Figure;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
+use tango::driver::run_driver;
 use tango::pattern::{PriorityOrder, RuleKind, TangoPattern};
-use tango::probe::ProbingEngine;
+use tango::probe::{PatternDriver, PatternResult};
+
+fn run_pattern(tb: &mut Testbed, pat: &TangoPattern) -> PatternResult {
+    run_driver(tb, Dpid(1), PatternDriver::for_pattern(pat)).expect("pattern runs")
+}
 
 fn measure(profile: SwitchProfile, n: usize, seed: u64) -> (f64, f64) {
     // Add arm: fresh switch, worst-case descending-priority insertion.
     let add_s = {
         let mut tb = Testbed::new(seed);
-        let dpid = Dpid(1);
-        tb.attach_default(dpid, profile.clone());
-        let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
+        tb.attach_default(Dpid(1), profile.clone());
         let pat = TangoPattern::priority_insertion(n, PriorityOrder::Descending, RuleKind::L3);
-        eng.run(&pat)
-            .expect("pattern runs")
-            .install_time()
-            .as_secs_f64()
+        run_pattern(&mut tb, &pat).install_time().as_secs_f64()
     };
     // Mod arm: preinstall n (constant priority), then modify all n.
     let mod_s = {
         let mut tb = Testbed::new(seed ^ 1);
-        let dpid = Dpid(1);
-        tb.attach_default(dpid, profile);
-        let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-        eng.run(&TangoPattern::priority_insertion(
-            n,
-            PriorityOrder::Same,
-            RuleKind::L3,
-        ))
-        .expect("preinstall runs");
-        eng.run(&TangoPattern::modify_batch(n, 1000, RuleKind::L3))
-            .expect("modify batch runs")
+        tb.attach_default(Dpid(1), profile);
+        run_pattern(
+            &mut tb,
+            &TangoPattern::priority_insertion(n, PriorityOrder::Same, RuleKind::L3),
+        );
+        run_pattern(&mut tb, &TangoPattern::modify_batch(n, 1000, RuleKind::L3))
             .install_time()
             .as_secs_f64()
     };

@@ -10,16 +10,16 @@ use ofwire::types::Dpid;
 use simnet::trace::Figure;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
+use tango::driver::run_driver;
 use tango::pattern::{PriorityOrder, RuleKind, TangoPattern};
-use tango::probe::ProbingEngine;
+use tango::probe::PatternDriver;
 
 fn install_time_s(profile: SwitchProfile, n: usize, order: PriorityOrder) -> f64 {
     let mut tb = Testbed::new(0x3c);
     let dpid = Dpid(1);
     tb.attach_default(dpid, profile);
-    let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
     let pat = TangoPattern::priority_insertion(n, order, RuleKind::L3);
-    eng.run(&pat)
+    run_driver(&mut tb, dpid, PatternDriver::for_pattern(&pat))
         .expect("pattern runs")
         .install_time()
         .as_secs_f64()

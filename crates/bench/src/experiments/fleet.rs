@@ -17,10 +17,10 @@ use switchsim::cache::CachePolicy;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::db::TangoDb;
+use tango::driver::run_driver;
 use tango::fleet::{run_inference, FleetJob};
-use tango::infer_size::{probe_sizes, SizeEstimate, SizeProbeConfig};
+use tango::infer_size::{SizeDriver, SizeEstimate, SizeProbeConfig};
 use tango::pattern::RuleKind;
-use tango::probe::ProbingEngine;
 
 /// One fleet width's outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,8 +105,8 @@ fn run_cells(widths: &[usize], tcam: u64, traced: bool) -> (Vec<FleetScalingRow>
         let seq: Vec<SizeEstimate> = dpids
             .iter()
             .map(|&d| {
-                let mut eng = ProbingEngine::new(&mut seq_tb, d, RuleKind::L3);
-                probe_sizes(&mut eng, &config(d, tcam)).expect("sequential size probe")
+                let driver = SizeDriver::new(RuleKind::L3, config(d, tcam));
+                run_driver(&mut seq_tb, d, driver).expect("sequential size probe")
             })
             .collect();
         let sequential_s = seq_tb.now().since(seq_start).as_millis_f64() / 1000.0;

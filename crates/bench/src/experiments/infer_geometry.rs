@@ -6,7 +6,8 @@ use crate::report::format_table;
 use ofwire::types::Dpid;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
-use tango::infer_geometry::{probe_geometry, GeometryClass, GeometryEstimate};
+use tango::driver::run_driver;
+use tango::infer_geometry::{GeometryClass, GeometryDriver, GeometryEstimate};
 
 /// One row: profile name, probe result.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,8 +36,8 @@ pub fn run(cap: usize) -> Vec<GeometryRow> {
             let dpid = Dpid(1);
             let name = profile.name.clone();
             tb.attach_default(dpid, profile);
-            let estimate =
-                probe_geometry(&mut tb, dpid, cap, 400).expect("geometry probe completes");
+            let estimate = run_driver(&mut tb, dpid, GeometryDriver::new(cap, 400))
+                .expect("geometry probe completes");
             GeometryRow {
                 switch: name,
                 estimate,

@@ -8,9 +8,9 @@ use ofwire::types::Dpid;
 use switchsim::cache::{Attribute, CachePolicy, Direction, SortKey};
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
-use tango::infer_policy::{probe_policy, PolicyProbeConfig};
+use tango::driver::run_driver;
+use tango::infer_policy::{PolicyDriver, PolicyProbeConfig};
 use tango::pattern::RuleKind;
-use tango::probe::ProbingEngine;
 
 /// One grid cell: ground truth vs inferred.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,9 +67,12 @@ pub fn run(cache_size: u64) -> Vec<PolicyRow> {
             dpid,
             SwitchProfile::generic_cached(cache_size, policy.clone()),
         );
-        let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-        let inferred = probe_policy(&mut eng, cache_size as usize, &PolicyProbeConfig::default())
-            .expect("policy probe completes");
+        let driver = PolicyDriver::new(
+            RuleKind::L3,
+            cache_size as usize,
+            PolicyProbeConfig::default(),
+        );
+        let inferred = run_driver(&mut tb, dpid, driver).expect("policy probe completes");
         let expected = expected_report(&policy);
         PolicyRow {
             actual: policy.describe(),

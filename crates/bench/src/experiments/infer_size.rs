@@ -12,9 +12,9 @@ use ofwire::types::Dpid;
 use switchsim::cache::CachePolicy;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
-use tango::infer_size::{probe_sizes, SizeProbeConfig};
+use tango::driver::run_driver;
+use tango::infer_size::{SizeDriver, SizeProbeConfig};
 use tango::pattern::RuleKind;
-use tango::probe::ProbingEngine;
 use tango::stats::relative_error;
 
 /// One grid cell's outcome.
@@ -39,13 +39,13 @@ fn probe(profile: SwitchProfile, actual: usize, max_flows: usize, seed: u64) -> 
     let dpid = Dpid(1);
     let name = profile.name.clone();
     tb.attach_default(dpid, profile);
-    let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
     let cfg = SizeProbeConfig {
         max_flows,
         seed,
         ..SizeProbeConfig::default()
     };
-    let est = probe_sizes(&mut eng, &cfg).expect("size probe completes");
+    let est = run_driver(&mut tb, dpid, SizeDriver::new(RuleKind::L3, cfg))
+        .expect("size probe completes");
     let estimated = est.fast_layer_size().unwrap_or(0.0);
     SizeAccuracyRow {
         switch: name,

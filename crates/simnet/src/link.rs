@@ -1,11 +1,12 @@
 //! A point-to-point link model: propagation delay, serialization cost,
-//! jitter, and optional fault injection.
+//! jitter, and optional frame loss.
 //!
 //! Used both for the controller↔switch control channel (whose latency is
 //! part of every RTT Tango measures) and for data-plane hops between
-//! switches in the network-wide experiments. Fault injection follows the
-//! smoltcp examples' convention (drop chance, corruption chance) so the
-//! robustness of inference under loss can be exercised.
+//! switches in the network-wide experiments. Loss follows the smoltcp
+//! examples' drop-chance convention; a lost frame costs its sender one
+//! retransmission timeout ([`Link::delivery_latency`]), so the robustness
+//! of inference under loss can be exercised.
 
 use crate::dist::Dist;
 use crate::rng::DetRng;
@@ -21,25 +22,9 @@ pub struct Link {
     pub ns_per_byte: f64,
     /// Probability a frame is silently dropped, `[0,1]`.
     pub drop_chance: f64,
-    /// Probability one byte of the frame is corrupted, `[0,1]`.
-    pub corrupt_chance: f64,
     /// Retransmission timeout in milliseconds, charged once per drop
     /// when using [`Link::delivery_latency`] (reliable-delivery view).
     pub retrans_timeout_ms: f64,
-}
-
-/// The outcome of offering a frame to a link.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Delivery {
-    /// Frame arrives after the given delay, possibly altered.
-    Arrived {
-        /// End-to-end latency of this frame.
-        delay: SimDuration,
-        /// Frame contents on arrival.
-        payload: Vec<u8>,
-    },
-    /// Frame was dropped.
-    Dropped,
 }
 
 impl Link {
@@ -50,7 +35,6 @@ impl Link {
             propagation: latency,
             ns_per_byte: 0.0,
             drop_chance: 0.0,
-            corrupt_chance: 0.0,
             retrans_timeout_ms: 5.0,
         }
     }
@@ -63,7 +47,6 @@ impl Link {
             propagation: Dist::jittered(one_way_ms, 0.05),
             ns_per_byte: 8.0, // 1 Gb/s
             drop_chance: 0.0,
-            corrupt_chance: 0.0,
             retrans_timeout_ms: 5.0,
         }
     }
@@ -75,14 +58,7 @@ impl Link {
         self
     }
 
-    /// Builder-style: set the corruption probability.
-    #[must_use]
-    pub fn with_corrupt_chance(mut self, p: f64) -> Link {
-        self.corrupt_chance = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Latency for a frame of `bytes` bytes, ignoring faults.
+    /// Latency for a frame of `bytes` bytes, ignoring loss.
     pub fn latency(&self, bytes: usize, rng: &mut DetRng) -> SimDuration {
         let prop = self.propagation.sample(rng);
         let ser = SimDuration((self.ns_per_byte * bytes as f64).round() as u64);
@@ -104,19 +80,6 @@ impl Link {
         }
         total + self.latency(bytes, rng)
     }
-
-    /// Offers a frame to the link, applying loss and corruption.
-    pub fn transmit(&self, mut payload: Vec<u8>, rng: &mut DetRng) -> Delivery {
-        if rng.chance(self.drop_chance) {
-            return Delivery::Dropped;
-        }
-        let delay = self.latency(payload.len(), rng);
-        if !payload.is_empty() && rng.chance(self.corrupt_chance) {
-            let idx = rng.index(payload.len());
-            payload[idx] ^= 1 << rng.index(8);
-        }
-        Delivery::Arrived { delay, payload }
-    }
 }
 
 impl Default for Link {
@@ -130,62 +93,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ideal_link_is_lossless_and_fixed() {
-        let link = Link::ideal(Dist::Constant(1.0));
-        let mut rng = DetRng::new(0);
-        for _ in 0..100 {
-            match link.transmit(vec![0u8; 100], &mut rng) {
-                Delivery::Arrived { delay, payload } => {
-                    assert_eq!(delay, SimDuration::from_millis(1));
-                    assert_eq!(payload, vec![0u8; 100]);
-                }
-                Delivery::Dropped => panic!("ideal link dropped"),
-            }
-        }
-    }
-
-    #[test]
     fn serialization_cost_scales_with_size() {
         let link = Link {
             propagation: Dist::ZERO,
             ns_per_byte: 8.0,
             drop_chance: 0.0,
-            corrupt_chance: 0.0,
             retrans_timeout_ms: 5.0,
         };
         let mut rng = DetRng::new(0);
         assert_eq!(link.latency(1000, &mut rng), SimDuration(8000));
         assert_eq!(link.latency(0, &mut rng), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn drop_chance_is_respected() {
-        let link = Link::ideal(Dist::ZERO).with_drop_chance(0.5);
-        let mut rng = DetRng::new(42);
-        let n = 10_000;
-        let dropped = (0..n)
-            .filter(|_| matches!(link.transmit(vec![0], &mut rng), Delivery::Dropped))
-            .count();
-        let frac = dropped as f64 / n as f64;
-        assert!((frac - 0.5).abs() < 0.03, "drop fraction {frac}");
-    }
-
-    #[test]
-    fn corruption_flips_exactly_one_bit() {
-        let link = Link::ideal(Dist::ZERO).with_corrupt_chance(1.0);
-        let mut rng = DetRng::new(7);
-        let original = vec![0u8; 64];
-        match link.transmit(original.clone(), &mut rng) {
-            Delivery::Arrived { payload, .. } => {
-                let flipped: u32 = original
-                    .iter()
-                    .zip(&payload)
-                    .map(|(a, b)| (a ^ b).count_ones())
-                    .sum();
-                assert_eq!(flipped, 1);
-            }
-            Delivery::Dropped => panic!("should not drop"),
-        }
     }
 
     #[test]

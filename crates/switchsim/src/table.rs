@@ -171,11 +171,6 @@ impl SlotChains {
         let found = self.take_first(hash, |s| s == slot);
         debug_assert_eq!(found, Some(slot), "slot not filed under its hash");
     }
-
-    fn clear(&mut self) {
-        self.heads.clear();
-        self.next.clear();
-    }
 }
 
 /// A wildcard-match flow table.
@@ -599,33 +594,6 @@ impl FlowTable {
             .rev()
             .map(|s| self.detach_slot(s))
             .collect()
-    }
-
-    /// Removes every entry, returning them in installation order.
-    pub fn drain_all(&mut self) -> Vec<FlowEntry> {
-        self.by_match.clear();
-        if let Some(by_id) = self.by_id.get_mut() {
-            by_id.clear();
-        }
-        self.shapes.clear();
-        if let Some(counts) = &mut self.prio_counts {
-            counts.clear();
-        }
-        self.timeout_entries = 0;
-        self.free.clear();
-        let slots = &mut self.slots;
-        let out: Vec<FlowEntry> = self
-            .order
-            .drain(..)
-            .map(|s| slots[s as usize].take().expect("resident slot"))
-            .collect();
-        self.slots.clear();
-        self.pos.clear();
-        self.base = 0;
-        self.prio.clear();
-        self.id.clear();
-        self.timeout.clear();
-        out
     }
 
     /// Finds an entry by id. O(1) via the id index, which the first call
@@ -1053,21 +1021,6 @@ mod tests {
         t.assert_index_consistent();
         assert!(t.is_empty());
         assert_eq!(t.lookup(&key), None);
-    }
-
-    #[test]
-    fn drain_all_resets_indexes() {
-        let mut t = FlowTable::new();
-        for i in 0..4 {
-            t.insert(entry(i, FlowMatch::l3_for_id(i as u32), 5));
-        }
-        let drained = t.drain_all();
-        assert_eq!(drained.len(), 4);
-        assert!(t.is_empty());
-        t.assert_index_consistent();
-        assert!(t.find_strict(&FlowMatch::l3_for_id(1), 5).is_none());
-        t.insert(entry(9, FlowMatch::l3_for_id(1), 5));
-        assert_eq!(t.find_strict(&FlowMatch::l3_for_id(1), 5), Some(0));
     }
 
     #[test]

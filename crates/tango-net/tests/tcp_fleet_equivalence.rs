@@ -17,12 +17,13 @@ use simnet::link::Link;
 use switchsim::control::ControlPath;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
+use tango::curves::{measure_latency_profile, LatencyProfile};
 use tango::db::TangoDb;
 use tango::fleet::{run_inference, FleetJob};
 use tango::infer_size::SizeProbeConfig;
 use tango::pattern::RuleKind;
 use tango_net::control::TcpFleet;
-use tango_net::server::{shard_of, AgentServer, ServerConfig, ServerMode};
+use tango_net::server::{shard_of, AgentServer, ServerConfig, ServerHandle, ServerMode};
 
 const SEED: u64 = 0x7a60;
 
@@ -67,33 +68,41 @@ fn inferred_db_json<C: ControlPath>(cp: &mut C) -> String {
     db.to_json()
 }
 
-#[test]
-fn tcp_fleet_equivalence() {
-    let link = Link::control_channel(0.1);
-
-    // In-memory baseline: the testbed attaches the same roster in the
-    // same order, so per-switch streams derive identically.
+/// The in-memory baseline: the testbed attaches the same roster in the
+/// same order as the server, so per-switch streams derive identically.
+fn testbed(link: Link) -> Testbed {
     let mut tb = Testbed::new(SEED);
     for (dpid, profile) in roster() {
         tb.attach(dpid, profile, link);
     }
-    let expected = inferred_db_json(&mut tb);
-    let dpids: Vec<Dpid> = roster().iter().map(|(d, _)| *d).collect();
+    tb
+}
+
+fn roster_dpids() -> Vec<Dpid> {
+    roster().iter().map(|(d, _)| *d).collect()
+}
+
+/// The roster served over loopback TCP in virtual-time mode.
+fn serve(link: Link, shards: usize) -> ServerHandle {
+    let mode = ServerMode::Virtual { link };
+    let config = ServerConfig {
+        shards,
+        telemetry: false,
+    };
+    AgentServer::spawn_with(SEED, roster(), mode, config).expect("server spawns")
+}
+
+#[test]
+fn tcp_fleet_equivalence() {
+    let link = Link::control_channel(0.1);
+    let expected = inferred_db_json(&mut testbed(link));
+    let dpids = roster_dpids();
 
     // The same inference over loopback TCP, against the single-loop
     // server and against a sharded one: dpids 1..=4 land on shards 0, 3,
     // 2 and 1 of 4, so that run genuinely crosses shard threads.
     for shards in [1, 4] {
-        let server = AgentServer::spawn_with(
-            SEED,
-            roster(),
-            ServerMode::Virtual { link },
-            ServerConfig {
-                shards,
-                telemetry: false,
-            },
-        )
-        .expect("server spawns");
+        let server = serve(link, shards);
         let mut fleet = TcpFleet::connect(server.addr(), &dpids).expect("fleet connects");
         let actual = inferred_db_json(&mut fleet);
         drop(fleet);
@@ -119,4 +128,32 @@ fn tcp_fleet_equivalence() {
             "roster must span multiple shards for the sharded run to mean anything"
         );
     }
+}
+
+/// Latency curves of OVS and Switch #1, measured one switch after the
+/// other over any control path.
+fn latency_profiles<C: ControlPath>(cp: &mut C) -> Vec<LatencyProfile> {
+    [Dpid(1), Dpid(2)]
+        .into_iter()
+        .map(|d| measure_latency_profile(cp, d, RuleKind::L3, 200).expect("latency profile"))
+        .collect()
+}
+
+/// Each latency arm clears the switch with a flow-mod it waits for, so
+/// `TcpFleet::wait_for` and its lazy `warp_to` set every arm's start
+/// instant; the curves must equal the testbed's, field for field.
+#[test]
+fn latency_profiles_over_tcp_match_testbed() {
+    let link = Link::control_channel(0.1);
+    let expected = latency_profiles(&mut testbed(link));
+
+    let server = serve(link, 1);
+    let mut fleet = TcpFleet::connect(server.addr(), &roster_dpids()).expect("fleet connects");
+    let actual = latency_profiles(&mut fleet);
+    drop(fleet);
+    let stats = server.shutdown().expect("server exits cleanly");
+
+    assert_eq!(actual, expected);
+    assert!(actual[1].priority_sensitive() && !actual[0].priority_sensitive());
+    assert_eq!(stats.errors, 0, "no protocol violations");
 }

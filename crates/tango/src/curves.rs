@@ -7,10 +7,13 @@
 //! scheduler extrapolate add costs to other batch sizes (the "Tango
 //! latency curves" used for guard-time estimation).
 
-use crate::driver::ProbeError;
-use crate::pattern::{PriorityOrder, TangoPattern};
-use crate::probe::ProbingEngine;
+use crate::driver::{run_driver, ProbeError};
+use crate::pattern::{PriorityOrder, RuleKind, TangoPattern};
+use crate::probe::PatternDriver;
+use ofwire::flow_mod::FlowMod;
+use ofwire::types::Dpid;
 use serde::{Deserialize, Serialize};
+use switchsim::control::{ControlOp, ControlPath};
 
 /// Measured per-op latency profile of one switch (milliseconds).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -65,55 +68,37 @@ impl LatencyProfile {
     }
 }
 
-/// Measures a latency profile by running priority-insertion, modify, and
-/// delete patterns of size `n` against the switch. Clears the switch's
-/// rules between arms.
+/// Measures a latency profile of switch `dpid` by running
+/// priority-insertion, modify, and delete patterns of `n` rules of
+/// `kind` against it. Clears the switch's rules between arms.
 ///
 /// # Errors
 /// Propagates any [`ProbeError`] from the underlying pattern runs.
 pub fn measure_latency_profile(
-    engine: &mut ProbingEngine<'_>,
+    cp: &mut impl ControlPath,
+    dpid: Dpid,
+    kind: RuleKind,
     n: usize,
 ) -> Result<LatencyProfile, ProbeError> {
-    let kind = engine.kind();
-    let per_op = |engine: &mut ProbingEngine<'_>, pat: &TangoPattern| -> Result<f64, ProbeError> {
-        engine.clear_rules();
-        let res = engine.run(pat)?;
+    let per_op = |cp: &mut _, pat: TangoPattern| -> Result<f64, ProbeError> {
+        let res = run_driver(cp, dpid, PatternDriver::for_pattern(&pat))?;
         Ok(res.install_time().as_millis_f64() / n as f64)
     };
+    let add_ms = |cp: &mut _, order| {
+        clear_rules(cp, dpid);
+        per_op(cp, TangoPattern::priority_insertion(n, order, kind))
+    };
 
-    let add_asc = per_op(
-        engine,
-        &TangoPattern::priority_insertion(n, PriorityOrder::Ascending, kind),
-    )?;
-    let add_desc = per_op(
-        engine,
-        &TangoPattern::priority_insertion(n, PriorityOrder::Descending, kind),
-    )?;
-    let add_same = per_op(
-        engine,
-        &TangoPattern::priority_insertion(n, PriorityOrder::Same, kind),
-    )?;
-    let add_rand = per_op(
-        engine,
-        &TangoPattern::priority_insertion(n, PriorityOrder::Random(7), kind),
-    )?;
+    let add_asc = add_ms(cp, PriorityOrder::Ascending)?;
+    let add_desc = add_ms(cp, PriorityOrder::Descending)?;
+    let add_same = add_ms(cp, PriorityOrder::Same)?;
+    let add_rand = add_ms(cp, PriorityOrder::Random(7))?;
 
     // Mods and deletes operate on a pre-installed constant-priority set.
-    engine.clear_rules();
-    let pre = TangoPattern::priority_insertion(n, PriorityOrder::Same, kind);
-    engine.run(&pre)?;
-    let mod_ms = engine
-        .run(&TangoPattern::modify_batch(n, 1000, kind))?
-        .install_time()
-        .as_millis_f64()
-        / n as f64;
-    let del_ms = engine
-        .run(&TangoPattern::delete_batch(n, 1000, kind))?
-        .install_time()
-        .as_millis_f64()
-        / n as f64;
-    engine.clear_rules();
+    add_ms(cp, PriorityOrder::Same)?;
+    let mod_ms = per_op(cp, TangoPattern::modify_batch(n, 1000, kind))?;
+    let del_ms = per_op(cp, TangoPattern::delete_batch(n, 1000, kind))?;
+    clear_rules(cp, dpid);
 
     // desc_total − asc_total ≈ shift_us · n²/2  (in µs).
     let shift_us = ((add_desc - add_asc) * n as f64 * 1000.0 / ((n as f64).powi(2) / 2.0)).max(0.0);
@@ -130,11 +115,17 @@ pub fn measure_latency_profile(
     })
 }
 
+/// Removes every rule from switch `dpid` and waits for the ack, leaving
+/// the clock there — the op and clock move of a synchronous flow-mod.
+fn clear_rules(cp: &mut impl ControlPath, dpid: Dpid) {
+    let token = cp.submit(dpid, ControlOp::FlowMod(FlowMod::delete_all()), cp.now());
+    let acked_at = cp.wait_for(token).acked_at;
+    cp.warp_to(acked_at);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::RuleKind;
-    use ofwire::types::Dpid;
     use switchsim::harness::Testbed;
     use switchsim::profiles::SwitchProfile;
 
@@ -142,8 +133,7 @@ mod tests {
         let mut tb = Testbed::new(17);
         let dpid = Dpid(1);
         tb.attach_default(dpid, p);
-        let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-        measure_latency_profile(&mut eng, n).expect("latency profile completes")
+        measure_latency_profile(&mut tb, dpid, RuleKind::L3, n).expect("latency profile completes")
     }
 
     #[test]

@@ -1,19 +1,21 @@
 //! Resumable inference drivers: the adaptive probing algorithms as
 //! event-driven state machines over the [`ControlPath`] layer.
 //!
-//! Every adaptive pipeline in this crate — Algorithm 1
+//! Every probe in this crate — Algorithm 1
 //! ([`SizeDriver`](crate::infer_size::SizeDriver)), Algorithm 2
 //! ([`PolicyDriver`](crate::infer_policy::PolicyDriver)), the geometry
-//! probe, the online headroom probe, and plain pattern execution — is a
+//! probe ([`GeometryDriver`](crate::infer_geometry::GeometryDriver)),
+//! the online headroom probe
+//! ([`HeadroomDriver`](crate::online::HeadroomDriver)), and plain pattern
+//! execution ([`PatternDriver`](crate::probe::PatternDriver)) — is a
 //! small state machine implementing [`InferenceDriver`]: it *issues*
 //! control-path operations — often a whole pattern's worth at once — and
 //! *consumes* their completions one at a time, never blocking on the
-//! transport. The synchronous entry points
-//! (`probe_sizes`, `probe_policy`, …) are thin adapters that feed a
-//! single driver through [`run_driver`]; whole-network inference feeds
-//! one driver per switch through [`run_drivers`] (see
-//! [`fleet`](crate::fleet)) so N switches are characterized in the
-//! wall-clock time of the slowest, not the sum.
+//! transport. The drivers are the entry points, and they run on any
+//! [`ControlPath`]: [`run_driver`] runs one on a single switch;
+//! whole-network inference feeds one driver per switch through
+//! [`run_drivers`] (see [`fleet`](crate::fleet)) so N switches are
+//! characterized in the wall-clock time of the slowest, not the sum.
 //!
 //! # Determinism
 //!
@@ -45,8 +47,6 @@ use simnet::time::{SimDuration, SimTime};
 use std::collections::{HashSet, VecDeque};
 use switchsim::control::{self, ControlOp, ControlPath, TokenRing, READY_ON_PREVIOUS_ACK};
 
-use crate::pattern::RuleKind;
-
 /// A typed error from the probing layer. Replaces the panics and asserts
 /// that used to live on the probing hot path.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,13 +74,6 @@ pub enum ProbeError {
     /// A driver neither finished nor issued another operation — it can
     /// never make progress again.
     DriverStalled(Dpid),
-    /// A pattern was handed to an engine bound to a different rule kind.
-    PatternKindMismatch {
-        /// The pattern's rule kind.
-        pattern: RuleKind,
-        /// The engine's bound rule kind.
-        engine: RuleKind,
-    },
 }
 
 impl std::fmt::Display for ProbeError {
@@ -102,10 +95,6 @@ impl std::fmt::Display for ProbeError {
             ProbeError::DriverStalled(dpid) => {
                 write!(f, "driver for {dpid} stalled: not done, nothing in flight")
             }
-            ProbeError::PatternKindMismatch { pattern, engine } => write!(
-                f,
-                "pattern kind {pattern:?} does not match engine kind {engine:?}"
-            ),
         }
     }
 }
@@ -137,7 +126,7 @@ impl<T> Step<T> {
 
 /// A completion as a driver sees it: the transport-level event plus the
 /// controller-side instant the op was submitted with, so elapsed time is
-/// measured exactly as the synchronous adapters measured it.
+/// measured exactly as a synchronous submit-and-wait loop measures it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Completion {
     /// When the operation left the controller.
@@ -359,8 +348,8 @@ where
         .collect()
 }
 
-/// Drives a single inference state machine to completion — the adapter
-/// the synchronous entry points are built on.
+/// Drives a single inference state machine on switch `dpid` to
+/// completion.
 pub fn run_driver<C, D>(cp: &mut C, dpid: Dpid, driver: D) -> Result<D::Outcome, ProbeError>
 where
     C: ControlPath,
@@ -382,6 +371,7 @@ pub(crate) fn mismatch(expected: &dyn std::fmt::Debug, c: &Completion) -> ProbeE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::RuleKind;
     use ofwire::flow_mod::FlowMod;
     use switchsim::control::OpOutcome;
     use switchsim::harness::Testbed;
@@ -570,11 +560,6 @@ mod tests {
             cleaned: 9,
         };
         assert!(e.to_string().contains("installed 10"));
-        let e = ProbeError::PatternKindMismatch {
-            pattern: RuleKind::L2,
-            engine: RuleKind::L3,
-        };
-        assert!(e.to_string().contains("L2"));
         assert!(std::error::Error::source(&e).is_none());
     }
 }

@@ -247,8 +247,9 @@ impl InferenceDriver for FleetDriver {
 /// Runs full adaptive inference of many switches concurrently over one
 /// control path. Returns one [`FleetOutcome`] per job, in job order.
 ///
-/// Per-switch results are bit-identical to running each job's
-/// synchronous entry point sequentially on the same testbed state — the
+/// Per-switch results are bit-identical to running each job's driver
+/// alone through [`run_driver`](crate::driver::run_driver), one switch
+/// after another, on the same testbed state — the
 /// fleet only compresses wall-clock time, never perturbs measurements.
 ///
 /// # Errors

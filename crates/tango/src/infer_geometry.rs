@@ -16,10 +16,8 @@ use crate::driver::{self, mismatch, InferenceDriver, ProbeError, Step};
 use crate::infer_size::{SizeDriver, SizeEstimate, SizeProbeConfig};
 use crate::pattern::RuleKind;
 use ofwire::flow_mod::FlowMod;
-use ofwire::types::Dpid;
 use serde::{Deserialize, Serialize};
 use switchsim::control::{ControlOp, OpOutcome};
-use switchsim::harness::Testbed;
 
 /// The classified TCAM geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -83,7 +81,9 @@ pub struct GeometryDriver {
 
 impl GeometryDriver {
     /// A driver probing with per-kind caps of `cap` rules and `trials`
-    /// sampling trials per layer.
+    /// sampling trials per layer. `cap` should comfortably exceed the
+    /// largest plausible single-layer capacity so spill tiers become
+    /// visible.
     #[must_use]
     pub fn new(cap: usize, trials: usize) -> GeometryDriver {
         GeometryDriver {
@@ -220,33 +220,19 @@ impl InferenceDriver for GeometryDriver {
     }
 }
 
-/// Probes the switch's TCAM geometry. `cap` bounds each of the three
-/// sub-probes (it should comfortably exceed the largest plausible
-/// single-layer capacity so spill tiers become visible) — the
-/// synchronous adapter over [`GeometryDriver`].
-///
-/// # Errors
-/// [`ProbeError::CompletionMismatch`] if the transport violates its
-/// completion contract.
-pub fn probe_geometry(
-    tb: &mut Testbed,
-    dpid: Dpid,
-    cap: usize,
-    trials: usize,
-) -> Result<GeometryEstimate, ProbeError> {
-    driver::run_driver(tb, dpid, GeometryDriver::new(cap, trials))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ofwire::types::Dpid;
+    use switchsim::harness::Testbed;
     use switchsim::profiles::SwitchProfile;
 
     fn probe(profile: SwitchProfile, cap: usize) -> GeometryEstimate {
         let mut tb = Testbed::new(0x9e0);
         let dpid = Dpid(1);
         tb.attach_default(dpid, profile);
-        probe_geometry(&mut tb, dpid, cap, 64).expect("geometry probe completes")
+        driver::run_driver(&mut tb, dpid, GeometryDriver::new(cap, 64))
+            .expect("geometry probe completes")
     }
 
     #[test]

@@ -20,7 +20,6 @@
 use crate::cluster::cluster_rtts;
 use crate::driver::{self, mismatch, InferenceDriver, ProbeError, Step};
 use crate::pattern::RuleKind;
-use crate::probe::ProbingEngine;
 use crate::stats::pearson;
 use ofwire::flow_mod::FlowMod;
 use serde::{Deserialize, Serialize};
@@ -336,27 +335,6 @@ impl InferenceDriver for PolicyDriver {
     }
 }
 
-/// Runs Algorithm 2: infers the switch's cache policy given the fast
-/// layer's size `cache_size` (from Algorithm 1) — the synchronous
-/// adapter over [`PolicyDriver`].
-///
-/// # Errors
-/// [`ProbeError::CompletionMismatch`] if the transport violates its
-/// completion contract.
-pub fn probe_policy(
-    engine: &mut ProbingEngine<'_>,
-    cache_size: usize,
-    config: &PolicyProbeConfig,
-) -> Result<InferredPolicy, ProbeError> {
-    let dpid = engine.dpid();
-    let kind = engine.kind();
-    driver::run_driver(
-        engine.testbed_mut(),
-        dpid,
-        PolicyDriver::new(kind, cache_size, *config),
-    )
-}
-
 /// The pure analysis of one round: classifies cached membership from the
 /// measurement RTTs and correlates each candidate attribute's
 /// initialized values with membership.
@@ -454,9 +432,13 @@ mod tests {
         let mut tb = Testbed::new(21);
         let dpid = Dpid(1);
         tb.attach_default(dpid, SwitchProfile::generic_cached(cache_size, policy));
-        let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-        probe_policy(&mut eng, cache_size as usize, &PolicyProbeConfig::default())
-            .expect("policy probe completes")
+        let cfg = PolicyProbeConfig::default();
+        driver::run_driver(
+            &mut tb,
+            dpid,
+            PolicyDriver::new(RuleKind::L3, cache_size as usize, cfg),
+        )
+        .expect("policy probe completes")
     }
 
     #[test]
@@ -595,8 +577,8 @@ mod tests {
             dpid,
             SwitchProfile::generic_cached(1000, CachePolicy::lru()),
         );
-        let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-        let inferred = probe_policy(&mut eng, 50, &PolicyProbeConfig::default())
+        let cfg = PolicyProbeConfig::default();
+        let inferred = driver::run_driver(&mut tb, dpid, PolicyDriver::new(RuleKind::L3, 50, cfg))
             .expect("policy probe completes");
         assert!(inferred.keys.is_empty(), "rounds: {:?}", inferred.rounds);
     }

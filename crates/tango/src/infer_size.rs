@@ -22,7 +22,6 @@
 use crate::cluster::{cluster_rtts, kmeans_auto, Clustering};
 use crate::driver::{self, mismatch, InferenceDriver, ProbeError, Step};
 use crate::pattern::RuleKind;
-use crate::probe::ProbingEngine;
 use crate::stats::nb_hit_probability;
 use ofwire::flow_mod::FlowMod;
 use serde::{Deserialize, Serialize};
@@ -138,7 +137,7 @@ enum SizeState {
 /// [`driver`]). Issues exactly the operations — in
 /// exactly the order and with exactly the RNG draws — of the original
 /// synchronous implementation, so the estimate is bit-identical whether
-/// the driver runs alone, through the [`probe_sizes`] adapter, or
+/// the driver runs alone through [`run_driver`](driver::run_driver) or
 /// interleaved with other switches' drivers in a fleet.
 pub struct SizeDriver {
     kind: RuleKind,
@@ -403,21 +402,6 @@ impl SizeDriver {
     }
 }
 
-/// Runs Algorithm 1 against the engine's switch — the synchronous
-/// adapter over [`SizeDriver`].
-///
-/// # Errors
-/// [`ProbeError::CompletionMismatch`] if the transport violates its
-/// completion contract.
-pub fn probe_sizes(
-    engine: &mut ProbingEngine<'_>,
-    config: &SizeProbeConfig,
-) -> Result<SizeEstimate, ProbeError> {
-    let dpid = engine.dpid();
-    let kind = engine.kind();
-    driver::run_driver(engine.testbed_mut(), dpid, SizeDriver::new(kind, *config))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,8 +416,8 @@ mod tests {
         let mut tb = Testbed::new(5);
         let dpid = Dpid(1);
         tb.attach_default(dpid, profile);
-        let mut eng = ProbingEngine::new(&mut tb, dpid, kind);
-        probe_sizes(&mut eng, cfg).expect("size probe completes")
+        driver::run_driver(&mut tb, dpid, SizeDriver::new(kind, *cfg))
+            .expect("size probe completes")
     }
 
     #[test]

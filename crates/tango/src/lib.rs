@@ -15,10 +15,12 @@
 //! * [`curves`] — per-operation latency curves (add under each priority
 //!   ordering, modify, delete) feeding the scheduler's pattern oracle.
 //!
-//! Every adaptive pipeline is implemented as a resumable state machine
-//! over the control path (see [`driver`]); the functions above are thin
-//! synchronous adapters, and [`fleet::run_inference`] interleaves full
-//! inference of many switches with bit-identical per-switch results.
+//! Every probe — each algorithm above, the TCAM geometry probe, the
+//! online headroom probe and plain pattern execution — is a resumable
+//! state machine over any control path (see [`driver`]):
+//! [`driver::run_driver`] runs one on a single switch, and
+//! [`fleet::run_inference`] interleaves full inference of many switches
+//! with bit-identical per-switch results.
 //!
 //! Results land in the central [`db::TangoDb`] (score + pattern
 //! databases), from which the network scheduler (`tango-sched` crate) and
@@ -31,8 +33,8 @@
 //!
 //! let mut tb = Testbed::new(1);
 //! tb.attach_default(Dpid(1), SwitchProfile::vendor1());
-//! let mut engine = ProbingEngine::new(&mut tb, Dpid(1), RuleKind::L3);
-//! let sizes = probe_sizes(&mut engine, &SizeProbeConfig::default()).expect("probe");
+//! let driver = SizeDriver::new(RuleKind::L3, SizeProbeConfig::default());
+//! let sizes = run_driver(&mut tb, Dpid(1), driver).expect("probe");
 //! println!("layers: {:?}", sizes.levels);
 //! ```
 
@@ -61,12 +63,10 @@ pub mod prelude {
     };
     pub use crate::fleet::{run_inference, FleetJob, FleetOutcome, FleetTask};
     pub use crate::hints::{advise_placement, AppHint, FlowGoal};
-    pub use crate::infer_geometry::{probe_geometry, GeometryClass, GeometryEstimate};
-    pub use crate::infer_policy::{probe_policy, InferredPolicy, PolicyProbeConfig};
-    pub use crate::infer_size::{probe_sizes, SizeEstimate, SizeProbeConfig};
-    pub use crate::online::{probe_headroom, Headroom, ONLINE_PROBE_ID_BASE};
+    pub use crate::infer_geometry::{GeometryClass, GeometryDriver, GeometryEstimate};
+    pub use crate::infer_policy::{InferredPolicy, PolicyDriver, PolicyProbeConfig};
+    pub use crate::infer_size::{SizeDriver, SizeEstimate, SizeProbeConfig};
+    pub use crate::online::{Headroom, HeadroomDriver, ONLINE_PROBE_ID_BASE};
     pub use crate::pattern::{OpPhase, PatternStep, PriorityOrder, RuleKind, TangoPattern};
-    pub use crate::probe::{
-        compile_pattern, PatternProgram, PatternResult, ProbeSample, ProbingEngine, ProgramOp,
-    };
+    pub use crate::probe::{PatternDriver, PatternResult, ProbeSample};
 }

@@ -11,7 +11,6 @@
 
 use crate::driver::{self, mismatch, InferenceDriver, ProbeError, Step};
 use crate::pattern::RuleKind;
-use crate::probe::ProbingEngine;
 use ofwire::flow_mod::FlowMod;
 use serde::{Deserialize, Serialize};
 use switchsim::control::{ControlOp, OpOutcome};
@@ -58,7 +57,11 @@ pub struct HeadroomDriver {
 
 impl HeadroomDriver {
     /// A driver probing with rules of `kind` at `priority`, installing
-    /// at most `cap` probe rules.
+    /// at most `cap` probe rules. `priority` should be low so the probe
+    /// rules cannot shadow production traffic; `cap` bounds the probe on
+    /// switches with unbounded software tables. The run fails with
+    /// [`ProbeError::LeakedRules`] if the cleanup leaves a probe rule
+    /// behind.
     #[must_use]
     pub fn new(kind: RuleKind, priority: u16, cap: usize) -> HeadroomDriver {
         HeadroomDriver {
@@ -152,30 +155,6 @@ impl InferenceDriver for HeadroomDriver {
     }
 }
 
-/// Measures how many more rules the switch can accept right now,
-/// without touching application rules. `priority` should be low so the
-/// probe rules cannot shadow production traffic; `cap` bounds the probe
-/// on switches with unbounded software tables — the synchronous adapter
-/// over [`HeadroomDriver`].
-///
-/// # Errors
-/// [`ProbeError::LeakedRules`] if the cleanup failed to remove every
-/// probe rule; [`ProbeError::CompletionMismatch`] if the transport
-/// violates its completion contract.
-pub fn probe_headroom(
-    engine: &mut ProbingEngine<'_>,
-    priority: u16,
-    cap: usize,
-) -> Result<Headroom, ProbeError> {
-    let dpid = engine.dpid();
-    let kind = engine.kind();
-    driver::run_driver(
-        engine.testbed_mut(),
-        dpid,
-        HeadroomDriver::new(kind, priority, cap),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +163,12 @@ mod tests {
     use ofwire::types::Dpid;
     use switchsim::harness::Testbed;
     use switchsim::profiles::SwitchProfile;
+
+    /// Runs the headroom probe with L3 rules at priority 1.
+    fn headroom(tb: &mut Testbed, dpid: Dpid, cap: usize) -> Headroom {
+        driver::run_driver(tb, dpid, HeadroomDriver::new(RuleKind::L3, 1, cap))
+            .expect("headroom probe completes")
+    }
 
     #[test]
     fn headroom_measures_remaining_capacity_nondisruptively() {
@@ -199,8 +184,7 @@ mod tests {
             tb.probe(dpid, &FlowMatch::key_for_id(i));
         }
 
-        let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-        let h = probe_headroom(&mut eng, 1, 2048).expect("headroom probe completes");
+        let h = headroom(&mut tb, dpid, 2048);
         assert!(h.hit_rejection);
         assert_eq!(h.accepted, 767 - 200);
         assert_eq!(h.cleaned, h.accepted);
@@ -219,8 +203,7 @@ mod tests {
         let mut tb = Testbed::new(6);
         let dpid = Dpid(1);
         tb.attach_default(dpid, SwitchProfile::ovs());
-        let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-        let h = probe_headroom(&mut eng, 1, 300).expect("headroom probe completes");
+        let h = headroom(&mut tb, dpid, 300);
         assert!(!h.hit_rejection);
         assert_eq!(h.accepted, 300);
         assert_eq!(tb.switch(dpid).rule_count(), 0);
@@ -231,9 +214,8 @@ mod tests {
         let mut tb = Testbed::new(7);
         let dpid = Dpid(1);
         tb.attach_default(dpid, SwitchProfile::vendor2());
-        let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-        let h1 = probe_headroom(&mut eng, 1, 4096).expect("headroom probe completes");
-        let h2 = probe_headroom(&mut eng, 1, 4096).expect("headroom probe completes");
+        let h1 = headroom(&mut tb, dpid, 4096);
+        let h2 = headroom(&mut tb, dpid, 4096);
         assert_eq!(h1.accepted, 2560);
         assert_eq!(h1.accepted, h2.accepted);
     }

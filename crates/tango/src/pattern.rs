@@ -4,7 +4,8 @@
 //! OpenFlow flow modification commands and a corresponding data traffic
 //! pattern". A [`TangoPattern`] is exactly that — a named step list of
 //! flow-mods, probe packets, and barriers over a numbered family of
-//! probe flows — executed verbatim by the probing engine.
+//! probe flows — executed verbatim by a
+//! [`PatternDriver`](crate::probe::PatternDriver).
 
 use ofwire::flow_match::{FlowKey, FlowMatch};
 use serde::{Deserialize, Serialize};

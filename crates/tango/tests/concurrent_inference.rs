@@ -12,15 +12,24 @@
 use ofwire::types::Dpid;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
+use tango::driver::run_driver;
 use tango::fleet::{run_inference, FleetJob};
 use tango::pattern::{PriorityOrder, RuleKind, TangoPattern};
-use tango::probe::{PatternResult, ProbingEngine};
+use tango::probe::{PatternDriver, PatternResult};
 
 fn testbed() -> Testbed {
     let mut tb = Testbed::new(0xfeed);
     tb.attach_default(Dpid(1), SwitchProfile::vendor1());
     tb.attach_default(Dpid(2), SwitchProfile::vendor2());
     tb
+}
+
+/// Runs `p1` on switch 1, then `p2` on switch 2.
+fn run_sequentially(tb: &mut Testbed, p1: &TangoPattern, p2: &TangoPattern) -> Vec<PatternResult> {
+    [(Dpid(1), p1), (Dpid(2), p2)]
+        .into_iter()
+        .map(|(d, p)| run_driver(tb, d, PatternDriver::for_pattern(p)).expect("sequential run"))
+        .collect()
 }
 
 /// Runs `p1` on switch 1 and `p2` on switch 2, interleaved in the same
@@ -51,12 +60,7 @@ fn concurrent_matches_sequential_and_overlaps() {
     // Sequential: one switch fully probed, then the other.
     let mut seq_tb = testbed();
     let seq_start = seq_tb.now();
-    let r1: PatternResult = ProbingEngine::new(&mut seq_tb, Dpid(1), RuleKind::L3)
-        .run(&p1)
-        .expect("sequential run 1");
-    let r2: PatternResult = ProbingEngine::new(&mut seq_tb, Dpid(2), RuleKind::L3)
-        .run(&p2)
-        .expect("sequential run 2");
+    let seq = run_sequentially(&mut seq_tb, &p1, &p2);
     let seq_elapsed = seq_tb.now().since(seq_start);
 
     // Concurrent: both programs interleaved in the same virtual time.
@@ -67,8 +71,7 @@ fn concurrent_matches_sequential_and_overlaps() {
 
     // (a) Measurements are bit-identical: each switch saw the exact same
     // op stream, timed by its own RNG stream.
-    assert_eq!(results[0], r1);
-    assert_eq!(results[1], r2);
+    assert_eq!(results, seq);
     assert_eq!(con_tb.switch(Dpid(1)).rule_count(), 200);
     assert_eq!(con_tb.switch(Dpid(2)).rule_count(), 200);
 
@@ -85,14 +88,7 @@ fn concurrent_inference_feeds_identical_install_times() {
     // time — is identical between the two drivers, switch by switch.
     let (p1, p2) = patterns();
     let mut seq_tb = testbed();
-    let seq = [
-        ProbingEngine::new(&mut seq_tb, Dpid(1), RuleKind::L3)
-            .run(&p1)
-            .expect("sequential run 1"),
-        ProbingEngine::new(&mut seq_tb, Dpid(2), RuleKind::L3)
-            .run(&p2)
-            .expect("sequential run 2"),
-    ];
+    let seq = run_sequentially(&mut seq_tb, &p1, &p2);
     let mut con_tb = testbed();
     let con = run_concurrently(&mut con_tb, &p1, &p2);
     for (s, c) in seq.iter().zip(&con) {

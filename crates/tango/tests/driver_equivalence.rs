@@ -1,10 +1,10 @@
 //! The resumable drivers are bit-identical to the original synchronous
 //! probing loops.
 //!
-//! The pre-refactor implementations of Algorithm 1 (`probe_sizes`) and
-//! Algorithm 2 (`probe_policy`) are transcribed below as plain blocking
-//! loops over the public `ProbingEngine` primitives — exactly the code
-//! the drivers replaced. Property tests then run both paths on
+//! The pre-driver implementations of Algorithm 1 and Algorithm 2 are
+//! transcribed below as plain blocking loops over the testbed's
+//! synchronous calls (`batch`, `probe`, `flow_mod`) — exactly the op
+//! stream the drivers replaced. Property tests then run both paths on
 //! identically-seeded testbeds across randomly drawn cache policies,
 //! table sizes, and seeds, and require the complete result structures
 //! (every float included) to be `==`, not merely close.
@@ -17,20 +17,28 @@ use switchsim::cache::{Attribute, CachePolicy, Direction, SortKey};
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::cluster::{cluster_rtts, kmeans_auto};
+use tango::driver::run_driver;
 use tango::infer_policy::{
-    initialization_plan, probe_policy, FlowInit, InferredPolicy, PolicyProbeConfig, PolicyRound,
+    initialization_plan, FlowInit, InferredPolicy, PolicyDriver, PolicyProbeConfig, PolicyRound,
 };
-use tango::infer_size::{probe_sizes, ClusterMethod, LevelEstimate, SizeEstimate, SizeProbeConfig};
+use tango::infer_size::{ClusterMethod, LevelEstimate, SizeDriver, SizeEstimate, SizeProbeConfig};
 use tango::pattern::RuleKind;
-use tango::probe::ProbingEngine;
 use tango::stats::{nb_hit_probability, pearson};
 
-/// The pre-driver `probe_sizes`: stage-1 doubling insertion, stage-2
+/// The probed switch and the probe-rule kind of every run below.
+const DPID: Dpid = Dpid(1);
+const KIND: RuleKind = RuleKind::L3;
+
+/// Sends one probe packet for flow `id`, returning its RTT in ms.
+fn probe_rtt(tb: &mut Testbed, id: u32) -> f64 {
+    tb.probe(DPID, &KIND.key(id)).1.as_millis_f64()
+}
+
+/// The pre-driver size probe: stage-1 doubling insertion, stage-2
 /// shuffled sweep + clustering, stage-3 negative-binomial sampling — as
 /// one blocking loop.
-fn legacy_probe_sizes(engine: &mut ProbingEngine<'_>, config: &SizeProbeConfig) -> SizeEstimate {
+fn legacy_size_probe(tb: &mut Testbed, config: &SizeProbeConfig) -> SizeEstimate {
     let mut rng = DetRng::new(config.seed);
-    let kind = engine.kind();
 
     let mut m: usize = 0;
     let mut attempted = 0;
@@ -42,13 +50,13 @@ fn legacy_probe_sizes(engine: &mut ProbingEngine<'_>, config: &SizeProbeConfig) 
         let target = x.min(config.max_flows);
         if target > m {
             let fms: Vec<FlowMod> = (m..target)
-                .map(|i| FlowMod::add(kind.flow_match(i as u32), config.priority))
+                .map(|i| FlowMod::add(KIND.flow_match(i as u32), config.priority))
                 .collect();
             attempted += fms.len();
             batches += 1;
-            let (ok, failed, _elapsed) = engine.run_batch(fms);
+            let (ok, failed, _elapsed) = tb.batch(DPID, fms);
             for i in m..m + ok {
-                engine.probe_one(i as u32);
+                probe_rtt(tb, i as u32);
                 packets += 1;
             }
             m += ok;
@@ -64,9 +72,8 @@ fn legacy_probe_sizes(engine: &mut ProbingEngine<'_>, config: &SizeProbeConfig) 
     rng.shuffle(&mut order);
     let mut rtts = Vec::with_capacity(m);
     for id in order {
-        let s = engine.probe_one(id);
         packets += 1;
-        rtts.push(s.rtt_ms);
+        rtts.push(probe_rtt(tb, id));
     }
     let clustering = match config.cluster_method {
         ClusterMethod::Gaps => cluster_rtts(&rtts),
@@ -81,9 +88,9 @@ fn legacy_probe_sizes(engine: &mut ProbingEngine<'_>, config: &SizeProbeConfig) 
             let mut j: u64 = 0;
             loop {
                 let id = rng.range_u64(0, m as u64) as u32;
-                let s = engine.probe_one(id);
+                let rtt = probe_rtt(tb, id);
                 packets += 1;
-                if clustering.within(s.rtt_ms, level) && (j as usize) < m {
+                if clustering.within(rtt, level) && (j as usize) < m {
                     j += 1;
                 } else {
                     break;
@@ -119,10 +126,10 @@ fn legacy_probe_sizes(engine: &mut ProbingEngine<'_>, config: &SizeProbeConfig) 
     }
 }
 
-/// The pre-driver `probe_policy` round: initialize, stimulate, measure
+/// The pre-driver policy-probe round: initialize, stimulate, measure
 /// most-recently-used-first, classify membership, correlate.
 fn legacy_run_round(
-    engine: &mut ProbingEngine<'_>,
+    tb: &mut Testbed,
     cache_size: usize,
     hold_priority: bool,
     hold_traffic: bool,
@@ -131,25 +138,24 @@ fn legacy_run_round(
     let s = 2 * cache_size;
     let plan = initialization_plan(s, hold_priority, hold_traffic, config);
 
-    engine.clear_rules();
+    tb.flow_mod(DPID, FlowMod::delete_all());
     for f in &plan {
-        engine.install_one(f.id, f.priority);
+        tb.flow_mod(DPID, FlowMod::add(KIND.flow_match(f.id), f.priority));
     }
     for f in &plan {
         for _ in 1..f.traffic {
-            engine.probe_one(f.id);
+            probe_rtt(tb, f.id);
         }
     }
     let mut by_use: Vec<&FlowInit> = plan.iter().collect();
     by_use.sort_by_key(|f| f.use_rank);
     for f in &by_use {
-        engine.probe_one(f.id);
+        probe_rtt(tb, f.id);
     }
 
     let mut rtts: Vec<(u32, f64)> = Vec::with_capacity(s);
     for f in by_use.iter().rev() {
-        let sample = engine.probe_one(f.id);
-        rtts.push((f.id, sample.rtt_ms));
+        rtts.push((f.id, probe_rtt(tb, f.id)));
     }
 
     let values: Vec<f64> = rtts.iter().map(|&(_, r)| r).collect();
@@ -220,9 +226,9 @@ fn legacy_run_round(
     }
 }
 
-/// The pre-driver `probe_policy` outer loop.
-fn legacy_probe_policy(
-    engine: &mut ProbingEngine<'_>,
+/// The pre-driver policy-probe outer loop.
+fn legacy_policy_probe(
+    tb: &mut Testbed,
     cache_size: usize,
     config: &PolicyProbeConfig,
 ) -> InferredPolicy {
@@ -236,7 +242,7 @@ fn legacy_probe_policy(
         let hold_traffic = identified
             .iter()
             .any(|k| k.attribute == Attribute::TrafficCount);
-        let round = legacy_run_round(engine, cache_size, hold_priority, hold_traffic, config);
+        let round = legacy_run_round(tb, cache_size, hold_priority, hold_traffic, config);
         let chosen = round.chosen;
         rounds.push(round);
         match chosen {
@@ -273,7 +279,7 @@ fn arb_policy() -> impl Strategy<Value = CachePolicy> {
 
 fn testbed_with(seed: u64, tcam: u64, policy: CachePolicy) -> Testbed {
     let mut tb = Testbed::new(seed);
-    tb.attach_default(Dpid(1), SwitchProfile::generic_cached(tcam, policy));
+    tb.attach_default(DPID, SwitchProfile::generic_cached(tcam, policy));
     tb
 }
 
@@ -294,16 +300,11 @@ proptest! {
             cluster_method: method,
             ..SizeProbeConfig::default()
         };
-        let legacy = {
-            let mut tb = testbed_with(seed, tcam, policy.clone());
-            let mut eng = ProbingEngine::new(&mut tb, Dpid(1), RuleKind::L3);
-            legacy_probe_sizes(&mut eng, &cfg)
-        };
-        let driver = {
-            let mut tb = testbed_with(seed, tcam, policy);
-            let mut eng = ProbingEngine::new(&mut tb, Dpid(1), RuleKind::L3);
-            probe_sizes(&mut eng, &cfg).expect("driver-based probe completes")
-        };
+        let mut tb = testbed_with(seed, tcam, policy.clone());
+        let legacy = legacy_size_probe(&mut tb, &cfg);
+        let mut tb = testbed_with(seed, tcam, policy);
+        let driver = run_driver(&mut tb, DPID, SizeDriver::new(KIND, cfg))
+            .expect("driver-based probe completes");
         prop_assert_eq!(legacy, driver);
     }
 
@@ -314,16 +315,11 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = PolicyProbeConfig::default();
-        let legacy = {
-            let mut tb = testbed_with(seed, cache as u64, policy.clone());
-            let mut eng = ProbingEngine::new(&mut tb, Dpid(1), RuleKind::L3);
-            legacy_probe_policy(&mut eng, cache, &cfg)
-        };
-        let driver = {
-            let mut tb = testbed_with(seed, cache as u64, policy);
-            let mut eng = ProbingEngine::new(&mut tb, Dpid(1), RuleKind::L3);
-            probe_policy(&mut eng, cache, &cfg).expect("driver-based probe completes")
-        };
+        let mut tb = testbed_with(seed, cache as u64, policy.clone());
+        let legacy = legacy_policy_probe(&mut tb, cache, &cfg);
+        let mut tb = testbed_with(seed, cache as u64, policy);
+        let driver = run_driver(&mut tb, DPID, PolicyDriver::new(KIND, cache, cfg))
+            .expect("driver-based probe completes");
         prop_assert_eq!(legacy, driver);
     }
 }

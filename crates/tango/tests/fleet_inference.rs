@@ -4,7 +4,7 @@
 //! One testbed holds all four vendor profiles; `fleet::run_inference`
 //! characterizes them concurrently over the shared control path. A
 //! second, identically-seeded testbed runs the same probes one switch
-//! at a time through the synchronous entry points. Every field of every
+//! at a time, each driver alone through `run_driver`. Every field of every
 //! result — estimated sizes, RTT cluster centers, per-round policy
 //! correlations — must be exactly equal, and the fleet run must finish
 //! in well under the sequential wall-clock time.
@@ -12,12 +12,12 @@
 use ofwire::types::Dpid;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
+use tango::driver::run_driver;
 use tango::fleet::{run_inference, FleetJob};
-use tango::infer_policy::{probe_policy, PolicyProbeConfig};
-use tango::infer_size::{probe_sizes, SizeProbeConfig};
-use tango::online::probe_headroom;
+use tango::infer_policy::{PolicyDriver, PolicyProbeConfig};
+use tango::infer_size::{SizeDriver, SizeProbeConfig};
+use tango::online::HeadroomDriver;
 use tango::pattern::RuleKind;
-use tango::probe::ProbingEngine;
 
 /// All four profiles on one testbed, deterministically seeded.
 fn testbed() -> Testbed {
@@ -51,8 +51,12 @@ fn fleet_size_inference_matches_sequential_field_for_field() {
     let seq: Vec<_> = DPIDS
         .iter()
         .map(|&d| {
-            let mut eng = ProbingEngine::new(&mut seq_tb, d, RuleKind::L3);
-            probe_sizes(&mut eng, &size_config(d)).expect("sequential size probe")
+            run_driver(
+                &mut seq_tb,
+                d,
+                SizeDriver::new(RuleKind::L3, size_config(d)),
+            )
+            .expect("sequential size probe")
         })
         .collect();
     let seq_elapsed = seq_tb.now().since(seq_start);
@@ -98,22 +102,13 @@ fn fleet_mixed_inference_matches_sequential_field_for_field() {
     // size on one, headroom on one — still bit-identical per switch.
     let policy_cfg = PolicyProbeConfig::default();
     let mut seq_tb = testbed();
-    let seq_size = {
-        let mut eng = ProbingEngine::new(&mut seq_tb, Dpid(2), RuleKind::L3);
-        probe_sizes(&mut eng, &size_config(Dpid(2))).expect("sequential size probe")
-    };
-    let seq_pol3 = {
-        let mut eng = ProbingEngine::new(&mut seq_tb, Dpid(3), RuleKind::L3);
-        probe_policy(&mut eng, 128, &policy_cfg).expect("sequential policy probe")
-    };
-    let seq_pol4 = {
-        let mut eng = ProbingEngine::new(&mut seq_tb, Dpid(4), RuleKind::L3);
-        probe_policy(&mut eng, 96, &policy_cfg).expect("sequential policy probe")
-    };
-    let seq_head = {
-        let mut eng = ProbingEngine::new(&mut seq_tb, Dpid(1), RuleKind::L3);
-        probe_headroom(&mut eng, 1, 512).expect("sequential headroom probe")
-    };
+    let size = SizeDriver::new(RuleKind::L3, size_config(Dpid(2)));
+    let seq_size = run_driver(&mut seq_tb, Dpid(2), size).expect("sequential size probe");
+    let policy = |cache| PolicyDriver::new(RuleKind::L3, cache, policy_cfg);
+    let seq_pol3 = run_driver(&mut seq_tb, Dpid(3), policy(128)).expect("sequential policy");
+    let seq_pol4 = run_driver(&mut seq_tb, Dpid(4), policy(96)).expect("sequential policy");
+    let headroom = HeadroomDriver::new(RuleKind::L3, 1, 512);
+    let seq_head = run_driver(&mut seq_tb, Dpid(1), headroom).expect("sequential headroom");
 
     let mut fleet_tb = testbed();
     let jobs = vec![

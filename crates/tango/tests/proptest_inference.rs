@@ -13,10 +13,10 @@ use switchsim::cache::CachePolicy;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::cluster::{cluster_rtts, kmeans_1d};
+use tango::driver::run_driver;
 use tango::infer_policy::{initialization_plan, PolicyProbeConfig};
-use tango::infer_size::{probe_sizes, SizeProbeConfig};
+use tango::infer_size::{SizeDriver, SizeProbeConfig};
 use tango::pattern::RuleKind;
-use tango::probe::ProbingEngine;
 use tango::stats::pearson;
 
 fn arb_policy() -> impl Strategy<Value = CachePolicy> {
@@ -42,14 +42,14 @@ proptest! {
         let mut tb = Testbed::new(seed);
         let dpid = Dpid(1);
         tb.attach_default(dpid, SwitchProfile::generic_cached(tcam, policy));
-        let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
         let cfg = SizeProbeConfig {
             max_flows: (tcam * 2) as usize,
             trials_per_level: 64,
             seed,
             ..SizeProbeConfig::default()
         };
-        let est = probe_sizes(&mut eng, &cfg).expect("size probe completes");
+        let est = run_driver(&mut tb, dpid, SizeDriver::new(RuleKind::L3, cfg))
+            .expect("size probe completes");
         prop_assert_eq!(est.m, (tcam * 2) as usize);
         // Rules left behind = exactly the installed probe rules.
         prop_assert_eq!(tb.switch(dpid).rule_count(), est.m);

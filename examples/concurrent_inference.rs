@@ -36,8 +36,7 @@ fn main() {
     let seq: Vec<PatternResult> = dpids
         .iter()
         .map(|&d| {
-            ProbingEngine::new(&mut seq_tb, d, RuleKind::L3)
-                .run(&pattern)
+            run_driver(&mut seq_tb, d, PatternDriver::for_pattern(&pattern))
                 .expect("sequential run completes")
         })
         .collect();

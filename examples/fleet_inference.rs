@@ -45,8 +45,8 @@ fn main() {
     let seq: Vec<SizeEstimate> = dpids
         .iter()
         .map(|&d| {
-            let mut eng = ProbingEngine::new(&mut seq_tb, d, RuleKind::L3);
-            probe_sizes(&mut eng, &config(d)).expect("sequential probe completes")
+            run_driver(&mut seq_tb, d, SizeDriver::new(RuleKind::L3, config(d)))
+                .expect("sequential probe completes")
         })
         .collect();
     let seq_elapsed = seq_tb.now().since(seq_start);

@@ -11,6 +11,7 @@
 //! commands and data packets, yet recover table sizes, width modes, and
 //! caching behaviour that the switches' own feature reports don't carry.
 
+use ofwire::flow_mod::FlowMod;
 use ofwire::types::Dpid;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
@@ -19,18 +20,14 @@ use tango::prelude::*;
 
 /// Probes one switch with rules of one kind, then clears it.
 fn probe_kind(tb: &mut Testbed, dpid: Dpid, kind: RuleKind, cap: usize) -> SizeEstimate {
-    let mut eng = ProbingEngine::new(tb, dpid, kind);
-    eng.clear_rules();
-    let est = probe_sizes(
-        &mut eng,
-        &SizeProbeConfig {
-            max_flows: cap,
-            trials_per_level: 64,
-            ..SizeProbeConfig::default()
-        },
-    )
-    .expect("size probe completes");
-    eng.clear_rules();
+    let cfg = SizeProbeConfig {
+        max_flows: cap,
+        trials_per_level: 64,
+        ..SizeProbeConfig::default()
+    };
+    tb.flow_mod(dpid, FlowMod::delete_all());
+    let est = run_driver(tb, dpid, SizeDriver::new(kind, cfg)).expect("size probe completes");
+    tb.flow_mod(dpid, FlowMod::delete_all());
     est
 }
 

@@ -28,15 +28,12 @@ fn main() {
     println!("probing switch {dpid} …\n");
 
     // --- Algorithm 1: flow-table layer sizes -------------------------
-    let mut engine = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-    let size = probe_sizes(
-        &mut engine,
-        &SizeProbeConfig {
-            max_flows: 1024,
-            ..SizeProbeConfig::default()
-        },
-    )
-    .expect("size probe completes");
+    let size_cfg = SizeProbeConfig {
+        max_flows: 1024,
+        ..SizeProbeConfig::default()
+    };
+    let size = run_driver(&mut tb, dpid, SizeDriver::new(RuleKind::L3, size_cfg))
+        .expect("size probe completes");
     println!("layers detected: {}", size.levels.len());
     for (i, l) in size.levels.iter().enumerate() {
         println!(
@@ -53,8 +50,8 @@ fn main() {
 
     // --- Algorithm 2: cache-replacement policy -----------------------
     let fast_layer = size.fast_layer_size().unwrap_or(0.0).round() as usize;
-    let policy = probe_policy(&mut engine, fast_layer, &PolicyProbeConfig::default())
-        .expect("policy probe completes");
+    let policy_driver = PolicyDriver::new(RuleKind::L3, fast_layer, PolicyProbeConfig::default());
+    let policy = run_driver(&mut tb, dpid, policy_driver).expect("policy probe completes");
     println!("inferred cache policy: {}", policy.as_policy().describe());
     for (i, round) in policy.rounds.iter().enumerate() {
         let best = round
@@ -67,7 +64,8 @@ fn main() {
     }
 
     // --- Latency curves ----------------------------------------------
-    let curves = measure_latency_profile(&mut engine, 400).expect("latency profile completes");
+    let curves = measure_latency_profile(&mut tb, dpid, RuleKind::L3, 400)
+        .expect("latency profile completes");
     println!("\nper-op latency profile (n = 400):");
     println!("  add (ascending):  {:.3} ms", curves.add_asc_ms);
     println!("  add (descending): {:.3} ms", curves.add_desc_ms);

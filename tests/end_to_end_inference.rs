@@ -1,7 +1,8 @@
 //! Cross-crate integration: the complete Tango inference loop — wire
-//! protocol → simulated switch → probing engine → algorithms → TangoDB —
+//! protocol → simulated switch → inference drivers → algorithms → TangoDB —
 //! across the full diversity of switch implementations.
 
+use ofwire::flow_mod::FlowMod;
 use ofwire::types::Dpid;
 use switchsim::cache::CachePolicy;
 use switchsim::harness::Testbed;
@@ -15,21 +16,19 @@ fn understand(profile: SwitchProfile, max_flows: usize) -> (TangoDb, Dpid) {
     tb.attach_default(dpid, profile);
     let mut db = TangoDb::new();
 
-    let mut engine = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-    let size = probe_sizes(
-        &mut engine,
-        &SizeProbeConfig {
-            max_flows,
-            trials_per_level: 300,
-            ..SizeProbeConfig::default()
-        },
-    )
-    .expect("size probe completes");
+    let size_cfg = SizeProbeConfig {
+        max_flows,
+        trials_per_level: 300,
+        ..SizeProbeConfig::default()
+    };
+    let size = run_driver(&mut tb, dpid, SizeDriver::new(RuleKind::L3, size_cfg))
+        .expect("size probe completes");
     let fast = size.fast_layer_size().unwrap_or(0.0).round() as usize;
-    let policy = probe_policy(&mut engine, fast, &PolicyProbeConfig::default())
-        .expect("policy probe completes");
-    engine.clear_rules();
-    let latency = measure_latency_profile(&mut engine, 200).expect("latency profile completes");
+    let policy_driver = PolicyDriver::new(RuleKind::L3, fast, PolicyProbeConfig::default());
+    let policy = run_driver(&mut tb, dpid, policy_driver).expect("policy probe completes");
+    tb.flow_mod(dpid, FlowMod::delete_all());
+    let latency = measure_latency_profile(&mut tb, dpid, RuleKind::L3, 200)
+        .expect("latency profile completes");
 
     let k = db.switch_mut(dpid);
     k.size = Some(size);
@@ -82,18 +81,16 @@ fn knowledge_drives_placement_decisions() {
 
     let mut db = TangoDb::new();
     for dpid in [hw, sw] {
-        let mut engine = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-        let size = probe_sizes(
-            &mut engine,
-            &SizeProbeConfig {
-                max_flows: 512,
-                trials_per_level: 32,
-                ..SizeProbeConfig::default()
-            },
-        )
-        .expect("size probe completes");
-        engine.clear_rules();
-        let latency = measure_latency_profile(&mut engine, 150).expect("latency profile completes");
+        let size_cfg = SizeProbeConfig {
+            max_flows: 512,
+            trials_per_level: 32,
+            ..SizeProbeConfig::default()
+        };
+        let size = run_driver(&mut tb, dpid, SizeDriver::new(RuleKind::L3, size_cfg))
+            .expect("size probe completes");
+        tb.flow_mod(dpid, FlowMod::delete_all());
+        let latency = measure_latency_profile(&mut tb, dpid, RuleKind::L3, 150)
+            .expect("latency profile completes");
         let k = db.switch_mut(dpid);
         k.size = Some(size);
         k.latency = Some(latency);

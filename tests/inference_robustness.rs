@@ -30,16 +30,13 @@ fn size_error(profile: SwitchProfile, ctrl: Link, tcam: u64, seed: u64) -> f64 {
     let mut tb = Testbed::new(seed);
     let dpid = Dpid(1);
     tb.attach(dpid, profile, ctrl);
-    let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-    let est = probe_sizes(
-        &mut eng,
-        &SizeProbeConfig {
-            max_flows: (tcam * 2) as usize,
-            seed,
-            ..SizeProbeConfig::default()
-        },
-    )
-    .expect("size probe completes");
+    let cfg = SizeProbeConfig {
+        max_flows: (tcam * 2) as usize,
+        seed,
+        ..SizeProbeConfig::default()
+    };
+    let est = run_driver(&mut tb, dpid, SizeDriver::new(RuleKind::L3, cfg))
+        .expect("size probe completes");
     relative_error(est.fast_layer_size().unwrap_or(0.0), tcam as f64)
 }
 
@@ -77,9 +74,8 @@ fn policy_inference_survives_moderate_loss() {
         SwitchProfile::generic_cached(100, CachePolicy::lru()),
         lossy,
     );
-    let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-    let inferred =
-        probe_policy(&mut eng, 100, &PolicyProbeConfig::default()).expect("policy probe completes");
+    let driver = PolicyDriver::new(RuleKind::L3, 100, PolicyProbeConfig::default());
+    let inferred = run_driver(&mut tb, dpid, driver).expect("policy probe completes");
     assert_eq!(inferred.as_policy().describe(), "use_time↑");
 }
 
@@ -107,8 +103,8 @@ fn latency_curves_still_rank_orderings_under_noise() {
         noisy_profile(400, 0.15),
         Link::control_channel(0.1).with_drop_chance(0.002),
     );
-    let mut eng = ProbingEngine::new(&mut tb, dpid, RuleKind::L3);
-    let lp = measure_latency_profile(&mut eng, 300).expect("latency profile completes");
+    let lp = measure_latency_profile(&mut tb, dpid, RuleKind::L3, 300)
+        .expect("latency profile completes");
     assert!(lp.priority_sensitive());
     assert!(lp.add_desc_ms > lp.add_rand_ms);
     assert!(lp.add_rand_ms > lp.add_asc_ms);
