@@ -8,7 +8,6 @@ use crate::codec::{be_u16, be_u32, pad, Decode, Encode};
 use crate::error::{ensure, Result, WireError};
 use crate::types::{MacAddr, PortNo};
 use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
 
 const OFPAT_OUTPUT: u16 = 0;
 const OFPAT_SET_VLAN_VID: u16 = 1;
@@ -24,7 +23,7 @@ const OFPAT_SET_TP_DST: u16 = 10;
 const OFPAT_ENQUEUE: u16 = 11;
 
 /// One forwarding/rewrite action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Forward out of `port`; `max_len` limits bytes sent to the
     /// controller when `port` is [`PortNo::CONTROLLER`].
@@ -171,7 +170,7 @@ const INLINE: usize = 2;
 /// Reads go through `Deref<Target = [Action]>`. A list is built once
 /// (`from`, `collect`, [`Action::decode_list`]); [`ActionList::push`]
 /// past the inline capacity reallocates the whole spill.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct ActionList(Repr);
 
 #[derive(Clone)]

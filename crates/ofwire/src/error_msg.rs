@@ -8,10 +8,9 @@
 use crate::codec::{be_u16, Decode, Encode};
 use crate::error::{ensure, Result, WireError};
 use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// High-level error class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum ErrorType {
     /// Hello protocol failed.
@@ -49,7 +48,7 @@ impl ErrorType {
 }
 
 /// `FlowModFailed` error codes (OpenFlow 1.0 numbering).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ErrorCode(pub u16);
 
 impl ErrorCode {
@@ -67,7 +66,7 @@ impl ErrorCode {
 }
 
 /// An error notification, echoing (a prefix of) the offending request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorMsg {
     /// Error class.
     pub err_type: ErrorType,

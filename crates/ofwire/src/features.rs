@@ -12,7 +12,6 @@ use crate::codec::{be_u16, be_u32, be_u64, pad, Decode, Encode};
 use crate::error::{ensure, Result};
 use crate::types::{Dpid, MacAddr, PortNo};
 use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Size of one encoded physical-port description.
 pub const PHY_PORT_LEN: usize = 48;
@@ -20,7 +19,7 @@ pub const PHY_PORT_LEN: usize = 48;
 pub const FEATURES_REPLY_FIXED: usize = 24;
 
 /// Description of one switch port.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhyPort {
     /// Port number.
     pub port_no: PortNo,
@@ -103,7 +102,7 @@ impl Decode for PhyPort {
 }
 
 /// The switch's feature report.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FeaturesReply {
     /// Datapath id.
     pub datapath_id: Dpid,

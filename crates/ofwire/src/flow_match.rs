@@ -16,7 +16,6 @@ use crate::codec::{be_u16, be_u32, Decode, Encode};
 use crate::error::{ensure, Result};
 use crate::types::{MacAddr, PortNo};
 use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
 
 /// Encoded size of `ofp_match` on the wire.
@@ -40,7 +39,7 @@ const OFPFW_FLAG_BITS: u32 = 0xff | OFPFW_DL_VLAN_PCP | OFPFW_NW_TOS;
 
 /// An IPv4 prefix constraint: `addr` with the top `prefix_len` bits
 /// significant (0 = match anything, 32 = exact host).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ipv4Prefix {
     /// Address bits (host-order u32 of the dotted quad).
     pub addr: u32,
@@ -94,7 +93,7 @@ impl Ipv4Prefix {
 }
 
 /// The concrete header fields of one packet, used when evaluating matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FlowKey {
     /// Ingress port.
     pub in_port: u16,
@@ -125,7 +124,7 @@ pub struct FlowKey {
 /// Classification of a match by which header layers it constrains.
 /// Determines how many TCAM slots an entry consumes (single- vs
 /// double-wide; cf. §3 "Diverse flow tables and table sizes").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EntryKind {
     /// Constrains only Ethernet-layer fields (or nothing).
     L2Only,
@@ -139,7 +138,7 @@ pub enum EntryKind {
 ///
 /// `None` means the field is wildcarded. IPv4 source/destination use
 /// prefix constraints. The default value matches every packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FlowMatch {
     /// Ingress port constraint.
     pub in_port: Option<u16>,

@@ -11,13 +11,12 @@ use crate::flow_match::{FlowMatch, OFP_MATCH_LEN};
 use crate::header::{MessageType, OFP_HEADER_LEN, OFP_VERSION};
 use crate::types::{BufferId, PortNo, Xid};
 use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Fixed-size portion of the flow_mod body (match + fields, no actions).
 pub const FLOW_MOD_FIXED_LEN: usize = 64;
 
 /// The flow-table operation to perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
 pub enum FlowModCommand {
     /// Insert a new entry.
@@ -65,7 +64,7 @@ impl FlowModCommand {
 }
 
 /// `flow_mod` flag bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FlowModFlags(pub u16);
 
 impl FlowModFlags {
@@ -84,7 +83,7 @@ impl FlowModFlags {
 }
 
 /// A flow-table modification request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowMod {
     /// Which packets the entry matches.
     pub flow_match: FlowMatch,

@@ -5,10 +5,9 @@ use crate::codec::{be_u16, be_u32, be_u64, pad, Decode, Encode};
 use crate::error::{ensure, Result, WireError};
 use crate::flow_match::FlowMatch;
 use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Why the switch removed the entry (OpenFlow 1.0 numbering).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum FlowRemovedReason {
     /// Idle timeout elapsed.
@@ -37,7 +36,7 @@ impl FlowRemovedReason {
 }
 
 /// A flow-removed notification body (80 bytes on the wire).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowRemoved {
     /// The removed entry's match.
     pub flow_match: FlowMatch,

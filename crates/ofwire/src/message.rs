@@ -12,11 +12,10 @@ use crate::packet::{PacketIn, PacketOut};
 use crate::stats::{StatsBody, StatsRequestBody};
 use crate::types::Xid;
 use bytes::BytesMut;
-use serde::{Deserialize, Serialize};
 
 /// Any OpenFlow message (body only; the header is supplied/parsed at the
 /// framing layer so that xids stay a transport concern).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Version negotiation.
     Hello,

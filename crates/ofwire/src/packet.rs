@@ -14,10 +14,9 @@ use crate::flow_match::FlowKey;
 use crate::header::{MessageType, OFP_VERSION};
 use crate::types::{BufferId, MacAddr, PortNo, Xid};
 use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Why a packet was sent to the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum PacketInReason {
     /// No flow entry matched the packet.
@@ -41,7 +40,7 @@ impl PacketInReason {
 }
 
 /// A data packet forwarded from the switch to the controller.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketIn {
     /// Switch-side buffer holding the full packet, if buffered.
     pub buffer_id: BufferId,
@@ -85,7 +84,7 @@ impl Decode for PacketIn {
 }
 
 /// A controller-originated packet transmission.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketOut {
     /// Buffer to release, or [`BufferId::NO_BUFFER`] if `data` is inline.
     pub buffer_id: BufferId,

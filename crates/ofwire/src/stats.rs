@@ -12,7 +12,6 @@ use crate::error::{ensure, Result, WireError};
 use crate::flow_match::FlowMatch;
 use crate::types::PortNo;
 use bytes::{BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
 
 const OFPST_DESC: u16 = 0;
 const OFPST_FLOW: u16 = 1;
@@ -35,7 +34,7 @@ fn get_fixed_str(buf: &[u8], off: usize, width: usize) -> String {
 }
 
 /// A statistics request body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatsRequestBody {
     /// Switch description.
     Desc,
@@ -143,7 +142,7 @@ impl Decode for StatsRequestBody {
 }
 
 /// Statistics for a single flow entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowStatsEntry {
     /// Table holding the entry.
     pub table_id: u8,
@@ -240,7 +239,7 @@ impl Decode for FlowStatsEntry {
 }
 
 /// Aggregate statistics over a set of flows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AggregateStats {
     /// Total packets matched.
     pub packet_count: u64,
@@ -274,7 +273,7 @@ impl Decode for AggregateStats {
 }
 
 /// Statistics for one flow table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableStatsEntry {
     /// Table id.
     pub table_id: u8,
@@ -326,7 +325,7 @@ impl Decode for TableStatsEntry {
 }
 
 /// Switch description strings.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DescStats {
     /// Manufacturer.
     pub mfr_desc: String,
@@ -369,7 +368,7 @@ impl Decode for DescStats {
 }
 
 /// A statistics reply body.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatsBody {
     /// Switch description.
     Desc(DescStats),

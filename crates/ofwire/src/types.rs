@@ -1,13 +1,10 @@
 //! Small value types shared across the protocol: datapath ids, ports,
 //! transaction ids, buffer ids, and MAC addresses.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A datapath identifier — the 64-bit unique id of a switch.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Dpid(pub u64);
 
 impl fmt::Display for Dpid {
@@ -19,9 +16,7 @@ impl fmt::Display for Dpid {
 /// An OpenFlow transaction id carried in every message header. Replies
 /// echo the xid of the request they answer, which is how the probing
 /// engine pairs barriers and echoes with their round-trip times.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Xid(pub u32);
 
 impl Xid {
@@ -33,9 +28,7 @@ impl Xid {
 }
 
 /// A switch port number (OpenFlow 1.0 uses 16 bits).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PortNo(pub u16);
 
 impl PortNo {
@@ -60,7 +53,7 @@ impl PortNo {
 
 /// A buffered-packet id. [`BufferId::NO_BUFFER`] means the full packet is
 /// carried inline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufferId(pub u32);
 
 impl BufferId {
@@ -75,9 +68,7 @@ impl Default for BufferId {
 }
 
 /// A 48-bit Ethernet MAC address.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {

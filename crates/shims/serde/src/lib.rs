@@ -1,8 +1,8 @@
 //! Offline drop-in replacement for the sliver of `serde` this workspace
-//! uses. The repo derives `Serialize`/`Deserialize` as forward-looking
-//! decoration only (no serializer crate is in the tree), so the traits
-//! are markers and the derives are no-ops that still validate as
-//! attributes.
+//! once used. No crate derives `Serialize`/`Deserialize` any more — the
+//! score database states its JSON form in `tango::db` — so what is left
+//! is a manifest edge: the traits are markers and the derives are no-ops
+//! that still validate as attributes.
 
 pub use serde_derive::{Deserialize, Serialize};
 

@@ -1,9 +1,9 @@
 //! No-op `Serialize`/`Deserialize` derives for the offline serde shim.
 //!
-//! The workspace derives these traits purely as forward-looking
-//! decoration (nothing serializes yet — there is no serde_json in the
-//! tree), so the derives emit marker impls and otherwise accept any
-//! input, including `#[serde(...)]` attributes.
+//! No workspace crate derives these traits any more (the score database
+//! states its JSON form by hand in `tango::db`); the derives emit marker
+//! impls and otherwise accept any input, including `#[serde(...)]`
+//! attributes.
 
 use proc_macro::{TokenStream, TokenTree};
 

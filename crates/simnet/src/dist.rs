@@ -9,10 +9,9 @@
 
 use crate::rng::DetRng;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A latency distribution, parameterized in milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Dist {
     /// Always exactly this many milliseconds.
     Constant(f64),

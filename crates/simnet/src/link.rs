@@ -11,10 +11,9 @@
 use crate::dist::Dist;
 use crate::rng::DetRng;
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one directional link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Base propagation delay distribution.
     pub propagation: Dist,

@@ -4,11 +4,10 @@
 //! Every figure in the paper is a set of series; the bench harness
 //! records into these and dumps CSV under `results/`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One labelled series of `(x, y)` points.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Series {
     /// Legend label, e.g. `"fast path"`.
     pub label: String,
@@ -51,7 +50,7 @@ impl Series {
 }
 
 /// Summary statistics over a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     /// Sample size.
     pub n: usize,
@@ -115,7 +114,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// A figure: several series sharing axes, exportable as CSV.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Figure {
     /// Figure title (e.g. `"fig2a: three-tier delay, OVS"`).
     pub title: String,

@@ -19,13 +19,12 @@
 
 use crate::entry::{EntryId, FlowEntry};
 use crate::table::FlowTable;
-use serde::{Deserialize, Serialize};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::fmt;
 
 /// The per-flow attributes a policy may inspect (paper ATTRIB).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Attribute {
     /// Time the entry was installed.
     InsertionTime,
@@ -81,7 +80,7 @@ impl fmt::Display for Attribute {
 
 /// Which extreme of an attribute is *kept* in the fast level (paper
 /// MONOTONE: the comparison is monotonic increasing or decreasing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Higher values are better (kept); lowest evicted.
     KeepHigh,
@@ -101,7 +100,7 @@ impl Direction {
 }
 
 /// One sort key: an attribute plus its direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SortKey {
     /// Attribute inspected.
     pub attribute: Attribute,
@@ -113,7 +112,7 @@ pub struct SortKey {
 ///
 /// [`CachePolicy::cmp_entries`] returns [`Ordering::Greater`] when the
 /// first entry ranks *better* (more deserving of the fast level).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CachePolicy {
     /// Sort keys, most significant first.
     pub keys: Vec<SortKey>,

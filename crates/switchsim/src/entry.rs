@@ -8,17 +8,16 @@
 
 use ofwire::action::ActionList;
 use ofwire::flow_match::{EntryKind, FlowMatch, PackedMatch};
-use serde::{Deserialize, Serialize};
 use simnet::time::SimTime;
 
 /// Stable identity of an installed entry (unique per switch, never
 /// reused). Used as the deterministic final tie-breaker in cache-policy
 /// orderings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EntryId(pub u64);
 
 /// One installed flow-table entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowEntry {
     /// Stable identity.
     pub id: EntryId,

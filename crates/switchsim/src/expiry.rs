@@ -9,11 +9,10 @@
 //! packet"), so the simulated switches implement them fully.
 
 use crate::entry::FlowEntry;
-use serde::{Deserialize, Serialize};
 use simnet::time::SimTime;
 
 /// Why an entry was removed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RemovalReason {
     /// `idle_timeout` seconds passed without a matching packet.
     IdleTimeout,
@@ -23,7 +22,7 @@ pub enum RemovalReason {
 
 /// A record of one expired entry (the payload of a `flow_removed`
 /// notification).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Expired {
     /// The removed entry (with final counters).
     pub entry: FlowEntry,

@@ -5,13 +5,12 @@
 //! per-level forwarding delays (Fig 2), and the controller path.
 
 use crate::pipeline::Hit;
-use serde::{Deserialize, Serialize};
 use simnet::dist::Dist;
 use simnet::rng::DetRng;
 use simnet::time::SimDuration;
 
 /// Control-plane cost model for one switch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlCosts {
     /// Fixed cost of an add that lands in a hardware level.
     pub add_base: Dist,
@@ -71,7 +70,7 @@ impl ControlCosts {
 
 /// Data-path delay model: one distribution per table level, plus the
 /// controller path for complete misses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataPathLatency {
     /// Delay for a packet served by level *i* (level 0 fastest).
     pub levels: Vec<Dist>,

@@ -17,7 +17,6 @@ use crate::latency::{ControlCosts, DataPathLatency};
 use crate::pipeline::{CacheLevel, Pipeline};
 use crate::tcam::TcamGeometry;
 use ofwire::types::Dpid;
-use serde::{Deserialize, Serialize};
 use simnet::dist::Dist;
 
 /// Everything needed to instantiate a simulated switch.
@@ -42,7 +41,7 @@ pub struct SwitchProfile {
 }
 
 /// Self-reported feature numbers (may be wrong).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReportedFeatures {
     /// Claimed number of tables.
     pub n_tables: u8,

@@ -14,14 +14,13 @@
 //!    order never shifts; descending order shifts everything every time.
 
 use ofwire::flow_match::EntryKind;
-use serde::{Deserialize, Serialize};
 
 /// Slot-width accounting for a TCAM.
 ///
 /// Capacity is expressed in abstract *units*; each entry kind costs a
 /// number of units. This uniformly expresses all three vendor behaviours
 /// (see constructors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcamGeometry {
     /// Total capacity in units.
     pub capacity_units: u64,

@@ -27,11 +27,10 @@
 //!   memo against.
 
 use crate::request::{ReqElem, ReqOp};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// Index of a request within its DAG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 /// A node's successors in insertion order: up to two inline, on the
@@ -87,7 +86,7 @@ impl Shape {
 }
 
 /// A directed acyclic graph of switch requests.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RequestDag {
     /// Shared with clones; `None` until the first structural edit.
     shape: Option<Arc<Shape>>,

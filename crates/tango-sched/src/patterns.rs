@@ -11,11 +11,10 @@
 use crate::dag::{NodeId, RequestDag};
 use crate::request::ReqOp;
 use ofwire::types::Dpid;
-use serde::{Deserialize, Serialize};
 use tango::db::TangoDb;
 
 /// How adds within the batch are ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddOrder {
     /// Ascending rule priority (no TCAM shifting).
     Ascending,
@@ -26,7 +25,7 @@ pub enum AddOrder {
 }
 
 /// One scheduling pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedPattern {
     /// Pattern name (e.g. `"DEL_MOD_ASCEND_ADD"`).
     pub name: String,

@@ -12,11 +12,10 @@
 //! * **R priorities** — a 1-to-1 assignment (every rule gets a unique
 //!   priority) that still satisfies every constraint.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A priority assignment for `n` rules.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PriorityAssignment {
     /// Priority per rule index.
     pub priorities: Vec<u16>,

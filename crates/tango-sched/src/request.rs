@@ -14,10 +14,9 @@ use ofwire::action::{Action, ActionList};
 use ofwire::flow_match::{FlowMatch, PackedMatch};
 use ofwire::flow_mod::FlowMod;
 use ofwire::types::Dpid;
-use serde::{Deserialize, Serialize};
 
 /// The operation class of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReqOp {
     /// Install a new rule.
     Add,
@@ -40,7 +39,7 @@ impl ReqOp {
 }
 
 /// Installation deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Deadline {
     /// Install whenever convenient.
     #[default]
@@ -50,7 +49,7 @@ pub enum Deadline {
 }
 
 /// One switch request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReqElem {
     /// Target switch.
     pub location: Dpid,

@@ -6,10 +6,8 @@
 //! gap-based split is the primary method; a k-means variant is provided
 //! for the clustering ablation bench.
 
-use serde::{Deserialize, Serialize};
-
 /// A clustering of scalar samples into ordered groups (ascending center).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Clustering {
     /// Cluster centers, ascending.
     pub centers: Vec<f64>,

@@ -12,11 +12,10 @@ use crate::pattern::{PriorityOrder, RuleKind, TangoPattern};
 use crate::probe::PatternDriver;
 use ofwire::flow_mod::FlowMod;
 use ofwire::types::Dpid;
-use serde::{Deserialize, Serialize};
 use switchsim::control::{ControlOp, ControlPath};
 
 /// Measured per-op latency profile of one switch (milliseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyProfile {
     /// Batch size the profile was calibrated at.
     pub calibrated_n: usize,

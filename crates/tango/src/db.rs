@@ -15,13 +15,12 @@ use crate::json::Value;
 use crate::online::Headroom;
 use crate::pattern::TangoPattern;
 use ofwire::types::Dpid;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
 /// Everything Tango has learned about one switch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SwitchKnowledge {
     /// Profile/vendor label, if known (reporting only).
     pub label: String,
@@ -61,7 +60,7 @@ impl SwitchKnowledge {
 }
 
 /// The central score + pattern database.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TangoDb {
     knowledge: BTreeMap<u64, SwitchKnowledge>,
     patterns: BTreeMap<String, TangoPattern>,
@@ -151,7 +150,7 @@ impl TangoDb {
     /// score-database JSON form.
     #[must_use]
     pub fn to_json(&self) -> String {
-        codec::db_to_value(self).render()
+        codec::Json::to_json(self).render()
     }
 
     /// Parses a database from its JSON form.
@@ -162,7 +161,7 @@ impl TangoDb {
     pub fn from_json(text: &str) -> io::Result<TangoDb> {
         let v = Value::parse(text)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        codec::db_from_value(&v)
+        codec::Json::from_json(&v)
     }
 
     /// Writes the database to `path` as JSON, creating parent
@@ -192,9 +191,10 @@ impl TangoDb {
     }
 }
 
-/// Hand-rolled (de)serialization of the database to [`Value`] trees.
-/// The workspace `serde` is a derive-only shim, so the derives on these
-/// types provide no runtime — this module is the runtime.
+/// The score database's JSON form. Each persisted type states its shape
+/// once — a record's field list, an enum's name table, a tagged union's
+/// variant table — and [`Json`](codec::Json) derives both the writer and
+/// the reader from that one statement.
 mod codec {
     use super::{LatencyProfile, SwitchKnowledge, TangoDb, Value};
     use crate::cluster::Clustering;
@@ -210,535 +210,287 @@ mod codec {
         io::Error::new(io::ErrorKind::InvalidData, msg.into())
     }
 
-    fn obj(members: Vec<(&str, Value)>) -> Value {
-        Value::Obj(
-            members
-                .into_iter()
-                .map(|(k, v)| (k.to_owned(), v))
-                .collect(),
-        )
+    /// `e`, prefixed with the member (or element) it arose in.
+    fn within(key: impl std::fmt::Display, e: &io::Error) -> io::Error {
+        bad(format!("`{key}`: {e}"))
     }
 
-    fn opt(v: Option<Value>) -> Value {
-        v.unwrap_or(Value::Null)
-    }
-
-    fn field<'a>(v: &'a Value, key: &str) -> io::Result<&'a Value> {
-        v.get(key)
-            .ok_or_else(|| bad(format!("missing field `{key}`")))
-    }
-
-    fn f64_field(v: &Value, key: &str) -> io::Result<f64> {
-        field(v, key)?
-            .as_f64()
-            .ok_or_else(|| bad(format!("field `{key}` is not a number")))
-    }
-
-    /// A number field where `null` means NaN (the writer's encoding of
-    /// non-finite values).
-    fn f64_or_nan_field(v: &Value, key: &str) -> io::Result<f64> {
-        match field(v, key)? {
-            Value::Null => Ok(f64::NAN),
-            other => other
-                .as_f64()
-                .ok_or_else(|| bad(format!("field `{key}` is not a number"))),
+    /// A type with a JSON form.
+    pub(super) trait Json: Sized {
+        fn to_json(&self) -> Value;
+        fn from_json(v: &Value) -> io::Result<Self>;
+        /// The value of a member that is absent: an error, except for
+        /// `Option`.
+        fn absent() -> io::Result<Self> {
+            Err(bad("missing"))
         }
     }
 
-    fn usize_field(v: &Value, key: &str) -> io::Result<usize> {
-        field(v, key)?
-            .as_usize()
-            .ok_or_else(|| bad(format!("field `{key}` is not an integer")))
-    }
-
-    fn bool_field(v: &Value, key: &str) -> io::Result<bool> {
-        field(v, key)?
-            .as_bool()
-            .ok_or_else(|| bad(format!("field `{key}` is not a bool")))
-    }
-
-    fn str_field<'a>(v: &'a Value, key: &str) -> io::Result<&'a str> {
-        field(v, key)?
-            .as_str()
-            .ok_or_else(|| bad(format!("field `{key}` is not a string")))
-    }
-
-    fn f64_arr(v: &Value, key: &str) -> io::Result<Vec<f64>> {
-        field(v, key)?
-            .as_arr()
-            .ok_or_else(|| bad(format!("field `{key}` is not an array")))?
-            .iter()
-            .map(|x| x.as_f64().ok_or_else(|| bad("non-numeric array element")))
-            .collect()
-    }
-
-    fn usize_arr(v: &Value, key: &str) -> io::Result<Vec<usize>> {
-        field(v, key)?
-            .as_arr()
-            .ok_or_else(|| bad(format!("field `{key}` is not an array")))?
-            .iter()
-            .map(|x| x.as_usize().ok_or_else(|| bad("non-integer array element")))
-            .collect()
-    }
-
-    fn option_of<T>(
-        v: &Value,
-        key: &str,
-        read: impl FnOnce(&Value) -> io::Result<T>,
-    ) -> io::Result<Option<T>> {
+    /// Member `key` of object `v`; errors name the member.
+    fn get<T: Json>(v: &Value, key: &str) -> io::Result<T> {
+        if !matches!(v, Value::Obj(_)) {
+            return Err(bad("not an object"));
+        }
         match v.get(key) {
-            None | Some(Value::Null) => Ok(None),
-            Some(inner) => read(inner).map(Some),
+            Some(member) => T::from_json(member),
+            None => T::absent(),
         }
+        .map_err(|e| within(key, &e))
     }
 
-    fn kind_to_str(kind: RuleKind) -> &'static str {
-        match kind {
-            RuleKind::L2 => "l2",
-            RuleKind::L3 => "l3",
-            RuleKind::L2L3 => "l2l3",
+    /// Non-finite values are written as `null`, so `null` reads as NaN.
+    impl Json for f64 {
+        fn to_json(&self) -> Value {
+            Value::num(*self)
         }
-    }
-
-    fn kind_from_str(s: &str) -> io::Result<RuleKind> {
-        match s {
-            "l2" => Ok(RuleKind::L2),
-            "l3" => Ok(RuleKind::L3),
-            "l2l3" => Ok(RuleKind::L2L3),
-            other => Err(bad(format!("unknown rule kind `{other}`"))),
-        }
-    }
-
-    fn attribute_from_str(s: &str) -> io::Result<Attribute> {
-        match s {
-            "insertion_time" => Ok(Attribute::InsertionTime),
-            "use_time" => Ok(Attribute::UseTime),
-            "traffic_count" => Ok(Attribute::TrafficCount),
-            "priority" => Ok(Attribute::Priority),
-            other => Err(bad(format!("unknown attribute `{other}`"))),
-        }
-    }
-
-    fn sort_key_to_value(k: &SortKey) -> Value {
-        obj(vec![
-            ("attribute", Value::Str(k.attribute.to_string())),
-            (
-                "direction",
-                Value::Str(
-                    match k.direction {
-                        Direction::KeepHigh => "keep_high",
-                        Direction::KeepLow => "keep_low",
-                    }
-                    .to_owned(),
-                ),
-            ),
-        ])
-    }
-
-    fn sort_key_from_value(v: &Value) -> io::Result<SortKey> {
-        let attribute = attribute_from_str(str_field(v, "attribute")?)?;
-        let direction = match str_field(v, "direction")? {
-            "keep_high" => Direction::KeepHigh,
-            "keep_low" => Direction::KeepLow,
-            other => return Err(bad(format!("unknown direction `{other}`"))),
-        };
-        Ok(SortKey {
-            attribute,
-            direction,
-        })
-    }
-
-    fn size_to_value(e: &SizeEstimate) -> Value {
-        let levels = e
-            .levels
-            .iter()
-            .map(|l| {
-                obj(vec![
-                    ("rtt_ms", Value::num(l.rtt_ms)),
-                    ("estimated_size", Value::num(l.estimated_size)),
-                    ("swept_count", Value::Num(l.swept_count as f64)),
-                    ("saturated", Value::Bool(l.saturated)),
-                ])
-            })
-            .collect();
-        obj(vec![
-            ("m", Value::Num(e.m as f64)),
-            ("hit_rejection", Value::Bool(e.hit_rejection)),
-            ("levels", Value::Arr(levels)),
-            (
-                "clustering",
-                obj(vec![
-                    (
-                        "centers",
-                        Value::Arr(
-                            e.clustering
-                                .centers
-                                .iter()
-                                .map(|&x| Value::num(x))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "boundaries",
-                        Value::Arr(
-                            e.clustering
-                                .boundaries
-                                .iter()
-                                .map(|&x| Value::num(x))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "sizes",
-                        Value::Arr(
-                            e.clustering
-                                .sizes
-                                .iter()
-                                .map(|&x| Value::Num(x as f64))
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
-            ("rules_attempted", Value::Num(e.rules_attempted as f64)),
-            ("packets_sent", Value::Num(e.packets_sent as f64)),
-            ("batches", Value::Num(e.batches as f64)),
-        ])
-    }
-
-    fn size_from_value(v: &Value) -> io::Result<SizeEstimate> {
-        let levels = field(v, "levels")?
-            .as_arr()
-            .ok_or_else(|| bad("`levels` is not an array"))?
-            .iter()
-            .map(|l| {
-                Ok(LevelEstimate {
-                    rtt_ms: f64_field(l, "rtt_ms")?,
-                    estimated_size: f64_field(l, "estimated_size")?,
-                    swept_count: usize_field(l, "swept_count")?,
-                    saturated: bool_field(l, "saturated")?,
-                })
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-        let c = field(v, "clustering")?;
-        Ok(SizeEstimate {
-            m: usize_field(v, "m")?,
-            hit_rejection: bool_field(v, "hit_rejection")?,
-            levels,
-            clustering: Clustering {
-                centers: f64_arr(c, "centers")?,
-                boundaries: f64_arr(c, "boundaries")?,
-                sizes: usize_arr(c, "sizes")?,
-            },
-            rules_attempted: usize_field(v, "rules_attempted")?,
-            packets_sent: usize_field(v, "packets_sent")?,
-            batches: usize_field(v, "batches")?,
-        })
-    }
-
-    fn policy_to_value(p: &InferredPolicy) -> Value {
-        let rounds = p
-            .rounds
-            .iter()
-            .map(|r| {
-                let correlations = r
-                    .correlations
-                    .iter()
-                    .map(|(a, x)| {
-                        obj(vec![
-                            ("attribute", Value::Str(a.to_string())),
-                            ("r", Value::num(*x)),
-                        ])
-                    })
-                    .collect();
-                obj(vec![
-                    ("correlations", Value::Arr(correlations)),
-                    ("chosen", opt(r.chosen.as_ref().map(sort_key_to_value))),
-                    ("cached_count", Value::Num(r.cached_count as f64)),
-                ])
-            })
-            .collect();
-        obj(vec![
-            (
-                "keys",
-                Value::Arr(p.keys.iter().map(sort_key_to_value).collect()),
-            ),
-            ("rounds", Value::Arr(rounds)),
-        ])
-    }
-
-    fn policy_from_value(v: &Value) -> io::Result<InferredPolicy> {
-        let keys = field(v, "keys")?
-            .as_arr()
-            .ok_or_else(|| bad("`keys` is not an array"))?
-            .iter()
-            .map(sort_key_from_value)
-            .collect::<io::Result<Vec<_>>>()?;
-        let rounds = field(v, "rounds")?
-            .as_arr()
-            .ok_or_else(|| bad("`rounds` is not an array"))?
-            .iter()
-            .map(|r| {
-                let correlations = field(r, "correlations")?
-                    .as_arr()
-                    .ok_or_else(|| bad("`correlations` is not an array"))?
-                    .iter()
-                    .map(|c| {
-                        Ok((
-                            attribute_from_str(str_field(c, "attribute")?)?,
-                            f64_or_nan_field(c, "r")?,
-                        ))
-                    })
-                    .collect::<io::Result<Vec<_>>>()?;
-                Ok(PolicyRound {
-                    correlations,
-                    chosen: option_of(r, "chosen", sort_key_from_value)?,
-                    cached_count: usize_field(r, "cached_count")?,
-                })
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-        Ok(InferredPolicy { keys, rounds })
-    }
-
-    fn latency_to_value(l: &LatencyProfile) -> Value {
-        obj(vec![
-            ("calibrated_n", Value::Num(l.calibrated_n as f64)),
-            ("add_asc_ms", Value::num(l.add_asc_ms)),
-            ("add_desc_ms", Value::num(l.add_desc_ms)),
-            ("add_same_ms", Value::num(l.add_same_ms)),
-            ("add_rand_ms", Value::num(l.add_rand_ms)),
-            ("mod_ms", Value::num(l.mod_ms)),
-            ("del_ms", Value::num(l.del_ms)),
-            ("shift_us", Value::num(l.shift_us)),
-        ])
-    }
-
-    fn latency_from_value(v: &Value) -> io::Result<LatencyProfile> {
-        Ok(LatencyProfile {
-            calibrated_n: usize_field(v, "calibrated_n")?,
-            add_asc_ms: f64_field(v, "add_asc_ms")?,
-            add_desc_ms: f64_field(v, "add_desc_ms")?,
-            add_same_ms: f64_field(v, "add_same_ms")?,
-            add_rand_ms: f64_field(v, "add_rand_ms")?,
-            mod_ms: f64_field(v, "mod_ms")?,
-            del_ms: f64_field(v, "del_ms")?,
-            shift_us: f64_field(v, "shift_us")?,
-        })
-    }
-
-    fn geometry_to_value(g: &GeometryEstimate) -> Value {
-        let class = match &g.class {
-            GeometryClass::Unbounded => obj(vec![("kind", Value::Str("unbounded".into()))]),
-            GeometryClass::FixedWidth { entries } => obj(vec![
-                ("kind", Value::Str("fixed_width".into())),
-                ("entries", Value::num(*entries)),
-            ]),
-            GeometryClass::WidthSensitive { narrow, wide } => obj(vec![
-                ("kind", Value::Str("width_sensitive".into())),
-                ("narrow", Value::num(*narrow)),
-                ("wide", Value::num(*wide)),
-            ]),
-        };
-        obj(vec![
-            ("l2_only", opt(g.l2_only.map(Value::num))),
-            ("l3_only", opt(g.l3_only.map(Value::num))),
-            ("l2l3", opt(g.l2l3.map(Value::num))),
-            ("class", class),
-        ])
-    }
-
-    fn geometry_from_value(v: &Value) -> io::Result<GeometryEstimate> {
-        let cv = field(v, "class")?;
-        let class = match str_field(cv, "kind")? {
-            "unbounded" => GeometryClass::Unbounded,
-            "fixed_width" => GeometryClass::FixedWidth {
-                entries: f64_or_nan_field(cv, "entries")?,
-            },
-            "width_sensitive" => GeometryClass::WidthSensitive {
-                narrow: f64_or_nan_field(cv, "narrow")?,
-                wide: f64_or_nan_field(cv, "wide")?,
-            },
-            other => return Err(bad(format!("unknown geometry class `{other}`"))),
-        };
-        Ok(GeometryEstimate {
-            l2_only: option_of(v, "l2_only", |x| {
-                x.as_f64().ok_or_else(|| bad("`l2_only` is not a number"))
-            })?,
-            l3_only: option_of(v, "l3_only", |x| {
-                x.as_f64().ok_or_else(|| bad("`l3_only` is not a number"))
-            })?,
-            l2l3: option_of(v, "l2l3", |x| {
-                x.as_f64().ok_or_else(|| bad("`l2l3` is not a number"))
-            })?,
-            class,
-        })
-    }
-
-    fn headroom_to_value(h: &Headroom) -> Value {
-        obj(vec![
-            ("accepted", Value::Num(h.accepted as f64)),
-            ("hit_rejection", Value::Bool(h.hit_rejection)),
-            ("cleaned", Value::Num(h.cleaned as f64)),
-        ])
-    }
-
-    fn headroom_from_value(v: &Value) -> io::Result<Headroom> {
-        Ok(Headroom {
-            accepted: usize_field(v, "accepted")?,
-            hit_rejection: bool_field(v, "hit_rejection")?,
-            cleaned: usize_field(v, "cleaned")?,
-        })
-    }
-
-    fn pattern_to_value(p: &TangoPattern) -> Value {
-        let steps = p
-            .steps
-            .iter()
-            .map(|step| match *step {
-                PatternStep::Add { id, priority } => obj(vec![
-                    ("op", Value::Str("add".into())),
-                    ("id", Value::Num(f64::from(id))),
-                    ("priority", Value::Num(f64::from(priority))),
-                ]),
-                PatternStep::Modify {
-                    id,
-                    priority,
-                    out_port,
-                } => obj(vec![
-                    ("op", Value::Str("modify".into())),
-                    ("id", Value::Num(f64::from(id))),
-                    ("priority", Value::Num(f64::from(priority))),
-                    ("out_port", Value::Num(f64::from(out_port))),
-                ]),
-                PatternStep::Delete { id, priority } => obj(vec![
-                    ("op", Value::Str("delete".into())),
-                    ("id", Value::Num(f64::from(id))),
-                    ("priority", Value::Num(f64::from(priority))),
-                ]),
-                PatternStep::Probe { id } => obj(vec![
-                    ("op", Value::Str("probe".into())),
-                    ("id", Value::Num(f64::from(id))),
-                ]),
-                PatternStep::Barrier => obj(vec![("op", Value::Str("barrier".into()))]),
-            })
-            .collect();
-        obj(vec![
-            ("name", Value::Str(p.name.clone())),
-            ("kind", Value::Str(kind_to_str(p.kind).to_owned())),
-            ("steps", Value::Arr(steps)),
-        ])
-    }
-
-    #[allow(clippy::cast_possible_truncation)]
-    fn pattern_from_value(v: &Value) -> io::Result<TangoPattern> {
-        let u32_field = |v: &Value, key: &str| -> io::Result<u32> {
-            usize_field(v, key)?
-                .try_into()
-                .map_err(|_| bad(format!("field `{key}` out of range")))
-        };
-        let u16_field = |v: &Value, key: &str| -> io::Result<u16> {
-            usize_field(v, key)?
-                .try_into()
-                .map_err(|_| bad(format!("field `{key}` out of range")))
-        };
-        let steps = field(v, "steps")?
-            .as_arr()
-            .ok_or_else(|| bad("`steps` is not an array"))?
-            .iter()
-            .map(|step| {
-                Ok(match str_field(step, "op")? {
-                    "add" => PatternStep::Add {
-                        id: u32_field(step, "id")?,
-                        priority: u16_field(step, "priority")?,
-                    },
-                    "modify" => PatternStep::Modify {
-                        id: u32_field(step, "id")?,
-                        priority: u16_field(step, "priority")?,
-                        out_port: u16_field(step, "out_port")?,
-                    },
-                    "delete" => PatternStep::Delete {
-                        id: u32_field(step, "id")?,
-                        priority: u16_field(step, "priority")?,
-                    },
-                    "probe" => PatternStep::Probe {
-                        id: u32_field(step, "id")?,
-                    },
-                    "barrier" => PatternStep::Barrier,
-                    other => return Err(bad(format!("unknown pattern op `{other}`"))),
-                })
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-        Ok(TangoPattern {
-            name: str_field(v, "name")?.to_owned(),
-            kind: kind_from_str(str_field(v, "kind")?)?,
-            steps,
-        })
-    }
-
-    fn knowledge_to_value(k: &SwitchKnowledge) -> Value {
-        obj(vec![
-            ("label", Value::Str(k.label.clone())),
-            ("size", opt(k.size.as_ref().map(size_to_value))),
-            ("policy", opt(k.policy.as_ref().map(policy_to_value))),
-            ("latency", opt(k.latency.as_ref().map(latency_to_value))),
-            ("geometry", opt(k.geometry.as_ref().map(geometry_to_value))),
-            ("headroom", opt(k.headroom.as_ref().map(headroom_to_value))),
-        ])
-    }
-
-    fn knowledge_from_value(v: &Value) -> io::Result<SwitchKnowledge> {
-        Ok(SwitchKnowledge {
-            label: str_field(v, "label")?.to_owned(),
-            size: option_of(v, "size", size_from_value)?,
-            policy: option_of(v, "policy", policy_from_value)?,
-            latency: option_of(v, "latency", latency_from_value)?,
-            geometry: option_of(v, "geometry", geometry_from_value)?,
-            headroom: option_of(v, "headroom", headroom_from_value)?,
-        })
-    }
-
-    pub(super) fn db_to_value(db: &TangoDb) -> Value {
-        let knowledge = db
-            .knowledge
-            .iter()
-            .map(|(dpid, k)| (dpid.to_string(), knowledge_to_value(k)))
-            .collect();
-        let patterns = db
-            .patterns
-            .iter()
-            .map(|(name, p)| (name.clone(), pattern_to_value(p)))
-            .collect();
-        Value::Obj(vec![
-            ("knowledge".to_owned(), Value::Obj(knowledge)),
-            ("patterns".to_owned(), Value::Obj(patterns)),
-        ])
-    }
-
-    pub(super) fn db_from_value(v: &Value) -> io::Result<TangoDb> {
-        let mut db = TangoDb::new();
-        for (dpid, kv) in field(v, "knowledge")?
-            .as_obj()
-            .ok_or_else(|| bad("`knowledge` is not an object"))?
-        {
-            let dpid: u64 = dpid
-                .parse()
-                .map_err(|_| bad(format!("non-numeric dpid key `{dpid}`")))?;
-            db.knowledge.insert(dpid, knowledge_from_value(kv)?);
-        }
-        for (name, pv) in field(v, "patterns")?
-            .as_obj()
-            .ok_or_else(|| bad("`patterns` is not an object"))?
-        {
-            let pattern = pattern_from_value(pv)?;
-            if pattern.name != *name {
-                return Err(bad(format!(
-                    "pattern key `{name}` disagrees with pattern name `{}`",
-                    pattern.name
-                )));
+        fn from_json(v: &Value) -> io::Result<Self> {
+            match v {
+                Value::Null => Ok(f64::NAN),
+                _ => v.as_f64().ok_or_else(|| bad("not a number")),
             }
-            db.patterns.insert(name.clone(), pattern);
         }
-        Ok(db)
+    }
+
+    impl Json for usize {
+        fn to_json(&self) -> Value {
+            Value::Num(*self as f64)
+        }
+        fn from_json(v: &Value) -> io::Result<Self> {
+            v.as_usize()
+                .ok_or_else(|| bad("not a non-negative integer"))
+        }
+    }
+
+    macro_rules! narrow_int {
+        ($($ty:ty),*) => {$(
+            impl Json for $ty {
+                fn to_json(&self) -> Value {
+                    Value::Num(f64::from(*self))
+                }
+                fn from_json(v: &Value) -> io::Result<Self> {
+                    let n = usize::from_json(v)?;
+                    n.try_into()
+                        .map_err(|_| bad(format!("{n} is out of range for {}", stringify!($ty))))
+                }
+            }
+        )*};
+    }
+    narrow_int!(u16, u32);
+
+    impl Json for bool {
+        fn to_json(&self) -> Value {
+            Value::Bool(*self)
+        }
+        fn from_json(v: &Value) -> io::Result<Self> {
+            v.as_bool().ok_or_else(|| bad("not a bool"))
+        }
+    }
+
+    impl Json for String {
+        fn to_json(&self) -> Value {
+            Value::Str(self.clone())
+        }
+        fn from_json(v: &Value) -> io::Result<Self> {
+            v.as_str()
+                .map(str::to_owned)
+                .ok_or_else(|| bad("not a string"))
+        }
+    }
+
+    /// `None` is written as `null`; `null` and an absent member read as
+    /// `None`.
+    impl<T: Json> Json for Option<T> {
+        fn to_json(&self) -> Value {
+            self.as_ref().map_or(Value::Null, T::to_json)
+        }
+        fn from_json(v: &Value) -> io::Result<Self> {
+            match v {
+                Value::Null => Ok(None),
+                _ => T::from_json(v).map(Some),
+            }
+        }
+        fn absent() -> io::Result<Self> {
+            Ok(None)
+        }
+    }
+
+    impl<T: Json> Json for Vec<T> {
+        fn to_json(&self) -> Value {
+            Value::Arr(self.iter().map(T::to_json).collect())
+        }
+        fn from_json(v: &Value) -> io::Result<Self> {
+            v.as_arr()
+                .ok_or_else(|| bad("not an array"))?
+                .iter()
+                .enumerate()
+                .map(|(i, x)| T::from_json(x).map_err(|e| within(i, &e)))
+                .collect()
+        }
+    }
+
+    /// A struct as an object of its fields, in the listed order. The
+    /// reader's struct literal makes a field left off the list a compile
+    /// error.
+    macro_rules! record {
+        ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+            impl Json for $ty {
+                fn to_json(&self) -> Value {
+                    Value::Obj(vec![$((stringify!($field).to_owned(), self.$field.to_json())),*])
+                }
+                fn from_json(v: &Value) -> io::Result<Self> {
+                    Ok($ty { $($field: get(v, stringify!($field))?),* })
+                }
+            }
+        )*};
+    }
+
+    record! {
+        SortKey { attribute, direction }
+        LevelEstimate { rtt_ms, estimated_size, swept_count, saturated }
+        Clustering { centers, boundaries, sizes }
+        SizeEstimate { m, hit_rejection, levels, clustering, rules_attempted, packets_sent, batches }
+        PolicyRound { correlations, chosen, cached_count }
+        InferredPolicy { keys, rounds }
+        LatencyProfile {
+            calibrated_n, add_asc_ms, add_desc_ms, add_same_ms, add_rand_ms, mod_ms, del_ms,
+            shift_us,
+        }
+        GeometryEstimate { l2_only, l3_only, l2l3, class }
+        Headroom { accepted, hit_rejection, cleaned }
+        TangoPattern { name, kind, steps }
+        SwitchKnowledge { label, size, policy, latency, geometry, headroom }
+    }
+
+    /// A fieldless enum as a string, by one name table.
+    macro_rules! names {
+        ($($ty:ident { $($variant:ident => $name:literal),* $(,)? })*) => {$(
+            impl Json for $ty {
+                fn to_json(&self) -> Value {
+                    Value::Str(match self { $($ty::$variant => $name),* }.to_owned())
+                }
+                fn from_json(v: &Value) -> io::Result<Self> {
+                    match v.as_str().ok_or_else(|| bad("not a string"))? {
+                        $($name => Ok($ty::$variant),)*
+                        other => Err(bad(format!("unknown name `{other}`"))),
+                    }
+                }
+            }
+        )*};
+    }
+
+    names! {
+        RuleKind { L2 => "l2", L3 => "l3", L2L3 => "l2l3" }
+        Direction { KeepHigh => "keep_high", KeepLow => "keep_low" }
+        Attribute {
+            InsertionTime => "insertion_time",
+            UseTime => "use_time",
+            TrafficCount => "traffic_count",
+            Priority => "priority",
+        }
+    }
+
+    /// An enum as an object: the variant's name under `$tag`, then its
+    /// fields in the listed order.
+    macro_rules! tagged {
+        ($($ty:ident on $tag:literal {
+            $($variant:ident $({ $($field:ident),* })? => $name:literal),* $(,)?
+        })*) => {$(
+            impl Json for $ty {
+                fn to_json(&self) -> Value {
+                    match self {
+                        $($ty::$variant $({ $($field),* })? => Value::Obj(vec![
+                            ($tag.to_owned(), Value::Str($name.to_owned())),
+                            $($((stringify!($field).to_owned(), $field.to_json()),)*)?
+                        ]),)*
+                    }
+                }
+                fn from_json(v: &Value) -> io::Result<Self> {
+                    match get::<String>(v, $tag)?.as_str() {
+                        $($name => Ok($ty::$variant $({ $($field: get(v, stringify!($field))?),* })?),)*
+                        other => Err(within($tag, &bad(format!("unknown name `{other}`")))),
+                    }
+                }
+            }
+        )*};
+    }
+
+    tagged! {
+        GeometryClass on "kind" {
+            Unbounded => "unbounded",
+            FixedWidth { entries } => "fixed_width",
+            WidthSensitive { narrow, wide } => "width_sensitive",
+        }
+        PatternStep on "op" {
+            Add { id, priority } => "add",
+            Modify { id, priority, out_port } => "modify",
+            Delete { id, priority } => "delete",
+            Probe { id } => "probe",
+            Barrier => "barrier",
+        }
+    }
+
+    /// One policy-round correlation: `{"attribute": .., "r": ..}`.
+    impl Json for (Attribute, f64) {
+        fn to_json(&self) -> Value {
+            Value::Obj(vec![
+                ("attribute".to_owned(), self.0.to_json()),
+                ("r".to_owned(), self.1.to_json()),
+            ])
+        }
+        fn from_json(v: &Value) -> io::Result<Self> {
+            Ok((get(v, "attribute")?, get(v, "r")?))
+        }
+    }
+
+    /// Knowledge keyed by decimal dpid, patterns keyed by name.
+    impl Json for TangoDb {
+        fn to_json(&self) -> Value {
+            let knowledge = self
+                .knowledge
+                .iter()
+                .map(|(dpid, k)| (dpid.to_string(), k.to_json()))
+                .collect();
+            let patterns = self
+                .patterns
+                .iter()
+                .map(|(name, p)| (name.clone(), p.to_json()))
+                .collect();
+            Value::Obj(vec![
+                ("knowledge".to_owned(), Value::Obj(knowledge)),
+                ("patterns".to_owned(), Value::Obj(patterns)),
+            ])
+        }
+
+        fn from_json(v: &Value) -> io::Result<Self> {
+            let members = |key: &str| {
+                match v.get(key) {
+                    Some(m) => m.as_obj().ok_or_else(|| bad("not an object")),
+                    None => Err(bad("missing")),
+                }
+                .map_err(|e| within(key, &e))
+            };
+            let mut db = TangoDb::new();
+            for (dpid, k) in members("knowledge")? {
+                let parsed = dpid
+                    .parse()
+                    .map_err(|_| bad(format!("`knowledge`: non-numeric dpid key `{dpid}`")))?;
+                let knowledge = SwitchKnowledge::from_json(k)
+                    .map_err(|e| within("knowledge", &within(dpid, &e)))?;
+                db.knowledge.insert(parsed, knowledge);
+            }
+            for (name, p) in members("patterns")? {
+                let pattern = TangoPattern::from_json(p)
+                    .map_err(|e| within("patterns", &within(name, &e)))?;
+                if pattern.name != *name {
+                    return Err(bad(format!(
+                        "`patterns`: key `{name}` disagrees with the pattern's `name` `{}`",
+                        pattern.name
+                    )));
+                }
+                db.patterns.insert(name.clone(), pattern);
+            }
+            Ok(db)
+        }
     }
 }
 
@@ -869,8 +621,39 @@ mod tests {
     fn malformed_json_is_a_typed_io_error() {
         let err = TangoDb::from_json("{\"knowledge\": 5}").expect_err("not a database");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("`knowledge`"), "{err}");
         let err = TangoDb::from_json("not json").expect_err("not JSON at all");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+        // Each rejection is `InvalidData` and names the offending member.
+        let pattern = |key: &str, name: &str, step: &str| {
+            format!(
+                r#"{{"knowledge": {{}}, "patterns": {{"{key}": {{"name": "{name}", "kind": "l3", "steps": [{step}]}}}}}}"#
+            )
+        };
+        let add = r#"{"op": "add", "id": 1, "priority": 7}"#;
+        for (text, member) in [
+            (
+                r#"{"knowledge": {"1": {"size": null}}, "patterns": {}}"#.to_owned(),
+                "`label`",
+            ),
+            (
+                r#"{"knowledge": {"1": {"label": "", "geometry": {"class": {"kind": "hexagonal"}}}}, "patterns": {}}"#
+                    .to_owned(),
+                "`kind`",
+            ),
+            (pattern("p", "p", r#"{"op": "jump", "id": 1}"#), "`op`"),
+            (
+                pattern("p", "p", r#"{"op": "add", "id": 1, "priority": 70000}"#),
+                "`priority`",
+            ),
+            (pattern("p", "q", add), "`name`"),
+        ] {
+            let err = TangoDb::from_json(&text).expect_err(&text);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{text}");
+            assert!(err.to_string().contains(member), "{err} should name {member}");
+        }
+        TangoDb::from_json(&pattern("p", "p", add)).expect("the well-formed control loads");
     }
 
     #[test]

@@ -10,10 +10,9 @@
 
 use crate::db::TangoDb;
 use ofwire::types::Dpid;
-use serde::{Deserialize, Serialize};
 
 /// What the application cares about for a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FlowGoal {
     /// Rule must be usable as soon as possible (e.g. connection setup
     /// for a short, low-bandwidth flow).
@@ -24,7 +23,7 @@ pub enum FlowGoal {
 }
 
 /// An application's per-flow hint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppHint {
     /// The optimization goal.
     pub goal: FlowGoal,

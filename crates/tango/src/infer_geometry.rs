@@ -16,11 +16,10 @@ use crate::driver::{self, mismatch, InferenceDriver, ProbeError, Step};
 use crate::infer_size::{SizeDriver, SizeEstimate, SizeProbeConfig};
 use crate::pattern::RuleKind;
 use ofwire::flow_mod::FlowMod;
-use serde::{Deserialize, Serialize};
 use switchsim::control::{ControlOp, OpOutcome};
 
 /// The classified TCAM geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GeometryClass {
     /// No bounded hardware layer observed up to the probe cap.
     Unbounded,
@@ -41,7 +40,7 @@ pub enum GeometryClass {
 }
 
 /// The full geometry probe result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeometryEstimate {
     /// Fast-layer capacity observed with L2-only rules.
     pub l2_only: Option<f64>,

@@ -22,12 +22,11 @@ use crate::driver::{self, mismatch, InferenceDriver, ProbeError, Step};
 use crate::pattern::RuleKind;
 use crate::stats::pearson;
 use ofwire::flow_mod::FlowMod;
-use serde::{Deserialize, Serialize};
 use switchsim::cache::{Attribute, CachePolicy, Direction, SortKey};
 use switchsim::control::{ControlOp, OpOutcome};
 
 /// Configuration for the policy probe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyProbeConfig {
     /// Low traffic-count initialization value.
     pub traffic_low: u32,
@@ -58,7 +57,7 @@ impl Default for PolicyProbeConfig {
 }
 
 /// Diagnostics from one probe round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyRound {
     /// Correlation of each candidate attribute with cache membership.
     pub correlations: Vec<(Attribute, f64)>,
@@ -70,7 +69,7 @@ pub struct PolicyRound {
 }
 
 /// The inferred policy plus per-round diagnostics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferredPolicy {
     /// The identified lexicographic sort keys, most significant first.
     pub keys: Vec<SortKey>,
@@ -87,7 +86,7 @@ impl InferredPolicy {
 }
 
 /// The attribute-initialization plan for one flow (visualized in Fig 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowInit {
     /// Flow id (also the insertion rank: flow `i` is installed `i`-th).
     pub id: u32,

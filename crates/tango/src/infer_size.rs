@@ -24,12 +24,11 @@ use crate::driver::{self, mismatch, InferenceDriver, ProbeError, Step};
 use crate::pattern::RuleKind;
 use crate::stats::nb_hit_probability;
 use ofwire::flow_mod::FlowMod;
-use serde::{Deserialize, Serialize};
 use simnet::rng::DetRng;
 use switchsim::control::{ControlOp, OpOutcome};
 
 /// Which clustering method stage 2 uses (the ablation axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterMethod {
     /// Gap-based splitting (default).
     Gaps,
@@ -38,7 +37,7 @@ pub enum ClusterMethod {
 }
 
 /// Configuration for the size probe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizeProbeConfig {
     /// Trials per layer in stage 3 (the paper's
     /// `NUM_TRIALS_PER_ITERATION`). More trials → tighter estimate: the
@@ -71,7 +70,7 @@ impl Default for SizeProbeConfig {
 }
 
 /// The estimate for one flow-table layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelEstimate {
     /// RTT cluster center (ms) — identifies the layer.
     pub rtt_ms: f64,
@@ -86,7 +85,7 @@ pub struct LevelEstimate {
 }
 
 /// The complete result of a size probe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SizeEstimate {
     /// Rules successfully installed (`m`).
     pub m: usize,

@@ -1,15 +1,22 @@
 //! A small self-contained JSON value type with a writer and a
 //! recursive-descent parser.
 //!
-//! The workspace's `serde` is a derive-only shim (no runtime), so the
-//! score database serializes itself by hand through this module. Only
-//! what [`TangoDb`](crate::db::TangoDb) needs is implemented: the six
-//! JSON value kinds, pretty printing, and a strict parser — but nothing
-//! here is database-specific, so other persistence can reuse it.
+//! The score database serializes itself through this module. Only what
+//! [`TangoDb`](crate::db::TangoDb) needs is implemented: the six JSON
+//! value kinds, pretty printing, and a strict parser — but nothing here
+//! is database-specific, so other persistence can reuse it.
 //!
 //! Numbers are `f64`. Non-finite values have no JSON representation and
-//! are written as `null`; readers that expect a number treat `null` as
-//! NaN where the domain allows it (e.g. one-sided geometry estimates).
+//! are written as `null`; the score database reads `null` back as NaN
+//! wherever it expects a number.
+//!
+//! The parser recurses once per nesting level, so it rejects documents
+//! nested deeper than 128 arrays or objects with a [`ParseError`]
+//! rather than overflowing the stack on hostile input.
+
+/// Deepest array/object nesting [`Value::parse`] accepts. The deepest
+/// document the workspace writes nests under 10.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed or buildable JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,11 +183,12 @@ impl Value {
     ///
     /// # Errors
     /// A human-readable description with a byte offset on malformed
-    /// input.
+    /// input, including nesting deeper than 128 levels.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -234,6 +242,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -287,12 +297,27 @@ impl Parser<'_> {
                 Ok(Value::Bool(false))
             }
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -521,6 +546,24 @@ mod tests {
             "[1] trailing",
         ] {
             assert!(Value::parse(text).is_err(), "{text:?} should fail");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let at_limit = format!("{}0{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            assert!(Value::parse(&at_limit).is_ok(), "{open} x {MAX_DEPTH}");
+            let over = format!(
+                "{}0{}",
+                open.repeat(MAX_DEPTH + 1),
+                close.repeat(MAX_DEPTH + 1)
+            );
+            let err = Value::parse(&over).expect_err("one level too deep");
+            assert!(err.message.contains("nesting"), "{err}");
+            // Hostile input gets the same error, not a stack overflow.
+            let err = Value::parse(&open.repeat(200_000)).expect_err("hostile nesting");
+            assert!(err.message.contains("nesting"), "{err}");
         }
     }
 

@@ -12,7 +12,6 @@
 use crate::driver::{self, mismatch, InferenceDriver, ProbeError, Step};
 use crate::pattern::RuleKind;
 use ofwire::flow_mod::FlowMod;
-use serde::{Deserialize, Serialize};
 use switchsim::control::{ControlOp, OpOutcome};
 
 /// Flow-id namespace reserved for online probes; applications should
@@ -20,7 +19,7 @@ use switchsim::control::{ControlOp, OpOutcome};
 pub const ONLINE_PROBE_ID_BASE: u32 = 0xf000_0000;
 
 /// The result of an online headroom probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Headroom {
     /// Probe rules accepted before rejection (or the cap).
     pub accepted: usize,

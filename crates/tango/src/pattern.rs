@@ -8,12 +8,11 @@
 //! [`PatternDriver`](crate::probe::PatternDriver).
 
 use ofwire::flow_match::{FlowKey, FlowMatch};
-use serde::{Deserialize, Serialize};
 use simnet::rng::DetRng;
 
 /// Which header layers the pattern's probe rules match (determines TCAM
 /// slot width on width-sensitive switches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleKind {
     /// Ethernet-only rules.
     L2,
@@ -42,7 +41,7 @@ impl RuleKind {
 }
 
 /// One step of a pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatternStep {
     /// Install probe flow `id` at `priority`.
     Add {
@@ -78,7 +77,7 @@ pub enum PatternStep {
 }
 
 /// The order in which a batch of adds assigns priorities (Fig 3c).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PriorityOrder {
     /// Priorities increase with insertion order (never shifts).
     Ascending,
@@ -120,7 +119,7 @@ impl PriorityOrder {
 }
 
 /// A named probe pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TangoPattern {
     /// Identifier in the pattern database.
     pub name: String,
@@ -275,7 +274,7 @@ impl TangoPattern {
 }
 
 /// A phase label for [`TangoPattern::op_permutation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpPhase {
     /// A batch of additions.
     Add,

@@ -16,11 +16,10 @@
 
 use ofwire::action::{Action, ActionList};
 use ofwire::flow_match::{FlowMatch, Ipv4Prefix};
-use serde::{Deserialize, Serialize};
 use simnet::rng::DetRng;
 
 /// One ACL rule: a match plus an action, in list-precedence order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AclRule {
     /// What the rule matches.
     pub flow_match: FlowMatch,
@@ -29,7 +28,7 @@ pub struct AclRule {
 }
 
 /// Generator parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassBenchConfig {
     /// Total rules to generate.
     pub rules: usize,

@@ -9,11 +9,10 @@
 use crate::maxmin::{max_min_fair, Demand};
 use crate::routing::shortest_path;
 use crate::topology::{NodeIdx, Topology};
-use serde::{Deserialize, Serialize};
 use simnet::rng::DetRng;
 
 /// Operation class of one scenario request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScenOp {
     /// Install a new rule.
     Add,
@@ -24,7 +23,7 @@ pub enum ScenOp {
 }
 
 /// One per-switch request of a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScenarioRequest {
     /// Topology node (switch) the request targets.
     pub node: NodeIdx,
@@ -37,7 +36,7 @@ pub struct ScenarioRequest {
 }
 
 /// A complete scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Scenario label (e.g. `"LF"`, `"TE 1"`).
     pub name: String,

@@ -2,14 +2,12 @@
 //! Google's B4 inter-datacenter backbone (used for the Fig 12 Mininet
 //! experiment).
 
-use serde::{Deserialize, Serialize};
-
 /// A node index within a topology.
 pub type NodeIdx = usize;
 
 /// An undirected network topology with named nodes and capacitated
 /// links.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Node names.
     pub names: Vec<String>,
