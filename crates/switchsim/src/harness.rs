@@ -428,6 +428,7 @@ impl ControlPath for Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CachePolicy;
     use ofwire::flow_match::FlowMatch;
 
     fn testbed_with(profile: SwitchProfile) -> (Testbed, Dpid) {
@@ -472,6 +473,42 @@ mod tests {
             ctrl_rtt.as_millis_f64() > 2.0 * fast_rtt.as_millis_f64(),
             "controller path ({ctrl_rtt}) should dominate fast path ({fast_rtt})"
         );
+    }
+
+    #[test]
+    fn probe_sweep_at_capacity_finds_every_rule() {
+        const TCAM: u32 = 1_024;
+        for policy in [CachePolicy::fifo(), CachePolicy::lru()] {
+            let fifo = !policy.reads_traffic();
+            let (mut tb, dpid) =
+                testbed_with(SwitchProfile::generic_cached(u64::from(TCAM), policy));
+            let fms = (0..2 * TCAM)
+                .map(|id| FlowMod::add(FlowMatch::l3_for_id(id), 10))
+                .collect();
+            assert_eq!(tb.batch(dpid, fms).1, 0);
+            // Straddles the TCAM/software boundary of the install order,
+            // twice over.
+            for _ in 0..2 {
+                let (mut fast, mut slow) = (0, 0);
+                for id in TCAM - 500..TCAM + 500 {
+                    let now = tb.now();
+                    tb.submit(dpid, ControlOp::Probe(FlowMatch::key_for_id(id)), now);
+                    match tb.next_completion().expect("the probe completes").outcome {
+                        OpOutcome::Probe(Hit::Table { level: 0, .. }) => fast += 1,
+                        OpOutcome::Probe(Hit::Table { .. }) => slow += 1,
+                        other => panic!("probe {id} should hit, not {other:?}"),
+                    }
+                }
+                if fifo {
+                    // Membership is traffic independent: the oldest
+                    // `TCAM` installs hold the TCAM, sweep after sweep.
+                    assert_eq!((fast, slow), (500, 500));
+                }
+            }
+            let sw = tb.switch(dpid);
+            assert_eq!(sw.level_occupancy(0), TCAM as usize, "the TCAM stays full");
+            assert_eq!(sw.rule_count(), 2 * TCAM as usize);
+        }
     }
 
     #[test]

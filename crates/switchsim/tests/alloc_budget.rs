@@ -9,7 +9,8 @@
 //!   allocates; a policy-cached add allocates its cascade plan.
 //! * **Probes**: heap allocations per `packet_out` probe through
 //!   [`Testbed`]'s `submit` → `next_completion`, the path inference runs
-//!   on — encode, event queue, borrowed-frame decode, lookup, completion.
+//!   on — encode, borrowed-frame decode, lookup, the completion filed
+//!   in the switch's FIFO and handed out through the delivery merge.
 //!   A hit allocates nothing; a miss allocates the `packet_in`'s copy of
 //!   the frame and nothing else.
 //! * **Memory**: live heap bytes per resident rule of an OVS [`Agent`]
@@ -177,9 +178,10 @@ fn probe_allocs(profile: SwitchProfile) -> (u64, u64) {
         }
         ALLOCS.with(Cell::get) - before
     };
-    // Warm-up: buffer pools, the event queue, the completion ring, OVS's
-    // microflows, and (under LRU) the eviction heaps up to their rebuild
-    // threshold all reach their steady size.
+    // Warm-up: buffer pools, the switch's completion FIFO and the
+    // delivery merge's heap, OVS's microflows, and (under LRU) the
+    // eviction heaps up to their rebuild threshold all reach their
+    // steady size.
     sweep(&mut tb, 0, 12, true);
     sweep(&mut tb, RULES, 12, false);
     let on_hits = sweep(&mut tb, 0, PROBE_ROUNDS, true);

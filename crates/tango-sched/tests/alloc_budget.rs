@@ -1,8 +1,8 @@
 //! A deterministic gate on the online dispatcher: heap allocations
 //! inside [`execute_with`] per dispatched op, counted by a counting
 //! global allocator (as `switchsim/tests/alloc_budget.rs` does for the
-//! flow-mod path), on the add-only sweep-shaped 10 k-op DAG of
-//! `benches/scheduler.rs`, for every registry entry.
+//! flow-mod path), on an add-only sweep-shaped 10 k-op DAG, for every
+//! registry entry.
 //!
 //! The dispatch loop itself allocates nothing per op, and neither does
 //! a flow-mod on its way down (request → `FlowMod` value → frame →
@@ -14,14 +14,18 @@
 //! callers clone one per run; a clone shares the requests and edges and
 //! copies only the per-run progress).
 
+use ofwire::flow_match::FlowMatch;
+use ofwire::types::Dpid;
+use simnet::rng::DetRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use switchsim::harness::Testbed;
+use switchsim::profiles::SwitchProfile;
 use tango::db::TangoDb;
 use tango_sched::dag::RequestDag;
 use tango_sched::executor::execute_with;
+use tango_sched::request::ReqElem;
 use tango_sched::schedulers::registry;
-
-mod support;
 
 thread_local! {
     /// Allocations made by this thread (each test runs on its own).
@@ -64,16 +68,51 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+const SWITCHES: u64 = 8;
+
+/// An add-only update DAG shaped like the sweep workload: depth-6
+/// chains over 8 switches with occasional cross-chain joins.
+fn build_dag(ops: usize) -> RequestDag {
+    let mut rng = DetRng::new(0xBE7C);
+    let mut dag = RequestDag::new();
+    let mut ids = Vec::with_capacity(ops);
+    for i in 0..ops {
+        let dpid = Dpid(rng.index(SWITCHES as usize) as u64 + 1);
+        let prio = 1000 + rng.index(2000) as u16;
+        let id = dag.add_node(ReqElem::add(dpid, FlowMatch::l3_for_id(i as u32), prio, 1));
+        if i % 6 != 0 {
+            dag.add_dep(ids[i - 1], id);
+        }
+        if i > 0 && rng.chance(0.03) {
+            let from = rng.index(i);
+            if from != i - 1 {
+                dag.add_dep(ids[from], id);
+            }
+        }
+        ids.push(id);
+    }
+    dag
+}
+
+/// Eight OVS switches on one testbed.
+fn testbed() -> Testbed {
+    let mut tb = Testbed::new(0x5EED);
+    for d in 1..=SWITCHES {
+        tb.attach_default(Dpid(d), SwitchProfile::ovs());
+    }
+    tb
+}
+
 const OPS: usize = 10_000;
 /// Allocations per hundred dispatched ops.
 const BUDGET: u64 = 60;
 
 #[test]
 fn dispatch_allocates_within_budget_for_every_scheduler() {
-    let dag = support::build_dag(OPS);
+    let dag = build_dag(OPS);
     let db = TangoDb::new();
     for entry in registry() {
-        let mut tb = support::testbed();
+        let mut tb = testbed();
         let mut d = dag.clone();
         let mut sched = entry.build();
         let before = ALLOCS.with(Cell::get);
@@ -100,7 +139,7 @@ fn request_dag_memory_within_budget() {
     assert_eq!(ALLOCS.with(Cell::get) - before, 0, "RequestDag::new");
     drop(empty);
     let base = live();
-    let dag = support::build_dag(OPS);
+    let dag = build_dag(OPS);
     let built = live() - base;
     let copy = dag.clone();
     let cloned = live() - base - built;

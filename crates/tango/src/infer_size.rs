@@ -42,8 +42,10 @@ pub struct SizeProbeConfig {
     /// Trials per layer in stage 3 (the paper's
     /// `NUM_TRIALS_PER_ITERATION`). More trials → tighter estimate: the
     /// estimate's relative standard deviation is `(1-p)/sqrt(k·p)` for a
-    /// layer holding fraction `p` of the installed rules, so the default
-    /// of 600 keeps a half-full layer within the paper's 5 % headline.
+    /// layer holding fraction `p` of the installed rules. At the default
+    /// of 600, a half-full layer's is 2.9 %, so the paper's 5 % headline
+    /// sits about 1.7 σ out: across 480 seeded runs of the `infer_size`
+    /// grid, 9.8 % of estimates erred by more than 5 % (p99 7.9 %).
     pub trials_per_level: usize,
     /// Upper bound on rules installed, for switches that never reject
     /// (unbounded software tables).
