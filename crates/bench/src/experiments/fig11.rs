@@ -10,8 +10,8 @@
 
 use crate::lower::{enforce_dag_priorities, lower_scenario, triangle_testbed};
 use crate::par::par_map;
-use crate::report::{render_traced, TracedCell};
-use simnet::telemetry::{MetricsSnapshot, Recorder};
+use crate::report::TracedCell;
+use simnet::telemetry::Recorder;
 use simnet::trace::Figure;
 use tango::db::TangoDb;
 use tango_sched::schedulers::resolve;
@@ -112,37 +112,20 @@ pub fn makespan_cell(
     (report.makespan.as_secs_f64(), tb.finish_recorder())
 }
 
-/// Makespan (s) of one scenario under one arm.
-#[must_use]
-pub fn makespan_s(add_only: bool, levels: usize, rules: usize, arm: Arm, seed: u64) -> f64 {
-    makespan_cell(add_only, levels, rules, arm, seed, false).0
-}
-
-/// Runs the whole figure at `scale` rules for the 2.4 K scenarios
-/// (paper scale: 2400).
-#[must_use]
-pub fn run(scale: usize) -> Figure {
-    run_cells(scale, false).0
-}
-
-/// Runs the figure with telemetry enabled on every cell: returns the
-/// figure (identical to [`run`]'s — recording never perturbs timing)
-/// plus the merged Chrome trace JSON and metrics snapshot.
-#[must_use]
-pub fn run_traced(scale: usize) -> (Figure, String, MetricsSnapshot) {
-    let (fig, cells) = run_cells(scale, true);
-    let (trace, metrics) = render_traced(&cells);
-    (fig, trace, metrics)
-}
-
 /// One cell of the grid: scenario index + label, `(add_only, levels,
 /// rules)`, and the arm.
 type Cell = (usize, &'static str, (bool, usize, usize), Arm);
 
-/// The shared cell grid: 4 scenarios × 3 arms, every cell fully
-/// self-seeded — fan out, collect by input index (so traced cells merge
-/// in a thread-count-independent order).
-fn run_cells(scale: usize, traced: bool) -> (Figure, Vec<TracedCell>) {
+/// Runs the whole figure at `scale` rules for the 2.4 K scenarios
+/// (paper scale: 2400), plus — when `traced` — one traced cell per
+/// scenario × arm (empty otherwise). Tracing never changes the figure:
+/// telemetry observes virtual time, it never advances it.
+///
+/// The grid is 4 scenarios × 3 arms, every cell fully self-seeded — fan
+/// out, collect by input index (so traced cells merge in a
+/// thread-count-independent order).
+#[must_use]
+pub fn run(scale: usize, traced: bool) -> (Figure, Vec<TracedCell>) {
     let mut fig = Figure::new(
         "fig11: Hardware Testbed — priority sorting vs enforcement",
         "scenario index",
@@ -166,11 +149,13 @@ fn run_cells(scale: usize, traced: bool) -> (Figure, Vec<TracedCell>) {
         (t, format!("fig11 {label}/{}", arm.label()), rec)
     });
     let arms = Arm::all().len();
-    let mut traced_cells = Vec::with_capacity(outs.len());
+    let mut traced_cells = Vec::new();
     for (cell, (t, label, rec)) in outs.into_iter().enumerate() {
         let (x, si) = (cell / arms, cell % arms);
         fig.series[si].push(x as f64, t);
-        traced_cells.push((label, rec));
+        if traced {
+            traced_cells.push((label, rec));
+        }
     }
     (fig, traced_cells)
 }
@@ -183,9 +168,9 @@ mod tests {
     fn enforcement_beats_sorting_beats_dionysus_on_adds() {
         // The add-only flat scenario is where the paper sees the largest
         // gains (85 % sorting, 95 % enforcement).
-        let dio = makespan_s(true, 1, 240, Arm::Dionysus, 1);
-        let sort = makespan_s(true, 1, 240, Arm::PrioritySorting, 1);
-        let enforce = makespan_s(true, 1, 240, Arm::PriorityEnforcement, 1);
+        let dio = makespan_cell(true, 1, 240, Arm::Dionysus, 1, false).0;
+        let sort = makespan_cell(true, 1, 240, Arm::PrioritySorting, 1, false).0;
+        let enforce = makespan_cell(true, 1, 240, Arm::PriorityEnforcement, 1, false).0;
         assert!(sort < dio, "sorting {sort} vs dionysus {dio}");
         assert!(
             enforce <= sort * 1.05,
@@ -202,13 +187,13 @@ mod tests {
     #[test]
     fn deeper_dags_shrink_the_benefit() {
         let flat_gain = {
-            let dio = makespan_s(false, 1, 240, Arm::Dionysus, 2);
-            let tan = makespan_s(false, 1, 240, Arm::PrioritySorting, 2);
+            let dio = makespan_cell(false, 1, 240, Arm::Dionysus, 2, false).0;
+            let tan = makespan_cell(false, 1, 240, Arm::PrioritySorting, 2, false).0;
             dio / tan
         };
         let deep_gain = {
-            let dio = makespan_s(false, 4, 240, Arm::Dionysus, 2);
-            let tan = makespan_s(false, 4, 240, Arm::PrioritySorting, 2);
+            let dio = makespan_cell(false, 4, 240, Arm::Dionysus, 2, false).0;
+            let tan = makespan_cell(false, 4, 240, Arm::PrioritySorting, 2, false).0;
             dio / tan
         };
         assert!(
@@ -219,7 +204,8 @@ mod tests {
 
     #[test]
     fn figure_has_all_cells() {
-        let fig = run(120);
+        let (fig, cells) = run(120, false);
+        assert!(cells.is_empty(), "an untraced run records no cells");
         assert_eq!(fig.series.len(), 3);
         for s in &fig.series {
             assert_eq!(s.len(), 4, "{}", s.label);

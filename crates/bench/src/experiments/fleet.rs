@@ -10,9 +10,8 @@
 //! identity check.
 
 use crate::par::par_map;
-use crate::report::{format_table, render_traced, TracedCell};
+use crate::report::{format_table, TracedCell};
 use ofwire::types::Dpid;
-use simnet::telemetry::MetricsSnapshot;
 use switchsim::cache::CachePolicy;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
@@ -74,23 +73,11 @@ fn config(dpid: Dpid, tcam: u64) -> SizeProbeConfig {
 
 /// Runs the scaling sweep: for each width, size-infers the whole fleet
 /// sequentially and then concurrently on identically-seeded testbeds.
+/// When `traced`, also returns two traced cells per width (the
+/// sequential and the interleaved run; empty otherwise). Tracing never
+/// changes the rows.
 #[must_use]
-pub fn run(widths: &[usize], tcam: u64) -> Vec<FleetScalingRow> {
-    run_cells(widths, tcam, false).0
-}
-
-/// Runs the sweep with telemetry enabled on every testbed: returns the
-/// rows (identical to [`run`]'s — recording never perturbs timing) plus
-/// the merged Chrome trace JSON and metrics snapshot, two cells per
-/// width (the sequential and the interleaved run).
-#[must_use]
-pub fn run_traced(widths: &[usize], tcam: u64) -> (Vec<FleetScalingRow>, String, MetricsSnapshot) {
-    let (rows, cells) = run_cells(widths, tcam, true);
-    let (trace, metrics) = render_traced(&cells);
-    (rows, trace, metrics)
-}
-
-fn run_cells(widths: &[usize], tcam: u64, traced: bool) -> (Vec<FleetScalingRow>, Vec<TracedCell>) {
+pub fn run(widths: &[usize], tcam: u64, traced: bool) -> (Vec<FleetScalingRow>, Vec<TracedCell>) {
     // Each width owns both of its testbeds (sequential and fleet), so
     // the sweep fans out across widths; results come back by input
     // index, so traced cells merge in a thread-count-independent order.
@@ -147,10 +134,12 @@ fn run_cells(widths: &[usize], tcam: u64, traced: bool) -> (Vec<FleetScalingRow>
         (row, cells)
     });
     let mut rows = Vec::with_capacity(outs.len());
-    let mut cells = Vec::with_capacity(2 * outs.len());
+    let mut cells = Vec::new();
     for (row, pair) in outs {
         rows.push(row);
-        cells.extend(pair);
+        if traced {
+            cells.extend(pair);
+        }
     }
     (rows, cells)
 }
@@ -201,10 +190,12 @@ pub fn render(rows: &[FleetScalingRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::render_traced;
 
     #[test]
     fn fleet_is_identical_and_faster_at_every_width() {
-        let rows = run(&[1, 2, 4], 48);
+        let (rows, cells) = run(&[1, 2, 4], 48, false);
+        assert!(cells.is_empty(), "an untraced run records no cells");
         for r in &rows {
             assert!(r.identical, "width {} diverged from sequential", r.switches);
         }
@@ -221,8 +212,9 @@ mod tests {
 
     #[test]
     fn tracing_leaves_the_rows_alone_and_sees_the_driver_window() {
-        let (rows, trace, metrics) = run_traced(&[1, 2], 64);
-        assert_eq!(rows, run(&[1, 2], 64));
+        let (rows, cells) = run(&[1, 2], 64, true);
+        let (trace, metrics) = render_traced(&cells);
+        assert_eq!(rows, run(&[1, 2], 64, false).0);
         assert!(trace.contains("fleet 2 interleaved"));
         let gauge = |key: &str| metrics.gauges.iter().find(|(k, _)| k == key).map(|g| g.1);
         assert_eq!(gauge("driver/inflight_max"), Some(128));

@@ -5,15 +5,14 @@
 //! each cell on its own seeded testbed of OVS switches — and reports
 //! per-scheduler makespan (the ordering-quality measure: same work,
 //! same switches, only the dispatch order differs) plus completion
-//! counts. Wall-clock per scheduler is measured too, but returned
-//! separately: it goes into `BENCH_experiments.json`, never into the
-//! determinism-diffed `results/` artifact.
+//! counts. Host wall-clock is not measured here: `benchmark/`'s
+//! `sched_dag` workload times the same dispatch under stated
+//! conditions.
 
 use crate::lower::lower_scenario;
 use crate::par::par_map;
-use crate::report::{format_table, render_traced, TracedCell};
+use crate::report::{format_table, TracedCell};
 use ofwire::types::Dpid;
-use simnet::telemetry::{MetricsSnapshot, Recorder};
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::db::TangoDb;
@@ -38,9 +37,6 @@ pub struct SweepRow {
     pub completed: usize,
     /// Requests failed.
     pub failed: usize,
-    /// Host wall-clock (s) spent dispatching — reported to
-    /// `BENCH_experiments.json` only (nondeterministic).
-    pub wall_secs: f64,
 }
 
 fn sweep_testbed(switches: usize, seed: u64) -> (Testbed, Vec<Dpid>) {
@@ -56,28 +52,10 @@ fn sweep_testbed(switches: usize, seed: u64) -> (Testbed, Vec<Dpid>) {
 }
 
 /// Sweeps every registered scheduler over one `ops`-operation DAG.
+/// When `traced`, also returns one traced cell per scheduler, in
+/// registry order (empty otherwise). Tracing never changes the rows.
 #[must_use]
-pub fn run(ops: usize) -> Vec<SweepRow> {
-    run_cells(ops, false).into_iter().map(|(r, _)| r).collect()
-}
-
-/// Runs the sweep with telemetry enabled on every cell: returns the
-/// rows (identical to [`run`]'s — recording never perturbs timing)
-/// plus the merged Chrome trace JSON and metrics snapshot.
-#[must_use]
-pub fn run_traced(ops: usize) -> (Vec<SweepRow>, String, MetricsSnapshot) {
-    let (rows, cells): (Vec<SweepRow>, Vec<TracedCell>) = run_cells(ops, true)
-        .into_iter()
-        .map(|(row, rec)| {
-            let label = format!("sched_sweep {}", row.scheduler);
-            (row, (label, rec))
-        })
-        .unzip();
-    let (trace, metrics) = render_traced(&cells);
-    (rows, trace, metrics)
-}
-
-fn run_cells(ops: usize, traced: bool) -> Vec<(SweepRow, Option<Box<Recorder>>)> {
+pub fn run(ops: usize, traced: bool) -> (Vec<SweepRow>, Vec<TracedCell>) {
     let cfg = UpdateDagConfig::sweep(ops);
     let scen = scaled_update_dag(&cfg);
     // Build the testbed and lower the 100k-op scenario exactly once;
@@ -87,17 +65,15 @@ fn run_cells(ops: usize, traced: bool) -> Vec<(SweepRow, Option<Box<Recorder>>)>
     // but the dominant generate-and-preinstall cost is paid once
     // instead of once per registered scheduler. Telemetry is enabled on
     // the clone, after lowering, so a traced cell records dispatch only.
-    let (template_tb, dpids) = sweep_testbed(cfg.switches, 0x5EED);
-    let mut template_tb = template_tb;
+    let (mut template_tb, dpids) = sweep_testbed(cfg.switches, 0x5EED);
     let template_dag = lower_scenario(&mut template_tb, &dpids, &scen);
-    par_map(registry(), move |entry| {
+    let outs = par_map(registry(), move |entry| {
         let mut tb = template_tb.clone();
         if traced {
             tb.enable_telemetry();
         }
         let mut dag = template_dag.clone();
         let mut sched = entry.build();
-        let t0 = std::time::Instant::now();
         let report = execute_with(
             &mut tb,
             &mut dag,
@@ -106,7 +82,6 @@ fn run_cells(ops: usize, traced: bool) -> Vec<(SweepRow, Option<Box<Recorder>>)>
             entry.release,
         )
         .expect("sweep DAGs are acyclic");
-        let wall_secs = t0.elapsed().as_secs_f64();
         assert_eq!(report.failed, 0, "{}", entry.name);
         let row = SweepRow {
             scheduler: entry.name,
@@ -115,14 +90,21 @@ fn run_cells(ops: usize, traced: bool) -> Vec<(SweepRow, Option<Box<Recorder>>)>
             mean_completion_s: report.mean_completion_s(),
             completed: report.completed,
             failed: report.failed,
-            wall_secs,
         };
         (row, tb.finish_recorder())
-    })
+    });
+    let mut rows = Vec::with_capacity(outs.len());
+    let mut cells = Vec::new();
+    for (row, rec) in outs {
+        if traced {
+            cells.push((format!("sched_sweep {}", row.scheduler), rec));
+        }
+        rows.push(row);
+    }
+    (rows, cells)
 }
 
-/// Renders the deterministic part of the sweep (everything but
-/// wall-clock) as the `results/` artifact, with each scheduler's
+/// Renders the sweep as the `results/` artifact, with each scheduler's
 /// makespan ratio against the Dionysus baseline.
 #[must_use]
 pub fn render(rows: &[SweepRow]) -> String {
@@ -166,7 +148,8 @@ mod tests {
     fn sweep_covers_the_registry_and_tango_beats_dionysus() {
         // Below ~1k ops the tango-vs-dionysus gap is inside release-rule
         // jitter; from 1.5k up the ordering win is stable.
-        let rows = run(1_500);
+        let (rows, cells) = run(1_500, false);
+        assert!(cells.is_empty(), "an untraced run records no cells");
         assert_eq!(rows.len(), registry().len());
         assert!(rows.len() >= 4, "sweep needs at least four schedulers");
         let get = |name: &str| {
@@ -199,13 +182,13 @@ mod tests {
 
     #[test]
     fn render_excludes_wall_clock() {
-        let rows = run(200);
+        let (rows, _) = run(200, false);
         let text = render(&rows);
         assert!(text.contains("scheduler"));
         assert!(text.contains("dionysus"));
         assert!(!text.contains("wall"), "wall-clock must stay out:\n{text}");
         // Deterministic across repeated runs (the artifact is diffed).
-        let again = render(&run(200));
+        let again = render(&run(200, false).0);
         assert_eq!(text, again);
     }
 }

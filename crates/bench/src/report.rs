@@ -1,45 +1,52 @@
-//! Result output: CSV figures and aligned text tables under `results/`,
-//! and the Chrome trace plus metrics of a traced experiment.
+//! Result output: what one experiment returns — its `results/`
+//! artifacts and, when it ran traced, its traced cells — and the
+//! renderers that turn rows and cells into bytes. The `experiments`
+//! binary alone writes files.
 
 use simnet::telemetry::{ChromeTrace, MetricsSnapshot, Recorder};
 use simnet::trace::Figure;
-use std::fs;
-use std::path::PathBuf;
-
-/// The repository `results/` directory (created on demand).
-///
-/// Overridable with `TANGO_RESULTS_DIR`, so determinism checks can run
-/// the same experiments into two separate directories and diff them.
-#[must_use]
-pub fn results_dir() -> PathBuf {
-    let dir = match std::env::var_os("TANGO_RESULTS_DIR") {
-        Some(d) if !d.is_empty() => PathBuf::from(d),
-        _ => PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("..")
-            .join("..")
-            .join("results"),
-    };
-    fs::create_dir_all(&dir).expect("create results dir");
-    dir
-}
-
-/// Writes a figure as `results/<name>.csv` and returns the path.
-pub fn write_figure(name: &str, fig: &Figure) -> PathBuf {
-    let path = results_dir().join(format!("{name}.csv"));
-    fs::write(&path, fig.to_csv()).expect("write figure");
-    path
-}
-
-/// Writes a text report as `results/<name>.txt` and returns the path.
-pub fn write_text(name: &str, text: &str) -> PathBuf {
-    let path = results_dir().join(format!("{name}.txt"));
-    fs::write(&path, text).expect("write text");
-    path
-}
 
 /// One traced experiment cell: its trace-process label and (when tracing
 /// was on) its recorder.
 pub type TracedCell = (String, Option<Box<Recorder>>);
+
+/// Everything one experiment produces.
+#[derive(Default)]
+pub struct Output {
+    /// `results/` files in write order: each a file name and its bytes.
+    pub artifacts: Vec<(String, String)>,
+    /// Traced cells in a thread-count-independent order; empty when the
+    /// experiment ran untraced or records no telemetry.
+    pub cells: Vec<TracedCell>,
+}
+
+impl Output {
+    /// Adds `fig` as `<name>.csv`.
+    #[must_use]
+    pub fn figure(self, name: &str, fig: &Figure) -> Self {
+        self.file(format!("{name}.csv"), fig.to_csv())
+    }
+
+    /// Adds a rendered table as `<name>.txt`.
+    #[must_use]
+    pub fn text(self, name: &str, text: String) -> Self {
+        self.file(format!("{name}.txt"), text)
+    }
+
+    /// Adds `bytes` as the file `file`.
+    #[must_use]
+    pub fn file(mut self, file: String, bytes: String) -> Self {
+        self.artifacts.push((file, bytes));
+        self
+    }
+
+    /// Attaches the experiment's traced cells.
+    #[must_use]
+    pub fn traced(mut self, cells: Vec<TracedCell>) -> Self {
+        self.cells = cells;
+        self
+    }
+}
 
 /// Renders traced cells, in order, as one Chrome trace (one process per
 /// recorded cell) and their merged metrics.

@@ -2,8 +2,9 @@
 //! byte-identical `results/` artifacts at `--threads 4` and
 //! `--threads 1`. This is the contract that makes the `bench::par`
 //! fan-out safe to use everywhere — parallelism may change wall-clock,
-//! never output — nor the simulator event count of any experiment, which
-//! is what CI gates on in the committed `BENCH_experiments.json`.
+//! never output — nor the simulator event count of any experiment, nor
+//! the bytes of `BENCH_experiments.json`, which CI diffs whole against
+//! the committed file.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -11,9 +12,9 @@ use std::process::Command;
 use tango::json::Value;
 
 /// Runs the quick suite into `out_dir` and returns the `(name, events)`
-/// column of the `BENCH_experiments.json` it wrote next to it (timings
-/// are run-dependent, so the file must stay out of the byte-diffed set).
-fn run_suite(out_dir: &Path, threads: usize) -> Vec<(String, Option<usize>)> {
+/// column of the `BENCH_experiments.json` it wrote next to it, and the
+/// file's bytes.
+fn run_suite(out_dir: &Path, threads: usize) -> (Vec<(String, Option<usize>)>, String) {
     let status = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(["--quick", "--threads", &threads.to_string(), "all"])
         .env("TANGO_RESULTS_DIR", out_dir)
@@ -27,14 +28,15 @@ fn run_suite(out_dir: &Path, threads: usize) -> Vec<(String, Option<usize>)> {
     let text = std::fs::read_to_string(bench_json).expect("read BENCH_experiments.json");
     let doc = Value::parse(&text).expect("BENCH_experiments.json parses");
     let experiments = doc.get("experiments").and_then(Value::as_arr);
-    experiments
+    let events = experiments
         .expect("experiments array")
         .iter()
         .map(|e| {
             let name = e.get("name").and_then(Value::as_str).expect("name");
             (name.to_string(), e.get("events").and_then(Value::as_usize))
         })
-        .collect()
+        .collect();
+    (events, text)
 }
 
 /// Every artifact in `dir`, name → bytes.
@@ -58,12 +60,18 @@ fn quick_all_is_byte_identical_across_thread_counts() {
     std::fs::create_dir_all(&seq_dir).expect("mkdir");
     std::fs::create_dir_all(&par_dir).expect("mkdir");
 
-    let seq_events = run_suite(&seq_dir, 1);
-    let par_events = run_suite(&par_dir, 4);
+    // Both runs write the same `<base>/BENCH_experiments.json`, so
+    // each run's bytes are read before the next run overwrites them.
+    let (seq_events, seq_json) = run_suite(&seq_dir, 1);
+    let (par_events, par_json) = run_suite(&par_dir, 4);
     assert!(seq_events.iter().any(|(_, events)| events.is_some()));
     assert_eq!(
         seq_events, par_events,
         "event counts differ between --threads 1 and --threads 4"
+    );
+    assert_eq!(
+        seq_json, par_json,
+        "BENCH_experiments.json differs between --threads 1 and --threads 4"
     );
 
     let seq = artifacts(&seq_dir);

@@ -8,17 +8,20 @@
 
 use bench::experiments::{fig11, sched_sweep};
 use bench::par::set_threads;
+use bench::report::render_traced;
 use bench::tracecheck::check;
 
 #[test]
 fn traces_are_byte_identical_across_thread_counts() {
     // fig11 at test scale: 4 scenarios × 3 arms.
     set_threads(1);
-    let (fig_t1, trace_t1, metrics_t1) = fig11::run_traced(120);
+    let (fig_t1, cells_t1) = fig11::run(120, true);
     set_threads(4);
-    let (fig_t4, trace_t4, metrics_t4) = fig11::run_traced(120);
-    let untraced = fig11::run(120);
+    let (fig_t4, cells_t4) = fig11::run(120, true);
+    let (untraced, _) = fig11::run(120, false);
     set_threads(0);
+    let (trace_t1, metrics_t1) = render_traced(&cells_t1);
+    let (trace_t4, metrics_t4) = render_traced(&cells_t4);
 
     assert_eq!(
         trace_t1, trace_t4,
@@ -61,10 +64,12 @@ fn traces_are_byte_identical_across_thread_counts() {
 
     // Repeat for the scheduler sweep (clone-per-cell path).
     set_threads(1);
-    let (rows_t1, sweep_t1, sweep_m1) = sched_sweep::run_traced(200);
+    let (rows_t1, cells_t1) = sched_sweep::run(200, true);
     set_threads(4);
-    let (rows_t4, sweep_t4, sweep_m4) = sched_sweep::run_traced(200);
+    let (rows_t4, cells_t4) = sched_sweep::run(200, true);
     set_threads(0);
+    let (sweep_t1, sweep_m1) = render_traced(&cells_t1);
+    let (sweep_t4, sweep_m4) = render_traced(&cells_t4);
     assert_eq!(
         sweep_t1, sweep_t4,
         "sched_sweep trace differs between 1 and 4 worker threads"
@@ -77,7 +82,7 @@ fn traces_are_byte_identical_across_thread_counts() {
     );
     assert_eq!(
         sched_sweep::render(&rows_t1),
-        sched_sweep::render(&sched_sweep::run(200)),
+        sched_sweep::render(&sched_sweep::run(200, false).0),
         "tracing must not change the sweep rows"
     );
     let stats = check(&sweep_t1).expect("sched_sweep trace is structurally valid");

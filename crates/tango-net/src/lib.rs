@@ -47,12 +47,3 @@ pub mod control;
 pub mod reactor;
 pub mod server;
 pub mod vt;
-
-/// Convenient glob-import of the types most callers need.
-pub mod prelude {
-    pub use crate::control::TcpFleet;
-    pub use crate::reactor::{NbConn, OutBuf, Pacer, Watermark};
-    pub use crate::server::{
-        shard_of, AgentServer, ServerConfig, ServerHandle, ServerMode, ServerStats, ShardStats,
-    };
-}

@@ -1,12 +1,14 @@
 //! The transport core: non-blocking connections with bounded, reused
 //! buffers.
 //!
-//! There is no epoll here by design (the workspace is dependency-free):
-//! the reactor is a readiness *scan* loop — every iteration tries to
+//! The reactor is a readiness *scan* loop — every iteration tries to
 //! flush and read each live connection, and a [`Pacer`] backs off when
-//! a full sweep makes no progress. At the connection counts this crate
-//! targets (hundreds to ~1k on loopback) the scan is cheap relative to
-//! the traffic it moves, and the hot path stays allocation-free:
+//! a full sweep makes no progress. The loop is sized to the connections
+//! the workloads open (two per wire workload, two for `fleet_tcp`), where
+//! the scan is cheap relative to the traffic it moves. `epoll` would
+//! need no dependency (an `extern "C"` declaration does), but it is
+//! parked until a fan-in workload with many connections exists (ROADMAP
+//! 8(c)). The hot path stays allocation-free:
 //! sockets read into one shared scratch buffer, writes drain a reused
 //! per-connection [`OutBuf`].
 //!

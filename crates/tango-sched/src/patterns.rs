@@ -20,8 +20,6 @@ pub enum AddOrder {
     Ascending,
     /// Descending rule priority (maximal shifting — the straw man).
     Descending,
-    /// Leave adds in submission order.
-    AsGiven,
 }
 
 /// One scheduling pattern.
@@ -54,7 +52,6 @@ impl SchedPattern {
                 let order_name = match add_order {
                     AddOrder::Ascending => "ASCEND",
                     AddOrder::Descending => "DESCEND",
-                    AddOrder::AsGiven => "GIVEN",
                 };
                 let name = format!(
                     "{}_{}_{}_ADD",
@@ -90,7 +87,6 @@ impl SchedPattern {
                     }
                     AddOrder::Descending => phase_nodes
                         .sort_by_key(|&id| (u16::MAX - dag.node(id).effective_priority(), id)),
-                    AddOrder::AsGiven => {}
                 }
             }
             ordered.extend(phase_nodes);
@@ -128,7 +124,6 @@ pub fn pattern_score(db: &TangoDb, dag: &RequestDag, set: &[NodeId], p: &SchedPa
         cost_ms += match p.add_order {
             AddOrder::Ascending => lp.add_asc_ms * a,
             AddOrder::Descending => lp.add_asc_ms * a + lp.shift_us / 1000.0 * a * a / 2.0,
-            AddOrder::AsGiven => lp.add_rand_ms * a,
         };
         // Adds issued before deletes at a near-full table shift against
         // more resident entries; penalize add-before-del on
@@ -163,7 +158,6 @@ pub fn pattern_score_paper_weights(dag: &RequestDag, set: &[NodeId], add_order: 
     let w_add = match add_order {
         AddOrder::Ascending => 20.0,
         AddOrder::Descending => 40.0,
-        AddOrder::AsGiven => 30.0,
     };
     -(10.0 * dels + 1.0 * mods + w_add * adds * adds)
 }

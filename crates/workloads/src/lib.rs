@@ -22,17 +22,3 @@ pub mod routing;
 pub mod scenarios;
 pub mod topology;
 pub mod update_dag;
-
-/// Glob-import of the commonly used types.
-pub mod prelude {
-    pub use crate::classbench::{generate, AclRule, ClassBenchConfig};
-    pub use crate::dependency::{chain_depth, rule_dependencies};
-    pub use crate::maxmin::{max_min_fair, Demand};
-    pub use crate::routing::{path_links, shortest_path, simple_paths};
-    pub use crate::scenarios::{
-        b4_traffic_engineering, link_failure, traffic_engineering, ScenOp, Scenario,
-        ScenarioRequest,
-    };
-    pub use crate::topology::{NodeIdx, Topology};
-    pub use crate::update_dag::{scaled_update_dag, UpdateDagConfig};
-}
