@@ -19,9 +19,7 @@ use tango::driver::run_driver;
 use tango::infer_size::{ClusterMethod, SizeDriver, SizeProbeConfig};
 use tango::pattern::RuleKind;
 use tango::stats::relative_error;
-use tango_sched::executor::{execute_rounds, execute_with, Release};
-use tango_sched::extensions::lookahead_prefix;
-use tango_sched::patterns::ordering_tango_oracle;
+use tango_sched::executor::{execute_rounds, execute_with, Batching, Release};
 use tango_sched::schedulers::TangoScheduler;
 use workloads::scenarios::link_failure;
 use workloads::topology::Topology;
@@ -105,15 +103,10 @@ pub fn trials_sweep(tcam: u64, trials: &[usize]) -> String {
 #[must_use]
 pub fn batching_ablation(lf_flows: usize) -> (f64, f64) {
     let scen = link_failure(&Topology::triangle(), (0, 1), lf_flows, 0xab3);
-    let arms = par_map(vec![true, false], |greedy| {
+    let arms = par_map(vec![Batching::Greedy, Batching::Lookahead], |batching| {
         let (mut tb, dpids) = triangle_testbed(1);
         let mut dag = lower_scenario(&mut tb, &dpids, &scen);
-        let db = TangoDb::new();
-        let report = if greedy {
-            execute_rounds(&mut tb, &mut dag, &db, &mut ordering_tango_oracle, false)
-        } else {
-            execute_rounds(&mut tb, &mut dag, &db, &mut lookahead_prefix, true)
-        };
+        let report = execute_rounds(&mut tb, &mut dag, &TangoDb::new(), batching);
         report
             .expect("generated scenarios are acyclic")
             .makespan

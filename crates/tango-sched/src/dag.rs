@@ -26,7 +26,7 @@
 //!   [`RequestDag::longest_path_lengths`] is the oracle tests check the
 //!   memo against.
 
-use crate::request::{ReqElem, ReqOp};
+use crate::request::ReqElem;
 use std::sync::{Arc, OnceLock};
 
 /// Index of a request within its DAG.
@@ -339,9 +339,10 @@ impl RequestDag {
     /// four switches with the dependencies drawn in the figure. Returns
     /// the DAG plus the node ids in label order
     /// `[A, B, C, E, F, G, H, I, J]`.
+    #[cfg(test)]
     #[must_use]
     pub fn fig7_example() -> (RequestDag, Vec<NodeId>) {
-        use crate::request::ReqElem;
+        use crate::request::ReqOp;
         use ofwire::flow_match::FlowMatch;
         use ofwire::types::Dpid;
         let mut dag = RequestDag::new();

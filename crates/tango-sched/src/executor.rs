@@ -2,19 +2,20 @@
 //! the makespan — the number every network-wide figure (Figs 10–12)
 //! reports.
 //!
-//! Two entry points, one per algorithm of §6:
+//! Two entry points, one per algorithm of §6, both ordering by Tango's
+//! one pattern rank ([`crate::patterns::SchedPattern::rank`]):
 //!
 //! * [`execute_rounds`] — Algorithm 3's loop: extract the independent
-//!   set, order it with an oracle, issue the whole batch, wait for every
-//!   ack, repeat. With `partial` rounds the oracle may issue only part
-//!   of the set and re-plan (the lookahead extension).
+//!   set, sort it by the rank of the pattern the oracle scores best,
+//!   issue it as one batch, wait for every ack, repeat. With
+//!   [`Batching::Lookahead`] a round issues only the prefix of that
+//!   order predicted cheapest and re-plans (the lookahead extension).
 //! * [`execute_with`] — online dispatch: each switch runs its own queue;
 //!   whenever a switch comes free, the dispatcher picks its next request
 //!   among the *currently released* ones according to a pluggable
 //!   [`Scheduler`] resolved from the portfolio registry
 //!   ([`crate::schedulers`]) — Dionysus' critical-path rule, Tango's
-//!   pattern ordering (deletes before mods before adds, optionally
-//!   ascending-priority adds), or any classical DAG scheduler.
+//!   per-switch pattern rank, or any classical DAG scheduler.
 //!   Successors are released either when the predecessor's ack arrives,
 //!   or — Tango's concurrent-dispatch extension (§6) — at the
 //!   predecessor's predicted completion plus a guard interval
@@ -35,10 +36,11 @@
 //! FIFO only) does not deliver yet: do not run them over one until it
 //! merges completions across switches.
 //!
-//! Both report malformed inputs as typed [`ExecError`]s instead of
+//! Both report a dependency cycle as a typed [`ExecError`] instead of
 //! panicking.
 
 use crate::dag::{NodeId, RequestDag};
+use crate::patterns::{lookahead_prefix, ordering_tango_oracle};
 use crate::request::Deadline;
 use crate::schedulers::{SchedKey, Scheduler};
 use ofwire::types::Dpid;
@@ -120,31 +122,14 @@ pub enum ExecError {
     /// The DAG has unfinished requests but an empty independent set — a
     /// dependency cycle.
     StuckDag,
-    /// A round's oracle returned something other than distinct members
-    /// of the independent set it was handed — all of them, or at least
-    /// one where rounds may be partial.
-    OracleMismatch {
-        /// Size of the independent set given to the oracle.
-        expected: usize,
-        /// Size of the ordering it returned.
-        got: usize,
-    },
 }
 
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::StuckDag => {
-                write!(
-                    f,
-                    "request DAG is stuck: unfinished requests but no independent set (cycle?)"
-                )
-            }
-            ExecError::OracleMismatch { expected, got } => write!(
+            ExecError::StuckDag => write!(
                 f,
-                "ordering oracle must return distinct members of the independent set (all of \
-                 them, or at least one in a partial round): set has {expected} requests, \
-                 ordering has {got}"
+                "request DAG is stuck: unfinished requests but no independent set (cycle?)"
             ),
         }
     }
@@ -152,8 +137,16 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Orders one independent set; returns the issue order plus a label.
-pub type OrderingFn<'a> = dyn FnMut(&TangoDb, &RequestDag, &[NodeId]) -> (Vec<NodeId>, String) + 'a;
+/// How [`execute_rounds`] batches each independent set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Batching {
+    /// Algorithm 3 verbatim: issue the whole set.
+    Greedy,
+    /// The §6 lookahead extension: issue the prefix of the set's order
+    /// (all of it, the first half, or its first request) whose predicted
+    /// cost, plus that of the batch it unlocks, is lowest.
+    Lookahead,
+}
 
 /// When a successor is released after its predecessor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,42 +168,20 @@ impl Release {
     }
 }
 
-/// Whether `ordered` names distinct members of `set` (which is sorted
-/// ascending): all of them, or with `partial` at least one.
-fn is_valid_round(set: &[NodeId], ordered: &[NodeId], partial: bool) -> bool {
-    let mut named = vec![false; set.len()];
-    for id in ordered {
-        match set.binary_search(id) {
-            Ok(i) if !named[i] => named[i] = true,
-            _ => return false,
-        }
-    }
-    if partial {
-        !ordered.is_empty()
-    } else {
-        ordered.len() == set.len()
-    }
-}
-
-/// Round-barrier dispatch — Algorithm 3: issue the `order`ed independent
-/// set as one barriered round; the next round is released when the whole
-/// round has acked.
-///
-/// When `partial` is `false`, the oracle must return a permutation of
-/// the set it was handed (Algorithm 3 verbatim); when `true`, it may
-/// issue any non-empty part, leaving the rest for later rounds (the
-/// lookahead extension, [`crate::extensions::lookahead_prefix`]).
+/// Round-barrier dispatch — Algorithm 3: issue the independent set,
+/// sorted by the rank of the pattern the Tango oracle scores best
+/// ([`crate::patterns::ordering_tango_oracle`]), as one barriered round;
+/// the next round is released when the whole round has acked. Under
+/// [`Batching::Lookahead`] a round issues a non-empty prefix of that
+/// order and leaves the rest for later rounds.
 ///
 /// # Errors
-/// [`ExecError::StuckDag`] on a dependency cycle;
-/// [`ExecError::OracleMismatch`] when the oracle repeats a request,
-/// names one outside the set, or returns too few.
+/// [`ExecError::StuckDag`] on a dependency cycle.
 pub fn execute_rounds<C: ControlPath + ?Sized>(
     cp: &mut C,
     dag: &mut RequestDag,
     db: &TangoDb,
-    order: &mut OrderingFn<'_>,
-    partial: bool,
+    batching: Batching,
 ) -> Result<ExecReport, ExecError> {
     let off = &mut Telemetry::off();
     let start = cp.now();
@@ -223,14 +194,17 @@ pub fn execute_rounds<C: ControlPath + ?Sized>(
             telemetry(cp, off).span_cancel(exec_span);
             return Err(ExecError::StuckDag);
         }
-        let (ordered, label) = order(db, dag, &set);
-        if !is_valid_round(&set, &ordered, partial) {
-            telemetry(cp, off).span_cancel(exec_span);
-            return Err(ExecError::OracleMismatch {
-                expected: set.len(),
-                got: ordered.len(),
-            });
-        }
+        let (ordered, label) = match batching {
+            Batching::Greedy => {
+                let (ordered, pattern) = ordering_tango_oracle(db, dag, &set);
+                (ordered, pattern.name.to_owned())
+            }
+            Batching::Lookahead => lookahead_prefix(db, dag, &set),
+        };
+        // A sort of the set, or a non-empty prefix of one.
+        debug_assert!(
+            !ordered.is_empty() && (ordered.len() == set.len() || batching == Batching::Lookahead)
+        );
         report.rounds.push((label, ordered.len()));
         let round_span = telemetry(cp, off).span_begin(TRACK_SCHEDULER, "round", frontier);
         telemetry(cp, off).count("sched/rounds", 1);
@@ -509,7 +483,6 @@ pub fn execute_with<C: ControlPath + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patterns::ordering_tango_oracle;
     use crate::request::ReqElem;
     use crate::schedulers::{resolve, CriticalPathScheduler, TangoScheduler};
     use ofwire::flow_match::FlowMatch;
@@ -536,7 +509,7 @@ mod tests {
 
     /// Algorithm 3 verbatim: whole rounds ordered by the Tango oracle.
     fn greedy(tb: &mut Testbed, dag: &mut RequestDag) -> ExecReport {
-        execute_rounds(tb, dag, &TangoDb::new(), &mut ordering_tango_oracle, false).unwrap()
+        execute_rounds(tb, dag, &TangoDb::new(), Batching::Greedy).unwrap()
     }
 
     fn chain_dag(dpid: Dpid, len: usize) -> RequestDag {
@@ -553,15 +526,6 @@ mod tests {
             .collect();
         for w in ids.windows(2) {
             dag.add_dep(w[0], w[1]);
-        }
-        dag
-    }
-
-    /// Four independent adds on one switch.
-    fn flat_dag() -> RequestDag {
-        let mut dag = RequestDag::new();
-        for i in 0..4u32 {
-            dag.add_node(ReqElem::add(Dpid(1), FlowMatch::l3_for_id(i), 10, 1));
         }
         dag
     }
@@ -595,19 +559,6 @@ mod tests {
         assert!(dag.all_done());
         assert_eq!(report.completed, 5);
         assert_eq!(tb.switch(Dpid(1)).rule_count(), 5);
-    }
-
-    /// Runs `oracle` over [`flat_dag`] and returns the error it must
-    /// provoke, checking nothing reached the switch and no span leaked.
-    fn round_error(oracle: &mut OrderingFn<'_>, partial: bool) -> ExecError {
-        let mut tb = testbed();
-        tb.enable_telemetry();
-        let mut dag = flat_dag();
-        let err = execute_rounds(&mut tb, &mut dag, &TangoDb::new(), oracle, partial).unwrap_err();
-        assert_eq!(tb.switch(Dpid(1)).rule_count(), 0);
-        let rec = tb.finish_recorder().expect("recorder present");
-        assert_eq!(rec.spans().count(), 0, "error path must cancel its spans");
-        err
     }
 
     #[test]
@@ -644,63 +595,25 @@ mod tests {
     }
 
     #[test]
-    fn oracle_mismatch_is_a_typed_error() {
-        // A broken oracle that drops every other element.
-        let mut oracle = |_: &TangoDb, _: &RequestDag, set: &[NodeId]| {
-            (
-                set.iter().copied().step_by(2).collect(),
-                "broken".to_string(),
-            )
-        };
-        assert_eq!(
-            round_error(&mut oracle, false),
-            ExecError::OracleMismatch {
-                expected: 4,
-                got: 2
-            }
-        );
-    }
-
-    #[test]
-    fn empty_partial_round_is_a_typed_error() {
-        // Partial rounds may hold back requests, but not all of them:
-        // a round that issues nothing can never make progress.
-        let mut oracle =
-            |_: &TangoDb, _: &RequestDag, _: &[NodeId]| (Vec::new(), "empty".to_string());
-        assert_eq!(
-            round_error(&mut oracle, true),
-            ExecError::OracleMismatch {
-                expected: 4,
-                got: 0
-            }
-        );
-    }
-
-    #[test]
-    fn repeated_or_foreign_ids_are_a_typed_error() {
-        // Right length, wrong content: the first request named twice.
-        let mut repeated = |_: &TangoDb, _: &RequestDag, set: &[NodeId]| {
-            let mut ordered = set.to_vec();
-            ordered[1] = ordered[0];
-            (ordered, "repeated".to_string())
-        };
-        // Right length, but one id is not in the independent set.
-        let mut foreign = |_: &TangoDb, dag: &RequestDag, set: &[NodeId]| {
-            let mut ordered = set.to_vec();
-            ordered[1] = NodeId(dag.len());
-            (ordered, "foreign".to_string())
-        };
-        for partial in [false, true] {
-            for oracle in [&mut repeated as &mut OrderingFn<'_>, &mut foreign] {
-                assert_eq!(
-                    round_error(oracle, partial),
-                    ExecError::OracleMismatch {
-                        expected: 4,
-                        got: 4
-                    }
-                );
-            }
+    fn stuck_rounds_are_a_typed_error_and_leak_no_span() {
+        // a ⇄ b never joins an independent set; c → d drains first.
+        let mut dag = RequestDag::new();
+        let [a, b, c, d] = [0, 1, 2, 3]
+            .map(|i| dag.add_node(ReqElem::add(Dpid(1), FlowMatch::l3_for_id(i), 10, 1)));
+        dag.add_dep(a, b);
+        dag.add_dep(b, a);
+        dag.add_dep(c, d);
+        let mut tb = testbed();
+        tb.enable_telemetry();
+        for batching in [Batching::Greedy, Batching::Lookahead] {
+            let err = execute_rounds(&mut tb, &mut dag.clone(), &TangoDb::new(), batching);
+            assert_eq!(err, Err(ExecError::StuckDag), "{batching:?}");
         }
+        let rec = tb.finish_recorder().expect("recorder present");
+        assert!(
+            rec.spans().all(|s| s.name != "execute_rounds"),
+            "span cancelled"
+        );
     }
 
     #[test]

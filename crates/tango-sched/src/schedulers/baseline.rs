@@ -5,8 +5,10 @@
 //! tie-breaks, then node id; the fig 10–12 artifacts pin the resulting
 //! dispatch orders.
 
-use super::{class_rank, SchedKey, Scheduler};
+use super::{SchedKey, Scheduler};
 use crate::dag::{NodeId, RequestDag};
+use crate::patterns::{switch_patterns, SchedPattern};
+use ofwire::types::Dpid;
 use simnet::time::SimTime;
 use tango::db::TangoDb;
 
@@ -38,27 +40,33 @@ impl Scheduler for CriticalPathScheduler {
     }
 }
 
-/// Tango's pattern ordering: longest critical path first, then rule-type
-/// phases (del → mod → add), optionally with ascending-priority adds.
+/// Tango's pattern ordering: longest critical path first, then the
+/// request's [`SchedPattern::rank`] under the pattern Tango's scoring
+/// picks for its switch — the op-class phase, then (`"tango"` only) the
+/// priority order.
 #[derive(Debug)]
 pub struct TangoScheduler {
     priority_sort: bool,
+    /// Each switch's pattern, sorted by dpid; chosen by `prepare`.
+    patterns: Vec<(Dpid, &'static SchedPattern)>,
 }
 
 impl TangoScheduler {
-    /// Rule-type phases only (`"tango-type"`).
+    /// Pattern phases only (`"tango-type"`).
     #[must_use]
     pub fn type_only() -> TangoScheduler {
         TangoScheduler {
             priority_sort: false,
+            patterns: Vec::new(),
         }
     }
 
-    /// Rule-type phases plus ascending-priority adds (`"tango"`).
+    /// Pattern phases plus the pattern's priority order (`"tango"`).
     #[must_use]
     pub fn type_and_priority() -> TangoScheduler {
         TangoScheduler {
             priority_sort: true,
+            patterns: Vec::new(),
         }
     }
 }
@@ -72,33 +80,32 @@ impl Scheduler for TangoScheduler {
         }
     }
 
-    fn prepare(&mut self, dag: &mut RequestDag, _db: &TangoDb) {
+    fn prepare(&mut self, dag: &mut RequestDag, db: &TangoDb) {
         // Fills the rank memo every clone of this DAG shares.
         dag.ranks();
+        self.patterns = switch_patterns(db, dag);
     }
 
     fn key(&self, dag: &RequestDag, id: NodeId, _released_at: SimTime) -> SchedKey {
         let req = dag.node(id);
-        let prio = if self.priority_sort {
-            u64::from(req.effective_priority())
-        } else {
-            0
-        };
-        SchedKey([
-            u64::MAX - dag.ranks()[id.0] as u64,
-            u64::from(class_rank(req.op)),
-            prio,
-            0,
-        ])
+        let at = self
+            .patterns
+            .binary_search_by_key(&req.location, |&(d, _)| d);
+        let pattern = self.patterns[at.expect("prepare saw every unfinished switch")].1;
+        let (phase, prio) = pattern.rank(req);
+        let prio = if self.priority_sort { prio } else { 0 };
+        SchedKey([u64::MAX - dag.ranks()[id.0] as u64, phase, prio, 0])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{execute_with, Release};
     use crate::request::{ReqElem, ReqOp};
     use ofwire::flow_match::FlowMatch;
-    use ofwire::types::Dpid;
+    use switchsim::harness::Testbed;
+    use switchsim::profiles::SwitchProfile;
 
     fn three_node_dag() -> RequestDag {
         // a → b chain plus a flat delete: lp = [1, 0, 0].
@@ -145,5 +152,38 @@ mod tests {
         s3.prepare(&mut flat, &TangoDb::new());
         assert_eq!(s3.key(&flat, lo, t0), s3.key(&flat, hi, t0));
         let _ = ReqOp::Add;
+    }
+
+    #[test]
+    fn a_negative_shift_switch_dispatches_its_adds_descending() {
+        // A negative shift cost (only a hand-edited DB holds one) makes
+        // descending adds score cheaper on switch 2 alone. Adds only, so
+        // the add-before-delete term plays no part.
+        let mut db = TangoDb::new();
+        let mut lp = db.latency_or_default(Dpid(2));
+        lp.shift_us = -10.0;
+        db.switch_mut(Dpid(2)).latency = Some(lp);
+        let mut tb = Testbed::new(3);
+        tb.attach_default(Dpid(1), SwitchProfile::vendor1());
+        tb.attach_default(Dpid(2), SwitchProfile::vendor1());
+        let mut dag = RequestDag::new();
+        for i in 0..20u32 {
+            let prio = 100 + (i * 41 % 101) as u16;
+            let dpid = Dpid(1 + u64::from(i % 2));
+            dag.add_node(ReqElem::add(dpid, FlowMatch::l3_for_id(i), prio, 1));
+        }
+        let mut tango = TangoScheduler::type_and_priority();
+        let report = execute_with(&mut tb, &mut dag, &db, &mut tango, Release::Ack).unwrap();
+        let issued = |dpid| -> Vec<u16> {
+            let on = report
+                .issued
+                .iter()
+                .filter(|&&id| dag.node(id).location == dpid);
+            on.map(|&id| dag.node(id).effective_priority()).collect()
+        };
+        let (one, two) = (issued(Dpid(1)), issued(Dpid(2)));
+        assert_eq!((one.len(), two.len()), (10, 10));
+        assert!(one.is_sorted(), "switch 1 stays ascending: {one:?}");
+        assert!(two.is_sorted_by(|a, b| a > b), "switch 2 descends: {two:?}");
     }
 }

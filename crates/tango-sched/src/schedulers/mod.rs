@@ -15,11 +15,12 @@
 //!
 //! * `"dionysus"` — critical-path dispatch, ack-released (the paper's
 //!   baseline; [`CriticalPathScheduler`]).
-//! * `"tango"` — critical path, then Tango's rule-type phases with
-//!   ascending-priority adds; guard-time released
+//! * `"tango"` — critical path, then the rank of the pattern Tango's
+//!   scoring picks for the request's switch: op-class phase, then
+//!   priority order; guard-time released
 //!   ([`TangoScheduler::type_and_priority`]).
-//! * `"tango-type"` — rule-type phases only, guard-time released
-//!   ([`TangoScheduler::type_only`]).
+//! * `"tango-type"` — the same pattern's phases only, guard-time
+//!   released ([`TangoScheduler::type_only`]).
 //! * `"heft"` — HEFT-style upward rank: cost-weighted critical path
 //!   using the TangoDB latency profile of each request's switch.
 //! * `"dls"` — Dynamic Level Scheduling: static level minus earliest
@@ -46,7 +47,6 @@ pub use classic::{DlsScheduler, HeftScheduler, LookaheadScheduler};
 
 use crate::dag::{NodeId, RequestDag};
 use crate::executor::{execute_with, ExecError, ExecReport, Release};
-use crate::request::ReqOp;
 use simnet::time::SimTime;
 use std::cmp::Ordering;
 use switchsim::control::ControlPath;
@@ -69,16 +69,6 @@ impl Ord for SchedKey {
 impl PartialOrd for SchedKey {
     fn partial_cmp(&self, other: &SchedKey) -> Option<Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// Rule-type phase rank of Tango's del → mod → add ordering.
-#[must_use]
-pub fn class_rank(op: ReqOp) -> u8 {
-    match op {
-        ReqOp::Del => 0,
-        ReqOp::Mod => 1,
-        ReqOp::Add => 2,
     }
 }
 
@@ -302,8 +292,6 @@ mod tests {
         let a = SchedKey([1, 9, 9, 9]);
         let b = SchedKey([2, 0, 0, 0]);
         assert!(a < b);
-        assert_eq!(class_rank(ReqOp::Del), 0);
-        assert!(class_rank(ReqOp::Mod) < class_rank(ReqOp::Add));
     }
 
     /// The hand-written order is `[u64; 4]`'s, on random keys whose words

@@ -9,8 +9,7 @@ use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::db::TangoDb;
 use tango_sched::dag::{NodeId, RequestDag};
-use tango_sched::executor::execute_rounds;
-use tango_sched::patterns::ordering_tango_oracle;
+use tango_sched::executor::{execute_rounds, Batching};
 use tango_sched::request::ReqElem;
 use tango_sched::schedulers::registry;
 
@@ -55,8 +54,7 @@ fn round_barrier_execution_is_replayable() {
             &mut testbed(),
             &mut workload(),
             &TangoDb::new(),
-            &mut ordering_tango_oracle,
-            false,
+            Batching::Greedy,
         )
         .unwrap()
     };

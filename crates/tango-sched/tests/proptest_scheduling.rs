@@ -7,8 +7,10 @@
 //! * Batched and online execution reach identical final switch states.
 //! * The online dispatcher produces exactly the report of a queue-free
 //!   reference dispatcher, from fresh and from partly completed DAGs.
-//! * Pattern application is always a permutation of the independent
-//!   set.
+//! * Sorting by a pattern's rank is always a permutation of the
+//!   independent set.
+//! * There is one Tango: the online `tango` keys order one switch's
+//!   requests of one critical-path rank exactly as Algorithm 3's oracle.
 //! * Priority assignments always satisfy their constraint sets.
 
 use ofwire::flow_match::FlowMatch;
@@ -21,7 +23,9 @@ use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::db::TangoDb;
 use tango_sched::dag::{NodeId, RequestDag};
-use tango_sched::executor::{execute_rounds, execute_with, ExecError, ExecReport, Release};
+use tango_sched::executor::{
+    execute_rounds, execute_with, Batching, ExecError, ExecReport, Release,
+};
 use tango_sched::patterns::{ordering_tango_oracle, SchedPattern};
 use tango_sched::priority::{r_priorities, satisfies, topological_priorities};
 use tango_sched::request::{Deadline, ReqElem, ReqOp};
@@ -57,6 +61,33 @@ fn arb_dag() -> impl Strategy<Value = RequestDag> {
                 if rng.chance(0.4) {
                     let i = rng.index(j);
                     dag.add_dep(ids[i], ids[j]);
+                }
+            }
+            dag
+        })
+}
+
+/// A random DAG like [`arb_dag`]'s, of adds, mods and deletes. Only
+/// keyed and ordered, never executed.
+fn arb_mixed_dag() -> impl Strategy<Value = RequestDag> {
+    (
+        proptest::collection::vec((any::<u16>(), 0u8..3, 0u8..3), 2..40),
+        any::<u64>(),
+    )
+        .prop_map(|(specs, seed)| {
+            let mut dag = RequestDag::new();
+            for (i, &(prio, sw, op)) in specs.iter().enumerate() {
+                let (dpid, m) = (Dpid(u64::from(sw) + 1), FlowMatch::l3_for_id(i as u32));
+                dag.add_node(match op {
+                    0 => ReqElem::add(dpid, m, prio, 1),
+                    1 => ReqElem::modify(dpid, m, prio, 2),
+                    _ => ReqElem::delete(dpid, m, prio),
+                });
+            }
+            let mut rng = simnet::rng::DetRng::new(seed);
+            for j in 1..specs.len() {
+                if rng.chance(0.4) {
+                    dag.add_dep(NodeId(rng.index(j)), NodeId(j));
                 }
             }
             dag
@@ -273,7 +304,7 @@ proptest! {
                 .collect::<Vec<_>>()
         };
         let batched = count_after(Box::new(|tb, d| {
-            execute_rounds(tb, d, &TangoDb::new(), &mut ordering_tango_oracle, false).unwrap();
+            execute_rounds(tb, d, &TangoDb::new(), Batching::Greedy).unwrap();
         }));
         let per_edge = count_after(Box::new(|tb, d| {
             online(tb, d, &mut TangoScheduler::type_and_priority(), Release::Ack);
@@ -285,7 +316,8 @@ proptest! {
     fn patterns_permute_the_set(dag in arb_dag()) {
         let set = dag.independent_set();
         for p in SchedPattern::standard_set() {
-            let mut ordered = p.apply(&dag, &set);
+            let mut ordered = set.clone();
+            ordered.sort_by_key(|&id| (p.rank(dag.node(id)), id));
             prop_assert_eq!(ordered.len(), set.len(), "{}", p.name);
             ordered.sort_unstable();
             let mut expect = set.clone();
@@ -295,6 +327,27 @@ proptest! {
         let db = TangoDb::new();
         let (oracle_order, _) = ordering_tango_oracle(&db, &dag, &set);
         prop_assert_eq!(oracle_order.len(), set.len());
+    }
+
+    #[test]
+    fn online_tango_orders_like_the_round_oracle(dag in arb_mixed_dag()) {
+        // One Tango: among one switch's requests of one critical-path
+        // rank, the online keys order exactly as Algorithm 3's oracle.
+        let mut dag = dag;
+        let db = TangoDb::new();
+        let mut sched = TangoScheduler::type_and_priority();
+        sched.prepare(&mut dag, &db);
+        let mut groups: BTreeMap<(Dpid, usize), Vec<NodeId>> = BTreeMap::new();
+        for id in dag.node_ids() {
+            let group = (dag.node(id).location, dag.ranks()[id.0]);
+            groups.entry(group).or_default().push(id);
+        }
+        for (group, ids) in groups {
+            let (oracle, p) = ordering_tango_oracle(&db, &dag, &ids);
+            let mut online = ids;
+            online.sort_by_key(|&id| (sched.key(&dag, id, SimTime(0)), id));
+            prop_assert_eq!(online, oracle, "{:?} under {}", group, p.name);
+        }
     }
 
     #[test]
