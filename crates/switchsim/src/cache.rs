@@ -401,16 +401,16 @@ impl EvictionIndex {
         key: PolicyKey,
         id: EntryId,
     ) -> Option<usize> {
-        let pos = table.position_of(id)?;
-        (policy.sort_key(table.get(pos)) == key).then_some(pos)
+        let handle = table.handle_of(id)?;
+        (policy.sort_key(table.get(handle)) == key).then_some(handle)
     }
 
-    /// Position of the worst resident of `table` (the eviction victim),
-    /// equal to `policy.worst_index(&table.snapshot())`.
+    /// Handle of the worst resident of `table` (the eviction victim),
+    /// the entry `policy.worst_index(&table.snapshot())` picks.
     pub fn worst(&mut self, policy: &CachePolicy, table: &FlowTable) -> Option<usize> {
         while let Some(&Reverse((key, id))) = self.worst.peek() {
             match Self::validate(policy, table, key, id) {
-                Some(pos) => return Some(pos),
+                Some(handle) => return Some(handle),
                 None => {
                     self.worst.pop();
                 }
@@ -419,12 +419,12 @@ impl EvictionIndex {
         None
     }
 
-    /// Position of the best resident of `table` (the backfill/promotion
-    /// candidate), equal to `policy.best_index(&table.snapshot())`.
+    /// Handle of the best resident of `table` (the backfill/promotion
+    /// candidate), the entry `policy.best_index(&table.snapshot())` picks.
     pub fn best(&mut self, policy: &CachePolicy, table: &FlowTable) -> Option<usize> {
         while let Some(&(key, id)) = self.best.peek() {
             match Self::validate(policy, table, key, id) {
-                Some(pos) => return Some(pos),
+                Some(handle) => return Some(handle),
                 None => {
                     self.best.pop();
                 }

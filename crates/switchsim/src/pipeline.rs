@@ -109,8 +109,8 @@ impl CacheLevel {
         }
     }
 
-    fn remove_at(&mut self, idx: usize) -> FlowEntry {
-        let e = self.table.remove_at(idx);
+    fn remove_at(&mut self, handle: usize) -> FlowEntry {
+        let e = self.table.remove_at(handle);
         self.uncharge(&e);
         e
     }
@@ -123,22 +123,22 @@ impl CacheLevel {
         Some(e)
     }
 
-    /// Batch removal: one mark-and-compact pass over the table instead
-    /// of k positional removals that each repair every index. Returns
-    /// the removed entries in descending index order; the eviction
-    /// index drops their snapshots lazily.
-    fn remove_indices(&mut self, idxs: Vec<usize>) -> Vec<FlowEntry> {
-        let removed = self.table.remove_indices(idxs);
+    /// Batch removal of distinct handles in install order (see
+    /// [`FlowTable::remove_indices`]), one O(1) unlink each. Returns the
+    /// removed entries in the order given; the eviction index drops
+    /// their snapshots lazily.
+    fn remove_indices(&mut self, handles: Vec<usize>) -> Vec<FlowEntry> {
+        let removed = self.table.remove_indices(handles);
         for e in &removed {
             self.uncharge(e);
         }
         removed
     }
 
-    /// Re-records the entry at `idx` after its attributes changed (its
-    /// previous eviction-index snapshot just went stale).
-    fn note_touched(&mut self, policy: &CachePolicy, idx: usize) {
-        let e = self.table.get(idx);
+    /// Re-records the entry of `handle` after its attributes changed
+    /// (its previous eviction-index snapshot just went stale).
+    fn note_touched(&mut self, policy: &CachePolicy, handle: usize) {
+        let e = self.table.get(handle);
         self.evict.note(policy.sort_key(e), e.id);
         self.maybe_compact(policy);
     }
@@ -151,25 +151,31 @@ impl CacheLevel {
         }
     }
 
-    /// Position of this level's eviction victim under `policy`; `None`
+    /// Handle of this level's eviction victim under `policy`; `None`
     /// when empty. O(log n) amortized via the lazy eviction index.
     pub fn worst_pos(&mut self, policy: &CachePolicy) -> Option<usize> {
         let pos = self.evict.worst(policy, &self.table);
         debug_assert_eq!(
-            pos,
-            policy.worst_index(&self.table.snapshot()),
+            pos.map(|h| self.table.get(h).id),
+            policy
+                .worst_index(&self.table.snapshot())
+                .and_then(|i| self.table.iter().nth(i))
+                .map(|e| e.id),
             "eviction index diverged from the linear worst-victim oracle"
         );
         pos
     }
 
-    /// Position of this level's best resident under `policy` (the
+    /// Handle of this level's best resident under `policy` (the
     /// backfill/promotion candidate); `None` when empty.
     pub fn best_pos(&mut self, policy: &CachePolicy) -> Option<usize> {
         let pos = self.evict.best(policy, &self.table);
         debug_assert_eq!(
-            pos,
-            policy.best_index(&self.table.snapshot()),
+            pos.map(|h| self.table.get(h).id),
+            policy
+                .best_index(&self.table.snapshot())
+                .and_then(|i| self.table.iter().nth(i))
+                .map(|e| e.id),
             "eviction index diverged from the linear best-candidate oracle"
         );
         pos
@@ -317,8 +323,8 @@ impl Pipeline {
             Pipeline::PolicyCached { levels, .. } => levels
                 .iter()
                 .enumerate()
-                .find_map(|(i, l)| l.table.position_of(id).map(|_| i)),
-            Pipeline::OvsMicroflow { userspace, .. } => userspace.position_of(id).map(|_| 1),
+                .find_map(|(i, l)| l.table.handle_of(id).map(|_| i)),
+            Pipeline::OvsMicroflow { userspace, .. } => userspace.handle_of(id).map(|_| 1),
         }
     }
 
@@ -361,7 +367,7 @@ impl Pipeline {
         #[derive(Clone, Copy)]
         enum Step {
             InstallHere,
-            SwapWithWorst(usize), // index of evicted entry in level table
+            SwapWithWorst(usize), // handle of evicted entry in level table
         }
         let mut steps: Vec<(usize, Step)> = Vec::new();
         // The entry "in hand" while planning; starts as (a copy of) the
@@ -501,7 +507,7 @@ impl Pipeline {
                     cur_level -= 1;
                     cur_idx = levels[cur_level]
                         .table
-                        .position_of(id)
+                        .handle_of(id)
                         .expect("promoted entry present");
                 }
                 Hit::Table {
@@ -511,7 +517,7 @@ impl Pipeline {
             }
             Pipeline::OvsMicroflow { kernel, userspace } => {
                 if let Some(parent) = kernel.lookup_touch(key, now) {
-                    if let Some(pi) = userspace.position_of(parent) {
+                    if let Some(pi) = userspace.handle_of(parent) {
                         userspace.get_mut(pi).touch(now, bytes);
                     }
                     return Hit::Table {
@@ -658,17 +664,17 @@ impl Pipeline {
                     if level.table.timeout_count() == 0 {
                         continue;
                     }
-                    let lapsed: Vec<(usize, _)> = (0..level.table.len())
-                        .filter_map(|i| expiry_reason(level.table.get(i), now).map(|r| (i, r)))
+                    let lapsed: Vec<(usize, _)> = level
+                        .table
+                        .handles()
+                        .filter_map(|h| expiry_reason(level.table.get(h), now).map(|r| (h, r)))
                         .collect();
                     if lapsed.is_empty() {
                         continue;
                     }
-                    let removed = level.remove_indices(lapsed.iter().map(|&(i, _)| i).collect());
-                    // `remove_indices` returns descending index order;
-                    // notifications go out in ascending table order like
-                    // the old in-place sweep.
-                    for (entry, &(_, reason)) in removed.into_iter().rev().zip(&lapsed) {
+                    // Notifications go out in install order, as listed.
+                    let removed = level.remove_indices(lapsed.iter().map(|&(h, _)| h).collect());
+                    for (entry, &(_, reason)) in removed.into_iter().zip(&lapsed) {
                         out.push(Expired { entry, reason });
                     }
                 }
@@ -678,12 +684,13 @@ impl Pipeline {
             }
             Pipeline::OvsMicroflow { kernel, userspace } => {
                 if userspace.timeout_count() > 0 {
-                    let lapsed: Vec<(usize, _)> = (0..userspace.len())
-                        .filter_map(|i| expiry_reason(userspace.get(i), now).map(|r| (i, r)))
+                    let lapsed: Vec<(usize, _)> = userspace
+                        .handles()
+                        .filter_map(|h| expiry_reason(userspace.get(h), now).map(|r| (h, r)))
                         .collect();
                     let removed =
-                        userspace.remove_indices(lapsed.iter().map(|&(i, _)| i).collect());
-                    for (entry, &(_, reason)) in removed.into_iter().rev().zip(&lapsed) {
+                        userspace.remove_indices(lapsed.iter().map(|&(h, _)| h).collect());
+                    for (entry, &(_, reason)) in removed.into_iter().zip(&lapsed) {
                         kernel.invalidate_parent(entry.id);
                         out.push(Expired { entry, reason });
                     }

@@ -9,7 +9,7 @@ use ofwire::flow_match::{FlowKey, FlowMatch, MatchKey, PackedMatch};
 use ofwire::types::PortNo;
 use simnet::time::SimTime;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::OnceLock;
 
@@ -102,6 +102,11 @@ fn match_hash(key: &MatchKey) -> u32 {
 /// End of a slot chain.
 const NIL: u32 = u32::MAX;
 
+/// The slots linked from `first` through the slot column `links`.
+fn walk(first: Option<u32>, links: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    std::iter::successors(first, |&s| Some(links[s as usize]).filter(|&n| n != NIL))
+}
+
 /// A hash index that stores no keys: a 32-bit hash → the first slot of
 /// a chain, and a slot column `next` linking each chain in install
 /// order. Slots whose keys hash alike share a chain, so a reader walks
@@ -117,8 +122,7 @@ struct SlotChains {
 impl SlotChains {
     /// The slots filed under `hash`, in install order.
     fn chain(&self, hash: u32) -> impl Iterator<Item = u32> + '_ {
-        let head = self.heads.get(&hash).copied();
-        std::iter::successors(head, |&s| Some(self.next[s as usize]).filter(|&n| n != NIL))
+        walk(self.heads.get(&hash).copied(), &self.next)
     }
 
     /// Files `slot`, the latest install, at the end of `hash`'s chain.
@@ -184,12 +188,14 @@ impl SlotChains {
 /// Entries live in a **slot-stable slab**: once installed, an entry never
 /// moves until it is removed, so every side index can record the entry's
 /// slot id and stay valid across arbitrary churn elsewhere in the table.
-/// The public API still speaks *positions* (insertion order among current
-/// residents — what `remove_at`, `get`, and the policy oracles index by);
-/// a dense `order` deque maps position → slot and a reverse `pos` array
-/// maps slot → a bias-adjusted position (see the field docs), so a
-/// structural change only touches those integer arrays — O(min) from
-/// either end — and no index is touched at all.
+/// The `usize` the table hands out and takes (`lookup`, `find_strict`,
+/// `select_loose`, `handle_of`, `get`, `get_mut`, `remove_at`,
+/// `remove_indices`) is that slot: a *handle*, valid until its entry is
+/// removed, after which a later insert may reuse it. Install order is a
+/// doubly-linked list through two slot columns (`prev`, `next`) from
+/// `head`, the oldest resident, to `tail`, the newest: an insert appends
+/// and a removal anywhere unlinks, both O(1), and
+/// [`FlowTable::handles`] walks it.
 ///
 /// The per-event hot fields are split out of `FlowEntry` into parallel
 /// **SoA arrays** indexed by slot — `prio`, `id` and the
@@ -197,8 +203,7 @@ impl SlotChains {
 /// touch a few packed words per candidate instead of dragging whole
 /// `FlowEntry` cache lines through the comparisons. These fields are
 /// immutable for the lifetime of a slot (see the invariant below), so the
-/// copies can never go stale. Install order needs no column of its own:
-/// `pos` already orders residents by install.
+/// copies can never go stale.
 ///
 /// Each entry holds its match once, as a [`PackedMatch`] (40 bytes, the
 /// controller's spelling kept); its canonical [`MatchKey`] is a mask of
@@ -215,7 +220,7 @@ impl SlotChains {
 /// canonical key equals that, instead of running `covers` per entry.
 /// Two more indexes exist only in tables that are asked, built on the
 /// first call and maintained from then on: an id index of the same
-/// chained shape makes [`FlowTable::position_of`] O(1), and a Fenwick
+/// chained shape makes [`FlowTable::handle_of`] O(1), and a Fenwick
 /// tree over the priority space answers [`FlowTable::count_above`] (the
 /// TCAM shift cost of an insert) in O(log 65536).
 ///
@@ -231,17 +236,14 @@ pub struct FlowTable {
     slots: Vec<Option<FlowEntry>>,
     /// Free slot ids available for reuse.
     free: Vec<u32>,
-    /// Position → slot, in installation order among residents. A deque
-    /// so the FIFO churn pattern (delete the oldest entry — what strict
-    /// deletes against a rotating id space do) pops the front in O(1).
-    order: VecDeque<u32>,
-    /// Slot → `base`-biased position (undefined for free slots). The
-    /// current dense position is `pos[slot] - base`; removals near the
-    /// front adjust `base` instead of rewriting every resident's entry,
-    /// so a removal at index i costs O(min(i, n-i)) updates.
-    pos: Vec<u64>,
-    /// Bias subtracted from `pos` values to obtain dense positions.
-    base: u64,
+    /// Slot → the next older resident's slot (`NIL` for `head`).
+    prev: Vec<u32>,
+    /// Slot → the next newer resident's slot (`NIL` for `tail`).
+    next: Vec<u32>,
+    /// The oldest resident's slot; `None` when empty.
+    head: Option<u32>,
+    /// The newest resident's slot; `None` when empty.
+    tail: Option<u32>,
     /// Slot → entry priority (SoA hot field for lookup comparisons).
     prio: Vec<u16>,
     /// Slot → entry id (SoA hot field for lookup tie-breaks).
@@ -255,7 +257,7 @@ pub struct FlowTable {
     /// Hash of the entry id → chain of slots, in install order (ids are
     /// unique per switch, so a chain holds one id in practice, and the
     /// first slot of an id is its earliest resident under duplicates).
-    /// Built by the first [`FlowTable::position_of`] (which takes
+    /// Built by the first [`FlowTable::handle_of`] (which takes
     /// `&self`, hence the `OnceLock`), so a table nobody asks by id pays
     /// no id hash per insert and remove.
     by_id: OnceLock<SlotChains>,
@@ -290,20 +292,23 @@ impl FlowTable {
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.slots.len() - self.free.len()
     }
 
     /// True if no entries are installed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.head.is_none()
+    }
+
+    /// The residents' handles, in installation order.
+    pub fn handles(&self) -> impl Iterator<Item = usize> + '_ {
+        walk(self.head, &self.next).map(|s| s as usize)
     }
 
     /// Iterates entries in installation order.
     pub fn iter(&self) -> impl Iterator<Item = &FlowEntry> {
-        self.order
-            .iter()
-            .map(|&s| self.slots[s as usize].as_ref().expect("resident slot"))
+        self.handles().map(|h| self.get(h))
     }
 
     /// Clones the resident entries in installation order — the
@@ -331,7 +336,8 @@ impl FlowTable {
             None => {
                 let s = u32::try_from(self.slots.len()).expect("slab overflow");
                 self.slots.push(Some(entry));
-                self.pos.push(0);
+                self.prev.push(NIL);
+                self.next.push(NIL);
                 self.prio.push(prio);
                 self.id.push(id);
                 self.timeout.push(to);
@@ -340,33 +346,26 @@ impl FlowTable {
         }
     }
 
-    /// Drops the entry at `index` from `order`, returning its slot.
-    fn unlink_position(&mut self, index: usize) -> u32 {
-        let slot = self.order.remove(index).expect("index in range");
-        // Only integer positions move; every slot-keyed index stays
-        // untouched. Fix up whichever side of the removal point is
-        // shorter: either the tail's positions all drop by one, or —
-        // equivalently — the bias rises by one and the head's positions
-        // rise to compensate. FIFO churn (index 0) is O(1).
-        if index <= self.order.len() / 2 {
-            self.base += 1;
-            for &s in self.order.range(..index) {
-                self.pos[s as usize] += 1;
-            }
-        } else {
-            for &s in self.order.range(index..) {
-                self.pos[s as usize] -= 1;
-            }
+    /// Drops `slot` from the install-order list.
+    fn unlink(&mut self, slot: u32) {
+        let (p, n) = (self.prev[slot as usize], self.next[slot as usize]);
+        match p {
+            NIL => self.head = Some(n).filter(|&n| n != NIL),
+            p => self.next[p as usize] = n,
         }
-        slot
+        match n {
+            NIL => self.tail = Some(p).filter(|&p| p != NIL),
+            n => self.prev[n as usize] = p,
+        }
     }
 
     /// Unhooks `slot`, whose match packs to `mkey`, from everything but
-    /// `order`/`pos` and `by_match` (the caller has already dropped it
-    /// from those) and frees it, returning the entry.
+    /// `by_match` (the caller has already dropped it from there) and
+    /// frees it, returning the entry.
     fn release_slot(&mut self, slot: u32, mkey: MatchKey) -> FlowEntry {
         let i = slot as usize;
         let e = self.slots[i].take().expect("resident slot");
+        self.unlink(slot);
         if let Some(by_id) = self.by_id.get_mut() {
             by_id.remove(fold(e.id.0), slot);
         }
@@ -390,16 +389,6 @@ impl FlowTable {
         e
     }
 
-    /// Unhooks `slot` from every index and counter and frees it,
-    /// returning the entry. The caller has already dropped the slot
-    /// from `order`/`pos`.
-    fn detach_slot(&mut self, slot: u32) -> FlowEntry {
-        let e = self.slots[slot as usize].as_ref().expect("resident slot");
-        let mkey = e.flow_match.key();
-        self.by_match.remove(match_hash(&mkey), slot);
-        self.release_slot(slot, mkey)
-    }
-
     /// Installs an entry.
     pub fn insert(&mut self, entry: FlowEntry) {
         let mkey = entry.flow_match.key();
@@ -409,8 +398,12 @@ impl FlowTable {
             self.timeout_entries += 1;
         }
         let slot = self.alloc_slot(entry);
-        self.pos[slot as usize] = self.base + self.order.len() as u64;
-        self.order.push_back(slot);
+        // Append to the install-order list.
+        (self.prev[slot as usize], self.next[slot as usize]) = (self.tail.unwrap_or(NIL), NIL);
+        match self.tail.replace(slot) {
+            Some(t) => self.next[t as usize] = slot,
+            None => self.head = Some(slot),
+        }
         // The new resident is the last installed, so appending keeps
         // every chain in install order.
         self.by_match.push(match_hash(&mkey), slot);
@@ -427,10 +420,12 @@ impl FlowTable {
         }
     }
 
-    /// Removes and returns the entry at `index`.
-    pub fn remove_at(&mut self, index: usize) -> FlowEntry {
-        let slot = self.unlink_position(index);
-        self.detach_slot(slot)
+    /// Removes and returns the entry of `handle`, in O(1) plus its
+    /// match-chain walk.
+    pub fn remove_at(&mut self, handle: usize) -> FlowEntry {
+        let mkey = self.get(handle).flow_match.key();
+        self.by_match.remove(match_hash(&mkey), handle as u32);
+        self.release_slot(handle as u32, mkey)
     }
 
     /// Removes and returns the entry [`FlowTable::find_strict`] would
@@ -443,7 +438,6 @@ impl FlowTable {
         let slot = self.by_match.take_first(match_hash(&mkey), |s| {
             Self::is_strict(slots, prio, s, &packed, priority)
         })?;
-        self.unlink_position((self.pos[slot as usize] - self.base) as usize);
         Some(self.release_slot(slot, mkey))
     }
 
@@ -464,7 +458,7 @@ impl FlowTable {
                 == *packed
     }
 
-    /// Index of the matching entry for `key`: maximal priority, then
+    /// Handle of the matching entry for `key`: maximal priority, then
     /// earliest entry id.
     ///
     /// Tuple-space search: packs the key once per resident match shape
@@ -500,24 +494,20 @@ impl FlowTable {
                 }
             }
         }
-        best.map(|s| (self.pos[s as usize] - self.base) as usize)
+        best.map(|s| s as usize)
     }
 
-    /// Mutable access by index. Key fields (`flow_match`, `priority`,
+    /// Mutable access by handle. Key fields (`flow_match`, `priority`,
     /// timeouts) must not be changed through this — see the type-level
     /// invariant.
-    pub fn get_mut(&mut self, index: usize) -> &mut FlowEntry {
-        self.slots[self.order[index] as usize]
-            .as_mut()
-            .expect("resident slot")
+    pub fn get_mut(&mut self, handle: usize) -> &mut FlowEntry {
+        self.slots[handle].as_mut().expect("resident slot")
     }
 
-    /// Read access by index.
+    /// Read access by handle.
     #[must_use]
-    pub fn get(&self, index: usize) -> &FlowEntry {
-        self.slots[self.order[index] as usize]
-            .as_ref()
-            .expect("resident slot")
+    pub fn get(&self, handle: usize) -> &FlowEntry {
+        self.slots[handle].as_ref().expect("resident slot")
     }
 
     /// Finds the entry that *strictly* equals the given match and
@@ -532,80 +522,49 @@ impl FlowTable {
         self.by_match
             .chain(match_hash(&packed.key()))
             .find(|&s| Self::is_strict(&self.slots, &self.prio, s, &packed, priority))
-            .map(|s| (self.pos[s as usize] - self.base) as usize)
+            .map(|s| s as usize)
     }
 
-    /// Indices of entries selected by a non-strict filter: entries whose
-    /// match is subsumed by `filter`, optionally restricted to entries
-    /// with an output action to `out_port`.
+    /// Handles, in install order, of entries selected by a non-strict
+    /// filter: entries whose match is subsumed by `filter`, optionally
+    /// restricted to entries with an output action to `out_port`.
     #[must_use]
     pub fn select_loose(&self, filter: &FlowMatch, out_port: PortNo) -> Vec<usize> {
-        self.order
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (i, self.slots[s as usize].as_ref().expect("resident slot")))
-            .filter(|(_, e)| filter.subsumes(&e.flow_match.unpack()))
-            .filter(|(_, e)| {
-                out_port == PortNo::NONE
-                    || e.actions
-                        .iter()
-                        .any(|a| matches!(a, Action::Output { port, .. } if *port == out_port))
+        self.handles()
+            .filter(|&h| {
+                let e = self.get(h);
+                filter.subsumes(&e.flow_match.unpack())
+                    && (out_port == PortNo::NONE
+                        || e.actions
+                            .iter()
+                            .any(|a| matches!(a, Action::Output { port, .. } if *port == out_port)))
             })
-            .map(|(i, _)| i)
             .collect()
     }
 
-    /// Removes a set of indices (any order), returning the removed
-    /// entries in descending index order.
-    ///
-    /// One compaction pass over the order vector (the slot-keyed
-    /// indexes never need a global remap): O(n + k·chain).
-    pub fn remove_indices(&mut self, mut indices: Vec<usize>) -> Vec<FlowEntry> {
-        indices.sort_unstable_by(|a, b| b.cmp(a));
-        indices.dedup();
-        if indices.is_empty() {
-            return Vec::new();
-        }
-        // Single-index removals (the strict-delete hot path: OVS rotate
-        // workloads are ~50% deletes) skip the mask allocation and the
-        // full order rebuild; only the tail after `index` shifts.
-        if indices.len() == 1 {
-            return vec![self.remove_at(indices[0])];
-        }
-        let mut mask = vec![false; self.order.len()];
-        for &i in &indices {
-            mask[i] = true;
-        }
-        let old_order = std::mem::take(&mut self.order);
-        self.order.reserve(old_order.len() - indices.len());
-        self.base = 0;
-        let mut removed_slots = Vec::with_capacity(indices.len());
-        for (i, s) in old_order.into_iter().enumerate() {
-            if mask[i] {
-                removed_slots.push(s);
-            } else {
-                self.pos[s as usize] = self.order.len() as u64;
-                self.order.push_back(s);
+    /// Removes the entries of distinct `handles`, given in install order
+    /// (as [`FlowTable::select_loose`] gives them), skipping any already
+    /// free, and returns them in the order given: one O(1) unlink each.
+    pub fn remove_indices(&mut self, handles: Vec<usize>) -> Vec<FlowEntry> {
+        let mut removed = Vec::with_capacity(handles.len());
+        for h in handles {
+            if self.slots[h].is_some() {
+                removed.push(self.remove_at(h));
             }
         }
-        // `indices` is descending; `removed_slots` collected ascending.
-        removed_slots
-            .into_iter()
-            .rev()
-            .map(|s| self.detach_slot(s))
-            .collect()
+        removed
     }
 
-    /// Finds an entry by id. O(1) via the id index, which the first call
-    /// builds from the residents; under (contractually absent) duplicate
-    /// ids, returns the earliest position like the old linear scan.
+    /// The handle of the entry with `id`. O(1) via the id index, which
+    /// the first call builds from the residents; under (contractually
+    /// absent) duplicate ids, the earliest installed, like a linear scan.
     #[must_use]
-    pub fn position_of(&self, id: EntryId) -> Option<usize> {
+    pub fn handle_of(&self, id: EntryId) -> Option<usize> {
         self.by_id
             .get_or_init(|| self.build_id_index())
             .chain(fold(id.0))
             .find(|&s| self.id[s as usize] == id.0)
-            .map(|s| (self.pos[s as usize] - self.base) as usize)
+            .map(|s| s as usize)
     }
 
     /// The id index, from a scan of the residents in install order.
@@ -614,7 +573,7 @@ impl FlowTable {
             heads: FnvMap::with_capacity_and_hasher(self.len(), Default::default()),
             next: Vec::with_capacity(self.slots.len()),
         };
-        for &s in &self.order {
+        for s in walk(self.head, &self.next) {
             by_id.push(fold(self.id[s as usize]), s);
         }
         by_id
@@ -627,11 +586,11 @@ impl FlowTable {
     /// linear oracle.
     #[must_use]
     pub fn count_above(&mut self, priority: u16) -> usize {
-        let (order, prio) = (&self.order, &self.prio);
+        let (head, next, prio) = (self.head, &self.next, &self.prio);
         self.prio_counts
             .get_or_insert_with(|| {
                 let mut counts = PriorityIndex::new();
-                for &s in order {
+                for s in walk(head, next) {
                     counts.add(prio[s as usize]);
                 }
                 counts
@@ -653,16 +612,17 @@ impl FlowTable {
     #[must_use]
     pub fn lookup_linear(&self, key: &FlowKey) -> Option<usize> {
         let mut best: Option<usize> = None;
-        for (i, e) in self.iter().enumerate() {
+        for h in self.handles() {
+            let e = self.get(h);
             if !e.flow_match.unpack().covers(key) {
                 continue;
             }
             match best {
-                None => best = Some(i),
+                None => best = Some(h),
                 Some(b) => {
                     let cur = self.get(b);
                     if e.priority > cur.priority || (e.priority == cur.priority && e.id < cur.id) {
-                        best = Some(i);
+                        best = Some(h);
                     }
                 }
             }
@@ -674,8 +634,8 @@ impl FlowTable {
     #[cfg(test)]
     #[must_use]
     pub fn find_strict_linear(&self, flow_match: &FlowMatch, priority: u16) -> Option<usize> {
-        (0..self.len()).find(|&i| {
-            let e = self.get(i);
+        self.handles().find(|&h| {
+            let e = self.get(h);
             e.priority == priority && e.flow_match.unpack() == *flow_match
         })
     }
@@ -684,17 +644,25 @@ impl FlowTable {
     /// the resident entries.
     #[cfg(test)]
     pub fn assert_index_consistent(&self) {
-        // order/pos are mutual inverses over residents.
-        for (p, &s) in self.order.iter().enumerate() {
-            assert!(self.slots[s as usize].is_some(), "free slot {s} in order");
-            assert_eq!(
-                (self.pos[s as usize] - self.base) as usize,
-                p,
-                "pos/order disagree at {p}"
-            );
+        // The install-order list links every resident exactly once, and
+        // each link both ways; `len` counts the residents.
+        let listed: Vec<u32> = walk(self.head, &self.next)
+            .take(self.slots.len() + 1)
+            .collect();
+        let mut rank = vec![usize::MAX; self.slots.len()];
+        for (r, &s) in listed.iter().enumerate() {
+            assert!(self.slots[s as usize].is_some(), "free slot {s} listed");
+            assert_eq!(rank[s as usize], usize::MAX, "slot {s} listed twice");
+            rank[s as usize] = r;
+            let older = if r == 0 { NIL } else { listed[r - 1] };
+            assert_eq!(self.prev[s as usize], older, "prev link of slot {s}");
         }
+        assert_eq!(self.tail, listed.last().copied(), "tail is the newest");
+        let residents = self.slots.iter().filter(|e| e.is_some()).count();
+        assert_eq!(listed.len(), residents, "residents listed");
+        assert_eq!(self.len(), residents, "len counts the residents");
         // SoA copies match the entries.
-        for &s in &self.order {
+        for &s in &listed {
             let e = self.slots[s as usize].as_ref().unwrap();
             assert_eq!(self.prio[s as usize], e.priority, "stale SoA prio {s}");
             assert_eq!(self.id[s as usize], e.id.0, "stale SoA id {s}");
@@ -714,8 +682,8 @@ impl FlowTable {
                 assert!(
                     chain
                         .windows(2)
-                        .all(|w| self.pos[w[0] as usize] < self.pos[w[1] as usize]),
-                    "chain {hash:#x} not in install order: {chain:?}"
+                        .all(|w| rank[w[0] as usize] < rank[w[1] as usize]),
+                    "chain {hash:#x} not in list order: {chain:?}"
                 );
                 for &s in &chain {
                     assert!(self.slots[s as usize].is_some(), "free slot {s} filed");
@@ -868,6 +836,16 @@ mod tests {
         FlowEntry::new(EntryId(id), m, prio, vec![Action::output(1)], SimTime(id))
     }
 
+    /// The handle of the `n`th resident in install order (from 0).
+    fn at(t: &FlowTable, n: usize) -> usize {
+        t.handles().nth(n).expect("position in range")
+    }
+
+    /// The id of the entry `find_strict` locates.
+    fn strict_id(t: &FlowTable, m: &FlowMatch, prio: u16) -> Option<u64> {
+        t.find_strict(m, prio).map(|h| t.get(h).id.0)
+    }
+
     #[test]
     fn lookup_prefers_priority_then_age() {
         let mut t = FlowTable::new();
@@ -921,9 +899,12 @@ mod tests {
         for i in 0..5 {
             t.insert(entry(i, FlowMatch::l3_for_id(i as u32), 1));
         }
-        let removed = t.remove_indices(vec![3, 1, 3]);
-        assert_eq!(removed.len(), 2);
+        let (h3, h1) = (at(&t, 3), at(&t, 1));
+        let removed = t.remove_indices(vec![h3, h1, h3]);
+        // In the order given; the repeat is already free and skipped.
+        assert_eq!(removed.iter().map(|e| e.id.0).collect::<Vec<_>>(), [3, 1]);
         assert_eq!(t.len(), 3);
+        t.assert_index_consistent();
         let left: Vec<u64> = t.iter().map(|e| e.id.0).collect();
         assert_eq!(left, vec![0, 2, 4]);
     }
@@ -941,9 +922,10 @@ mod tests {
             };
             t.insert(entry(i, m, (i % 5) as u16 * 10));
         }
-        t.remove_at(7);
-        t.remove_at(0);
-        t.remove_indices(vec![4, 12, 4, 20]);
+        t.remove_at(at(&t, 7));
+        t.remove_at(at(&t, 0));
+        let picks = [4, 12, 4, 20].map(|p| at(&t, p));
+        t.remove_indices(picks.to_vec());
         t.assert_index_consistent();
         for id in 0..20u32 {
             let key = FlowMatch::key_for_id(id);
@@ -968,12 +950,12 @@ mod tests {
         t.insert(entry(1, m, 10));
         t.insert(entry(2, m, 10)); // duplicate (match, priority)
         t.assert_index_consistent();
-        // Strict find returns the earliest position, like the old scan.
-        assert_eq!(t.find_strict(&m, 10), Some(0));
-        t.remove_at(0);
+        // Strict find returns the earliest installed, like the old scan.
+        assert_eq!(strict_id(&t, &m, 10), Some(1));
+        t.remove_at(t.find_strict(&m, 10).unwrap());
         t.assert_index_consistent();
-        assert_eq!(t.find_strict(&m, 10), Some(0));
-        assert_eq!(t.get(0).id, EntryId(2));
+        assert_eq!(strict_id(&t, &m, 10), Some(2));
+        assert_eq!(t.find_strict(&m, 10), Some(at(&t, 0)));
     }
 
     #[test]
@@ -997,8 +979,8 @@ mod tests {
         t.insert(entry(2, clean, 10)); // same priority, other spelling
         t.insert(entry(3, clean, 20)); // same spelling, other priority
         t.assert_index_consistent();
-        assert_eq!(t.find_strict(&clean, 10), Some(1));
-        assert_eq!(t.find_strict(&noisy, 10), Some(0));
+        assert_eq!(strict_id(&t, &clean, 10), Some(2));
+        assert_eq!(strict_id(&t, &noisy, 10), Some(1));
         assert_eq!(t.find_strict(&noisy, 20), None);
         for (m, prio) in [(clean, 10), (noisy, 10), (clean, 20), (noisy, 20)] {
             assert_eq!(t.find_strict(&m, prio), t.find_strict_linear(&m, prio));
@@ -1031,17 +1013,18 @@ mod tests {
         for i in 0..8 {
             t.insert(entry(i, FlowMatch::l3_for_id(i as u32), 10 + i as u16));
         }
-        t.remove_at(0);
-        t.remove_at(3);
+        let survivors = [1, 2, 3, 5, 6, 7].map(|i| at(&t, i));
+        t.remove_at(at(&t, 0));
+        t.remove_at(at(&t, 3));
         t.assert_index_consistent();
-        for i in [1u64, 2, 3, 5, 6, 7] {
-            let p = t.position_of(EntryId(i)).expect("survivor indexed");
-            assert_eq!(t.get(p).id, EntryId(i));
+        for (i, h) in [1u64, 2, 3, 5, 6, 7].into_iter().zip(survivors) {
+            assert_eq!(t.handle_of(EntryId(i)), Some(h), "survivor's handle kept");
+            assert_eq!(t.get(h).id, EntryId(i));
         }
         // Freed slots get reused without confusing the indexes.
         t.insert(entry(100, FlowMatch::l3_for_id(100), 7));
         t.assert_index_consistent();
-        assert_eq!(t.position_of(EntryId(100)), Some(t.len() - 1));
+        assert_eq!(t.handle_of(EntryId(100)), t.handles().last());
     }
 
     /// A match of a small family that meets itself often: L3 hosts of
@@ -1070,7 +1053,7 @@ mod tests {
     fn random_churn_agrees_with_the_oracles(seed: u64) {
         let mut rng = simnet::rng::DetRng::new(seed);
         let (mut early, mut late) = (FlowTable::new(), FlowTable::new());
-        assert_eq!(early.position_of(EntryId(0)), None);
+        assert_eq!(early.handle_of(EntryId(0)), None);
         for step in 0..300u64 {
             let n = early.len();
             // Ids repeat now and then, which the id index allows.
@@ -1084,13 +1067,13 @@ mod tests {
                 }
                 3 if n > 0 => {
                     let i = rng.index(n);
-                    assert_eq!(early.remove_at(i), late.remove_at(i));
+                    assert_eq!(early.remove_at(at(&early, i)), late.remove_at(at(&late, i)));
                 }
                 4 if n > 0 => {
-                    let picks = vec![rng.index(n), rng.index(n), rng.index(n)];
+                    let picks = [rng.index(n), rng.index(n), rng.index(n)];
                     assert_eq!(
-                        early.remove_indices(picks.clone()),
-                        late.remove_indices(picks)
+                        early.remove_indices(picks.map(|p| at(&early, p)).to_vec()),
+                        late.remove_indices(picks.map(|p| at(&late, p)).to_vec())
                     );
                 }
                 _ => assert_eq!(early.remove_strict(&m, prio), late.remove_strict(&m, prio)),
@@ -1108,14 +1091,14 @@ mod tests {
         }
         for t in [&early, &late] {
             for id in 0..300 {
-                let scan = t.iter().position(|e| e.id == EntryId(id));
-                assert_eq!(t.position_of(EntryId(id)), scan, "seed {seed} id {id}");
+                let scan = t.handles().find(|&h| t.get(h).id == EntryId(id));
+                assert_eq!(t.handle_of(EntryId(id)), scan, "seed {seed} id {id}");
             }
             t.assert_index_consistent();
         }
     }
 
-    /// The id index is built by the first `position_of` and maintained
+    /// The id index is built by the first `handle_of` and maintained
     /// from then on. Whether that call comes before random churn or only
     /// after it, the index equals a fresh build (checked by
     /// `assert_index_consistent`) and answers every id like a scan.

@@ -3,7 +3,9 @@
 //!
 //! * **Flow-mods**: heap allocations per flow-mod for the stream the wire
 //!   benchmark sends — 1 024 adds, then strict deletes of the same rules
-//!   oldest first, round and round — fed through [`Agent::feed_into`].
+//!   oldest first, round and round — fed through [`Agent::feed_into`];
+//!   and for the same stream with its deletes in a seeded shuffle, the
+//!   mid-table deletes of an update DAG.
 //!   The decoded flow-mod and the installed entry hold their one-action
 //!   lists by value, so on OVS neither an add nor a strict delete
 //!   allocates; a policy-cached add allocates its cascade plan.
@@ -26,6 +28,7 @@ use ofwire::flow_match::FlowMatch;
 use ofwire::flow_mod::FlowMod;
 use ofwire::message::Message;
 use ofwire::types::{Dpid, PortNo, Xid};
+use simnet::rng::DetRng;
 use simnet::time::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -83,8 +86,8 @@ const IDS: u32 = 1024;
 const ROTATIONS: u64 = 8;
 
 /// One rotation as wire bytes: `IDS` adds, then their strict deletes in
-/// the same order.
-fn rotation() -> Vec<u8> {
+/// the same order or, when `shuffled`, in a seeded shuffle.
+fn rotation(shuffled: bool) -> Vec<u8> {
     let mut bytes = Vec::new();
     for id in 0..IDS {
         let fm = FlowMod::add(FlowMatch::l3_for_id(id), 10).with_action(Action::Output {
@@ -93,7 +96,11 @@ fn rotation() -> Vec<u8> {
         });
         bytes.extend(Message::FlowMod(fm).to_bytes(Xid(id)));
     }
-    for id in 0..IDS {
+    let mut deletes: Vec<u32> = (0..IDS).collect();
+    if shuffled {
+        DetRng::new(7).shuffle(&mut deletes);
+    }
+    for id in deletes {
         let fm = FlowMod::delete_strict(FlowMatch::l3_for_id(id), 10);
         bytes.extend(Message::FlowMod(fm).to_bytes(Xid(id)));
     }
@@ -102,9 +109,9 @@ fn rotation() -> Vec<u8> {
 
 /// Heap allocations per rotation (2 × `IDS` flow-mods) once the switch
 /// and the output buffer have seen the stream twice.
-fn allocs_per_rotation(profile: SwitchProfile) -> u64 {
+fn allocs_per_rotation(profile: SwitchProfile, shuffled: bool) -> u64 {
     let mut agent = Agent::new(Switch::new(profile, Dpid(1), 7));
-    let bytes = rotation();
+    let bytes = rotation(shuffled);
     let mut outputs = Vec::new();
     let mut feed = |agent: &mut Agent| {
         agent
@@ -131,18 +138,28 @@ fn allocs_per_rotation(profile: SwitchProfile) -> u64 {
 }
 
 /// The OVS pipeline `wire_bulk` drives: frame → `FlowMod` value →
-/// entry, nothing on the heap, for adds and strict deletes alike.
+/// entry, nothing on the heap, for adds and strict deletes alike, in
+/// either delete order.
 #[test]
 fn ovs_rotation_allocates_nothing() {
-    assert_eq!(allocs_per_rotation(SwitchProfile::ovs()), 0);
+    for shuffled in [false, true] {
+        let spent = allocs_per_rotation(SwitchProfile::ovs(), shuffled);
+        assert_eq!(spent, 0, "shuffled deletes: {shuffled}");
+    }
 }
 
 /// The policy-cached pipeline (TCAM + software table): the add plans
 /// its cascade in a `Vec` — one allocation — and a strict delete still
-/// allocates nothing.
+/// allocates nothing, in either delete order.
 #[test]
 fn policy_cached_rotation_allocates_once_per_add() {
-    assert!(allocs_per_rotation(SwitchProfile::vendor1()) <= u64::from(IDS));
+    for shuffled in [false, true] {
+        let spent = allocs_per_rotation(SwitchProfile::vendor1(), shuffled);
+        assert!(
+            spent <= u64::from(IDS),
+            "shuffled deletes: {shuffled}, {spent} allocations"
+        );
+    }
 }
 
 const RULES: u32 = 96;
@@ -218,7 +235,7 @@ fn probe_hits_allocate_nothing_and_misses_once() {
 const RESIDENTS: u32 = 10_000;
 /// Live heap bytes per resident rule of an OVS agent (the entry, its
 /// slot in the table's columns and its match-index hash slot and link).
-const BYTES_PER_RESIDENT: i64 = 270;
+const BYTES_PER_RESIDENT: i64 = 263;
 
 /// An OVS agent fed `RESIDENTS` distinct adds holds them in at most
 /// `BYTES_PER_RESIDENT` live heap bytes each, counting everything the

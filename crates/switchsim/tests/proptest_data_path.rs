@@ -135,26 +135,32 @@ fn check_level(level: &mut CacheLevel, policy: &CachePolicy) {
         );
     }
 
-    // Eviction index vs the linear victim/backfill scans.
+    // Eviction index vs the linear victim/backfill scans: the handle
+    // locates the entry the scan picks (ids are unique).
+    let worst = level.worst_pos(policy);
     prop_assert_eq!(
-        level.worst_pos(policy),
-        policy.worst_index(&entries),
+        worst.map(|h| level.table.get(h)),
+        policy.worst_index(&entries).map(|i| &entries[i]),
         "worst_pos diverged"
     );
+    let best = level.best_pos(policy);
     prop_assert_eq!(
-        level.best_pos(policy),
-        policy.best_index(&entries),
+        best.map(|h| level.table.get(h)),
+        policy.best_index(&entries).map(|i| &entries[i]),
         "best_pos diverged"
     );
 
-    // Timeout population and id positions.
+    // Timeout population, and each id's handle in install order.
     let timeouts = entries
         .iter()
         .filter(|e| e.idle_timeout > 0 || e.hard_timeout > 0)
         .count();
     prop_assert_eq!(level.table.timeout_count(), timeouts, "timeout_count");
-    for (i, e) in entries.iter().enumerate() {
-        prop_assert_eq!(level.table.position_of(e.id), Some(i), "position_of");
+    let handles: Vec<usize> = level.table.handles().collect();
+    prop_assert_eq!(handles.len(), entries.len(), "handles");
+    for (&h, e) in handles.iter().zip(&entries) {
+        prop_assert_eq!(level.table.handle_of(e.id), Some(h), "handle_of");
+        prop_assert_eq!(level.table.get(h), e, "handle locates its entry");
     }
 }
 

@@ -4,10 +4,12 @@
 //! The oracle reimplements the pre-index semantics (scan everything,
 //! max priority then min id; strict find = first position) on a plain
 //! `Vec<FlowEntry>`. Every operation — insert, strict modify, strict
-//! delete (by position and in one probe), loose delete, lookup — is
-//! applied to both tables and their observable state compared, so any
-//! index-maintenance bug (stale position, unsorted bucket, missed
-//! compaction fix-up) surfaces as a divergence.
+//! delete (by handle and in one probe), loose delete, lookup — is
+//! applied to both tables and their observable state compared: the
+//! table answers with handles, the oracle with positions, and each
+//! handle must locate the very entry (ids are unique) the oracle holds
+//! at its position. Any index-maintenance bug (stale handle, unsorted
+//! bucket, broken install-order link) surfaces as a divergence.
 
 use ofwire::action::Action;
 use ofwire::flow_match::{FlowKey, FlowMatch, Ipv4Prefix};
@@ -66,14 +68,27 @@ impl NaiveTable {
         self.entries.remove(index)
     }
 
-    fn remove_indices(&mut self, mut indices: Vec<usize>) -> Vec<FlowEntry> {
-        indices.sort_unstable_by(|a, b| b.cmp(a));
-        indices.dedup();
-        indices
-            .into_iter()
-            .map(|i| self.entries.remove(i))
-            .collect()
+    /// Removes distinct ascending `indices`, returning the entries in
+    /// the order given.
+    fn remove_indices(&mut self, indices: &[usize]) -> Vec<FlowEntry> {
+        let mut removed: Vec<FlowEntry> = indices
+            .iter()
+            .rev()
+            .map(|&i| self.entries.remove(i))
+            .collect();
+        removed.reverse();
+        removed
     }
+}
+
+/// The entries the table's handles locate.
+fn located<'t>(table: &'t FlowTable, handles: &[usize]) -> Vec<&'t FlowEntry> {
+    handles.iter().map(|&h| table.get(h)).collect()
+}
+
+/// The entries the oracle holds at `positions`.
+fn held<'t>(naive: &'t NaiveTable, positions: &[usize]) -> Vec<&'t FlowEntry> {
+    positions.iter().map(|&i| &naive.entries[i]).collect()
 }
 
 /// How many distinct matches [`a_match`] produces (`fid` beyond this
@@ -124,14 +139,18 @@ fn assert_agree(indexed: &FlowTable, naive: &NaiveTable) {
     assert_eq!(indexed.snapshot(), naive.entries, "entry order");
     for fid in 0..8u32 {
         let key = FlowMatch::key_for_id(fid);
-        assert_eq!(indexed.lookup(&key), naive.lookup(&key), "lookup fid={fid}");
+        assert_eq!(
+            located(indexed, indexed.lookup(&key).as_slice()),
+            held(naive, naive.lookup(&key).as_slice()),
+            "lookup fid={fid}"
+        );
     }
     for fid in 0..FAMILY {
         for prio in 0..4u16 {
             let m = a_match(fid);
             assert_eq!(
-                indexed.find_strict(&m, prio),
-                naive.find_strict(&m, prio),
+                located(indexed, indexed.find_strict(&m, prio).as_slice()),
+                held(naive, naive.find_strict(&m, prio).as_slice()),
                 "strict fid={fid} prio={prio}"
             );
         }
@@ -168,18 +187,20 @@ proptest! {
                 // are immutable per the table contract).
                 2 => {
                     let m = a_match(fid);
-                    let at = indexed.find_strict(&m, prio);
-                    prop_assert_eq!(at, naive.find_strict(&m, prio));
-                    if let Some(i) = at {
-                        indexed.get_mut(i).actions = Action::output(9).into();
+                    let (at, i) = (indexed.find_strict(&m, prio), naive.find_strict(&m, prio));
+                    prop_assert_eq!(located(&indexed, at.as_slice()), held(&naive, i.as_slice()));
+                    if let (Some(h), Some(i)) = (at, i) {
+                        indexed.get_mut(h).actions = Action::output(9).into();
                         naive.entries[i].actions = Action::output(9).into();
                     }
                 }
-                // Strict delete, by position.
+                // Strict delete, by handle.
                 3 => {
                     let m = a_match(fid);
-                    if let Some(i) = indexed.find_strict(&m, prio) {
-                        let a = indexed.remove_at(i);
+                    let (at, i) = (indexed.find_strict(&m, prio), naive.find_strict(&m, prio));
+                    prop_assert_eq!(located(&indexed, at.as_slice()), held(&naive, i.as_slice()));
+                    if let (Some(h), Some(i)) = (at, i) {
+                        let a = indexed.remove_at(h);
                         let b = naive.remove_at(i);
                         prop_assert_eq!(a, b);
                     }
@@ -194,10 +215,10 @@ proptest! {
                 // Loose delete: everything a narrower filter subsumes.
                 _ => {
                     let filter = a_match(fid);
-                    let sel = indexed.select_loose(&filter, PortNo::NONE);
-                    prop_assert_eq!(&sel, &naive.select_loose(&filter));
-                    let a = indexed.remove_indices(sel.clone());
-                    let b = naive.remove_indices(sel);
+                    let (sel, at) = (indexed.select_loose(&filter, PortNo::NONE), naive.select_loose(&filter));
+                    prop_assert_eq!(located(&indexed, &sel), held(&naive, &at));
+                    let a = indexed.remove_indices(sel);
+                    let b = naive.remove_indices(&at);
                     prop_assert_eq!(a, b);
                 }
             }
