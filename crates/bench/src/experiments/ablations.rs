@@ -16,7 +16,7 @@ use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::db::TangoDb;
 use tango::driver::run_driver;
-use tango::infer_size::{ClusterMethod, SizeDriver, SizeProbeConfig};
+use tango::infer_size::{size_probe, ClusterMethod, SizeProbeConfig};
 use tango::pattern::RuleKind;
 use tango::stats::relative_error;
 use tango_sched::executor::{execute_rounds, execute_with, Batching, Release};
@@ -38,7 +38,7 @@ fn size_probe_error(tcam: u64, method: ClusterMethod, trials: usize, seed: u64) 
         seed,
         ..SizeProbeConfig::default()
     };
-    let est = run_driver(&mut tb, dpid, SizeDriver::new(RuleKind::L3, cfg))
+    let est = run_driver(&mut tb, dpid, |p| size_probe(p, RuleKind::L3, cfg))
         .expect("size probe completes");
     (
         relative_error(est.fast_layer_size().unwrap_or(0.0), tcam as f64),

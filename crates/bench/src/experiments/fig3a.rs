@@ -15,7 +15,7 @@ use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::driver::run_driver;
 use tango::pattern::{OpPhase, RuleKind, TangoPattern};
-use tango::probe::PatternDriver;
+use tango::probe::pattern_probe;
 
 const BASE_PRIORITY: u16 = 500;
 
@@ -70,8 +70,7 @@ pub fn run(preinstalled: usize, per_phase: usize, reps: usize) -> Figure {
             RuleKind::L3,
         );
         let (mut tb, dpid) = fresh_switch(preinstalled, per_phase, rep as u64);
-        let res =
-            run_driver(&mut tb, dpid, PatternDriver::for_pattern(&pattern)).expect("pattern runs");
+        let res = run_driver(&mut tb, dpid, |p| pattern_probe(p, &pattern)).expect("pattern runs");
         assert_eq!(res.rejected(), 0, "{}", pattern.name);
         res.install_time().as_secs_f64()
     });

@@ -15,10 +15,10 @@ use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::driver::run_driver;
 use tango::pattern::{PriorityOrder, RuleKind, TangoPattern};
-use tango::probe::{PatternDriver, PatternResult};
+use tango::probe::{pattern_probe, PatternResult};
 
 fn run_pattern(tb: &mut Testbed, pat: &TangoPattern) -> PatternResult {
-    run_driver(tb, Dpid(1), PatternDriver::for_pattern(pat)).expect("pattern runs")
+    run_driver(tb, Dpid(1), |p| pattern_probe(p, pat)).expect("pattern runs")
 }
 
 fn measure(profile: SwitchProfile, n: usize, seed: u64) -> (f64, f64) {

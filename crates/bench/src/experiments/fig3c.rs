@@ -12,14 +12,14 @@ use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::driver::run_driver;
 use tango::pattern::{PriorityOrder, RuleKind, TangoPattern};
-use tango::probe::PatternDriver;
+use tango::probe::pattern_probe;
 
 fn install_time_s(profile: SwitchProfile, n: usize, order: PriorityOrder) -> f64 {
     let mut tb = Testbed::new(0x3c);
     let dpid = Dpid(1);
     tb.attach_default(dpid, profile);
     let pat = TangoPattern::priority_insertion(n, order, RuleKind::L3);
-    run_driver(&mut tb, dpid, PatternDriver::for_pattern(&pat))
+    run_driver(&mut tb, dpid, |p| pattern_probe(p, &pat))
         .expect("pattern runs")
         .install_time()
         .as_secs_f64()

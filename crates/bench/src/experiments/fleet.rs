@@ -18,7 +18,7 @@ use switchsim::profiles::SwitchProfile;
 use tango::db::TangoDb;
 use tango::driver::run_driver;
 use tango::fleet::{run_inference, FleetJob};
-use tango::infer_size::{SizeDriver, SizeEstimate, SizeProbeConfig};
+use tango::infer_size::{size_probe, SizeEstimate, SizeProbeConfig};
 use tango::pattern::RuleKind;
 
 /// One fleet width's outcome.
@@ -92,8 +92,8 @@ pub fn run(widths: &[usize], tcam: u64, traced: bool) -> (Vec<FleetScalingRow>, 
         let seq: Vec<SizeEstimate> = dpids
             .iter()
             .map(|&d| {
-                let driver = SizeDriver::new(RuleKind::L3, config(d, tcam));
-                run_driver(&mut seq_tb, d, driver).expect("sequential size probe")
+                let probe = |p| size_probe(p, RuleKind::L3, config(d, tcam));
+                run_driver(&mut seq_tb, d, probe).expect("sequential size probe")
             })
             .collect();
         let sequential_s = seq_tb.now().since(seq_start).as_millis_f64() / 1000.0;

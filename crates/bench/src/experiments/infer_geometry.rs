@@ -7,7 +7,7 @@ use ofwire::types::Dpid;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::driver::run_driver;
-use tango::infer_geometry::{GeometryClass, GeometryDriver, GeometryEstimate};
+use tango::infer_geometry::{geometry_probe, GeometryClass, GeometryEstimate};
 
 /// One row: profile name, probe result.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,7 +36,7 @@ pub fn run(cap: usize) -> Vec<GeometryRow> {
             let dpid = Dpid(1);
             let name = profile.name.clone();
             tb.attach_default(dpid, profile);
-            let estimate = run_driver(&mut tb, dpid, GeometryDriver::new(cap, 400))
+            let estimate = run_driver(&mut tb, dpid, |p| geometry_probe(p, cap, 400))
                 .expect("geometry probe completes");
             GeometryRow {
                 switch: name,

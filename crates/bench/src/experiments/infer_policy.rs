@@ -9,7 +9,7 @@ use switchsim::cache::{Attribute, CachePolicy, Direction, SortKey};
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::driver::run_driver;
-use tango::infer_policy::{PolicyDriver, PolicyProbeConfig};
+use tango::infer_policy::{policy_probe, PolicyProbeConfig};
 use tango::pattern::RuleKind;
 
 /// One grid cell: ground truth vs inferred.
@@ -67,12 +67,9 @@ pub fn run(cache_size: u64) -> Vec<PolicyRow> {
             dpid,
             SwitchProfile::generic_cached(cache_size, policy.clone()),
         );
-        let driver = PolicyDriver::new(
-            RuleKind::L3,
-            cache_size as usize,
-            PolicyProbeConfig::default(),
-        );
-        let inferred = run_driver(&mut tb, dpid, driver).expect("policy probe completes");
+        let config = PolicyProbeConfig::default();
+        let probe = |p| policy_probe(p, RuleKind::L3, cache_size as usize, config);
+        let inferred = run_driver(&mut tb, dpid, probe).expect("policy probe completes");
         let expected = expected_report(&policy);
         PolicyRow {
             actual: policy.describe(),

@@ -13,7 +13,7 @@ use switchsim::cache::CachePolicy;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::driver::run_driver;
-use tango::infer_size::{SizeDriver, SizeProbeConfig};
+use tango::infer_size::{size_probe, SizeProbeConfig};
 use tango::pattern::RuleKind;
 use tango::stats::relative_error;
 
@@ -44,7 +44,7 @@ fn probe(profile: SwitchProfile, actual: usize, max_flows: usize, seed: u64) -> 
         seed,
         ..SizeProbeConfig::default()
     };
-    let est = run_driver(&mut tb, dpid, SizeDriver::new(RuleKind::L3, cfg))
+    let est = run_driver(&mut tb, dpid, |p| size_probe(p, RuleKind::L3, cfg))
         .expect("size probe completes");
     let estimated = est.fast_layer_size().unwrap_or(0.0);
     SizeAccuracyRow {

@@ -7,9 +7,9 @@
 //! scheduler extrapolate add costs to other batch sizes (the "Tango
 //! latency curves" used for guard-time estimation).
 
-use crate::driver::{run_driver, ProbeError};
+use crate::driver::{run_driver, Probe, ProbeError};
 use crate::pattern::{PriorityOrder, RuleKind, TangoPattern};
-use crate::probe::PatternDriver;
+use crate::probe::{pattern_probe, PatternResult};
 use ofwire::flow_mod::FlowMod;
 use ofwire::types::Dpid;
 use switchsim::control::{ControlOp, ControlPath};
@@ -68,36 +68,59 @@ impl LatencyProfile {
 }
 
 /// Measures a latency profile of switch `dpid` by running
-/// priority-insertion, modify, and delete patterns of `n` rules of
-/// `kind` against it. Clears the switch's rules between arms.
+/// [`latency_probe`] on it.
 ///
 /// # Errors
-/// Propagates any [`ProbeError`] from the underlying pattern runs.
+/// Propagates any [`ProbeError`] from the probe.
 pub fn measure_latency_profile(
     cp: &mut impl ControlPath,
     dpid: Dpid,
     kind: RuleKind,
     n: usize,
 ) -> Result<LatencyProfile, ProbeError> {
-    let per_op = |cp: &mut _, pat: TangoPattern| -> Result<f64, ProbeError> {
-        let res = run_driver(cp, dpid, PatternDriver::for_pattern(&pat))?;
-        Ok(res.install_time().as_millis_f64() / n as f64)
-    };
-    let add_ms = |cp: &mut _, order| {
-        clear_rules(cp, dpid);
-        per_op(cp, TangoPattern::priority_insertion(n, order, kind))
-    };
+    run_driver(cp, dpid, |p| latency_probe(p, kind, n))
+}
 
-    let add_asc = add_ms(cp, PriorityOrder::Ascending)?;
-    let add_desc = add_ms(cp, PriorityOrder::Descending)?;
-    let add_same = add_ms(cp, PriorityOrder::Same)?;
-    let add_rand = add_ms(cp, PriorityOrder::Random(7))?;
+/// The latency curves as a probe program on `probe`'s switch (see
+/// [`driver`](crate::driver)): priority-insertion, modify, and delete
+/// patterns of `n` rules of `kind`, the switch's rules cleared before
+/// each add arm and at the end.
+///
+/// # Errors
+/// Propagates any [`ProbeError`] from the pattern runs.
+pub async fn latency_probe(
+    probe: Probe,
+    kind: RuleKind,
+    n: usize,
+) -> Result<LatencyProfile, ProbeError> {
+    let clear = || async {
+        probe.issue(ControlOp::FlowMod(FlowMod::delete_all()));
+        probe.flow_mod("rule-clearing delete_all").await
+    };
+    let per_op = |res: PatternResult| res.install_time().as_millis_f64() / n as f64;
+    let mut add = [0.0; 4];
+    let orders = [
+        PriorityOrder::Ascending,
+        PriorityOrder::Descending,
+        PriorityOrder::Same,
+        PriorityOrder::Random(7),
+    ];
+    for (add, order) in add.iter_mut().zip(orders) {
+        clear().await?;
+        let pattern = TangoPattern::priority_insertion(n, order, kind);
+        *add = per_op(pattern_probe(probe.clone(), &pattern).await?);
+    }
+    let [add_asc, add_desc, add_same, add_rand] = add;
 
     // Mods and deletes operate on a pre-installed constant-priority set.
-    add_ms(cp, PriorityOrder::Same)?;
-    let mod_ms = per_op(cp, TangoPattern::modify_batch(n, 1000, kind))?;
-    let del_ms = per_op(cp, TangoPattern::delete_batch(n, 1000, kind))?;
-    clear_rules(cp, dpid);
+    clear().await?;
+    let same = TangoPattern::priority_insertion(n, PriorityOrder::Same, kind);
+    pattern_probe(probe.clone(), &same).await?;
+    let mods = TangoPattern::modify_batch(n, 1000, kind);
+    let mod_ms = per_op(pattern_probe(probe.clone(), &mods).await?);
+    let dels = TangoPattern::delete_batch(n, 1000, kind);
+    let del_ms = per_op(pattern_probe(probe.clone(), &dels).await?);
+    clear().await?;
 
     // desc_total − asc_total ≈ shift_us · n²/2  (in µs).
     let shift_us = ((add_desc - add_asc) * n as f64 * 1000.0 / ((n as f64).powi(2) / 2.0)).max(0.0);
@@ -112,14 +135,6 @@ pub fn measure_latency_profile(
         del_ms,
         shift_us,
     })
-}
-
-/// Removes every rule from switch `dpid` and waits for the ack, leaving
-/// the clock there — the op and clock move of a synchronous flow-mod.
-fn clear_rules(cp: &mut impl ControlPath, dpid: Dpid) {
-    let token = cp.submit(dpid, ControlOp::FlowMod(FlowMod::delete_all()), cp.now());
-    let acked_at = cp.wait_for(token).acked_at;
-    cp.warp_to(acked_at);
 }
 
 #[cfg(test)]

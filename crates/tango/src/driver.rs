@@ -1,25 +1,29 @@
-//! Resumable inference drivers: the adaptive probing algorithms as
-//! event-driven state machines over the [`ControlPath`] layer.
+//! Probe programs: the adaptive probing algorithms as straight-line
+//! `async fn`s over the [`ControlPath`] layer, and the one runner that
+//! drives them.
 //!
 //! Every probe in this crate — Algorithm 1
-//! ([`SizeDriver`](crate::infer_size::SizeDriver)), Algorithm 2
-//! ([`PolicyDriver`](crate::infer_policy::PolicyDriver)), the geometry
-//! probe ([`GeometryDriver`](crate::infer_geometry::GeometryDriver)),
+//! ([`size_probe`](crate::infer_size::size_probe)), Algorithm 2
+//! ([`policy_probe`](crate::infer_policy::policy_probe)), the geometry
+//! probe ([`geometry_probe`](crate::infer_geometry::geometry_probe)),
 //! the online headroom probe
-//! ([`HeadroomDriver`](crate::online::HeadroomDriver)), and plain pattern
-//! execution ([`PatternDriver`](crate::probe::PatternDriver)) — is a
-//! small state machine implementing [`InferenceDriver`]: it *issues*
-//! control-path operations — often a whole pattern's worth at once — and
-//! *consumes* their completions one at a time, never blocking on the
-//! transport. The drivers are the entry points, and they run on any
-//! [`ControlPath`]: [`run_driver`] runs one on a single switch;
-//! whole-network inference feeds one driver per switch through
-//! [`run_drivers`] (see [`fleet`](crate::fleet)) so N switches are
-//! characterized in the wall-clock time of the slowest, not the sum.
+//! ([`headroom_probe`](crate::online::headroom_probe)), pattern execution
+//! ([`pattern_probe`](crate::probe::pattern_probe)) and the latency
+//! curves ([`latency_probe`](crate::curves::latency_probe)) — is written
+//! the way the paper states it, as loops over one switch's [`Probe`]
+//! handle: [`Probe::issue`] queues an operation, and awaiting
+//! [`Probe::completion`] yields the oldest outstanding one's result. A
+//! program never blocks on the transport; it suspends at each await.
+//! [`run_driver`] runs one program on a single switch; whole-network
+//! inference runs one per switch through [`run_drivers`] (see
+//! [`fleet`](crate::fleet)), so N switches are characterized in the
+//! wall-clock time of the slowest, not the sum. The runner needs no
+//! async runtime: it polls a program exactly when a completion for it
+//! arrives.
 //!
 //! # Determinism
 //!
-//! Interleaving drivers does not change what any one of them measures.
+//! Interleaving programs does not change what any one of them measures.
 //! Two properties make that true:
 //!
 //! 1. **Pacing is preserved.** Every operation leaves the controller at
@@ -29,32 +33,40 @@
 //!    operations ahead with [`READY_ON_PREVIOUS_ACK`], which the control
 //!    path — it computes every `acked_at` — resolves to the value an
 //!    explicit submit would have carried. What one switch observes is
-//!    identical whether its driver runs alone or among many, one op at a
-//!    time or a window deep.
+//!    identical whether its program runs alone or among many, one op at
+//!    a time or a window deep.
 //! 2. **Randomness is per-switch.** Latency jitter comes from RNG
 //!    streams forked per switch at attach time and drawn in the switch's
-//!    own op order, and each driver owns its own sampling RNG seeded from
-//!    its config — nothing is drawn from a shared stream whose order
+//!    own op order, and each program owns its own sampling RNG seeded
+//!    from its config — nothing is drawn from a shared stream whose order
 //!    interleaving, or submitting ahead, could perturb.
 //!
-//! Hence `run_drivers` is bit-identical to running each driver
+//! Hence `run_drivers` is bit-identical to running each program
 //! sequentially on its own — the property the `fleet_inference`
 //! integration test and the `driver_equivalence` proptest enforce.
 
 use ofwire::types::Dpid;
 use simnet::telemetry::SpanId;
 use simnet::time::{SimDuration, SimTime};
+use std::cell::RefCell;
 use std::collections::{HashSet, VecDeque};
-use switchsim::control::{self, ControlOp, ControlPath, TokenRing, READY_ON_PREVIOUS_ACK};
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
+use std::rc::Rc;
+use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
+use switchsim::control::{
+    self, ControlOp, ControlPath, OpOutcome, OpResult, TokenRing, READY_ON_PREVIOUS_ACK,
+};
 
 /// A typed error from the probing layer. Replaces the panics and asserts
 /// that used to live on the probing hot path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProbeError {
-    /// A completion's outcome did not match the operation the driver had
-    /// in flight — a control-path contract violation.
+    /// A completion's outcome did not match the operation the program
+    /// had in flight — a control-path contract violation.
     CompletionMismatch {
-        /// Debug rendering of the op the driver expected to complete.
+        /// Debug rendering of the op the program expected to complete.
         expected: String,
         /// Debug rendering of the outcome that actually arrived.
         got: String,
@@ -71,9 +83,12 @@ pub enum ProbeError {
         /// Probe rules actually removed.
         cleaned: usize,
     },
-    /// A driver neither finished nor issued another operation — it can
+    /// A program waits with nothing of its own outstanding — it can
     /// never make progress again.
     DriverStalled(Dpid),
+    /// A program returned while operations it issued were still queued
+    /// or in flight; their completions would have nowhere to go.
+    OpsOutstanding(Dpid),
 }
 
 impl std::fmt::Display for ProbeError {
@@ -85,7 +100,7 @@ impl std::fmt::Display for ProbeError {
             ProbeError::DuplicateSwitch(dpid) => {
                 write!(
                     f,
-                    "duplicate job for {dpid}: one driver per switch at a time"
+                    "duplicate job for {dpid}: one program per switch at a time"
                 )
             }
             ProbeError::LeakedRules { installed, cleaned } => write!(
@@ -93,7 +108,10 @@ impl std::fmt::Display for ProbeError {
                 "online probe leaked rules: installed {installed}, cleaned {cleaned}"
             ),
             ProbeError::DriverStalled(dpid) => {
-                write!(f, "driver for {dpid} stalled: not done, nothing in flight")
+                write!(f, "program for {dpid} stalled: waiting, nothing in flight")
+            }
+            ProbeError::OpsOutstanding(dpid) => {
+                write!(f, "program for {dpid} returned with operations outstanding")
             }
         }
     }
@@ -101,30 +119,7 @@ impl std::fmt::Display for ProbeError {
 
 impl std::error::Error for ProbeError {}
 
-/// What a driver does next: issue more operations, or finish.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Step<T> {
-    /// Submit these operations, in order, behind anything already
-    /// queued. An empty `Issue` is a no-op (the driver is still waiting
-    /// on earlier operations).
-    Issue(Vec<ControlOp>),
-    /// The driver is finished; this is its outcome. A driver must not
-    /// finish with issued operations uncompleted — the runner may already
-    /// have put them on the wire (it checks this in debug builds).
-    Done(T),
-}
-
-impl<T> Step<T> {
-    /// Maps the outcome type, leaving issued ops untouched.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Step<U> {
-        match self {
-            Step::Issue(ops) => Step::Issue(ops),
-            Step::Done(t) => Step::Done(f(t)),
-        }
-    }
-}
-
-/// A completion as a driver sees it: the transport-level event plus the
+/// A completion as a program sees it: the transport-level event plus the
 /// controller-side instant the op was submitted with, so elapsed time is
 /// measured exactly as a synchronous submit-and-wait loop measures it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,23 +144,69 @@ impl Completion {
     }
 }
 
-/// A resumable inference state machine.
-///
-/// The runner calls [`start`](InferenceDriver::start) once, submits the
-/// issued operations in order (each leaving the controller at the
-/// previous one's `acked_at`), and feeds every completion back through
-/// [`on_completion`](InferenceDriver::on_completion). Completions arrive
-/// in issue order, exactly one per issued op.
-pub trait InferenceDriver {
-    /// What the driver produces when it finishes.
-    type Outcome;
+/// A probe program's handle on its switch. Clones share one channel, so
+/// a program can hand its switch to a sub-program (the geometry probe
+/// runs Algorithm 1 three times).
+#[derive(Clone, Default)]
+pub struct Probe(Rc<RefCell<Channel>>);
 
-    /// Called once before any completion: the driver's opening
-    /// operations (or an immediate outcome for degenerate configs).
-    fn start(&mut self) -> Step<Self::Outcome>;
+/// What passes between a program and [`run_drivers`].
+#[derive(Default)]
+struct Channel {
+    /// Operations issued and not yet submitted.
+    queued: VecDeque<ControlOp>,
+    /// The oldest outstanding op's completion, delivered and not yet
+    /// taken.
+    delivered: Option<Completion>,
+}
 
-    /// Called with the completion of the oldest outstanding operation.
-    fn on_completion(&mut self, c: &Completion) -> Result<Step<Self::Outcome>, ProbeError>;
+impl Probe {
+    /// Queues `op` behind every operation already issued. Ops issued
+    /// before the next await go out together, each leaving the
+    /// controller at its predecessor's ack.
+    pub fn issue(&self, op: ControlOp) {
+        self.0.borrow_mut().queued.push_back(op);
+    }
+
+    /// The completion of the oldest outstanding operation. Completions
+    /// arrive in issue order, exactly one per issued op.
+    pub async fn completion(&self) -> Completion {
+        poll_fn(|_| {
+            let delivered = self.0.borrow_mut().delivered.take();
+            delivered.map_or(Poll::Pending, Poll::Ready)
+        })
+        .await
+    }
+
+    /// The oldest outstanding op's controller-observed RTT in ms. It must
+    /// be a probe; otherwise the error names it `what`.
+    pub async fn rtt_ms(&self, what: &str) -> Result<f64, ProbeError> {
+        let c = self.completion().await;
+        match c.inner.outcome {
+            OpOutcome::Probe(_) => Ok(c.elapsed_ms()),
+            _ => Err(mismatch(&what, &c)),
+        }
+    }
+
+    /// The oldest outstanding op's result. It must be a single
+    /// flow-mod; otherwise the error names it `what`.
+    pub async fn flow_mod(&self, what: &str) -> Result<OpResult, ProbeError> {
+        let c = self.completion().await;
+        match c.inner.outcome {
+            OpOutcome::FlowMod(r) => Ok(r),
+            _ => Err(mismatch(&what, &c)),
+        }
+    }
+
+    /// The oldest outstanding op's `(ok, failed)` tally. It must be a
+    /// batch; otherwise the error names it `what`.
+    pub async fn batch(&self, what: &str) -> Result<(usize, usize), ProbeError> {
+        let c = self.completion().await;
+        match c.inner.outcome {
+            OpOutcome::Batch { ok, failed } => Ok((ok, failed)),
+            _ => Err(mismatch(&what, &c)),
+        }
+    }
 }
 
 /// How many operations [`run_drivers`] keeps submitted ahead per job, so
@@ -177,28 +218,43 @@ pub trait InferenceDriver {
 /// one `OutBuf` segment, far below `LOW_WATER`).
 const WINDOW: usize = 128;
 
-/// One driver's bookkeeping inside [`run_drivers`].
-struct Job<D: InferenceDriver> {
+/// One program's bookkeeping inside [`run_drivers`].
+struct Job<P, T> {
     dpid: Dpid,
-    driver: D,
-    /// Operations issued by the driver but not yet submitted.
-    queue: VecDeque<ControlOp>,
+    /// The runner's end of the program's channel.
+    probe: Probe,
+    program: Pin<Box<P>>,
     /// Operations submitted and not yet completed (at most [`WINDOW`]).
     out: usize,
     /// `acked_at` of the job's latest completion (the start instant
     /// before any): when the next op to complete left the controller.
     last_ack: SimTime,
-    outcome: Option<D::Outcome>,
+    /// Set once the program has returned.
+    outcome: Option<T>,
     /// Telemetry span covering the job on its switch's track, from first
     /// submit to final acknowledgement. `None` when telemetry is off or
     /// the path assigns no per-switch tracks.
     span: Option<SpanId>,
 }
 
-impl<D: InferenceDriver> Job<D> {
+impl<T, P: Future<Output = Result<T, ProbeError>>> Job<P, T> {
+    /// Runs the program until it next waits or returns; a program that
+    /// returns leaves nothing queued or in flight.
+    fn resume(&mut self, cx: &mut Context<'_>) -> Result<(), ProbeError> {
+        if let Poll::Ready(outcome) = self.program.as_mut().poll(cx) {
+            let outcome = outcome?;
+            if self.out > 0 || !self.probe.0.borrow().queued.is_empty() {
+                return Err(ProbeError::OpsOutstanding(self.dpid));
+            }
+            self.outcome = Some(outcome);
+        }
+        Ok(())
+    }
+
     /// Submits queued ops until [`WINDOW`] are out, the first at
     /// `ready_at` and the rest chained to their predecessor's ack;
-    /// errors if the driver is unfinished with nothing queued or out.
+    /// errors if the waiting program has nothing of its own out, or left
+    /// its last completion untaken.
     fn top_up<C: ControlPath>(
         &mut self,
         idx: usize,
@@ -207,7 +263,7 @@ impl<D: InferenceDriver> Job<D> {
         inflight: &mut TokenRing<usize>,
     ) -> Result<(), ProbeError> {
         while self.out < WINDOW {
-            let Some(op) = self.queue.pop_front() else {
+            let Some(op) = self.probe.0.borrow_mut().queued.pop_front() else {
                 break;
             };
             let token = cp.submit(self.dpid, op, ready_at);
@@ -219,16 +275,26 @@ impl<D: InferenceDriver> Job<D> {
                 t.gauge_max("driver/inflight_max", self.out as u64);
             }
         }
-        if self.out == 0 {
+        if self.out == 0 || self.probe.0.borrow().delivered.is_some() {
             return Err(ProbeError::DriverStalled(self.dpid));
         }
         Ok(())
     }
 }
 
-/// Drives many inference state machines over one control path, each
-/// switch's driver advancing as its own completions arrive. Returns the
-/// outcomes in job order.
+/// The waker programs are polled with. Waking does nothing:
+/// [`run_drivers`] resumes a program exactly when a completion for it
+/// arrives.
+struct Unwoken;
+
+impl Wake for Unwoken {
+    fn wake(self: Arc<Self>) {}
+}
+
+/// Runs many probe programs over one control path, one per switch, each
+/// advancing as its own completions arrive. `jobs` pairs each switch
+/// with the program to start on it, given the switch's [`Probe`].
+/// Returns the outcomes in job order.
 ///
 /// Each job keeps up to `WINDOW` (128) issued operations submitted
 /// ahead — the first at an explicit instant, the rest chained with
@@ -236,18 +302,25 @@ impl<D: InferenceDriver> Job<D> {
 /// `driver/inflight_max` reports the depth reached. Each op still leaves
 /// the controller at the previous op's `acked_at`, the instant a
 /// synchronous loop would have issued it — so the results are
-/// bit-identical to running the drivers one after another (see the
+/// bit-identical to running the programs one after another (see the
 /// module docs). On return the shared clock sits at the latest
-/// acknowledgement any driver observed, matching where a sequence of
+/// acknowledgement any program observed, matching where a sequence of
 /// synchronous runs would have left it.
 ///
 /// Completions from operations the caller had in flight before this call
-/// are consumed and dropped; don't run drivers with foreign ops pending
+/// are consumed and dropped; don't run programs with foreign ops pending
 /// if those completions matter.
-pub fn run_drivers<C, D>(cp: &mut C, jobs: Vec<(Dpid, D)>) -> Result<Vec<D::Outcome>, ProbeError>
+///
+/// # Errors
+/// [`ProbeError::DuplicateSwitch`] if two jobs name one switch,
+/// [`ProbeError::DriverStalled`] or [`ProbeError::OpsOutstanding`] for a
+/// program that breaks the issue/await contract, and the first error any
+/// program returns.
+pub fn run_drivers<C, F, P, T>(cp: &mut C, jobs: Vec<(Dpid, F)>) -> Result<Vec<T>, ProbeError>
 where
     C: ControlPath,
-    D: InferenceDriver,
+    F: FnOnce(Probe) -> P,
+    P: Future<Output = Result<T, ProbeError>>,
 {
     let mut seen = HashSet::new();
     for (dpid, _) in &jobs {
@@ -256,30 +329,32 @@ where
         }
     }
     let start = cp.now();
-    let mut jobs: Vec<Job<D>> = jobs
+    let mut jobs: Vec<Job<P, T>> = jobs
         .into_iter()
-        .map(|(dpid, driver)| Job {
-            dpid,
-            driver,
-            queue: VecDeque::new(),
-            out: 0,
-            last_ack: start,
-            outcome: None,
-            span: None,
+        .map(|(dpid, program)| {
+            let probe = Probe::default();
+            Job {
+                dpid,
+                program: Box::pin(program(probe.clone())),
+                probe,
+                out: 0,
+                last_ack: start,
+                outcome: None,
+                span: None,
+            }
         })
         .collect();
+    let waker = Waker::from(Arc::new(Unwoken));
+    let mut cx = Context::from_waker(&waker);
 
-    // Kick off every driver at the common start instant.
+    // Run every program to its first wait at the common start instant.
     let mut horizon = start;
     let mut inflight = TokenRing::default();
     if let Some(t) = cp.telemetry_mut() {
         t.count("driver/jobs", jobs.len() as u64);
     }
     for (i, job) in jobs.iter_mut().enumerate() {
-        match job.driver.start() {
-            Step::Issue(ops) => job.queue.extend(ops),
-            Step::Done(o) => job.outcome = Some(o),
-        }
+        job.resume(&mut cx)?;
         if job.outcome.is_none() {
             // The job span opens before the first op is submitted, so
             // the switch's op spans nest inside it on the track.
@@ -301,7 +376,7 @@ where
             return Err(ProbeError::DriverStalled(jobs[i].dpid));
         };
         let Some(i) = inflight.remove(c.token) else {
-            // A completion from outside these drivers (the caller had
+            // A completion from outside these programs (the caller had
             // other work in flight) — not ours to account.
             continue;
         };
@@ -316,26 +391,16 @@ where
             t.count("driver/completions", 1);
             t.observe("driver/op_ms", completion.elapsed_ms());
         }
-        match job.driver.on_completion(&completion)? {
-            Step::Issue(ops) => {
-                job.queue.extend(ops);
-                // With none out, the next op leaves at this op's ack —
-                // exactly when a synchronous loop would issue it.
-                job.top_up(i, cp, READY_ON_PREVIOUS_ACK, &mut inflight)?;
-            }
-            Step::Done(o) => {
-                debug_assert!(
-                    job.out == 0 && job.queue.is_empty(),
-                    "driver for {} finished with operations outstanding",
-                    job.dpid
-                );
-                job.outcome = Some(o);
-                // The op span this completion closed was the innermost
-                // on the track, so the job span ends cleanly at the ack.
-                if let Some(t) = cp.telemetry_mut() {
-                    t.span_end(job.span.take(), c.acked_at);
-                }
-            }
+        job.probe.0.borrow_mut().delivered = Some(completion);
+        job.resume(&mut cx)?;
+        if job.outcome.is_none() {
+            // With none out, the next op leaves at this op's ack —
+            // exactly when a synchronous loop would issue it.
+            job.top_up(i, cp, READY_ON_PREVIOUS_ACK, &mut inflight)?;
+        } else if let Some(t) = cp.telemetry_mut() {
+            // The op span this completion closed was the innermost on
+            // the track, so the job span ends cleanly at the ack.
+            t.span_end(job.span.take(), c.acked_at);
         }
     }
 
@@ -348,14 +413,17 @@ where
         .collect()
 }
 
-/// Drives a single inference state machine on switch `dpid` to
-/// completion.
-pub fn run_driver<C, D>(cp: &mut C, dpid: Dpid, driver: D) -> Result<D::Outcome, ProbeError>
+/// Runs one probe program on switch `dpid` to completion.
+///
+/// # Errors
+/// As [`run_drivers`].
+pub fn run_driver<C, F, P, T>(cp: &mut C, dpid: Dpid, program: F) -> Result<T, ProbeError>
 where
     C: ControlPath,
-    D: InferenceDriver,
+    F: FnOnce(Probe) -> P,
+    P: Future<Output = Result<T, ProbeError>>,
 {
-    let mut outcomes = run_drivers(cp, vec![(dpid, driver)])?;
+    let mut outcomes = run_drivers(cp, vec![(dpid, program)])?;
     outcomes.pop().ok_or(ProbeError::DriverStalled(dpid))
 }
 
@@ -373,65 +441,27 @@ mod tests {
     use super::*;
     use crate::pattern::RuleKind;
     use ofwire::flow_mod::FlowMod;
-    use switchsim::control::OpOutcome;
     use switchsim::harness::Testbed;
     use switchsim::profiles::SwitchProfile;
 
     /// Installs `n` rules one flow-mod at a time, counting acceptances.
-    struct CountingDriver {
-        kind: RuleKind,
-        n: u32,
-        next: u32,
-        accepted: usize,
-    }
-
-    impl InferenceDriver for CountingDriver {
-        type Outcome = usize;
-
-        fn start(&mut self) -> Step<usize> {
-            if self.n == 0 {
-                return Step::Done(0);
+    async fn counting(probe: Probe, n: u32) -> Result<usize, ProbeError> {
+        let mut accepted = 0;
+        for id in 0..n {
+            let fm = FlowMod::add(RuleKind::L3.flow_match(id), 10);
+            probe.issue(ControlOp::FlowMod(fm));
+            if probe.flow_mod("flow-mod").await? == OpResult::Ok {
+                accepted += 1;
             }
-            self.next = 1;
-            Step::Issue(vec![ControlOp::FlowMod(FlowMod::add(
-                self.kind.flow_match(0),
-                10,
-            ))])
         }
-
-        fn on_completion(&mut self, c: &Completion) -> Result<Step<usize>, ProbeError> {
-            let OpOutcome::FlowMod(r) = c.inner.outcome else {
-                return Err(mismatch(&"flow-mod", c));
-            };
-            if r == switchsim::control::OpResult::Ok {
-                self.accepted += 1;
-            }
-            if self.next == self.n {
-                return Ok(Step::Done(self.accepted));
-            }
-            let id = self.next;
-            self.next += 1;
-            Ok(Step::Issue(vec![ControlOp::FlowMod(FlowMod::add(
-                self.kind.flow_match(id),
-                10,
-            ))]))
-        }
-    }
-
-    fn driver(n: u32) -> CountingDriver {
-        CountingDriver {
-            kind: RuleKind::L3,
-            n,
-            next: 0,
-            accepted: 0,
-        }
+        Ok(accepted)
     }
 
     #[test]
     fn single_driver_runs_to_completion() {
         let mut tb = Testbed::new(3);
         tb.attach_default(Dpid(1), SwitchProfile::ovs());
-        let got = run_driver(&mut tb, Dpid(1), driver(25)).expect("driver completes");
+        let got = run_driver(&mut tb, Dpid(1), |p| counting(p, 25)).expect("program completes");
         assert_eq!(got, 25);
         assert_eq!(tb.switch(Dpid(1)).rule_count(), 25);
     }
@@ -441,7 +471,7 @@ mod tests {
         let mut tb = Testbed::new(3);
         tb.attach_default(Dpid(1), SwitchProfile::ovs());
         let before = ControlPath::now(&tb);
-        let got = run_driver(&mut tb, Dpid(1), driver(0)).expect("degenerate driver");
+        let got = run_driver(&mut tb, Dpid(1), |p| counting(p, 0)).expect("degenerate program");
         assert_eq!(got, 0);
         assert_eq!(ControlPath::now(&tb), before, "no ops, no time");
     }
@@ -450,7 +480,8 @@ mod tests {
     fn duplicate_switches_are_a_typed_error() {
         let mut tb = Testbed::new(3);
         tb.attach_default(Dpid(1), SwitchProfile::ovs());
-        let err = run_drivers(&mut tb, vec![(Dpid(1), driver(2)), (Dpid(1), driver(2))])
+        let count = |n| move |p| counting(p, n);
+        let err = run_drivers(&mut tb, vec![(Dpid(1), count(2)), (Dpid(1), count(2))])
             .expect_err("duplicate dpid must be rejected");
         assert_eq!(err, ProbeError::DuplicateSwitch(Dpid(1)));
     }
@@ -460,61 +491,62 @@ mod tests {
         let mut tb = Testbed::new(3);
         tb.attach_default(Dpid(1), SwitchProfile::ovs());
         tb.attach_default(Dpid(2), SwitchProfile::vendor1());
-        let got = run_drivers(&mut tb, vec![(Dpid(1), driver(30)), (Dpid(2), driver(20))])
-            .expect("both drivers complete");
+        let count = |n| move |p| counting(p, n);
+        let got = run_drivers(&mut tb, vec![(Dpid(1), count(30)), (Dpid(2), count(20))])
+            .expect("both programs complete");
         assert_eq!(got, vec![30, 20]);
         assert_eq!(tb.switch(Dpid(1)).rule_count(), 30);
         assert_eq!(tb.switch(Dpid(2)).rule_count(), 20);
     }
 
-    /// A driver that returns an empty issue without finishing.
-    struct StallingDriver;
-
-    impl InferenceDriver for StallingDriver {
-        type Outcome = ();
-
-        fn start(&mut self) -> Step<()> {
-            Step::Issue(vec![])
-        }
-
-        fn on_completion(&mut self, _c: &Completion) -> Result<Step<()>, ProbeError> {
-            Ok(Step::Issue(vec![]))
-        }
-    }
-
     #[test]
     fn stalled_driver_is_a_typed_error() {
+        // Waits for a completion without having issued anything.
+        let stalling = |p: Probe| async move {
+            p.completion().await;
+            Ok(())
+        };
         let mut tb = Testbed::new(3);
         tb.attach_default(Dpid(7), SwitchProfile::ovs());
-        let err = run_driver(&mut tb, Dpid(7), StallingDriver).expect_err("stall must surface");
+        let err = run_driver(&mut tb, Dpid(7), stalling).expect_err("stall must surface");
         assert_eq!(err, ProbeError::DriverStalled(Dpid(7)));
     }
 
-    /// Issues `n` echoes up front and fails on the `fail_at`-th reply.
-    struct SweepDriver {
-        n: usize,
-        fail_at: usize,
-        seen: usize,
+    #[test]
+    fn returning_with_ops_outstanding_is_a_typed_error() {
+        // Returns with ops still queued: nothing was ever submitted.
+        let mut tb = Testbed::new(3);
+        tb.attach_default(Dpid(7), SwitchProfile::ovs());
+        let queued = |p: Probe| async move {
+            p.issue(ControlOp::Echo(8));
+            Ok(())
+        };
+        let err = run_driver(&mut tb, Dpid(7), queued).expect_err("queued ops must surface");
+        assert_eq!(err, ProbeError::OpsOutstanding(Dpid(7)));
+        // Returns with one op in flight, after taking the other's
+        // completion.
+        let in_flight = |p: Probe| async move {
+            p.issue(ControlOp::Echo(8));
+            p.issue(ControlOp::Echo(8));
+            p.completion().await;
+            Ok(())
+        };
+        let err = run_driver(&mut tb, Dpid(7), in_flight).expect_err("in-flight ops must surface");
+        assert_eq!(err, ProbeError::OpsOutstanding(Dpid(7)));
     }
 
-    impl InferenceDriver for SweepDriver {
-        type Outcome = usize;
-
-        fn start(&mut self) -> Step<usize> {
-            Step::Issue(vec![ControlOp::Echo(8); self.n])
+    /// Issues `n` echoes up front and fails on the `fail_at`-th reply.
+    async fn sweeping(probe: Probe, n: usize, fail_at: usize) -> Result<usize, ProbeError> {
+        for _ in 0..n {
+            probe.issue(ControlOp::Echo(8));
         }
-
-        fn on_completion(&mut self, c: &Completion) -> Result<Step<usize>, ProbeError> {
-            self.seen += 1;
-            if self.seen == self.fail_at {
-                return Err(mismatch(&"a reply the driver likes", c));
+        for seen in 1..=n {
+            let c = probe.completion().await;
+            if seen == fail_at {
+                return Err(mismatch(&"a reply the program likes", &c));
             }
-            Ok(if self.seen == self.n {
-                Step::Done(self.seen)
-            } else {
-                Step::Issue(vec![])
-            })
         }
+        Ok(n)
     }
 
     #[test]
@@ -523,11 +555,7 @@ mod tests {
         tb.attach_default(Dpid(1), SwitchProfile::ovs());
         tb.attach_default(Dpid(2), SwitchProfile::vendor1());
         tb.enable_telemetry();
-        let sweep = |n| SweepDriver {
-            n,
-            fail_at: 0,
-            seen: 0,
-        };
+        let sweep = |n| move |p| sweeping(p, n, 0);
         let got = run_drivers(
             &mut tb,
             vec![(Dpid(1), sweep(3 * WINDOW)), (Dpid(2), sweep(5))],
@@ -544,12 +572,8 @@ mod tests {
     fn an_error_mid_window_is_returned() {
         let mut tb = Testbed::new(3);
         tb.attach_default(Dpid(1), SwitchProfile::ovs());
-        let failing = SweepDriver {
-            n: 2 * WINDOW,
-            fail_at: WINDOW / 2,
-            seen: 0,
-        };
-        let err = run_driver(&mut tb, Dpid(1), failing).expect_err("the driver's error surfaces");
+        let failing = |p| sweeping(p, 2 * WINDOW, WINDOW / 2);
+        let err = run_driver(&mut tb, Dpid(1), failing).expect_err("the program's error surfaces");
         assert!(matches!(err, ProbeError::CompletionMismatch { .. }));
     }
 

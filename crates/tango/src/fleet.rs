@@ -2,25 +2,25 @@
 //! interleaved over one control path.
 //!
 //! [`run_inference`] takes one [`FleetJob`] per switch — size inference,
-//! policy inference, geometry, headroom, or a plain pattern — and drives
-//! all of them concurrently through [`run_drivers`]. Each switch's
-//! driver
-//! advances the moment its own completion arrives, so characterizing N
-//! switches costs the wall-clock time of the slowest, not the sum, while
-//! every per-switch result stays bit-identical to a sequential run (see
-//! the [`driver`](crate::driver "the driver module") docs for why).
+//! policy inference, geometry, headroom, or a plain pattern — and runs
+//! each job's probe program through [`run_drivers`]. Each switch's
+//! program advances the moment its own completion arrives, so
+//! characterizing N switches costs the wall-clock time of the slowest,
+//! not the sum, while every per-switch result stays bit-identical to a
+//! sequential run (see the [`driver`](crate::driver "the driver module")
+//! docs for why).
 //!
 //! Outcomes come back as [`FleetOutcome`], in job order; feed them to
 //! [`TangoDb::ingest_fleet`](crate::db::TangoDb::ingest_fleet) to fold a
 //! whole network's worth of knowledge into the database at once.
 
-use crate::driver::{run_drivers, InferenceDriver, ProbeError, Step};
-use crate::infer_geometry::{GeometryDriver, GeometryEstimate};
-use crate::infer_policy::{InferredPolicy, PolicyDriver, PolicyProbeConfig};
-use crate::infer_size::{SizeDriver, SizeEstimate, SizeProbeConfig};
-use crate::online::{Headroom, HeadroomDriver};
+use crate::driver::{run_drivers, Probe, ProbeError};
+use crate::infer_geometry::{geometry_probe, GeometryEstimate};
+use crate::infer_policy::{policy_probe, InferredPolicy, PolicyProbeConfig};
+use crate::infer_size::{size_probe, SizeEstimate, SizeProbeConfig};
+use crate::online::{headroom_probe, Headroom};
 use crate::pattern::{RuleKind, TangoPattern};
-use crate::probe::{PatternDriver, PatternResult};
+use crate::probe::{pattern_probe, PatternResult};
 use ofwire::types::Dpid;
 use switchsim::control::ControlPath;
 
@@ -28,16 +28,23 @@ use switchsim::control::ControlPath;
 #[derive(Debug, Clone, PartialEq)]
 pub enum FleetTask {
     /// Full Algorithm 1 size inference.
-    Size(SizeProbeConfig),
+    Size {
+        /// Rule kind the probe rules use.
+        kind: RuleKind,
+        /// Probe parameters.
+        config: SizeProbeConfig,
+    },
     /// Full Algorithm 2 policy inference against a cache of the given
     /// size.
     Policy {
+        /// Rule kind the probe rules use.
+        kind: RuleKind,
         /// Believed fast-layer capacity (rules) to probe against.
         cache_size: usize,
         /// Probe parameters.
         config: PolicyProbeConfig,
     },
-    /// TCAM geometry classification.
+    /// TCAM geometry classification (sweeps rule kinds itself).
     Geometry {
         /// Upper bound on rules inserted per sub-probe.
         cap: usize,
@@ -46,24 +53,50 @@ pub enum FleetTask {
     },
     /// Online headroom measurement.
     Headroom {
+        /// Rule kind the probe rules use.
+        kind: RuleKind,
         /// Priority for the probe rules (keep it low).
         priority: u16,
         /// Upper bound on probe rules installed.
         cap: usize,
     },
-    /// A compiled pattern program, run verbatim.
+    /// A pattern, run verbatim (with its own rule kind).
     Pattern(TangoPattern),
 }
 
-/// One unit of fleet work: a switch, the rule kind to probe with, and
-/// the inference task to run.
+impl FleetTask {
+    /// The task as a probe program on `probe`'s switch.
+    async fn run(&self, probe: Probe) -> Result<FleetOutcome, ProbeError> {
+        Ok(match *self {
+            FleetTask::Size { kind, config } => {
+                FleetOutcome::Size(size_probe(probe, kind, config).await?)
+            }
+            FleetTask::Policy {
+                kind,
+                cache_size,
+                config,
+            } => FleetOutcome::Policy(policy_probe(probe, kind, cache_size, config).await?),
+            FleetTask::Geometry { cap, trials } => {
+                FleetOutcome::Geometry(geometry_probe(probe, cap, trials).await?)
+            }
+            FleetTask::Headroom {
+                kind,
+                priority,
+                cap,
+            } => FleetOutcome::Headroom(headroom_probe(probe, kind, priority, cap).await?),
+            FleetTask::Pattern(ref pattern) => {
+                FleetOutcome::Pattern(pattern_probe(probe, pattern).await?)
+            }
+        })
+    }
+}
+
+/// One unit of fleet work: a switch and the inference task to run on
+/// it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetJob {
     /// The switch to characterize.
     pub dpid: Dpid,
-    /// Rule kind the probe rules use (ignored by `Geometry`, which
-    /// sweeps kinds itself, and by `Pattern`, which carries its own).
-    pub kind: RuleKind,
     /// What to infer.
     pub task: FleetTask,
 }
@@ -74,8 +107,7 @@ impl FleetJob {
     pub fn size(dpid: Dpid, kind: RuleKind, config: SizeProbeConfig) -> FleetJob {
         FleetJob {
             dpid,
-            kind,
-            task: FleetTask::Size(config),
+            task: FleetTask::Size { kind, config },
         }
     }
 
@@ -89,8 +121,11 @@ impl FleetJob {
     ) -> FleetJob {
         FleetJob {
             dpid,
-            kind,
-            task: FleetTask::Policy { cache_size, config },
+            task: FleetTask::Policy {
+                kind,
+                cache_size,
+                config,
+            },
         }
     }
 
@@ -99,7 +134,6 @@ impl FleetJob {
     pub fn geometry(dpid: Dpid, cap: usize, trials: usize) -> FleetJob {
         FleetJob {
             dpid,
-            kind: RuleKind::L3,
             task: FleetTask::Geometry { cap, trials },
         }
     }
@@ -109,8 +143,11 @@ impl FleetJob {
     pub fn headroom(dpid: Dpid, kind: RuleKind, priority: u16, cap: usize) -> FleetJob {
         FleetJob {
             dpid,
-            kind,
-            task: FleetTask::Headroom { priority, cap },
+            task: FleetTask::Headroom {
+                kind,
+                priority,
+                cap,
+            },
         }
     }
 
@@ -119,7 +156,6 @@ impl FleetJob {
     pub fn pattern(dpid: Dpid, pattern: TangoPattern) -> FleetJob {
         FleetJob {
             dpid,
-            kind: pattern.kind,
             task: FleetTask::Pattern(pattern),
         }
     }
@@ -187,82 +223,25 @@ impl FleetOutcome {
     }
 }
 
-/// Dispatch wrapper so heterogeneous tasks can share one `run_drivers`
-/// call.
-enum FleetDriver {
-    Size(SizeDriver),
-    Policy(PolicyDriver),
-    Geometry(GeometryDriver),
-    Headroom(HeadroomDriver),
-    Pattern(PatternDriver),
-}
-
-impl FleetDriver {
-    fn for_job(job: &FleetJob) -> FleetDriver {
-        match &job.task {
-            FleetTask::Size(config) => FleetDriver::Size(SizeDriver::new(job.kind, *config)),
-            FleetTask::Policy { cache_size, config } => {
-                FleetDriver::Policy(PolicyDriver::new(job.kind, *cache_size, *config))
-            }
-            FleetTask::Geometry { cap, trials } => {
-                FleetDriver::Geometry(GeometryDriver::new(*cap, *trials))
-            }
-            FleetTask::Headroom { priority, cap } => {
-                FleetDriver::Headroom(HeadroomDriver::new(job.kind, *priority, *cap))
-            }
-            FleetTask::Pattern(pattern) => {
-                FleetDriver::Pattern(PatternDriver::for_pattern(pattern))
-            }
-        }
-    }
-}
-
-impl InferenceDriver for FleetDriver {
-    type Outcome = FleetOutcome;
-
-    fn start(&mut self) -> Step<FleetOutcome> {
-        match self {
-            FleetDriver::Size(d) => d.start().map(FleetOutcome::Size),
-            FleetDriver::Policy(d) => d.start().map(FleetOutcome::Policy),
-            FleetDriver::Geometry(d) => d.start().map(FleetOutcome::Geometry),
-            FleetDriver::Headroom(d) => d.start().map(FleetOutcome::Headroom),
-            FleetDriver::Pattern(d) => d.start().map(FleetOutcome::Pattern),
-        }
-    }
-
-    fn on_completion(
-        &mut self,
-        c: &crate::driver::Completion,
-    ) -> Result<Step<FleetOutcome>, ProbeError> {
-        Ok(match self {
-            FleetDriver::Size(d) => d.on_completion(c)?.map(FleetOutcome::Size),
-            FleetDriver::Policy(d) => d.on_completion(c)?.map(FleetOutcome::Policy),
-            FleetDriver::Geometry(d) => d.on_completion(c)?.map(FleetOutcome::Geometry),
-            FleetDriver::Headroom(d) => d.on_completion(c)?.map(FleetOutcome::Headroom),
-            FleetDriver::Pattern(d) => d.on_completion(c)?.map(FleetOutcome::Pattern),
-        })
-    }
-}
-
 /// Runs full adaptive inference of many switches concurrently over one
 /// control path. Returns one [`FleetOutcome`] per job, in job order.
 ///
-/// Per-switch results are bit-identical to running each job's driver
+/// Per-switch results are bit-identical to running each job's program
 /// alone through [`run_driver`](crate::driver::run_driver), one switch
-/// after another, on the same testbed state — the
-/// fleet only compresses wall-clock time, never perturbs measurements.
+/// after another, on the same testbed state — the fleet only compresses
+/// wall-clock time, never perturbs measurements.
 ///
 /// # Errors
 /// [`ProbeError::DuplicateSwitch`] if two jobs name the same switch;
-/// otherwise whatever the underlying drivers surface
+/// otherwise whatever the underlying programs surface
 /// ([`ProbeError::LeakedRules`], [`ProbeError::CompletionMismatch`], …).
 pub fn run_inference<C: ControlPath>(
     cp: &mut C,
     jobs: &[FleetJob],
 ) -> Result<Vec<FleetOutcome>, ProbeError> {
-    let drivers: Vec<(Dpid, FleetDriver)> = jobs
+    let programs = jobs
         .iter()
-        .map(|job| (job.dpid, FleetDriver::for_job(job)))
+        .map(|job| (job.dpid, move |probe| job.task.run(probe)))
         .collect();
     // One controller-track span brackets the whole fleet run; the
     // per-switch driver/op spans nest on their own tracks.
@@ -271,7 +250,7 @@ pub fn run_inference<C: ControlPath>(
         t.count("fleet/jobs", jobs.len() as u64);
         t.span_begin(simnet::telemetry::TRACK_CONTROLLER, "fleet", start)
     });
-    let result = run_drivers(cp, drivers);
+    let result = run_drivers(cp, programs);
     let end = cp.now();
     if let Some(t) = cp.telemetry_mut() {
         match &result {

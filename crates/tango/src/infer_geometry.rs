@@ -12,11 +12,11 @@
 //!   here; they are distinguished by the capacity pair);
 //! * no bounded layer at all → software switch.
 
-use crate::driver::{self, mismatch, InferenceDriver, ProbeError, Step};
-use crate::infer_size::{SizeDriver, SizeEstimate, SizeProbeConfig};
+use crate::driver::{Probe, ProbeError};
+use crate::infer_size::{size_probe, SizeProbeConfig};
 use crate::pattern::RuleKind;
 use ofwire::flow_mod::FlowMod;
-use switchsim::control::{ControlOp, OpOutcome};
+use switchsim::control::ControlOp;
 
 /// The classified TCAM geometry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,167 +55,77 @@ pub struct GeometryEstimate {
 /// The three sub-probes, in issue order, with their legacy seeds.
 const PHASES: [(RuleKind, u64); 3] = [(RuleKind::L2, 1), (RuleKind::L3, 2), (RuleKind::L2L3, 3)];
 
-/// Where the geometry driver is within the current phase.
-enum GeometryState {
-    /// The pre-probe `delete_all` is in flight.
-    ClearBefore,
-    /// The embedded size probe is running.
-    Size(Box<SizeDriver>),
-    /// The post-probe `delete_all` is in flight.
-    ClearAfter,
-    /// Terminal (outcome already produced).
-    Finished,
-}
-
-/// The geometry probe as a resumable state machine: three embedded
-/// [`SizeDriver`] runs (L2-only, L3-only, combined), each bracketed by
-/// `delete_all` cleanups, classified at the end.
-pub struct GeometryDriver {
+/// The geometry probe as a probe program on `probe`'s switch (see
+/// [`driver`](crate::driver)): three [`size_probe`] runs (L2-only,
+/// L3-only, combined), each bracketed by `delete_all` cleanups,
+/// classified at the end. `cap` bounds the rules each run inserts and
+/// should comfortably exceed the largest plausible single-layer capacity
+/// so spill tiers become visible; `trials` is each run's sampling trials
+/// per layer.
+///
+/// # Errors
+/// [`ProbeError::CompletionMismatch`] if a completion is not the op
+/// issued.
+pub async fn geometry_probe(
+    probe: Probe,
     cap: usize,
     trials: usize,
-    phase: usize,
-    state: GeometryState,
-    fast: [Option<f64>; 3],
-}
-
-impl GeometryDriver {
-    /// A driver probing with per-kind caps of `cap` rules and `trials`
-    /// sampling trials per layer. `cap` should comfortably exceed the
-    /// largest plausible single-layer capacity so spill tiers become
-    /// visible.
-    #[must_use]
-    pub fn new(cap: usize, trials: usize) -> GeometryDriver {
-        GeometryDriver {
-            cap,
-            trials,
-            phase: 0,
-            state: GeometryState::ClearBefore,
-            fast: [None; 3],
-        }
-    }
-
-    fn size_config(&self, seed: u64) -> SizeProbeConfig {
-        SizeProbeConfig {
-            max_flows: self.cap,
-            trials_per_level: self.trials,
+) -> Result<GeometryEstimate, ProbeError> {
+    let mut fast = [None; 3];
+    for (fast, (kind, seed)) in fast.iter_mut().zip(PHASES) {
+        probe.issue(ControlOp::FlowMod(FlowMod::delete_all()));
+        probe.flow_mod("pre-probe delete_all").await?;
+        let config = SizeProbeConfig {
+            max_flows: cap,
+            trials_per_level: trials,
             seed,
             ..SizeProbeConfig::default()
-        }
-    }
-
-    /// Records one sub-probe's fast-layer capacity, if a bounded layer
-    /// was observed (rejection, or a spill tier behind the fast one).
-    fn record(&mut self, est: &SizeEstimate) {
-        self.fast[self.phase] = if est.hit_rejection || est.levels.len() >= 2 {
-            est.fast_layer_size()
-        } else {
-            None
         };
-    }
-
-    /// Classification from the three capacities (cf. Table 1).
-    fn classify(&self) -> GeometryEstimate {
-        let [l2_only, l3_only, l2l3] = self.fast;
-        let class = match (l2_only.or(l3_only), l2l3) {
-            (None, None) => GeometryClass::Unbounded,
-            (Some(narrow), Some(wide)) => {
-                // Within estimator noise (< 5 %), equal capacities mean
-                // the width does not matter.
-                if (narrow - wide).abs() / narrow.max(wide) < 0.10 {
-                    GeometryClass::FixedWidth {
-                        entries: (narrow + wide) / 2.0,
-                    }
-                } else {
-                    GeometryClass::WidthSensitive { narrow, wide }
-                }
-            }
-            // A bounded layer for only one kind: treat the bounded
-            // figure as both (the other probe was capped too low).
-            (Some(narrow), None) => GeometryClass::WidthSensitive {
-                narrow,
-                wide: f64::NAN,
-            },
-            (None, Some(wide)) => GeometryClass::WidthSensitive {
-                narrow: f64::NAN,
-                wide,
-            },
-        };
-        GeometryEstimate {
-            l2_only,
-            l3_only,
-            l2l3,
-            class,
+        let est = size_probe(probe.clone(), kind, config).await?;
+        // A bounded layer shows as a rejection, or as a spill tier behind
+        // the fast one.
+        if est.hit_rejection || est.levels.len() >= 2 {
+            *fast = est.fast_layer_size();
         }
+        probe.issue(ControlOp::FlowMod(FlowMod::delete_all()));
+        probe.flow_mod("post-probe delete_all").await?;
     }
-
-    /// After the pre-probe clear: start the phase's size driver, which
-    /// may finish immediately under a degenerate config (`cap == 0`).
-    fn start_size(&mut self) -> Step<GeometryEstimate> {
-        let (kind, seed) = PHASES[self.phase];
-        let cfg = self.size_config(seed);
-        let mut sub = Box::new(SizeDriver::new(kind, cfg));
-        match sub.start() {
-            Step::Issue(ops) => {
-                self.state = GeometryState::Size(sub);
-                Step::Issue(ops)
-            }
-            Step::Done(est) => {
-                self.record(&est);
-                self.state = GeometryState::ClearAfter;
-                Step::Issue(vec![ControlOp::FlowMod(FlowMod::delete_all())])
-            }
-        }
-    }
-
-    /// After the post-probe clear: next phase, or classify and finish.
-    fn next_phase(&mut self) -> Step<GeometryEstimate> {
-        self.phase += 1;
-        if self.phase < PHASES.len() {
-            self.state = GeometryState::ClearBefore;
-            Step::Issue(vec![ControlOp::FlowMod(FlowMod::delete_all())])
-        } else {
-            self.state = GeometryState::Finished;
-            Step::Done(self.classify())
-        }
-    }
+    Ok(classify(fast))
 }
 
-impl InferenceDriver for GeometryDriver {
-    type Outcome = GeometryEstimate;
-
-    fn start(&mut self) -> Step<GeometryEstimate> {
-        self.phase = 0;
-        self.state = GeometryState::ClearBefore;
-        Step::Issue(vec![ControlOp::FlowMod(FlowMod::delete_all())])
-    }
-
-    fn on_completion(
-        &mut self,
-        c: &driver::Completion,
-    ) -> Result<Step<GeometryEstimate>, ProbeError> {
-        match &mut self.state {
-            GeometryState::ClearBefore => {
-                let OpOutcome::FlowMod(_) = c.inner.outcome else {
-                    return Err(mismatch(&"pre-probe delete_all", c));
-                };
-                Ok(self.start_size())
-            }
-            GeometryState::Size(sub) => match sub.on_completion(c)? {
-                Step::Issue(ops) => Ok(Step::Issue(ops)),
-                Step::Done(est) => {
-                    self.record(&est);
-                    self.state = GeometryState::ClearAfter;
-                    Ok(Step::Issue(vec![ControlOp::FlowMod(FlowMod::delete_all())]))
+/// Classification from the three capacities (cf. Table 1).
+fn classify([l2_only, l3_only, l2l3]: [Option<f64>; 3]) -> GeometryEstimate {
+    let class = match (l2_only.or(l3_only), l2l3) {
+        (None, None) => GeometryClass::Unbounded,
+        (Some(narrow), Some(wide)) => {
+            // Within 10 %, the two capacities are one capacity measured
+            // twice: each estimate may err by ~5 % (the paper's headline),
+            // so two may differ by twice that. Width-sensitive TCAMs
+            // differ by ~2× (Table 1), far outside the tolerance.
+            if (narrow - wide).abs() / narrow.max(wide) < 0.10 {
+                GeometryClass::FixedWidth {
+                    entries: (narrow + wide) / 2.0,
                 }
-            },
-            GeometryState::ClearAfter => {
-                let OpOutcome::FlowMod(_) = c.inner.outcome else {
-                    return Err(mismatch(&"post-probe delete_all", c));
-                };
-                Ok(self.next_phase())
+            } else {
+                GeometryClass::WidthSensitive { narrow, wide }
             }
-            GeometryState::Finished => Err(mismatch(&"no op in flight (driver finished)", c)),
         }
+        // A bounded layer for only one kind: treat the bounded figure as
+        // both (the other probe was capped too low).
+        (Some(narrow), None) => GeometryClass::WidthSensitive {
+            narrow,
+            wide: f64::NAN,
+        },
+        (None, Some(wide)) => GeometryClass::WidthSensitive {
+            narrow: f64::NAN,
+            wide,
+        },
+    };
+    GeometryEstimate {
+        l2_only,
+        l3_only,
+        l2l3,
+        class,
     }
 }
 
@@ -230,7 +140,7 @@ mod tests {
         let mut tb = Testbed::new(0x9e0);
         let dpid = Dpid(1);
         tb.attach_default(dpid, profile);
-        driver::run_driver(&mut tb, dpid, GeometryDriver::new(cap, 64))
+        crate::driver::run_driver(&mut tb, dpid, |p| geometry_probe(p, cap, 64))
             .expect("geometry probe completes")
     }
 

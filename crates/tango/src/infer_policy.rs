@@ -18,12 +18,12 @@
 //! equivalent, which is all a black-box probe can promise.
 
 use crate::cluster::cluster_rtts;
-use crate::driver::{self, mismatch, InferenceDriver, ProbeError, Step};
+use crate::driver::{Probe, ProbeError};
 use crate::pattern::RuleKind;
 use crate::stats::pearson;
 use ofwire::flow_mod::FlowMod;
 use switchsim::cache::{Attribute, CachePolicy, Direction, SortKey};
-use switchsim::control::{ControlOp, OpOutcome};
+use switchsim::control::ControlOp;
 
 /// Configuration for the policy probe.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,191 +147,106 @@ fn gcd(a: u64, b: u64) -> u64 {
     }
 }
 
-/// The policy probe as a resumable state machine (see
-/// [`driver`]). Each round's full op sequence — clear,
-/// install, traffic initialization, use-time pass, measurement pass — is
-/// issued up front; only the final `s` probe completions carry
-/// measurements, and the round's analysis plus the recursion decision
-/// run when the last one arrives.
-pub struct PolicyDriver {
+/// Algorithm 2 as a probe program on `probe`'s switch (see
+/// [`driver`](crate::driver)), probing with rules of `kind` against a
+/// fast layer of `cache_size` rules (from Algorithm 1): one round per
+/// identified key, until a round identifies nothing new or a serial
+/// attribute.
+///
+/// # Errors
+/// [`ProbeError::CompletionMismatch`] if a measurement completion is
+/// not a probe.
+pub async fn policy_probe(
+    probe: Probe,
     kind: RuleKind,
     cache_size: usize,
     config: PolicyProbeConfig,
-    identified: Vec<SortKey>,
-    rounds: Vec<PolicyRound>,
-    // Current round.
-    plan: Vec<FlowInit>,
-    /// Ids probed by the measurement pass, in probe order.
-    measure_ids: Vec<u32>,
-    /// Completions to consume before the measurement pass starts.
-    skip: usize,
-    measured: Vec<(u32, f64)>,
-    finished: bool,
-}
-
-impl PolicyDriver {
-    /// A driver inferring the policy of a switch whose fast layer holds
-    /// `cache_size` rules (from Algorithm 1).
-    #[must_use]
-    pub fn new(kind: RuleKind, cache_size: usize, config: PolicyProbeConfig) -> PolicyDriver {
-        PolicyDriver {
-            kind,
-            cache_size,
-            config,
-            identified: Vec::new(),
-            rounds: Vec::new(),
-            plan: Vec::new(),
-            measure_ids: Vec::new(),
-            skip: 0,
-            measured: Vec::new(),
-            finished: false,
-        }
-    }
-
-    fn hold_priority(&self) -> bool {
-        self.identified
-            .iter()
-            .any(|k| k.attribute == Attribute::Priority)
-    }
-
-    fn hold_traffic(&self) -> bool {
-        self.identified
-            .iter()
-            .any(|k| k.attribute == Attribute::TrafficCount)
-    }
-
-    /// Builds one round's complete op sequence and resets the round
-    /// bookkeeping.
-    fn begin_round(&mut self) -> Vec<ControlOp> {
-        let s = 2 * self.cache_size;
-        self.plan = initialization_plan(s, self.hold_priority(), self.hold_traffic(), &self.config);
-
-        // Fresh table.
-        let mut ops = vec![ControlOp::FlowMod(FlowMod::delete_all())];
-
-        // Install in id order (insertion time = rank i).
-        for f in &self.plan {
-            ops.push(ControlOp::FlowMod(FlowMod::add(
-                self.kind.flow_match(f.id),
-                f.priority,
-            )));
-        }
-
-        // Traffic initialization: bring each flow to traffic-1 packets.
-        // The final packet comes from the use-time pass so the last-use
-        // order is exactly the use-rank permutation.
-        for f in &self.plan {
-            for _ in 1..f.traffic {
-                ops.push(ControlOp::Probe(self.kind.key(f.id)));
-            }
-        }
-
-        // Use-time initialization: one packet per flow, in use-rank
-        // order.
-        let mut by_use: Vec<&FlowInit> = self.plan.iter().collect();
-        by_use.sort_by_key(|f| f.use_rank);
-        for f in &by_use {
-            ops.push(ControlOp::Probe(self.kind.key(f.id)));
-        }
-
-        // Measurement: probe most-recently-used first. Each probed
-        // flow's new use stamp is *older* than the stamps of flows
-        // probed before it, so the relative use order is preserved
-        // (paper §5.3).
-        self.measure_ids = by_use.iter().rev().map(|f| f.id).collect();
-        for &id in &self.measure_ids {
-            ops.push(ControlOp::Probe(self.kind.key(id)));
-        }
-
-        self.skip = ops.len() - self.measure_ids.len();
-        self.measured.clear();
-        ops
-    }
-
-    /// Analysis plus the recursion decision, once the round's last
-    /// measurement completes.
-    fn finish_round(&mut self) -> Step<InferredPolicy> {
-        let round = analyze_round(
-            &self.plan,
-            &self.measured,
-            self.hold_priority(),
-            self.hold_traffic(),
-            &self.config,
-        );
+) -> Result<InferredPolicy, ProbeError> {
+    let mut identified: Vec<SortKey> = Vec::new();
+    let mut rounds = Vec::new();
+    while identified.len() < config.max_keys {
+        let holds = |a| identified.iter().any(|k: &SortKey| k.attribute == a);
+        let hold_priority = holds(Attribute::Priority);
+        let hold_traffic = holds(Attribute::TrafficCount);
+        let plan = initialization_plan(2 * cache_size, hold_priority, hold_traffic, &config);
+        let rtts = run_round(&probe, kind, &plan).await?;
+        let round = analyze_round(&plan, &rtts, hold_priority, hold_traffic, &config);
         let chosen = round.chosen;
-        self.rounds.push(round);
-        let stop = match chosen {
-            None => true,
-            Some(key) => {
-                // An attribute can only appear once in a LEX order.
-                if self.identified.iter().any(|k| k.attribute == key.attribute) {
-                    true
-                } else {
-                    let attr = key.attribute;
-                    self.identified.push(key);
-                    // A serial attribute already induces a total order;
-                    // tie-breaks below a traffic-count key are not
-                    // black-box observable (every probe packet
-                    // increments the held attribute).
-                    attr.is_serial() || attr == Attribute::TrafficCount
-                }
-            }
-        };
-        if stop || self.identified.len() >= self.config.max_keys {
-            self.finished = true;
-            Step::Done(InferredPolicy {
-                keys: std::mem::take(&mut self.identified),
-                rounds: std::mem::take(&mut self.rounds),
-            })
-        } else {
-            Step::Issue(self.begin_round())
+        rounds.push(round);
+        let Some(key) = chosen else { break };
+        // An attribute can only appear once in a LEX order.
+        if identified.iter().any(|k| k.attribute == key.attribute) {
+            break;
+        }
+        identified.push(key);
+        // A serial attribute already induces a total order; tie-breaks
+        // below a traffic-count key are not black-box observable (every
+        // probe packet increments the held attribute).
+        if key.attribute.is_serial() || key.attribute == Attribute::TrafficCount {
+            break;
         }
     }
+    Ok(InferredPolicy {
+        keys: identified,
+        rounds,
+    })
 }
 
-impl InferenceDriver for PolicyDriver {
-    type Outcome = InferredPolicy;
+/// One round's op sequence — clear, install, traffic initialization,
+/// use-time pass, measurement pass — issued at once. Returns the
+/// measurement pass's `(flow id, RTT ms)` in probe order; the earlier
+/// completions only order the switch's state.
+async fn run_round(
+    probe: &Probe,
+    kind: RuleKind,
+    plan: &[FlowInit],
+) -> Result<Vec<(u32, f64)>, ProbeError> {
+    // Fresh table.
+    let mut ops = vec![ControlOp::FlowMod(FlowMod::delete_all())];
 
-    fn start(&mut self) -> Step<InferredPolicy> {
-        if self.identified.len() >= self.config.max_keys {
-            self.finished = true;
-            return Step::Done(InferredPolicy {
-                keys: std::mem::take(&mut self.identified),
-                rounds: std::mem::take(&mut self.rounds),
-            });
-        }
-        Step::Issue(self.begin_round())
+    // Install in id order (insertion time = rank i).
+    for f in plan {
+        ops.push(ControlOp::FlowMod(FlowMod::add(
+            kind.flow_match(f.id),
+            f.priority,
+        )));
     }
 
-    fn on_completion(
-        &mut self,
-        c: &driver::Completion,
-    ) -> Result<Step<InferredPolicy>, ProbeError> {
-        if self.finished {
-            return Err(mismatch(&"no op in flight (driver finished)", c));
-        }
-        if self.skip > 0 {
-            // Initialization traffic: clear, installs, warm-up probes.
-            // Only their ordering matters, not their outcomes.
-            self.skip -= 1;
-            if self.skip == 0 && self.measure_ids.is_empty() {
-                // Degenerate round (cache_size == 0): nothing to
-                // measure, analyze the empty round immediately.
-                return Ok(self.finish_round());
-            }
-            return Ok(Step::Issue(vec![]));
-        }
-        let OpOutcome::Probe(_) = c.inner.outcome else {
-            return Err(mismatch(&"measurement probe", c));
-        };
-        let id = self.measure_ids[self.measured.len()];
-        self.measured.push((id, c.elapsed_ms()));
-        if self.measured.len() == self.measure_ids.len() {
-            Ok(self.finish_round())
-        } else {
-            Ok(Step::Issue(vec![]))
+    // Traffic initialization: bring each flow to traffic-1 packets. The
+    // final packet comes from the use-time pass so the last-use order is
+    // exactly the use-rank permutation.
+    for f in plan {
+        for _ in 1..f.traffic {
+            ops.push(ControlOp::Probe(kind.key(f.id)));
         }
     }
+
+    // Use-time initialization: one packet per flow, in use-rank order.
+    let mut by_use: Vec<&FlowInit> = plan.iter().collect();
+    by_use.sort_by_key(|f| f.use_rank);
+    for f in &by_use {
+        ops.push(ControlOp::Probe(kind.key(f.id)));
+    }
+    let setup = ops.len();
+
+    // Measurement: probe most-recently-used first. Each probed flow's new
+    // use stamp is *older* than the stamps of flows probed before it, so
+    // the relative use order is preserved (paper §5.3).
+    for f in by_use.iter().rev() {
+        ops.push(ControlOp::Probe(kind.key(f.id)));
+    }
+
+    for op in ops {
+        probe.issue(op);
+    }
+    for _ in 0..setup {
+        probe.completion().await;
+    }
+    let mut rtts = Vec::with_capacity(plan.len());
+    for f in by_use.iter().rev() {
+        rtts.push((f.id, probe.rtt_ms("measurement probe").await?));
+    }
+    Ok(rtts)
 }
 
 /// The pure analysis of one round: classifies cached membership from the
@@ -432,11 +347,9 @@ mod tests {
         let dpid = Dpid(1);
         tb.attach_default(dpid, SwitchProfile::generic_cached(cache_size, policy));
         let cfg = PolicyProbeConfig::default();
-        driver::run_driver(
-            &mut tb,
-            dpid,
-            PolicyDriver::new(RuleKind::L3, cache_size as usize, cfg),
-        )
+        crate::driver::run_driver(&mut tb, dpid, |p| {
+            policy_probe(p, RuleKind::L3, cache_size as usize, cfg)
+        })
         .expect("policy probe completes")
     }
 
@@ -577,8 +490,9 @@ mod tests {
             SwitchProfile::generic_cached(1000, CachePolicy::lru()),
         );
         let cfg = PolicyProbeConfig::default();
-        let inferred = driver::run_driver(&mut tb, dpid, PolicyDriver::new(RuleKind::L3, 50, cfg))
-            .expect("policy probe completes");
+        let inferred =
+            crate::driver::run_driver(&mut tb, dpid, |p| policy_probe(p, RuleKind::L3, 50, cfg))
+                .expect("policy probe completes");
         assert!(inferred.keys.is_empty(), "rounds: {:?}", inferred.rounds);
     }
 }

@@ -20,12 +20,12 @@
 //! must install and exercise at least `n` rules.
 
 use crate::cluster::{cluster_rtts, kmeans_auto, Clustering};
-use crate::driver::{self, mismatch, InferenceDriver, ProbeError, Step};
+use crate::driver::{Probe, ProbeError};
 use crate::pattern::RuleKind;
 use crate::stats::nb_hit_probability;
 use ofwire::flow_mod::FlowMod;
 use simnet::rng::DetRng;
-use switchsim::control::{ControlOp, OpOutcome};
+use switchsim::control::ControlOp;
 
 /// Which clustering method stage 2 uses (the ablation axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,293 +114,119 @@ impl SizeEstimate {
     }
 }
 
-/// Which stage of Algorithm 1 the driver is in.
-enum SizeState {
-    /// Stage 1: a doubling add-batch is in flight.
-    InsertBatch,
-    /// Stage 1: per-installed-rule probes of the last batch are in
-    /// flight (`left` remaining; the batch accepted `ok` and rejected
-    /// `failed` adds).
-    InsertProbes {
-        left: usize,
-        ok: usize,
-        failed: usize,
-    },
-    /// Stage 2: sweep probes are in flight (`left` remaining).
-    Sweep { left: usize },
-    /// Stage 3: one sampling probe is in flight.
-    Sample,
-    /// Terminal (outcome already produced).
-    Finished,
-}
-
-/// Algorithm 1 as a resumable state machine (see
-/// [`driver`]). Issues exactly the operations — in
-/// exactly the order and with exactly the RNG draws — of the original
-/// synchronous implementation, so the estimate is bit-identical whether
-/// the driver runs alone through [`run_driver`](driver::run_driver) or
-/// interleaved with other switches' drivers in a fleet.
-pub struct SizeDriver {
+/// Algorithm 1 as a probe program on `probe`'s switch (see
+/// [`driver`](crate::driver)), probing with rules of `kind` under
+/// `config`. Each stage's data-independent ops — a batch's warm-up
+/// probes, the stage-2 sweep — are issued together; only stage-3
+/// sampling waits for each probe before drawing the next.
+///
+/// # Errors
+/// [`ProbeError::CompletionMismatch`] if a completion is not the op
+/// issued.
+pub async fn size_probe(
+    probe: Probe,
     kind: RuleKind,
     config: SizeProbeConfig,
-    rng: DetRng,
-    state: SizeState,
-    // Stage 1 accounting.
-    m: usize,
-    x: usize,
-    attempted: usize,
-    packets: usize,
-    batches: usize,
-    hit_rejection: bool,
-    // Stage 2.
-    rtts: Vec<f64>,
-    clustering: Clustering,
-    // Stage 3.
-    levels: Vec<LevelEstimate>,
-    level: usize,
-    runs: Vec<u64>,
-    trial: usize,
-    j: u64,
-    saturated: bool,
-}
+) -> Result<SizeEstimate, ProbeError> {
+    let mut rng = DetRng::new(config.seed);
 
-impl SizeDriver {
-    /// A driver probing with rules of `kind` under `config`.
-    #[must_use]
-    pub fn new(kind: RuleKind, config: SizeProbeConfig) -> SizeDriver {
-        SizeDriver {
-            kind,
-            config,
-            rng: DetRng::new(config.seed),
-            state: SizeState::Finished,
-            m: 0,
-            x: 1,
-            attempted: 0,
-            packets: 0,
-            batches: 0,
-            hit_rejection: false,
-            rtts: Vec::new(),
-            clustering: Clustering::default(),
-            levels: Vec::new(),
-            level: 0,
-            runs: Vec::new(),
-            trial: 0,
-            j: 0,
-            saturated: false,
-        }
-    }
-
-    /// Stage 1 scheduling: issue the next doubling batch, or fall
-    /// through to stage 2 when insertion is over.
-    fn next_batch_or_sweep(&mut self) -> Step<SizeEstimate> {
-        while !self.hit_rejection && self.m < self.config.max_flows {
-            let target = self.x.min(self.config.max_flows);
-            if target > self.m {
-                let fms: Vec<FlowMod> = (self.m..target)
-                    .map(|i| FlowMod::add(self.kind.flow_match(i as u32), self.config.priority))
-                    .collect();
-                self.attempted += fms.len();
-                self.batches += 1;
-                self.state = SizeState::InsertBatch;
-                return Step::Issue(vec![ControlOp::Batch(fms)]);
+    // Stage 1: doubling insertion until rejection or the cap.
+    let (mut m, mut attempted, mut packets, mut batches) = (0, 0, 0, 0);
+    let mut hit_rejection = false;
+    let mut x: usize = 1;
+    while !hit_rejection && m < config.max_flows {
+        let target = x.min(config.max_flows);
+        if target > m {
+            let fms: Vec<FlowMod> = (m..target)
+                .map(|i| FlowMod::add(kind.flow_match(i as u32), config.priority))
+                .collect();
+            attempted += fms.len();
+            batches += 1;
+            probe.issue(ControlOp::Batch(fms));
+            let (ok, failed) = probe.batch("stage-1 add batch").await?;
+            // Sends are processed in order: the first `ok` adds of this
+            // batch succeeded; probe each once so the cache holds no
+            // wasted slots.
+            for i in m..m + ok {
+                probe.issue(ControlOp::Probe(kind.key(i as u32)));
             }
-            self.x *= 2;
-        }
-        self.start_sweep()
-    }
-
-    /// Stage 2: sweep every installed rule once, in shuffled order.
-    fn start_sweep(&mut self) -> Step<SizeEstimate> {
-        let mut order: Vec<u32> = (0..self.m as u32).collect();
-        self.rng.shuffle(&mut order);
-        if order.is_empty() {
-            self.finish_sweep();
-            return self.enter_level();
-        }
-        self.packets += order.len();
-        self.state = SizeState::Sweep { left: order.len() };
-        Step::Issue(
-            order
-                .into_iter()
-                .map(|id| ControlOp::Probe(self.kind.key(id)))
-                .collect(),
-        )
-    }
-
-    /// Clusters the sweep RTTs (possibly empty).
-    fn finish_sweep(&mut self) {
-        self.clustering = match self.config.cluster_method {
-            ClusterMethod::Gaps => cluster_rtts(&self.rtts),
-            ClusterMethod::KMeans => kmeans_auto(&self.rtts, 4),
-        };
-    }
-
-    /// Stage 3 scheduling: begin sampling the current level, record
-    /// degenerate levels without probing, or finish.
-    fn enter_level(&mut self) -> Step<SizeEstimate> {
-        loop {
-            if self.level >= self.clustering.k() {
-                self.state = SizeState::Finished;
-                return Step::Done(self.build());
+            for _ in 0..ok {
+                probe.rtt_ms("stage-1 warm-up probe").await?;
             }
-            self.saturated = false;
-            if self.config.trials_per_level == 0 {
-                // No trials: the level's estimate degenerates to
-                // `m · p̂(∅) = 0`, with no packets spent.
-                self.runs.clear();
-                self.push_level();
-                self.level += 1;
-                continue;
-            }
-            self.runs.clear();
-            self.trial = 0;
-            self.j = 0;
-            self.state = SizeState::Sample;
-            return self.issue_sample();
+            packets += ok;
+            m += ok;
+            hit_rejection = failed > 0;
         }
+        x *= 2;
     }
 
-    /// Draws the next sampling target and issues its probe. Sampling
-    /// only runs when `m > 0` (otherwise stage 2 produced no clusters).
-    fn issue_sample(&mut self) -> Step<SizeEstimate> {
-        let id = self.rng.range_u64(0, self.m as u64) as u32;
-        self.packets += 1;
-        Step::Issue(vec![ControlOp::Probe(self.kind.key(id))])
+    // Stage 2: sweep every installed rule once, in shuffled order, and
+    // cluster the RTTs.
+    let mut order: Vec<u32> = (0..m as u32).collect();
+    rng.shuffle(&mut order);
+    for &id in &order {
+        probe.issue(ControlOp::Probe(kind.key(id)));
     }
+    let mut rtts = Vec::with_capacity(m);
+    for _ in 0..m {
+        rtts.push(probe.rtt_ms("stage-2 sweep probe").await?);
+    }
+    packets += m;
+    let clustering = match config.cluster_method {
+        ClusterMethod::Gaps => cluster_rtts(&rtts),
+        ClusterMethod::KMeans => kmeans_auto(&rtts, 4),
+    };
 
-    /// Records the current level's estimate from its accumulated runs.
-    fn push_level(&mut self) {
-        let estimated_size = if self.saturated {
-            self.m as f64
+    // Stage 3: per layer, runs of consecutive random probes that stay in
+    // its cluster. Only runs when `m > 0` (otherwise stage 2 produced no
+    // clusters).
+    let mut levels = Vec::with_capacity(clustering.k());
+    for level in 0..clustering.k() {
+        let mut runs: Vec<u64> = Vec::with_capacity(config.trials_per_level);
+        let mut saturated = false;
+        for _ in 0..config.trials_per_level {
+            let mut j: u64 = 0;
+            loop {
+                let id = rng.range_u64(0, m as u64) as u32;
+                probe.issue(ControlOp::Probe(kind.key(id)));
+                packets += 1;
+                let rtt = probe.rtt_ms("stage-3 sampling probe").await?;
+                if !(clustering.within(rtt, level) && (j as usize) < m) {
+                    break;
+                }
+                j += 1;
+            }
+            if j as usize >= m {
+                // A full-length run: the layer holds (essentially) every
+                // installed rule.
+                saturated = true;
+                break;
+            }
+            runs.push(j);
+        }
+        // With no trials the estimate degenerates to `m · p̂(∅) = 0`.
+        let estimated_size = if saturated {
+            m as f64
         } else {
-            self.m as f64 * nb_hit_probability(&self.runs)
+            m as f64 * nb_hit_probability(&runs)
         };
-        self.levels.push(LevelEstimate {
-            rtt_ms: self.clustering.centers[self.level],
+        levels.push(LevelEstimate {
+            rtt_ms: clustering.centers[level],
             estimated_size,
-            swept_count: self.clustering.sizes[self.level],
-            saturated: self.saturated,
+            swept_count: clustering.sizes[level],
+            saturated,
         });
     }
 
-    fn finish_level(&mut self) -> Step<SizeEstimate> {
-        self.push_level();
-        self.level += 1;
-        self.enter_level()
-    }
-
-    fn build(&mut self) -> SizeEstimate {
-        SizeEstimate {
-            m: self.m,
-            hit_rejection: self.hit_rejection,
-            levels: std::mem::take(&mut self.levels),
-            clustering: std::mem::take(&mut self.clustering),
-            rules_attempted: self.attempted,
-            packets_sent: self.packets,
-            batches: self.batches,
-        }
-    }
-}
-
-impl InferenceDriver for SizeDriver {
-    type Outcome = SizeEstimate;
-
-    fn start(&mut self) -> Step<SizeEstimate> {
-        self.next_batch_or_sweep()
-    }
-
-    fn on_completion(&mut self, c: &driver::Completion) -> Result<Step<SizeEstimate>, ProbeError> {
-        match self.state {
-            SizeState::InsertBatch => {
-                let OpOutcome::Batch { ok, failed } = c.inner.outcome else {
-                    return Err(mismatch(&"stage-1 add batch", c));
-                };
-                if ok > 0 {
-                    // Sends are processed in order: the first `ok` adds
-                    // of this batch succeeded; probe each once so the
-                    // cache holds no wasted slots.
-                    let ops: Vec<ControlOp> = (self.m..self.m + ok)
-                        .map(|i| ControlOp::Probe(self.kind.key(i as u32)))
-                        .collect();
-                    self.packets += ok;
-                    self.state = SizeState::InsertProbes {
-                        left: ok,
-                        ok,
-                        failed,
-                    };
-                    Ok(Step::Issue(ops))
-                } else {
-                    Ok(self.finish_insert_round(ok, failed))
-                }
-            }
-            SizeState::InsertProbes { left, ok, failed } => {
-                let OpOutcome::Probe(_) = c.inner.outcome else {
-                    return Err(mismatch(&"stage-1 warm-up probe", c));
-                };
-                if left == 1 {
-                    Ok(self.finish_insert_round(ok, failed))
-                } else {
-                    self.state = SizeState::InsertProbes {
-                        left: left - 1,
-                        ok,
-                        failed,
-                    };
-                    Ok(Step::Issue(vec![]))
-                }
-            }
-            SizeState::Sweep { left } => {
-                let OpOutcome::Probe(_) = c.inner.outcome else {
-                    return Err(mismatch(&"stage-2 sweep probe", c));
-                };
-                self.rtts.push(c.elapsed_ms());
-                if left == 1 {
-                    self.finish_sweep();
-                    Ok(self.enter_level())
-                } else {
-                    self.state = SizeState::Sweep { left: left - 1 };
-                    Ok(Step::Issue(vec![]))
-                }
-            }
-            SizeState::Sample => {
-                let OpOutcome::Probe(_) = c.inner.outcome else {
-                    return Err(mismatch(&"stage-3 sampling probe", c));
-                };
-                let rtt = c.elapsed_ms();
-                if self.clustering.within(rtt, self.level) && (self.j as usize) < self.m {
-                    self.j += 1;
-                    Ok(self.issue_sample())
-                } else if self.j as usize >= self.m {
-                    // A full-length run: the layer holds (essentially)
-                    // every installed rule.
-                    self.saturated = true;
-                    Ok(self.finish_level())
-                } else {
-                    self.runs.push(self.j);
-                    self.trial += 1;
-                    if self.trial < self.config.trials_per_level {
-                        self.j = 0;
-                        Ok(self.issue_sample())
-                    } else {
-                        Ok(self.finish_level())
-                    }
-                }
-            }
-            SizeState::Finished => Err(mismatch(&"no op in flight (driver finished)", c)),
-        }
-    }
-}
-
-impl SizeDriver {
-    /// Stage-1 post-batch accounting, shared by the `ok == 0` shortcut
-    /// and the last warm-up probe.
-    fn finish_insert_round(&mut self, ok: usize, failed: usize) -> Step<SizeEstimate> {
-        self.m += ok;
-        if failed > 0 {
-            self.hit_rejection = true;
-        }
-        self.x *= 2;
-        self.next_batch_or_sweep()
-    }
+    Ok(SizeEstimate {
+        m,
+        hit_rejection,
+        levels,
+        clustering,
+        rules_attempted: attempted,
+        packets_sent: packets,
+        batches,
+    })
 }
 
 #[cfg(test)]
@@ -417,7 +243,7 @@ mod tests {
         let mut tb = Testbed::new(5);
         let dpid = Dpid(1);
         tb.attach_default(dpid, profile);
-        driver::run_driver(&mut tb, dpid, SizeDriver::new(kind, *cfg))
+        crate::driver::run_driver(&mut tb, dpid, |p| size_probe(p, kind, *cfg))
             .expect("size probe completes")
     }
 

@@ -16,8 +16,9 @@
 //!   ordering, modify, delete) feeding the scheduler's pattern oracle.
 //!
 //! Every probe — each algorithm above, the TCAM geometry probe, the
-//! online headroom probe and plain pattern execution — is a resumable
-//! state machine over any control path (see [`driver`]):
+//! online headroom probe and plain pattern execution — is a probe
+//! program, an `async fn` over one switch's [`driver::Probe`] handle
+//! that runs on any control path (see [`driver`]):
 //! [`driver::run_driver`] runs one on a single switch, and
 //! [`fleet::run_inference`] interleaves full inference of many switches
 //! with bit-identical per-switch results.
@@ -33,8 +34,9 @@
 //!
 //! let mut tb = Testbed::new(1);
 //! tb.attach_default(Dpid(1), SwitchProfile::vendor1());
-//! let driver = SizeDriver::new(RuleKind::L3, SizeProbeConfig::default());
-//! let sizes = run_driver(&mut tb, Dpid(1), driver).expect("probe");
+//! let config = SizeProbeConfig::default();
+//! let sizes = run_driver(&mut tb, Dpid(1), |p| size_probe(p, RuleKind::L3, config))
+//!     .expect("probe");
 //! println!("layers: {:?}", sizes.levels);
 //! ```
 
@@ -56,17 +58,17 @@ pub mod stats;
 /// Glob-import of the commonly used types.
 pub mod prelude {
     pub use crate::cluster::{cluster_rtts, kmeans_auto, Clustering};
-    pub use crate::curves::{measure_latency_profile, LatencyProfile};
+    pub use crate::curves::{latency_probe, measure_latency_profile, LatencyProfile};
     pub use crate::db::{SwitchKnowledge, TangoDb};
     pub use crate::driver::{
-        run_driver, run_drivers, Completion as DriverCompletion, InferenceDriver, ProbeError, Step,
+        run_driver, run_drivers, Completion as DriverCompletion, Probe, ProbeError,
     };
     pub use crate::fleet::{run_inference, FleetJob, FleetOutcome, FleetTask};
     pub use crate::hints::{advise_placement, AppHint, FlowGoal};
-    pub use crate::infer_geometry::{GeometryClass, GeometryDriver, GeometryEstimate};
-    pub use crate::infer_policy::{InferredPolicy, PolicyDriver, PolicyProbeConfig};
-    pub use crate::infer_size::{SizeDriver, SizeEstimate, SizeProbeConfig};
-    pub use crate::online::{Headroom, HeadroomDriver, ONLINE_PROBE_ID_BASE};
+    pub use crate::infer_geometry::{geometry_probe, GeometryClass, GeometryEstimate};
+    pub use crate::infer_policy::{policy_probe, InferredPolicy, PolicyProbeConfig};
+    pub use crate::infer_size::{size_probe, SizeEstimate, SizeProbeConfig};
+    pub use crate::online::{headroom_probe, Headroom, ONLINE_PROBE_ID_BASE};
     pub use crate::pattern::{OpPhase, PatternStep, PriorityOrder, RuleKind, TangoPattern};
-    pub use crate::probe::{PatternDriver, PatternResult, ProbeSample};
+    pub use crate::probe::{pattern_probe, PatternResult, ProbeSample};
 }

@@ -9,10 +9,10 @@
 //! installed — leaving every application rule (and its counters)
 //! untouched.
 
-use crate::driver::{self, mismatch, InferenceDriver, ProbeError, Step};
+use crate::driver::{Probe, ProbeError};
 use crate::pattern::RuleKind;
 use ofwire::flow_mod::FlowMod;
-use switchsim::control::{ControlOp, OpOutcome};
+use switchsim::control::ControlOp;
 
 /// Flow-id namespace reserved for online probes; applications should
 /// keep their ids below this.
@@ -31,127 +31,57 @@ pub struct Headroom {
     pub cleaned: usize,
 }
 
-/// Where the headroom driver is.
-enum HeadroomState {
-    /// A doubling add-batch is in flight.
-    Insert,
-    /// The strict cleanup batch (of `n_dels` deletes) is in flight.
-    Cleanup { n_dels: usize },
-    /// Terminal (outcome already produced).
-    Finished,
-}
-
-/// The online headroom probe as a resumable state machine: doubling
-/// add-batches in the reserved flow-id namespace, then one strict
-/// cleanup batch removing exactly what was installed.
-pub struct HeadroomDriver {
+/// The online headroom probe as a probe program on `probe`'s switch
+/// (see [`driver`](crate::driver)): doubling add-batches of rules of
+/// `kind` at `priority` in the reserved flow-id namespace, at most `cap`
+/// of them, then one strict cleanup batch removing exactly what was
+/// installed.
+/// `priority` should be low so the probe rules cannot shadow production
+/// traffic; `cap` bounds the probe on switches with unbounded software
+/// tables.
+///
+/// # Errors
+/// [`ProbeError::LeakedRules`] if the cleanup leaves a probe rule
+/// behind; [`ProbeError::CompletionMismatch`] if a completion is not a
+/// batch.
+pub async fn headroom_probe(
+    probe: Probe,
     kind: RuleKind,
     priority: u16,
     cap: usize,
-    accepted: usize,
-    hit_rejection: bool,
-    x: usize,
-    state: HeadroomState,
-}
-
-impl HeadroomDriver {
-    /// A driver probing with rules of `kind` at `priority`, installing
-    /// at most `cap` probe rules. `priority` should be low so the probe
-    /// rules cannot shadow production traffic; `cap` bounds the probe on
-    /// switches with unbounded software tables. The run fails with
-    /// [`ProbeError::LeakedRules`] if the cleanup leaves a probe rule
-    /// behind.
-    #[must_use]
-    pub fn new(kind: RuleKind, priority: u16, cap: usize) -> HeadroomDriver {
-        HeadroomDriver {
-            kind,
-            priority,
-            cap,
-            accepted: 0,
-            hit_rejection: false,
-            x: 1,
-            state: HeadroomState::Finished,
+) -> Result<Headroom, ProbeError> {
+    let rule = |i: usize| kind.flow_match(ONLINE_PROBE_ID_BASE + i as u32);
+    let (mut accepted, mut hit_rejection, mut x) = (0, false, 1);
+    while !hit_rejection && accepted < cap {
+        let target = x.min(cap);
+        if target > accepted {
+            let adds = (accepted..target).map(|i| FlowMod::add(rule(i), priority));
+            probe.issue(ControlOp::Batch(adds.collect()));
+            let (ok, failed) = probe.batch("headroom add batch").await?;
+            accepted += ok;
+            hit_rejection = failed > 0;
         }
+        x *= 2;
     }
-
-    /// Issues the next doubling batch, or the final strict cleanup when
-    /// insertion is over. The cleanup batch is issued even when empty so
-    /// the probe's op stream (and hence its timing) always ends with the
-    /// cleanup barrier.
-    fn next_batch_or_cleanup(&mut self) -> Step<Headroom> {
-        while !self.hit_rejection && self.accepted < self.cap {
-            let target = self.x.min(self.cap);
-            if target > self.accepted {
-                let fms: Vec<FlowMod> = (self.accepted..target)
-                    .map(|i| {
-                        FlowMod::add(
-                            self.kind.flow_match(ONLINE_PROBE_ID_BASE + i as u32),
-                            self.priority,
-                        )
-                    })
-                    .collect();
-                self.state = HeadroomState::Insert;
-                return Step::Issue(vec![ControlOp::Batch(fms)]);
-            }
-            self.x *= 2;
-        }
-        // Clean up strictly: only the probe's own rules.
-        let dels: Vec<FlowMod> = (0..self.accepted)
-            .map(|i| {
-                FlowMod::delete_strict(
-                    self.kind.flow_match(ONLINE_PROBE_ID_BASE + i as u32),
-                    self.priority,
-                )
-            })
-            .collect();
-        self.state = HeadroomState::Cleanup { n_dels: dels.len() };
-        Step::Issue(vec![ControlOp::Batch(dels)])
+    // Clean up strictly: only the probe's own rules. The batch is issued
+    // even when empty so the probe's op stream (and hence its timing)
+    // always ends with the cleanup barrier.
+    let dels = (0..accepted).map(|i| FlowMod::delete_strict(rule(i), priority));
+    probe.issue(ControlOp::Batch(dels.collect()));
+    let (cleaned, failed) = probe.batch("headroom cleanup batch").await?;
+    if failed != 0 || cleaned != accepted {
+        // The switch is no longer in its pre-probe state, which an
+        // online probe must never silently accept.
+        return Err(ProbeError::LeakedRules {
+            installed: accepted,
+            cleaned,
+        });
     }
-}
-
-impl InferenceDriver for HeadroomDriver {
-    type Outcome = Headroom;
-
-    fn start(&mut self) -> Step<Headroom> {
-        self.next_batch_or_cleanup()
-    }
-
-    fn on_completion(&mut self, c: &driver::Completion) -> Result<Step<Headroom>, ProbeError> {
-        match self.state {
-            HeadroomState::Insert => {
-                let OpOutcome::Batch { ok, failed } = c.inner.outcome else {
-                    return Err(mismatch(&"headroom add batch", c));
-                };
-                self.accepted += ok;
-                if failed > 0 {
-                    self.hit_rejection = true;
-                }
-                self.x *= 2;
-                Ok(self.next_batch_or_cleanup())
-            }
-            HeadroomState::Cleanup { n_dels } => {
-                let OpOutcome::Batch { ok, failed } = c.inner.outcome else {
-                    return Err(mismatch(&"headroom cleanup batch", c));
-                };
-                if failed != 0 || ok != n_dels {
-                    // Probe rules were left behind — the switch is no
-                    // longer in its pre-probe state, which an online
-                    // probe must never silently accept.
-                    return Err(ProbeError::LeakedRules {
-                        installed: n_dels,
-                        cleaned: ok,
-                    });
-                }
-                self.state = HeadroomState::Finished;
-                Ok(Step::Done(Headroom {
-                    accepted: self.accepted,
-                    hit_rejection: self.hit_rejection,
-                    cleaned: ok,
-                }))
-            }
-            HeadroomState::Finished => Err(mismatch(&"no op in flight (driver finished)", c)),
-        }
-    }
+    Ok(Headroom {
+        accepted,
+        hit_rejection,
+        cleaned,
+    })
 }
 
 #[cfg(test)]
@@ -165,7 +95,7 @@ mod tests {
 
     /// Runs the headroom probe with L3 rules at priority 1.
     fn headroom(tb: &mut Testbed, dpid: Dpid, cap: usize) -> Headroom {
-        driver::run_driver(tb, dpid, HeadroomDriver::new(RuleKind::L3, 1, cap))
+        crate::driver::run_driver(tb, dpid, |p| headroom_probe(p, RuleKind::L3, 1, cap))
             .expect("headroom probe completes")
     }
 

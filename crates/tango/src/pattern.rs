@@ -4,8 +4,8 @@
 //! OpenFlow flow modification commands and a corresponding data traffic
 //! pattern". A [`TangoPattern`] is exactly that — a named step list of
 //! flow-mods, probe packets, and barriers over a numbered family of
-//! probe flows — executed verbatim by a
-//! [`PatternDriver`](crate::probe::PatternDriver).
+//! probe flows — executed verbatim by
+//! [`pattern_probe`](crate::probe::pattern_probe).
 
 use ofwire::flow_match::{FlowKey, FlowMatch};
 use simnet::rng::DetRng;

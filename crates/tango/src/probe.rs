@@ -5,16 +5,15 @@
 //! the paper's measurement methodology — and each [`PatternStep::Probe`]
 //! sends a real data packet and records its RTT.
 //!
-//! A pattern is first compiled into the exact sequence of control-path
-//! operations it issues, then driven through the
-//! [`ControlPath`](switchsim::control::ControlPath) abstraction one
-//! completion at a time by a [`PatternDriver`]:
-//! [`run_driver`](crate::driver::run_driver) runs one on a single switch;
-//! [`fleet::run_inference`](crate::fleet::run_inference) runs one per
-//! switch ([`FleetJob::pattern`](crate::fleet::FleetJob::pattern)),
-//! interleaved in the same virtual time.
+//! [`pattern_probe`] issues a pattern's operations through the
+//! [`ControlPath`](switchsim::control::ControlPath) abstraction as one
+//! probe program: [`run_driver`](crate::driver::run_driver) runs it on a
+//! single switch; [`fleet::run_inference`](crate::fleet::run_inference)
+//! runs one per switch
+//! ([`FleetJob::pattern`](crate::fleet::FleetJob::pattern)), interleaved
+//! in the same virtual time.
 
-use crate::driver::{self, InferenceDriver, ProbeError, Step};
+use crate::driver::{mismatch, Probe, ProbeError};
 use crate::pattern::{PatternStep, RuleKind, TangoPattern};
 use ofwire::action::Action;
 use ofwire::flow_mod::FlowMod;
@@ -75,47 +74,70 @@ impl PatternResult {
     }
 }
 
-/// One control-path operation of a compiled pattern.
+/// What one issued op of a pattern completes into.
 #[derive(Debug)]
-enum ProgramOp {
-    /// A barriered batch of flow-mods (consecutive pattern mods,
-    /// pipelined per the paper's measurement methodology).
-    Batch(Vec<FlowMod>),
-    /// A data-plane probe for flow `id`.
-    Probe(u32),
+enum Awaited {
+    /// A timed segment of this many flow-mods.
+    Segment(usize),
+    /// A probe sample of this flow id.
+    Sample(u32),
 }
 
-/// A pattern compiled to the exact control-path operations it issues.
-#[derive(Debug)]
-struct PatternProgram {
-    /// Match kind of the probe rules.
-    kind: RuleKind,
-    /// Operations, in issue order.
-    ops: Vec<ProgramOp>,
-}
-
-/// Compiles a pattern: consecutive flow-mods coalesce into one barriered
-/// batch, flushed before every probe or explicit barrier.
-fn compile_pattern(pattern: &TangoPattern) -> PatternProgram {
+/// Runs `pattern` verbatim as a probe program on `probe`'s switch (see
+/// [`driver`](crate::driver)). Consecutive flow-mods coalesce into one
+/// barriered batch, flushed before every probe or explicit barrier; the
+/// whole pattern is issued at once and each completion folds into the
+/// result.
+///
+/// # Errors
+/// [`ProbeError::CompletionMismatch`] if an outcome's shape does not
+/// match the op issued — a control-path contract violation.
+pub async fn pattern_probe(
+    probe: Probe,
+    pattern: &TangoPattern,
+) -> Result<PatternResult, ProbeError> {
     let kind = pattern.kind;
-    let mut ops = Vec::new();
+    let mut awaited = Vec::new();
     let mut pending: Vec<FlowMod> = Vec::new();
-    for step in &pattern.steps {
+    // A trailing barrier flushes the last batch.
+    for step in pattern.steps.iter().chain([&PatternStep::Barrier]) {
         if let Some(fm) = flow_mod_for(kind, step) {
             pending.push(fm);
             continue;
         }
         if !pending.is_empty() {
-            ops.push(ProgramOp::Batch(std::mem::take(&mut pending)));
+            awaited.push(Awaited::Segment(pending.len()));
+            probe.issue(ControlOp::Batch(std::mem::take(&mut pending)));
         }
-        if let PatternStep::Probe { id } = step {
-            ops.push(ProgramOp::Probe(*id));
+        if let PatternStep::Probe { id } = *step {
+            awaited.push(Awaited::Sample(id));
+            probe.issue(ControlOp::Probe(kind.key(id)));
         }
     }
-    if !pending.is_empty() {
-        ops.push(ProgramOp::Batch(pending));
+
+    let mut result = PatternResult::default();
+    for op in awaited {
+        let c = probe.completion().await;
+        let elapsed = c.elapsed();
+        match (op, c.inner.outcome) {
+            (Awaited::Segment(ops), OpOutcome::Batch { failed, .. }) => {
+                result.segments.push(Segment {
+                    ops,
+                    rejected: failed,
+                    elapsed,
+                });
+            }
+            (Awaited::Sample(id), OpOutcome::Probe(hit)) => {
+                result.probes.push(ProbeSample {
+                    id,
+                    hit,
+                    rtt_ms: elapsed.as_millis_f64(),
+                });
+            }
+            (op, _) => return Err(mismatch(&op, &c)),
+        }
     }
-    PatternProgram { kind, ops }
+    Ok(result)
 }
 
 fn flow_mod_for(kind: RuleKind, step: &PatternStep) -> Option<FlowMod> {
@@ -137,72 +159,6 @@ fn flow_mod_for(kind: RuleKind, step: &PatternStep) -> Option<FlowMod> {
     }
 }
 
-/// The trivial inference driver: executes one compiled pattern program,
-/// folding each completion into a [`PatternResult`]. All ops are issued
-/// up front; the runner paces them one completion at a time.
-pub struct PatternDriver {
-    program: PatternProgram,
-    cursor: usize,
-    result: PatternResult,
-}
-
-impl PatternDriver {
-    /// Compiles and wraps a pattern.
-    #[must_use]
-    pub fn for_pattern(pattern: &TangoPattern) -> PatternDriver {
-        PatternDriver {
-            program: compile_pattern(pattern),
-            cursor: 0,
-            result: PatternResult::default(),
-        }
-    }
-}
-
-impl InferenceDriver for PatternDriver {
-    type Outcome = PatternResult;
-
-    fn start(&mut self) -> Step<PatternResult> {
-        if self.program.ops.is_empty() {
-            return Step::Done(std::mem::take(&mut self.result));
-        }
-        let kind = self.program.kind;
-        let ops = self.program.ops.iter().map(|op| match op {
-            ProgramOp::Batch(fms) => ControlOp::Batch(fms.clone()),
-            ProgramOp::Probe(id) => ControlOp::Probe(kind.key(*id)),
-        });
-        Step::Issue(ops.collect())
-    }
-
-    /// Folds the completion into the result. An outcome whose shape does
-    /// not match the issued op is a control-path contract violation.
-    fn on_completion(&mut self, c: &driver::Completion) -> Result<Step<PatternResult>, ProbeError> {
-        let elapsed = c.elapsed();
-        match (&self.program.ops[self.cursor], c.inner.outcome) {
-            (ProgramOp::Batch(fms), OpOutcome::Batch { failed, .. }) => {
-                self.result.segments.push(Segment {
-                    ops: fms.len(),
-                    rejected: failed,
-                    elapsed,
-                });
-            }
-            (ProgramOp::Probe(id), OpOutcome::Probe(hit)) => {
-                self.result.probes.push(ProbeSample {
-                    id: *id,
-                    hit,
-                    rtt_ms: elapsed.as_millis_f64(),
-                });
-            }
-            (op, _) => return Err(driver::mismatch(op, c)),
-        }
-        self.cursor += 1;
-        if self.cursor == self.program.ops.len() {
-            Ok(Step::Done(std::mem::take(&mut self.result)))
-        } else {
-            Ok(Step::Issue(vec![]))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,8 +173,7 @@ mod tests {
     fn run_on(profile: SwitchProfile, pat: &TangoPattern) -> (PatternResult, Testbed) {
         let mut tb = Testbed::new(11);
         tb.attach_default(Dpid(1), profile);
-        let res =
-            run_driver(&mut tb, Dpid(1), PatternDriver::for_pattern(pat)).expect("pattern runs");
+        let res = run_driver(&mut tb, Dpid(1), |p| pattern_probe(p, pat)).expect("pattern runs");
         (res, tb)
     }
 

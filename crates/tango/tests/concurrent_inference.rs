@@ -15,7 +15,7 @@ use switchsim::profiles::SwitchProfile;
 use tango::driver::run_driver;
 use tango::fleet::{run_inference, FleetJob};
 use tango::pattern::{PriorityOrder, RuleKind, TangoPattern};
-use tango::probe::{PatternDriver, PatternResult};
+use tango::probe::{pattern_probe, PatternResult};
 
 fn testbed() -> Testbed {
     let mut tb = Testbed::new(0xfeed);
@@ -28,7 +28,7 @@ fn testbed() -> Testbed {
 fn run_sequentially(tb: &mut Testbed, p1: &TangoPattern, p2: &TangoPattern) -> Vec<PatternResult> {
     [(Dpid(1), p1), (Dpid(2), p2)]
         .into_iter()
-        .map(|(d, p)| run_driver(tb, d, PatternDriver::for_pattern(p)).expect("sequential run"))
+        .map(|(d, p)| run_driver(tb, d, |probe| pattern_probe(probe, p)).expect("sequential run"))
         .collect()
 }
 

@@ -19,9 +19,9 @@ use switchsim::profiles::SwitchProfile;
 use tango::cluster::{cluster_rtts, kmeans_auto};
 use tango::driver::run_driver;
 use tango::infer_policy::{
-    initialization_plan, FlowInit, InferredPolicy, PolicyDriver, PolicyProbeConfig, PolicyRound,
+    initialization_plan, policy_probe, FlowInit, InferredPolicy, PolicyProbeConfig, PolicyRound,
 };
-use tango::infer_size::{ClusterMethod, LevelEstimate, SizeDriver, SizeEstimate, SizeProbeConfig};
+use tango::infer_size::{size_probe, ClusterMethod, LevelEstimate, SizeEstimate, SizeProbeConfig};
 use tango::pattern::RuleKind;
 use tango::stats::{nb_hit_probability, pearson};
 
@@ -303,7 +303,7 @@ proptest! {
         let mut tb = testbed_with(seed, tcam, policy.clone());
         let legacy = legacy_size_probe(&mut tb, &cfg);
         let mut tb = testbed_with(seed, tcam, policy);
-        let driver = run_driver(&mut tb, DPID, SizeDriver::new(KIND, cfg))
+        let driver = run_driver(&mut tb, DPID, |p| size_probe(p, KIND, cfg))
             .expect("driver-based probe completes");
         prop_assert_eq!(legacy, driver);
     }
@@ -318,7 +318,7 @@ proptest! {
         let mut tb = testbed_with(seed, cache as u64, policy.clone());
         let legacy = legacy_policy_probe(&mut tb, cache, &cfg);
         let mut tb = testbed_with(seed, cache as u64, policy);
-        let driver = run_driver(&mut tb, DPID, PolicyDriver::new(KIND, cache, cfg))
+        let driver = run_driver(&mut tb, DPID, |p| policy_probe(p, KIND, cache, cfg))
             .expect("driver-based probe completes");
         prop_assert_eq!(legacy, driver);
     }

@@ -4,7 +4,7 @@
 //! One testbed holds all four vendor profiles; `fleet::run_inference`
 //! characterizes them concurrently over the shared control path. A
 //! second, identically-seeded testbed runs the same probes one switch
-//! at a time, each driver alone through `run_driver`. Every field of every
+//! at a time, each probe program alone through `run_driver`. Every field of every
 //! result — estimated sizes, RTT cluster centers, per-round policy
 //! correlations — must be exactly equal, and the fleet run must finish
 //! in well under the sequential wall-clock time.
@@ -14,9 +14,9 @@ use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::driver::run_driver;
 use tango::fleet::{run_inference, FleetJob};
-use tango::infer_policy::{PolicyDriver, PolicyProbeConfig};
-use tango::infer_size::{SizeDriver, SizeProbeConfig};
-use tango::online::HeadroomDriver;
+use tango::infer_policy::{policy_probe, PolicyProbeConfig};
+use tango::infer_size::{size_probe, SizeProbeConfig};
+use tango::online::headroom_probe;
 use tango::pattern::RuleKind;
 
 /// All four profiles on one testbed, deterministically seeded.
@@ -51,11 +51,9 @@ fn fleet_size_inference_matches_sequential_field_for_field() {
     let seq: Vec<_> = DPIDS
         .iter()
         .map(|&d| {
-            run_driver(
-                &mut seq_tb,
-                d,
-                SizeDriver::new(RuleKind::L3, size_config(d)),
-            )
+            run_driver(&mut seq_tb, d, |p| {
+                size_probe(p, RuleKind::L3, size_config(d))
+            })
             .expect("sequential size probe")
         })
         .collect();
@@ -102,12 +100,12 @@ fn fleet_mixed_inference_matches_sequential_field_for_field() {
     // size on one, headroom on one — still bit-identical per switch.
     let policy_cfg = PolicyProbeConfig::default();
     let mut seq_tb = testbed();
-    let size = SizeDriver::new(RuleKind::L3, size_config(Dpid(2)));
+    let size = |p| size_probe(p, RuleKind::L3, size_config(Dpid(2)));
     let seq_size = run_driver(&mut seq_tb, Dpid(2), size).expect("sequential size probe");
-    let policy = |cache| PolicyDriver::new(RuleKind::L3, cache, policy_cfg);
+    let policy = |cache| move |p| policy_probe(p, RuleKind::L3, cache, policy_cfg);
     let seq_pol3 = run_driver(&mut seq_tb, Dpid(3), policy(128)).expect("sequential policy");
     let seq_pol4 = run_driver(&mut seq_tb, Dpid(4), policy(96)).expect("sequential policy");
-    let headroom = HeadroomDriver::new(RuleKind::L3, 1, 512);
+    let headroom = |p| headroom_probe(p, RuleKind::L3, 1, 512);
     let seq_head = run_driver(&mut seq_tb, Dpid(1), headroom).expect("sequential headroom");
 
     let mut fleet_tb = testbed();

@@ -15,7 +15,7 @@ use switchsim::profiles::SwitchProfile;
 use tango::cluster::{cluster_rtts, kmeans_1d};
 use tango::driver::run_driver;
 use tango::infer_policy::{initialization_plan, PolicyProbeConfig};
-use tango::infer_size::{SizeDriver, SizeProbeConfig};
+use tango::infer_size::{size_probe, SizeProbeConfig};
 use tango::pattern::RuleKind;
 use tango::stats::pearson;
 
@@ -48,7 +48,7 @@ proptest! {
             seed,
             ..SizeProbeConfig::default()
         };
-        let est = run_driver(&mut tb, dpid, SizeDriver::new(RuleKind::L3, cfg))
+        let est = run_driver(&mut tb, dpid, |p| size_probe(p, RuleKind::L3, cfg))
             .expect("size probe completes");
         prop_assert_eq!(est.m, (tcam * 2) as usize);
         // Rules left behind = exactly the installed probe rules.

@@ -36,7 +36,7 @@ fn main() {
     let seq: Vec<PatternResult> = dpids
         .iter()
         .map(|&d| {
-            run_driver(&mut seq_tb, d, PatternDriver::for_pattern(&pattern))
+            run_driver(&mut seq_tb, d, |p| pattern_probe(p, &pattern))
                 .expect("sequential run completes")
         })
         .collect();

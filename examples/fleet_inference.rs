@@ -45,7 +45,7 @@ fn main() {
     let seq: Vec<SizeEstimate> = dpids
         .iter()
         .map(|&d| {
-            run_driver(&mut seq_tb, d, SizeDriver::new(RuleKind::L3, config(d)))
+            run_driver(&mut seq_tb, d, |p| size_probe(p, RuleKind::L3, config(d)))
                 .expect("sequential probe completes")
         })
         .collect();

@@ -26,7 +26,7 @@ fn probe_kind(tb: &mut Testbed, dpid: Dpid, kind: RuleKind, cap: usize) -> SizeE
         ..SizeProbeConfig::default()
     };
     tb.flow_mod(dpid, FlowMod::delete_all());
-    let est = run_driver(tb, dpid, SizeDriver::new(kind, cfg)).expect("size probe completes");
+    let est = run_driver(tb, dpid, |p| size_probe(p, kind, cfg)).expect("size probe completes");
     tb.flow_mod(dpid, FlowMod::delete_all());
     est
 }

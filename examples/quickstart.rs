@@ -32,7 +32,7 @@ fn main() {
         max_flows: 1024,
         ..SizeProbeConfig::default()
     };
-    let size = run_driver(&mut tb, dpid, SizeDriver::new(RuleKind::L3, size_cfg))
+    let size = run_driver(&mut tb, dpid, |p| size_probe(p, RuleKind::L3, size_cfg))
         .expect("size probe completes");
     println!("layers detected: {}", size.levels.len());
     for (i, l) in size.levels.iter().enumerate() {
@@ -50,8 +50,11 @@ fn main() {
 
     // --- Algorithm 2: cache-replacement policy -----------------------
     let fast_layer = size.fast_layer_size().unwrap_or(0.0).round() as usize;
-    let policy_driver = PolicyDriver::new(RuleKind::L3, fast_layer, PolicyProbeConfig::default());
-    let policy = run_driver(&mut tb, dpid, policy_driver).expect("policy probe completes");
+    let policy_cfg = PolicyProbeConfig::default();
+    let policy = run_driver(&mut tb, dpid, |p| {
+        policy_probe(p, RuleKind::L3, fast_layer, policy_cfg)
+    })
+    .expect("policy probe completes");
     println!("inferred cache policy: {}", policy.as_policy().describe());
     for (i, round) in policy.rounds.iter().enumerate() {
         let best = round

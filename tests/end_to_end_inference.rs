@@ -21,11 +21,14 @@ fn understand(profile: SwitchProfile, max_flows: usize) -> (TangoDb, Dpid) {
         trials_per_level: 300,
         ..SizeProbeConfig::default()
     };
-    let size = run_driver(&mut tb, dpid, SizeDriver::new(RuleKind::L3, size_cfg))
+    let size = run_driver(&mut tb, dpid, |p| size_probe(p, RuleKind::L3, size_cfg))
         .expect("size probe completes");
     let fast = size.fast_layer_size().unwrap_or(0.0).round() as usize;
-    let policy_driver = PolicyDriver::new(RuleKind::L3, fast, PolicyProbeConfig::default());
-    let policy = run_driver(&mut tb, dpid, policy_driver).expect("policy probe completes");
+    let policy_cfg = PolicyProbeConfig::default();
+    let policy = run_driver(&mut tb, dpid, |p| {
+        policy_probe(p, RuleKind::L3, fast, policy_cfg)
+    })
+    .expect("policy probe completes");
     tb.flow_mod(dpid, FlowMod::delete_all());
     let latency = measure_latency_profile(&mut tb, dpid, RuleKind::L3, 200)
         .expect("latency profile completes");
@@ -86,7 +89,7 @@ fn knowledge_drives_placement_decisions() {
             trials_per_level: 32,
             ..SizeProbeConfig::default()
         };
-        let size = run_driver(&mut tb, dpid, SizeDriver::new(RuleKind::L3, size_cfg))
+        let size = run_driver(&mut tb, dpid, |p| size_probe(p, RuleKind::L3, size_cfg))
             .expect("size probe completes");
         tb.flow_mod(dpid, FlowMod::delete_all());
         let latency = measure_latency_profile(&mut tb, dpid, RuleKind::L3, 150)

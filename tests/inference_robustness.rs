@@ -35,7 +35,7 @@ fn size_error(profile: SwitchProfile, ctrl: Link, tcam: u64, seed: u64) -> f64 {
         seed,
         ..SizeProbeConfig::default()
     };
-    let est = run_driver(&mut tb, dpid, SizeDriver::new(RuleKind::L3, cfg))
+    let est = run_driver(&mut tb, dpid, |p| size_probe(p, RuleKind::L3, cfg))
         .expect("size probe completes");
     relative_error(est.fast_layer_size().unwrap_or(0.0), tcam as f64)
 }
@@ -74,8 +74,9 @@ fn policy_inference_survives_moderate_loss() {
         SwitchProfile::generic_cached(100, CachePolicy::lru()),
         lossy,
     );
-    let driver = PolicyDriver::new(RuleKind::L3, 100, PolicyProbeConfig::default());
-    let inferred = run_driver(&mut tb, dpid, driver).expect("policy probe completes");
+    let config = PolicyProbeConfig::default();
+    let probe = |p| policy_probe(p, RuleKind::L3, 100, config);
+    let inferred = run_driver(&mut tb, dpid, probe).expect("policy probe completes");
     assert_eq!(inferred.as_policy().describe(), "use_time↑");
 }
 
