@@ -7,7 +7,7 @@
 use crate::codec::{be_u16, be_u32, pad, Decode, Encode};
 use crate::error::{ensure, Result, WireError};
 use crate::types::{MacAddr, PortNo};
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 const OFPAT_OUTPUT: u16 = 0;
 const OFPAT_SET_VLAN_VID: u16 = 1;
@@ -106,7 +106,7 @@ impl Action {
     }
 
     /// Encodes a whole action list.
-    pub fn encode_list(actions: &[Action], buf: &mut BytesMut) {
+    pub fn encode_list(actions: &[Action], buf: &mut Vec<u8>) {
         for a in actions {
             a.encode(buf);
         }
@@ -168,8 +168,7 @@ const INLINE: usize = 2;
 /// cloned through the allocator, for every list the workloads build.
 ///
 /// Reads go through `Deref<Target = [Action]>`. A list is built once
-/// (`from`, `collect`, [`Action::decode_list`]); [`ActionList::push`]
-/// past the inline capacity reallocates the whole spill.
+/// (`from`, `collect`, [`Action::decode_list`]) and not grown after.
 #[derive(Clone)]
 pub struct ActionList(Repr);
 
@@ -192,17 +191,6 @@ impl ActionList {
             len: 0,
             slots: [ActionList::FILLER; INLINE],
         })
-    }
-
-    /// Appends one action.
-    pub fn push(&mut self, action: Action) {
-        match &mut self.0 {
-            Repr::Inline { len, slots } if usize::from(*len) < INLINE => {
-                slots[usize::from(*len)] = action;
-                *len += 1;
-            }
-            _ => *self = self.iter().copied().chain([action]).collect(),
-        }
     }
 }
 
@@ -246,18 +234,23 @@ impl From<Vec<Action>> for ActionList {
 impl FromIterator<Action> for ActionList {
     fn from_iter<I: IntoIterator<Item = Action>>(iter: I) -> ActionList {
         let mut iter = iter.into_iter();
-        let mut list = ActionList::new();
-        while list.len() < INLINE {
-            match iter.next() {
-                Some(a) => list.push(a),
-                None => return list,
-            }
+        let mut slots = [ActionList::FILLER; INLINE];
+        let mut len = 0;
+        for slot in &mut slots {
+            let Some(a) = iter.next() else { break };
+            *slot = a;
+            len += 1;
         }
-        let Some(next) = iter.next() else {
-            return list;
+        let next = if usize::from(len) == INLINE {
+            iter.next()
+        } else {
+            None
+        };
+        let Some(next) = next else {
+            return ActionList(Repr::Inline { len, slots });
         };
         let mut spill = Vec::with_capacity(INLINE + 1 + iter.size_hint().0);
-        spill.extend_from_slice(&list);
+        spill.extend_from_slice(&slots);
         spill.push(next);
         spill.extend(iter);
         ActionList(Repr::Spill(spill.into_boxed_slice()))
@@ -294,7 +287,7 @@ impl std::fmt::Debug for ActionList {
 }
 
 impl Encode for Action {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match *self {
             Action::Output { port, max_len } => {
                 buf.put_u16(OFPAT_OUTPUT);
@@ -499,7 +492,7 @@ mod tests {
     #[test]
     fn action_list_roundtrips() {
         let actions = all_actions();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         Action::encode_list(&actions, &mut buf);
         assert_eq!(buf.len(), Action::list_len(&actions));
         let (back, used) = Action::decode_list(&buf, buf.len()).unwrap();
@@ -509,7 +502,7 @@ mod tests {
 
     #[test]
     fn rejects_unknown_type() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u16(0xfff0);
         buf.put_u16(8);
         buf.put_u32(0);
@@ -522,7 +515,7 @@ mod tests {
     #[test]
     fn rejects_bad_lengths() {
         // Length not multiple of 8.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u16(OFPAT_OUTPUT);
         buf.put_u16(9);
         buf.put_bytes(0, 12);
@@ -531,7 +524,7 @@ mod tests {
             WireError::BadActionLength { .. }
         ));
         // Wrong length for type.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u16(OFPAT_OUTPUT);
         buf.put_u16(16);
         buf.put_bytes(0, 12);

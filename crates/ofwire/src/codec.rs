@@ -1,36 +1,26 @@
 //! Encoding/decoding traits and a stream framer.
 //!
-//! Every wire structure implements [`Encode`] (append to a `BytesMut`) and
-//! [`Decode`] (parse from a byte slice, reporting how much was consumed).
-//! The [`Framer`] accumulates an arbitrary byte stream — as delivered by a
-//! TCP socket or the in-memory simulated channel — and yields complete
-//! messages.
+//! Every wire structure implements [`Encode`] (append to the caller's
+//! `Vec<u8>`) and [`Decode`] (parse from a byte slice, reporting how much
+//! was consumed). The [`Framer`] splits an arbitrarily chunked byte
+//! stream — as delivered by a TCP socket or the in-memory simulated
+//! channel — into complete frames.
 
 use crate::error::{Result, WireError};
 use crate::header::{Header, OFP_HEADER_LEN};
 use crate::message::Message;
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 /// Serialize a structure by appending its wire form to `buf`.
 pub trait Encode {
-    /// Appends the wire encoding of `self` to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
-
-    /// Appends the wire encoding of `self` to a plain vector, reusing
-    /// its allocation. The buffer round-trips through `BytesMut`
-    /// zero-copy, so repeated encodes into one vector amortize to a
-    /// single allocation — unlike [`Encode::to_vec`], which clones the
-    /// bytes out of a fresh buffer every call.
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        let mut buf = BytesMut::from(std::mem::take(out));
-        self.encode(&mut buf);
-        *out = buf.into();
-    }
+    /// Appends the wire encoding of `self` to `buf`, reusing its
+    /// allocation.
+    fn encode(&self, buf: &mut Vec<u8>);
 
     /// Convenience: encode into a fresh buffer.
     fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.encode_into(&mut out);
+        self.encode(&mut out);
         out
     }
 }
@@ -60,7 +50,7 @@ pub(crate) fn be_u64(buf: &[u8], off: usize) -> u64 {
 }
 
 /// Appends `n` zero bytes of padding.
-pub(crate) fn pad(buf: &mut BytesMut, n: usize) {
+pub(crate) fn pad(buf: &mut Vec<u8>, n: usize) {
     buf.put_bytes(0, n);
 }
 
@@ -94,22 +84,16 @@ impl<'a> Frame<'a> {
 /// Incremental frame splitter for a byte stream carrying OpenFlow
 /// messages.
 ///
-/// Feed arbitrarily-chunked bytes with [`Framer::push`] and pull complete
-/// `(Header, Message)` pairs with [`Framer::next_message`], or hand each
-/// read straight to [`Framer::next_message_from`] /
-/// [`Framer::next_frame_from`]. All of them run on the one splitter in
-/// `next_frame_from`. Malformed input surfaces as an error and poisons
-/// the framer (stream framing cannot be resynchronized once lengths are
-/// wrong).
+/// Bytes enter by one door: hand each read to
+/// [`Framer::next_frame_from`], or to [`Framer::next_message_from`],
+/// which is that plus a decode. Malformed input surfaces as an error and
+/// poisons the framer (stream framing cannot be resynchronized once
+/// lengths are wrong).
 ///
-/// Internally the buffer is a plain `Vec<u8>` with a drain cursor:
-/// consuming a frame advances the cursor instead of splitting the
-/// allocation, so decoding k buffered frames costs O(bytes) total — the
-/// earlier `split_to`-per-frame layout recopied the whole remainder per
-/// message, which made a deep pipeline window quadratic to drain and
-/// was the single largest per-op cost on the wire hot path. The consumed
-/// prefix is reclaimed when bytes are next stored, never while a
-/// returned [`Frame`] may still point into it.
+/// Only a frame torn across reads is stored, in a plain `Vec<u8>` with a
+/// drain cursor, so the buffer never holds more than one frame. It is
+/// cleared when the next torn frame is stored, never while a returned
+/// [`Frame`] may still point into it.
 #[derive(Debug, Default, Clone)]
 pub struct Framer {
     buf: Vec<u8>,
@@ -125,32 +109,14 @@ impl Framer {
         Framer::default()
     }
 
-    /// Appends raw bytes received from the transport.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.compact();
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Number of buffered, not-yet-consumed bytes.
     #[must_use]
     pub fn pending(&self) -> usize {
         self.buf.len() - self.cursor
     }
 
-    /// Reclaims consumed prefix space: free once fully drained, and
-    /// amortized-O(1) memmove once the dead prefix dominates the buffer.
-    fn compact(&mut self) {
-        if self.cursor == self.buf.len() {
-            self.buf.clear();
-            self.cursor = 0;
-        } else if self.cursor >= 4096 && self.cursor * 2 >= self.buf.len() {
-            self.buf.drain(..self.cursor);
-            self.cursor = 0;
-        }
-    }
-
     /// Marks the stream unparseable and hands `e` back. The framer does
-    /// this itself for a bad header or a body [`Framer::next_message`]
+    /// this itself for a bad header or a body [`Framer::next_message_from`]
     /// cannot decode; a caller that decodes borrowed frames on its own
     /// does it when a body turns out malformed, so that the rest of the
     /// stream is refused either way.
@@ -167,14 +133,6 @@ impl Framer {
         *input = rest;
     }
 
-    /// Attempts to extract the next complete message from the buffer.
-    ///
-    /// Returns `Ok(None)` when more bytes are needed, `Ok(Some(..))` for a
-    /// complete message, and `Err` if the stream is unparseable.
-    pub fn next_message(&mut self) -> Result<Option<(Header, Message)>> {
-        self.next_message_from(&mut &[][..])
-    }
-
     /// Takes whatever partial-frame bytes are buffered, leaving the
     /// framer empty. Transports use this to hand a stream over to a
     /// different consumer (e.g. from a handshake parser to the agent)
@@ -185,15 +143,6 @@ impl Framer {
         self.buf.clear();
         self.cursor = 0;
         out
-    }
-
-    /// Drains every complete message currently buffered.
-    pub fn drain(&mut self) -> Result<Vec<(Header, Message)>> {
-        let mut out = Vec::new();
-        while let Some(pair) = self.next_message()? {
-            out.push(pair);
-        }
-        Ok(out)
     }
 
     /// Attempts to extract the next complete message, consuming from
@@ -282,8 +231,11 @@ impl Framer {
                 return Ok(Some(Frame { header, bytes }));
             }
         }
-        // A torn header or torn frame: stash it for the next read.
-        self.compact();
+        // A torn header or torn frame: stash it for the next read. The
+        // buffer holds nothing unconsumed, and the frame last handed out
+        // of it is done with.
+        self.buf.clear();
+        self.cursor = 0;
         self.take_from(input, input.len());
         Ok(None)
     }
@@ -293,6 +245,16 @@ impl Framer {
 mod tests {
     use super::*;
     use crate::types::Xid;
+
+    /// Drains `input` through `next_message_from` the way the agent does.
+    fn drain_from(framer: &mut Framer, mut input: &[u8]) -> Vec<(Header, Message)> {
+        let mut got = Vec::new();
+        while let Some(pair) = framer.next_message_from(&mut input).unwrap() {
+            got.push(pair);
+        }
+        assert!(input.is_empty(), "Ok(None) must mean input fully consumed");
+        got
+    }
 
     #[test]
     fn framer_handles_split_delivery() {
@@ -306,10 +268,7 @@ mod tests {
         let all: Vec<u8> = b1.iter().chain(b2.iter()).copied().collect();
         let mut got = Vec::new();
         for byte in all {
-            framer.push(&[byte]);
-            while let Some(pair) = framer.next_message().unwrap() {
-                got.push(pair);
-            }
+            got.extend(drain_from(&mut framer, &[byte]));
         }
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].0.xid, Xid(1));
@@ -320,44 +279,12 @@ mod tests {
     }
 
     #[test]
-    fn framer_poisons_on_bad_version() {
-        let mut framer = Framer::new();
-        framer.push(&[0x09, 0, 0, 8, 0, 0, 0, 0]);
-        assert!(framer.next_message().is_err());
-        // Stays poisoned even with valid bytes afterwards.
-        framer.push(&Message::BarrierRequest.to_bytes(Xid(0)));
-        assert!(framer.next_message().is_err());
-    }
-
-    #[test]
-    fn drain_returns_all_buffered() {
-        let mut framer = Framer::new();
-        for i in 0..5u32 {
-            framer.push(&Message::BarrierReply.to_bytes(Xid(i)));
-        }
-        let msgs = framer.drain().unwrap();
-        assert_eq!(msgs.len(), 5);
-        for (i, (h, m)) in msgs.iter().enumerate() {
-            assert_eq!(h.xid, Xid(i as u32));
-            assert_eq!(*m, Message::BarrierReply);
-        }
-    }
-
-    #[test]
     fn incomplete_header_returns_none() {
         let mut framer = Framer::new();
-        framer.push(&[1, 2, 3]);
-        assert_eq!(framer.next_message().unwrap(), None);
-    }
-
-    /// Drains `input` through `next_message_from` the way the agent does.
-    fn drain_from(framer: &mut Framer, mut input: &[u8]) -> Vec<(Header, Message)> {
-        let mut got = Vec::new();
-        while let Some(pair) = framer.next_message_from(&mut input).unwrap() {
-            got.push(pair);
-        }
-        assert!(input.is_empty(), "Ok(None) must mean input fully consumed");
-        got
+        let mut input: &[u8] = &[1, 2, 3];
+        assert_eq!(framer.next_message_from(&mut input).unwrap(), None);
+        assert!(input.is_empty());
+        assert_eq!(framer.pending(), 3);
     }
 
     #[test]
@@ -392,34 +319,6 @@ mod tests {
         assert_eq!((got[0].0.xid, &got[0].1), (Xid(1), &m1));
         assert_eq!((got[1].0.xid, &got[1].1), (Xid(2), &m2));
         assert_eq!(framer.pending(), 0);
-    }
-
-    #[test]
-    fn next_message_from_matches_push_path_bytewise() {
-        let msgs = [
-            Message::EchoRequest(vec![0xAB; 13]),
-            Message::BarrierRequest,
-            Message::EchoReply(vec![]),
-            Message::BarrierReply,
-        ];
-        let mut bytes = Vec::new();
-        for (i, m) in msgs.iter().enumerate() {
-            bytes.extend_from_slice(&m.to_bytes(Xid(i as u32)));
-        }
-        for chunk in [1usize, 3, 8, 11, bytes.len()] {
-            let mut fast = Framer::new();
-            let mut slow = Framer::new();
-            let mut from_fast = Vec::new();
-            let mut from_slow = Vec::new();
-            for piece in bytes.chunks(chunk) {
-                from_fast.extend(drain_from(&mut fast, piece));
-                slow.push(piece);
-                while let Some(pair) = slow.next_message().unwrap() {
-                    from_slow.push(pair);
-                }
-            }
-            assert_eq!(from_fast, from_slow, "chunk size {chunk}");
-        }
     }
 
     #[test]

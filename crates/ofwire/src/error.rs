@@ -8,7 +8,7 @@ pub type Result<T> = std::result::Result<T, WireError>;
 /// Errors that can occur while decoding (or framing) OpenFlow messages.
 ///
 /// Encoding is infallible by construction: every representable value has a
-/// wire form, and writers append to a growable [`bytes::BytesMut`].
+/// wire form, and writers append to the caller's `Vec<u8>`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// The buffer ended before the fixed-size structure was complete.

@@ -7,7 +7,7 @@
 
 use crate::codec::{be_u16, Decode, Encode};
 use crate::error::{ensure, Result, WireError};
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 /// High-level error class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,7 +95,7 @@ impl ErrorMsg {
 }
 
 impl Encode for ErrorMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u16(self.err_type as u16);
         buf.put_u16(self.code.0);
         buf.put_slice(&self.data);

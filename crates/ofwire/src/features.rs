@@ -11,7 +11,7 @@
 use crate::codec::{be_u16, be_u32, be_u64, pad, Decode, Encode};
 use crate::error::{ensure, Result};
 use crate::types::{Dpid, MacAddr, PortNo};
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 /// Size of one encoded physical-port description.
 pub const PHY_PORT_LEN: usize = 48;
@@ -60,7 +60,7 @@ impl PhyPort {
 }
 
 impl Encode for PhyPort {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u16(self.port_no.0);
         buf.put_slice(&self.hw_addr.0);
         let mut name = [0u8; 16];
@@ -128,7 +128,7 @@ impl FeaturesReply {
 }
 
 impl Encode for FeaturesReply {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u64(self.datapath_id.0);
         buf.put_u32(self.n_buffers);
         buf.put_u8(self.n_tables);

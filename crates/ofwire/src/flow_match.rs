@@ -15,7 +15,7 @@
 use crate::codec::{be_u16, be_u32, Decode, Encode};
 use crate::error::{ensure, Result};
 use crate::types::{MacAddr, PortNo};
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 use std::hash::{Hash, Hasher};
 
 /// Encoded size of `ofp_match` on the wire.
@@ -641,7 +641,7 @@ impl FlowMatch {
 }
 
 impl Encode for FlowMatch {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         let mut b = [0; OFP_MATCH_LEN];
         self.write_to(&mut b);
         buf.put_slice(&b);

@@ -10,7 +10,7 @@ use crate::error::{ensure, Result, WireError};
 use crate::flow_match::{FlowMatch, OFP_MATCH_LEN};
 use crate::header::{MessageType, OFP_HEADER_LEN, OFP_VERSION};
 use crate::types::{BufferId, PortNo, Xid};
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 /// Fixed-size portion of the flow_mod body (match + fields, no actions).
 pub const FLOW_MOD_FIXED_LEN: usize = 64;
@@ -244,14 +244,12 @@ impl FlowMod {
         body[60..62].copy_from_slice(&self.out_port.0.to_be_bytes());
         body[62..64].copy_from_slice(&self.flags.0.to_be_bytes());
         out.extend_from_slice(&b);
-        let mut buf = BytesMut::from(std::mem::take(out));
-        Action::encode_list(&self.actions, &mut buf);
-        *out = buf.into();
+        Action::encode_list(&self.actions, out);
     }
 }
 
 impl Encode for FlowMod {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.flow_match.encode(buf);
         buf.put_u64(self.cookie);
         buf.put_u16(self.command as u16);

@@ -4,7 +4,7 @@
 use crate::codec::{be_u16, be_u32, be_u64, pad, Decode, Encode};
 use crate::error::{ensure, Result, WireError};
 use crate::flow_match::FlowMatch;
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 /// Why the switch removed the entry (OpenFlow 1.0 numbering).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,7 +62,7 @@ pub struct FlowRemoved {
 pub const FLOW_REMOVED_LEN: usize = 80;
 
 impl Encode for FlowRemoved {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.flow_match.encode(buf);
         buf.put_u64(self.cookie);
         buf.put_u16(self.priority);

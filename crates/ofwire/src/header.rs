@@ -3,7 +3,7 @@
 use crate::codec::{be_u16, be_u32, Encode};
 use crate::error::{ensure, Result, WireError};
 use crate::types::Xid;
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 /// Wire protocol version implemented by this crate (OpenFlow 1.0).
 pub const OFP_VERSION: u8 = 0x01;
@@ -124,7 +124,7 @@ impl Header {
 }
 
 impl Encode for Header {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u8(self.version);
         buf.put_u8(self.msg_type as u8);
         buf.put_u16(self.length);

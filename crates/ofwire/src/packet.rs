@@ -13,7 +13,7 @@ use crate::error::{ensure, Result, WireError};
 use crate::flow_match::FlowKey;
 use crate::header::{MessageType, OFP_VERSION};
 use crate::types::{BufferId, MacAddr, PortNo, Xid};
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 /// Why a packet was sent to the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,7 +57,7 @@ pub struct PacketIn {
 const PACKET_IN_FIXED: usize = 10;
 
 impl Encode for PacketIn {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u32(self.buffer_id.0);
         buf.put_u16(self.total_len);
         buf.put_u16(self.in_port.0);
@@ -189,7 +189,7 @@ impl<'a> PacketOutView<'a> {
 }
 
 impl Encode for PacketOut {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u32(self.buffer_id.0);
         buf.put_u16(self.in_port.0);
         buf.put_u16(Action::list_len(&self.actions) as u16);
@@ -422,9 +422,9 @@ mod tests {
         assert_eq!(parsed, key);
     }
 
-    /// Exact bytes, recorded from the `BytesMut` builder this one
-    /// replaced: untagged IPv4/UDP, tagged IPv4/TCP, untagged ARP, and
-    /// the complete probe `packet_out` the channel codec sends.
+    /// Exact recorded bytes: untagged IPv4/UDP, tagged IPv4/TCP,
+    /// untagged ARP, and the complete probe `packet_out` the channel
+    /// codec sends.
     #[test]
     fn built_frames_match_recorded_bytes() {
         fn hex(bytes: &[u8]) -> String {

@@ -11,7 +11,7 @@ use crate::codec::{be_u16, be_u32, be_u64, pad, Decode, Encode};
 use crate::error::{ensure, Result, WireError};
 use crate::flow_match::FlowMatch;
 use crate::types::PortNo;
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 const OFPST_DESC: u16 = 0;
 const OFPST_FLOW: u16 = 1;
@@ -19,7 +19,7 @@ const OFPST_AGGREGATE: u16 = 2;
 const OFPST_TABLE: u16 = 3;
 
 /// Writes a NUL-padded fixed-width string field.
-fn put_fixed_str(buf: &mut BytesMut, s: &str, width: usize) {
+fn put_fixed_str(buf: &mut Vec<u8>, s: &str, width: usize) {
     let bytes = s.as_bytes();
     let n = bytes.len().min(width - 1);
     buf.put_slice(&bytes[..n]);
@@ -82,7 +82,7 @@ impl StatsRequestBody {
 }
 
 impl Encode for StatsRequestBody {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u16(self.stats_type());
         buf.put_u16(0); // flags
         match self {
@@ -179,7 +179,7 @@ impl FlowStatsEntry {
 }
 
 impl Encode for FlowStatsEntry {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u16(self.wire_len() as u16);
         buf.put_u8(self.table_id);
         pad(buf, 1);
@@ -250,7 +250,7 @@ pub struct AggregateStats {
 }
 
 impl Encode for AggregateStats {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u64(self.packet_count);
         buf.put_u64(self.byte_count);
         buf.put_u32(self.flow_count);
@@ -294,7 +294,7 @@ pub struct TableStatsEntry {
 const TABLE_STATS_LEN: usize = 64;
 
 impl Encode for TableStatsEntry {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u8(self.table_id);
         pad(buf, 3);
         put_fixed_str(buf, &self.name, 32);
@@ -342,7 +342,7 @@ pub struct DescStats {
 const DESC_STATS_LEN: usize = 256 + 256 + 256 + 32 + 256;
 
 impl Encode for DescStats {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         put_fixed_str(buf, &self.mfr_desc, 256);
         put_fixed_str(buf, &self.hw_desc, 256);
         put_fixed_str(buf, &self.sw_desc, 256);
@@ -392,7 +392,7 @@ impl StatsBody {
 }
 
 impl Encode for StatsBody {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u16(self.stats_type());
         buf.put_u16(0); // flags: no more replies follow
         match self {
@@ -570,7 +570,7 @@ mod tests {
 
     #[test]
     fn bad_stats_type_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u16(99);
         buf.put_u16(0);
         assert!(StatsBody::decode(&buf).is_err());

@@ -17,7 +17,7 @@ fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
 fn encoded(actions: &[Action]) -> Vec<u8> {
     let mut bytes = Vec::new();
     for a in actions {
-        a.encode_into(&mut bytes);
+        a.encode(&mut bytes);
     }
     bytes
 }
@@ -55,18 +55,17 @@ fn carriers_are_no_larger_than_with_a_vec() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
-    /// Built by `from`, by `collect` and by `push`, a list reads as the
+    /// Built by `from`, by `collect` of every prefix, a list reads as the
     /// vector it came from, and two lists compare as their vectors do.
     #[test]
     fn behaves_as_the_vec_it_models(model in arb_actions(), other in arb_actions()) {
         let from = ActionList::from(model.clone());
-        let collected: ActionList = model.iter().copied().collect();
-        let mut pushed = ActionList::new();
-        for (i, &a) in model.iter().enumerate() {
-            prop_assert_eq!(&pushed[..], &model[..i]);
-            pushed.push(a);
+        for i in 0..model.len() {
+            let prefix: ActionList = model[..i].iter().copied().collect();
+            prop_assert_eq!(&prefix[..], &model[..i]);
         }
-        for list in [&from, &collected, &pushed, &from.clone()] {
+        let collected: ActionList = model.iter().copied().collect();
+        for list in [&from, &collected, &from.clone()] {
             prop_assert_eq!(&list[..], &model[..]);
             prop_assert_eq!(list.len(), model.len());
             prop_assert_eq!(list.first(), model.first());

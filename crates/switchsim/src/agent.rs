@@ -81,21 +81,15 @@ impl Agent {
         &mut self.switch
     }
 
-    /// Feeds raw bytes from the control channel; processes every complete
-    /// message, returning outputs in order. Expired entries detected
-    /// while processing surface as unsolicited `flow_removed`
-    /// notifications (xid 0) appended after the triggering message.
-    pub fn feed(&mut self, bytes: &[u8], now: SimTime) -> Result<Vec<AgentOutput>, WireError> {
-        let mut outputs = Vec::new();
-        self.feed_into(bytes, now, &mut outputs)?;
-        Ok(outputs)
-    }
-
-    /// Buffer-reuse form of [`Agent::feed`]: appends outputs to a
-    /// caller-provided vector instead of allocating one per call, and
-    /// reads each whole frame where it lies in `bytes` (only a frame torn
-    /// across calls is completed in the framer's buffer). A frame is held
-    /// only while it is dispatched; what outlives it — a `packet_in`
+    /// Feeds raw bytes from the control channel: processes every complete
+    /// message, appending its output to `outputs` in order. Expired
+    /// entries detected while processing surface as unsolicited
+    /// `flow_removed` notifications (xid 0) appended after the triggering
+    /// message.
+    ///
+    /// Each whole frame is read where it lies in `bytes` (only a frame
+    /// torn across calls is completed in the framer's buffer). A frame is
+    /// held only while it is dispatched; what outlives it — a `packet_in`
     /// payload, an error's request prefix — is copied out.
     pub fn feed_into(
         &mut self,
@@ -277,8 +271,15 @@ mod tests {
         Agent::new(Switch::new(profile, Dpid(9), 7))
     }
 
+    /// Feeds `bytes` and returns what they produced.
+    pub(super) fn feed(a: &mut Agent, bytes: &[u8], now: SimTime) -> Vec<AgentOutput> {
+        let mut outs = Vec::new();
+        a.feed_into(bytes, now, &mut outs).unwrap();
+        outs
+    }
+
     fn feed_one(a: &mut Agent, msg: Message, xid: u32, now: SimTime) -> Vec<AgentOutput> {
-        a.feed(&msg.to_bytes(Xid(xid)), now).unwrap()
+        feed(a, &msg.to_bytes(Xid(xid)), now)
     }
 
     #[test]
@@ -312,7 +313,7 @@ mod tests {
         for i in 0..1000u32 {
             let fm = Message::FlowMod(FlowMod::add(FlowMatch::l2l3_for_id(i), 10));
             let request = fm.to_bytes(Xid(i));
-            let out = a.feed(&request, SimTime(u64::from(i))).unwrap();
+            let out = feed(&mut a, &request, SimTime(u64::from(i)));
             if let Some(Message::Error(e)) = &out[0].reply {
                 assert!(e.is_table_full());
                 assert_eq!(e.data, request[..64], "the request's first 64 bytes");
@@ -393,7 +394,7 @@ mod tests {
             );
         }
         bytes.extend(Message::BarrierRequest.to_bytes(Xid(99)));
-        let out = a.feed(&bytes, SimTime(0)).unwrap();
+        let out = feed(&mut a, &bytes, SimTime(0));
         assert_eq!(out.len(), 6);
         assert_eq!(out[5].reply, Some(Message::BarrierReply));
         assert_eq!(a.switch().rule_count(), 5);
@@ -402,6 +403,7 @@ mod tests {
 
 #[cfg(test)]
 mod expiry_tests {
+    use super::tests::feed;
     use super::*;
     use crate::profiles::SwitchProfile;
     use ofwire::flow_match::FlowMatch;
@@ -414,14 +416,15 @@ mod expiry_tests {
         let mut fm = FlowMod::add(FlowMatch::l3_for_id(1), 50);
         fm.hard_timeout = 2; // seconds
         fm.cookie = 0xfeed;
-        a.feed(&Message::FlowMod(fm).to_bytes(Xid(1)), SimTime::ZERO)
-            .unwrap();
+        feed(
+            &mut a,
+            &Message::FlowMod(fm).to_bytes(Xid(1)),
+            SimTime::ZERO,
+        );
         assert_eq!(a.switch().rule_count(), 1);
         // Any later message triggers the lazy expiry sweep.
         let later = SimTime::ZERO + SimDuration::from_secs(3);
-        let outs = a
-            .feed(&Message::BarrierRequest.to_bytes(Xid(2)), later)
-            .unwrap();
+        let outs = feed(&mut a, &Message::BarrierRequest.to_bytes(Xid(2)), later);
         assert_eq!(a.switch().rule_count(), 0);
         let removed = outs
             .iter()
@@ -453,10 +456,13 @@ mod expiry_tests {
             let mut a = Agent::new(Switch::new(SwitchProfile::vendor2(), Dpid(3), 1));
             let mut fm = FlowMod::add(m, 50);
             fm.hard_timeout = 2;
-            a.feed(&Message::FlowMod(fm).to_bytes(Xid(1)), SimTime::ZERO)
-                .unwrap();
+            feed(
+                &mut a,
+                &Message::FlowMod(fm).to_bytes(Xid(1)),
+                SimTime::ZERO,
+            );
             let later = SimTime::ZERO + SimDuration::from_secs(3);
-            let outs = a.feed(&second.to_bytes(Xid(2)), later).unwrap();
+            let outs = feed(&mut a, &second.to_bytes(Xid(2)), later);
             let removed = |outs: &[AgentOutput]| {
                 outs.iter()
                     .filter(|o| matches!(o.reply, Some(Message::FlowRemoved(_))))
@@ -471,9 +477,7 @@ mod expiry_tests {
             if let Some((hit, _)) = outs[0].forwarded {
                 assert_eq!(hit, Hit::Miss);
             }
-            let again = a
-                .feed(&Message::BarrierRequest.to_bytes(Xid(3)), later)
-                .unwrap();
+            let again = feed(&mut a, &Message::BarrierRequest.to_bytes(Xid(3)), later);
             assert_eq!(removed(&again), 0, "{second:?}");
         }
     }

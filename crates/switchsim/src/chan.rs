@@ -34,27 +34,6 @@ use simnet::link::Link;
 use simnet::rng::DetRng;
 use simnet::time::{SimDuration, SimTime};
 
-/// Telemetry counter keys for the wire plane, shared by every transport
-/// that reports through [`simnet::telemetry`]. Keys live here — next to
-/// the wire discipline both transports already import — so the real-TCP
-/// reactor and any future transport aggregate under identical names.
-pub mod wire_keys {
-    /// Bytes read off sockets.
-    pub const BYTES_IN: &str = "wire/bytes_in";
-    /// Bytes written to sockets.
-    pub const BYTES_OUT: &str = "wire/bytes_out";
-    /// Reactor sweeps that moved at least one byte.
-    pub const WAKEUPS: &str = "wire/wakeups";
-    /// Socket reads/writes that returned `WouldBlock`.
-    pub const WOULD_BLOCK: &str = "wire/would_block";
-    /// Reads refused because a connection was over its high watermark.
-    pub const WATERMARK_STALLS: &str = "wire/watermark_stalls";
-    /// Connections bound to this shard over its lifetime.
-    pub const CONNS: &str = "wire/conns";
-    /// Messages dispatched / ops completed.
-    pub const OPS: &str = "wire/ops";
-}
-
 /// Classification of an encoded operation: what travelled, stripped of
 /// the bytes themselves. Fixed at encode time; consumed when drawing
 /// latencies and deriving the completion.

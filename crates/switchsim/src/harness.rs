@@ -657,9 +657,9 @@ mod tests {
 
     type Stream = Vec<(SimTime, SimTime, OpOutcome)>;
 
-    /// Drains `tb`, filing completions per switch; returns the streams
-    /// and the final clock.
-    fn drain(mut tb: Testbed) -> (BTreeMap<Dpid, Stream>, SimTime) {
+    /// Runs `tb` until idle, filing completions per switch; returns the
+    /// streams and the final clock.
+    fn run_out(mut tb: Testbed) -> (BTreeMap<Dpid, Stream>, SimTime) {
         let mut streams: BTreeMap<Dpid, Stream> = BTreeMap::new();
         while let Some(c) = tb.next_completion() {
             let stream = streams.entry(c.dpid).or_default();
@@ -705,7 +705,7 @@ mod tests {
                 chained.submit(dpid, op, t0);
             }
         }
-        assert_eq!(drain(chained), (expected, timed.now()));
+        assert_eq!(run_out(chained), (expected, timed.now()));
     }
 
     #[test]

@@ -89,8 +89,6 @@ pub struct Switch {
     reported: ReportedFeatures,
     rng: DetRng,
     next_entry_id: u64,
-    lookup_count: u64,
-    matched_count: u64,
     expired_queue: Vec<Expired>,
     stats: DataPathStats,
 }
@@ -121,8 +119,6 @@ impl Switch {
             reported: profile.reported,
             rng: DetRng::new(seed ^ dpid.0),
             next_entry_id: 1,
-            lookup_count: 0,
-            matched_count: 0,
             expired_queue: Vec::new(),
             stats: DataPathStats::default(),
         }
@@ -259,18 +255,11 @@ impl Switch {
     /// forwarding delay (the per-level delays of Fig 2).
     pub fn inject(&mut self, key: &FlowKey, now: SimTime, bytes: u64) -> (Hit, SimDuration) {
         self.expire(now);
-        self.lookup_count += 1;
         self.stats.lookups += 1;
         let hit = self.pipeline.lookup_touch(key, now, bytes);
         match hit {
-            Hit::Table { level: 0, .. } => {
-                self.matched_count += 1;
-                self.stats.fast_hits += 1;
-            }
-            Hit::Table { .. } => {
-                self.matched_count += 1;
-                self.stats.slow_hits += 1;
-            }
+            Hit::Table { level: 0, .. } => self.stats.fast_hits += 1,
+            Hit::Table { .. } => self.stats.slow_hits += 1,
             Hit::Miss => self.stats.misses += 1,
         }
         let delay = self.datapath.delay(&hit, &mut self.rng);
@@ -334,8 +323,8 @@ impl Switch {
                 wildcards: 0x3f_ffff,
                 max_entries: self.reported.max_entries,
                 active_count: self.pipeline.level_occupancy(i) as u32,
-                lookup_count: self.lookup_count,
-                matched_count: self.matched_count,
+                lookup_count: self.stats.lookups,
+                matched_count: self.stats.fast_hits + self.stats.slow_hits,
             })
             .collect()
     }

@@ -28,9 +28,9 @@
 //! ## Batching
 //!
 //! [`submit`](ControlPath::submit) only encodes into the connection's
-//! out-buffer; the pump, run when a caller asks for a completion, sends
-//! it in one vectored write and reads the acks that have arrived. A run
-//! of ops submitted first — each chained to its predecessor's ack with
+//! out-buffer; the pump, run when a caller asks for a completion,
+//! flushes it and reads the acks that have arrived. A run of ops
+//! submitted first — each chained to its predecessor's ack with
 //! `READY_ON_PREVIOUS_ACK`, which rides in `ready_ns` as it is — costs
 //! one round trip, not one per op. Nothing here caps a run: callers
 //! bound their own depth (the driver runner keeps 128 per switch).
@@ -161,6 +161,10 @@ impl TcpFleet {
                 else {
                     panic!("controller expects only ack frames");
                 };
+                assert!(
+                    self.inflight > 0,
+                    "ack for token {token} with no op in flight"
+                );
                 self.inflight -= 1;
                 self.done.push_back(Completion {
                     token: OpToken::from_seq(token),

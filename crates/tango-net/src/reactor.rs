@@ -17,15 +17,8 @@
 //! below the low watermark ([`Watermark`] owns that hysteresis), so a
 //! slow peer stalls its own connection instead of growing an unbounded
 //! queue.
-//!
-//! [`OutBuf`] is *segmented*: output accumulates in fixed-capacity
-//! chunks recycled through a small pool, and a flush hands the kernel
-//! every segment at once via `write_vectored`. Compared to one growing
-//! `Vec`, a partially-drained buffer never pays a compaction `memmove`
-//! — a drained segment just returns to the pool — and a deep pipeline
-//! window still leaves the socket in a single syscall per sweep.
 
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -37,15 +30,6 @@ pub const HIGH_WATER: usize = 256 * 1024;
 pub const LOW_WATER: usize = 64 * 1024;
 /// Size of the shared read scratch each reactor loop allocates once.
 pub const READ_CHUNK: usize = 256 * 1024;
-/// Capacity of one [`OutBuf`] segment. A frame append that would grow
-/// the tail segment past this rolls to a fresh segment instead, so
-/// segments stay cache-friendly and recycle cleanly.
-pub const SEG_CAP: usize = 64 * 1024;
-/// Segments kept for reuse per connection once drained.
-const POOL_MAX: usize = 8;
-/// Most segments offered to one `write_vectored` call (conservative
-/// portable IOV budget; a full default watermark window fits).
-const MAX_IOV: usize = 8;
 
 /// Read/write hysteresis: pause a connection's reads when its pending
 /// output crosses `high`, resume once it drains below `low`.
@@ -103,21 +87,20 @@ impl Default for Watermark {
     }
 }
 
-/// A reused, segmented outbound byte buffer.
+/// A reused outbound byte buffer: one `Vec` and a drain cursor.
 ///
-/// Appending encodes frames into the tail segment (rolling to a pooled
-/// fresh segment at [`SEG_CAP`]); flushing offers every segment to the
-/// socket in one `write_vectored` call and recycles fully-drained
-/// segments. Steady state allocates nothing per message and never
-/// memmoves surviving bytes.
+/// Frames are encoded straight onto the append end ([`OutBuf::tail`]); a
+/// flush writes from the cursor on with plain `write` calls. Space is
+/// reclaimed when bytes are next appended: the buffer clears once fully
+/// drained, and a partly drained one shifts its unwritten bytes to the
+/// front once the written prefix is at least 4 KiB and at least half the
+/// buffer, so a shift never moves more bytes than it frees. Steady state
+/// allocates nothing per message.
 #[derive(Debug, Default)]
 pub struct OutBuf {
-    /// Live segments, oldest first; `segs[0]` is partially drained.
-    segs: std::collections::VecDeque<Vec<u8>>,
-    /// Bytes of `segs[0]` already written to the socket.
+    buf: Vec<u8>,
+    /// Bytes of `buf` before this offset are already written.
     cursor: usize,
-    /// Drained segments awaiting reuse.
-    pool: Vec<Vec<u8>>,
 }
 
 impl OutBuf {
@@ -127,85 +110,32 @@ impl OutBuf {
         OutBuf::default()
     }
 
-    /// The append end; encode one frame directly into this per call.
-    /// Each call may roll to a new segment, so callers must not assume
-    /// consecutive calls return the same `Vec`.
+    /// The append end; encode frames directly into it.
     pub fn tail(&mut self) -> &mut Vec<u8> {
-        if self.segs.back().is_none_or(|b| b.len() >= SEG_CAP) {
-            let seg = self
-                .pool
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(SEG_CAP));
-            self.segs.push_back(seg);
-        }
-        self.segs.back_mut().expect("segment just ensured")
-    }
-
-    /// Bytes accepted but not yet written to the socket. O(#segments),
-    /// and the watermark bounds the segment count to a handful.
-    #[must_use]
-    pub fn pending(&self) -> usize {
-        self.segs.iter().map(Vec::len).sum::<usize>() - self.cursor
-    }
-
-    /// Marks `n` bytes written: advances the cursor and recycles
-    /// fully-drained segments.
-    fn advance(&mut self, mut n: usize) {
-        while n > 0 {
-            let avail = self.segs[0].len() - self.cursor;
-            if n >= avail {
-                n -= avail;
-                let mut seg = self.segs.pop_front().expect("segment present");
-                seg.clear();
-                if self.pool.len() < POOL_MAX {
-                    self.pool.push(seg);
-                }
-                self.cursor = 0;
-            } else {
-                self.cursor += n;
-                n = 0;
-            }
-        }
-    }
-
-    /// Drops empty segments (a `tail()` the caller never wrote to).
-    fn shed_empty(&mut self) {
-        while self.segs.front().is_some_and(|s| s.len() == self.cursor) {
-            let mut seg = self.segs.pop_front().expect("segment present");
-            seg.clear();
-            if self.pool.len() < POOL_MAX {
-                self.pool.push(seg);
-            }
+        if self.cursor == self.buf.len() {
+            self.buf.clear();
+            self.cursor = 0;
+        } else if self.cursor >= 4096 && self.cursor * 2 >= self.buf.len() {
+            self.buf.drain(..self.cursor);
             self.cursor = 0;
         }
+        &mut self.buf
     }
 
-    /// Writes as much pending output as the sink accepts, offering all
-    /// segments per call via `write_vectored`. Returns the number of
-    /// bytes moved (0 when the sink is not writable). Generic over the
-    /// sink so property tests can drive it against an in-memory oracle.
+    /// Bytes accepted but not yet written to the socket.
+    #[must_use]
+    pub fn pending(&self) -> usize {
+        self.buf.len() - self.cursor
+    }
+
+    /// Writes as much pending output as the sink accepts. Returns the
+    /// number of bytes moved (0 when the sink is not writable). Generic
+    /// over the sink so property tests can drive it against an
+    /// in-memory model.
     pub fn write_to<W: Write>(&mut self, sink: &mut W) -> io::Result<usize> {
         let mut moved = 0;
-        loop {
-            self.shed_empty();
-            if self.segs.is_empty() {
-                break;
-            }
-            let empty = IoSlice::new(&[]);
-            let mut iov = [empty; MAX_IOV];
-            let mut k = 0;
-            for (i, seg) in self.segs.iter().take(MAX_IOV).enumerate() {
-                let part = if i == 0 {
-                    &seg[self.cursor..]
-                } else {
-                    &seg[..]
-                };
-                if !part.is_empty() {
-                    iov[k] = IoSlice::new(part);
-                    k += 1;
-                }
-            }
-            match sink.write_vectored(&iov[..k]) {
+        while self.cursor < self.buf.len() {
+            match sink.write(&self.buf[self.cursor..]) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::WriteZero,
@@ -213,7 +143,7 @@ impl OutBuf {
                     ))
                 }
                 Ok(n) => {
-                    self.advance(n);
+                    self.cursor += n;
                     moved += n;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -457,10 +387,10 @@ mod tests {
     }
 
     #[test]
-    fn outbuf_rolls_segments_and_preserves_order() {
+    fn outbuf_preserves_order_across_many_appends() {
         let mut out = OutBuf::new();
         let mut expect = Vec::new();
-        // Append enough distinct frames to span several segments.
+        // Append many distinct frames, 20 KB in all.
         for i in 0..5000u32 {
             let frame = i.to_be_bytes();
             out.tail().extend_from_slice(&frame);

@@ -13,8 +13,8 @@
 //!   zero-copy from the read scratch), wire replies append to the
 //!   connection's reused [`OutBuf`](crate::reactor::OutBuf), and `now`
 //!   is the wall clock. Throughput comes from syscall batching: one
-//!   read drains a whole pipeline window, one vectored write flushes
-//!   all its replies.
+//!   read drains a whole pipeline window, one write flushes all its
+//!   replies.
 //! * **Virtual time** ([`ServerMode::Virtual`]) — the inference mode.
 //!   Ops arrive annotated with [`VtMsg::Submit`]; each connection holds
 //!   the switch's [`SwitchCore`] (agent, link model and per-switch
@@ -33,11 +33,10 @@
 //!   the bound connection — socket, torn-frame leftover and all — to
 //!   shard [`shard_of`]`(dpid, N)` over that shard's mpsc channel.
 //! * Each shard is an independent readiness loop with its own read
-//!   scratch, out-buffer pools (inside each connection's `OutBuf`), and
-//!   [`Pacer`]. Shards share **nothing mutable** on the hot path: the
-//!   only cross-thread traffic is the accept-time handoff and one
-//!   atomic per roster slot (the claim flag, touched at bind/close) plus
-//!   the live-connection count used for shutdown.
+//!   scratch and [`Pacer`]. Shards share **nothing mutable** on the hot
+//!   path: the only cross-thread traffic is the accept-time handoff and
+//!   one atomic per roster slot (the claim flag, touched at bind/close)
+//!   plus the live-connection count used for shutdown.
 //!
 //! The partition function is pure — a reconnecting switch always lands
 //! back on the same shard, and a roster slot whose connection closed
@@ -65,7 +64,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 use switchsim::agent::{Agent, AgentOutput};
-use switchsim::chan::{self, wire_keys, OpKind, SwitchCore};
+use switchsim::chan::{self, OpKind, SwitchCore};
 use switchsim::control::READY_ON_PREVIOUS_ACK;
 use switchsim::profiles::SwitchProfile;
 use switchsim::switch::Switch;
@@ -91,10 +90,9 @@ pub struct ServerConfig {
     /// Reactor shard count (threads). 1 reproduces the single-loop
     /// behaviour behind the same front door.
     pub shards: usize,
-    /// Record per-shard wire counters (see
-    /// [`switchsim::chan::wire_keys`]); merged into
-    /// [`ServerStats::metrics`] at shutdown. Off costs nothing on the
-    /// hot path.
+    /// Render the shards' wire counters (see [`wire_keys`]) into
+    /// [`ServerStats::metrics`] at shutdown: each shard writes its
+    /// [`ShardStats`] into a recorder once, when it exits.
     pub telemetry: bool,
 }
 
@@ -123,6 +121,25 @@ pub fn shard_of(dpid: u64, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
 }
 
+/// Telemetry counter keys under which [`ServerStats::metrics`] reports
+/// the wire plane.
+pub mod wire_keys {
+    /// Bytes read off sockets.
+    pub const BYTES_IN: &str = "wire/bytes_in";
+    /// Bytes written to sockets.
+    pub const BYTES_OUT: &str = "wire/bytes_out";
+    /// Reactor sweeps that moved at least one byte.
+    pub const WAKEUPS: &str = "wire/wakeups";
+    /// Socket reads/writes that returned `WouldBlock`.
+    pub const WOULD_BLOCK: &str = "wire/would_block";
+    /// Reads refused because a connection was over its high watermark.
+    pub const WATERMARK_STALLS: &str = "wire/watermark_stalls";
+    /// Connections bound to a shard over its lifetime.
+    pub const CONNS: &str = "wire/conns";
+    /// Messages dispatched / ops completed.
+    pub const OPS: &str = "wire/ops";
+}
+
 /// Counters one reactor shard reports when it exits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
@@ -147,6 +164,19 @@ pub struct ShardStats {
     pub watermark_stalls: u64,
 }
 
+impl ShardStats {
+    /// Adds every counter to `tele` under its [`wire_keys`] name.
+    fn record(&self, tele: &mut Telemetry) {
+        tele.count(wire_keys::CONNS, self.conns as u64);
+        tele.count(wire_keys::OPS, self.ops);
+        tele.count(wire_keys::WAKEUPS, self.wakeups);
+        tele.count(wire_keys::BYTES_IN, self.bytes_in);
+        tele.count(wire_keys::BYTES_OUT, self.bytes_out);
+        tele.count(wire_keys::WOULD_BLOCK, self.would_block);
+        tele.count(wire_keys::WATERMARK_STALLS, self.watermark_stalls);
+    }
+}
+
 /// Counters the server reports when it exits.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
@@ -160,7 +190,7 @@ pub struct ServerStats {
     /// Per-shard breakdown.
     pub shards: Vec<ShardStats>,
     /// Rendered telemetry snapshot, when [`ServerConfig::telemetry`]
-    /// was on (merged across shards).
+    /// was on: each [`wire_keys`] counter summed over shards.
     pub metrics: Option<String>,
 }
 
@@ -460,8 +490,8 @@ fn run_acceptor(
     Ok(stats)
 }
 
-/// What a shard thread returns: its counters, plus its telemetry
-/// recorder when recording was on.
+/// What a shard thread returns: its counters, plus a recorder holding
+/// them when [`ServerConfig::telemetry`] is on.
 struct ShardExit {
     stats: ShardStats,
     recorder: Option<Box<Recorder>>,
@@ -567,11 +597,6 @@ fn run_shard(
     live: &AtomicUsize,
     telemetry: bool,
 ) -> ShardExit {
-    let mut tele = if telemetry {
-        Telemetry::recording()
-    } else {
-        Telemetry::off()
-    };
     let mut stats = ShardStats {
         shard: idx,
         ..ShardStats::default()
@@ -590,7 +615,6 @@ fn run_shard(
                     let leftover = std::mem::take(&mut h.leftover);
                     let mut sess = bind_session(h, roster, mode);
                     stats.conns += 1;
-                    tele.count(wire_keys::CONNS, 1);
                     progress = true;
                     // Frames that arrived behind the hello in the same
                     // read(s) must be processed before any socket data.
@@ -601,7 +625,7 @@ fn run_shard(
                             .is_err()
                         {
                             stats.errors += 1;
-                            retire_session(sess, roster, live, &mut stats, &mut tele);
+                            retire_session(sess, roster, live, &mut stats);
                             continue;
                         }
                     }
@@ -657,7 +681,7 @@ fn run_shard(
                     stats.errors += 1;
                 }
                 let sess = sessions.swap_remove(i);
-                retire_session(sess, roster, live, &mut stats, &mut tele);
+                retire_session(sess, roster, live, &mut stats);
                 progress = true;
                 continue;
             }
@@ -668,7 +692,6 @@ fn run_shard(
         }
         if progress {
             stats.wakeups += 1;
-            tele.count(wire_keys::WAKEUPS, 1);
             pacer.progressed();
         } else {
             // Idle sweeps still tick each session's skip countdown, so
@@ -679,23 +702,23 @@ fn run_shard(
         }
     }
     for sess in sessions.drain(..) {
-        retire_session(sess, roster, live, &mut stats, &mut tele);
+        retire_session(sess, roster, live, &mut stats);
     }
-    tele.count(wire_keys::OPS, stats.ops);
-    ShardExit {
-        stats,
-        recorder: tele.take(),
-    }
+    let recorder = telemetry.then(|| {
+        let mut tele = Telemetry::recording();
+        stats.record(&mut tele);
+        tele.take().expect("recording")
+    });
+    ShardExit { stats, recorder }
 }
 
 /// Releases a closing session's roster claim and folds its I/O counters
-/// into the shard totals (and telemetry, when recording).
+/// into the shard totals.
 fn retire_session(
     sess: Session,
     roster: &[RosterSlot],
     live: &AtomicUsize,
     stats: &mut ShardStats,
-    tele: &mut Telemetry,
 ) {
     let IoCounters {
         bytes_in,
@@ -707,10 +730,6 @@ fn retire_session(
     stats.bytes_out += bytes_out;
     stats.would_block += would_block;
     stats.watermark_stalls += watermark_stalls;
-    tele.count(wire_keys::BYTES_IN, bytes_in);
-    tele.count(wire_keys::BYTES_OUT, bytes_out);
-    tele.count(wire_keys::WOULD_BLOCK, would_block);
-    tele.count(wire_keys::WATERMARK_STALLS, watermark_stalls);
     roster[sess.slot].claimed.store(false, Ordering::Release);
     live.fetch_sub(1, Ordering::Relaxed);
 }

@@ -16,13 +16,13 @@ use simnet::link::Link;
 use simnet::time::SimTime;
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 use switchsim::control::{ControlOp, ControlPath, OpOutcome, READY_ON_PREVIOUS_ACK};
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango_net::control::TcpFleet;
-use tango_net::server::{shard_of, AgentServer, ServerConfig, ServerMode};
+use tango_net::server::{shard_of, AgentServer, ServerConfig, ServerMode, ShardStats};
 use tango_net::vt::{VtMsg, VtOpTag};
 
 /// Drives the same mixed workload over any control path one op at a
@@ -144,6 +144,42 @@ fn virtual_time_completions_match_the_testbed() {
         assert_eq!(stats.ops, 4);
         assert_eq!(stats.errors, 0);
     }
+}
+
+/// With telemetry on, the rendered metrics state each wire quantity as
+/// the sum of the per-shard counters, no more and no less.
+#[test]
+fn telemetry_reports_the_shard_sums() {
+    let config = ServerConfig {
+        shards: 2,
+        telemetry: true,
+    };
+    let server =
+        AgentServer::spawn_with(SEED, roster(), ServerMode::Virtual { link: link() }, config)
+            .expect("loopback server spawns");
+    let mut fleet =
+        TcpFleet::connect(server.addr(), &[Dpid(1), Dpid(2)]).expect("loopback fleet connects");
+    drive(&mut fleet);
+    drop(fleet);
+    let stats = server.shutdown().expect("server exits cleanly");
+
+    let metrics = stats.metrics.expect("telemetry was on");
+    let counter = |key: &str| -> u64 {
+        let prefix = format!("{key} = ");
+        let line = metrics.lines().find(|l| l.starts_with(&prefix));
+        let line = line.unwrap_or_else(|| panic!("no `{key}` in\n{metrics}"));
+        line[prefix.len()..].parse().expect("a counter value")
+    };
+    let sum = |f: fn(&ShardStats) -> u64| -> u64 { stats.shards.iter().map(f).sum() };
+    assert_eq!(stats.shards.len(), 2);
+    assert_eq!(counter("wire/ops"), 4);
+    assert_eq!(counter("wire/ops"), sum(|s| s.ops));
+    assert_eq!(counter("wire/conns"), 2);
+    assert_eq!(counter("wire/conns"), sum(|s| s.conns as u64));
+    assert!(counter("wire/bytes_in") > 0);
+    assert_eq!(counter("wire/bytes_in"), sum(|s| s.bytes_in));
+    assert!(counter("wire/bytes_out") > 0);
+    assert_eq!(counter("wire/bytes_out"), sum(|s| s.bytes_out));
 }
 
 /// The transport does not lean on the runner's window: 20 000 probes
@@ -300,12 +336,13 @@ fn realtime_bench_smoke() {
         let mut bytes = vec![0u8; fences.len() * OFP_HEADER_LEN];
         stream.read_exact(&mut bytes).expect("read replies");
         let mut framer = Framer::new();
-        framer.push(&bytes);
+        let mut input = &bytes[..];
         let mut replies = Vec::new();
-        for (header, msg) in framer.drain().expect("whole frames") {
+        while let Some((header, msg)) = framer.next_message_from(&mut input).expect("frames") {
             assert!(matches!(msg, Message::BarrierReply), "got {msg:?}");
             replies.push(header.xid);
         }
+        assert!(input.is_empty(), "whole frames");
         assert_eq!(replies, fences, "barrier replies lost or out of order");
     }
     drop(streams);
@@ -400,4 +437,49 @@ fn an_echo_that_is_a_flow_mod_closes_only_its_connection() {
 fn a_batch_without_its_barrier_closes_only_its_connection() {
     let fms = [(1, flow_mod(1)), (2, flow_mod(2))];
     malformed_op_closes_only_its_connection(VtOpTag::Batch, &fms);
+}
+
+/// A server that answers one submit with two acks breaks the protocol:
+/// the pump refuses the second ack by name instead of counting the ops
+/// in flight below zero, which in a release build would wrap and leave
+/// `next_completion` waiting forever.
+#[test]
+#[should_panic(expected = "with no op in flight")]
+fn a_second_ack_for_one_submit_is_refused() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut framer = Framer::new();
+        let mut buf = [0u8; 4096];
+        let token = 'submit: loop {
+            let n = stream.read(&mut buf).expect("read");
+            assert!(n > 0, "client closed before submitting");
+            let mut input = &buf[..n];
+            while let Some((_, msg)) = framer.next_message_from(&mut input).expect("frames") {
+                if let Message::Vendor { data, .. } = msg {
+                    if let Ok(VtMsg::Submit { token, .. }) = VtMsg::decode(&data) {
+                        break 'submit token;
+                    }
+                }
+            }
+        };
+        let ack = VtMsg::Ack {
+            token,
+            done_ns: 1,
+            acked_ns: 2,
+            outcome: OpOutcome::Echo,
+        }
+        .to_message();
+        // Both acks in one write, so the client reads them in one pump.
+        let mut acks = Vec::new();
+        ack.encode_frame_into(Xid(0), &mut acks);
+        ack.encode_frame_into(Xid(0), &mut acks);
+        stream.write_all(&acks).expect("send acks");
+        // Hold the connection open until the client goes.
+        while stream.read(&mut buf).is_ok_and(|n| n > 0) {}
+    });
+    let mut fleet = TcpFleet::connect(addr, &[Dpid(1)]).expect("fleet connects");
+    fleet.submit(Dpid(1), ControlOp::Echo(8), SimTime::ZERO);
+    while fleet.next_completion().is_some() {}
 }

@@ -214,8 +214,8 @@ impl Probe {
 /// its ack time (73 % of a default size probe) cross a socket a window,
 /// not an op, per round trip. A constant, and a measured one: unbounded,
 /// the 6 000-probe sweeps raise peak RSS past its benchmark bound for no
-/// extra throughput; 128 keeps it flat (~14 KB of probes on the wire:
-/// one `OutBuf` segment, far below `LOW_WATER`).
+/// extra throughput; 128 keeps it flat (~14 KB of probes on the wire,
+/// far below `LOW_WATER`).
 const WINDOW: usize = 128;
 
 /// One program's bookkeeping inside [`run_drivers`].

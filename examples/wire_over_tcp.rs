@@ -18,6 +18,7 @@
 //! ```
 
 use ofwire::prelude::*;
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use switchsim::profiles::SwitchProfile;
@@ -31,6 +32,8 @@ const DPID: Dpid = Dpid(0xbeef);
 struct TcpController {
     stream: TcpStream,
     framer: Framer,
+    /// Replies read off the socket but not yet returned by `recv`.
+    inbox: VecDeque<(Header, Message)>,
     next_xid: Xid,
 }
 
@@ -45,12 +48,15 @@ impl TcpController {
     fn recv(&mut self) -> (Header, Message) {
         let mut buf = [0u8; 4096];
         loop {
-            if let Some(pair) = self.framer.next_message().expect("parse") {
+            if let Some(pair) = self.inbox.pop_front() {
                 return pair;
             }
             let n = self.stream.read(&mut buf).expect("recv");
             assert!(n > 0, "switch closed early");
-            self.framer.push(&buf[..n]);
+            let mut input = &buf[..n];
+            while let Some(pair) = self.framer.next_message_from(&mut input).expect("parse") {
+                self.inbox.push_back(pair);
+            }
         }
     }
 }
@@ -69,6 +75,7 @@ fn main() {
     let mut ctrl = TcpController {
         stream,
         framer: Framer::new(),
+        inbox: VecDeque::new(),
         next_xid: Xid(1),
     };
 

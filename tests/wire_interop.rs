@@ -37,16 +37,23 @@ impl MiniController {
         // Split the frame in half to exercise reassembly on the agent's
         // side too (the agent framer handles partial delivery).
         let mid = bytes.len() / 2;
-        let mut outs = self.agent.feed(&bytes[..mid], self.now).unwrap();
-        outs.extend(self.agent.feed(&bytes[mid..], self.now).unwrap());
+        let mut outs = Vec::new();
+        self.agent
+            .feed_into(&bytes[..mid], self.now, &mut outs)
+            .unwrap();
+        self.agent
+            .feed_into(&bytes[mid..], self.now, &mut outs)
+            .unwrap();
         self.now += simnet::time::SimDuration::from_micros(100);
-        let mut replies = Vec::new();
+        let mut wire = Vec::new();
         for o in outs {
             if let Some(reply) = o.reply {
-                self.rx.push(&reply.to_bytes(o.xid));
+                reply.encode_frame_into(o.xid, &mut wire);
             }
         }
-        while let Some(pair) = self.rx.next_message().unwrap() {
+        let mut input = &wire[..];
+        let mut replies = Vec::new();
+        while let Some(pair) = self.rx.next_message_from(&mut input).unwrap() {
             replies.push(pair);
         }
         replies
@@ -149,7 +156,8 @@ fn data_plane_promotion_visible_through_wire() {
         .map(|_| {
             let frame = RawFrame::build(&FlowMatch::key_for_id(1), 16);
             let bytes = Message::PacketOut(PacketOut::send(frame, PortNo(1))).to_bytes(Xid(900));
-            let outs = c.agent.feed(&bytes, c.now).unwrap();
+            let mut outs = Vec::new();
+            c.agent.feed_into(&bytes, c.now, &mut outs).unwrap();
             outs[0].forwarded.unwrap().0
         })
         .collect();
