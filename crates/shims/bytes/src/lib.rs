@@ -1,162 +1,6 @@
 //! Offline drop-in replacement for the subset of the `bytes` crate this
-//! workspace uses: a `Vec<u8>`-backed [`BytesMut`] plus the [`BufMut`]
-//! write trait. Network-byte-order (big-endian) semantics match
-//! upstream.
-
-use std::ops::{Deref, DerefMut};
-
-/// A growable byte buffer.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct BytesMut {
-    vec: Vec<u8>,
-}
-
-impl BytesMut {
-    #[must_use]
-    pub fn new() -> BytesMut {
-        BytesMut { vec: Vec::new() }
-    }
-
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut {
-            vec: Vec::with_capacity(cap),
-        }
-    }
-
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.vec.len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.vec.is_empty()
-    }
-
-    pub fn clear(&mut self) {
-        self.vec.clear();
-    }
-
-    pub fn extend_from_slice(&mut self, extend: &[u8]) {
-        self.vec.extend_from_slice(extend);
-    }
-
-    /// Splits off and returns the first `at` bytes; `self` keeps the
-    /// rest. Panics if `at > len`.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        assert!(at <= self.vec.len(), "split_to out of bounds");
-        let rest = self.vec.split_off(at);
-        BytesMut {
-            vec: std::mem::replace(&mut self.vec, rest),
-        }
-    }
-
-    /// Consumes the buffer, yielding its contents as a plain vector.
-    #[must_use]
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.vec.clone()
-    }
-
-    /// Freezes into an immutable buffer (here: the same Vec).
-    #[must_use]
-    pub fn freeze(self) -> Bytes {
-        Bytes { vec: self.vec }
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.vec
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.vec
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.vec
-    }
-}
-
-impl From<BytesMut> for Vec<u8> {
-    fn from(b: BytesMut) -> Vec<u8> {
-        b.vec
-    }
-}
-
-impl From<Vec<u8>> for BytesMut {
-    fn from(vec: Vec<u8>) -> BytesMut {
-        BytesMut { vec }
-    }
-}
-
-impl From<&[u8]> for BytesMut {
-    fn from(s: &[u8]) -> BytesMut {
-        BytesMut { vec: s.to_vec() }
-    }
-}
-
-impl Extend<u8> for BytesMut {
-    fn extend<T: IntoIterator<Item = u8>>(&mut self, iter: T) {
-        self.vec.extend(iter);
-    }
-}
-
-impl IntoIterator for BytesMut {
-    type Item = u8;
-    type IntoIter = std::vec::IntoIter<u8>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.vec.into_iter()
-    }
-}
-
-/// An immutable byte buffer.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct Bytes {
-    vec: Vec<u8>,
-}
-
-impl Bytes {
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.vec.len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.vec.is_empty()
-    }
-
-    #[must_use]
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.vec.clone()
-    }
-}
-
-impl Deref for Bytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.vec
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.vec
-    }
-}
-
-impl From<Vec<u8>> for Bytes {
-    fn from(vec: Vec<u8>) -> Bytes {
-        Bytes { vec }
-    }
-}
+//! workspace uses: the [`BufMut`] write trait, implemented for
+//! `Vec<u8>`. Network-byte-order (big-endian) semantics match upstream.
 
 /// Write-side trait: appends fixed-width integers in network byte order.
 pub trait BufMut {
@@ -164,33 +8,9 @@ pub trait BufMut {
     fn put_u16(&mut self, v: u16);
     fn put_u32(&mut self, v: u32);
     fn put_u64(&mut self, v: u64);
-    fn put_i8(&mut self, v: i8) {
-        self.put_u8(v as u8);
-    }
     fn put_slice(&mut self, src: &[u8]);
     /// Appends `cnt` copies of `val`.
     fn put_bytes(&mut self, val: u8, cnt: usize);
-}
-
-impl BufMut for BytesMut {
-    fn put_u8(&mut self, v: u8) {
-        self.vec.push(v);
-    }
-    fn put_u16(&mut self, v: u16) {
-        self.vec.extend_from_slice(&v.to_be_bytes());
-    }
-    fn put_u32(&mut self, v: u32) {
-        self.vec.extend_from_slice(&v.to_be_bytes());
-    }
-    fn put_u64(&mut self, v: u64) {
-        self.vec.extend_from_slice(&v.to_be_bytes());
-    }
-    fn put_slice(&mut self, src: &[u8]) {
-        self.vec.extend_from_slice(src);
-    }
-    fn put_bytes(&mut self, val: u8, cnt: usize) {
-        self.vec.resize(self.vec.len() + cnt, val);
-    }
 }
 
 impl BufMut for Vec<u8> {
@@ -220,7 +40,7 @@ mod tests {
 
     #[test]
     fn big_endian_puts() {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_u8(0x01);
         b.put_u16(0x0203);
         b.put_u32(0x0405_0607);
@@ -232,16 +52,8 @@ mod tests {
     }
 
     #[test]
-    fn split_to_keeps_remainder() {
-        let mut b = BytesMut::from(&[1u8, 2, 3, 4, 5][..]);
-        let head = b.split_to(2);
-        assert_eq!(&head[..], &[1, 2]);
-        assert_eq!(&b[..], &[3, 4, 5]);
-    }
-
-    #[test]
     fn put_bytes_pads() {
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_bytes(0, 6);
         assert_eq!(b.len(), 6);
         assert!(b.iter().all(|&x| x == 0));

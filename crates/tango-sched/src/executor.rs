@@ -21,15 +21,16 @@
 //!   predecessor's predicted completion plus a guard interval
 //!   ([`Release`]).
 //!
-//! The online dispatcher is sub-quadratic in DAG size: it flattens the
-//! DAG into a *dispatch plan* (one dense record per node, one flat
-//! successor array) and each switch keeps its released requests in a
-//! binary heap on the scheduler's [`SchedKey`] (computed once, when the
-//! request joins the ready frontier) plus a release-time-ordered heap of
-//! not-yet-released ones, so every dispatch decision is a `peek`/`pop`
-//! rather than a scan-and-sort of the whole frontier. The DAG is
-//! read-only while a dispatch runs; completion is committed to it once,
-//! when the dispatch ends.
+//! The online dispatcher is sub-quadratic in DAG size: each switch
+//! keeps its released requests in a binary heap on the scheduler's
+//! [`SchedKey`] (computed once, when the request joins the ready
+//! frontier) plus a release-time-ordered heap of not-yet-released ones,
+//! so every dispatch decision is a `peek`/`pop` rather than a
+//! scan-and-sort of the whole frontier. The [`RequestDag`] is the one
+//! record of progress: both dispatchers advance it with
+//! [`RequestDag::mark_done`] (the online one per completion, the rounds
+//! one per round), and the online one keeps beside it only a release
+//! instant per request.
 //!
 //! Both are generic over [`ControlPath`], but consume completions in
 //! global virtual-time order, which `tango-net`'s `TcpFleet` (per-switch
@@ -49,7 +50,6 @@ use simnet::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 use std::fmt;
-use std::ops::Range;
 use switchsim::control::{Completion, ControlOp, ControlPath, OpResult, OpToken, TokenRing};
 use tango::db::TangoDb;
 
@@ -252,31 +252,13 @@ fn telemetry<'a, C: ControlPath + ?Sized>(
     cp.telemetry_mut().unwrap_or(off)
 }
 
-/// One node of the per-run dispatch plan: what keying, release and
-/// completion need of a request, in one 24-byte record.
-struct PlanNode {
-    /// The latest release instant (ack arrival or guarded completion)
-    /// among the predecessors completed so far; final once `pending`
-    /// reaches zero.
-    release: SimTime,
-    /// Where this node's successors sit in the flat successor array.
-    succs: Range<u32>,
-    /// Predecessors whose completion has not been processed yet.
-    pending: u32,
-    /// Dense index of the node's switch.
-    sw: u32,
-}
-
 /// A request issued onto the control path whose completion has not been
 /// processed yet.
 struct InFlight {
     /// The node behind the op (reported back to the scheduler).
     node: NodeId,
     /// Dense index of the switch the op occupies.
-    sw: u32,
-    /// Copied from the plan at issue, where that read overlaps the
-    /// request's own; at completion it would be one more miss in a row.
-    succs: Range<u32>,
+    sw: usize,
     deadline: Deadline,
 }
 
@@ -306,10 +288,6 @@ impl SwitchQueue {
     }
 }
 
-fn idx32(i: usize) -> u32 {
-    u32::try_from(i).expect("dispatch plan indices fit u32")
-}
-
 /// Online dispatch under a portfolio [`Scheduler`]: every completion
 /// releases its successors individually (by `release`: ack or guard
 /// time) and each idle switch picks its next request by the scheduler's
@@ -321,9 +299,10 @@ fn idx32(i: usize) -> u32 {
 /// frontier: each decision pops the best key of the chosen switch.
 ///
 /// Requests already marked done are skipped and count as completed
-/// predecessors. `dag` is not written while the dispatch runs: every
-/// issued request is marked done in one pass at the end, on the error
-/// path too.
+/// predecessors. Each completion is marked done in `dag` as it is
+/// processed, before the scheduler observes it and before the requests
+/// it releases are keyed; on a dependency cycle `dag` holds exactly the
+/// requests that completed.
 ///
 /// # Errors
 /// [`ExecError::StuckDag`] on a dependency cycle.
@@ -345,38 +324,24 @@ pub fn execute_with<C: ControlPath + ?Sized>(
         .collect::<BTreeSet<_>>()
         .into_iter()
         .collect();
+    let sw_of = |dag: &RequestDag, id: NodeId| {
+        let at = dpids.binary_search(&dag.node(id).location);
+        at.expect("dpid collected above")
+    };
     let mut queues: Vec<SwitchQueue> = dpids.iter().map(|_| SwitchQueue::default()).collect();
-    // The dispatch plan, built in one pass over nodes and edges; the loop
-    // below reads the DAG only to lower a request and to hand it to the
-    // scheduler.
-    let mut plan: Vec<PlanNode> = Vec::with_capacity(dag.len());
-    let mut succs: Vec<u32> = Vec::new();
-    let mut todo = 0;
-    for id in dag.node_ids() {
-        let sw = dpids.binary_search(&dag.node(id).location);
-        let sw = idx32(sw.expect("dpid collected above"));
-        let pending = idx32(dag.pending_pred_count(id));
-        let from = idx32(succs.len());
-        succs.extend(dag.successors(id).iter().map(|s| idx32(s.0)));
-        plan.push(PlanNode {
-            release: start,
-            succs: from..idx32(succs.len()),
-            pending,
-            sw,
-        });
-        if !dag.is_done(id) {
-            todo += 1;
-            if pending == 0 {
-                let key = sched.key(dag, id, start);
-                queues[sw as usize].released.push(Reverse((key, id)));
-            }
-        }
+    for id in dag.independent_set() {
+        let key = sched.key(dag, id, start);
+        queues[sw_of(dag, id)].released.push(Reverse((key, id)));
     }
+    // Per request, the latest release instant (ack arrival or guarded
+    // completion) among its predecessors completed so far; final once
+    // the request is keyed.
+    let mut released_at = vec![start; dag.len()];
     let mut inflight = TokenRing::default();
-    let mut report = ExecReport::with_capacity(todo);
+    let mut report = ExecReport::with_capacity(dag.len());
     let mut last_done = start;
 
-    while report.issued.len() < todo || !inflight.is_empty() {
+    while !dag.all_done() {
         // Issue the best issuable request for every idle switch. `now`
         // is the dispatcher's decision instant.
         let now = cp.now();
@@ -414,7 +379,7 @@ pub fn execute_with<C: ControlPath + ?Sized>(
             q.release_due(start_time);
             let Reverse((_, id)) = q.released.pop().expect("candidate has a request");
             q.busy = true;
-            let (req, node) = (dag.node(id), &plan[id.0]);
+            let req = dag.node(id);
             let token = cp.submit(
                 req.location,
                 ControlOp::FlowMod(req.to_flow_mod()),
@@ -424,8 +389,7 @@ pub fn execute_with<C: ControlPath + ?Sized>(
                 token,
                 InFlight {
                     node: id,
-                    sw: node.sw,
-                    succs: node.succs.clone(),
+                    sw,
                     deadline: req.install_by,
                 },
             );
@@ -435,7 +399,6 @@ pub fn execute_with<C: ControlPath + ?Sized>(
         let Some(c) = cp.next_completion() else {
             // Nothing in flight and nothing issuable, yet the DAG has
             // unfinished requests: a dependency cycle.
-            report.issued.iter().for_each(|&id| dag.mark_done(id));
             telemetry(cp, off).span_cancel(exec_span);
             return Err(ExecError::StuckDag);
         };
@@ -444,7 +407,7 @@ pub fn execute_with<C: ControlPath + ?Sized>(
             .expect("completion for an op this dispatcher issued");
         report.record(&c, fl.deadline, start);
         last_done = last_done.max(c.done_at);
-        queues[fl.sw as usize].busy = false;
+        queues[fl.sw].busy = false;
         let rel = match release {
             Release::Ack => {
                 telemetry(cp, off).count("sched/ack_releases", 1);
@@ -455,25 +418,21 @@ pub fn execute_with<C: ControlPath + ?Sized>(
                 c.done_at + g
             }
         };
-        // The scheduler observes the completion before the nodes it
-        // releases are keyed (dynamic schedulers update state here).
+        // The DAG and then the scheduler observe the completion before
+        // the nodes it releases are keyed (dynamic schedulers read or
+        // update state here).
+        dag.mark_done(fl.node);
         sched.on_completion(dag, fl.node);
-        for &s in &succs[fl.succs.start as usize..fl.succs.end as usize] {
-            let node = &mut plan[s as usize];
-            node.pending -= 1;
-            node.release = node.release.max(rel);
-            if node.pending == 0 {
-                let id = NodeId(s as usize);
-                let key = sched.key(dag, id, node.release);
-                queues[node.sw as usize]
+        for &s in dag.successors(fl.node) {
+            released_at[s.0] = released_at[s.0].max(rel);
+            if dag.pending_pred_count(s) == 0 {
+                let key = sched.key(dag, s, released_at[s.0]);
+                queues[sw_of(dag, s)]
                     .future
-                    .push(Reverse((node.release, key, id)));
+                    .push(Reverse((released_at[s.0], key, s)));
             }
         }
     }
-    // Commit completion once: issue order respects every edge, so each
-    // mark finds its predecessors already marked.
-    report.issued.iter().for_each(|&id| dag.mark_done(id));
     cp.warp_to(last_done.max(cp.now()));
     telemetry(cp, off).span_end(exec_span, last_done.max(start));
     report.makespan = last_done.since(start);

@@ -112,21 +112,17 @@ impl Scheduler for DlsScheduler {
 
 /// Greedy one-step lookahead: prefer the request whose completion
 /// immediately unlocks the most successors (breaking ties by longest
-/// path, then release order). The only portfolio entry with dynamic
-/// state — `on_completion` tracks how many predecessors each node still
-/// waits on.
+/// path, then release order). It reads the unlocks off the DAG's own
+/// pending-predecessor counts, which the executor advances as
+/// completions arrive.
 #[derive(Debug, Default)]
-pub struct LookaheadScheduler {
-    /// Predecessors not yet *completed* per node (the DAG's own counts
-    /// stand still while a dispatch runs).
-    waiting_preds: Vec<u32>,
-}
+pub struct LookaheadScheduler;
 
 impl LookaheadScheduler {
-    /// A fresh instance (state is built by `prepare`).
+    /// A fresh instance.
     #[must_use]
     pub fn new() -> LookaheadScheduler {
-        LookaheadScheduler::default()
+        LookaheadScheduler
     }
 }
 
@@ -138,18 +134,17 @@ impl Scheduler for LookaheadScheduler {
     fn prepare(&mut self, dag: &mut RequestDag, _db: &TangoDb) {
         // Fills the rank memo every clone of this DAG shares.
         dag.ranks();
-        self.waiting_preds = dag.node_ids().map(|id| dag.in_degree(id) as u32).collect();
     }
 
     fn key(&self, dag: &RequestDag, id: NodeId, released_at: SimTime) -> SchedKey {
-        // A successor with exactly one un-completed predecessor is
-        // waiting only on `id` (its other predecessors must have
-        // completed for `id` to be ready, and `id` itself has not):
-        // completing `id` unlocks it immediately.
+        // A successor with exactly one unfinished predecessor is waiting
+        // only on `id` (its other predecessors must have completed for
+        // `id` to be ready, and `id` itself has not): completing `id`
+        // unlocks it immediately.
         let unlocks = dag
             .successors(id)
             .iter()
-            .filter(|s| self.waiting_preds[s.0] == 1)
+            .filter(|&&s| dag.pending_pred_count(s) == 1)
             .count() as u64;
         SchedKey([
             u64::MAX - unlocks,
@@ -157,12 +152,6 @@ impl Scheduler for LookaheadScheduler {
             released_at.0,
             0,
         ])
-    }
-
-    fn on_completion(&mut self, dag: &RequestDag, id: NodeId) {
-        for s in dag.successors(id) {
-            self.waiting_preds[s.0] -= 1;
-        }
     }
 }
 
@@ -220,9 +209,9 @@ mod tests {
         s.prepare(&mut dag, &TangoDb::new());
         assert!(s.key(&dag, a, SimTime(0)) < s.key(&dag, x, SimTime(0)));
         // After a completes, its successors stop waiting on it.
-        s.on_completion(&dag, a);
-        assert_eq!(s.waiting_preds[b.0], 0);
-        assert_eq!(s.waiting_preds[c.0], 0);
+        dag.mark_done(a);
+        assert_eq!(dag.pending_pred_count(b), 0);
+        assert_eq!(dag.pending_pred_count(c), 0);
     }
 
     #[test]
@@ -239,8 +228,25 @@ mod tests {
         s.prepare(&mut dag, &TangoDb::new());
         // Before any completion, neither unlocks j alone.
         let k_b_before = s.key(&dag, b, SimTime(0));
-        s.on_completion(&dag, a);
+        dag.mark_done(a);
         let k_b_after = s.key(&dag, b, SimTime(0));
         assert!(k_b_after < k_b_before, "join becomes unlockable by b");
+    }
+
+    #[test]
+    fn lookahead_counts_predecessors_done_before_dispatch() {
+        // a, b → c with a completed before `prepare`: b is all c still
+        // waits on, so completing b unlocks it.
+        let mut dag = RequestDag::new();
+        let a = add(&mut dag, 0);
+        let b = add(&mut dag, 1);
+        let c = add(&mut dag, 2);
+        dag.add_dep(a, c);
+        dag.add_dep(b, c);
+        dag.mark_done(a);
+        let mut s = LookaheadScheduler::new();
+        s.prepare(&mut dag, &TangoDb::new());
+        let key = s.key(&dag, b, SimTime(0));
+        assert_eq!(key.0[0], u64::MAX - 1);
     }
 }

@@ -80,8 +80,9 @@ impl PartialOrd for SchedKey {
 /// request joins the ready frontier — and
 /// [`Scheduler::on_completion`] once per completed request, *before*
 /// the keys of the requests that completion released are computed.
-/// `dag`'s completion flags are not advanced during a dispatch; a policy
-/// that needs them tracks its own, as `lookahead` does.
+/// The executor marks each completion done in `dag` before either call,
+/// so `dag`'s done flags and pending-predecessor counts are current
+/// whenever a scheduler reads them, as `lookahead` does.
 pub trait Scheduler {
     /// Registry name of this scheduler.
     fn name(&self) -> &'static str;

@@ -12,7 +12,8 @@
 //! The same allocator also tracks live heap bytes, which gate what the
 //! DAG itself costs per request, built and cloned (the executor's
 //! callers clone one per run; a clone shares the requests and edges and
-//! copies only the per-run progress).
+//! copies only the per-run progress), and its high-water mark, which
+//! gates the heap a dispatch holds only while it runs.
 
 use ofwire::flow_match::FlowMatch;
 use ofwire::types::Dpid;
@@ -32,18 +33,23 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Heap bytes this thread has allocated and not yet freed.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has read since the test last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Records one (re)allocation that changes the live heap by `bytes`.
 fn note(allocs: u64, bytes: i64) {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + allocs));
-    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
+    let _ = LIVE.try_with(|n| {
+        n.set(n.get() + bytes);
+        let _ = PEAK.try_with(|p| p.set(p.get().max(n.get())));
+    });
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the only addition is a bump of two
+// the `GlobalAlloc` contract; the only addition is a bump of three
 // thread-local `Cell`s that have no destructor and never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -123,6 +129,39 @@ fn dispatch_allocates_within_budget_for_every_scheduler() {
         // Shown by `cargo test -- --nocapture`, and when the gate trips.
         println!("{}: {spent} allocations for {OPS} ops", entry.name);
         assert!(spent * 100 / OPS as u64 <= BUDGET, "{}", entry.name);
+    }
+}
+
+/// Heap bytes per request that a dispatch holds while it runs and gives
+/// back once it has returned and its report is dropped: the queues, the
+/// release instants, the in-flight ops and the report itself. What
+/// outlives the call (the scheduler's ranks, the switches' tables, the
+/// DAG's progress) is not counted.
+const TRANSIENT_BYTES_PER_NODE: i64 = 32;
+
+#[test]
+fn dispatch_transient_heap_within_budget_for_every_scheduler() {
+    let dag = build_dag(OPS);
+    let db = TangoDb::new();
+    for entry in registry() {
+        let mut tb = testbed();
+        let mut d = dag.clone();
+        let mut sched = entry.build();
+        PEAK.with(|p| p.set(LIVE.with(Cell::get)));
+        let report = execute_with(&mut tb, &mut d, &db, sched.as_mut(), entry.release);
+        drop(report.expect("sweep-shaped DAGs are acyclic"));
+        let transient = PEAK.with(Cell::get) - LIVE.with(Cell::get);
+        // Shown by `cargo test -- --nocapture`, and when the gate trips.
+        println!(
+            "{}: {transient} transient heap bytes for {OPS} ops ({:.1} per request)",
+            entry.name,
+            transient as f64 / OPS as f64
+        );
+        assert!(
+            transient <= TRANSIENT_BYTES_PER_NODE * OPS as i64,
+            "{}: {transient} bytes",
+            entry.name
+        );
     }
 }
 

@@ -185,6 +185,7 @@ fn reference_dispatch(
             Release::Ack => c.acked_at,
             Release::Guard(g) => c.done_at + g,
         };
+        dag.mark_done(id);
         sched.on_completion(dag, id);
         for &s in dag.successors(id) {
             pending[s.0] -= 1;
@@ -194,9 +195,6 @@ fn reference_dispatch(
             }
         }
     };
-    for &id in &report.issued {
-        dag.mark_done(id);
-    }
     outcome?;
     tb.warp_to(last_done.max(tb.now()));
     report.makespan = last_done.since(start);
