@@ -23,8 +23,10 @@
 //! * [`flow_mod`] — rule add/modify/delete commands.
 //! * [`packet`] — `packet_in` / `packet_out` and a tiny raw-frame builder
 //!   used by probing traffic.
-//! * [`features`], [`stats`], [`error_msg`], [`barrier`] — the remaining
-//!   control messages Tango's probing engine needs.
+//! * [`features`], [`stats`], [`error_msg`] — the remaining control
+//!   messages Tango's probing engine needs (`barrier_request` and
+//!   `barrier_reply` carry no body, so they are bare [`message::Message`]
+//!   variants).
 //! * [`message`] — the [`message::Message`] enum unifying everything.
 //! * [`codec`] — [`codec::Encode`] / [`codec::Decode`] traits plus a
 //!   stream [`codec::Framer`] that splits a byte stream into messages.
@@ -44,7 +46,6 @@
 //! ```
 
 pub mod action;
-pub mod barrier;
 pub mod codec;
 pub mod error;
 pub mod error_msg;

@@ -36,7 +36,7 @@ impl From<std::ops::RangeInclusive<usize>> for SizeRange {
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

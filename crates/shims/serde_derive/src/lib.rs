@@ -12,17 +12,14 @@ use proc_macro::{TokenStream, TokenTree};
 fn type_name(input: &TokenStream) -> Option<String> {
     let mut saw_kw = false;
     for tt in input.clone() {
-        match tt {
-            TokenTree::Ident(id) => {
-                let s = id.to_string();
-                if saw_kw {
-                    return Some(s);
-                }
-                if s == "struct" || s == "enum" {
-                    saw_kw = true;
-                }
+        if let TokenTree::Ident(id) = tt {
+            let s = id.to_string();
+            if saw_kw {
+                return Some(s);
             }
-            _ => {}
+            if s == "struct" || s == "enum" {
+                saw_kw = true;
+            }
         }
     }
     None

@@ -81,6 +81,13 @@ impl Agent {
         &mut self.switch
     }
 
+    /// Bytes of a frame torn across [`Agent::feed_into`] calls, held
+    /// until the rest of it arrives.
+    #[must_use]
+    pub fn pending(&self) -> usize {
+        self.framer.pending()
+    }
+
     /// Feeds raw bytes from the control channel: processes every complete
     /// message, appending its output to `outputs` in order. Expired
     /// entries detected while processing surface as unsolicited

@@ -10,23 +10,26 @@
 //!
 //! * [`ChanCodec`] — per-switch xid assignment and op → frame encoding
 //!   (the controller end).
-//! * [`SwitchCore`] — the switch end: agent, link, latency RNG, barrier
-//!   tracker and [`VirtualTimeline`]. Its [`resolve`](SwitchCore::resolve)
-//!   takes one encoded op from ready time to ack, and is the only code
-//!   that computes an op's arrival, start, done and ack instants.
+//! * [`OpKind`] — what an encoded op is, and its one-byte wire tag. The
+//!   op's bytes give the rest: their length sizes both link legs, and a
+//!   batch's fence is the header they end with.
+//! * [`SwitchCore`] — the switch end: agent, link, latency RNG and
+//!   [`VirtualTimeline`]. Its [`resolve`](SwitchCore::resolve) takes one
+//!   encoded op from ready time to ack, and is the only code that
+//!   computes an op's arrival, start, done and ack instants, and the one
+//!   place that checks the bytes form the op their kind names.
 //! * [`draw_latencies`] — the per-op link-latency draws, including the
 //!   exact fork-label discipline that makes a switch's jitter depend
 //!   only on its own operation history.
 //! * [`op_completion`] — folding the agent's outputs for one op into
 //!   its typed [`OpOutcome`] and control-CPU processing cost, or a
-//!   [`MalformedOp`] when the frames do not form the op they claim.
+//!   [`MalformedOp`] when the bytes do not form the op they claim.
 //! * [`attach_streams`] — deriving a switch's datapath seed and link
 //!   RNG from the master stream (attach-order sensitive).
 
 use crate::agent::{Agent, AgentOutput};
 use crate::control::{ControlOp, OpOutcome, OpResult, READY_ON_PREVIOUS_ACK};
-use ofwire::barrier::BarrierTracker;
-use ofwire::header::{Header, MessageType};
+use ofwire::header::{Header, MessageType, OFP_HEADER_LEN};
 use ofwire::message::Message;
 use ofwire::packet::PacketOut;
 use ofwire::types::{Dpid, PortNo, Xid};
@@ -35,35 +38,30 @@ use simnet::rng::DetRng;
 use simnet::time::{SimDuration, SimTime};
 
 /// Classification of an encoded operation: what travelled, stripped of
-/// the bytes themselves. Fixed at encode time; consumed when drawing
-/// latencies and deriving the completion.
+/// the bytes themselves, whose length and last header give every size
+/// and the fence the op needs. Fixed at encode time; consumed when
+/// drawing latencies and deriving the completion. The discriminant is
+/// the kind's wire tag (`kind as u8`, read back by [`OpKind::from_u8`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum OpKind {
     /// One flow-mod frame.
-    FlowMod,
-    /// Flow-mod frames fenced by one barrier.
-    Batch {
-        /// Byte length of the fenced flow-mod frames (barrier excluded):
-        /// the closing `barrier_request` starts at this offset.
-        size: usize,
-    },
+    FlowMod = 1,
+    /// Flow-mod frames fenced by the `barrier_request` that ends them.
+    Batch = 2,
     /// One `packet_out` probe frame.
-    Probe,
+    Probe = 3,
     /// One `echo_request` frame.
-    Echo {
-        /// Echo payload length in bytes (sizes the return leg).
-        payload: usize,
-    },
+    Echo = 4,
 }
 
 impl OpKind {
-    /// How many wire frames an encoding of `op` produces.
+    /// The kind whose wire tag is `tag`, if any.
     #[must_use]
-    pub fn frames_of(op: &ControlOp) -> usize {
-        match op {
-            ControlOp::Batch(fms) => fms.len() + 1,
-            _ => 1,
-        }
+    pub fn from_u8(tag: u8) -> Option<OpKind> {
+        [OpKind::FlowMod, OpKind::Batch, OpKind::Probe, OpKind::Echo]
+            .into_iter()
+            .find(|&k| k as u8 == tag)
     }
 }
 
@@ -106,7 +104,6 @@ impl ChanCodec {
                 OpKind::FlowMod
             }
             ControlOp::Batch(fms) => {
-                let start = bytes.len();
                 // All frames build into one reused buffer: no
                 // per-message intermediate allocation on the batch path.
                 for fm in fms {
@@ -114,9 +111,8 @@ impl ChanCodec {
                     fm.encode_frame_into(xid, bytes);
                 }
                 let barrier_xid = self.take_xid();
-                let size = bytes.len() - start;
                 Message::BarrierRequest.encode_frame_into(barrier_xid, bytes);
-                OpKind::Batch { size }
+                OpKind::Batch
             }
             ControlOp::Probe(key) => {
                 let xid = self.take_xid();
@@ -126,7 +122,7 @@ impl ChanCodec {
             ControlOp::Echo(payload) => {
                 let xid = self.take_xid();
                 Message::EchoRequest(vec![0xec; payload]).encode_frame_into(xid, bytes);
-                OpKind::Echo { payload }
+                OpKind::Echo
             }
         }
     }
@@ -139,7 +135,7 @@ impl ChanCodec {
 /// and lets a remote transport replay them.
 ///
 /// `wire_len` is the full encoded length of the op (every frame,
-/// barrier included).
+/// barrier included); an echo's reply is as long as its request.
 pub fn draw_latencies(
     link: &Link,
     rng: &mut DetRng,
@@ -155,7 +151,7 @@ pub fn draw_latencies(
             let down = link.delivery_latency(16, &mut down_rng);
             (up, down)
         }
-        OpKind::Batch { .. } => {
+        OpKind::Batch => {
             let mut link_rng = rng.fork(dpid.0 ^ 0xba7c4);
             let up = link.delivery_latency(wire_len, &mut link_rng);
             let down = link.delivery_latency(16, &mut link_rng);
@@ -166,29 +162,34 @@ pub fn draw_latencies(
             let up = link.delivery_latency(wire_len, &mut up_rng);
             (up, SimDuration::ZERO)
         }
-        OpKind::Echo { payload } => {
+        OpKind::Echo => {
             let mut up_rng = rng.fork(dpid.0 ^ 0xa11ce);
             let up = link.delivery_latency(wire_len, &mut up_rng);
             let mut down_rng = rng.fork(dpid.0 ^ 0xec0);
-            let down = link.delivery_latency(payload + 8, &mut down_rng);
+            let down = link.delivery_latency(wire_len, &mut down_rng);
             (up, down)
         }
     }
 }
 
-/// Why an op's frames do not form the op its [`OpKind`] names. The
+/// Why an op's bytes do not form the op its [`OpKind`] names. The
 /// channel codec never produces one; a peer writing frames by hand can.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MalformedOp {
     /// The agent could not parse the frames.
     Unparseable,
+    /// The bytes end inside a frame.
+    Torn,
+    /// A flow-mod, probe or echo whose bytes are not exactly one frame.
+    NotOneFrame,
     /// A probe whose frames produced no forwarding outcome.
     NotAProbe,
     /// An echo whose first frame is not an `echo_request`.
     NotAnEcho,
-    /// A batch not closed by its own `barrier_request`.
+    /// A batch whose last header is no `barrier_request`, or whose
+    /// fence drew no reply.
     Unfenced,
-    /// A barrier reply that pairs with no registered fence.
+    /// A barrier reply other than the one to the batch's fence.
     StrayBarrier,
 }
 
@@ -196,6 +197,8 @@ impl std::fmt::Display for MalformedOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             MalformedOp::Unparseable => "op frames rejected by the agent",
+            MalformedOp::Torn => "op bytes end inside a frame",
+            MalformedOp::NotOneFrame => "single-frame op whose bytes are not one frame",
             MalformedOp::NotAProbe => "probe op without a forwarding outcome",
             MalformedOp::NotAnEcho => "echo op whose frame is not an echo request",
             MalformedOp::Unfenced => "batch op not closed by a barrier request",
@@ -206,15 +209,24 @@ impl std::fmt::Display for MalformedOp {
 
 impl std::error::Error for MalformedOp {}
 
-/// Folds the agent outputs of one op into its control-CPU processing
-/// duration and typed outcome. `barriers` pairs a batch's fence with its
-/// registration; a barrier reply that pairs with nothing, a probe that
-/// forwarded nothing and an echo that did not echo are [`MalformedOp`]s.
+/// Folds the agent outputs of one op, encoded as `bytes`, into its
+/// control-CPU processing duration and typed outcome. A flow-mod, probe
+/// or echo must be exactly one frame. A batch's fence is the
+/// `barrier_request` header in its last [`OFP_HEADER_LEN`] bytes, and
+/// the reply to that xid is the one barrier reply the batch must draw.
+/// Any other shape, a probe that forwarded nothing and an echo that did
+/// not echo are [`MalformedOp`]s.
 pub fn op_completion(
     kind: OpKind,
+    bytes: &[u8],
     outs: &[AgentOutput],
-    barriers: &mut BarrierTracker<usize>,
 ) -> Result<(SimDuration, OpOutcome), MalformedOp> {
+    if kind != OpKind::Batch {
+        match Header::peek(bytes) {
+            Ok(h) if usize::from(h.length) == bytes.len() => {}
+            _ => return Err(MalformedOp::NotOneFrame),
+        }
+    }
     match kind {
         OpKind::FlowMod => {
             let cost = total_cost(outs);
@@ -225,19 +237,20 @@ pub fn op_completion(
             };
             Ok((cost, OpOutcome::FlowMod(result)))
         }
-        OpKind::Batch { size } => {
-            let mut ok = 0;
-            let mut failed = 0;
+        OpKind::Batch => {
+            let fence = fence_xid(bytes).ok_or(MalformedOp::Unfenced)?;
+            let (mut ok, mut failed, mut fenced) = (0, 0, false);
             for o in outs {
                 match &o.reply {
                     Some(Message::Error(_)) => failed += 1,
-                    Some(Message::BarrierReply) => {
-                        let fenced = barriers.complete(o.xid).filter(|&s| s == size);
-                        fenced.ok_or(MalformedOp::StrayBarrier)?;
-                    }
+                    Some(Message::BarrierReply) if o.xid == fence && !fenced => fenced = true,
+                    Some(Message::BarrierReply) => return Err(MalformedOp::StrayBarrier),
                     None => ok += 1,
                     _ => {}
                 }
+            }
+            if !fenced {
+                return Err(MalformedOp::Unfenced);
             }
             Ok((total_cost(outs), OpOutcome::Batch { ok, failed }))
         }
@@ -248,11 +261,20 @@ pub fn op_completion(
                 .ok_or(MalformedOp::NotAProbe)?;
             Ok((fwd, OpOutcome::Probe(hit)))
         }
-        OpKind::Echo { .. } => match outs.first().and_then(|o| o.reply.as_ref()) {
+        OpKind::Echo => match outs.first().and_then(|o| o.reply.as_ref()) {
             Some(Message::EchoReply(_)) => Ok((SimDuration::ZERO, OpOutcome::Echo)),
             _ => Err(MalformedOp::NotAnEcho),
         },
     }
+}
+
+/// The xid of the `barrier_request` header that `bytes` end with.
+fn fence_xid(bytes: &[u8]) -> Option<Xid> {
+    let tail = bytes.len().checked_sub(OFP_HEADER_LEN)?;
+    let h = Header::peek(&bytes[tail..]).ok()?;
+    let is_fence =
+        h.msg_type == MessageType::BarrierRequest && usize::from(h.length) == OFP_HEADER_LEN;
+    is_fence.then_some(h.xid)
 }
 
 /// Sum of control-plane processing costs across one op's outputs.
@@ -314,8 +336,8 @@ pub struct Resolved {
 }
 
 /// The switch end of one control channel: the agent, the link with the
-/// latency RNG forked for this switch at attach, the barrier tracker,
-/// and the [`VirtualTimeline`]. The `Testbed` holds one per attached
+/// latency RNG forked for this switch at attach, and the
+/// [`VirtualTimeline`]. The `Testbed` holds one per attached
 /// switch and the virtual-time server one per connection; both resolve
 /// every op through [`SwitchCore::resolve`].
 #[derive(Debug, Clone)]
@@ -324,7 +346,6 @@ pub struct SwitchCore {
     agent: Agent,
     link: Link,
     rng: DetRng,
-    barriers: BarrierTracker<usize>,
     timeline: VirtualTimeline,
 }
 
@@ -338,7 +359,6 @@ impl SwitchCore {
             agent,
             link,
             rng,
-            barriers: BarrierTracker::new(),
             timeline: VirtualTimeline {
                 last_arrival: at,
                 last_done: at,
@@ -366,9 +386,9 @@ impl SwitchCore {
     /// outcome, and completes it. `ready_at` is when the op leaves the
     /// controller, or [`READY_ON_PREVIOUS_ACK`].
     ///
-    /// A batch must end in its own `barrier_request`, whose reply is the
-    /// only one that pairs. On a [`MalformedOp`] the channel is unusable
-    /// from there on: the caller drops it.
+    /// The bytes must be whole frames that form the op, as
+    /// [`op_completion`] states. On a [`MalformedOp`] the channel is
+    /// unusable from there on: the caller drops it.
     pub fn resolve(
         &mut self,
         ready_at: SimTime,
@@ -376,18 +396,6 @@ impl SwitchCore {
         bytes: &[u8],
         outs: &mut Vec<AgentOutput>,
     ) -> Result<Resolved, MalformedOp> {
-        if let OpKind::Batch { size } = kind {
-            let fence = bytes.get(size..).and_then(|f| Header::peek(f).ok());
-            match fence {
-                Some(h)
-                    if h.msg_type == MessageType::BarrierRequest
-                        && usize::from(h.length) == bytes.len() - size =>
-                {
-                    self.barriers.register(h.xid, size);
-                }
-                _ => return Err(MalformedOp::Unfenced),
-            }
-        }
         let (up, down) = draw_latencies(&self.link, &mut self.rng, self.dpid, kind, bytes.len());
         let tl = self.timeline;
         let ready_at = if ready_at == READY_ON_PREVIOUS_ACK {
@@ -401,7 +409,10 @@ impl SwitchCore {
         self.agent
             .feed_into(bytes, start, outs)
             .map_err(|_| MalformedOp::Unparseable)?;
-        let (cost, outcome) = op_completion(kind, outs, &mut self.barriers)?;
+        if self.agent.pending() > 0 {
+            return Err(MalformedOp::Torn);
+        }
+        let (cost, outcome) = op_completion(kind, bytes, outs)?;
         let done_at = start + cost;
         let acked_at = done_at + down;
         self.timeline = VirtualTimeline {
@@ -425,8 +436,10 @@ mod tests {
     use crate::profiles::SwitchProfile;
     use crate::switch::Switch;
     use ofwire::flow_match::FlowMatch;
-    use ofwire::flow_mod::FlowMod;
+    use ofwire::flow_mod::{FlowMod, FlowModFlags};
+    use ofwire::types::BufferId;
     use simnet::dist::Dist;
+    use std::slice;
 
     #[test]
     fn encode_assigns_sequential_xids() {
@@ -444,13 +457,13 @@ mod tests {
             .map(|i| FlowMod::add(FlowMatch::l3_for_id(i), 10))
             .collect();
         let kind = codec.encode_op(ControlOp::Batch(fms), &mut bytes);
-        let OpKind::Batch { size } = kind else {
-            panic!("batch encodes as batch");
-        };
-        // The fenced span is everything before the barrier frame.
-        let (bh, bm) = Message::from_bytes(&bytes[size..]).unwrap();
-        assert_eq!(bm, Message::BarrierRequest);
-        assert_eq!(bh.xid, Xid(5), "xids 2..4 went to the flow-mods");
+        assert_eq!(kind, OpKind::Batch);
+        // The fence is the last frame.
+        assert_eq!(
+            fence_xid(&bytes),
+            Some(Xid(5)),
+            "xids 2..4 went to the flow-mods"
+        );
     }
 
     const MS: SimDuration = SimDuration::from_millis(1);
@@ -524,13 +537,18 @@ mod tests {
         }
     }
 
-    /// Resolves hand-written `frames` as one op of `kind`.
-    fn resolve_frames(kind: OpKind, frames: &[Message]) -> Result<Resolved, MalformedOp> {
+    /// Hand-written `frames`, xids from 5 up.
+    fn frames(frames: &[Message]) -> Vec<u8> {
         let mut bytes = Vec::new();
         for (xid, m) in (5..).zip(frames) {
             m.encode_frame_into(Xid(xid), &mut bytes);
         }
-        ovs_core(SimTime::ZERO).resolve(SimTime::ZERO, kind, &bytes, &mut Vec::new())
+        bytes
+    }
+
+    /// Resolves `bytes` as one op of `kind`.
+    fn resolve_bytes(kind: OpKind, bytes: &[u8]) -> Result<Resolved, MalformedOp> {
+        ovs_core(SimTime::ZERO).resolve(SimTime::ZERO, kind, bytes, &mut Vec::new())
     }
 
     #[test]
@@ -538,28 +556,49 @@ mod tests {
         let echo = Message::EchoRequest(vec![0; 4]);
         let fm = Message::FlowMod(FlowMod::add(FlowMatch::l3_for_id(1), 10));
         let barrier = Message::BarrierRequest;
+        let mut cut = frames(slice::from_ref(&fm));
+        cut.truncate(cut.len() - 4);
+        // A flow-mod whose last 8 bytes (buffer id, out port, flags)
+        // spell a `barrier_request` header with xid 9.
+        let mut disguised = FlowMod::add_with_actions(FlowMatch::l3_for_id(2), 10, Vec::new());
+        disguised.buffer_id = BufferId(0x0112_0008);
+        disguised.out_port = PortNo(0);
+        disguised.flags = FlowModFlags(9);
+        let disguised = frames(&[Message::FlowMod(disguised)]);
+        assert_eq!(fence_xid(&disguised), Some(Xid(9)));
         let cases = [
-            (OpKind::Probe, vec![echo.clone()], MalformedOp::NotAProbe),
             (
-                OpKind::Echo { payload: 0 },
-                vec![fm.clone()],
+                OpKind::Probe,
+                frames(slice::from_ref(&echo)),
+                MalformedOp::NotAProbe,
+            ),
+            (
+                OpKind::Echo,
+                frames(slice::from_ref(&fm)),
                 MalformedOp::NotAnEcho,
             ),
             (
-                OpKind::Batch { size: 8 },
-                vec![barrier.clone(), barrier.clone()],
+                OpKind::Batch,
+                frames(&[barrier.clone(), barrier.clone()]),
                 MalformedOp::StrayBarrier,
             ),
             (
-                OpKind::Batch { size: 12 },
-                vec![echo, fm],
+                OpKind::Batch,
+                frames(&[echo.clone(), fm]),
                 MalformedOp::Unfenced,
             ),
+            (OpKind::FlowMod, cut, MalformedOp::Torn),
+            (
+                OpKind::Echo,
+                frames(&[echo.clone(), echo]),
+                MalformedOp::NotOneFrame,
+            ),
+            (OpKind::Batch, disguised, MalformedOp::Unfenced),
         ];
-        for (kind, frames, err) in cases {
-            assert_eq!(resolve_frames(kind, &frames), Err(err), "{kind:?}");
+        for (kind, bytes, err) in cases {
+            assert_eq!(resolve_bytes(kind, &bytes), Err(err), "{kind:?}");
         }
-        let fenced = resolve_frames(OpKind::Batch { size: 0 }, &[barrier]);
+        let fenced = resolve_bytes(OpKind::Batch, &frames(&[barrier]));
         assert_eq!(
             fenced.unwrap().outcome,
             OpOutcome::Batch { ok: 0, failed: 0 }

@@ -343,9 +343,9 @@ impl ControlPath for Testbed {
         if self.telemetry.is_enabled() {
             let (counter, span) = match kind {
                 OpKind::FlowMod => ("op/flow_mod", "flow_mod"),
-                OpKind::Batch { .. } => ("op/batch", "batch"),
+                OpKind::Batch => ("op/batch", "batch"),
                 OpKind::Probe => ("op/probe", "probe"),
-                OpKind::Echo { .. } => ("op/echo", "echo"),
+                OpKind::Echo => ("op/echo", "echo"),
             };
             // The op itself plus the earlier ops on its switch not yet
             // done when it arrives.

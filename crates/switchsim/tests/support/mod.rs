@@ -13,8 +13,6 @@
 //! channel's encoding, latency draws and outcome fold with the shipping
 //! testbed ([`switchsim::chan`]); the scheduling is all its own.
 
-use ofwire::barrier::BarrierTracker;
-use ofwire::header::Header;
 use ofwire::types::Dpid;
 use simnet::event::EventQueue;
 use simnet::link::Link;
@@ -52,7 +50,6 @@ struct Attached {
     link: Link,
     rng: DetRng,
     codec: ChanCodec,
-    barriers: BarrierTracker<usize>,
     /// Launched ops whose arrival has not fired yet.
     incoming: VecDeque<PendingOp>,
     /// Arrived ops waiting for the control CPU.
@@ -114,7 +111,6 @@ impl EventTestbed {
             link,
             rng,
             codec: ChanCodec::new(),
-            barriers: BarrierTracker::new(),
             incoming: VecDeque::new(),
             waiting: VecDeque::new(),
             current: None,
@@ -134,10 +130,6 @@ impl EventTestbed {
         let att = &mut self.switches[idx];
         let mut bytes = Vec::new();
         let kind = att.codec.encode_op(op, &mut bytes);
-        if let OpKind::Batch { size } = kind {
-            let fence = Header::peek(&bytes[size..]).expect("the codec closes a batch");
-            att.barriers.register(fence.xid, size);
-        }
         let (up, down) = chan::draw_latencies(&att.link, &mut att.rng, att.dpid, kind, bytes.len());
         let arrive = (ready_at + up).max(att.last_arrival);
         att.last_arrival = arrive;
@@ -158,7 +150,7 @@ impl EventTestbed {
         att.agent
             .feed_into(&op.bytes, start, &mut self.outs)
             .expect("well-formed frame");
-        let (cost, outcome) = chan::op_completion(op.kind, &self.outs, &mut att.barriers)
+        let (cost, outcome) = chan::op_completion(op.kind, &op.bytes, &self.outs)
             .expect("the codec encodes well-formed ops");
         let done_at = start + cost;
         att.current = Some(InFlight {

@@ -36,15 +36,14 @@
 //! bound their own depth (the driver runner keeps 128 per switch).
 
 use crate::reactor::{NbConn, Pacer, Watermark, READ_CHUNK};
-use crate::vt::{VtMsg, VtOpTag, TANGO_VENDOR};
+use crate::vt::VtMsg;
 use ofwire::codec::Framer;
-use ofwire::header::MessageType;
 use ofwire::types::{Dpid, Xid};
 use simnet::time::SimTime;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use switchsim::chan::{ChanCodec, OpKind};
+use switchsim::chan::ChanCodec;
 use switchsim::control::{Completion, ControlOp, ControlPath, OpToken};
 
 /// One switch's connection: socket, op codec (the xid stream, identical
@@ -137,27 +136,15 @@ impl TcpFleet {
             progress = true;
             let mut input = &self.scratch[..n];
             // Acks decode in place, as the server reads submits.
-            while let Some(frame) = fc
-                .framer
-                .next_frame_from(&mut input)
-                .expect("unparseable ack stream")
+            while let Some(msg) = VtMsg::next_from(&mut fc.framer, &mut input)
+                .unwrap_or_else(|e| panic!("bad ack stream for {:?}: {e}", fc.dpid))
             {
-                assert!(
-                    frame.header.msg_type == MessageType::Vendor,
-                    "virtual-time server sent a plain reply: {:?}",
-                    frame.header
-                );
-                let body = frame.body();
-                assert!(
-                    body.starts_with(&TANGO_VENDOR.to_be_bytes()),
-                    "foreign vendor frame"
-                );
                 let VtMsg::Ack {
                     token,
                     done_ns,
                     acked_ns,
                     outcome,
-                } = VtMsg::decode(&body[4..]).expect("bad ack payload")
+                } = msg
                 else {
                     panic!("controller expects only ack frames");
                 };
@@ -196,21 +183,13 @@ impl ControlPath for TcpFleet {
             .unwrap_or_else(|| panic!("submit to unconnected switch {dpid:?}"));
         let token = self.next_seq;
         self.next_seq += 1;
-        let frames = OpKind::frames_of(&op);
         self.enc.clear();
         let fc = &mut self.conns[idx];
         let kind = fc.codec.encode_op(op, &mut self.enc);
-        let tag = match kind {
-            OpKind::FlowMod => VtOpTag::FlowMod,
-            OpKind::Batch { .. } => VtOpTag::Batch,
-            OpKind::Probe => VtOpTag::Probe,
-            OpKind::Echo { .. } => VtOpTag::Echo,
-        };
         VtMsg::Submit {
             token,
             ready_ns: ready_at.0,
-            tag,
-            frames: frames as u32,
+            kind,
             wire_len: self.enc.len() as u32,
         }
         .to_message()

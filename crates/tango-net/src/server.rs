@@ -47,10 +47,8 @@
 //! unboundedly on behalf of a slow peer.
 
 use crate::reactor::{IoCounters, NbConn, Pacer, READ_CHUNK};
-use crate::vt::{VtMsg, VtOpTag, TANGO_VENDOR};
+use crate::vt::VtMsg;
 use ofwire::codec::Framer;
-use ofwire::header::MessageType;
-use ofwire::message::Message;
 use ofwire::types::{Dpid, Xid};
 use simnet::link::Link;
 use simnet::rng::DetRng;
@@ -356,21 +354,11 @@ fn handshake_step(
     roster: &[RosterSlot],
 ) -> io::Result<HandshakeStep> {
     let mut input = bytes;
-    let hello = framer
-        .next_message_from(&mut input)
-        .map_err(|_| proto_err("unparseable handshake"))?;
-    let Some((_, msg)) = hello else {
-        return Ok(HandshakeStep::Incomplete); // hello still torn
-    };
-    let Message::Vendor { vendor, data } = msg else {
-        return Err(proto_err("first frame must be a vendor hello"));
-    };
-    if vendor != TANGO_VENDOR {
-        return Err(proto_err("unknown vendor id in hello"));
-    }
-    let VtMsg::Hello { dpid } = VtMsg::decode(&data).map_err(|_| proto_err("bad hello payload"))?
-    else {
-        return Err(proto_err("first vt message must be hello"));
+    let dpid = match VtMsg::next_from(framer, &mut input) {
+        Ok(None) => return Ok(HandshakeStep::Incomplete), // hello still torn
+        Ok(Some(VtMsg::Hello { dpid })) => dpid,
+        Ok(Some(_)) => return Err(proto_err("first vt message must be hello")),
+        Err(_) => return Err(proto_err("bad hello frame")),
     };
     let slot = roster
         .iter()
@@ -379,9 +367,11 @@ fn handshake_step(
     if roster[slot].claimed.swap(true, Ordering::AcqRel) {
         return Err(proto_err("dpid already claimed"));
     }
-    let mut leftover = framer.take_pending();
-    leftover.extend_from_slice(input);
-    Ok(HandshakeStep::Bound { slot, leftover })
+    // A complete frame leaves nothing in the framer.
+    Ok(HandshakeStep::Bound {
+        slot,
+        leftover: input.to_vec(),
+    })
 }
 
 /// The front door: accept, handshake, hand off to the owning shard.
@@ -512,25 +502,17 @@ struct RtState {
 struct VtState {
     core: SwitchCore,
     framer: Framer,
-    /// The op currently being assembled, announced by its submit frame.
+    /// The op whose bytes are arriving, announced by its submit frame.
     cur: Option<CurOp>,
-    /// Retired op buffer awaiting reuse.
-    spare: Vec<u8>,
+    /// The current op's bytes so far (kept between ops for reuse).
+    op: Vec<u8>,
 }
 
 struct CurOp {
     token: u64,
     ready: SimTime,
-    tag: VtOpTag,
-    frames_left: u32,
-    wire_len: u32,
-    /// The op's frames, copied as they arrive.
-    bytes: Vec<u8>,
-    /// Length of the first frame (sizes an echo's return leg).
-    first_frame_len: usize,
-    /// Length of the most recent frame (a batch's barrier is its last
-    /// frame).
-    last_frame_len: usize,
+    kind: OpKind,
+    wire_len: usize,
 }
 
 struct Session {
@@ -573,7 +555,7 @@ fn bind_session(h: Handoff, roster: &[RosterSlot], mode: &ServerMode) -> Session
             ),
             framer: Framer::new(),
             cur: None,
-            spare: Vec::new(),
+            op: Vec::new(),
         })),
     };
     Session {
@@ -777,97 +759,54 @@ impl VtState {
         let mut acked = 0;
         let mut input = bytes;
         loop {
-            let frame = self
-                .framer
-                .next_frame_from(&mut input)
-                .map_err(|_| proto_err("unparseable frame stream"))?;
-            let Some(frame) = frame else {
-                return Ok(acked);
-            };
-            if frame.header.msg_type == MessageType::Vendor {
-                let body = frame.body();
-                if body.len() < 4 || body[..4] != TANGO_VENDOR.to_be_bytes() {
-                    return Err(proto_err("unknown vendor id"));
+            if let Some(cur) = &self.cur {
+                // The announced op's bytes, taken whole as they arrive:
+                // `resolve` checks that they form the op.
+                let (taken, rest) = input.split_at((cur.wire_len - self.op.len()).min(input.len()));
+                self.op.extend_from_slice(taken);
+                input = rest;
+                if self.op.len() < cur.wire_len {
+                    return Ok(acked);
                 }
-                let vt = VtMsg::decode(&body[4..]).map_err(|_| proto_err("bad vt payload"))?;
-                let VtMsg::Submit {
-                    token,
-                    ready_ns,
-                    tag,
-                    frames,
-                    wire_len,
-                } = vt
-                else {
-                    return Err(proto_err("unexpected vt message mid-stream"));
-                };
-                if self.cur.is_some() {
-                    return Err(proto_err("submit while an op is still assembling"));
-                }
-                if frames == 0 {
-                    return Err(proto_err("op with zero frames"));
-                }
-                if ready_ns > MAX_READY_NS && SimTime(ready_ns) != READY_ON_PREVIOUS_ACK {
-                    return Err(proto_err("ready time out of range"));
-                }
-                let mut op_buf = std::mem::take(&mut self.spare);
-                op_buf.clear();
-                self.cur = Some(CurOp {
-                    token,
-                    ready: SimTime(ready_ns),
-                    tag,
-                    frames_left: frames,
-                    wire_len,
-                    bytes: op_buf,
-                    first_frame_len: 0,
-                    last_frame_len: 0,
-                });
-                continue;
-            }
-            // An op frame: forward it to the op buffer as it arrived. The
-            // agent decodes it there, once; encode∘decode is byte-identity
-            // for every message the channel codec produces (the round-trip
-            // proptests pin decode∘encode), so these are the bytes a
-            // decode and re-encode here would have produced.
-            let cur = self
-                .cur
-                .as_mut()
-                .ok_or_else(|| proto_err("op frame without a submit"))?;
-            let frame_len = frame.bytes.len();
-            if cur.bytes.is_empty() {
-                cur.first_frame_len = frame_len;
-            }
-            cur.bytes.extend_from_slice(frame.bytes);
-            cur.last_frame_len = frame_len;
-            cur.frames_left -= 1;
-            if cur.frames_left == 0 {
                 self.finish_op(outs, out)?;
                 acked += 1;
             }
+            let vt = VtMsg::next_from(&mut self.framer, &mut input)
+                .map_err(|_| proto_err("bad vt frame"))?;
+            let Some(vt) = vt else {
+                return Ok(acked);
+            };
+            let VtMsg::Submit {
+                token,
+                ready_ns,
+                kind,
+                wire_len,
+            } = vt
+            else {
+                return Err(proto_err("unexpected vt message mid-stream"));
+            };
+            if ready_ns > MAX_READY_NS && SimTime(ready_ns) != READY_ON_PREVIOUS_ACK {
+                return Err(proto_err("ready time out of range"));
+            }
+            self.cur = Some(CurOp {
+                token,
+                ready: SimTime(ready_ns),
+                kind,
+                wire_len: wire_len as usize,
+            });
         }
     }
 
-    /// All frames of the current op have arrived: resolve it on the
-    /// switch's core, as the testbed does, and emit the ack. Frames that
-    /// do not form the op their tag names close the connection.
+    /// All of the current op's bytes have arrived: resolve it on the
+    /// switch's core, as the testbed does, and emit the ack. Bytes that
+    /// do not form the op their kind names close the connection.
     fn finish_op(&mut self, outs: &mut Vec<AgentOutput>, out: &mut Vec<u8>) -> io::Result<()> {
         let cur = self.cur.take().expect("finish_op follows a submit");
-        if cur.bytes.len() != cur.wire_len as usize {
-            return Err(proto_err("op length disagrees with its submit"));
-        }
-        let kind = match cur.tag {
-            VtOpTag::FlowMod => OpKind::FlowMod,
-            VtOpTag::Batch => OpKind::Batch {
-                size: cur.bytes.len() - cur.last_frame_len,
-            },
-            VtOpTag::Probe => OpKind::Probe,
-            VtOpTag::Echo => OpKind::Echo {
-                payload: cur.first_frame_len - ofwire::header::OFP_HEADER_LEN,
-            },
-        };
         let r = self
             .core
-            .resolve(cur.ready, kind, &cur.bytes, outs)
+            .resolve(cur.ready, cur.kind, &self.op, outs)
             .map_err(|e| proto_err(&e.to_string()))?;
+        self.op.clear();
         VtMsg::Ack {
             token: cur.token,
             done_ns: r.done_at.0,
@@ -876,7 +815,6 @@ impl VtState {
         }
         .to_message()
         .encode_frame_into(Xid(0), out);
-        self.spare = cur.bytes;
         Ok(())
     }
 }

@@ -17,44 +17,26 @@
 //! The annotations ride *inside* the OpenFlow stream as vendor
 //! messages ([`Message::Vendor`]) under [`TANGO_VENDOR`], so framing,
 //! byte order, and the one-TCP-stream-per-switch discipline all stay
-//! protocol-faithful: a [`VtMsg::Submit`] frame precedes each op's
-//! frames, and a [`VtMsg::Ack`] frame comes back in place of the op's
-//! plain replies (which the server suppresses in virtual-time mode —
-//! the controller already gets their meaning in the typed outcome).
+//! protocol-faithful: a [`VtMsg::Submit`] frame — token, ready time,
+//! the op's [`OpKind`] as its wire tag, and its length — precedes each
+//! op's bytes, and a [`VtMsg::Ack`] frame comes back in place of the
+//! op's plain replies (which the server suppresses in virtual-time mode
+//! — the controller already gets their meaning in the typed outcome).
+//! The server takes the announced bytes whole and leaves checking that
+//! they form the op to [`SwitchCore::resolve`](switchsim::chan::SwitchCore::resolve).
+//! Both ends read every vt frame with [`VtMsg::next_from`].
 
+use ofwire::codec::Framer;
 use ofwire::error::{Result, WireError};
+use ofwire::header::MessageType;
 use ofwire::message::Message;
+use switchsim::chan::OpKind;
 use switchsim::control::{OpOutcome, OpResult};
 use switchsim::entry::EntryId;
 use switchsim::pipeline::Hit;
 
 /// Vendor/experimenter id owning the virtual-time payloads ("TANG").
 pub const TANGO_VENDOR: u32 = 0x5441_4e47;
-
-/// Wire tag of the operation kind inside a [`VtMsg::Submit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VtOpTag {
-    /// One flow-mod frame.
-    FlowMod = 1,
-    /// Flow-mod frames fenced by a trailing barrier frame.
-    Batch = 2,
-    /// One `packet_out` probe frame.
-    Probe = 3,
-    /// One `echo_request` frame.
-    Echo = 4,
-}
-
-impl VtOpTag {
-    fn from_u8(v: u8) -> Result<VtOpTag> {
-        Ok(match v {
-            1 => VtOpTag::FlowMod,
-            2 => VtOpTag::Batch,
-            3 => VtOpTag::Probe,
-            4 => VtOpTag::Echo,
-            other => return Err(WireError::UnknownMessageType(other)),
-        })
-    }
-}
 
 /// A virtual-time side-channel message.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,9 +46,8 @@ pub enum VtMsg {
         /// Datapath id of the switch this connection speaks for.
         dpid: u64,
     },
-    /// Announces the next operation: the following `frames` OpenFlow
-    /// frames (totalling `wire_len` bytes) form one op submitted at
-    /// virtual time `ready_ns`.
+    /// Announces the next operation: the `wire_len` bytes that follow
+    /// form one op of `kind` submitted at virtual time `ready_ns`.
     Submit {
         /// Dense token identifying the op's completion.
         token: u64,
@@ -75,11 +56,9 @@ pub enum VtMsg {
         /// computed for this connection's previous op. Any other value
         /// past half the clock's range is rejected.
         ready_ns: u64,
-        /// What the frames form.
-        tag: VtOpTag,
-        /// Number of OpenFlow frames belonging to this op.
-        frames: u32,
-        /// Total encoded length of those frames, in bytes.
+        /// What the bytes form.
+        kind: OpKind,
+        /// Length of the op's bytes: whole OpenFlow frames.
         wire_len: u32,
     },
     /// The server's completion report for one submitted op.
@@ -140,15 +119,13 @@ impl VtMsg {
             VtMsg::Submit {
                 token,
                 ready_ns,
-                tag,
-                frames,
+                kind,
                 wire_len,
             } => {
                 data.push(SUB_SUBMIT);
                 data.extend_from_slice(&token.to_be_bytes());
                 data.extend_from_slice(&ready_ns.to_be_bytes());
-                data.push(*tag as u8);
-                data.extend_from_slice(&frames.to_be_bytes());
+                data.push(*kind as u8);
                 data.extend_from_slice(&wire_len.to_be_bytes());
             }
             VtMsg::Ack {
@@ -170,6 +147,32 @@ impl VtMsg {
         }
     }
 
+    /// Reads the next frame of `input` through `framer` as a virtual-time
+    /// message: `Ok(None)` while the frame is still torn, an error for a
+    /// frame that is no [`TANGO_VENDOR`] vendor frame or whose payload
+    /// does not decode. The frame is read in place.
+    pub fn next_from(framer: &mut Framer, input: &mut &[u8]) -> Result<Option<VtMsg>> {
+        let Some(frame) = framer.next_frame_from(input)? else {
+            return Ok(None);
+        };
+        if frame.header.msg_type != MessageType::Vendor {
+            return Err(WireError::BadEnumValue {
+                what: "vt frame type",
+                value: u32::from(frame.header.msg_type as u8),
+            });
+        }
+        let body = frame.body();
+        need(body, 4, "vendor id")?;
+        let vendor = u32_at(body, 0);
+        if vendor != TANGO_VENDOR {
+            return Err(WireError::BadEnumValue {
+                what: "vendor id",
+                value: vendor,
+            });
+        }
+        VtMsg::decode(&body[4..]).map(Some)
+    }
+
     /// Parses a vendor payload previously built by [`VtMsg::to_message`].
     pub fn decode(data: &[u8]) -> Result<VtMsg> {
         need(data, 1, "vt subtype")?;
@@ -181,13 +184,15 @@ impl VtMsg {
                 })
             }
             SUB_SUBMIT => {
-                need(data, 26, "vt submit")?;
+                need(data, 22, "vt submit")?;
                 Ok(VtMsg::Submit {
                     token: u64_at(data, 1),
                     ready_ns: u64_at(data, 9),
-                    tag: VtOpTag::from_u8(data[17])?,
-                    frames: u32_at(data, 18),
-                    wire_len: u32_at(data, 22),
+                    kind: OpKind::from_u8(data[17]).ok_or(WireError::BadEnumValue {
+                        what: "vt op kind",
+                        value: u32::from(data[17]),
+                    })?,
+                    wire_len: u32_at(data, 18),
                 })
             }
             SUB_ACK => {
@@ -253,26 +258,30 @@ mod tests {
     use super::*;
     use ofwire::types::Xid;
 
+    /// Reads one frame of `bytes` as a vt message.
+    fn read(bytes: &[u8]) -> Result<Option<VtMsg>> {
+        let mut input = bytes;
+        let msg = VtMsg::next_from(&mut Framer::new(), &mut input);
+        assert!(input.is_empty(), "one frame, read whole");
+        msg
+    }
+
     fn roundtrip(msg: VtMsg) {
         let frame = msg.to_message().to_bytes(Xid(0));
-        let (_, decoded) = Message::from_bytes(&frame).unwrap();
-        let Message::Vendor { vendor, data } = decoded else {
-            panic!("vt messages ride vendor frames");
-        };
-        assert_eq!(vendor, TANGO_VENDOR);
-        assert_eq!(VtMsg::decode(&data).unwrap(), msg);
+        assert_eq!(read(&frame).unwrap(), Some(msg));
     }
 
     #[test]
     fn every_vt_message_roundtrips() {
         roundtrip(VtMsg::Hello { dpid: 42 });
-        roundtrip(VtMsg::Submit {
-            token: u64::MAX - 3,
-            ready_ns: 123_456_789,
-            tag: VtOpTag::Batch,
-            frames: 257,
-            wire_len: 18_504,
-        });
+        for kind in [OpKind::FlowMod, OpKind::Batch, OpKind::Probe, OpKind::Echo] {
+            roundtrip(VtMsg::Submit {
+                token: u64::MAX - 3,
+                ready_ns: 123_456_789,
+                kind,
+                wire_len: 18_504,
+            });
+        }
         for outcome in [
             OpOutcome::FlowMod(OpResult::Ok),
             OpOutcome::FlowMod(OpResult::TableFull),
@@ -298,5 +307,28 @@ mod tests {
         assert!(VtMsg::decode(&[]).is_err());
         assert!(VtMsg::decode(&[99]).is_err());
         assert!(VtMsg::decode(&[SUB_SUBMIT, 0, 0]).is_err());
+        let Message::Vendor { mut data, .. } = VtMsg::Submit {
+            token: 1,
+            ready_ns: 2,
+            kind: OpKind::Probe,
+            wire_len: 3,
+        }
+        .to_message() else {
+            panic!("vt messages ride vendor frames");
+        };
+        let foreign = Message::Vendor {
+            vendor: TANGO_VENDOR + 1,
+            data: data.clone(),
+        };
+        assert!(read(&foreign.to_bytes(Xid(0))).is_err());
+        assert!(read(&Message::EchoRequest(data.clone()).to_bytes(Xid(0))).is_err());
+        data[17] = 0;
+        assert_eq!(
+            VtMsg::decode(&data),
+            Err(WireError::BadEnumValue {
+                what: "vt op kind",
+                value: 0
+            })
+        );
     }
 }

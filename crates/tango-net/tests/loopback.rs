@@ -18,12 +18,13 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
+use switchsim::chan::OpKind;
 use switchsim::control::{ControlOp, ControlPath, OpOutcome, READY_ON_PREVIOUS_ACK};
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango_net::control::TcpFleet;
 use tango_net::server::{shard_of, AgentServer, ServerConfig, ServerMode, ShardStats};
-use tango_net::vt::{VtMsg, VtOpTag};
+use tango_net::vt::VtMsg;
 
 /// Drives the same mixed workload over any control path one op at a
 /// time: two switches, one op in flight each, the follow-up submitted at
@@ -242,8 +243,7 @@ fn out_of_range_ready_time_closes_only_its_connection() {
         token: 0,
         // Not the sentinel, yet no link latency can be added to it.
         ready_ns: u64::MAX - 1,
-        tag: VtOpTag::Echo,
-        frames: 1,
+        kind: OpKind::Echo,
         wire_len: (OFP_HEADER_LEN + 8) as u32,
     }
     .to_message()
@@ -362,12 +362,17 @@ fn realtime_bench_smoke() {
     assert_eq!(served, expected);
 }
 
-/// Writes one hand-made op — `tag` over `frames` (xid, message), ready
-/// at zero — on a rogue connection bound to switch 2, beside a healthy
-/// fleet connection to switch 1. Frames that do not form the op their
-/// tag names are a protocol error on that connection alone: no ack, one
-/// error, and the shard keeps serving the connection next to it.
-fn malformed_op_closes_only_its_connection(tag: VtOpTag, frames: &[(u32, Message)]) {
+/// Writes one hand-made op — `kind` over `frames` (xid, message), ready
+/// at zero, announced `short_by` bytes shorter than the frames — on a
+/// rogue connection bound to switch 2, beside a healthy fleet connection
+/// to switch 1. Bytes that do not form the op their kind names are a
+/// protocol error on that connection alone: no ack, one error, and the
+/// shard keeps serving the connection next to it.
+fn malformed_op_closes_only_its_connection(
+    kind: OpKind,
+    frames: &[(u32, Message)],
+    short_by: usize,
+) {
     let server = AgentServer::spawn(SEED, roster(), ServerMode::Virtual { link: link() })
         .expect("loopback server spawns");
     let mut fleet = TcpFleet::connect(server.addr(), &[Dpid(1)]).expect("loopback fleet connects");
@@ -385,9 +390,8 @@ fn malformed_op_closes_only_its_connection(tag: VtOpTag, frames: &[(u32, Message
     VtMsg::Submit {
         token: 0,
         ready_ns: 0,
-        tag,
-        frames: frames.len() as u32,
-        wire_len: op.len() as u32,
+        kind,
+        wire_len: (op.len() - short_by) as u32,
     }
     .to_message()
     .encode_frame_into(Xid(0), &mut bytes);
@@ -399,7 +403,7 @@ fn malformed_op_closes_only_its_connection(tag: VtOpTag, frames: &[(u32, Message
         .expect("set timeout");
     let mut reply = Vec::new();
     match rogue.read_to_end(&mut reply) {
-        Ok(_) => assert!(reply.is_empty(), "malformed {tag:?} op was acked"),
+        Ok(_) => assert!(reply.is_empty(), "malformed {kind:?} op was acked"),
         Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
     }
 
@@ -419,24 +423,29 @@ fn flow_mod(id: u32) -> Message {
 #[test]
 fn a_probe_that_is_an_echo_closes_only_its_connection() {
     let echo = Message::EchoRequest(vec![0; 8]);
-    malformed_op_closes_only_its_connection(VtOpTag::Probe, &[(1, echo)]);
+    malformed_op_closes_only_its_connection(OpKind::Probe, &[(1, echo)], 0);
 }
 
 #[test]
 fn a_batch_of_two_barriers_closes_only_its_connection() {
     let fences = [(5, Message::BarrierRequest), (6, Message::BarrierRequest)];
-    malformed_op_closes_only_its_connection(VtOpTag::Batch, &fences);
+    malformed_op_closes_only_its_connection(OpKind::Batch, &fences, 0);
 }
 
 #[test]
 fn an_echo_that_is_a_flow_mod_closes_only_its_connection() {
-    malformed_op_closes_only_its_connection(VtOpTag::Echo, &[(1, flow_mod(1))]);
+    malformed_op_closes_only_its_connection(OpKind::Echo, &[(1, flow_mod(1))], 0);
 }
 
 #[test]
 fn a_batch_without_its_barrier_closes_only_its_connection() {
     let fms = [(1, flow_mod(1)), (2, flow_mod(2))];
-    malformed_op_closes_only_its_connection(VtOpTag::Batch, &fms);
+    malformed_op_closes_only_its_connection(OpKind::Batch, &fms, 0);
+}
+
+#[test]
+fn an_op_that_ends_inside_its_frame_closes_only_its_connection() {
+    malformed_op_closes_only_its_connection(OpKind::FlowMod, &[(1, flow_mod(1))], 4);
 }
 
 /// A server that answers one submit with two acks breaks the protocol:
