@@ -29,11 +29,20 @@
 //!
 //! [`submit`](ControlPath::submit) only encodes into the connection's
 //! out-buffer; the pump, run when a caller asks for a completion,
-//! flushes it and reads the acks that have arrived. A run of ops
-//! submitted first — each chained to its predecessor's ack with
-//! `READY_ON_PREVIOUS_ACK`, which rides in `ready_ns` as it is — costs
-//! one round trip, not one per op. Nothing here caps a run: callers
-//! bound their own depth (the driver runner keeps 128 per switch).
+//! flushes it and reads the acks that have arrived on the connections
+//! with ops out. A run of ops submitted first — each chained to its
+//! predecessor's ack with `READY_ON_PREVIOUS_ACK`, which rides in
+//! `ready_ns` as it is — costs one round trip, not one per op. The probe
+//! programs submit every op they are certain to send before reading an
+//! earlier outcome: stage-1 warm-ups, the stage-2 sweep, and stage-3
+//! samples while no unread one can end the level. So a default size
+//! probe makes a few hundred round trips, not thousands. Nothing here
+//! caps a run: callers bound their own depth (the driver runner keeps
+//! 128 per switch).
+//!
+//! Each connection counts its own ops in flight, and an ack on a
+//! connection with none is refused by name: per-connection FIFO order
+//! is what files a completion under its switch.
 
 use crate::reactor::{NbConn, Pacer, Watermark, READ_CHUNK};
 use crate::vt::VtMsg;
@@ -47,12 +56,14 @@ use switchsim::chan::ChanCodec;
 use switchsim::control::{Completion, ControlOp, ControlPath, OpToken};
 
 /// One switch's connection: socket, op codec (the xid stream, identical
-/// to the testbed's per-switch codec), and ack framer.
+/// to the testbed's per-switch codec), ack framer, and the ops submitted
+/// on it and not yet acked.
 struct FleetConn {
     dpid: Dpid,
     conn: NbConn,
     codec: ChanCodec,
     framer: Framer,
+    inflight: usize,
 }
 
 /// A fleet control path over loopback TCP. See the module docs.
@@ -61,7 +72,6 @@ pub struct TcpFleet {
     by_dpid: HashMap<Dpid, usize>,
     clock: SimTime,
     next_seq: u64,
-    inflight: usize,
     /// Completions received but not yet delivered, in arrival order:
     /// `next_completion` pops the front, `wait_for` searches (O(ops in
     /// flight), and only the synchronous adapters call it).
@@ -100,6 +110,7 @@ impl TcpFleet {
                 conn,
                 codec: ChanCodec::new(),
                 framer: Framer::new(),
+                inflight: 0,
             });
         }
         Ok(TcpFleet {
@@ -107,7 +118,6 @@ impl TcpFleet {
             by_dpid,
             clock: SimTime::ZERO,
             next_seq: 0,
-            inflight: 0,
             done: VecDeque::new(),
             scratch: vec![0u8; READ_CHUNK],
             enc: Vec::new(),
@@ -115,13 +125,21 @@ impl TcpFleet {
         })
     }
 
-    /// One sweep over every connection: flush pending output (ops are
-    /// written nowhere else), read, and file any acks. Transport failures
-    /// panic — the trait has no error channel, and on loopback an io
-    /// error means the server died, which no retry repairs.
+    /// True while any connection has ops out.
+    fn busy(&self) -> bool {
+        self.conns.iter().any(|fc| fc.inflight > 0)
+    }
+
+    /// One sweep over the connections with ops out: flush pending output
+    /// (ops are written nowhere else), read, and file any acks. Transport
+    /// failures panic — the trait has no error channel, and on loopback
+    /// an io error means the server died, which no retry repairs.
     fn pump(&mut self) {
         let mut progress = false;
         for fc in &mut self.conns {
+            if fc.inflight == 0 {
+                continue;
+            }
             progress |= fc.conn.flush().expect("loopback write failed") > 0;
             let n = fc
                 .conn
@@ -149,10 +167,11 @@ impl TcpFleet {
                     panic!("controller expects only ack frames");
                 };
                 assert!(
-                    self.inflight > 0,
-                    "ack for token {token} with no op in flight"
+                    fc.inflight > 0,
+                    "ack for token {token} with no op in flight on {:?}",
+                    fc.dpid
                 );
-                self.inflight -= 1;
+                fc.inflight -= 1;
                 self.done.push_back(Completion {
                     token: OpToken::from_seq(token),
                     dpid: fc.dpid,
@@ -165,7 +184,7 @@ impl TcpFleet {
         if progress {
             self.pacer.progressed();
         } else {
-            self.pacer.idle(self.inflight > 0);
+            self.pacer.idle(self.busy());
         }
     }
 }
@@ -195,7 +214,7 @@ impl ControlPath for TcpFleet {
         .to_message()
         .encode_frame_into(Xid(0), fc.conn.out.tail());
         fc.conn.out.tail().extend_from_slice(&self.enc);
-        self.inflight += 1;
+        fc.inflight += 1;
         OpToken::from_seq(token)
     }
 
@@ -204,7 +223,7 @@ impl ControlPath for TcpFleet {
             if let Some(c) = self.done.pop_front() {
                 return Some(c);
             }
-            if self.inflight == 0 {
+            if !self.busy() {
                 return None;
             }
             self.pump();
@@ -216,7 +235,7 @@ impl ControlPath for TcpFleet {
             if let Some(at) = self.done.iter().position(|c| c.token == token) {
                 return self.done.remove(at).expect("position is in range");
             }
-            assert!(self.inflight > 0, "token is not in flight");
+            assert!(self.busy(), "token is not in flight");
             self.pump();
         }
     }

@@ -14,7 +14,7 @@ use ofwire::message::Message;
 use ofwire::types::{Dpid, Xid};
 use simnet::link::Link;
 use simnet::time::SimTime;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
@@ -490,5 +490,95 @@ fn a_second_ack_for_one_submit_is_refused() {
     });
     let mut fleet = TcpFleet::connect(addr, &[Dpid(1)]).expect("fleet connects");
     fleet.submit(Dpid(1), ControlOp::Echo(8), SimTime::ZERO);
+    while fleet.next_completion().is_some() {}
+}
+
+/// The server's end of one connection in a hand-rolled server: the
+/// virtual-time messages read off it and not yet taken.
+struct Peer {
+    stream: TcpStream,
+    framer: Framer,
+    msgs: VecDeque<VtMsg>,
+}
+
+impl Peer {
+    /// The next virtual-time message the client sent (op frames, which
+    /// follow each submit, are skipped).
+    fn next_vt(&mut self) -> VtMsg {
+        let mut buf = [0u8; 4096];
+        loop {
+            if let Some(msg) = self.msgs.pop_front() {
+                return msg;
+            }
+            let n = self.stream.read(&mut buf).expect("read");
+            assert!(n > 0, "client closed early");
+            let mut input = &buf[..n];
+            while let Some((_, msg)) = self.framer.next_message_from(&mut input).expect("frames") {
+                if let Message::Vendor { data, .. } = msg {
+                    self.msgs
+                        .push_back(VtMsg::decode(&data).expect("vt message"));
+                }
+            }
+        }
+    }
+
+    /// The token of the next submit.
+    fn submitted(&mut self) -> u64 {
+        loop {
+            if let VtMsg::Submit { token, .. } = self.next_vt() {
+                return token;
+            }
+        }
+    }
+}
+
+/// A server that acks one switch's op on another switch's connection
+/// breaks the protocol: each connection counts its own ops in flight, so
+/// the ack that arrives on a connection with nothing outstanding is
+/// refused by name instead of being filed under the wrong switch.
+#[test]
+#[should_panic(expected = "with no op in flight on Dpid(2)")]
+fn an_ack_on_an_idle_connection_is_refused() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    std::thread::spawn(move || {
+        let mut peers = HashMap::new();
+        for _ in 0..2 {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut peer = Peer {
+                stream,
+                framer: Framer::new(),
+                msgs: VecDeque::new(),
+            };
+            let VtMsg::Hello { dpid } = peer.next_vt() else {
+                panic!("a connection opens with its hello");
+            };
+            peers.insert(dpid, peer);
+        }
+        let mut ours = peers.remove(&1).expect("switch 1 connected");
+        let mut idle = peers.remove(&2).expect("switch 2 connected");
+        let (op1, op2) = (ours.submitted(), idle.submitted());
+        // Switch 2's own ack, then switch 1's on switch 2's connection,
+        // in one write so the client reads both in one pump.
+        let mut acks = Vec::new();
+        for token in [op2, op1] {
+            VtMsg::Ack {
+                token,
+                done_ns: 1,
+                acked_ns: 2,
+                outcome: OpOutcome::Echo,
+            }
+            .to_message()
+            .encode_frame_into(Xid(0), &mut acks);
+        }
+        idle.stream.write_all(&acks).expect("send acks");
+        // Hold both connections open until the client goes.
+        let mut buf = [0u8; 64];
+        while idle.stream.read(&mut buf).is_ok_and(|n| n > 0) {}
+        drop(ours);
+    });
+    let mut fleet = TcpFleet::connect(addr, &[Dpid(1), Dpid(2)]).expect("fleet connects");
+    fleet.submit(Dpid(1), ControlOp::Echo(8), SimTime::ZERO);
+    fleet.submit(Dpid(2), ControlOp::Echo(8), SimTime::ZERO);
     while fleet.next_completion().is_some() {}
 }

@@ -117,8 +117,14 @@ impl SizeEstimate {
 /// Algorithm 1 as a probe program on `probe`'s switch (see
 /// [`driver`](crate::driver)), probing with rules of `kind` under
 /// `config`. Each stage's data-independent ops — a batch's warm-up
-/// probes, the stage-2 sweep — are issued together; only stage-3
-/// sampling waits for each probe before drawing the next.
+/// probes, the stage-2 sweep — are issued together. Stage 3 issues every
+/// sampling probe it is certain to send: it draws the next probe while
+/// the probes issued and not yet read are fewer than both the trials
+/// left in the level and the rules the current run can still grow by
+/// before it reaches `m`, so no outcome among them can end the level;
+/// with none unread it issues one. The probe ids, their order and each
+/// probe's departure at its predecessor's ack are those of a loop that
+/// waits for every probe.
 ///
 /// # Errors
 /// [`ProbeError::CompletionMismatch`] if a completion is not the op
@@ -184,26 +190,37 @@ pub async fn size_probe(
     for level in 0..clustering.k() {
         let mut runs: Vec<u64> = Vec::with_capacity(config.trials_per_level);
         let mut saturated = false;
-        for _ in 0..config.trials_per_level {
-            let mut j: u64 = 0;
-            loop {
+        // The current trial's run so far, and the probes issued but not
+        // yet read.
+        let (mut j, mut ahead) = (0usize, 0usize);
+        while runs.len() < config.trials_per_level {
+            // Each unread probe ends at most one trial or grows the run
+            // by one, so while they are fewer than the trials left and
+            // than the rules the run can still grow by, none of them can
+            // end the level: the next probe goes out whatever they read.
+            let trials_left = config.trials_per_level - runs.len();
+            while ahead == 0 || (ahead < trials_left && ahead < m - j) {
                 let id = rng.range_u64(0, m as u64) as u32;
                 probe.issue(ControlOp::Probe(kind.key(id)));
                 packets += 1;
-                let rtt = probe.rtt_ms("stage-3 sampling probe").await?;
-                if !(clustering.within(rtt, level) && (j as usize) < m) {
-                    break;
-                }
-                j += 1;
+                ahead += 1;
             }
-            if j as usize >= m {
+            let rtt = probe.rtt_ms("stage-3 sampling probe").await?;
+            ahead -= 1;
+            if clustering.within(rtt, level) && j < m {
+                j += 1;
+                continue;
+            }
+            if j >= m {
                 // A full-length run: the layer holds (essentially) every
                 // installed rule.
                 saturated = true;
                 break;
             }
-            runs.push(j);
+            runs.push(j as u64);
+            j = 0;
         }
+        debug_assert_eq!(ahead, 0, "a level ends with no sampling probe unread");
         // With no trials the estimate degenerates to `m · p̂(∅) = 0`.
         let estimated_size = if saturated {
             m as f64

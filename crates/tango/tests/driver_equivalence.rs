@@ -7,13 +7,19 @@
 //! stream the drivers replaced. Property tests then run both paths on
 //! identically-seeded testbeds across randomly drawn cache policies,
 //! table sizes, and seeds, and require the complete result structures
-//! (every float included) to be `==`, not merely close.
+//! (every float included) to be `==`, not merely close. The size probe's
+//! runs must also leave the testbed clock at the same instant, which
+//! pins the op timeline, not just the estimate: its stage 3 submits
+//! sampling probes ahead of their predecessors' outcomes, and only an
+//! unchanged timeline shows that it sends exactly the loop's probes.
 
 use ofwire::flow_mod::FlowMod;
 use ofwire::types::Dpid;
 use proptest::prelude::*;
 use simnet::rng::DetRng;
+use simnet::time::SimTime;
 use switchsim::cache::{Attribute, CachePolicy, Direction, SortKey};
+use switchsim::control::ControlPath;
 use switchsim::harness::Testbed;
 use switchsim::profiles::SwitchProfile;
 use tango::cluster::{cluster_rtts, kmeans_auto};
@@ -278,9 +284,57 @@ fn arb_policy() -> impl Strategy<Value = CachePolicy> {
 }
 
 fn testbed_with(seed: u64, tcam: u64, policy: CachePolicy) -> Testbed {
+    testbed_of(seed, SwitchProfile::generic_cached(tcam, policy))
+}
+
+fn testbed_of(seed: u64, profile: SwitchProfile) -> Testbed {
     let mut tb = Testbed::new(seed);
-    tb.attach_default(DPID, SwitchProfile::generic_cached(tcam, policy));
+    tb.attach_default(DPID, profile);
     tb
+}
+
+/// Runs the legacy loop and the size program on two testbeds built
+/// alike from `seed` and `profile`; returns both estimates and the
+/// instant each run left its testbed's clock at.
+fn size_runs(
+    seed: u64,
+    profile: &SwitchProfile,
+    cfg: SizeProbeConfig,
+) -> ((SizeEstimate, SimTime), (SizeEstimate, SimTime)) {
+    let mut tb = testbed_of(seed, profile.clone());
+    let legacy = legacy_size_probe(&mut tb, &cfg);
+    let legacy_end = ControlPath::now(&tb);
+    let mut tb = testbed_of(seed, profile.clone());
+    let driver = run_driver(&mut tb, DPID, |p| size_probe(p, KIND, cfg))
+        .expect("driver-based probe completes");
+    ((legacy, legacy_end), (driver, ControlPath::now(&tb)))
+}
+
+/// The edges of stage 3's issue-ahead rule: levels with no, one or two
+/// trials, where a single unread probe can end the level, on a cached
+/// switch with two layers and on OVS, whose one layer saturates (a
+/// sampling run reaches `m`).
+#[test]
+fn size_driver_matches_legacy_loop_with_few_trials() {
+    let profiles = [
+        SwitchProfile::generic_cached(60, CachePolicy::lru()),
+        SwitchProfile::generic_cached(90, CachePolicy::fifo()),
+        SwitchProfile::ovs(),
+    ];
+    for profile in &profiles {
+        for trials_per_level in [0, 1, 2] {
+            for seed in [3, 0x7a60] {
+                let cfg = SizeProbeConfig {
+                    max_flows: 160,
+                    trials_per_level,
+                    seed,
+                    ..SizeProbeConfig::default()
+                };
+                let (legacy, driver) = size_runs(seed, profile, cfg);
+                assert_eq!(legacy, driver, "{trials_per_level} trials, seed {seed}");
+            }
+        }
+    }
 }
 
 proptest! {
@@ -300,11 +354,25 @@ proptest! {
             cluster_method: method,
             ..SizeProbeConfig::default()
         };
-        let mut tb = testbed_with(seed, tcam, policy.clone());
-        let legacy = legacy_size_probe(&mut tb, &cfg);
-        let mut tb = testbed_with(seed, tcam, policy);
-        let driver = run_driver(&mut tb, DPID, |p| size_probe(p, KIND, cfg))
-            .expect("driver-based probe completes");
+        let profile = SwitchProfile::generic_cached(tcam, policy);
+        let (legacy, driver) = size_runs(seed, &profile, cfg);
+        prop_assert_eq!(legacy, driver);
+    }
+
+    #[test]
+    fn size_driver_matches_legacy_loop_when_a_run_reaches_m(
+        max_flows in 1usize..200,
+        trials_per_level in prop_oneof![Just(1usize), Just(2), Just(48)],
+        seed in any::<u64>(),
+    ) {
+        let cfg = SizeProbeConfig {
+            max_flows,
+            trials_per_level,
+            seed,
+            ..SizeProbeConfig::default()
+        };
+        let (legacy, driver) = size_runs(seed, &SwitchProfile::ovs(), cfg);
+        prop_assert!(legacy.0.levels.iter().all(|l| l.saturated));
         prop_assert_eq!(legacy, driver);
     }
 
